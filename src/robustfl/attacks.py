@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import as_vector_set
+from .numerics import as_vector_set, pairwise_sq_dists, pairwise_sq_dists_with_copies
 from .preaggregators import Pipeline
 
 ATTACK_NAMES = (
@@ -83,6 +83,13 @@ def optimize_attack_scale(
     Cloning keeps stateful stages (clip memory, bucket shuffles) identical
     across candidates, so scoring is reproducible. Score ties resolve to the
     smallest scale.
+
+    When the pipeline's first stage reads distances (NNM), the honest n x n
+    block is computed once per call and each candidate's (n + f)^2 matrix is
+    extended from it in O(n d) (``pairwise_sq_dists_with_copies``), bit for
+    bit equal to ``pairwise_sq_dists(candidate)``; only that first stage gets
+    it. Memory stays O((n + f) d + (n + f)^2) plus the kernels' block budget
+    ``numerics.BLOCK_ELEMENTS``.
     """
     if len(grid) == 0:
         raise ValueError("scale grid must be non-empty")
@@ -90,11 +97,14 @@ def optimize_attack_scale(
     if ctx.f < 1:
         raise ValueError(f"optimizing an attack needs f >= 1, got f={ctx.f}")
     honest_mean = honest.mean(axis=0)
+    honest_sq_dists = pairwise_sq_dists(honest) if ctx.pipeline.takes_sq_dists else None
     best_scale = None
     best_score = -np.inf
     for scale in grid:
-        candidate = np.vstack([honest, np.tile(base(honest, scale), (ctx.f, 1))])
-        aggregate = ctx.pipeline.clone()(candidate)
+        v = base(honest, scale)
+        candidate = np.vstack([honest, np.tile(v, (ctx.f, 1))])
+        sq_dists = None if honest_sq_dists is None else pairwise_sq_dists_with_copies(honest_sq_dists, honest, v, ctx.f)
+        aggregate = ctx.pipeline.clone()(candidate, sq_dists)
         score = float(np.linalg.norm(aggregate - honest_mean))
         if score > best_score or (score == best_score and scale < best_scale):
             best_score = score

@@ -19,6 +19,7 @@ import math
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -658,7 +659,9 @@ def run_benchmark(cfg: BenchmarkConfig, parallelism: int = 1) -> dict:
 
     Returns ``{"completed": int, "skipped": int, "failed": int, "failures":
     [(run_id, message), ...]}``. Individual failures are recorded and the
-    remaining runs proceed.
+    remaining runs proceed. A pool worker that dies (OOM kill, signal) breaks
+    the pool: every run that had not finished by then is recorded as failed
+    with the ``BrokenProcessPool`` message, and runs already on disk stay.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
@@ -671,26 +674,27 @@ def run_benchmark(cfg: BenchmarkConfig, parallelism: int = 1) -> dict:
 
     failures: list[tuple[str, str]] = []
     completed = 0
+
+    def record(key: ExperimentKey, error: str | None) -> None:
+        nonlocal completed
+        if error is None:
+            completed += 1
+            log.info("completed %s", key.run_id)
+        else:
+            failures.append((key.run_id, error))
+            log.error("failed %s: %s", key.run_id, error)
+
     if parallelism == 1 or len(pending) <= 1:
         for key in pending:
-            error = _execute_key(cfg, key, str(base))
-            if error is None:
-                completed += 1
-                log.info("completed %s", key.run_id)
-            else:
-                failures.append((key.run_id, error))
-                log.error("failed %s: %s", key.run_id, error)
+            record(key, _execute_key(cfg, key, str(base)))
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             futures = {pool.submit(_execute_key, cfg, key, str(base)): key for key in pending}
             for future in as_completed(futures):
-                key = futures[future]
-                error = future.result()
-                if error is None:
-                    completed += 1
-                    log.info("completed %s", key.run_id)
-                else:
-                    failures.append((key.run_id, error))
-                    log.error("failed %s: %s", key.run_id, error)
+                try:
+                    error = future.result()
+                except BrokenProcessPool as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+                record(futures[future], error)
     failures.sort()
     return {"completed": completed, "skipped": skipped, "failed": len(failures), "failures": failures}

@@ -1,8 +1,11 @@
 """Dense float64 kernels shared by the aggregation rules.
 
 Client updates are plain 1-D float64 arrays and a round's worth of updates is
-an (n, d) matrix with one row per client. Everything here validates shape and
-finiteness on entry so the rules built on top can assume clean input.
+an (n, d) matrix with one row per client. The kernels validate shape and
+finiteness on entry so the rules built on top can assume clean input; only
+``pairwise_sq_dists_with_copies``, which extends an already validated block,
+trusts its arguments. Kernels that would build an (n, n, d)-sized temporary
+work in row blocks of at most ``BLOCK_ELEMENTS`` entries instead.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ import numpy as np
 
 POWER_ITERATION_MAX_STEPS = 1000
 POWER_ITERATION_RTOL = 1e-10
+
+# Most float64 elements a row-blocked kernel holds in one temporary (8 MiB).
+BLOCK_ELEMENTS = 1 << 20
 
 
 def as_vector(x) -> np.ndarray:
@@ -44,15 +50,49 @@ def as_vector_set(xs) -> np.ndarray:
     return arr
 
 
+def block_rows(row_elements: int) -> int:
+    """Rows per block so that a block of ``row_elements``-sized rows stays
+    within ``BLOCK_ELEMENTS`` (always at least one row)."""
+    return max(1, BLOCK_ELEMENTS // max(1, row_elements))
+
+
 def pairwise_sq_dists(xs) -> np.ndarray:
     """Matrix of squared Euclidean distances between all row pairs.
 
     Computed from explicit row differences (not the Gram-matrix identity), so
-    the result is exactly symmetric with an exactly zero diagonal.
+    the result is exactly symmetric with an exactly zero diagonal. Rows are
+    processed in blocks whose (rows, n, d) difference tensor holds at most
+    ``BLOCK_ELEMENTS`` entries, or one row when a row alone is larger, so the
+    extra memory is O(n^2 + max(BLOCK_ELEMENTS, n d)). Every entry is the same
+    per-pair reduction whatever the block size.
     """
     xs = as_vector_set(xs)
-    diffs = xs[:, None, :] - xs[None, :, :]
-    return np.einsum("ijk,ijk->ij", diffs, diffs)
+    n, d = xs.shape
+    out = np.empty((n, n))
+    step = block_rows(n * d)
+    for lo in range(0, n, step):
+        diffs = xs[lo : lo + step, None, :] - xs[None, :, :]
+        out[lo : lo + step] = np.einsum("ijk,ijk->ij", diffs, diffs)
+    return out
+
+
+def pairwise_sq_dists_with_copies(honest_sq_dists: np.ndarray, honest: np.ndarray, v: np.ndarray, f: int):
+    """``pairwise_sq_dists`` of ``honest`` stacked over f copies of ``v``,
+    built from the already computed honest block in O(n d) time and memory.
+
+    The result equals ``pairwise_sq_dists(np.vstack([honest, np.tile(v, (f, 1))]))``
+    bit for bit: each honest-to-v entry is the same reduction over the same
+    row difference (negating it is exact), and the copies are exactly 0 apart.
+    The inputs are trusted: the caller has validated ``honest``.
+    """
+    n = len(honest)
+    diffs = honest[:, None, :] - v
+    column = np.einsum("ijk,ijk->ij", diffs, diffs)
+    out = np.zeros((n + f, n + f))
+    out[:n, :n] = honest_sq_dists
+    out[:n, n:] = column
+    out[n:, :n] = column.T
+    return out
 
 
 def coord_order_stats(xs, drop_low: int, drop_high: int) -> np.ndarray:

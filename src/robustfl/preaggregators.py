@@ -15,26 +15,39 @@ from typing import Sequence
 import numpy as np
 
 from .aggregators import AggregatorSpec, ConfiguredAggregator, make_aggregator
-from .numerics import as_vector_set, pairwise_sq_dists
+from .numerics import as_vector_set, block_rows, pairwise_sq_dists
 
 PRE_AGGREGATOR_NAMES = ("NNM", "Bucketing", "Clipping", "ARC")
 
 DEFAULT_BUCKET_SIZE = 2
 
 
-def nnm(xs, f: int) -> np.ndarray:
+def nnm(xs, f: int, sq_dists: np.ndarray | None = None) -> np.ndarray:
     """Replace each row by the mean of its n - f nearest rows (itself included).
 
-    Distance ties are broken toward lower row indices.
+    Distance ties are broken toward lower row indices. ``sq_dists``, when
+    given, must equal ``pairwise_sq_dists(xs)`` and saves recomputing it.
+    Neighbour rows are gathered in row blocks of at most
+    ``numerics.BLOCK_ELEMENTS`` entries (or one row when a row alone is
+    larger) rather than one (n, n - f, d) tensor, so the extra memory is
+    O(n^2 + n d + max(BLOCK_ELEMENTS, (n - f) d)).
     """
     xs = as_vector_set(xs)
-    n = len(xs)
+    n, d = xs.shape
     if f < 0:
         raise ValueError(f"NNM requires f >= 0, got f={f}")
     if n <= f:
         raise ValueError(f"NNM requires n > f (got n={n}, f={f})")
-    order = np.argsort(pairwise_sq_dists(xs), axis=1, kind="stable")
-    return xs[order[:, : n - f]].mean(axis=1)
+    if sq_dists is None:
+        sq_dists = pairwise_sq_dists(xs)
+    elif sq_dists.shape != (n, n):
+        raise ValueError(f"sq_dists must have shape ({n}, {n}), got {sq_dists.shape}")
+    neighbours = np.argsort(sq_dists, axis=1, kind="stable")[:, : n - f]
+    out = np.empty_like(xs)
+    step = block_rows((n - f) * d)
+    for lo in range(0, n, step):
+        out[lo : lo + step] = xs[neighbours[lo : lo + step]].mean(axis=1)
+    return out
 
 
 def bucketing(xs, s: int = DEFAULT_BUCKET_SIZE, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -144,10 +157,11 @@ class ConfiguredPreAggregator:
             raise ValueError("Bucketing requires a seeded numpy Generator")
         self.rng = rng
 
-    def __call__(self, xs) -> np.ndarray:
+    def __call__(self, xs, sq_dists: np.ndarray | None = None) -> np.ndarray:
+        """Apply the transform; only NNM reads ``sq_dists`` (see ``nnm``)."""
         name, f, p = self.spec.name, self.spec.f, self.spec.params
         if name == "NNM":
-            return nnm(xs, f)
+            return nnm(xs, f, sq_dists)
         if name == "Bucketing":
             return bucketing(xs, s=int(p.get("s", DEFAULT_BUCKET_SIZE)), rng=self.rng)
         if name == "Clipping":
@@ -168,11 +182,25 @@ class Pipeline:
         self.pre_aggregators = list(pre_aggregators)
         self.aggregator = aggregator
 
-    def __call__(self, xs) -> np.ndarray:
+    def __call__(self, xs, sq_dists: np.ndarray | None = None) -> np.ndarray:
+        """Fold the transforms over ``xs`` and aggregate.
+
+        ``sq_dists``, when given, must equal ``pairwise_sq_dists(xs)``. Only
+        the first stage receives it (see ``takes_sq_dists``): every later
+        stage sees transformed rows and computes its own distances. Memory is
+        that of the stages, each bounded by ``numerics.BLOCK_ELEMENTS`` on top
+        of its O(n^2 + n d) input and output.
+        """
         xs = as_vector_set(xs)
         for pre in self.pre_aggregators:
-            xs = pre(xs)
+            xs = pre(xs, sq_dists)
+            sq_dists = None
         return self.aggregator(xs)
+
+    @property
+    def takes_sq_dists(self) -> bool:
+        """Whether the first stage reads a precomputed distance matrix."""
+        return bool(self.pre_aggregators) and self.pre_aggregators[0].spec.name == "NNM"
 
     def clone(self) -> "Pipeline":
         return copy.deepcopy(self)

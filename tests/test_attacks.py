@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from robustfl import attacks, preaggregators
 from robustfl.aggregators import AggregatorSpec
 from robustfl.attacks import (
     ATTACK_NAMES,
@@ -18,7 +19,9 @@ from robustfl.attacks import (
     optimize_attack_scale,
     sign_flipping,
 )
+from robustfl.numerics import pairwise_sq_dists
 from robustfl.preaggregators import PreAggregatorSpec, build_pipeline
+from robustfl.seeding import derive_rng
 
 from conftest import random_vector_set
 from oracles import rescore_attack_grid
@@ -26,6 +29,24 @@ from oracles import rescore_attack_grid
 
 def average_pipeline():
     return build_pipeline(AggregatorSpec("Average"))
+
+
+# Pipelines the scale search must score exactly as clone-per-candidate does,
+# built for an adversary of multiplicity f.
+SCORED_PIPELINES = {
+    "NNM>TrMean": lambda f: build_pipeline(AggregatorSpec("TrMean", f=f), [PreAggregatorSpec("NNM", f=f)]),
+    "NNM>Median": lambda f: build_pipeline(AggregatorSpec("Median"), [PreAggregatorSpec("NNM", f=f)]),
+    # Stateful, and NNM is second: it must compute its own distances.
+    "Bucketing>NNM>CenteredClipping": lambda f: build_pipeline(
+        AggregatorSpec("CenteredClipping", params={"tau": 5.0, "iters": 2.0}),
+        [PreAggregatorSpec("Bucketing", params={"s": 2.0}), PreAggregatorSpec("NNM", f=1)],
+        rng=derive_rng(f, "bucketing"),
+    ),
+    "Clipping>NNM>Average": lambda f: build_pipeline(
+        AggregatorSpec("Average"), [PreAggregatorSpec("Clipping", params={"c": 15.0}), PreAggregatorSpec("NNM", f=f)]
+    ),
+    "MultiKrum": lambda f: build_pipeline(AggregatorSpec("MultiKrum", f=f)),
+}
 
 
 class TestSignFlipping:
@@ -133,6 +154,36 @@ class TestOptimizeAttackScale:
             oracle_scale, oracle_score = rescore_attack_grid(factory, xs, f, base, DEFAULT_SCALE_GRID)
             assert result.score == pytest.approx(oracle_score, abs=1e-12)
             assert result.scale == oracle_scale
+
+    @pytest.mark.parametrize("base", [a_little_is_enough, inner_product_manipulation])
+    @pytest.mark.parametrize("pipeline_name", list(SCORED_PIPELINES))
+    def test_equals_clone_per_candidate_rescoring(self, pipeline_name, base):
+        rng = np.random.default_rng(26)
+        for trial in range(8):
+            n, f = int(rng.integers(3, 8)), int(rng.integers(1, 3))
+            xs = random_vector_set(rng, n=n)
+            if trial % 2:
+                xs[n - 1] = xs[1] = xs[0]
+            live = SCORED_PIPELINES[pipeline_name](f)
+            # Move clip memory and shuffle streams off their initial state.
+            live(rng.normal(size=(n + f, xs.shape[1])) * 10.0)
+            result = optimize_attack_scale(AttackContext(honest=xs, f=f, pipeline=live), base, DEFAULT_SCALE_GRID)
+            oracle_scale, oracle_score = rescore_attack_grid(live.clone, xs, f, base, DEFAULT_SCALE_GRID)
+            assert (result.scale, result.score) == (oracle_scale, oracle_score)
+            np.testing.assert_array_equal(result.vector, base(xs, oracle_scale))
+
+    def test_honest_distances_computed_once_per_search(self, monkeypatch):
+        calls = {"attacks": 0, "preaggregators": 0}
+        for module in (attacks, preaggregators):
+            def counting(xs, name=module.__name__.rsplit(".", 1)[1]):
+                calls[name] += 1
+                return pairwise_sq_dists(xs)
+
+            monkeypatch.setattr(module, "pairwise_sq_dists", counting)
+        xs = random_vector_set(np.random.default_rng(27), n=6)
+        ctx = AttackContext(honest=xs, f=2, pipeline=SCORED_PIPELINES["NNM>TrMean"](2))
+        optimize_attack_scale(ctx, a_little_is_enough, DEFAULT_SCALE_GRID)
+        assert calls == {"attacks": 1, "preaggregators": 0}
 
     def test_grid_search_leaves_live_pipeline_untouched(self, x3):
         pipeline = build_pipeline(AggregatorSpec("CenteredClipping", params={"tau": 1.0, "iters": 1.0}))

@@ -1,9 +1,15 @@
+import functools
 import json
 import math
+import multiprocessing
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from config_fixtures import SAMPLE_CONFIG, tiny_config_text
 
+from robustfl import benchmark
 from robustfl.benchmark import (
     ExperimentKey,
     RuleConfig,
@@ -373,6 +379,38 @@ class TestRunBenchmark:
             assert summary["completed"] == 4
             grids[mode] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
         assert grids["serial"] == grids["parallel"]
+
+    def test_crashed_worker_is_recorded_not_raised(self, tmp_path, monkeypatch):
+        results = tmp_path / "results"
+        cfg = parse_config(tiny_config_text(results, **{"benchmark_config.nb_training_seeds": 3}))
+        *others, victim = [key.run_id for key in expand_grid(cfg)]
+        real_run_single = benchmark.run_single
+
+        def run_single_or_die(cfg, key):
+            # The victim dies like an OOM-killed worker once the other runs are
+            # on disk and their results have had time to reach the parent.
+            if key.run_id != victim:
+                return real_run_single(cfg, key)
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline and not all((results / r / "metrics.csv").exists() for r in others):
+                time.sleep(0.01)
+            time.sleep(0.5)
+            os._exit(1)
+
+        # Forked workers inherit the patched module attribute.
+        monkeypatch.setattr(benchmark, "run_single", run_single_or_die)
+        monkeypatch.setattr(
+            benchmark,
+            "ProcessPoolExecutor",
+            functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")),
+        )
+        summary = run_benchmark(cfg, parallelism=2)
+        assert summary["completed"] == 2 and summary["failed"] == 1
+        run_id, message = summary["failures"][0]
+        assert run_id == victim and message.startswith("BrokenProcessPool: ")
+        for run_id in others:
+            assert (results / run_id / "metrics.csv").exists()
+        assert not (results / victim / "metrics.csv").exists()
 
     def test_rejects_bad_parallelism(self, tmp_path):
         cfg = parse_config(tiny_config_text(tmp_path / "results"))

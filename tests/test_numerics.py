@@ -4,12 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from robustfl.numerics import as_vector_set, coord_order_stats, pairwise_sq_dists, top_eigenpair
+from robustfl.numerics import (
+    as_vector_set,
+    coord_order_stats,
+    pairwise_sq_dists,
+    pairwise_sq_dists_with_copies,
+    top_eigenpair,
+)
 
-from conftest import random_vector_set
+from conftest import (
+    finite_elements,
+    in_blocks,
+    multi_row_matrices,
+    random_vector_set,
+    single_block,
+    tied_elements,
+)
 from oracles import covariance_top_eigenvalue, naive_pairwise_sq_dists
 
-finite_elements = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 matrices = st.integers(1, 6).flatmap(
     lambda n: st.integers(1, 5).flatmap(lambda d: arrays(np.float64, (n, d), elements=finite_elements))
 )
@@ -58,6 +70,52 @@ class TestPairwiseSqDists:
         assert np.array_equal(d2, d2.T)
         assert np.all(np.diag(d2) == 0.0)
         assert np.all(d2 >= 0.0)
+
+
+class TestBlockedPairwiseSqDists:
+    @settings(deadline=None, max_examples=80)
+    @given(multi_row_matrices, st.data())
+    def test_blocks_equal_single_block(self, xs, data):
+        n, d = xs.shape
+        rows = data.draw(st.integers(1, n - 1), label="rows per block")
+        blocked = in_blocks(pairwise_sq_dists, rows, n * d, xs)
+        np.testing.assert_array_equal(blocked, single_block(pairwise_sq_dists, xs))
+        np.testing.assert_array_equal(blocked, blocked.T)
+        np.testing.assert_array_equal(np.diag(blocked), np.zeros(n))
+
+    def test_budget_below_one_row_still_progresses(self):
+        xs = np.random.default_rng(12).normal(size=(5, 3))
+        np.testing.assert_array_equal(in_blocks(pairwise_sq_dists, 1, 1, xs), single_block(pairwise_sq_dists, xs))
+
+    def test_wide_rows_in_uneven_blocks(self):
+        xs = np.random.default_rng(13).normal(size=(9, 4099)) * 10.0
+        for rows in (1, 2, 4):
+            np.testing.assert_array_equal(
+                in_blocks(pairwise_sq_dists, rows, 9 * 4099, xs), single_block(pairwise_sq_dists, xs)
+            )
+
+
+class TestPairwiseSqDistsWithCopies:
+    @settings(deadline=None, max_examples=80)
+    @given(multi_row_matrices, st.integers(1, 4), st.data())
+    def test_equals_full_computation(self, honest, f, data):
+        v = data.draw(arrays(np.float64, honest.shape[1], elements=tied_elements), label="v")
+        candidate = np.vstack([honest, np.tile(v, (f, 1))])
+        got = pairwise_sq_dists_with_copies(pairwise_sq_dists(honest), honest, v, f)
+        np.testing.assert_array_equal(got, pairwise_sq_dists(candidate))
+
+    def test_wide_rows(self):
+        rng = np.random.default_rng(14)
+        honest = rng.normal(size=(30, 50_890))
+        v = honest.mean(axis=0) - 1.5 * honest.std(axis=0)
+        candidate = np.vstack([honest, np.tile(v, (3, 1))])
+        got = pairwise_sq_dists_with_copies(pairwise_sq_dists(honest), honest, v, 3)
+        np.testing.assert_array_equal(got, pairwise_sq_dists(candidate))
+
+    def test_copies_block_is_zero(self, x3):
+        got = pairwise_sq_dists_with_copies(pairwise_sq_dists(x3), x3, np.array([0.0, 1.0, 2.0]), 2)
+        np.testing.assert_array_equal(got[3:, 3:], np.zeros((2, 2)))
+        np.testing.assert_array_equal(got[:3, 3], [3.0, 48.0, 147.0])
 
 
 class TestCoordOrderStats:

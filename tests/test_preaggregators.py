@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from robustfl import preaggregators
 from robustfl.aggregators import AggregatorSpec, make_aggregator
+from robustfl.numerics import pairwise_sq_dists
 from robustfl.preaggregators import (
     DEFAULT_BUCKET_SIZE,
     PRE_AGGREGATOR_NAMES,
@@ -18,7 +22,7 @@ from robustfl.preaggregators import (
 )
 from robustfl.seeding import derive_rng
 
-from conftest import random_vector_set
+from conftest import in_blocks, multi_row_matrices, random_vector_set, single_block
 from oracles import naive_nnm
 
 
@@ -67,6 +71,25 @@ class TestNnm:
             out = nnm(xs, int(rng.integers(0, len(xs))))
             lo, hi = xs.min(axis=0), xs.max(axis=0)
             assert (out >= lo - 1e-12).all() and (out <= hi + 1e-12).all()
+
+    @settings(deadline=None, max_examples=80)
+    @given(multi_row_matrices, st.data())
+    def test_blocks_equal_single_block(self, xs, data):
+        n, d = xs.shape
+        f = data.draw(st.integers(0, n - 1), label="f")
+        rows = data.draw(st.integers(1, n - 1), label="rows per block")
+        expected = single_block(nnm, xs, f)
+        np.testing.assert_array_equal(in_blocks(nnm, rows, (n - f) * d, xs, f), expected)
+
+    @settings(deadline=None, max_examples=40)
+    @given(multi_row_matrices, st.data())
+    def test_precomputed_distances_change_nothing(self, xs, data):
+        f = data.draw(st.integers(0, len(xs) - 1), label="f")
+        np.testing.assert_array_equal(nnm(xs, f, pairwise_sq_dists(xs)), nnm(xs, f))
+
+    def test_rejects_misshapen_distances(self, x3):
+        with pytest.raises(ValueError, match=r"sq_dists must have shape \(3, 3\)"):
+            nnm(x3, 1, np.zeros((4, 4)))
 
     def test_infeasible_f(self, x3):
         with pytest.raises(ValueError, match=r"NNM requires n > f \(got n=3, f=3\)"):
@@ -315,6 +338,30 @@ class TestPipeline:
         pipeline(np.array([[9.0, 9.0]]))
         pipeline.reset()
         np.testing.assert_array_equal(pipeline(xs), baseline)
+
+    def test_distances_reach_only_the_first_stage(self, x3, monkeypatch):
+        computed = []
+
+        def counting(xs):
+            computed.append(xs.copy())
+            return pairwise_sq_dists(xs)
+
+        monkeypatch.setattr(preaggregators, "pairwise_sq_dists", counting)
+        pipeline = build_pipeline(AggregatorSpec("Average"), [PreAggregatorSpec("NNM", f=1)] * 2)
+        assert pipeline.takes_sq_dists
+        expected = pipeline(x3)
+        assert len(computed) == 2
+        computed.clear()
+        np.testing.assert_array_equal(pipeline(x3, pairwise_sq_dists(x3)), expected)
+        # The second NNM sees the first one's output and measures it itself.
+        assert len(computed) == 1
+        np.testing.assert_array_equal(computed[0], nnm(x3, 1))
+
+    def test_takes_sq_dists_only_when_nnm_leads(self):
+        nnm_spec, clip_spec = PreAggregatorSpec("NNM", f=1), PreAggregatorSpec("Clipping", params={"c": 1.0})
+        assert not build_pipeline(AggregatorSpec("MultiKrum", f=1)).takes_sq_dists
+        assert not build_pipeline(AggregatorSpec("Average"), [clip_spec, nnm_spec]).takes_sq_dists
+        assert build_pipeline(AggregatorSpec("Average"), [nnm_spec, clip_spec]).takes_sq_dists
 
     def test_rng_handed_only_to_bucketing(self):
         pipeline = build_pipeline(
