@@ -85,24 +85,41 @@ def geometric_median(
     move under translation. Convergence is sublinear when the optimum sits on
     an input row, so the iterate is replaced by the best input row whenever
     one attains a strictly smaller summed distance.
+
+    Every iterate is a convex combination v = a @ xs, so the iteration runs on
+    the n coefficients ``a``. The best input row r, the smallest row sum of
+    the square-rooted ``pairwise_sq_dists``, anchors the n x n matrix
+    G = Y Y^T of the rows centred at it (Y = xs - r, built once in d-space):
+    ||x_i - v||^2 = G_ii - 2 (G a)_i + a.G a, and a step delta in ``a`` has
+    length^2 = delta.G delta. Centred at r, an entry's rounding scales with
+    the two rows' distances to r, so a far-out row cannot swamp the distances
+    among the rest. It would through the raw inner products x_i.x_j, and
+    through the squared distances to that row, whose rounding at the scale
+    of its squared distance is multiplied by its small weight into every
+    other row's distance. v is formed in d-space once, and the choice
+    between v and r compares their summed distances computed directly.
     """
     xs = as_vector_set(xs)
-    v = xs.mean(axis=0)
+    n = len(xs)
+    best_row = xs[int(np.argmin(np.sqrt(pairwise_sq_dists(xs)).sum(axis=1)))]
+    centered = xs - best_row
+    gram = centered @ centered.T
+    best_objective = float(np.linalg.norm(centered, axis=1).sum())
+    del centered  # free n * d floats before xs - v takes as many
+    a = np.full(n, 1.0 / n)
     for _ in range(max_steps):
-        dists = np.linalg.norm(xs - v, axis=1)
+        gram_a = gram @ a
+        dists = np.sqrt(np.maximum(np.diag(gram) - 2.0 * gram_a + a @ gram_a, 0.0))
         inv = 1.0 / np.maximum(dists, eps)
-        v_new = (inv[:, None] * xs).sum(axis=0) / inv.sum()
-        step = float(np.linalg.norm(v_new - v))
-        v = v_new
+        a_new = inv / inv.sum()
+        delta = a_new - a
+        step = np.sqrt(max(delta @ gram @ delta, 0.0))
+        a = a_new
         if step <= rtol * float(dists.max()):
             break
-
-    def objective(point: np.ndarray) -> float:
-        return float(np.linalg.norm(xs - point, axis=1).sum())
-
-    best_row = min(range(len(xs)), key=lambda i: objective(xs[i]))
-    if objective(xs[best_row]) < objective(v):
-        return xs[best_row].copy()
+    v = a @ xs
+    if best_objective < float(np.linalg.norm(xs - v, axis=1).sum()):
+        return best_row.copy()
     return v
 
 
@@ -113,12 +130,8 @@ def multi_krum(xs, f: int) -> np.ndarray:
     n = len(xs)
     _check_f("MultiKrum", n, f, f + 2, "n >= f + 2")
     d2 = pairwise_sq_dists(xs)
-    keep_neighbors = n - f - 1
-    scores = np.empty(n)
-    for i in range(n):
-        others = np.delete(d2[i], i)
-        order = np.argsort(others, kind="stable")
-        scores[i] = others[order[:keep_neighbors]].sum()
+    np.fill_diagonal(d2, np.inf)
+    scores = np.sort(d2, axis=1)[:, : n - f - 1].sum(axis=1)
     chosen = np.argsort(scores, kind="stable")[: n - f]
     return xs[chosen].mean(axis=0)
 

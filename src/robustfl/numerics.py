@@ -6,16 +6,15 @@ finiteness on entry so the rules built on top can assume clean input; only
 ``pairwise_sq_dists_with_copies``, which extends an already validated block,
 trusts its arguments. Kernels that would build an (n, n, d)-sized temporary
 work in row blocks of at most ``BLOCK_ELEMENTS`` entries instead.
+
+Every rule works on n rows with n much smaller than d, so the n x n matrices
+of pairwise distances or of centred inner products carry what a rule needs:
+``top_eigenpair`` solves the n x n problem and maps the answer back to d-space.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-POWER_ITERATION_MAX_STEPS = 1000
-POWER_ITERATION_RTOL = 1e-10
 
 # Most float64 elements a row-blocked kernel holds in one temporary (8 MiB).
 BLOCK_ELEMENTS = 1 << 20
@@ -60,19 +59,31 @@ def pairwise_sq_dists(xs) -> np.ndarray:
     """Matrix of squared Euclidean distances between all row pairs.
 
     Computed from explicit row differences (not the Gram-matrix identity), so
-    the result is exactly symmetric with an exactly zero diagonal. Rows are
-    processed in blocks whose (rows, n, d) difference tensor holds at most
-    ``BLOCK_ELEMENTS`` entries, or one row when a row alone is larger, so the
-    extra memory is O(n^2 + max(BLOCK_ELEMENTS, n d)). Every entry is the same
-    per-pair reduction whatever the block size.
+    the result is exactly symmetric with an exactly zero diagonal. When the
+    whole (n, n, d) difference tensor fits in ``BLOCK_ELEMENTS`` entries it is
+    built in one piece. Otherwise rows go in blocks sized for that budget (one
+    row when a row alone is larger), each block computes only the columns from
+    its own first row on into one reused buffer, and the upper triangle is
+    mirrored into the lower: half the work, extra memory
+    O(n^2 + max(BLOCK_ELEMENTS, n d)). Every entry is the same per-pair
+    reduction whatever the block size (negating a difference is exact), so
+    the result is bit-identical either way.
     """
     xs = as_vector_set(xs)
     n, d = xs.shape
-    out = np.empty((n, n))
     step = block_rows(n * d)
+    if step >= n:
+        diffs = xs[:, None, :] - xs[None, :, :]
+        return np.einsum("ijk,ijk->ij", diffs, diffs)
+    out = np.empty((n, n))
+    buffer = np.empty(step * n * d)
     for lo in range(0, n, step):
-        diffs = xs[lo : lo + step, None, :] - xs[None, :, :]
-        out[lo : lo + step] = np.einsum("ijk,ijk->ij", diffs, diffs)
+        block = xs[lo : lo + step]
+        diffs = buffer[: len(block) * (n - lo) * d].reshape(len(block), n - lo, d)
+        np.subtract(block[:, None, :], xs[None, lo:, :], out=diffs)
+        out[lo : lo + step, lo:] = np.einsum("ijk,ijk->ij", diffs, diffs)
+    lower = np.tril_indices(n, -1)
+    out[lower] = out.T[lower]
     return out
 
 
@@ -116,20 +127,16 @@ def coord_order_stats(xs, drop_low: int, drop_high: int) -> np.ndarray:
     return ordered[drop_low : n - drop_high].mean(axis=0)
 
 
-def top_eigenpair(
-    xs,
-    weights=None,
-    *,
-    rtol: float = POWER_ITERATION_RTOL,
-    max_steps: int = POWER_ITERATION_MAX_STEPS,
-) -> tuple[float, np.ndarray]:
-    """Dominant eigenpair of the weighted covariance of the rows, matrix-free.
+def top_eigenpair(xs, weights=None) -> tuple[float, np.ndarray]:
+    """Dominant eigenpair of the weighted covariance of the rows.
 
-    The operator is v -> sum_i w_i (x_i - mu)(x_i - mu)^T v / sum_i w_i with mu
-    the weighted row mean; it is never materialised as a d x d matrix. Power
-    iteration starts from the normalised all-ones vector (falling back to
-    canonical basis vectors when that start lies in the null space) and stops
-    once successive Rayleigh quotients agree to ``rtol``.
+    The covariance is sum_i w_i (x_i - mu)(x_i - mu)^T / sum_i w_i with mu the
+    weighted row mean. With B the rows of positive weight, centred at mu in
+    d-space and scaled by sqrt(w_i / sum_j w_j), the covariance is B^T B; it
+    shares its nonzero spectrum with the small Gram matrix B B^T, whose dense
+    ``eigh`` gives the eigenvalue and, through B^T u, the eigenvector. The
+    d x d matrix is never formed. Zero-weight rows are dropped before the
+    product, so a huge row with weight 0 cannot leak into the result.
 
     Returns:
         (eigenvalue, unit eigenvector). Rows with no spread around their
@@ -149,41 +156,16 @@ def top_eigenpair(
     if total <= 0:
         raise ValueError("weights must have positive sum")
 
-    mu = (w @ xs) / total
-    centered = xs - mu
-    scaled = centered * (w / total)[:, None]
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        return scaled.T @ (centered @ v)
-
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    if float(np.einsum("ij,ij->", scaled, centered)) == 0.0:
+    keep = w > 0
+    if not keep.all():
+        xs, w = xs[keep], w[keep]
+    scaled = xs - (w @ xs) / total
+    scaled *= np.sqrt(w / total)[:, None]
+    eigenvalues, eigenvectors = np.linalg.eigh(scaled @ scaled.T)
+    v = scaled.T @ eigenvectors[:, -1]
+    norm = np.linalg.norm(v)
+    if eigenvalues[-1] <= 0.0 or norm == 0.0:
+        e1 = np.zeros(d)
+        e1[0] = 1.0
         return 0.0, e1
-
-    v = np.full(d, 1.0 / math.sqrt(d))
-    image = apply(v)
-    if np.linalg.norm(image) == 0.0:
-        for k in range(d):
-            basis = np.zeros(d)
-            basis[k] = 1.0
-            image = apply(basis)
-            if np.linalg.norm(image) > 0.0:
-                v = basis
-                break
-        else:
-            return 0.0, e1
-
-    lam = 0.0
-    for _ in range(max_steps):
-        image = apply(v)
-        norm = np.linalg.norm(image)
-        if norm == 0.0:
-            return 0.0, v
-        lam_new = float(v @ image)
-        v = image / norm
-        if abs(lam_new - lam) <= rtol * max(abs(lam_new), abs(lam), 1e-300):
-            lam = lam_new
-            break
-        lam = lam_new
-    return max(lam, 0.0), v
+    return float(eigenvalues[-1]), v / norm

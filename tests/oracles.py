@@ -4,7 +4,9 @@ Everything here is written directly from the contracts, favoring the most
 literal (and slow) formulation available: explicit loops, full covariance
 matrices, exhaustive enumeration. None of it shares code with the package
 under test beyond calling the public API where the oracle's job is to
-re-check an output (finite differences, re-scoring).
+re-check an output (finite differences, re-scoring) or to replay a
+superseded loop over the package's own distance matrix, which a vectorised
+rule must then match bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import itertools
 import math
 
 import numpy as np
+
+from robustfl.numerics import pairwise_sq_dists
 
 
 def naive_pairwise_sq_dists(xs: np.ndarray) -> np.ndarray:
@@ -24,15 +28,43 @@ def naive_pairwise_sq_dists(xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def covariance_top_eigenvalue(xs: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """Largest eigenvalue of the weighted population covariance, via a dense
-    eigensolver on the explicit d x d matrix."""
+def covariance_eigh(xs: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors (columns) of the weighted
+    population covariance, via a dense eigensolver on the explicit d x d
+    matrix."""
     w = np.ones(xs.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
     total = w.sum()
     mu = (w @ xs) / total
     centered = xs - mu
     cov = (centered * w[:, None]).T @ centered / total
-    return float(np.linalg.eigvalsh(cov)[-1])
+    return np.linalg.eigh(cov)
+
+
+def covariance_top_eigenvalue(xs: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """Largest eigenvalue of the weighted population covariance."""
+    return float(covariance_eigh(xs, weights)[0][-1])
+
+
+def naive_caf(xs: np.ndarray, f: int, max_steps: int = 50, floor: float = 1e-12) -> np.ndarray:
+    """CAF with each pass's top principal direction taken from the dense
+    eigendecomposition of the explicit d x d weighted covariance."""
+    n = xs.shape[0]
+    w = np.ones(n)
+    mu = xs.mean(axis=0)
+    for _ in range(max_steps):
+        total = w.sum()
+        if total <= 0.0:
+            return mu
+        mu = (w @ xs) / total
+        if n - total >= f or np.count_nonzero(w) <= 1:
+            return mu
+        eigenvalues, eigenvectors = covariance_eigh(xs, w)
+        if eigenvalues[-1] <= floor:
+            return mu
+        tau = ((xs - mu) @ eigenvectors[:, -1]) ** 2
+        w = w * (1.0 - tau / tau.max())
+    total = w.sum()
+    return (w @ xs) / total if total > 0 else mu
 
 
 def brute_mda(xs: np.ndarray, f: int) -> np.ndarray:
@@ -76,6 +108,21 @@ def naive_multi_krum(xs: np.ndarray, f: int) -> np.ndarray:
     return xs[chosen].mean(axis=0)
 
 
+def loop_multi_krum(xs: np.ndarray, f: int) -> np.ndarray:
+    """MultiKrum scored row by row: drop the row's own entry from its distance
+    row, sort the rest and add up the n - f - 1 smallest. Same arithmetic as
+    the package's one-sort version, so the two must agree bit for bit."""
+    n = xs.shape[0]
+    d2 = pairwise_sq_dists(xs)
+    scores = np.empty(n)
+    for i in range(n):
+        others = np.delete(d2[i], i)
+        order = np.argsort(others, kind="stable")
+        scores[i] = others[order[: n - f - 1]].sum()
+    chosen = np.argsort(scores, kind="stable")[: n - f]
+    return xs[chosen].mean(axis=0)
+
+
 def naive_meamed(xs: np.ndarray, f: int) -> np.ndarray:
     n, d = xs.shape
     out = np.empty(d)
@@ -104,6 +151,26 @@ def naive_nnm(xs: np.ndarray, f: int) -> np.ndarray:
         order = sorted(range(n), key=lambda j: (float(np.sum((xs[i] - xs[j]) ** 2)), j))
         out[i] = xs[order[: n - f]].mean(axis=0)
     return out
+
+
+def naive_geometric_median(xs: np.ndarray, max_steps: int = 100, rtol: float = 1e-8, eps: float = 1e-12) -> np.ndarray:
+    """Smoothed Weiszfeld iteration carried out on d-dimensional points:
+    distances measured directly to the iterate, stopping once the step falls
+    below ``rtol`` times the farthest distance, then replaced by the best
+    input row if one has a strictly smaller summed distance."""
+    v = xs.mean(axis=0)
+    for _ in range(max_steps):
+        dists = np.linalg.norm(xs - v, axis=1)
+        inv = 1.0 / np.maximum(dists, eps)
+        v_new = (inv[:, None] * xs).sum(axis=0) / inv.sum()
+        step = float(np.linalg.norm(v_new - v))
+        v = v_new
+        if step <= rtol * float(dists.max()):
+            break
+    best_row = min(range(len(xs)), key=lambda i: geometric_median_objective(xs[i], xs))
+    if geometric_median_objective(xs[best_row], xs) < geometric_median_objective(v, xs):
+        return xs[best_row].copy()
+    return v
 
 
 def geometric_median_objective(v: np.ndarray, xs: np.ndarray) -> float:

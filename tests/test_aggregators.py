@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustfl.aggregators import (
     AGGREGATOR_NAMES,
@@ -19,11 +21,14 @@ from robustfl.aggregators import (
     trmean,
 )
 
-from conftest import random_vector_set
+from conftest import multi_row_matrices, random_vector_set
 from oracles import (
     brute_mda,
     brute_smea,
     geometric_median_objective,
+    loop_multi_krum,
+    naive_caf,
+    naive_geometric_median,
     naive_meamed,
     naive_multi_krum,
     naive_trmean,
@@ -99,6 +104,61 @@ class TestGeometricMedian:
             assert geometric_median_objective(out, xs) <= best_input + 1e-6
 
 
+def assert_matches_geometric_median_oracle(xs):
+    got, expected = geometric_median(xs), naive_geometric_median(xs)
+    reference = geometric_median_objective(expected, xs)
+    assert geometric_median_objective(got, xs) <= reference * (1.0 + 1e-12)
+    spread = float(np.median(np.linalg.norm(xs - expected, axis=1)))
+    assert np.linalg.norm(got - expected) <= 1e-8 * spread
+
+
+class TestGeometricMedianOracle:
+    def test_random_sets(self):
+        rng = np.random.default_rng(83)
+        for _ in range(100):
+            xs = random_vector_set(rng, n=int(rng.integers(3, 12)), d=int(rng.integers(2, 6)))
+            assert_matches_geometric_median_oracle(xs)
+
+    def test_identical_byzantine_rows(self):
+        rng = np.random.default_rng(89)
+        for _ in range(50):
+            honest = random_vector_set(rng, n=int(rng.integers(5, 12)), d=int(rng.integers(2, 6)))
+            f = int(rng.integers(1, (len(honest) + 1) // 2))
+            attack = honest.mean(axis=0) + rng.normal(size=honest.shape[1]) * 30.0
+            xs = np.vstack([honest, np.tile(attack, (f, 1))])
+            assert_matches_geometric_median_oracle(xs[rng.permutation(len(xs))])
+
+    def test_optimum_on_an_input_row(self):
+        # Opposite pairs around a centre row: their unit pulls cancel, so the
+        # centre is the minimiser and Weiszfeld only creeps toward it.
+        rng = np.random.default_rng(97)
+        for _ in range(30):
+            d = int(rng.integers(2, 6))
+            centre = rng.normal(size=d) * 10.0
+            directions = rng.normal(size=(int(rng.integers(1, 5)), d))
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            radii = rng.uniform(0.5, 5.0, size=(len(directions), 2))
+            xs = np.vstack([centre, centre + directions * radii[:, :1], centre - directions * radii[:, 1:]])
+            assert_matches_geometric_median_oracle(xs[rng.permutation(len(xs))])
+            np.testing.assert_allclose(geometric_median(xs), centre, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("radius", [1e3, 1e6, 1e9])
+    def test_far_identical_rows(self, radius):
+        # A squared norm of 1e18 swamps honest distances of order 1 in the raw
+        # inner products x_i . x_j, and leaves the far entries of the squared
+        # distance matrix with errors of order 1e2; the rule must still stay
+        # with the oracle. At radius 1e9 a few percent of these sets catch an
+        # iteration run on the squared distances alone.
+        rng = np.random.default_rng(101)
+        for _ in range(200):
+            d = int(rng.integers(2, 9))
+            honest = rng.normal(size=(int(rng.integers(7, 16)), d))
+            direction = rng.normal(size=d)
+            direction /= np.linalg.norm(direction)
+            xs = np.vstack([honest, np.tile(direction * radius, (3, 1))])
+            assert_matches_geometric_median_oracle(xs[rng.permutation(len(xs))])
+
+
 class TestMultiKrum:
     def test_x3_golden(self, x3):
         np.testing.assert_allclose(multi_krum(x3, 1), GOLDEN, rtol=1e-12)
@@ -117,6 +177,18 @@ class TestMultiKrum:
             xs = random_vector_set(rng, n=int(rng.integers(4, 9)))
             f = int(rng.integers(0, xs.shape[0] - 1))
             np.testing.assert_allclose(multi_krum(xs, f), naive_multi_krum(xs, f), rtol=1e-12, atol=1e-12)
+
+    @settings(deadline=None, max_examples=80)
+    @given(multi_row_matrices, st.data())
+    def test_matches_row_loop_bit_for_bit(self, xs, data):
+        f = data.draw(st.integers(0, len(xs) - 2), label="f")
+        np.testing.assert_array_equal(multi_krum(xs, f), loop_multi_krum(xs, f))
+
+    def test_wide_rows_match_row_loop_bit_for_bit(self):
+        rng = np.random.default_rng(103)
+        xs = rng.normal(size=(33, 50_890)) * 0.01
+        xs[30:] = xs[:30].mean(axis=0) - 1.5 * xs[:30].std(axis=0)
+        np.testing.assert_array_equal(multi_krum(xs, 3), loop_multi_krum(xs, 3))
 
 
 class TestMeaMed:
@@ -241,6 +313,19 @@ class TestCaf:
     def test_single_outlier_removed(self):
         xs = np.array([[0.0], [0.0], [0.0], [100.0]])
         np.testing.assert_allclose(caf(xs, 1), [0.0], atol=1e-6)
+
+    def test_matches_dense_eigensolver_oracle(self):
+        rng = np.random.default_rng(107)
+        for _ in range(40):
+            xs = random_vector_set(rng, n=int(rng.integers(3, 12)), d=int(rng.integers(2, 8)))
+            f = int(rng.integers(1, len(xs)))
+            np.testing.assert_allclose(caf(xs, f), naive_caf(xs, f), rtol=1e-9, atol=1e-12)
+
+    def test_wide_rows_match_dense_eigensolver_oracle(self):
+        rng = np.random.default_rng(109)
+        honest = rng.normal(size=(20, 300)) + rng.normal(size=300)
+        xs = np.vstack([honest, np.tile(honest.mean(axis=0) - 1.5 * honest.std(axis=0), (4, 1))])
+        np.testing.assert_allclose(caf(xs, 4), naive_caf(xs, 4), rtol=1e-9, atol=1e-12)
 
     def test_output_finite_on_random_inputs(self):
         rng = np.random.default_rng(61)

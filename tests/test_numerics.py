@@ -20,7 +20,7 @@ from conftest import (
     single_block,
     tied_elements,
 )
-from oracles import covariance_top_eigenvalue, naive_pairwise_sq_dists
+from oracles import covariance_eigh, covariance_top_eigenvalue, naive_pairwise_sq_dists
 
 matrices = st.integers(1, 6).flatmap(
     lambda n: st.integers(1, 5).flatmap(lambda d: arrays(np.float64, (n, d), elements=finite_elements))
@@ -171,6 +171,41 @@ class TestTopEigenpair:
             weights[int(rng.integers(xs.shape[0]))] = 1.0  # keep the total positive
             lam, _ = top_eigenpair(xs, weights)
             assert lam == pytest.approx(covariance_top_eigenvalue(xs, weights), rel=1e-8, abs=1e-10)
+
+    def test_eigenvector_matches_dense_eigensolver(self):
+        rng = np.random.default_rng(37)
+        checked = 0
+        for trial in range(60):
+            n, d = int(rng.integers(4, 12)), int(rng.integers(2, 7))
+            if trial % 3:
+                xs = random_vector_set(rng, n=n, d=d)
+            else:
+                # Planted spectrum whose top two eigenvalues are 0.4% apart,
+                # where an iteration that stops on the eigenvalue drifts.
+                k = min(n - 1, d)
+                m = rng.normal(size=(n, k))
+                centered = np.linalg.qr(m - m.mean(axis=0))[0]
+                spectrum = np.geomspace(10.0, 0.5, k)
+                spectrum[1] = spectrum[0] * (1.0 - 2e-3)
+                xs = centered * spectrum @ np.linalg.qr(rng.normal(size=(d, k)))[0].T + rng.normal(size=d)
+            weights = None if trial % 2 else rng.uniform(0.1, 1.0, size=n)
+            eigenvalues, eigenvectors = covariance_eigh(xs, weights)
+            if eigenvalues[-1] - eigenvalues[-2] < 1e-3 * eigenvalues[-1]:
+                continue
+            lam, v = top_eigenpair(xs, weights)
+            assert lam == pytest.approx(eigenvalues[-1], rel=1e-9)
+            assert abs(v @ eigenvectors[:, -1]) >= 1.0 - 1e-9
+            checked += 1
+        assert checked >= 40
+
+    def test_wide_rows_eigenvector(self):
+        rng = np.random.default_rng(41)
+        basis = np.linalg.qr(rng.normal(size=(400, 8)))[0]
+        xs = rng.normal(size=(33, 8)) * np.geomspace(3.0, 0.1, 8) @ basis.T + rng.normal(size=400)
+        eigenvalues, eigenvectors = covariance_eigh(xs)
+        lam, v = top_eigenpair(xs)
+        assert lam == pytest.approx(eigenvalues[-1], rel=1e-9)
+        assert abs(v @ eigenvectors[:, -1]) >= 1.0 - 1e-9
 
     def test_zeroed_rows_are_ignored(self):
         xs = np.array([[0.0, 0.0], [1.0, 1.0], [1e6, -1e6]])
