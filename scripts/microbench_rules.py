@@ -18,7 +18,6 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import argparse  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
@@ -39,6 +38,7 @@ from robustfl.preaggregators import (  # noqa: E402
 )
 
 SHAPES = ((12, 1_000, 2), (33, 50_890, 3))
+SEED = 0
 BUDGET_S = 0.5
 MIN_CALLS, MAX_CALLS = 3, 100
 SUBSET_RULES = ("MDA", "SMEA")
@@ -75,15 +75,12 @@ def callables(n: int, f: int):
         yield "pre-aggregator", name, ConfiguredPreAggregator(PreAggregatorSpec(name, f=f, params=params), rng)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=0, help="seed of the generated rows")
-    args = parser.parse_args(argv)
+def main() -> int:
     print(f"# python {platform.python_version()}, numpy {np.__version__}, {os.cpu_count()} cpus, "
           f"{platform.processor() or platform.machine()}")
     print(f"{'kind':<15} {'name':<17} {'n':>3} {'d':>6} {'f':>2} {'ms/call':>10} {'calls':>6}")
     for n, d, f in SHAPES:
-        xs = attacked_rows(n, d, f, np.random.default_rng(args.seed))
+        xs = attacked_rows(n, d, f, np.random.default_rng(SEED))
         for kind, name, fn in callables(n, f):
             if fn is None:
                 print(f"{kind:<15} {name:<17} {n:>3} {d:>6} {f:>2} {'skipped':>10} {'-':>6}")
