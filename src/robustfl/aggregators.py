@@ -10,25 +10,13 @@ lexicographically smallest index subset) so results are reproducible.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .numerics import as_vector_set, coord_order_stats, pairwise_sq_dists, top_eigenpair
-
-AGGREGATOR_NAMES = (
-    "Average",
-    "Median",
-    "TrMean",
-    "GeometricMedian",
-    "MultiKrum",
-    "MeaMed",
-    "MDA",
-    "CenteredClipping",
-    "MoNNA",
-    "SMEA",
-    "CAF",
-)
 
 # Exhaustive subset rules (MDA, SMEA) enumerate C(n, n - f) candidates and
 # refuse inputs beyond this many rows.
@@ -174,6 +162,13 @@ def mda(xs, f: int) -> np.ndarray:
     return xs[list(best_subset)].mean(axis=0)
 
 
+def _check_clip(tau: float, iters: int) -> None:
+    if tau <= 0:
+        raise ValueError(f"CenteredClipping requires tau > 0, got {tau}")
+    if iters < 1:
+        raise ValueError(f"CenteredClipping requires iters >= 1, got {iters}")
+
+
 @dataclass
 class CenteredClipState:
     """Carry-over center for CenteredClipping; ``prev`` is the last output."""
@@ -199,10 +194,7 @@ def centered_clipping(
     """
     xs = as_vector_set(xs)
     n, d = xs.shape
-    if tau <= 0:
-        raise ValueError(f"CenteredClipping requires tau > 0, got {tau}")
-    if iters < 1:
-        raise ValueError(f"CenteredClipping requires iters >= 1, got {iters}")
+    _check_clip(tau, iters)
     if state is not None and state.prev is not None:
         v = np.asarray(state.prev, dtype=np.float64)
         if v.shape != (d,):
@@ -219,14 +211,14 @@ def centered_clipping(
     return v
 
 
-def monna(xs, f: int, pivot_index: int = 0) -> np.ndarray:
+def monna(xs, f: int, pivot: int = 0) -> np.ndarray:
     """Mean of the n - f rows nearest to the pivot row (itself included)."""
     xs = as_vector_set(xs)
     n = len(xs)
     _check_f("MoNNA", n, f, f + 1, "n > f")
-    if not 0 <= pivot_index < n:
-        raise ValueError(f"pivot_index must lie in [0, {n}), got {pivot_index}")
-    d2 = np.einsum("ij,ij->i", xs - xs[pivot_index], xs - xs[pivot_index])
+    if not 0 <= pivot < n:
+        raise ValueError(f"pivot must lie in [0, {n}), got {pivot}")
+    d2 = np.einsum("ij,ij->i", xs - xs[pivot], xs - xs[pivot])
     order = np.argsort(d2, kind="stable")
     return xs[order[: n - f]].mean(axis=0)
 
@@ -289,28 +281,81 @@ def caf(xs, f: int) -> np.ndarray:
 # Config-driven construction
 # --------------------------------------------------------------------------- #
 
-# Optional per-rule parameters accepted in AggregatorSpec.params.
-_RULE_PARAMS: dict[str, frozenset[str]] = {name: frozenset() for name in AGGREGATOR_NAMES}
-_RULE_PARAMS["CenteredClipping"] = frozenset({"tau", "iters"})
-_RULE_PARAMS["MoNNA"] = frozenset({"pivot"})
+
+@dataclass(frozen=True)
+class Rule:
+    """One row of a rule table: a rule function and how a config calls it.
+
+    ``params`` maps each parameter a config may set, which is passed under
+    the same keyword to ``fn``, to its type (float or int); omitted ones take
+    the function's default. ``needs_f`` says whether the rule reads the
+    number f of faulty rows. ``fn`` is None for an attack that has no vector
+    form.
+    """
+
+    fn: Callable[..., np.ndarray] | None
+    params: Mapping[str, type] = field(default_factory=dict)
+    needs_f: bool = False
+
+    def cast(self, name: str, params: Mapping) -> dict:
+        """Config ``params`` checked against the row and cast to its types.
+
+        Unknown keys, non-numbers and non-integral values of an int
+        parameter raise ``ValueError``; ``3.0`` is accepted as the int 3.
+        """
+        unknown = set(params) - set(self.params)
+        if unknown:
+            raise ValueError(f"{name} does not accept parameters {sorted(unknown)}")
+        cast = {}
+        for key, value in params.items():
+            kind = self.params[key]
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} parameter {key} must be a number, got {value!r}")
+            if kind is int and not float(value).is_integer():
+                raise ValueError(f"{name} parameter {key} must be an integer, got {value!r}")
+            cast[key] = kind(value)
+        return cast
+
+    def apply(self, xs, f: int, params: Mapping, **extra) -> np.ndarray:
+        """Call ``fn`` on ``xs`` with ``params``, ``f`` when it reads f, and ``extra``."""
+        if self.needs_f:
+            extra["f"] = f
+        return self.fn(xs, **params, **extra)
+
+
+AGGREGATORS: dict[str, Rule] = {
+    "Average": Rule(average),
+    "Median": Rule(median),
+    "TrMean": Rule(trmean, needs_f=True),
+    "GeometricMedian": Rule(geometric_median),
+    "MultiKrum": Rule(multi_krum, needs_f=True),
+    "MeaMed": Rule(meamed, needs_f=True),
+    "MDA": Rule(mda, needs_f=True),
+    "CenteredClipping": Rule(centered_clipping, {"tau": float, "iters": int}),
+    "MoNNA": Rule(monna, {"pivot": int}, needs_f=True),
+    "SMEA": Rule(smea, needs_f=True),
+    "CAF": Rule(caf, needs_f=True),
+}
+AGGREGATOR_NAMES = tuple(AGGREGATORS)
 
 
 @dataclass
 class AggregatorSpec:
-    """Declarative description of one aggregation rule."""
+    """Declarative description of one aggregation rule; ``params`` are cast
+    to the types of its row in ``AGGREGATORS``."""
 
     name: str
     f: int = 0
     params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.name not in AGGREGATOR_NAMES:
+        if self.name not in AGGREGATORS:
             raise ValueError(f"unknown aggregator {self.name!r}; valid rules: {', '.join(AGGREGATOR_NAMES)}")
         if self.f < 0:
             raise ValueError(f"f must be nonnegative, got {self.f}")
-        unknown = set(self.params) - _RULE_PARAMS[self.name]
-        if unknown:
-            raise ValueError(f"{self.name} does not accept parameters {sorted(unknown)}")
+        self.params = AGGREGATORS[self.name].cast(self.name, self.params)
+        if self.name == "CenteredClipping":
+            _check_clip(self.params.get("tau", DEFAULT_CLIP_RADIUS), self.params.get("iters", DEFAULT_CLIP_STEPS))
 
 
 class ConfiguredAggregator:
@@ -325,33 +370,8 @@ class ConfiguredAggregator:
         self.clip_state = CenteredClipState() if spec.name == "CenteredClipping" else None
 
     def __call__(self, xs) -> np.ndarray:
-        name, f, p = self.spec.name, self.spec.f, self.spec.params
-        if name == "Average":
-            return average(xs)
-        if name == "Median":
-            return median(xs)
-        if name == "TrMean":
-            return trmean(xs, f)
-        if name == "GeometricMedian":
-            return geometric_median(xs)
-        if name == "MultiKrum":
-            return multi_krum(xs, f)
-        if name == "MeaMed":
-            return meamed(xs, f)
-        if name == "MDA":
-            return mda(xs, f)
-        if name == "CenteredClipping":
-            return centered_clipping(
-                xs,
-                self.clip_state,
-                tau=float(p.get("tau", DEFAULT_CLIP_RADIUS)),
-                iters=int(p.get("iters", DEFAULT_CLIP_STEPS)),
-            )
-        if name == "MoNNA":
-            return monna(xs, f, pivot_index=int(p.get("pivot", 0)))
-        if name == "SMEA":
-            return smea(xs, f)
-        return caf(xs, f)
+        extra = {} if self.clip_state is None else {"state": self.clip_state}
+        return AGGREGATORS[self.spec.name].apply(xs, self.spec.f, self.spec.params, **extra)
 
     def reset(self) -> None:
         if self.clip_state is not None:

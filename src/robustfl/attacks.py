@@ -13,21 +13,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .aggregators import Rule
 from .numerics import as_vector_set, pairwise_sq_dists, pairwise_sq_dists_with_copies
 from .preaggregators import Pipeline
-
-ATTACK_NAMES = (
-    "SignFlipping",
-    "InnerProductManipulation",
-    "ALittleIsEnough",
-    "Optimal_InnerProductManipulation",
-    "Optimal_ALittleIsEnough",
-    "LabelFlipping",
-)
-
-# Attacks computable from honest vectors alone (LabelFlipping instead acts on
-# client data inside the simulator).
-VECTOR_ATTACK_NAMES = ATTACK_NAMES[:5]
 
 DEFAULT_IPM_SCALE = 0.9
 DEFAULT_ALIE_SCALE = 1.5
@@ -39,19 +27,19 @@ def sign_flipping(honest) -> np.ndarray:
     return -as_vector_set(honest).mean(axis=0)
 
 
-def inner_product_manipulation(honest, scale: float = DEFAULT_IPM_SCALE) -> np.ndarray:
-    """Mean of the honest updates scaled by -scale."""
-    return -scale * as_vector_set(honest).mean(axis=0)
+def inner_product_manipulation(honest, tau: float = DEFAULT_IPM_SCALE) -> np.ndarray:
+    """Mean of the honest updates scaled by -tau."""
+    return -tau * as_vector_set(honest).mean(axis=0)
 
 
-def a_little_is_enough(honest, scale: float = DEFAULT_ALIE_SCALE) -> np.ndarray:
-    """Honest mean shifted down by scale times the per-coordinate std.
+def a_little_is_enough(honest, tau: float = DEFAULT_ALIE_SCALE) -> np.ndarray:
+    """Honest mean shifted down by tau times the per-coordinate std.
 
     The std is the population one (divide by n), so a single honest client
     yields the mean itself.
     """
     honest = as_vector_set(honest)
-    return honest.mean(axis=0) - scale * honest.std(axis=0)
+    return honest.mean(axis=0) - tau * honest.std(axis=0)
 
 
 @dataclass
@@ -112,9 +100,38 @@ def optimize_attack_scale(
     return OptimizedAttack(best_scale, base(honest, best_scale), best_score)
 
 
+def _optimal(base: Callable[[np.ndarray, float], np.ndarray]) -> Callable[..., np.ndarray]:
+    """The Optimal_* variant of ``base``: its vector at the best grid scale."""
+
+    def attack(ctx: AttackContext, grid: Sequence[float]) -> np.ndarray:
+        return optimize_attack_scale(ctx, base, grid).vector
+
+    return attack
+
+
+# A closed-form row takes the honest rows; a row that needs f takes the whole
+# AttackContext (f and the server pipeline) plus a scale grid; LabelFlipping
+# acts on client data inside the simulator and has no function here.
+ATTACKS: dict[str, Rule] = {
+    "SignFlipping": Rule(sign_flipping),
+    "InnerProductManipulation": Rule(inner_product_manipulation, {"tau": float}),
+    "ALittleIsEnough": Rule(a_little_is_enough, {"tau": float}),
+    "Optimal_InnerProductManipulation": Rule(_optimal(inner_product_manipulation), needs_f=True),
+    "Optimal_ALittleIsEnough": Rule(_optimal(a_little_is_enough), needs_f=True),
+    "LabelFlipping": Rule(None),
+}
+ATTACK_NAMES = tuple(ATTACKS)
+VECTOR_ATTACK_NAMES = tuple(name for name, rule in ATTACKS.items() if rule.fn is not None)
+
+
 @dataclass
 class AttackSpec:
-    """Declarative description of one attack."""
+    """Declarative description of one attack.
+
+    ``params`` are cast to the types of its row in ``ATTACKS``. ``scale``,
+    when given, overrides ``params["tau"]``, and afterwards mirrors it.
+    ``grid`` replaces the Optimal_* default scale grid.
+    """
 
     name: str
     scale: float | None = None
@@ -122,10 +139,12 @@ class AttackSpec:
     params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.name not in ATTACK_NAMES:
+        if self.name not in ATTACKS:
             raise ValueError(f"unknown attack {self.name!r}; valid attacks: {', '.join(ATTACK_NAMES)}")
-        if self.scale is None and "tau" in self.params:
-            self.scale = float(self.params["tau"])
+        if self.scale is not None:
+            self.params = {**self.params, "tau": self.scale}
+        self.params = ATTACKS[self.name].cast(self.name, self.params)
+        self.scale = self.params.get("tau")
         if self.grid is not None and len(self.grid) == 0:
             raise ValueError("attack scale grid must be non-empty")
 
@@ -136,19 +155,9 @@ def attack_vector(spec: AttackSpec, ctx: AttackContext) -> np.ndarray:
     The caller tiles the result f times. LabelFlipping has no gradient-space
     form and is rejected here.
     """
-    name = spec.name
-    if name == "SignFlipping":
-        return sign_flipping(ctx.honest)
-    if name == "InnerProductManipulation":
-        scale = DEFAULT_IPM_SCALE if spec.scale is None else spec.scale
-        return inner_product_manipulation(ctx.honest, scale)
-    if name == "ALittleIsEnough":
-        scale = DEFAULT_ALIE_SCALE if spec.scale is None else spec.scale
-        return a_little_is_enough(ctx.honest, scale)
-    if name == "Optimal_InnerProductManipulation":
-        grid = spec.grid if spec.grid is not None else DEFAULT_SCALE_GRID
-        return optimize_attack_scale(ctx, inner_product_manipulation, grid).vector
-    if name == "Optimal_ALittleIsEnough":
-        grid = spec.grid if spec.grid is not None else DEFAULT_SCALE_GRID
-        return optimize_attack_scale(ctx, a_little_is_enough, grid).vector
-    raise ValueError(f"{name} acts on client data, not on gradients")
+    rule = ATTACKS[spec.name]
+    if rule.fn is None:
+        raise ValueError(f"{spec.name} acts on client data, not on gradients")
+    if rule.needs_f:
+        return rule.fn(ctx, DEFAULT_SCALE_GRID if spec.grid is None else spec.grid)
+    return rule.fn(ctx.honest, **spec.params)

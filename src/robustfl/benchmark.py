@@ -27,7 +27,7 @@ import numpy as np
 
 from .aggregators import AggregatorSpec
 from .attacks import AttackSpec
-from .datadist import DISTRIBUTION_NAMES, LabeledDataset, make_partition
+from .datadist import DISTRIBUTION_NAMES, DISTRIBUTIONS, LabeledDataset, make_partition
 from .models import (
     DEFAULT_HIDDEN_UNITS,
     LinearArch,
@@ -63,8 +63,6 @@ _TOP_LEVEL_KEYS = {
     "attack",
     "evaluation_and_results",
 }
-
-_DIST_ID_TOKENS = {"iid": "iid", "dirichlet_niid": "dirichlet", "gamma_similarity_niid": "gamma"}
 
 _BLOB_DEFAULTS = {"n_classes": 3, "dim": 20, "train_size": 6000, "test_size": 1000, "spread": 1.0}
 
@@ -243,11 +241,11 @@ def parse_config(text: str) -> BenchmarkConfig:
     for i, entry in enumerate(dist_raw):
         entry = _as_obj(entry, f"benchmark_config.data_distribution[{i}]")
         name = entry.get("name")
-        if name not in DISTRIBUTION_NAMES:
+        if name not in DISTRIBUTIONS:
             raise ValueError(
                 f"benchmark_config.data_distribution[{i}].name must be one of {DISTRIBUTION_NAMES}, got {name!r}"
             )
-        params = entry.get("distribution_parameter", [0.0] if name == "iid" else None)
+        params = entry.get("distribution_parameter", None if DISTRIBUTIONS[name].takes_parameter else [0.0])
         if params is None:
             raise ValueError(f"benchmark_config.data_distribution[{i}].distribution_parameter is required for {name}")
         if not isinstance(params, list) or not params:
@@ -355,9 +353,9 @@ def _sanitize(token: str) -> str:
     return re.sub(r"[^A-Za-z0-9.+-]", "-", token)
 
 
-def _rule_token(rule: RuleConfig, with_params: bool = True) -> str:
+def _rule_token(rule: RuleConfig) -> str:
     token = rule.name
-    if with_params and rule.parameters:
+    if rule.parameters:
         token += "".join(f"-{k}{v:g}" for k, v in sorted(rule.parameters.items()))
     return _sanitize(token)
 
@@ -375,15 +373,27 @@ class ExperimentKey:
     seed: int
 
     @property
-    def run_id(self) -> str:
+    def server_token(self) -> str:
+        """The aggregator with its parameters, then the pre-aggregator names."""
         parts = [_rule_token(self.aggregator)]
         if self.pre_aggregators:
             parts.append("-".join(_sanitize(p.name) for p in self.pre_aggregators))
-        parts.append(_rule_token(self.attack))
-        parts.append(f"f{self.f}")
-        parts.append(f"{_DIST_ID_TOKENS[self.distribution_name]}{self.distribution_parameter:g}")
-        parts.append(f"seed{self.seed}")
         return "_".join(parts)
+
+    @property
+    def attack_token(self) -> str:
+        return _rule_token(self.attack)
+
+    @property
+    def distribution_token(self) -> str:
+        """Short family name ("gamma" for gamma_similarity_niid), without the parameter."""
+        dist = DISTRIBUTIONS.get(self.distribution_name)
+        return self.distribution_name if dist is None else dist.token
+
+    @property
+    def run_id(self) -> str:
+        dist = f"{self.distribution_token}{self.distribution_parameter:g}"
+        return "_".join([self.server_token, self.attack_token, f"f{self.f}", dist, f"seed{self.seed}"])
 
     def to_json_dict(self) -> dict:
         return {

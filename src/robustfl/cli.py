@@ -15,19 +15,13 @@ import sys
 import numpy as np
 
 from .aggregators import AGGREGATOR_NAMES, AggregatorSpec
-from .attacks import (
-    DEFAULT_ALIE_SCALE,
-    DEFAULT_IPM_SCALE,
-    a_little_is_enough,
-    inner_product_manipulation,
-    sign_flipping,
-)
+from .attacks import ATTACKS, AttackContext, AttackSpec, attack_vector
 from .benchmark import expand_grid, list_results, parse_config_file, run_benchmark
 from .evaluate import emit_curves, emit_heatmaps
 from .preaggregators import PRE_AGGREGATOR_NAMES, PreAggregatorSpec, build_pipeline
 from .seeding import derive_rng
 
-CLOSED_FORM_ATTACKS = ("SignFlipping", "InnerProductManipulation", "ALittleIsEnough")
+CLOSED_FORM_ATTACKS = tuple(name for name, rule in ATTACKS.items() if rule.fn is not None and not rule.needs_f)
 
 
 class UsageError(Exception):
@@ -105,12 +99,7 @@ def _cmd_agg(args) -> int:
 
 def _cmd_attack(args) -> int:
     honest = _read_matrix(args.input)
-    if args.name == "SignFlipping":
-        vector = sign_flipping(honest)
-    elif args.name == "InnerProductManipulation":
-        vector = inner_product_manipulation(honest, DEFAULT_IPM_SCALE if args.tau is None else args.tau)
-    else:
-        vector = a_little_is_enough(honest, DEFAULT_ALIE_SCALE if args.tau is None else args.tau)
+    vector = attack_vector(AttackSpec(args.name, scale=args.tau), AttackContext(honest, 0, None))
     print(",".join(format_value(v) for v in vector))
     return 0
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 log = logging.getLogger(__name__)
-
-DISTRIBUTION_NAMES = ("iid", "dirichlet_niid", "gamma_similarity_niid")
 
 
 @dataclass
@@ -168,6 +167,24 @@ def gamma_split(
     return ClientPartition(merged)
 
 
+class Distribution(NamedTuple):
+    """One row of ``DISTRIBUTIONS``: the splitter, its spelling in run ids,
+    and whether it takes the config's distribution parameter (its third
+    argument)."""
+
+    split: Callable[..., ClientPartition]
+    token: str
+    takes_parameter: bool = True
+
+
+DISTRIBUTIONS = {
+    "iid": Distribution(iid_split, "iid", takes_parameter=False),
+    "dirichlet_niid": Distribution(dirichlet_split, "dirichlet"),
+    "gamma_similarity_niid": Distribution(gamma_split, "gamma"),
+}
+DISTRIBUTION_NAMES = tuple(DISTRIBUTIONS)
+
+
 def make_partition(
     dataset: LabeledDataset,
     name: str,
@@ -176,10 +193,9 @@ def make_partition(
     rng: np.random.Generator,
 ) -> ClientPartition:
     """Dispatch on a distribution name from a benchmark config."""
-    if name == "iid":
-        return iid_split(dataset, n_clients, rng)
-    if name == "dirichlet_niid":
-        return dirichlet_split(dataset, n_clients, parameter, rng)
-    if name == "gamma_similarity_niid":
-        return gamma_split(dataset, n_clients, parameter, rng)
-    raise ValueError(f"unknown data distribution {name!r}; valid names: {', '.join(DISTRIBUTION_NAMES)}")
+    if name not in DISTRIBUTIONS:
+        raise ValueError(f"unknown data distribution {name!r}; valid names: {', '.join(DISTRIBUTION_NAMES)}")
+    dist = DISTRIBUTIONS[name]
+    if not dist.takes_parameter:
+        return dist.split(dataset, n_clients, rng)
+    return dist.split(dataset, n_clients, parameter, rng)

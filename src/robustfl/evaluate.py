@@ -12,7 +12,7 @@ import math
 from collections import defaultdict
 from pathlib import Path
 
-from .benchmark import _DIST_ID_TOKENS, ExperimentResult, _rule_token, _sanitize
+from .benchmark import ExperimentResult
 from .svgplot import render_heatmap, render_line_chart
 
 
@@ -36,13 +36,6 @@ def worst_case_maximal_accuracy(series_by_attack: dict[str, list[list[float]]]) 
     return min(per_attack)
 
 
-def _config_token(result: ExperimentResult) -> str:
-    parts = [_rule_token(result.key.aggregator)]
-    if result.key.pre_aggregators:
-        parts.append("-".join(_sanitize(p.name) for p in result.key.pre_aggregators))
-    return "_".join(parts)
-
-
 def _mean_series(seed_series: list[list[float]], label: str, warnings: list[str]) -> list[float]:
     length = min(len(s) for s in seed_series)
     if any(len(s) != length for s in seed_series):
@@ -64,9 +57,8 @@ def emit_curves(results: list[ExperimentResult], out_dir) -> tuple[list[Path], l
     groups: dict[tuple, dict[str, list[ExperimentResult]]] = defaultdict(lambda: defaultdict(list))
     for result in results:
         key = result.key
-        dist = _DIST_ID_TOKENS.get(key.distribution_name, key.distribution_name)
-        group = (_config_token(result), key.f, dist, key.distribution_parameter)
-        groups[group][_rule_token(key.attack)].append(result)
+        group = (key.server_token, key.f, key.distribution_token, key.distribution_parameter)
+        groups[group][key.attack_token].append(result)
 
     files: list[Path] = []
     warnings: list[str] = []
@@ -112,9 +104,8 @@ def emit_heatmaps(results: list[ExperimentResult], out_dir) -> tuple[list[Path],
     )
     for result in results:
         key = result.key
-        dist = _DIST_ID_TOKENS.get(key.distribution_name, key.distribution_name)
-        boards[(_config_token(result), dist)][(key.f, key.distribution_parameter)][
-            _rule_token(key.attack)
+        boards[(key.server_token, key.distribution_token)][(key.f, key.distribution_parameter)][
+            key.attack_token
         ].append(result)
 
     files: list[Path] = []

@@ -1,5 +1,5 @@
-"""Small classification models with closed-form gradients, their SGD step,
-and the dataset providers they train on.
+"""Small classification models with closed-form gradients, their learning-rate
+schedule, and the dataset providers they train on.
 
 Parameters live in one flat float64 vector so client updates can flow
 straight into the aggregation stack. Two architectures: multinomial logistic
@@ -120,11 +120,6 @@ def forward_loss(arch: Arch, flat: np.ndarray, features: np.ndarray, labels: np.
     return loss, correct
 
 
-def gradient(arch: Arch, flat: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Flat gradient of the mean cross-entropy at ``flat``."""
-    return loss_and_gradient(arch, flat, features, labels)[1]
-
-
 def loss_and_gradient(
     arch: Arch, flat: np.ndarray, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -169,7 +164,7 @@ def loss_and_gradient(
 
 
 # --------------------------------------------------------------------------- #
-# Optimisation
+# Learning-rate schedule
 # --------------------------------------------------------------------------- #
 
 
@@ -190,31 +185,6 @@ class LrSchedule:
 
     def lr_at(self, step: int) -> float:
         return self.base_lr * self.decay ** bisect_right(self.milestones, step)
-
-
-@dataclass
-class OptimizerState:
-    """Momentum buffer plus the number of updates applied through it."""
-
-    momentum_buf: np.ndarray
-    step_count: int = 0
-
-
-def sgd_update(
-    flat: np.ndarray,
-    update: np.ndarray,
-    state: OptimizerState,
-    schedule: LrSchedule,
-    step: int,
-    weight_decay: float = 0.0,
-    momentum: float = 0.0,
-) -> np.ndarray:
-    """One heavy-ball step: fold weight decay into the update, refresh the
-    momentum buffer, and descend at the scheduled rate."""
-    effective = update + weight_decay * flat
-    state.momentum_buf = momentum * state.momentum_buf + effective
-    state.step_count += 1
-    return flat - schedule.lr_at(step) * state.momentum_buf
 
 
 # --------------------------------------------------------------------------- #

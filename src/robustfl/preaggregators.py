@@ -14,10 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, ConfiguredAggregator, make_aggregator
+from .aggregators import AggregatorSpec, ConfiguredAggregator, Rule, make_aggregator
 from .numerics import as_vector_set, block_rows, pairwise_sq_dists
-
-PRE_AGGREGATOR_NAMES = ("NNM", "Bucketing", "Clipping", "ARC")
 
 DEFAULT_BUCKET_SIZE = 2
 
@@ -113,32 +111,32 @@ def arc(xs, f: int) -> np.ndarray:
 # Config-driven construction
 # --------------------------------------------------------------------------- #
 
-_PRE_PARAMS: dict[str, frozenset[str]] = {
-    "NNM": frozenset(),
-    "Bucketing": frozenset({"s"}),
-    "Clipping": frozenset({"c"}),
-    "ARC": frozenset(),
+PRE_AGGREGATORS: dict[str, Rule] = {
+    "NNM": Rule(nnm, needs_f=True),
+    "Bucketing": Rule(bucketing, {"s": int}),
+    "Clipping": Rule(static_clipping, {"c": float}),
+    "ARC": Rule(arc, needs_f=True),
 }
+PRE_AGGREGATOR_NAMES = tuple(PRE_AGGREGATORS)
 
 
 @dataclass
 class PreAggregatorSpec:
-    """Declarative description of one pre-aggregation transform."""
+    """Declarative description of one pre-aggregation transform; ``params``
+    are cast to the types of its row in ``PRE_AGGREGATORS``."""
 
     name: str
     f: int = 0
     params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.name not in PRE_AGGREGATOR_NAMES:
+        if self.name not in PRE_AGGREGATORS:
             raise ValueError(
                 f"unknown pre-aggregator {self.name!r}; valid transforms: {', '.join(PRE_AGGREGATOR_NAMES)}"
             )
         if self.f < 0:
             raise ValueError(f"f must be nonnegative, got {self.f}")
-        unknown = set(self.params) - _PRE_PARAMS[self.name]
-        if unknown:
-            raise ValueError(f"{self.name} does not accept parameters {sorted(unknown)}")
+        self.params = PRE_AGGREGATORS[self.name].cast(self.name, self.params)
         if self.name == "Clipping":
             if "c" not in self.params:
                 raise ValueError("Clipping requires parameter c")
@@ -149,24 +147,23 @@ class PreAggregatorSpec:
 
 
 class ConfiguredPreAggregator:
-    """Callable transform bound to its parameters (and shuffle stream)."""
+    """Callable transform bound to its parameters (and, for Bucketing, its
+    shuffle stream; other transforms keep ``rng`` None)."""
 
     def __init__(self, spec: PreAggregatorSpec, rng: np.random.Generator | None = None):
         self.spec = spec
-        if spec.name == "Bucketing" and rng is None:
-            raise ValueError("Bucketing requires a seeded numpy Generator")
-        self.rng = rng
+        self.rng = None
+        if spec.name == "Bucketing":
+            if rng is None:
+                raise ValueError("Bucketing requires a seeded numpy Generator")
+            self.rng = rng
 
     def __call__(self, xs, sq_dists: np.ndarray | None = None) -> np.ndarray:
         """Apply the transform; only NNM reads ``sq_dists`` (see ``nnm``)."""
-        name, f, p = self.spec.name, self.spec.f, self.spec.params
-        if name == "NNM":
-            return nnm(xs, f, sq_dists)
-        if name == "Bucketing":
-            return bucketing(xs, s=int(p.get("s", DEFAULT_BUCKET_SIZE)), rng=self.rng)
-        if name == "Clipping":
-            return static_clipping(xs, c=float(p["c"]))
-        return arc(xs, f)
+        extra = {"sq_dists": sq_dists} if self.spec.name == "NNM" else {}
+        if self.rng is not None:
+            extra["rng"] = self.rng
+        return PRE_AGGREGATORS[self.spec.name].apply(xs, self.spec.f, self.spec.params, **extra)
 
 
 class Pipeline:
@@ -219,5 +216,5 @@ def build_pipeline(
     ``rng`` backs the shuffle stream of any Bucketing stages and is only
     required when one is present.
     """
-    pres = [ConfiguredPreAggregator(spec, rng if spec.name == "Bucketing" else None) for spec in pre_specs]
+    pres = [ConfiguredPreAggregator(spec, rng) for spec in pre_specs]
     return Pipeline(pres, make_aggregator(aggregator_spec))

@@ -131,7 +131,7 @@ class ByzantineClientGroup:
         if self.f == 0:
             return np.zeros((0, honest.shape[1]))
         if self.attack.name == "LabelFlipping":
-            return label_flip_gradients(self, arch, flat)
+            return np.stack([c.compute_update(arch, flat) for c in self.flip_clients])
         vector = attack_vector(self.attack, AttackContext(honest, self.f, pipeline))
         return np.tile(vector, (self.f, 1))
 
@@ -151,11 +151,6 @@ class ByzantineClientGroup:
             return np.stack([c.local_delta(arch, flat, lr, local_steps) for c in self.flip_clients])
         vector = attack_vector(self.attack, AttackContext(honest_deltas, self.f, pipeline))
         return np.tile(vector, (self.f, 1))
-
-
-def label_flip_gradients(byz: ByzantineClientGroup, arch: Arch, flat: np.ndarray) -> np.ndarray:
-    """Momentum gradients of the label-flipping clients at ``flat``."""
-    return np.stack([c.compute_update(arch, flat) for c in byz.flip_clients])
 
 
 @dataclass

@@ -272,11 +272,11 @@ class TestMonna:
         np.testing.assert_allclose(monna(x3, 1), GOLDEN, rtol=1e-12)
 
     def test_far_pivot(self, x3):
-        np.testing.assert_allclose(monna(x3, 1, pivot_index=2), [5.5, 6.5, 7.5], rtol=1e-12)
+        np.testing.assert_allclose(monna(x3, 1, pivot=2), [5.5, 6.5, 7.5], rtol=1e-12)
 
     def test_pivot_bounds(self, x3):
-        with pytest.raises(ValueError, match="pivot_index"):
-            monna(x3, 1, pivot_index=3)
+        with pytest.raises(ValueError, match="pivot"):
+            monna(x3, 1, pivot=3)
 
 
 class TestSmea:

@@ -134,6 +134,50 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="unknown pre-aggregator 'Smoothing'"):
             parse_config(tiny_config_text("/tmp/x", pre_aggregators=[{"name": "Smoothing"}]))
 
+    @pytest.mark.parametrize(
+        "attack",
+        [
+            {"name": "ALittleIsEnough", "parameters": {"tua": 3}},
+            {"name": "SignFlipping", "parameters": {"tau": 2}},
+            {"name": "Optimal_ALittleIsEnough", "parameters": {"tau": 2}},
+            {"name": "Optimal_InnerProductManipulation", "parameters": {"tau": 2}},
+        ],
+        ids=["misspelt-key", "tau-on-SignFlipping", "tau-on-Optimal_ALIE", "tau-on-Optimal_IPM"],
+    )
+    def test_attack_parameters_checked_against_the_attack_table(self, attack):
+        key = next(iter(attack["parameters"]))
+        with pytest.raises(ValueError, match=rf"{attack['name']} does not accept parameters \['{key}'\]"):
+            parse_config(tiny_config_text("/tmp/x", attack=[attack]))
+
+    def test_attack_tau_accepted_where_the_attack_takes_it(self):
+        cfg = parse_config(tiny_config_text("/tmp/x", attack=[{"name": "ALittleIsEnough", "parameters": {"tau": 3}}]))
+        assert expand_grid(cfg)[0].attack_token == "ALittleIsEnough-tau3"
+
+    @pytest.mark.parametrize(
+        "section, rule, message",
+        [
+            ("aggregator", {"name": "MoNNA", "parameters": {"pivot": 1.5}}, "MoNNA parameter pivot must be an integer"),
+            ("aggregator", {"name": "CenteredClipping", "parameters": {"iters": 2.5}}, "iters must be an integer"),
+            ("pre_aggregators", {"name": "Bucketing", "parameters": {"s": 2.5}}, "Bucketing parameter s must be an"),
+            ("aggregator", {"name": "CenteredClipping", "parameters": {"tau": "big"}}, "tau must be a number"),
+            ("aggregator", {"name": "CenteredClipping", "parameters": {"tau": 0}}, "requires tau > 0, got 0.0"),
+            ("aggregator", {"name": "CenteredClipping", "parameters": {"tau": -1.5}}, "requires tau > 0"),
+            ("aggregator", {"name": "CenteredClipping", "parameters": {"iters": 0}}, "requires iters >= 1, got 0"),
+        ],
+        ids=["pivot-1.5", "iters-2.5", "s-2.5", "tau-string", "tau-0", "tau-negative", "iters-0"],
+    )
+    def test_rule_parameter_values_checked_eagerly(self, section, rule, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config(tiny_config_text("/tmp/x", **{section: [rule]}))
+
+    def test_integral_floats_pass_as_integers(self):
+        monna = {"name": "MoNNA", "parameters": {"pivot": 2.0}}
+        bucketing = {"name": "Bucketing", "parameters": {"s": 3.0}}
+        cfg = parse_config(tiny_config_text("/tmp/x", aggregator=[monna], pre_aggregators=[bucketing]))
+        assert expand_grid(cfg)[0].server_token == "MoNNA-pivot2_Bucketing"
+        assert benchmark.AggregatorSpec("MoNNA", params={"pivot": 2.0}).params == {"pivot": 2}
+        assert type(benchmark.PreAggregatorSpec("Bucketing", params={"s": 3.0}).params["s"]) is int
+
     def test_range_validation(self):
         cases = {
             "benchmark_config.nb_steps": (0, "nb_steps must be >= 1"),

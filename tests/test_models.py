@@ -11,16 +11,13 @@ from robustfl.models import (
     LinearArch,
     LrSchedule,
     MlpArch,
-    OptimizerState,
     forward_loss,
-    gradient,
     init_params,
     load_idx,
     logits,
     loss_and_gradient,
     make_blobs,
     param_count,
-    sgd_update,
 )
 from robustfl.seeding import derive_rng
 
@@ -87,12 +84,12 @@ class TestForwardLoss:
 class TestGradient:
     def test_linear_zero_params_golden(self):
         # softmax is uniform, so the gradient is (p - onehot) through x = 1.
-        grad = gradient(LinearArch(1, 2), np.zeros(4), np.array([[1.0]]), np.array([0]))
+        grad = loss_and_gradient(LinearArch(1, 2), np.zeros(4), np.array([[1.0]]), np.array([0]))[1]
         np.testing.assert_allclose(grad, [-0.5, 0.5, -0.5, 0.5], atol=1e-15)
 
     def test_zero_features_touch_only_biases(self):
         arch = LinearArch(3, 2)
-        grad = gradient(arch, np.zeros(8), np.zeros((4, 3)), np.array([0, 0, 1, 0]))
+        grad = loss_and_gradient(arch, np.zeros(8), np.zeros((4, 3)), np.array([0, 0, 1, 0]))[1]
         np.testing.assert_array_equal(grad[:6], 0.0)
         np.testing.assert_allclose(grad[6:], [0.5 - 0.75, 0.5 - 0.25], atol=1e-15)
 
@@ -135,43 +132,6 @@ class TestLrSchedule:
             LrSchedule(0.1, 1.5)
 
 
-class TestSgdUpdate:
-    def test_vanilla_step(self):
-        flat = np.array([1.0, 2.0])
-        grad = np.array([0.5, -0.5])
-        state = OptimizerState(np.zeros(2))
-        out = sgd_update(flat, grad, state, LrSchedule(0.1), step=1)
-        np.testing.assert_array_equal(out, flat - 0.1 * grad)
-        assert state.step_count == 1
-
-    def test_zero_update_keeps_params(self):
-        flat = np.array([3.0, -4.0])
-        out = sgd_update(flat, np.zeros(2), OptimizerState(np.zeros(2)), LrSchedule(0.2), step=5)
-        np.testing.assert_array_equal(out, flat)
-
-    def test_momentum_accumulates(self):
-        flat = np.array([0.0, 0.0])
-        g1, g2 = np.array([1.0, 0.0]), np.array([0.0, 2.0])
-        state = OptimizerState(np.zeros(2))
-        flat = sgd_update(flat, g1, state, LrSchedule(0.1), step=1, momentum=0.9)
-        flat = sgd_update(flat, g2, state, LrSchedule(0.1), step=2, momentum=0.9)
-        np.testing.assert_allclose(state.momentum_buf, 0.9 * g1 + g2, atol=1e-15)
-        np.testing.assert_allclose(flat, -0.1 * g1 - 0.1 * (0.9 * g1 + g2), atol=1e-15)
-
-    def test_weight_decay_folds_into_update(self):
-        flat = np.array([2.0, -2.0])
-        state = OptimizerState(np.zeros(2))
-        out = sgd_update(flat, np.zeros(2), state, LrSchedule(0.1), step=1, weight_decay=0.5)
-        np.testing.assert_allclose(out, flat - 0.1 * 0.5 * flat, atol=1e-15)
-
-    def test_schedule_applied_at_step(self):
-        flat = np.zeros(1)
-        grad = np.ones(1)
-        schedule = LrSchedule(0.1, 0.5, (200,))
-        out = sgd_update(flat, grad, OptimizerState(np.zeros(1)), schedule, step=250)
-        np.testing.assert_allclose(out, [-0.05], atol=1e-15)
-
-
 class TestMakeBlobs:
     def test_balanced_counts(self):
         ds = make_blobs(3, 100, 5, 1.0, np.random.default_rng(0))
@@ -195,7 +155,7 @@ class TestMakeBlobs:
         arch = LinearArch(5, 3)
         flat = np.zeros(param_count(arch))
         for _ in range(500):
-            flat -= 1.0 * gradient(arch, flat, ds.features, ds.labels)
+            flat -= 1.0 * loss_and_gradient(arch, flat, ds.features, ds.labels)[1]
         loss, correct = forward_loss(arch, flat, ds.features, ds.labels)
         assert correct == len(ds)
         assert loss < 0.01

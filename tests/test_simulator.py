@@ -6,7 +6,7 @@ import pytest
 from robustfl.aggregators import AggregatorSpec
 from robustfl.attacks import AttackSpec, sign_flipping
 from robustfl.datadist import LabeledDataset
-from robustfl.models import LinearArch, LrSchedule, gradient, init_params, loss_and_gradient, param_count
+from robustfl.models import LinearArch, LrSchedule, init_params, loss_and_gradient, param_count
 from robustfl.preaggregators import build_pipeline
 from robustfl.seeding import derive_rng
 from robustfl.simulator import (
@@ -17,7 +17,6 @@ from robustfl.simulator import (
     dsgd_step,
     evaluate_accuracy,
     fedavg_round,
-    label_flip_gradients,
 )
 
 
@@ -72,7 +71,7 @@ class TestHonestClient:
         arch = LinearArch(3, 2)
         flat = np.zeros(param_count(arch))
         client = full_batch_client(ds, np.arange(4), momentum=0.9, weight_decay=0.01)
-        g = gradient(arch, flat, ds.features, ds.labels) + 0.01 * flat
+        g = loss_and_gradient(arch, flat, ds.features, ds.labels)[1] + 0.01 * flat
         u1 = client.compute_update(arch, flat)
         np.testing.assert_allclose(u1, g, atol=1e-12)
         u2 = client.compute_update(arch, flat)
@@ -109,7 +108,7 @@ class TestHonestClient:
         local = flat.copy()
         buf = np.zeros_like(flat)
         for _ in range(5):
-            g = gradient(arch, local, ds.features, ds.labels) + 0.1 * local
+            g = loss_and_gradient(arch, local, ds.features, ds.labels)[1] + 0.1 * local
             buf = 0.5 * buf + g
             local = local - 0.2 * buf
         np.testing.assert_array_equal(delta, local - flat)
@@ -157,7 +156,7 @@ class TestByzantineClientGroup:
             AttackSpec("LabelFlipping"),
             flip_clients=[full_batch_client(ds, np.arange(6), client_id=i, flip=True, seed=i) for i in range(2)],
         )
-        np.testing.assert_array_equal(label_flip_gradients(fresh, arch, flat), rows)
+        np.testing.assert_array_equal(fresh.gradient_rows(np.zeros((3, param_count(arch))), None, arch, flat), rows)
 
 
 class TestDsgdStep:
@@ -184,7 +183,7 @@ class TestDsgdStep:
         arch = LinearArch(3, 2)
         flat0 = np.full(param_count(arch), 0.25)
         clients = [full_batch_client(ds, np.array([0]), client_id=i, seed=i) for i in range(3)]
-        g = gradient(arch, flat0, ds.features[:1], ds.labels[:1])
+        g = loss_and_gradient(arch, flat0, ds.features[:1], ds.labels[:1])[1]
         server = make_server(arch, flat0.copy(), rule="Average", lr=0.1)
         dsgd_step(server, clients, ByzantineClientGroup(1, AttackSpec("SignFlipping")))
         np.testing.assert_allclose(server.flat, flat0 - 0.1 * 0.5 * g, atol=1e-12)
@@ -194,7 +193,7 @@ class TestDsgdStep:
         arch = LinearArch(3, 2)
         flat0 = np.full(param_count(arch), 0.25)
         clients = [full_batch_client(ds, np.array([0]), client_id=i, seed=i) for i in range(3)]
-        g = gradient(arch, flat0, ds.features[:1], ds.labels[:1])
+        g = loss_and_gradient(arch, flat0, ds.features[:1], ds.labels[:1])[1]
         server = make_server(arch, flat0.copy(), rule="TrMean", f=1, lr=0.1)
         dsgd_step(server, clients, ByzantineClientGroup(1, AttackSpec("SignFlipping")))
         np.testing.assert_allclose(server.flat, flat0 - 0.1 * g, atol=1e-12)
@@ -276,7 +275,7 @@ class TestFedavgRound:
             FedAvgParams(1.0, 1),
             derive_rng(1, "sampling"),
         )
-        delta = -0.1 * gradient(arch, flat0, ds.features[:1], ds.labels[:1])
+        delta = -0.1 * loss_and_gradient(arch, flat0, ds.features[:1], ds.labels[:1])[1]
         np.testing.assert_allclose(server.flat, flat0 + 0.5 * delta, atol=1e-12)
 
     def test_params_validation(self):
