@@ -10,7 +10,11 @@ benchmark workload. After one warm-up call a rule is timed over repeated
 calls, as many as fit in about half a second (between 3 and 100), and the
 median is printed. MDA and SMEA enumerate row subsets and refuse n above
 ``SUBSET_ENUMERATION_LIMIT``; they are reported as skipped there. Clipping
-runs with c = 1. One BLAS thread is used, as in the benchmark's workers.
+runs with c = 1. A last row times one whole Optimal_ALittleIsEnough search
+(``optimize_attack_scale`` over the default 41-point grid) against TrMean
+behind NNM on the 30 honest rows of the second shape, the per-step attack
+cost of the ``mnist_optimal`` workload. One BLAS thread is used, as in the
+benchmark's workers.
 """
 
 import os
@@ -31,10 +35,12 @@ from robustfl.aggregators import (  # noqa: E402
     AggregatorSpec,
     make_aggregator,
 )
+from robustfl.attacks import AttackContext, a_little_is_enough, optimize_attack_scale  # noqa: E402
 from robustfl.preaggregators import (  # noqa: E402
     PRE_AGGREGATOR_NAMES,
     ConfiguredPreAggregator,
     PreAggregatorSpec,
+    build_pipeline,
 )
 
 SHAPES = ((12, 1_000, 2), (33, 50_890, 3))
@@ -87,6 +93,11 @@ def main() -> int:
                 continue
             ms, calls = median_ms(fn, xs)
             print(f"{kind:<15} {name:<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")
+    n, d, f = SHAPES[-1]
+    honest = attacked_rows(n, d, f, np.random.default_rng(SEED))[: n - f]
+    pipeline = build_pipeline(AggregatorSpec("TrMean", f=f), [PreAggregatorSpec("NNM", f=f)])
+    ms, calls = median_ms(lambda rows: optimize_attack_scale(AttackContext(rows, f, pipeline), a_little_is_enough), honest)
+    print(f"{'attack search':<15} {'Optimal_ALIE':<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")
     return 0
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .aggregators import Rule
 from .numerics import as_vector_set, pairwise_sq_dists, pairwise_sq_dists_with_copies
-from .preaggregators import Pipeline
+from .preaggregators import NeighbourMeans, Pipeline
 
 DEFAULT_IPM_SCALE = 0.9
 DEFAULT_ALIE_SCALE = 1.5
@@ -76,8 +76,12 @@ def optimize_attack_scale(
     block is computed once per call and each candidate's (n + f)^2 matrix is
     extended from it in O(n d) (``pairwise_sq_dists_with_copies``), bit for
     bit equal to ``pairwise_sq_dists(candidate)``; only that first stage gets
-    it. Memory stays O((n + f) d + (n + f)^2) plus the kernels' block budget
-    ``numerics.BLOCK_ELEMENTS``.
+    it, together with one ``NeighbourMeans`` memo for the whole search whose
+    fixed rows are the honest ones: an NNM output row whose neighbours are
+    all honest has the same mean for every candidate, so it is summed once
+    per search, bit for bit as before. The memo dies with the call; the live
+    step never sees it. Memory stays O((n + f) d + (n + f)^2) plus the
+    kernels' block budget ``numerics.BLOCK_ELEMENTS`` and the memo's O(n d).
     """
     if len(grid) == 0:
         raise ValueError("scale grid must be non-empty")
@@ -85,14 +89,17 @@ def optimize_attack_scale(
     if ctx.f < 1:
         raise ValueError(f"optimizing an attack needs f >= 1, got f={ctx.f}")
     honest_mean = honest.mean(axis=0)
-    honest_sq_dists = pairwise_sq_dists(honest) if ctx.pipeline.takes_sq_dists else None
+    honest_sq_dists = memo = None
+    if ctx.pipeline.takes_sq_dists:
+        honest_sq_dists = pairwise_sq_dists(honest)
+        memo = NeighbourMeans(len(honest))
     best_scale = None
     best_score = -np.inf
     for scale in grid:
         v = base(honest, scale)
         candidate = np.vstack([honest, np.tile(v, (ctx.f, 1))])
         sq_dists = None if honest_sq_dists is None else pairwise_sq_dists_with_copies(honest_sq_dists, honest, v, ctx.f)
-        aggregate = ctx.pipeline.clone()(candidate, sq_dists)
+        aggregate = ctx.pipeline.clone()(candidate, sq_dists, memo)
         score = float(np.linalg.norm(aggregate - honest_mean))
         if score > best_score or (score == best_score and scale < best_scale):
             best_score = score

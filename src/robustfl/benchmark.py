@@ -353,10 +353,17 @@ def _sanitize(token: str) -> str:
     return re.sub(r"[^A-Za-z0-9.+-]", "-", token)
 
 
+def _number_token(value: float) -> str:
+    """``value`` in ``:g`` form when that reads back as the same number, else
+    its ``repr``, so distinct values never share a run id."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
 def _rule_token(rule: RuleConfig) -> str:
     token = rule.name
     if rule.parameters:
-        token += "".join(f"-{k}{v:g}" for k, v in sorted(rule.parameters.items()))
+        token += "".join(f"-{k}{_number_token(v)}" for k, v in sorted(rule.parameters.items()))
     return _sanitize(token)
 
 
@@ -392,7 +399,7 @@ class ExperimentKey:
 
     @property
     def run_id(self) -> str:
-        dist = f"{self.distribution_token}{self.distribution_parameter:g}"
+        dist = f"{self.distribution_token}{_number_token(self.distribution_parameter)}"
         return "_".join([self.server_token, self.attack_token, f"f{self.f}", dist, f"seed{self.seed}"])
 
     def to_json_dict(self) -> dict:

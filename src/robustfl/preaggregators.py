@@ -20,15 +20,40 @@ from .numerics import as_vector_set, block_rows, pairwise_sq_dists
 DEFAULT_BUCKET_SIZE = 2
 
 
-def nnm(xs, f: int, sq_dists: np.ndarray | None = None) -> np.ndarray:
+@dataclass
+class NeighbourMeans:
+    """NNM output rows memoised by neighbour list, shared by the NNM calls of
+    one attack search.
+
+    The calls sharing it must agree on their first ``fixed`` rows (the honest
+    rows, which every candidate repeats). ``rows`` maps the bytes of a
+    neighbour index list whose indices are all below ``fixed`` to its mean;
+    ``nnm`` serves and fills it only for such lists, so a mean that involves
+    any other row is never reused. A row's neighbours within the fixed rows
+    come in one order, so it holds about one row per fixed row.
+    """
+
+    fixed: int
+    rows: dict[bytes, np.ndarray] = field(default_factory=dict)
+
+
+def nnm(xs, f: int, sq_dists: np.ndarray | None = None, memo: NeighbourMeans | None = None) -> np.ndarray:
     """Replace each row by the mean of its n - f nearest rows (itself included).
 
     Distance ties are broken toward lower row indices. ``sq_dists``, when
     given, must equal ``pairwise_sq_dists(xs)`` and saves recomputing it.
-    Neighbour rows are gathered in row blocks of at most
-    ``numerics.BLOCK_ELEMENTS`` entries (or one row when a row alone is
-    larger) rather than one (n, n - f, d) tensor, so the extra memory is
-    O(n^2 + n d + max(BLOCK_ELEMENTS, (n - f) d)).
+
+    When the whole (n, n - f, d) neighbour gather fits in
+    ``numerics.BLOCK_ELEMENTS`` entries, or rows have one coordinate (the
+    gather is then no larger than the distance matrix), the means come from
+    that one gather. Otherwise each output row is summed in place: its first
+    two neighbours added, the others added in neighbour order, then divided
+    by n - f. That is the sequential reduction the gather's ``mean`` does, so
+    the result is bit-identical, with O(d) extra memory per row. ``memo`` is
+    only read on this path: neighbour lists within its fixed rows are served
+    from it and stored into it, which adds at most O(n d) memory for its
+    lifetime.
+    Overall extra memory is O(n^2 + n d + BLOCK_ELEMENTS), plus the memo.
     """
     xs = as_vector_set(xs)
     n, d = xs.shape
@@ -41,10 +66,26 @@ def nnm(xs, f: int, sq_dists: np.ndarray | None = None) -> np.ndarray:
     elif sq_dists.shape != (n, n):
         raise ValueError(f"sq_dists must have shape ({n}, {n}), got {sq_dists.shape}")
     neighbours = np.argsort(sq_dists, axis=1, kind="stable")[:, : n - f]
+    # numpy reduces a gather of one-coordinate rows pairwise, not in order.
+    if d == 1 or block_rows((n - f) * d) >= n:
+        return xs[neighbours].mean(axis=1)
     out = np.empty_like(xs)
-    step = block_rows((n - f) * d)
-    for lo in range(0, n, step):
-        out[lo : lo + step] = xs[neighbours[lo : lo + step]].mean(axis=1)
+    for row, near in zip(out, neighbours):
+        key = None
+        if memo is not None and near.max() < memo.fixed:
+            key = near.tobytes()
+            if key in memo.rows:
+                row[:] = memo.rows[key]
+                continue
+        if n - f == 1:
+            row[:] = xs[near[0]]
+        else:
+            np.add(xs[near[0]], xs[near[1]], out=row)
+            for j in near[2:]:
+                row += xs[j]
+            row /= n - f
+        if key is not None:
+            memo.rows[key] = row.copy()
     return out
 
 
@@ -158,9 +199,9 @@ class ConfiguredPreAggregator:
                 raise ValueError("Bucketing requires a seeded numpy Generator")
             self.rng = rng
 
-    def __call__(self, xs, sq_dists: np.ndarray | None = None) -> np.ndarray:
-        """Apply the transform; only NNM reads ``sq_dists`` (see ``nnm``)."""
-        extra = {"sq_dists": sq_dists} if self.spec.name == "NNM" else {}
+    def __call__(self, xs, sq_dists: np.ndarray | None = None, memo: NeighbourMeans | None = None) -> np.ndarray:
+        """Apply the transform; only NNM reads ``sq_dists`` and ``memo`` (see ``nnm``)."""
+        extra = {"sq_dists": sq_dists, "memo": memo} if self.spec.name == "NNM" else {}
         if self.rng is not None:
             extra["rng"] = self.rng
         return PRE_AGGREGATORS[self.spec.name].apply(xs, self.spec.f, self.spec.params, **extra)
@@ -179,24 +220,26 @@ class Pipeline:
         self.pre_aggregators = list(pre_aggregators)
         self.aggregator = aggregator
 
-    def __call__(self, xs, sq_dists: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, xs, sq_dists: np.ndarray | None = None, memo: NeighbourMeans | None = None) -> np.ndarray:
         """Fold the transforms over ``xs`` and aggregate.
 
-        ``sq_dists``, when given, must equal ``pairwise_sq_dists(xs)``. Only
-        the first stage receives it (see ``takes_sq_dists``): every later
+        ``sq_dists``, when given, must equal ``pairwise_sq_dists(xs)``.
+        ``memo``, when given, must only be shared with calls whose inputs
+        agree on its first ``memo.fixed`` rows (see ``NeighbourMeans``). Only
+        the first stage receives them (see ``takes_sq_dists``): every later
         stage sees transformed rows and computes its own distances. Memory is
         that of the stages, each bounded by ``numerics.BLOCK_ELEMENTS`` on top
-        of its O(n^2 + n d) input and output.
+        of its O(n^2 + n d) input and output, plus the memo's O(n d).
         """
         xs = as_vector_set(xs)
         for pre in self.pre_aggregators:
-            xs = pre(xs, sq_dists)
-            sq_dists = None
+            xs = pre(xs, sq_dists, memo)
+            sq_dists = memo = None
         return self.aggregator(xs)
 
     @property
     def takes_sq_dists(self) -> bool:
-        """Whether the first stage reads a precomputed distance matrix."""
+        """Whether the first stage reads a precomputed distance matrix (and a memo)."""
         return bool(self.pre_aggregators) and self.pre_aggregators[0].spec.name == "NNM"
 
     def clone(self) -> "Pipeline":

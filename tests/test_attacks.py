@@ -23,7 +23,7 @@ from robustfl.numerics import pairwise_sq_dists
 from robustfl.preaggregators import PreAggregatorSpec, build_pipeline
 from robustfl.seeding import derive_rng
 
-from conftest import random_vector_set
+from conftest import in_blocks, random_vector_set
 from oracles import rescore_attack_grid
 
 
@@ -36,6 +36,7 @@ def average_pipeline():
 SCORED_PIPELINES = {
     "NNM>TrMean": lambda f: build_pipeline(AggregatorSpec("TrMean", f=f), [PreAggregatorSpec("NNM", f=f)]),
     "NNM>Median": lambda f: build_pipeline(AggregatorSpec("Median"), [PreAggregatorSpec("NNM", f=f)]),
+    "NNM>MultiKrum": lambda f: build_pipeline(AggregatorSpec("MultiKrum", f=f), [PreAggregatorSpec("NNM", f=f)]),
     # Stateful, and NNM is second: it must compute its own distances.
     "Bucketing>NNM>CenteredClipping": lambda f: build_pipeline(
         AggregatorSpec("CenteredClipping", params={"tau": 5.0, "iters": 2.0}),
@@ -47,6 +48,19 @@ SCORED_PIPELINES = {
     ),
     "MultiKrum": lambda f: build_pipeline(AggregatorSpec("MultiKrum", f=f)),
 }
+
+
+def rows_about_an_integer_centre(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n >= 3 integer rows whose mean is exactly row 0 and whose row 2 is 0,
+    so ALIE and IPM at scale 0 both equal an honest row."""
+    centre = rng.integers(1, 6, size=d).astype(float)
+    rows = [centre, 2 * centre, 0 * centre]
+    while len(rows) + 2 <= n:
+        offset = rng.integers(-5, 6, size=d)
+        rows += [centre + offset, centre - offset]
+    if len(rows) < n:
+        rows.append(centre)
+    return np.array(rows)
 
 
 class TestSignFlipping:
@@ -169,6 +183,33 @@ class TestOptimizeAttackScale:
             live(rng.normal(size=(n + f, xs.shape[1])) * 10.0)
             result = optimize_attack_scale(AttackContext(honest=xs, f=f, pipeline=live), base, DEFAULT_SCALE_GRID)
             oracle_scale, oracle_score = rescore_attack_grid(live.clone, xs, f, base, DEFAULT_SCALE_GRID)
+            assert (result.scale, result.score) == (oracle_scale, oracle_score)
+            np.testing.assert_array_equal(result.vector, base(xs, oracle_scale))
+
+    @pytest.mark.parametrize("base", [a_little_is_enough, inner_product_manipulation])
+    @pytest.mark.parametrize("pipeline_name", ["NNM>TrMean", "NNM>Median", "NNM>MultiKrum"])
+    def test_rows_past_the_block_budget_equal_clone_per_candidate_rescoring(self, pipeline_name, base):
+        # The budget is below one row's neighbour block, so NNM sums every output
+        # row in place and the search serves honest-only neighbour means from
+        # its memo, while the oracle recomputes every candidate in full.
+        rng = np.random.default_rng(28)
+        for trial in range(9):
+            n, f, d = int(rng.integers(4, 9)), int(rng.integers(1, 3)), int(rng.integers(2, 6))
+            xs = random_vector_set(rng, n=n, d=d)
+            if trial % 3 == 1:
+                xs[n - 1] = xs[1] = xs[0]
+            elif trial % 3 == 2:
+                xs = rows_about_an_integer_centre(rng, n, d)
+            live = SCORED_PIPELINES[pipeline_name](f)
+
+            def search_and_oracle():
+                ctx = AttackContext(honest=xs, f=f, pipeline=live)
+                return (
+                    optimize_attack_scale(ctx, base, DEFAULT_SCALE_GRID),
+                    rescore_attack_grid(live.clone, xs, f, base, DEFAULT_SCALE_GRID),
+                )
+
+            result, (oracle_scale, oracle_score) = in_blocks(search_and_oracle, 1, n * d - 1)
             assert (result.scale, result.score) == (oracle_scale, oracle_score)
             np.testing.assert_array_equal(result.vector, base(xs, oracle_scale))
 

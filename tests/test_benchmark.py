@@ -239,6 +239,33 @@ class TestExperimentKey:
         )
         assert key.run_id == "Average_Optimal-ALittleIsEnough_f3_iid0_seed2"
 
+    def test_rule_parameters_six_digits_cannot_tell_apart_get_distinct_ids(self):
+        ids = []
+        for tau in (1.0000001, 1.0000002):
+            attack = {"name": "ALittleIsEnough", "parameters": {"tau": tau}}
+            ids.append(expand_grid(parse_config(tiny_config_text("/tmp/x", attack=[attack])))[0].run_id)
+        assert ids == [
+            "TrMean_ALittleIsEnough-tau1.0000001_f1_iid0_seed0",
+            "TrMean_ALittleIsEnough-tau1.0000002_f1_iid0_seed0",
+        ]
+
+    def test_distribution_parameters_six_digits_cannot_tell_apart_get_distinct_ids(self):
+        def run_id(gamma):
+            return ExperimentKey(
+                aggregator=RuleConfig("TrMean"),
+                pre_aggregators=[],
+                attack=RuleConfig("SignFlipping"),
+                f=1,
+                distribution_name="gamma_similarity_niid",
+                distribution_parameter=gamma,
+                seed=0,
+            ).run_id
+
+        assert run_id(0.3333331) == "TrMean_SignFlipping_f1_gamma0.3333331_seed0"
+        assert run_id(0.3333332) == "TrMean_SignFlipping_f1_gamma0.3333332_seed0"
+        # A value that six significant digits already give exactly keeps its short id.
+        assert run_id(0.333333) == "TrMean_SignFlipping_f1_gamma0.333333_seed0"
+
     def test_json_round_trip(self):
         key = ExperimentKey(
             aggregator=RuleConfig("MoNNA", {"pivot": 0.0}),

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustfl import preaggregators
-from robustfl.aggregators import AggregatorSpec, make_aggregator
+from robustfl.aggregators import AggregatorSpec, Rule, make_aggregator
 from robustfl.numerics import pairwise_sq_dists
 from robustfl.preaggregators import (
     DEFAULT_BUCKET_SIZE,
     PRE_AGGREGATOR_NAMES,
     ConfiguredPreAggregator,
+    NeighbourMeans,
     Pipeline,
     PreAggregatorSpec,
     arc,
@@ -80,6 +81,50 @@ class TestNnm:
         rows = data.draw(st.integers(1, n - 1), label="rows per block")
         expected = single_block(nnm, xs, f)
         np.testing.assert_array_equal(in_blocks(nnm, rows, (n - f) * d, xs, f), expected)
+
+    @pytest.mark.parametrize("kept", [1, 2])
+    def test_one_or_two_neighbours_in_blocks_equal_single_block(self, kept):
+        # n - f = 1 copies the nearest row; n - f = 2 only adds the first pair.
+        rng = np.random.default_rng(13)
+        for n in range(2, 8):
+            for d in (1, 3):
+                xs = random_vector_set(rng, n=n, d=d)
+                xs[-1] = xs[0]
+                f = n - kept
+                expected = single_block(nnm, xs, f)
+                np.testing.assert_array_equal(in_blocks(nnm, 1, kept * d, xs, f), expected)
+
+    @staticmethod
+    def memo_case():
+        """Five rows kept fixed and two copies of the far row 0 after them:
+        rows 1-4 have fixed-only neighbour lists, rows 0, 5 and 6 do not."""
+        xs = random_vector_set(np.random.default_rng(14), n=7, d=4)
+        xs[0] += 500.0
+        xs[5:] = xs[0]
+        f, memo = 2, NeighbourMeans(fixed=5)
+        near = np.argsort(pairwise_sq_dists(xs), axis=1, kind="stable")[:, : len(xs) - f]
+        assert [bool(row.max() < memo.fixed) for row in near] == [False, True, True, True, True, False, False]
+        return xs, f, memo, near
+
+    def test_memo_never_serves_a_list_holding_a_row_past_its_fixed_rows(self):
+        xs, f, memo, near = self.memo_case()
+        for i in (0, 5, 6):
+            memo.rows[near[i].tobytes()] = np.full(xs.shape[1], 7.0)
+        out = in_blocks(nnm, 1, (len(xs) - f) * xs.shape[1] - 1, xs, f, None, memo)
+        assert out.tobytes() == single_block(nnm, xs, f).tobytes()
+
+    def test_memo_stores_and_serves_fixed_only_lists(self):
+        xs, f, memo, near = self.memo_case()
+        budget = (len(xs) - f) * xs.shape[1] - 1
+        expected = single_block(nnm, xs, f)
+        assert in_blocks(nnm, 1, budget, xs, f, None, memo).tobytes() == expected.tobytes()
+        assert sorted(memo.rows) == sorted(near[i].tobytes() for i in range(1, 5))
+        for i in range(1, 5):
+            np.testing.assert_array_equal(memo.rows[near[i].tobytes()], expected[i])
+            memo.rows[near[i].tobytes()] = np.full(xs.shape[1], float(i))
+        out = in_blocks(nnm, 1, budget, xs, f, None, memo)
+        np.testing.assert_array_equal(out[1:5], np.repeat([[1.0], [2.0], [3.0], [4.0]], xs.shape[1], axis=1))
+        np.testing.assert_array_equal(out[[0, 5, 6]], expected[[0, 5, 6]])
 
     @settings(deadline=None, max_examples=40)
     @given(multi_row_matrices, st.data())
@@ -356,6 +401,19 @@ class TestPipeline:
         # The second NNM sees the first one's output and measures it itself.
         assert len(computed) == 1
         np.testing.assert_array_equal(computed[0], nnm(x3, 1))
+
+    def test_memo_reaches_only_the_first_stage(self, x3, monkeypatch):
+        memos = []
+
+        def recording(xs, f, sq_dists=None, memo=None):
+            memos.append(memo)
+            return nnm(xs, f, sq_dists, memo)
+
+        monkeypatch.setitem(preaggregators.PRE_AGGREGATORS, "NNM", Rule(recording, needs_f=True))
+        pipeline = build_pipeline(AggregatorSpec("Average"), [PreAggregatorSpec("NNM", f=1)] * 2)
+        memo = NeighbourMeans(fixed=2)
+        pipeline(x3, None, memo)
+        assert memos == [memo, None]
 
     def test_takes_sq_dists_only_when_nnm_leads(self):
         nnm_spec, clip_spec = PreAggregatorSpec("NNM", f=1), PreAggregatorSpec("Clipping", params={"c": 1.0})
