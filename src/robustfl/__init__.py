@@ -1,159 +1,35 @@
-"""Robust aggregation and attack tooling for distributed SGD experiments."""
+"""Robust aggregation and attack tooling for distributed SGD experiments.
 
-from .aggregators import (
-    AGGREGATOR_NAMES,
-    AggregatorSpec,
-    CenteredClipState,
-    ConfiguredAggregator,
-    average,
-    caf,
-    centered_clipping,
-    geometric_median,
-    make_aggregator,
-    mda,
-    meamed,
-    median,
-    monna,
-    multi_krum,
-    smea,
-    trmean,
-)
-from .attacks import (
-    ATTACK_NAMES,
-    AttackContext,
-    AttackSpec,
-    a_little_is_enough,
-    attack_vector,
-    inner_product_manipulation,
-    optimize_attack_scale,
-    sign_flipping,
-)
-from .benchmark import (
-    BenchmarkConfig,
-    ExperimentKey,
-    ExperimentResult,
-    expand_grid,
-    list_results,
-    parse_config,
-    parse_config_file,
-    read_result,
-    run_benchmark,
-    run_single,
-    write_result,
-)
-from .datadist import (
-    DISTRIBUTION_NAMES,
-    ClientPartition,
-    LabeledDataset,
-    dirichlet_split,
-    gamma_split,
-    iid_split,
-    make_partition,
-)
+The top level holds the grid workflow (parse, expand, run, report) and the
+pipeline builders of the README's library example; everything else is
+imported from its module.
+"""
+
+from .aggregators import AggregatorSpec
+from .attacks import ATTACK_NAMES, sign_flipping
+from .benchmark import expand_grid, list_results, parse_config, run_benchmark, run_single
+from .datadist import DISTRIBUTION_NAMES
 from .evaluate import emit_curves, emit_heatmaps, worst_case_maximal_accuracy
-from .models import (
-    LinearArch,
-    LrSchedule,
-    MlpArch,
-    forward_loss,
-    init_params,
-    load_idx,
-    loss_and_gradient,
-    make_blobs,
-    param_count,
-)
-from .preaggregators import (
-    PRE_AGGREGATOR_NAMES,
-    Pipeline,
-    PreAggregatorSpec,
-    arc,
-    bucketing,
-    build_pipeline,
-    nnm,
-    static_clipping,
-)
-from .seeding import derive_rng, derive_seed
-from .simulator import (
-    ByzantineClientGroup,
-    FedAvgParams,
-    HonestClient,
-    ServerState,
-    dsgd_step,
-    evaluate_accuracy,
-    fedavg_round,
-)
+from .models import load_idx
+from .preaggregators import PRE_AGGREGATOR_NAMES, PreAggregatorSpec, build_pipeline
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AGGREGATOR_NAMES",
     "ATTACK_NAMES",
     "DISTRIBUTION_NAMES",
     "PRE_AGGREGATOR_NAMES",
     "AggregatorSpec",
-    "AttackContext",
-    "AttackSpec",
-    "BenchmarkConfig",
-    "ByzantineClientGroup",
-    "CenteredClipState",
-    "ClientPartition",
-    "ConfiguredAggregator",
-    "ExperimentKey",
-    "ExperimentResult",
-    "FedAvgParams",
-    "HonestClient",
-    "LabeledDataset",
-    "LinearArch",
-    "LrSchedule",
-    "MlpArch",
-    "Pipeline",
     "PreAggregatorSpec",
-    "ServerState",
-    "a_little_is_enough",
-    "arc",
-    "attack_vector",
-    "average",
-    "bucketing",
     "build_pipeline",
-    "caf",
-    "centered_clipping",
-    "derive_rng",
-    "derive_seed",
-    "dirichlet_split",
-    "dsgd_step",
     "emit_curves",
     "emit_heatmaps",
-    "evaluate_accuracy",
     "expand_grid",
-    "fedavg_round",
-    "forward_loss",
-    "gamma_split",
-    "geometric_median",
-    "iid_split",
-    "init_params",
     "list_results",
     "load_idx",
-    "loss_and_gradient",
-    "make_aggregator",
-    "make_blobs",
-    "make_partition",
-    "mda",
-    "meamed",
-    "median",
-    "monna",
-    "multi_krum",
-    "nnm",
-    "optimize_attack_scale",
-    "param_count",
     "parse_config",
-    "parse_config_file",
-    "read_result",
     "run_benchmark",
     "run_single",
     "sign_flipping",
-    "smea",
-    "static_clipping",
-    "trmean",
     "worst_case_maximal_accuracy",
-    "write_result",
 ]

@@ -175,9 +175,6 @@ class CenteredClipState:
 
     prev: np.ndarray | None = None
 
-    def reset(self) -> None:
-        self.prev = None
-
 
 def centered_clipping(
     xs,
@@ -362,7 +359,7 @@ class ConfiguredAggregator:
     """Callable aggregation rule bound to its parameters.
 
     CenteredClipping instances keep their carry-over center here; every other
-    rule is stateless. ``reset`` clears the memory for a fresh run.
+    rule is stateless.
     """
 
     def __init__(self, spec: AggregatorSpec):
@@ -372,10 +369,6 @@ class ConfiguredAggregator:
     def __call__(self, xs) -> np.ndarray:
         extra = {} if self.clip_state is None else {"state": self.clip_state}
         return AGGREGATORS[self.spec.name].apply(xs, self.spec.f, self.spec.params, **extra)
-
-    def reset(self) -> None:
-        if self.clip_state is not None:
-            self.clip_state.reset()
 
 
 def make_aggregator(spec: AggregatorSpec) -> ConfiguredAggregator:

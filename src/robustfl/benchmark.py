@@ -15,19 +15,19 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .aggregators import AggregatorSpec
 from .attacks import AttackSpec
-from .datadist import DISTRIBUTION_NAMES, DISTRIBUTIONS, LabeledDataset, make_partition
+from .datadist import DISTRIBUTIONS, POSITIVE, Bound, LabeledDataset, make_partition
 from .models import (
     DEFAULT_HIDDEN_UNITS,
     LinearArch,
@@ -54,21 +54,9 @@ log = logging.getLogger(__name__)
 
 DATASET_ENV_VAR = "ROBUSTFL_DATA_DIR"
 
-_TOP_LEVEL_KEYS = {
-    "benchmark_config",
-    "model",
-    "aggregator",
-    "pre_aggregators",
-    "honest_clients",
-    "attack",
-    "evaluation_and_results",
-}
-
-_BLOB_DEFAULTS = {"n_classes": 3, "dim": 20, "train_size": 6000, "test_size": 1000, "spread": 1.0}
-
 
 # --------------------------------------------------------------------------- #
-# Config model
+# Config model: what ``SCHEMA`` builds; every default and bound lives there
 # --------------------------------------------------------------------------- #
 
 
@@ -83,7 +71,7 @@ class RuleConfig:
 @dataclass
 class TrainingAlgorithmConfig:
     name: str
-    parameters: dict = field(default_factory=dict)
+    parameters: dict
 
 
 @dataclass
@@ -91,257 +79,318 @@ class ModelConfig:
     name: str
     dataset_name: str
     learning_rate: float
-    loss: str = "NLLLoss"
-    learning_rate_decay: float = 1.0
-    milestones: list[int] = field(default_factory=list)
-    hidden: int = DEFAULT_HIDDEN_UNITS
-    dataset_params: dict = field(default_factory=dict)
+    loss: str
+    learning_rate_decay: float
+    milestones: list[int]
+    hidden: int
+    dataset_params: dict
 
 
 @dataclass
 class HonestClientsConfig:
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    batch_size: int = 25
+    momentum: float
+    weight_decay: float
+    batch_size: int
 
 
 @dataclass
 class EvaluationConfig:
     evaluation_delta: int
     results_directory: str
-    store_per_client_metrics: bool = False
+    store_per_client_metrics: bool
 
 
 @dataclass
 class BenchmarkConfig:
     training_algorithm: TrainingAlgorithmConfig
     nb_steps: int
+    nb_training_seeds: int
     nb_honest_clients: int
+    f_values: list[int]
+    data_distributions: list[tuple[str, list[float]]]
     model: ModelConfig
     aggregators: list[RuleConfig]
+    pre_aggregators: list[RuleConfig]
+    honest_clients: HonestClientsConfig
     attacks: list[RuleConfig]
     evaluation: EvaluationConfig
-    nb_training_seeds: int = 1
-    f_values: list[int] = field(default_factory=lambda: [0])
-    data_distributions: list[tuple[str, list[float]]] = field(default_factory=lambda: [("iid", [0.0])])
-    pre_aggregators: list[RuleConfig] = field(default_factory=list)
-    honest_clients: HonestClientsConfig = field(default_factory=HonestClientsConfig)
+
+    def __post_init__(self) -> None:
+        delta = self.evaluation.evaluation_delta
+        if delta > self.nb_steps:
+            raise ValueError(f"evaluation_delta ({delta}) cannot exceed nb_steps ({self.nb_steps})")
 
 
 # --------------------------------------------------------------------------- #
-# Parsing
+# Schema readers: each takes a JSON value and its dotted path, and returns the
+# typed value or raises ``ValueError`` naming the path
 # --------------------------------------------------------------------------- #
+
+
+REQUIRED = object()
+
+
+class Key(NamedTuple):
+    """One key of a JSON object: its reader and its default, a JSON value read
+    like a written one, or ``REQUIRED``."""
+
+    read: Callable
+    default: object = REQUIRED
+
+    def value(self, raw: dict, key: str, where: str):
+        path = f"{where}.{key}" if where else key
+        if key in raw:
+            return self.read(raw[key], path)
+        if self.default is REQUIRED:
+            raise ValueError(f"missing {path}")
+        return self.read(self.default, path)
+
+
+def _at_least(low: int) -> Bound:
+    return Bound(lambda v: v >= low, f"be >= {low}")
+
+
+NONNEGATIVE = Bound(lambda v: v >= 0, "be nonnegative")
+FRACTION = Bound(lambda v: 0 < v <= 1, "lie in (0, 1]")
+
+
+_NOUNS = {int: "an integer", float: "a number", bool: "a boolean", str: "a non-empty string", dict: "an object"}
+
+
+def _typed(kind: type, bound: Bound | None = None) -> Callable:
+    """Reader for a JSON value of type ``kind`` that lies in ``bound``. A float
+    may be written as an integer; a bool is no number, and a string is not
+    empty."""
+    accepted = (int, float) if kind is float else kind
+
+    def read(value, where):
+        if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool) or value == "":
+            raise ValueError(f"{where} must be {_NOUNS[kind]}, got {value!r}")
+        return kind(value) if bound is None else bound.check(kind(value), where)
+
+    return read
+
+
+def _one_of(names) -> Callable:
+    """Reader for one of the strings ``names``."""
+    *head, last = map(repr, names)
+    alternatives = f"{', '.join(head)} or {last}" if head else last
+
+    def read(value, where):
+        if not isinstance(value, str) or value not in names:
+            raise ValueError(f"{where} must be {alternatives}, got {value!r}")
+        return value
+
+    return read
+
+
+class ListOf(NamedTuple):
+    """Reader for a JSON list of ``item``s; a lone object stands for a list
+    of one."""
+
+    item: Callable
+    empty_ok: bool = False
+
+    def __call__(self, value, where):
+        value = [value] if isinstance(value, dict) else value
+        if not isinstance(value, list) or not (value or self.empty_ok):
+            raise ValueError(f"{where} must be a {'' if self.empty_ok else 'non-empty '}list, got {value!r}")
+        return [self.item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
+class Obj(NamedTuple):
+    """Reader for a JSON object: unknown keys are errors, and ``build`` gets
+    every key's value (or default) by name. With ``variants`` = (tag, table),
+    the tag key must name a table entry, whose keys join ``keys``."""
+
+    build: Callable
+    keys: dict[str, Key]
+    variants: tuple[str, dict[str, dict[str, Key]]] | None = None
+
+    def __call__(self, raw, where):
+        raw = _typed(dict)(raw, where or "config")
+        keys = self.keys
+        if self.variants:
+            tag, table = self.variants
+            tag_key = Key(_one_of(table))
+            keys = {tag: tag_key, **keys, **table[tag_key.value(raw, tag, where)]}
+        unknown = sorted(set(raw) - set(keys))
+        if unknown:
+            name = unknown[0]
+            raise ValueError(f"unknown key '{where}.{name}'" if where else f"unknown top-level key: {name!r}")
+        values = {key: spec.value(raw, key, where) for key, spec in keys.items()}
+        try:
+            return self.build(**values)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}" if where else str(exc)) from None
+
+
+# --------------------------------------------------------------------------- #
+# Datasets and architectures
+# --------------------------------------------------------------------------- #
+
+
+def _split_total(total: int, parts: int) -> list[int]:
+    base, rem = divmod(total, parts)
+    return [base + 1 if i < rem else base for i in range(parts)]
+
+
+def _blob_datasets(cfg: ModelConfig, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
+    params = cfg.dataset_params
+    n_classes, dim, spread = params["n_classes"], params["dim"], params["spread"]
+    rng = derive_rng(seed, "dataset")
+    centers = rng.standard_normal((n_classes, dim))
+    train = make_blobs(n_classes, _split_total(params["train_size"], n_classes), dim, spread, rng, centers)
+    test = make_blobs(n_classes, _split_total(params["test_size"], n_classes), dim, spread, rng, centers)
+    return train, test
+
+
+def _mnist_datasets(cfg: ModelConfig, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
+    root = os.environ.get(DATASET_ENV_VAR)
+    if not root:
+        raise ValueError(f"dataset 'mnist' needs the {DATASET_ENV_VAR} environment variable to point at the IDX files")
+
+    def find(stem: str) -> Path:
+        for candidate in (Path(root) / stem, Path(root) / f"{stem}.gz"):
+            if candidate.exists():
+                return candidate
+        raise ValueError(f"missing {stem}[.gz] under {root}")
+
+    train = load_idx(find("train-images-idx3-ubyte"), find("train-labels-idx1-ubyte"))
+    test = load_idx(find("t10k-images-idx3-ubyte"), find("t10k-labels-idx1-ubyte"))
+    return train, test
+
+
+class Dataset(NamedTuple):
+    """One row of ``DATASETS``: the (train, test) loader and the keys of ``model.dataset_params``."""
+
+    load: Callable[[ModelConfig, int], tuple[LabeledDataset, LabeledDataset]]
+    params: dict[str, Key]
+
+
+DATASETS = {
+    "blobs": Dataset(_blob_datasets, {
+        "n_classes": Key(_typed(int, _at_least(2)), 3),
+        "dim": Key(_typed(int, _at_least(1)), 20),
+        "train_size": Key(_typed(int, _at_least(1)), 6000),
+        "test_size": Key(_typed(int, _at_least(1)), 1000),
+        "spread": Key(_typed(float, NONNEGATIVE), 1.0),
+    }),
+    "mnist": Dataset(_mnist_datasets, {}),
+}
+
+
+def _cnn_mnist(cfg: ModelConfig, in_dim: int, n_classes: int) -> MlpArch:
+    log.warning("model 'cnn_mnist' has no convolutional implementation here; substituting the MLP")
+    return MlpArch(in_dim, cfg.hidden, n_classes)
+
+
+# Model name -> its architecture, built from (model config, input dim, classes).
+ARCHS = {
+    "linear": lambda cfg, in_dim, n_classes: LinearArch(in_dim, n_classes),
+    "mlp": lambda cfg, in_dim, n_classes: MlpArch(in_dim, cfg.hidden, n_classes),
+    "cnn_mnist": _cnn_mnist,
+}
+
+
+# --------------------------------------------------------------------------- #
+# The schema and parsing
+# --------------------------------------------------------------------------- #
+
+
+def _rules(check: Callable[[str, dict], object], empty_ok: bool = False) -> ListOf:
+    """Rule entries, validated by ``check`` against their family's table; parameters stay as written."""
+
+    def build(name: str, parameters: dict) -> RuleConfig:
+        check(name, parameters)
+        return RuleConfig(name, parameters)
+
+    return ListOf(Obj(build, {"name": Key(_typed(str)), "parameters": Key(_typed(dict), {})}), empty_ok)
+
+
+_FEDAVG = {
+    "proportion_selected_clients": Key(_typed(float, FRACTION), 1.0),
+    "local_steps_per_client": Key(_typed(int, _at_least(1)), 1),
+}
+_TRAINING_ALGORITHM = Obj(TrainingAlgorithmConfig, {}, ("name", {
+    "DSGD": {"parameters": Key(Obj(dict, {}), {})},
+    "FedAvg": {"parameters": Key(Obj(dict, _FEDAVG), {})},
+}))
+
+# The parameter list is required and bounded where the splitter takes the
+# parameter; otherwise it only names the runs.
+_DISTRIBUTION = Obj(lambda name, distribution_parameter: (name, distribution_parameter), {}, ("name", {
+    name: {"distribution_parameter": Key(ListOf(_typed(float, row.parameter)), REQUIRED if row.parameter else [0.0])}
+    for name, row in DISTRIBUTIONS.items()
+}))
+
+_BENCHMARK = Obj(lambda f, data_distribution, **rest: dict(rest, f_values=f, data_distributions=data_distribution), {
+    "training_algorithm": Key(_TRAINING_ALGORITHM),
+    "nb_steps": Key(_typed(int, _at_least(1))),
+    "nb_training_seeds": Key(_typed(int, _at_least(1)), 1),
+    "nb_honest_clients": Key(_typed(int, _at_least(1))),
+    "f": Key(ListOf(_typed(int, _at_least(0))), [0]),
+    "data_distribution": Key(ListOf(_DISTRIBUTION), {"name": "iid"}),
+})
+
+_MODEL = Obj(ModelConfig, {
+    "name": Key(_one_of(ARCHS)),
+    "learning_rate": Key(_typed(float, POSITIVE)),
+    "loss": Key(_one_of(("NLLLoss",)), "NLLLoss"),
+    "learning_rate_decay": Key(_typed(float, FRACTION), 1.0),
+    "milestones": Key(ListOf(_typed(int, _at_least(0)), empty_ok=True), []),
+    "hidden": Key(_typed(int, _at_least(1)), DEFAULT_HIDDEN_UNITS),
+}, ("dataset_name", {name: {"dataset_params": Key(Obj(dict, row.params), {})} for name, row in DATASETS.items()}))
+
+_HONEST_CLIENTS = Obj(HonestClientsConfig, {
+    "momentum": Key(_typed(float, Bound(lambda m: 0 <= m < 1, "lie in [0, 1)")), 0.0),
+    "weight_decay": Key(_typed(float, NONNEGATIVE), 0.0),
+    "batch_size": Key(_typed(int, _at_least(1)), 25),
+})
+
+_EVALUATION = Obj(EvaluationConfig, {
+    "evaluation_delta": Key(_typed(int, _at_least(1))),
+    "results_directory": Key(_typed(str)),
+    "store_per_client_metrics": Key(_typed(bool), False),
+})
+
+SCHEMA = Obj(lambda benchmark_config, aggregator, attack, evaluation_and_results, **sections: BenchmarkConfig(
+    **benchmark_config, **sections, aggregators=aggregator, attacks=attack, evaluation=evaluation_and_results
+), {
+    "benchmark_config": Key(_BENCHMARK),
+    "model": Key(_MODEL),
+    "aggregator": Key(_rules(lambda name, params: AggregatorSpec(name, 0, params))),
+    "pre_aggregators": Key(_rules(lambda name, params: PreAggregatorSpec(name, 0, params), empty_ok=True), []),
+    "honest_clients": Key(_HONEST_CLIENTS, {}),
+    "attack": Key(_rules(lambda name, params: AttackSpec(name, params=params))),
+    "evaluation_and_results": Key(_EVALUATION),
+})
+
+
+_STRING_OR_COMMENT = re.compile(r'("(?:\\.|[^"\\\n])*")|//[^\n]*')
 
 
 def strip_json_comments(text: str) -> str:
     """Drop ``//`` line comments that occur outside string literals."""
-    out_lines = []
-    for line in text.splitlines():
-        in_string = False
-        escaped = False
-        cut = len(line)
-        for i, ch in enumerate(line):
-            if escaped:
-                escaped = False
-                continue
-            if ch == "\\" and in_string:
-                escaped = True
-                continue
-            if ch == '"':
-                in_string = not in_string
-                continue
-            if not in_string and ch == "/" and line[i : i + 2] == "//":
-                cut = i
-                break
-        out_lines.append(line[:cut])
-    return "\n".join(out_lines)
-
-
-def _as_obj(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{where} must be an object")
-    return value
-
-
-def _as_rule_list(value, where: str) -> list[RuleConfig]:
-    entries = [value] if isinstance(value, dict) else value
-    if not isinstance(entries, list) or not entries:
-        raise ValueError(f"{where} must be a non-empty list of rule objects")
-    rules = []
-    for i, entry in enumerate(entries):
-        entry = _as_obj(entry, f"{where}[{i}]")
-        name = entry.get("name")
-        if not isinstance(name, str):
-            raise ValueError(f"{where}[{i}].name must be a string")
-        params = _as_obj(entry.get("parameters", {}), f"{where}[{i}].parameters")
-        rules.append(RuleConfig(name, dict(params)))
-    return rules
-
-
-def _as_int(value, where: str, minimum: int | None = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{where} must be an integer")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{where} must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_float(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where} must be a number")
-    return float(value)
+    return _STRING_OR_COMMENT.sub(lambda m: m.group(1) or "", text)
 
 
 def parse_config(text: str) -> BenchmarkConfig:
-    """Parse and validate a benchmark config document.
+    """Parse and validate a benchmark config document against ``SCHEMA``.
 
-    Raises ``ValueError`` naming the offending field on any unknown top-level
-    key, missing required field, or out-of-range value.
+    Raises ``ValueError`` naming the dotted path of any unknown key, missing
+    required key, mistyped or out-of-range value.
     """
     stripped = strip_json_comments(text)
-    if not stripped.strip():
-        raw = {}
-    else:
-        try:
-            raw = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config is not valid JSON: {exc}") from exc
-    raw = _as_obj(raw, "config")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ValueError(f"unknown top-level key: {sorted(unknown)[0]!r}")
-    for required in ("benchmark_config", "model", "aggregator", "attack", "evaluation_and_results"):
-        if required not in raw:
-            raise ValueError(f"missing {required}")
-
-    bench = _as_obj(raw["benchmark_config"], "benchmark_config")
-    algo_obj = _as_obj(bench.get("training_algorithm"), "benchmark_config.training_algorithm")
-    algo_name = algo_obj.get("name")
-    if algo_name not in ("DSGD", "FedAvg"):
-        raise ValueError(f"benchmark_config.training_algorithm.name must be 'DSGD' or 'FedAvg', got {algo_name!r}")
-    algo = TrainingAlgorithmConfig(algo_name, dict(algo_obj.get("parameters", {})))
-    if algo.name == "FedAvg":
-        _fedavg_params(algo)  # validate eagerly
-
-    nb_steps = _as_int(bench.get("nb_steps"), "benchmark_config.nb_steps", minimum=1)
-    nb_seeds = _as_int(bench.get("nb_training_seeds", 1), "benchmark_config.nb_training_seeds", minimum=1)
-    nb_honest = _as_int(bench.get("nb_honest_clients"), "benchmark_config.nb_honest_clients", minimum=1)
-
-    f_raw = bench.get("f", [0])
-    if not isinstance(f_raw, list) or not f_raw:
-        raise ValueError("benchmark_config.f must be a non-empty list of integers")
-    f_values = [_as_int(v, "benchmark_config.f[]", minimum=0) for v in f_raw]
-
-    dist_raw = bench.get("data_distribution", [{"name": "iid", "distribution_parameter": [0.0]}])
-    if isinstance(dist_raw, dict):
-        dist_raw = [dist_raw]
-    if not isinstance(dist_raw, list) or not dist_raw:
-        raise ValueError("benchmark_config.data_distribution must be a non-empty list")
-    distributions: list[tuple[str, list[float]]] = []
-    for i, entry in enumerate(dist_raw):
-        entry = _as_obj(entry, f"benchmark_config.data_distribution[{i}]")
-        name = entry.get("name")
-        if name not in DISTRIBUTIONS:
-            raise ValueError(
-                f"benchmark_config.data_distribution[{i}].name must be one of {DISTRIBUTION_NAMES}, got {name!r}"
-            )
-        params = entry.get("distribution_parameter", None if DISTRIBUTIONS[name].takes_parameter else [0.0])
-        if params is None:
-            raise ValueError(f"benchmark_config.data_distribution[{i}].distribution_parameter is required for {name}")
-        if not isinstance(params, list) or not params:
-            raise ValueError(f"benchmark_config.data_distribution[{i}].distribution_parameter must be a non-empty list")
-        distributions.append((name, [_as_float(p, "distribution_parameter[]") for p in params]))
-
-    model_obj = _as_obj(raw["model"], "model")
-    for required in ("name", "dataset_name", "learning_rate"):
-        if required not in model_obj:
-            raise ValueError(f"model.{required} is required")
-    lr = _as_float(model_obj["learning_rate"], "model.learning_rate")
-    if lr <= 0:
-        raise ValueError(f"model.learning_rate must be positive, got {lr}")
-    decay = _as_float(model_obj.get("learning_rate_decay", 1.0), "model.learning_rate_decay")
-    if not 0 < decay <= 1:
-        raise ValueError(f"model.learning_rate_decay must lie in (0, 1], got {decay}")
-    loss_name = model_obj.get("loss", "NLLLoss")
-    if loss_name != "NLLLoss":
-        raise ValueError(f"model.loss: only 'NLLLoss' is supported, got {loss_name!r}")
-    milestones = model_obj.get("milestones", [])
-    if not isinstance(milestones, list):
-        raise ValueError("model.milestones must be a list of integers")
-    model = ModelConfig(
-        name=str(model_obj["name"]),
-        dataset_name=str(model_obj["dataset_name"]),
-        learning_rate=lr,
-        loss=loss_name,
-        learning_rate_decay=decay,
-        milestones=[_as_int(m, "model.milestones[]", minimum=0) for m in milestones],
-        hidden=_as_int(model_obj.get("hidden", DEFAULT_HIDDEN_UNITS), "model.hidden", minimum=1),
-        dataset_params=dict(_as_obj(model_obj.get("dataset_params", {}), "model.dataset_params")),
-    )
-
-    aggregators = _as_rule_list(raw["aggregator"], "aggregator")
-    for rule in aggregators:
-        AggregatorSpec(rule.name, 0, dict(rule.parameters))  # eager name/param validation
-    pre_aggregators = _as_rule_list(raw["pre_aggregators"], "pre_aggregators") if raw.get("pre_aggregators") else []
-    for rule in pre_aggregators:
-        PreAggregatorSpec(rule.name, 0, dict(rule.parameters))
-    attacks = _as_rule_list(raw["attack"], "attack")
-    for rule in attacks:
-        AttackSpec(rule.name, params=dict(rule.parameters))
-
-    hc_obj = _as_obj(raw.get("honest_clients", {}), "honest_clients")
-    honest = HonestClientsConfig(
-        momentum=_as_float(hc_obj.get("momentum", 0.0), "honest_clients.momentum"),
-        weight_decay=_as_float(hc_obj.get("weight_decay", 0.0), "honest_clients.weight_decay"),
-        batch_size=_as_int(hc_obj.get("batch_size", 25), "honest_clients.batch_size", minimum=1),
-    )
-    if not 0.0 <= honest.momentum < 1.0:
-        raise ValueError(f"honest_clients.momentum must lie in [0, 1), got {honest.momentum}")
-    if honest.weight_decay < 0:
-        raise ValueError(f"honest_clients.weight_decay must be nonnegative, got {honest.weight_decay}")
-
-    eval_obj = _as_obj(raw["evaluation_and_results"], "evaluation_and_results")
-    delta = _as_int(eval_obj.get("evaluation_delta"), "evaluation_and_results.evaluation_delta", minimum=1)
-    if delta > nb_steps:
-        raise ValueError(f"evaluation_delta ({delta}) cannot exceed nb_steps ({nb_steps})")
-    results_dir = eval_obj.get("results_directory")
-    if not isinstance(results_dir, str) or not results_dir:
-        raise ValueError("evaluation_and_results.results_directory must be a non-empty string")
-    store = eval_obj.get("store_per_client_metrics", False)
-    if not isinstance(store, bool):
-        raise ValueError("evaluation_and_results.store_per_client_metrics must be a boolean")
-    evaluation = EvaluationConfig(delta, results_dir, store)
-
-    return BenchmarkConfig(
-        training_algorithm=algo,
-        nb_steps=nb_steps,
-        nb_honest_clients=nb_honest,
-        model=model,
-        aggregators=aggregators,
-        attacks=attacks,
-        evaluation=evaluation,
-        nb_training_seeds=nb_seeds,
-        f_values=f_values,
-        data_distributions=distributions,
-        pre_aggregators=pre_aggregators,
-        honest_clients=honest,
-    )
+    try:
+        raw = json.loads(stripped) if stripped.strip() else {}
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config is not valid JSON: {exc}") from exc
+    return SCHEMA(raw, "")
 
 
 def parse_config_file(path) -> BenchmarkConfig:
     return parse_config(Path(path).read_text())
-
-
-def _fedavg_params(algo: TrainingAlgorithmConfig) -> FedAvgParams:
-    params = algo.parameters
-    known = {"proportion_selected_clients", "local_steps_per_client"}
-    unknown = set(params) - known
-    if unknown:
-        raise ValueError(f"training_algorithm.parameters: unknown key {sorted(unknown)[0]!r}")
-    return FedAvgParams(
-        proportion=float(params.get("proportion_selected_clients", 1.0)),
-        local_steps=int(params.get("local_steps_per_client", 1)),
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -470,102 +519,39 @@ class ExperimentResult:
     client_losses: list[list[float]] | None = None
 
 
-def _split_total(total: int, parts: int) -> list[int]:
-    base, rem = divmod(total, parts)
-    return [base + 1 if i < rem else base for i in range(parts)]
-
-
-def _blob_datasets(cfg: ModelConfig, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
-    params = {**_BLOB_DEFAULTS, **cfg.dataset_params}
-    n_classes, dim = int(params["n_classes"]), int(params["dim"])
-    rng = derive_rng(seed, "dataset")
-    centers = rng.standard_normal((n_classes, dim))
-    spread = float(params["spread"])
-    train = make_blobs(n_classes, _split_total(int(params["train_size"]), n_classes), dim, spread, rng, centers)
-    test = make_blobs(n_classes, _split_total(int(params["test_size"]), n_classes), dim, spread, rng, centers)
-    return train, test
-
-
-def _mnist_datasets() -> tuple[LabeledDataset, LabeledDataset]:
-    root = os.environ.get(DATASET_ENV_VAR)
-    if not root:
-        raise ValueError(f"dataset 'mnist' needs the {DATASET_ENV_VAR} environment variable to point at the IDX files")
-
-    def find(stem: str) -> Path:
-        for candidate in (Path(root) / stem, Path(root) / f"{stem}.gz"):
-            if candidate.exists():
-                return candidate
-        raise ValueError(f"missing {stem}[.gz] under {root}")
-
-    train = load_idx(find("train-images-idx3-ubyte"), find("train-labels-idx1-ubyte"))
-    test = load_idx(find("t10k-images-idx3-ubyte"), find("t10k-labels-idx1-ubyte"))
-    return train, test
-
-
-def _resolve_datasets(cfg: ModelConfig, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
-    if cfg.dataset_name == "blobs":
-        return _blob_datasets(cfg, seed)
-    if cfg.dataset_name == "mnist":
-        return _mnist_datasets()
-    raise ValueError(f"unknown dataset_name {cfg.dataset_name!r}; expected 'blobs' or 'mnist'")
-
-
-def _resolve_arch(cfg: ModelConfig, in_dim: int, n_classes: int):
-    if cfg.name == "linear":
-        return LinearArch(in_dim, n_classes)
-    if cfg.name == "mlp":
-        return MlpArch(in_dim, cfg.hidden, n_classes)
-    if cfg.name == "cnn_mnist":
-        log.warning("model 'cnn_mnist' has no convolutional implementation here; substituting the MLP")
-        return MlpArch(in_dim, cfg.hidden, n_classes)
-    raise ValueError(f"unknown model {cfg.name!r}; expected 'linear' or 'mlp'")
-
-
 def _build_run_pipeline(cfg: BenchmarkConfig, key: ExperimentKey, seed: int) -> Pipeline:
     agg_spec = AggregatorSpec(key.aggregator.name, f=key.f, params=dict(key.aggregator.parameters))
     pre_specs = [PreAggregatorSpec(p.name, f=key.f, params=dict(p.parameters)) for p in key.pre_aggregators]
     return build_pipeline(agg_spec, pre_specs, rng=derive_rng(seed, "bucketing"))
 
 
-def _build_attack_spec(rule: RuleConfig) -> AttackSpec:
-    return AttackSpec(rule.name, params=dict(rule.parameters))
-
-
 def run_single(cfg: BenchmarkConfig, key: ExperimentKey) -> ExperimentResult:
     """Execute one grid point from scratch and return its evaluation series."""
     seed = key.seed
-    train, test = _resolve_datasets(cfg.model, seed)
+    train, test = DATASETS[cfg.model.dataset_name].load(cfg.model, seed)
     partition = make_partition(
         train, key.distribution_name, key.distribution_parameter, cfg.nb_honest_clients, derive_rng(seed, "datadist")
     )
-    arch = _resolve_arch(cfg.model, train.features.shape[1], train.n_classes)
+    arch = ARCHS[cfg.model.name](cfg.model, train.features.shape[1], train.n_classes)
     schedule = LrSchedule(cfg.model.learning_rate, cfg.model.learning_rate_decay, tuple(cfg.model.milestones))
     pipeline = _build_run_pipeline(cfg, key, seed)
-    hc = cfg.honest_clients
-    clients = [
-        HonestClient(i, train, partition.assignments[i], hc.batch_size, hc.momentum, hc.weight_decay,
-                     derive_rng(seed, f"client.{i}"))
-        for i in range(cfg.nb_honest_clients)
-    ]
-    attack_spec = _build_attack_spec(key.attack)
+    hc, n = cfg.honest_clients, cfg.nb_honest_clients
+
+    def client(index: int, rows: np.ndarray, stream: str, flip: bool = False) -> HonestClient:
+        rng = derive_rng(seed, stream)
+        return HonestClient(index, train, rows, hc.batch_size, hc.momentum, hc.weight_decay, rng, flip_labels=flip)
+
+    clients = [client(i, partition.assignments[i], f"client.{i}") for i in range(n)]
+    attack_spec = AttackSpec(key.attack.name, params=dict(key.attack.parameters))
     flip_clients = None
     if key.f > 0 and attack_spec.name == "LabelFlipping":
-        flip_clients = [
-            HonestClient(
-                cfg.nb_honest_clients + j,
-                train,
-                partition.assignments[j % cfg.nb_honest_clients],
-                hc.batch_size,
-                hc.momentum,
-                hc.weight_decay,
-                derive_rng(seed, f"byz.{j}"),
-                flip_labels=True,
-            )
-            for j in range(key.f)
-        ]
+        flip_clients = [client(n + j, partition.assignments[j % n], f"byz.{j}", flip=True) for j in range(key.f)]
     byz = ByzantineClientGroup(key.f, attack_spec, flip_clients)
     server = ServerState(arch, init_params(arch, derive_rng(seed, "init")), pipeline, schedule)
-    fedavg = _fedavg_params(cfg.training_algorithm) if cfg.training_algorithm.name == "FedAvg" else None
+    fedavg = None
+    if cfg.training_algorithm.name == "FedAvg":
+        params = cfg.training_algorithm.parameters
+        fedavg = FedAvgParams(params["proportion_selected_clients"], params["local_steps_per_client"])
     sampling_rng = derive_rng(seed, "sampling")
 
     union = np.concatenate(partition.assignments)

@@ -44,6 +44,22 @@ class LabeledDataset:
         return len(self.features)
 
 
+class Bound(NamedTuple):
+    """A range a number must lie in: the test, and the words that name it."""
+
+    holds: Callable[[float], bool]
+    text: str
+
+    def check(self, value, where: str):
+        if not self.holds(value):
+            raise ValueError(f"{where} must {self.text}, got {value}")
+        return value
+
+
+POSITIVE = Bound(lambda v: v > 0, "be positive")
+UNIT_INTERVAL = Bound(lambda v: 0 <= v <= 1, "lie in [0, 1]")
+
+
 @dataclass
 class ClientPartition:
     """Per-client sample index lists; disjoint and each non-empty."""
@@ -111,8 +127,7 @@ def dirichlet_split(
     """
     if n_clients < 1:
         raise ValueError(f"need at least one client, got {n_clients}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    POSITIVE.check(alpha, "alpha")
     if len(dataset) < n_clients:
         raise ValueError(f"cannot split {len(dataset)} samples across {n_clients} clients")
     buckets: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
@@ -152,8 +167,7 @@ def gamma_split(
     """
     if n_clients < 1:
         raise ValueError(f"need at least one client, got {n_clients}")
-    if not 0.0 <= similarity <= 1.0:
-        raise ValueError(f"similarity must lie in [0, 1], got {similarity}")
+    UNIT_INTERVAL.check(similarity, "similarity")
     m = len(dataset)
     if m < n_clients:
         raise ValueError(f"cannot split {m} samples across {n_clients} clients")
@@ -169,18 +183,18 @@ def gamma_split(
 
 class Distribution(NamedTuple):
     """One row of ``DISTRIBUTIONS``: the splitter, its spelling in run ids,
-    and whether it takes the config's distribution parameter (its third
-    argument)."""
+    and the range of the config's distribution parameter (the splitter's
+    third argument), None when the splitter takes no parameter."""
 
     split: Callable[..., ClientPartition]
     token: str
-    takes_parameter: bool = True
+    parameter: Bound | None
 
 
 DISTRIBUTIONS = {
-    "iid": Distribution(iid_split, "iid", takes_parameter=False),
-    "dirichlet_niid": Distribution(dirichlet_split, "dirichlet"),
-    "gamma_similarity_niid": Distribution(gamma_split, "gamma"),
+    "iid": Distribution(iid_split, "iid", None),
+    "dirichlet_niid": Distribution(dirichlet_split, "dirichlet", POSITIVE),
+    "gamma_similarity_niid": Distribution(gamma_split, "gamma", UNIT_INTERVAL),
 }
 DISTRIBUTION_NAMES = tuple(DISTRIBUTIONS)
 
@@ -196,6 +210,6 @@ def make_partition(
     if name not in DISTRIBUTIONS:
         raise ValueError(f"unknown data distribution {name!r}; valid names: {', '.join(DISTRIBUTION_NAMES)}")
     dist = DISTRIBUTIONS[name]
-    if not dist.takes_parameter:
+    if dist.parameter is None:
         return dist.split(dataset, n_clients, rng)
     return dist.split(dataset, n_clients, parameter, rng)

@@ -20,16 +20,6 @@ import numpy as np
 BLOCK_ELEMENTS = 1 << 20
 
 
-def as_vector(x) -> np.ndarray:
-    """Coerce to a finite 1-D float64 array of length >= 1."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"expected a 1-D vector with at least one entry, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector contains NaN or Inf")
-    return v
-
-
 def as_vector_set(xs) -> np.ndarray:
     """Coerce to a finite (n, d) float64 matrix with n, d >= 1.
 

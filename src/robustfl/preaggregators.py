@@ -245,9 +245,6 @@ class Pipeline:
     def clone(self) -> "Pipeline":
         return copy.deepcopy(self)
 
-    def reset(self) -> None:
-        self.aggregator.reset()
-
 
 def build_pipeline(
     aggregator_spec: AggregatorSpec,

@@ -168,8 +168,8 @@ class ServerState:
 class FedAvgParams:
     """Client sampling fraction and local steps per sampled client."""
 
-    proportion: float = 1.0
-    local_steps: int = 1
+    proportion: float
+    local_steps: int
 
     def __post_init__(self) -> None:
         if not 0.0 < self.proportion <= 1.0:

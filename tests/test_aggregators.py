@@ -244,12 +244,6 @@ class TestCenteredClipping:
         second = centered_clipping([[2.0]], state, tau=1.0, iters=1)
         np.testing.assert_array_equal(second, [2.0])  # starts at 1, unclipped step of 1
 
-    def test_reset_clears_memory(self):
-        state = CenteredClipState()
-        centered_clipping([[2.0]], state, tau=1.0, iters=1)
-        state.reset()
-        np.testing.assert_array_equal(centered_clipping([[2.0]], state, tau=1.0, iters=1), [1.0])
-
     def test_dimension_mismatch_rejected(self):
         state = CenteredClipState(prev=np.zeros(3))
         with pytest.raises(ValueError, match="dimension"):
@@ -433,9 +427,3 @@ class TestAggregatorSpec:
             "CAF": lambda: caf(x3, 1),
         }[name]()
         np.testing.assert_array_equal(configured, direct)
-
-    def test_reset_clears_clip_state(self, x3):
-        agg = make_aggregator(AggregatorSpec("CenteredClipping", params={"tau": 1.0}))
-        first = agg(x3)
-        agg.reset()
-        np.testing.assert_array_equal(agg(x3), first)

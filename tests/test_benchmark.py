@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -22,6 +23,18 @@ from robustfl.benchmark import (
     strip_json_comments,
     write_result,
 )
+
+FEDAVG_PATH = "benchmark_config.training_algorithm.parameters"
+DISTRIBUTION_PATH = "benchmark_config.data_distribution[0]"
+
+
+def fedavg(**parameters) -> dict:
+    return {"benchmark_config.training_algorithm": {"name": "FedAvg", "parameters": parameters}}
+
+
+def distribution(name: str, *parameters) -> dict:
+    return {"benchmark_config.data_distribution": [{"name": name, "distribution_parameter": list(parameters)}]}
+
 
 class TestStripJsonComments:
     def test_removes_comment_lines(self):
@@ -109,7 +122,7 @@ class TestParseConfig:
     def test_iid_parameter_defaults_but_others_require_one(self):
         cfg = parse_config(tiny_config_text("/tmp/x", **{"benchmark_config.data_distribution": [{"name": "iid"}]}))
         assert cfg.data_distributions == [("iid", [0.0])]
-        with pytest.raises(ValueError, match="distribution_parameter is required for dirichlet_niid"):
+        with pytest.raises(ValueError, match=re.escape(f"missing {DISTRIBUTION_PATH}.distribution_parameter")):
             parse_config(
                 tiny_config_text("/tmp/x", **{"benchmark_config.data_distribution": [{"name": "dirichlet_niid"}]})
             )
@@ -120,10 +133,10 @@ class TestParseConfig:
 
     def test_fedavg_parameters_checked_eagerly(self):
         algo = {"name": "FedAvg", "parameters": {"proportion_selected_clients": 0.0}}
-        with pytest.raises(ValueError, match=r"proportion must lie in \(0, 1\]"):
+        with pytest.raises(ValueError, match=r"parameters\.proportion_selected_clients must lie in \(0, 1\], got 0\.0"):
             parse_config(tiny_config_text("/tmp/x", **{"benchmark_config.training_algorithm": algo}))
         algo = {"name": "FedAvg", "parameters": {"local_steps": 5}}
-        with pytest.raises(ValueError, match="unknown key 'local_steps'"):
+        with pytest.raises(ValueError, match=re.escape(f"unknown key '{FEDAVG_PATH}.local_steps'")):
             parse_config(tiny_config_text("/tmp/x", **{"benchmark_config.training_algorithm": algo}))
 
     def test_rule_names_checked_eagerly(self):
@@ -182,10 +195,10 @@ class TestParseConfig:
         cases = {
             "benchmark_config.nb_steps": (0, "nb_steps must be >= 1"),
             "benchmark_config.nb_honest_clients": (0, "nb_honest_clients must be >= 1"),
-            "benchmark_config.f": ([-1], r"f\[\] must be >= 0"),
+            "benchmark_config.f": ([-1], r"f\[0\] must be >= 0"),
             "model.learning_rate": (0.0, "learning_rate must be positive"),
             "model.learning_rate_decay": (1.5, r"learning_rate_decay must lie in \(0, 1\]"),
-            "model.loss": ("MSE", "only 'NLLLoss' is supported"),
+            "model.loss": ("MSE", "model.loss must be 'NLLLoss', got 'MSE'"),
             "honest_clients.momentum": (1.0, r"momentum must lie in \[0, 1\)"),
             "honest_clients.weight_decay": (-0.1, "weight_decay must be nonnegative"),
             "honest_clients.batch_size": (0, "batch_size must be >= 1"),
@@ -200,6 +213,76 @@ class TestParseConfig:
     def test_delta_cannot_exceed_steps(self):
         with pytest.raises(ValueError, match=r"evaluation_delta \(9\) cannot exceed nb_steps \(4\)"):
             parse_config(tiny_config_text("/tmp/x", **{"evaluation_and_results.evaluation_delta": 9}))
+
+
+class TestSchema:
+    """Every object of the config schema rejects a key it does not know."""
+
+    @pytest.mark.parametrize(
+        "tweaks, path",
+        [
+            ({"benchmark_config.nb_step": 4}, "benchmark_config.nb_step"),
+            ({"benchmark_config.training_algorithm.paramters": {}}, "benchmark_config.training_algorithm.paramters"),
+            (fedavg(local_step_per_client=2), f"{FEDAVG_PATH}.local_step_per_client"),
+            (
+                {"benchmark_config.training_algorithm": {"name": "DSGD", "parameters": {"local_steps_per_client": 2}}},
+                f"{FEDAVG_PATH}.local_steps_per_client",
+            ),
+            (
+                {"benchmark_config.data_distribution": [{"name": "iid", "distribution_parameters": [0.0]}]},
+                f"{DISTRIBUTION_PATH}.distribution_parameters",
+            ),
+            ({"model.learning_rat": 0.1}, "model.learning_rat"),
+            ({"model.dataset_params.dims": 4}, "model.dataset_params.dims"),
+            ({"model.dataset_name": "mnist"}, "model.dataset_params.dim"),
+            ({"honest_clients.momentun": 0.9}, "honest_clients.momentun"),
+            ({"evaluation_and_results.results_dir": "x"}, "evaluation_and_results.results_dir"),
+            ({"aggregator": [{"name": "TrMean", "paramters": {}}]}, "aggregator[0].paramters"),
+            ({"pre_aggregators": [{"name": "NNM", "paramters": {}}]}, "pre_aggregators[0].paramters"),
+            ({"attack": [{"name": "SignFlipping", "paramters": {}}]}, "attack[0].paramters"),
+        ],
+        ids=[
+            "benchmark_config", "training_algorithm", "FedAvg-parameters", "DSGD-given-FedAvg-parameters",
+            "data_distribution-entry", "model", "blobs-dataset_params", "mnist-dataset_params", "honest_clients",
+            "evaluation_and_results", "aggregator-entry", "pre_aggregators-entry", "attack-entry",
+        ],
+    )
+    def test_misspelt_key_names_its_dotted_path(self, tweaks, path):
+        with pytest.raises(ValueError, match=re.escape(f"unknown key '{path}'")):
+            parse_config(tiny_config_text("/tmp/x", **tweaks))
+
+    @pytest.mark.parametrize(
+        "tweaks, message",
+        [
+            (fedavg(local_steps_per_client=2.7), f"{FEDAVG_PATH}.local_steps_per_client must be an integer, got 2.7"),
+            (
+                fedavg(proportion_selected_clients="0.5"),
+                f"{FEDAVG_PATH}.proportion_selected_clients must be a number, got '0.5'",
+            ),
+            ({"model.dataset_params.dim": 2.5}, "model.dataset_params.dim must be an integer, got 2.5"),
+            (
+                distribution("gamma_similarity_niid", 0.5, 1.5),
+                f"{DISTRIBUTION_PATH}.distribution_parameter[1] must lie in [0, 1], got 1.5",
+            ),
+            (
+                distribution("dirichlet_niid", -1),
+                f"{DISTRIBUTION_PATH}.distribution_parameter[0] must be positive, got -1.0",
+            ),
+        ],
+        ids=["local_steps-2.7", "proportion-string", "dim-2.5", "gamma-1.5", "alpha-negative"],
+    )
+    def test_mistyped_or_out_of_range_value_names_its_dotted_path(self, tweaks, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(tiny_config_text("/tmp/x", **tweaks))
+
+    def test_defaults_are_applied_and_typed_at_parse_time(self):
+        tweaks = {**fedavg(local_steps_per_client=3), "model.dataset_params": {"dim": 7}}
+        cfg = parse_config(tiny_config_text("/tmp/x", **tweaks))
+        assert cfg.training_algorithm.parameters == {"proportion_selected_clients": 1.0, "local_steps_per_client": 3}
+        assert type(cfg.training_algorithm.parameters["proportion_selected_clients"]) is float
+        blobs = {"n_classes": 3, "dim": 7, "train_size": 6000, "test_size": 1000, "spread": 1.0}
+        assert cfg.model.dataset_params == blobs
+        assert type(cfg.model.dataset_params["spread"]) is float
 
 
 class TestExperimentKey:
@@ -348,12 +431,10 @@ class TestRunSingle:
         assert result.steps == [0, 2, 4]
 
     def test_unknown_dataset_and_model_names(self, tmp_path):
-        cfg = parse_config(tiny_config_text(tmp_path / "results", **{"model.dataset_name": "cifar"}))
-        with pytest.raises(ValueError, match="unknown dataset_name 'cifar'"):
-            run_single(cfg, expand_grid(cfg)[0])
-        cfg = parse_config(tiny_config_text(tmp_path / "results", **{"model.name": "transformer"}))
-        with pytest.raises(ValueError, match="unknown model 'transformer'"):
-            run_single(cfg, expand_grid(cfg)[0])
+        with pytest.raises(ValueError, match="model.dataset_name must be 'blobs' or 'mnist', got 'cifar'"):
+            parse_config(tiny_config_text(tmp_path / "results", **{"model.dataset_name": "cifar"}))
+        with pytest.raises(ValueError, match="model.name must be 'linear', 'mlp' or 'cnn_mnist', got 'transformer'"):
+            parse_config(tiny_config_text(tmp_path / "results", **{"model.name": "transformer"}))
 
     def test_cnn_mnist_substitution_warns(self, tmp_path, caplog):
         import logging

@@ -270,6 +270,13 @@ class TestValidate:
         assert code == 1
         assert "momentum" in err
 
+    def test_misspelt_nested_key_exits_one_naming_its_path(self, capsys, tmp_path):
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(tiny_config_text(tmp_path / "results", **{"honest_clients.momentun": 0.9}))
+        code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert "unknown key 'honest_clients.momentun'" in err
+
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", "--config", str(tmp_path / "missing.json"))
         assert code == 2

@@ -376,14 +376,6 @@ class TestPipeline:
         for _ in range(5):
             np.testing.assert_array_equal(pipeline(x3), twin(x3))
 
-    def test_reset_clears_clip_memory(self):
-        pipeline = build_pipeline(AggregatorSpec("CenteredClipping", params={"tau": 1.0, "iters": 1.0}))
-        xs = np.array([[6.0, -6.0]])
-        baseline = pipeline(xs)
-        pipeline(np.array([[9.0, 9.0]]))
-        pipeline.reset()
-        np.testing.assert_array_equal(pipeline(xs), baseline)
-
     def test_distances_reach_only_the_first_stage(self, x3, monkeypatch):
         computed = []
 

@@ -1,8 +1,10 @@
 """Every row of every rule table agrees with its function, the config parser
-and the command line."""
+and the command line, and the README's config table agrees with the schema."""
 
 import argparse
 import inspect
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from config_fixtures import tiny_config_text
 
 from robustfl.aggregators import AGGREGATOR_NAMES, AGGREGATORS
 from robustfl.attacks import ATTACKS, AttackContext, AttackSpec, attack_vector
-from robustfl.benchmark import parse_config
+from robustfl.benchmark import REQUIRED, SCHEMA, Key, ListOf, Obj, parse_config
 from robustfl.cli import build_parser, entrypoint, format_value
 from robustfl.datadist import DISTRIBUTIONS, LabeledDataset, make_partition
 from robustfl.preaggregators import PRE_AGGREGATORS
@@ -23,6 +25,7 @@ KEYWORD_KINDS = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYW
 CLOSED_FORM = tuple(
     name for name, rule in ATTACKS.items() if rule.fn is not None and "honest" in inspect.signature(rule.fn).parameters
 )
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def cli_choices(command: str, option: str) -> tuple:
@@ -89,3 +92,38 @@ def test_cli_attack_rejects_tau_the_attack_does_not_take(capsys, tmp_path):
     path.write_text("1,2\n3,4\n")
     assert entrypoint(["attack", "--name", "SignFlipping", "--tau", "2", "--input", str(path)]) == 1
     assert "SignFlipping does not accept parameters ['tau']" in capsys.readouterr().err
+
+
+def schema_defaults(reader, where: str = "") -> dict[str, set]:
+    """Dotted path (list entries as ``[]``) -> the JSON text of each default
+    the schema gives that key, or "required"."""
+    if isinstance(reader, ListOf):
+        return schema_defaults(reader.item, f"{where}[]")
+    if not isinstance(reader, Obj):
+        return {}
+    keys = list(reader.keys.items())
+    if reader.variants:
+        tag, table = reader.variants
+        keys += [(tag, Key(None))] + [item for extra in table.values() for item in extra.items()]
+    found: dict[str, set] = {}
+    for key, spec in keys:
+        path = f"{where}.{key}" if where else key
+        found.setdefault(path, set()).add("required" if spec.default is REQUIRED else json.dumps(spec.default))
+        for sub, defaults in schema_defaults(spec.read, path).items():
+            found.setdefault(sub, set()).update(defaults)
+    return found
+
+
+def readme_config_table() -> dict[str, str]:
+    """The README's config key table: key -> its default cell."""
+    section = README.read_text().split("## Benchmark configs", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip().strip("|").split("|") for line in section.splitlines() if line.startswith("| `")]
+    return {cells[0].strip().strip("`"): cells[2].strip() for cells in rows}
+
+
+def test_readme_config_table_lists_exactly_the_schema_keys_and_defaults():
+    schema, table = schema_defaults(SCHEMA), readme_config_table()
+    assert sorted(table) == sorted(schema)
+    for key, defaults in schema.items():
+        if len(defaults) == 1:
+            assert table[key].strip("`") == next(iter(defaults)), key
