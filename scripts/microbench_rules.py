@@ -10,11 +10,12 @@ benchmark workload. After one warm-up call a rule is timed over repeated
 calls, as many as fit in about half a second (between 3 and 100), and the
 median is printed. MDA and SMEA enumerate row subsets and refuse n above
 ``SUBSET_ENUMERATION_LIMIT``; they are reported as skipped there. Clipping
-runs with c = 1. A last row times one whole Optimal_ALittleIsEnough search
-(``optimize_attack_scale`` over the default 41-point grid) against TrMean
-behind NNM on the 30 honest rows of the second shape, the per-step attack
-cost of the ``mnist_optimal`` workload. One BLAS thread is used, as in the
-benchmark's workers.
+runs with c = 1. Two last rows time one whole Optimal_ALittleIsEnough and
+one whole Optimal_InnerProductManipulation search (``optimize_attack_scale``
+over the default 41-point grid) against TrMean behind NNM on the n - f
+honest rows of the last shape; the first is the per-step attack cost of the
+``mnist_optimal`` workload. One BLAS thread is used, as in the benchmark's
+workers.
 """
 
 import os
@@ -35,7 +36,12 @@ from robustfl.aggregators import (  # noqa: E402
     AggregatorSpec,
     make_aggregator,
 )
-from robustfl.attacks import AttackContext, a_little_is_enough, optimize_attack_scale  # noqa: E402
+from robustfl.attacks import (  # noqa: E402
+    AttackContext,
+    a_little_is_enough,
+    inner_product_manipulation,
+    optimize_attack_scale,
+)
 from robustfl.preaggregators import (  # noqa: E402
     PRE_AGGREGATOR_NAMES,
     ConfiguredPreAggregator,
@@ -48,6 +54,7 @@ SEED = 0
 BUDGET_S = 0.5
 MIN_CALLS, MAX_CALLS = 3, 100
 SUBSET_RULES = ("MDA", "SMEA")
+SEARCHES = (("Optimal_ALIE", a_little_is_enough), ("Optimal_IPM", inner_product_manipulation))
 
 
 def attacked_rows(n: int, d: int, f: int, rng: np.random.Generator) -> np.ndarray:
@@ -96,8 +103,9 @@ def main() -> int:
     n, d, f = SHAPES[-1]
     honest = attacked_rows(n, d, f, np.random.default_rng(SEED))[: n - f]
     pipeline = build_pipeline(AggregatorSpec("TrMean", f=f), [PreAggregatorSpec("NNM", f=f)])
-    ms, calls = median_ms(lambda rows: optimize_attack_scale(AttackContext(rows, f, pipeline), a_little_is_enough), honest)
-    print(f"{'attack search':<15} {'Optimal_ALIE':<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")
+    for name, base in SEARCHES:
+        ms, calls = median_ms(lambda rows: optimize_attack_scale(AttackContext(rows, f, pipeline), base), honest)
+        print(f"{'attack search':<15} {name:<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")
     return 0
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .numerics import as_vector_set, coord_order_stats, pairwise_sq_dists, top_eigenpair
+from .numerics import as_vector_set, pairwise_sq_dists, top_eigenpair
 
 # Exhaustive subset rules (MDA, SMEA) enumerate C(n, n - f) candidates and
 # refuse inputs beyond this many rows.
@@ -54,7 +54,7 @@ def trmean(xs, f: int) -> np.ndarray:
     """Trimmed mean: drop the f smallest and f largest values per coordinate."""
     xs = as_vector_set(xs)
     _check_f("TrMean", len(xs), f, 2 * f + 1, "n > 2f")
-    return coord_order_stats(xs, f, f)
+    return np.sort(xs, axis=0)[f : len(xs) - f].mean(axis=0)
 
 
 def geometric_median(

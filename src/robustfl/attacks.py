@@ -27,9 +27,21 @@ def sign_flipping(honest) -> np.ndarray:
     return -as_vector_set(honest).mean(axis=0)
 
 
+class AffineBase(NamedTuple):
+    """A scaled attack as ``parts(honest)``, computed once per search, and
+    ``at(tau, *parts)``, its own arithmetic (m + tau * u can flip a zero's sign)."""
+
+    parts: Callable[[np.ndarray], tuple]
+    at: Callable[..., np.ndarray]
+
+
+_IPM = AffineBase(lambda honest: (honest.mean(axis=0),), lambda tau, mean: -tau * mean)
+_ALIE = AffineBase(lambda honest: (honest.mean(axis=0), honest.std(axis=0)), lambda tau, mean, std: mean - tau * std)
+
+
 def inner_product_manipulation(honest, tau: float = DEFAULT_IPM_SCALE) -> np.ndarray:
     """Mean of the honest updates scaled by -tau."""
-    return -tau * as_vector_set(honest).mean(axis=0)
+    return _IPM.at(tau, *_IPM.parts(as_vector_set(honest)))
 
 
 def a_little_is_enough(honest, tau: float = DEFAULT_ALIE_SCALE) -> np.ndarray:
@@ -38,8 +50,11 @@ def a_little_is_enough(honest, tau: float = DEFAULT_ALIE_SCALE) -> np.ndarray:
     The std is the population one (divide by n), so a single honest client
     yields the mean itself.
     """
-    honest = as_vector_set(honest)
-    return honest.mean(axis=0) - tau * honest.std(axis=0)
+    return _ALIE.at(tau, *_ALIE.parts(as_vector_set(honest)))
+
+
+# The bases an Optimal_* attack can search over; a new one adds its row here.
+AFFINE_BASES = {inner_product_manipulation: _IPM, a_little_is_enough: _ALIE}
 
 
 @dataclass
@@ -65,55 +80,50 @@ def optimize_attack_scale(
 ) -> OptimizedAttack:
     """Pick the grid point whose attack displaces the aggregate the most.
 
-    For each candidate scale the honest matrix is extended with f copies of
-    ``base(honest, scale)`` and pushed through a clone of the pipeline; the
-    score is the Euclidean distance between the aggregate and the honest mean.
-    Cloning keeps stateful stages (clip memory, bucket shuffles) identical
-    across candidates, so scoring is reproducible. Score ties resolve to the
-    smallest scale.
-
-    When the pipeline's first stage reads distances (NNM), the honest n x n
-    block is computed once per call and each candidate's (n + f)^2 matrix is
-    extended from it in O(n d) (``pairwise_sq_dists_with_copies``), bit for
-    bit equal to ``pairwise_sq_dists(candidate)``; only that first stage gets
-    it, together with one ``NeighbourMeans`` memo for the whole search whose
-    fixed rows are the honest ones: an NNM output row whose neighbours are
-    all honest has the same mean for every candidate, so it is summed once
-    per search, bit for bit as before. The memo dies with the call; the live
-    step never sees it. Memory stays O((n + f) d + (n + f)^2) plus the
-    kernels' block budget ``numerics.BLOCK_ELEMENTS`` and the memo's O(n d).
+    Each candidate scale's f copies of ``base(honest, scale)`` go under the
+    honest rows and through a clone of the pipeline (so stateful stages start
+    alike); the score is the aggregate's distance to the honest mean, and ties
+    go to the smallest scale. The honest rows are checked, and ``base``'s
+    ``AFFINE_BASES`` parts computed, once per search; each candidate writes
+    its f rows into one reused (n + f, d) buffer, checked by the pipeline's
+    first stage. An NNM first stage also gets the candidate's distances,
+    extended in O(n d) from the honest block (``pairwise_sq_dists_with_copies``),
+    and one ``NeighbourMeans`` memo of honest-only neighbour means. Buffer and
+    memo die with the call; the returned vector is computed afresh. Memory is
+    O((n + f) (d + n)) plus ``numerics.BLOCK_ELEMENTS`` and the memo's O(n d).
     """
     if len(grid) == 0:
         raise ValueError("scale grid must be non-empty")
     honest = as_vector_set(ctx.honest)
     if ctx.f < 1:
         raise ValueError(f"optimizing an attack needs f >= 1, got f={ctx.f}")
+    if base not in AFFINE_BASES:
+        raise ValueError(f"{base!r} has no row in AFFINE_BASES")
+    parts, at = AFFINE_BASES[base].parts(honest), AFFINE_BASES[base].at
     honest_mean = honest.mean(axis=0)
+    n = len(honest)
+    candidate = np.vstack([honest, np.empty((ctx.f, honest.shape[1]))])
     honest_sq_dists = memo = None
     if ctx.pipeline.takes_sq_dists:
         honest_sq_dists = pairwise_sq_dists(honest)
-        memo = NeighbourMeans(len(honest))
+        memo = NeighbourMeans(n)
     best_scale = None
     best_score = -np.inf
     for scale in grid:
-        v = base(honest, scale)
-        candidate = np.vstack([honest, np.tile(v, (ctx.f, 1))])
+        v = at(scale, *parts)
+        candidate[n:] = v
         sq_dists = None if honest_sq_dists is None else pairwise_sq_dists_with_copies(honest_sq_dists, honest, v, ctx.f)
         aggregate = ctx.pipeline.clone()(candidate, sq_dists, memo)
         score = float(np.linalg.norm(aggregate - honest_mean))
         if score > best_score or (score == best_score and scale < best_scale):
             best_score = score
             best_scale = scale
-    return OptimizedAttack(best_scale, base(honest, best_scale), best_score)
+    return OptimizedAttack(best_scale, at(best_scale, *parts), best_score)
 
 
 def _optimal(base: Callable[[np.ndarray, float], np.ndarray]) -> Callable[..., np.ndarray]:
     """The Optimal_* variant of ``base``: its vector at the best grid scale."""
-
-    def attack(ctx: AttackContext, grid: Sequence[float]) -> np.ndarray:
-        return optimize_attack_scale(ctx, base, grid).vector
-
-    return attack
+    return lambda ctx, grid: optimize_attack_scale(ctx, base, grid).vector
 
 
 # A closed-form row takes the honest rows; a row that needs f takes the whole

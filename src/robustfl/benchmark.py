@@ -119,6 +119,13 @@ class BenchmarkConfig:
         delta = self.evaluation.evaluation_delta
         if delta > self.nb_steps:
             raise ValueError(f"evaluation_delta ({delta}) cannot exceed nb_steps ({self.nb_steps})")
+        if self.model.dataset_name == "blobs":
+            blobs, at = self.model.dataset_params, "model.dataset_params."
+            for size, floor, name in (("train_size", blobs["n_classes"], f"{at}n_classes"),
+                                      ("test_size", blobs["n_classes"], f"{at}n_classes"),
+                                      ("train_size", self.nb_honest_clients, "benchmark_config.nb_honest_clients")):
+                if blobs[size] < floor:
+                    raise ValueError(f"{at}{size} ({blobs[size]}) cannot be below {name} ({floor})")
 
 
 # --------------------------------------------------------------------------- #

@@ -1,8 +1,8 @@
 """Dense float64 kernels shared by the aggregation rules.
 
 Client updates are plain 1-D float64 arrays and a round's worth of updates is
-an (n, d) matrix with one row per client. The kernels validate shape and
-finiteness on entry so the rules built on top can assume clean input; only
+an (n, d) matrix with one row per client. The public kernels validate shape
+and finiteness on entry (``as_vector_set``); only
 ``pairwise_sq_dists_with_copies``, which extends an already validated block,
 trusts its arguments. Kernels that would build an (n, n, d)-sized temporary
 work in row blocks of at most ``BLOCK_ELEMENTS`` entries instead.
@@ -97,16 +97,8 @@ def pairwise_sq_dists_with_copies(honest_sq_dists: np.ndarray, honest: np.ndarra
 
 
 def coord_order_stats(xs, drop_low: int, drop_high: int) -> np.ndarray:
-    """Sort each coordinate, drop extremes, and average what remains.
-
-    Args:
-        xs: (n, d) matrix of row vectors.
-        drop_low: number of smallest values discarded per coordinate.
-        drop_high: number of largest values discarded per coordinate.
-
-    Returns:
-        Length-d vector of per-coordinate means over the surviving values.
-    """
+    """Per coordinate of the (n, d) matrix ``xs``, the mean of the values left
+    after dropping the ``drop_low`` smallest and ``drop_high`` largest."""
     xs = as_vector_set(xs)
     n = xs.shape[0]
     if drop_low < 0 or drop_high < 0:

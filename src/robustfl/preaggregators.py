@@ -22,16 +22,12 @@ DEFAULT_BUCKET_SIZE = 2
 
 @dataclass
 class NeighbourMeans:
-    """NNM output rows memoised by neighbour list, shared by the NNM calls of
-    one attack search.
-
-    The calls sharing it must agree on their first ``fixed`` rows (the honest
-    rows, which every candidate repeats). ``rows`` maps the bytes of a
-    neighbour index list whose indices are all below ``fixed`` to its mean;
-    ``nnm`` serves and fills it only for such lists, so a mean that involves
-    any other row is never reused. A row's neighbours within the fixed rows
-    come in one order, so it holds about one row per fixed row.
-    """
+    """NNM output rows memoised by neighbour list across the NNM calls of one
+    attack search, which must agree on their first ``fixed`` rows (the honest
+    rows every candidate repeats). ``rows`` maps the bytes of a neighbour list
+    whose indices are all below ``fixed`` to its mean; ``nnm`` serves and
+    fills it only for such lists, so a mean involving another row is never
+    reused."""
 
     fixed: int
     rows: dict[bytes, np.ndarray] = field(default_factory=dict)
@@ -44,16 +40,15 @@ def nnm(xs, f: int, sq_dists: np.ndarray | None = None, memo: NeighbourMeans | N
     given, must equal ``pairwise_sq_dists(xs)`` and saves recomputing it.
 
     When the whole (n, n - f, d) neighbour gather fits in
-    ``numerics.BLOCK_ELEMENTS`` entries, or rows have one coordinate (the
-    gather is then no larger than the distance matrix), the means come from
-    that one gather. Otherwise each output row is summed in place: its first
-    two neighbours added, the others added in neighbour order, then divided
-    by n - f. That is the sequential reduction the gather's ``mean`` does, so
-    the result is bit-identical, with O(d) extra memory per row. ``memo`` is
-    only read on this path: neighbour lists within its fixed rows are served
-    from it and stored into it, which adds at most O(n d) memory for its
-    lifetime.
-    Overall extra memory is O(n^2 + n d + BLOCK_ELEMENTS), plus the memo.
+    ``numerics.BLOCK_ELEMENTS`` entries, or rows have one coordinate, the
+    means come from that one gather. Otherwise each output row is summed in
+    place: its first two neighbours added, the others added in order, then
+    divided by n - f, the sequential reduction the gather's ``mean`` does, so
+    the result is bit-identical with O(d) extra memory per row. Rows with one
+    neighbour list (the f identical attack rows of a search always have one)
+    share one sum, and lists within ``memo``'s fixed rows are served from it
+    and stored into it. Extra memory is O(n^2 + n d + BLOCK_ELEMENTS), plus
+    the memo's O(n d).
     """
     xs = as_vector_set(xs)
     n, d = xs.shape
@@ -70,21 +65,22 @@ def nnm(xs, f: int, sq_dists: np.ndarray | None = None, memo: NeighbourMeans | N
     if d == 1 or block_rows((n - f) * d) >= n:
         return xs[neighbours].mean(axis=1)
     out = np.empty_like(xs)
+    summed: dict[bytes, np.ndarray] = {}
     for row, near in zip(out, neighbours):
-        key = None
-        if memo is not None and near.max() < memo.fixed:
-            key = near.tobytes()
-            if key in memo.rows:
-                row[:] = memo.rows[key]
-                continue
-        if n - f == 1:
+        key = near.tobytes()
+        fixed = memo is not None and near.max() < memo.fixed
+        done = summed.get(key, memo.rows.get(key) if fixed else None)
+        if done is not None:
+            row[:] = done
+        elif n - f == 1:
             row[:] = xs[near[0]]
         else:
             np.add(xs[near[0]], xs[near[1]], out=row)
             for j in near[2:]:
                 row += xs[j]
             row /= n - f
-        if key is not None:
+        summed.setdefault(key, row)
+        if fixed and done is None:
             memo.rows[key] = row.copy()
     return out
 
@@ -209,12 +205,8 @@ class ConfiguredPreAggregator:
 
 class Pipeline:
     """Ordered pre-aggregation transforms followed by one aggregation rule.
-
-    Calling the pipeline folds the transforms left to right and aggregates the
-    result. ``clone`` deep-copies the whole pipeline (clip memory and shuffle
-    streams included) so candidates can be scored without disturbing live
-    state.
-    """
+    ``clone`` deep-copies it (clip memory and shuffle streams included), so
+    candidates can be scored without disturbing live state."""
 
     def __init__(self, pre_aggregators: Sequence[ConfiguredPreAggregator], aggregator: ConfiguredAggregator):
         self.pre_aggregators = list(pre_aggregators)
@@ -223,15 +215,14 @@ class Pipeline:
     def __call__(self, xs, sq_dists: np.ndarray | None = None, memo: NeighbourMeans | None = None) -> np.ndarray:
         """Fold the transforms over ``xs`` and aggregate.
 
-        ``sq_dists``, when given, must equal ``pairwise_sq_dists(xs)``.
-        ``memo``, when given, must only be shared with calls whose inputs
-        agree on its first ``memo.fixed`` rows (see ``NeighbourMeans``). Only
-        the first stage receives them (see ``takes_sq_dists``): every later
-        stage sees transformed rows and computes its own distances. Memory is
+        Each stage checks its own input, so the pipeline does not, and a stage
+        output that overflows is rejected by the next stage. ``sq_dists``,
+        when given, must equal ``pairwise_sq_dists(xs)``; ``memo`` must only be
+        shared by calls whose inputs agree on its first ``memo.fixed`` rows.
+        Only the first stage receives them (see ``takes_sq_dists``). Memory is
         that of the stages, each bounded by ``numerics.BLOCK_ELEMENTS`` on top
         of its O(n^2 + n d) input and output, plus the memo's O(n d).
         """
-        xs = as_vector_set(xs)
         for pre in self.pre_aggregators:
             xs = pre(xs, sq_dists, memo)
             sq_dists = memo = None

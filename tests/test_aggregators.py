@@ -20,6 +20,7 @@ from robustfl.aggregators import (
     smea,
     trmean,
 )
+from robustfl.numerics import coord_order_stats
 
 from conftest import multi_row_matrices, random_vector_set
 from oracles import (
@@ -74,6 +75,17 @@ class TestTrMean:
     def test_infeasible_reports_inequality(self, x3):
         with pytest.raises(ValueError, match=r"TrMean requires n > 2f \(got n=3, f=2\)"):
             trmean(x3, 2)
+
+    @settings(deadline=None, max_examples=80)
+    @given(multi_row_matrices, st.data())
+    def test_equals_coord_order_stats_bit_for_bit(self, xs, data):
+        f = data.draw(st.integers(0, (len(xs) - 1) // 2), label="f")
+        assert trmean(xs, f).tobytes() == coord_order_stats(xs, f, f).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_list_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="matrix contains NaN or Inf"):
+            trmean([[1.0, 2.0], [3.0, bad], [5.0, 6.0]], 1)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(37)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from robustfl import attacks, preaggregators
 from robustfl.aggregators import AggregatorSpec
@@ -20,10 +23,10 @@ from robustfl.attacks import (
     sign_flipping,
 )
 from robustfl.numerics import pairwise_sq_dists
-from robustfl.preaggregators import PreAggregatorSpec, build_pipeline
+from robustfl.preaggregators import Pipeline, PreAggregatorSpec, build_pipeline
 from robustfl.seeding import derive_rng
 
-from conftest import in_blocks, random_vector_set
+from conftest import finite_elements, in_blocks, random_vector_set
 from oracles import rescore_attack_grid
 
 
@@ -117,6 +120,42 @@ class TestALittleIsEnough:
 
     def test_single_row_is_itself(self):
         np.testing.assert_array_equal(a_little_is_enough([[7.0, 7.0]], 5.0), [7.0, 7.0])
+
+
+# Rows of a few distinct values with zeros of both signs, so means and stds
+# come out as signed zeros.
+signed_zero_rows = st.integers(1, 6).flatmap(
+    lambda n: st.integers(1, 5).flatmap(
+        lambda d: arrays(np.float64, (n, d), elements=st.one_of(finite_elements, st.sampled_from([0.0, -0.0, 2.0])))
+    )
+)
+scales = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-50.0, 50.0))
+
+
+def assert_same_bits(actual, expected):
+    np.testing.assert_array_equal(actual, expected)
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestClosedFormsAgainstOneLineExpressions:
+    """The closed forms compute through ``AFFINE_BASES`` and must equal the
+    one-line expressions they replaced, down to the sign of a zero."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(signed_zero_rows, scales)
+    def test_ipm(self, xs, tau):
+        assert_same_bits(inner_product_manipulation(xs, tau), -tau * xs.mean(axis=0))
+
+    @settings(deadline=None, max_examples=200)
+    @given(signed_zero_rows, scales)
+    def test_alie(self, xs, tau):
+        assert_same_bits(a_little_is_enough(xs, tau), xs.mean(axis=0) - tau * xs.std(axis=0))
+
+    def test_zero_scale_on_signed_zero_rows(self):
+        xs = np.array([[0.0, -0.0, 1.0, -0.0], [-0.0, -0.0, -1.0, 0.0]])
+        for tau in (0.0, -0.0):
+            assert_same_bits(inner_product_manipulation(xs, tau), -tau * xs.mean(axis=0))
+            assert_same_bits(a_little_is_enough(xs, tau), xs.mean(axis=0) - tau * xs.std(axis=0))
 
 
 class TestVectorAttacksGeneral:
@@ -233,6 +272,62 @@ class TestOptimizeAttackScale:
         ctx = AttackContext(honest=x3, f=1, pipeline=pipeline)
         optimize_attack_scale(ctx, inner_product_manipulation, DEFAULT_SCALE_GRID)
         np.testing.assert_array_equal(pipeline.aggregator.clip_state.prev, before)
+
+    @staticmethod
+    def recorded_search(monkeypatch, pipeline, xs, f, base):
+        """Run a search, recording each matrix the pipeline clones were given
+        and a copy of its rows at that moment."""
+        given_to, rows = [], []
+        call = Pipeline.__call__
+
+        def recording(self, matrix, *args):
+            given_to.append(matrix)
+            rows.append(np.array(matrix))
+            return call(self, matrix, *args)
+
+        monkeypatch.setattr(Pipeline, "__call__", recording)
+        result = optimize_attack_scale(AttackContext(honest=xs, f=f, pipeline=pipeline), base, DEFAULT_SCALE_GRID)
+        monkeypatch.undo()
+        return result, given_to, rows
+
+    @pytest.mark.parametrize("base", [a_little_is_enough, inner_product_manipulation])
+    def test_each_candidate_is_the_closed_form_over_the_honest_rows(self, monkeypatch, base):
+        rng = np.random.default_rng(29)
+        xs = random_vector_set(rng, n=6, d=4)
+        xs[:, 1] = 0.0
+        xs[:, 2] = -0.0
+        f = 2
+        _, _, rows = self.recorded_search(monkeypatch, SCORED_PIPELINES["NNM>TrMean"](f), xs, f, base)
+        assert len(rows) == len(DEFAULT_SCALE_GRID)
+        for scale, candidate in zip(DEFAULT_SCALE_GRID, rows):
+            expected = np.vstack([xs, np.tile(base(xs, scale), (f, 1))])
+            assert candidate.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("base", [a_little_is_enough, inner_product_manipulation])
+    def test_candidate_buffer_leaks_nowhere(self, monkeypatch, base):
+        rng = np.random.default_rng(30)
+        f, xs = 2, random_vector_set(rng, n=6, d=4)
+        before = xs.tobytes()
+        live = SCORED_PIPELINES["Bucketing>NNM>CenteredClipping"](f)
+        live(rng.normal(size=(len(xs) + f, xs.shape[1])) * 10.0)
+        centre = live.aggregator.clip_state.prev.tobytes()
+        stream = live.pre_aggregators[0].rng.bit_generator.state
+        result, given_to, _ = self.recorded_search(monkeypatch, live, xs, f, base)
+        assert len({id(matrix) for matrix in given_to}) == 1
+        assert not np.shares_memory(result.vector, given_to[0])
+        assert xs.tobytes() == before
+        assert live.aggregator.clip_state.prev.tobytes() == centre
+        assert live.pre_aggregators[0].rng.bit_generator.state == stream
+
+    def test_base_without_affine_row_is_rejected(self, x3):
+        ctx = AttackContext(honest=x3, f=1, pipeline=average_pipeline())
+        with pytest.raises(ValueError, match="no row in AFFINE_BASES"):
+            optimize_attack_scale(ctx, sign_flipping)
+
+    def test_non_finite_candidate_is_rejected(self, x3):
+        ctx = AttackContext(honest=x3, f=1, pipeline=SCORED_PIPELINES["NNM>TrMean"](1))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
+            optimize_attack_scale(ctx, inner_product_manipulation, grid=(1e308,))
 
     def test_rejects_empty_grid_and_passive_adversary(self, x3):
         ctx = AttackContext(honest=x3, f=1, pipeline=average_pipeline())

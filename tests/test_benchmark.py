@@ -214,6 +214,34 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=r"evaluation_delta \(9\) cannot exceed nb_steps \(4\)"):
             parse_config(tiny_config_text("/tmp/x", **{"evaluation_and_results.evaluation_delta": 9}))
 
+    @pytest.mark.parametrize(
+        "tweaks, message",
+        [
+            ({"model.dataset_params.train_size": 2},
+             r"model\.dataset_params\.train_size \(2\) cannot be below model\.dataset_params\.n_classes \(3\)"),
+            ({"model.dataset_params.test_size": 2},
+             r"model\.dataset_params\.test_size \(2\) cannot be below model\.dataset_params\.n_classes \(3\)"),
+            ({"model.dataset_params.n_classes": 61},
+             r"model\.dataset_params\.train_size \(60\) cannot be below model\.dataset_params\.n_classes \(61\)"),
+            ({"benchmark_config.nb_honest_clients": 5, "model.dataset_params.train_size": 4},
+             r"model\.dataset_params\.train_size \(4\) cannot be below benchmark_config\.nb_honest_clients \(5\)"),
+        ],
+        ids=["train-below-classes", "test-below-classes", "classes-above-train", "train-below-clients"],
+    )
+    def test_blob_sizes_bounded_by_other_keys(self, tweaks, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config(tiny_config_text("/tmp/x", **tweaks))
+
+    def test_blob_sizes_at_their_floors_parse(self):
+        floors = {"model.dataset_params.n_classes": 3, "model.dataset_params.train_size": 3,
+                  "model.dataset_params.test_size": 3, "benchmark_config.nb_honest_clients": 3}
+        assert parse_config(tiny_config_text("/tmp/x", **floors)).model.dataset_params["train_size"] == 3
+
+    def test_mnist_has_no_blob_bounds(self):
+        cfg = parse_config(tiny_config_text("/tmp/x", **{"model.dataset_name": "mnist", "model.dataset_params": {},
+                                                         "benchmark_config.nb_honest_clients": 100}))
+        assert cfg.model.dataset_params == {}
+
 
 class TestSchema:
     """Every object of the config schema rejects a key it does not know."""

@@ -84,6 +84,15 @@ class TestAgg:
         assert code == 0
         assert out.strip() == "2,3"
 
+    @pytest.mark.parametrize("pre", [(), ("--pre", "NNM")])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exits_one(self, capsys, tmp_path, bad, pre):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1,2\n3,{bad}\n5,6\n")
+        code, out, err = run_cli(capsys, "agg", "--rule", "TrMean", "--f", "1", *pre, "--input", str(path))
+        assert code == 1 and out == ""
+        assert "matrix contains NaN or Inf" in err
+
     def test_ragged_rows_report_the_line_number(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3\n")
@@ -276,6 +285,23 @@ class TestValidate:
         code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
         assert code == 1 and out == ""
         assert "unknown key 'honest_clients.momentun'" in err
+
+    @pytest.mark.parametrize(
+        "tweaks, keys",
+        [
+            ({"model.dataset_params.train_size": 2}, ("train_size", "model.dataset_params.n_classes")),
+            ({"model.dataset_params.test_size": 2}, ("test_size", "model.dataset_params.n_classes")),
+            ({"benchmark_config.nb_honest_clients": 5, "model.dataset_params.train_size": 4},
+             ("train_size", "benchmark_config.nb_honest_clients")),
+        ],
+        ids=["train-below-classes", "test-below-classes", "train-below-clients"],
+    )
+    def test_blob_size_below_another_key_exits_one(self, capsys, tmp_path, tweaks, keys):
+        cfg = tmp_path / "small.json"
+        cfg.write_text(tiny_config_text(tmp_path / "results", **tweaks))
+        code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert f"model.dataset_params.{keys[0]}" in err and keys[1] in err
 
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", "--config", str(tmp_path / "missing.json"))

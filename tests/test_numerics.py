@@ -132,6 +132,11 @@ class TestCoordOrderStats:
         with pytest.raises(ValueError, match="cannot drop"):
             coord_order_stats(x3, 2, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_list_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="matrix contains NaN or Inf"):
+            coord_order_stats([[1.0, bad], [3.0, 4.0], [5.0, 6.0]], 1, 1)
+
     @settings(deadline=None, max_examples=60)
     @given(matrices)
     def test_no_drop_matches_mean(self, xs):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustfl import preaggregators
+from robustfl import numerics, preaggregators
 from robustfl.aggregators import AggregatorSpec, Rule, make_aggregator
 from robustfl.numerics import pairwise_sq_dists
 from robustfl.preaggregators import (
@@ -25,6 +25,20 @@ from robustfl.seeding import derive_rng
 
 from conftest import in_blocks, multi_row_matrices, random_vector_set, single_block
 from oracles import naive_nnm
+
+
+class CountingNumpy:
+    """numpy, counting ``np.add`` calls: each begins one in-place NNM row sum."""
+
+    def __init__(self):
+        self.sums = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def add(self, *args, **kwargs):
+        self.sums += 1
+        return np.add(*args, **kwargs)
 
 
 class FixedPermutation:
@@ -125,6 +139,32 @@ class TestNnm:
         out = in_blocks(nnm, 1, budget, xs, f, None, memo)
         np.testing.assert_array_equal(out[1:5], np.repeat([[1.0], [2.0], [3.0], [4.0]], xs.shape[1], axis=1))
         np.testing.assert_array_equal(out[[0, 5, 6]], expected[[0, 5, 6]])
+
+    @settings(deadline=None, max_examples=80)
+    @given(multi_row_matrices, st.data())
+    def test_duplicate_rows_in_blocks_equal_single_block(self, xs, data):
+        # Repeated rows share a neighbour list, whose sum the in-place path
+        # reuses. Values, not bytes: where every neighbour holds -0.0 the
+        # in-place sum keeps -0.0 and the gather's mean gives +0.0.
+        copies = data.draw(st.lists(st.integers(0, len(xs) - 1), min_size=1, max_size=4), label="copied rows")
+        xs = np.vstack([xs, xs[copies]])
+        n, d = xs.shape
+        f = data.draw(st.integers(0, n - 1), label="f")
+        np.testing.assert_array_equal(in_blocks(nnm, 1, (n - f) * d - 1, xs, f), single_block(nnm, xs, f))
+
+    def test_each_distinct_neighbour_list_is_summed_once_per_call(self, monkeypatch):
+        xs, f, memo, near = self.memo_case()
+        budget = (len(xs) - f) * xs.shape[1] - 1
+        spy = CountingNumpy()
+        monkeypatch.setattr(preaggregators, "np", spy)
+        first = in_blocks(nnm, 1, budget, xs, f, None, memo)
+        # Rows 0, 5 and 6 are equal, so seven rows have five lists.
+        assert spy.sums == len({row.tobytes() for row in near}) == 5
+        spy.sums = 0
+        again = in_blocks(nnm, 1, budget, xs, f, None, memo)
+        # The memo serves rows 1-4; the one list of rows 0, 5 and 6 is summed once.
+        assert spy.sums == 1
+        assert first.tobytes() == again.tobytes() == single_block(nnm, xs, f).tobytes()
 
     @settings(deadline=None, max_examples=40)
     @given(multi_row_matrices, st.data())
@@ -406,6 +446,29 @@ class TestPipeline:
         memo = NeighbourMeans(fixed=2)
         pipeline(x3, None, memo)
         assert memos == [memo, None]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pre", [[], [PreAggregatorSpec("NNM", f=1)], [PreAggregatorSpec("Clipping", params={"c": 1.0})]])
+    def test_non_finite_input_is_rejected(self, x3, pre, bad):
+        rows = x3.tolist()
+        rows[1][2] = bad
+        pipeline = build_pipeline(AggregatorSpec("TrMean", f=1), pre)
+        with pytest.raises(ValueError, match="matrix contains NaN or Inf"):
+            pipeline(rows)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("rule", ["Average", "TrMean"])
+    def test_stage_output_that_overflows_is_rejected_by_the_next_stage(self, rule, d):
+        # Each row is finite; NNM's sums of them overflow to inf.
+        xs = np.full((3, d), 1.7e308)
+        xs[0] = -1.7e308
+        pipeline = build_pipeline(AggregatorSpec(rule, f=1), [PreAggregatorSpec("NNM", f=1)])
+        for budget in (1 << 40, 1):
+            with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+                mp.setattr(numerics, "BLOCK_ELEMENTS", budget)
+                assert not np.isfinite(nnm(xs, 1)).all()
+                with pytest.raises(ValueError, match="matrix contains NaN or Inf"):
+                    pipeline(xs)
 
     def test_takes_sq_dists_only_when_nnm_leads(self):
         nnm_spec, clip_spec = PreAggregatorSpec("NNM", f=1), PreAggregatorSpec("Clipping", params={"c": 1.0})

@@ -1,0 +1,41 @@
+"""Smoke tests of the scripts under ``scripts/``, run on tiny inputs so they
+stay in step with the library's rule tables."""
+
+import importlib.util
+import time
+from pathlib import Path
+
+from robustfl.aggregators import AGGREGATOR_NAMES
+from robustfl.preaggregators import PRE_AGGREGATOR_NAMES
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def load_script(name: str, monkeypatch):
+    # The microbenchmark pins BLAS threads on import; undo that afterwards.
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
+    bench = load_script("microbench_rules", monkeypatch)
+    monkeypatch.setattr(bench, "SHAPES", ((5, 8, 1), (7, 12, 2)))
+    monkeypatch.setattr(bench, "BUDGET_S", 0.0)
+    monkeypatch.setattr(bench, "MIN_CALLS", 1)
+    monkeypatch.setattr(bench, "SUBSET_ENUMERATION_LIMIT", 6)
+    start = time.perf_counter()
+    assert bench.main() == 0
+    assert time.perf_counter() - start < 2.0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    rules = [row for row in rows if row[0] != "attack"]
+    names = list(AGGREGATOR_NAMES) + list(PRE_AGGREGATOR_NAMES)
+    assert [row[1] for row in rules if row[2] == "5"] == names
+    assert [row[1] for row in rules if row[2] == "7"] == names
+    assert [row[1] for row in rules if row[-2] == "skipped"] == ["MDA", "SMEA"]
+    # "attack search" is two words, so the name is the third.
+    assert [row[2] for row in rows if row[0] == "attack"] == ["Optimal_ALIE", "Optimal_IPM"]
