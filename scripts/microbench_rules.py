@@ -84,8 +84,8 @@ def callables(n: int, f: int):
             yield "aggregator", name, make_aggregator(AggregatorSpec(name, f=f))
     for name in PRE_AGGREGATOR_NAMES:
         params = {"c": 1.0} if name == "Clipping" else {}
-        rng = np.random.default_rng(0) if name == "Bucketing" else None
-        yield "pre-aggregator", name, ConfiguredPreAggregator(PreAggregatorSpec(name, f=f, params=params), rng)
+        spec = PreAggregatorSpec(name, f=f, params=params)
+        yield "pre-aggregator", name, ConfiguredPreAggregator(spec, np.random.default_rng(0))
 
 
 def main() -> int:

@@ -9,13 +9,15 @@ lexicographically smallest index subset) so results are reproducible.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, ClassVar, Mapping, NamedTuple
 
 import numpy as np
 
+from .datadist import POSITIVE, Bound, at_least
 from .numerics import as_vector_set, pairwise_sq_dists, top_eigenpair
 
 # Exhaustive subset rules (MDA, SMEA) enumerate C(n, n - f) candidates and
@@ -57,22 +59,17 @@ def trmean(xs, f: int) -> np.ndarray:
     return np.sort(xs, axis=0)[f : len(xs) - f].mean(axis=0)
 
 
-def geometric_median(
-    xs,
-    *,
-    max_steps: int = WEISZFELD_MAX_STEPS,
-    rtol: float = WEISZFELD_STEP_RTOL,
-    eps: float = WEISZFELD_EPS,
-) -> np.ndarray:
+def geometric_median(xs) -> np.ndarray:
     """Smoothed Weiszfeld iteration for the point minimising summed distances.
 
     Starts from the coordinate-wise mean and reweights by inverse distance,
-    flooring each distance at ``eps`` so the iteration survives landing
-    exactly on an input row. Stops after ``max_steps`` or once the step is
-    below ``rtol`` times the farthest input's distance, a scale that does not
-    move under translation. Convergence is sublinear when the optimum sits on
-    an input row, so the iterate is replaced by the best input row whenever
-    one attains a strictly smaller summed distance.
+    flooring each distance at ``WEISZFELD_EPS`` so the iteration survives
+    landing exactly on an input row. Stops after ``WEISZFELD_MAX_STEPS`` or
+    once the step is below ``WEISZFELD_STEP_RTOL`` times the farthest input's
+    distance, a scale that does not move under translation. Convergence is
+    sublinear when the optimum sits on an input row, so the iterate is
+    replaced by the best input row whenever one attains a strictly smaller
+    summed distance.
 
     Every iterate is a convex combination v = a @ xs, so the iteration runs on
     the n coefficients ``a``. The best input row r, the smallest row sum of
@@ -95,15 +92,15 @@ def geometric_median(
     best_objective = float(np.linalg.norm(centered, axis=1).sum())
     del centered  # free n * d floats before xs - v takes as many
     a = np.full(n, 1.0 / n)
-    for _ in range(max_steps):
+    for _ in range(WEISZFELD_MAX_STEPS):
         gram_a = gram @ a
         dists = np.sqrt(np.maximum(np.diag(gram) - 2.0 * gram_a + a @ gram_a, 0.0))
-        inv = 1.0 / np.maximum(dists, eps)
+        inv = 1.0 / np.maximum(dists, WEISZFELD_EPS)
         a_new = inv / inv.sum()
         delta = a_new - a
         step = np.sqrt(max(delta @ gram @ delta, 0.0))
         a = a_new
-        if step <= rtol * float(dists.max()):
+        if step <= WEISZFELD_STEP_RTOL * float(dists.max()):
             break
     v = a @ xs
     if best_objective < float(np.linalg.norm(xs - v, axis=1).sum()):
@@ -162,13 +159,6 @@ def mda(xs, f: int) -> np.ndarray:
     return xs[list(best_subset)].mean(axis=0)
 
 
-def _check_clip(tau: float, iters: int) -> None:
-    if tau <= 0:
-        raise ValueError(f"CenteredClipping requires tau > 0, got {tau}")
-    if iters < 1:
-        raise ValueError(f"CenteredClipping requires iters >= 1, got {iters}")
-
-
 @dataclass
 class CenteredClipState:
     """Carry-over center for CenteredClipping; ``prev`` is the last output."""
@@ -191,7 +181,10 @@ def centered_clipping(
     """
     xs = as_vector_set(xs)
     n, d = xs.shape
-    _check_clip(tau, iters)
+    if tau <= 0:
+        raise ValueError(f"CenteredClipping requires tau > 0, got {tau}")
+    if iters < 1:
+        raise ValueError(f"CenteredClipping requires iters >= 1, got {iters}")
     if state is not None and state.prev is not None:
         v = np.asarray(state.prev, dtype=np.float64)
         if v.shape != (d,):
@@ -279,39 +272,63 @@ def caf(xs, f: int) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 
 
+class Param(NamedTuple):
+    """A parameter a config may set: its type (float or int) and, where the
+    function restricts it, the ``Bound`` it must lie in."""
+
+    kind: type
+    bound: Bound | None = None
+
+
 @dataclass(frozen=True)
 class Rule:
     """One row of a rule table: a rule function and how a config calls it.
 
     ``params`` maps each parameter a config may set, which is passed under
-    the same keyword to ``fn``, to its type (float or int); omitted ones take
-    the function's default. ``needs_f`` says whether the rule reads the
-    number f of faulty rows. ``fn`` is None for an attack that has no vector
-    form.
+    the same keyword to ``fn``, to its ``Param``; an omitted one takes the
+    function's default, and one the function gives no default is required.
+    ``needs_f`` says whether the rule reads the number f of faulty rows.
+    ``carried`` maps a keyword of ``fn`` to a factory of what one configured
+    rule keeps across its calls; the factory gets the generator the rule was
+    built with and returns None when it needs one and got none. ``fn`` is
+    None for an attack that has no vector form.
     """
 
     fn: Callable[..., np.ndarray] | None
-    params: Mapping[str, type] = field(default_factory=dict)
+    params: Mapping[str, Param] = field(default_factory=dict)
     needs_f: bool = False
+    carried: Mapping[str, Callable[[np.random.Generator | None], object]] = field(default_factory=dict)
 
     def cast(self, name: str, params: Mapping) -> dict:
         """Config ``params`` checked against the row and cast to its types.
 
-        Unknown keys, non-numbers and non-integral values of an int
-        parameter raise ``ValueError``; ``3.0`` is accepted as the int 3.
+        Unknown keys, missing required ones, non-numbers, non-integral values
+        of an int parameter and values outside their bound raise
+        ``ValueError``; ``3.0`` is accepted as the int 3.
         """
         unknown = set(params) - set(self.params)
         if unknown:
             raise ValueError(f"{name} does not accept parameters {sorted(unknown)}")
+        for key in self.params:
+            if key not in params and inspect.signature(self.fn).parameters[key].default is inspect.Parameter.empty:
+                raise ValueError(f"{name} requires parameter {key}")
         cast = {}
         for key, value in params.items():
-            kind = self.params[key]
+            kind, bound = self.params[key]
+            where = f"{name} parameter {key}"
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} parameter {key} must be a number, got {value!r}")
+                raise ValueError(f"{where} must be a number, got {value!r}")
             if kind is int and not float(value).is_integer():
-                raise ValueError(f"{name} parameter {key} must be an integer, got {value!r}")
-            cast[key] = kind(value)
+                raise ValueError(f"{where} must be an integer, got {value!r}")
+            cast[key] = kind(value) if bound is None else bound.check(kind(value), where)
         return cast
+
+    def carry(self, name: str, rng: np.random.Generator | None) -> dict:
+        """Fresh ``carried`` keyword arguments for one configured rule."""
+        carried = {key: make(rng) for key, make in self.carried.items()}
+        if any(value is None for value in carried.values()):
+            raise ValueError(f"{name} requires a seeded numpy Generator")
+        return carried
 
     def apply(self, xs, f: int, params: Mapping, **extra) -> np.ndarray:
         """Call ``fn`` on ``xs`` with ``params``, ``f`` when it reads f, and ``extra``."""
@@ -328,8 +345,9 @@ AGGREGATORS: dict[str, Rule] = {
     "MultiKrum": Rule(multi_krum, needs_f=True),
     "MeaMed": Rule(meamed, needs_f=True),
     "MDA": Rule(mda, needs_f=True),
-    "CenteredClipping": Rule(centered_clipping, {"tau": float, "iters": int}),
-    "MoNNA": Rule(monna, {"pivot": int}, needs_f=True),
+    "CenteredClipping": Rule(centered_clipping, {"tau": Param(float, POSITIVE), "iters": Param(int, at_least(1))},
+                             carried={"state": lambda rng: CenteredClipState()}),
+    "MoNNA": Rule(monna, {"pivot": Param(int)}, needs_f=True),
     "SMEA": Rule(smea, needs_f=True),
     "CAF": Rule(caf, needs_f=True),
 }
@@ -337,40 +355,42 @@ AGGREGATOR_NAMES = tuple(AGGREGATORS)
 
 
 @dataclass
-class AggregatorSpec:
-    """Declarative description of one aggregation rule; ``params`` are cast
-    to the types of its row in ``AGGREGATORS``."""
+class RuleSpec:
+    """Declarative description of one rule of a family, a row of its
+    ``table``; ``params`` are cast to the types of that row."""
 
     name: str
     f: int = 0
     params: dict[str, float] = field(default_factory=dict)
 
+    table: ClassVar[dict[str, Rule]]
+    family: ClassVar[str]
+
     def __post_init__(self) -> None:
-        if self.name not in AGGREGATORS:
-            raise ValueError(f"unknown aggregator {self.name!r}; valid rules: {', '.join(AGGREGATOR_NAMES)}")
+        if self.name not in self.table:
+            raise ValueError(f"unknown {self.family} {self.name!r}; valid {self.family}s: {', '.join(self.table)}")
         if self.f < 0:
             raise ValueError(f"f must be nonnegative, got {self.f}")
-        self.params = AGGREGATORS[self.name].cast(self.name, self.params)
-        if self.name == "CenteredClipping":
-            _check_clip(self.params.get("tau", DEFAULT_CLIP_RADIUS), self.params.get("iters", DEFAULT_CLIP_STEPS))
+        self.params = self.table[self.name].cast(self.name, self.params)
+
+
+class AggregatorSpec(RuleSpec):
+    """An aggregation rule, a row of ``AGGREGATORS``."""
+
+    table = AGGREGATORS
+    family = "aggregator"
 
 
 class ConfiguredAggregator:
-    """Callable aggregation rule bound to its parameters.
-
-    CenteredClipping instances keep their carry-over center here; every other
-    rule is stateless.
-    """
+    """Callable aggregation rule bound to its parameters and to what its row
+    carries across calls (CenteredClipping's centre)."""
 
     def __init__(self, spec: AggregatorSpec):
         self.spec = spec
-        self.clip_state = CenteredClipState() if spec.name == "CenteredClipping" else None
+        self.carried = AGGREGATORS[spec.name].carry(spec.name, None)
 
     def __call__(self, xs) -> np.ndarray:
-        extra = {} if self.clip_state is None else {"state": self.clip_state}
-        return AGGREGATORS[self.spec.name].apply(xs, self.spec.f, self.spec.params, **extra)
+        return AGGREGATORS[self.spec.name].apply(xs, self.spec.f, self.spec.params, **self.carried)
 
 
-def make_aggregator(spec: AggregatorSpec) -> ConfiguredAggregator:
-    """Instantiate the callable rule described by ``spec``."""
-    return ConfiguredAggregator(spec)
+make_aggregator = ConfiguredAggregator  # the callable rule described by a spec

@@ -13,8 +13,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .aggregators import Rule
-from .numerics import as_vector_set, pairwise_sq_dists, pairwise_sq_dists_with_copies
+from .aggregators import Param, Rule
+from .numerics import as_vector_set
 from .preaggregators import NeighbourMeans, Pipeline
 
 DEFAULT_IPM_SCALE = 0.9
@@ -86,10 +86,10 @@ def optimize_attack_scale(
     go to the smallest scale. The honest rows are checked, and ``base``'s
     ``AFFINE_BASES`` parts computed, once per search; each candidate writes
     its f rows into one reused (n + f, d) buffer, checked by the pipeline's
-    first stage. An NNM first stage also gets the candidate's distances,
-    extended in O(n d) from the honest block (``pairwise_sq_dists_with_copies``),
-    and one ``NeighbourMeans`` memo of honest-only neighbour means. Buffer and
-    memo die with the call; the returned vector is computed afresh. Memory is
+    first stage. The candidates share one ``NeighbourMeans`` memo: an NNM
+    first stage computes the honest distance block once, extends it in O(n d)
+    per candidate, and reuses honest-only neighbour means. Buffer and memo die
+    with the call; the returned vector is computed afresh. Memory is
     O((n + f) (d + n)) plus ``numerics.BLOCK_ELEMENTS`` and the memo's O(n d).
     """
     if len(grid) == 0:
@@ -103,17 +103,12 @@ def optimize_attack_scale(
     honest_mean = honest.mean(axis=0)
     n = len(honest)
     candidate = np.vstack([honest, np.empty((ctx.f, honest.shape[1]))])
-    honest_sq_dists = memo = None
-    if ctx.pipeline.takes_sq_dists:
-        honest_sq_dists = pairwise_sq_dists(honest)
-        memo = NeighbourMeans(n)
+    memo = NeighbourMeans(n)
     best_scale = None
     best_score = -np.inf
     for scale in grid:
-        v = at(scale, *parts)
-        candidate[n:] = v
-        sq_dists = None if honest_sq_dists is None else pairwise_sq_dists_with_copies(honest_sq_dists, honest, v, ctx.f)
-        aggregate = ctx.pipeline.clone()(candidate, sq_dists, memo)
+        candidate[n:] = at(scale, *parts)
+        aggregate = ctx.pipeline.clone()(candidate, memo)
         score = float(np.linalg.norm(aggregate - honest_mean))
         if score > best_score or (score == best_score and scale < best_scale):
             best_score = score
@@ -122,48 +117,36 @@ def optimize_attack_scale(
 
 
 def _optimal(base: Callable[[np.ndarray, float], np.ndarray]) -> Callable[..., np.ndarray]:
-    """The Optimal_* variant of ``base``: its vector at the best grid scale."""
-    return lambda ctx, grid: optimize_attack_scale(ctx, base, grid).vector
+    """The Optimal_* variant of ``base``: its vector at the best scale of the default grid."""
+    return lambda ctx: optimize_attack_scale(ctx, base).vector
 
 
 # A closed-form row takes the honest rows; a row that needs f takes the whole
-# AttackContext (f and the server pipeline) plus a scale grid; LabelFlipping
-# acts on client data inside the simulator and has no function here.
+# AttackContext (f and the server pipeline); LabelFlipping acts on client data
+# inside the simulator and has no function here.
 ATTACKS: dict[str, Rule] = {
     "SignFlipping": Rule(sign_flipping),
-    "InnerProductManipulation": Rule(inner_product_manipulation, {"tau": float}),
-    "ALittleIsEnough": Rule(a_little_is_enough, {"tau": float}),
+    "InnerProductManipulation": Rule(inner_product_manipulation, {"tau": Param(float)}),
+    "ALittleIsEnough": Rule(a_little_is_enough, {"tau": Param(float)}),
     "Optimal_InnerProductManipulation": Rule(_optimal(inner_product_manipulation), needs_f=True),
     "Optimal_ALittleIsEnough": Rule(_optimal(a_little_is_enough), needs_f=True),
     "LabelFlipping": Rule(None),
 }
 ATTACK_NAMES = tuple(ATTACKS)
-VECTOR_ATTACK_NAMES = tuple(name for name, rule in ATTACKS.items() if rule.fn is not None)
 
 
 @dataclass
 class AttackSpec:
-    """Declarative description of one attack.
-
-    ``params`` are cast to the types of its row in ``ATTACKS``. ``scale``,
-    when given, overrides ``params["tau"]``, and afterwards mirrors it.
-    ``grid`` replaces the Optimal_* default scale grid.
-    """
+    """Declarative description of one attack; ``params`` are cast to the
+    types of its row in ``ATTACKS``."""
 
     name: str
-    scale: float | None = None
-    grid: tuple[float, ...] | None = None
     params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.name not in ATTACKS:
             raise ValueError(f"unknown attack {self.name!r}; valid attacks: {', '.join(ATTACK_NAMES)}")
-        if self.scale is not None:
-            self.params = {**self.params, "tau": self.scale}
         self.params = ATTACKS[self.name].cast(self.name, self.params)
-        self.scale = self.params.get("tau")
-        if self.grid is not None and len(self.grid) == 0:
-            raise ValueError("attack scale grid must be non-empty")
 
 
 def attack_vector(spec: AttackSpec, ctx: AttackContext) -> np.ndarray:
@@ -176,5 +159,5 @@ def attack_vector(spec: AttackSpec, ctx: AttackContext) -> np.ndarray:
     if rule.fn is None:
         raise ValueError(f"{spec.name} acts on client data, not on gradients")
     if rule.needs_f:
-        return rule.fn(ctx, DEFAULT_SCALE_GRID if spec.grid is None else spec.grid)
+        return rule.fn(ctx)
     return rule.fn(ctx.honest, **spec.params)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .aggregators import AggregatorSpec
 from .attacks import AttackSpec
-from .datadist import DISTRIBUTIONS, POSITIVE, Bound, LabeledDataset, make_partition
+from .datadist import DISTRIBUTIONS, POSITIVE, Bound, LabeledDataset, at_least, make_partition
 from .models import (
     DEFAULT_HIDDEN_UNITS,
     LinearArch,
@@ -153,10 +153,6 @@ class Key(NamedTuple):
         return self.read(self.default, path)
 
 
-def _at_least(low: int) -> Bound:
-    return Bound(lambda v: v >= low, f"be >= {low}")
-
-
 NONNEGATIVE = Bound(lambda v: v >= 0, "be nonnegative")
 FRACTION = Bound(lambda v: 0 < v <= 1, "lie in (0, 1]")
 
@@ -277,26 +273,20 @@ class Dataset(NamedTuple):
 
 DATASETS = {
     "blobs": Dataset(_blob_datasets, {
-        "n_classes": Key(_typed(int, _at_least(2)), 3),
-        "dim": Key(_typed(int, _at_least(1)), 20),
-        "train_size": Key(_typed(int, _at_least(1)), 6000),
-        "test_size": Key(_typed(int, _at_least(1)), 1000),
+        "n_classes": Key(_typed(int, at_least(2)), 3),
+        "dim": Key(_typed(int, at_least(1)), 20),
+        "train_size": Key(_typed(int, at_least(1)), 6000),
+        "test_size": Key(_typed(int, at_least(1)), 1000),
         "spread": Key(_typed(float, NONNEGATIVE), 1.0),
     }),
     "mnist": Dataset(_mnist_datasets, {}),
 }
 
 
-def _cnn_mnist(cfg: ModelConfig, in_dim: int, n_classes: int) -> MlpArch:
-    log.warning("model 'cnn_mnist' has no convolutional implementation here; substituting the MLP")
-    return MlpArch(in_dim, cfg.hidden, n_classes)
-
-
 # Model name -> its architecture, built from (model config, input dim, classes).
 ARCHS = {
     "linear": lambda cfg, in_dim, n_classes: LinearArch(in_dim, n_classes),
     "mlp": lambda cfg, in_dim, n_classes: MlpArch(in_dim, cfg.hidden, n_classes),
-    "cnn_mnist": _cnn_mnist,
 }
 
 
@@ -317,7 +307,7 @@ def _rules(check: Callable[[str, dict], object], empty_ok: bool = False) -> List
 
 _FEDAVG = {
     "proportion_selected_clients": Key(_typed(float, FRACTION), 1.0),
-    "local_steps_per_client": Key(_typed(int, _at_least(1)), 1),
+    "local_steps_per_client": Key(_typed(int, at_least(1)), 1),
 }
 _TRAINING_ALGORITHM = Obj(TrainingAlgorithmConfig, {}, ("name", {
     "DSGD": {"parameters": Key(Obj(dict, {}), {})},
@@ -333,10 +323,10 @@ _DISTRIBUTION = Obj(lambda name, distribution_parameter: (name, distribution_par
 
 _BENCHMARK = Obj(lambda f, data_distribution, **rest: dict(rest, f_values=f, data_distributions=data_distribution), {
     "training_algorithm": Key(_TRAINING_ALGORITHM),
-    "nb_steps": Key(_typed(int, _at_least(1))),
-    "nb_training_seeds": Key(_typed(int, _at_least(1)), 1),
-    "nb_honest_clients": Key(_typed(int, _at_least(1))),
-    "f": Key(ListOf(_typed(int, _at_least(0))), [0]),
+    "nb_steps": Key(_typed(int, at_least(1))),
+    "nb_training_seeds": Key(_typed(int, at_least(1)), 1),
+    "nb_honest_clients": Key(_typed(int, at_least(1))),
+    "f": Key(ListOf(_typed(int, at_least(0))), [0]),
     "data_distribution": Key(ListOf(_DISTRIBUTION), {"name": "iid"}),
 })
 
@@ -345,18 +335,18 @@ _MODEL = Obj(ModelConfig, {
     "learning_rate": Key(_typed(float, POSITIVE)),
     "loss": Key(_one_of(("NLLLoss",)), "NLLLoss"),
     "learning_rate_decay": Key(_typed(float, FRACTION), 1.0),
-    "milestones": Key(ListOf(_typed(int, _at_least(0)), empty_ok=True), []),
-    "hidden": Key(_typed(int, _at_least(1)), DEFAULT_HIDDEN_UNITS),
+    "milestones": Key(ListOf(_typed(int, at_least(0)), empty_ok=True), []),
+    "hidden": Key(_typed(int, at_least(1)), DEFAULT_HIDDEN_UNITS),
 }, ("dataset_name", {name: {"dataset_params": Key(Obj(dict, row.params), {})} for name, row in DATASETS.items()}))
 
 _HONEST_CLIENTS = Obj(HonestClientsConfig, {
     "momentum": Key(_typed(float, Bound(lambda m: 0 <= m < 1, "lie in [0, 1)")), 0.0),
     "weight_decay": Key(_typed(float, NONNEGATIVE), 0.0),
-    "batch_size": Key(_typed(int, _at_least(1)), 25),
+    "batch_size": Key(_typed(int, at_least(1)), 25),
 })
 
 _EVALUATION = Obj(EvaluationConfig, {
-    "evaluation_delta": Key(_typed(int, _at_least(1))),
+    "evaluation_delta": Key(_typed(int, at_least(1))),
     "results_directory": Key(_typed(str)),
     "store_per_client_metrics": Key(_typed(bool), False),
 })

@@ -99,7 +99,8 @@ def _cmd_agg(args) -> int:
 
 def _cmd_attack(args) -> int:
     honest = _read_matrix(args.input)
-    vector = attack_vector(AttackSpec(args.name, scale=args.tau), AttackContext(honest, 0, None))
+    params = {} if args.tau is None else {"tau": args.tau}
+    vector = attack_vector(AttackSpec(args.name, params=params), AttackContext(honest, 0, None))
     print(",".join(format_value(v) for v in vector))
     return 0
 

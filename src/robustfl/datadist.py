@@ -56,6 +56,11 @@ class Bound(NamedTuple):
         return value
 
 
+def at_least(low: int) -> Bound:
+    """The numbers that are ``low`` or more."""
+    return Bound(lambda v: v >= low, f"be >= {low}")
+
+
 POSITIVE = Bound(lambda v: v > 0, "be positive")
 UNIT_INTERVAL = Bound(lambda v: 0 <= v <= 1, "lie in [0, 1]")
 

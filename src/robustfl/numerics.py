@@ -96,19 +96,6 @@ def pairwise_sq_dists_with_copies(honest_sq_dists: np.ndarray, honest: np.ndarra
     return out
 
 
-def coord_order_stats(xs, drop_low: int, drop_high: int) -> np.ndarray:
-    """Per coordinate of the (n, d) matrix ``xs``, the mean of the values left
-    after dropping the ``drop_low`` smallest and ``drop_high`` largest."""
-    xs = as_vector_set(xs)
-    n = xs.shape[0]
-    if drop_low < 0 or drop_high < 0:
-        raise ValueError(f"drop counts must be nonnegative, got ({drop_low}, {drop_high})")
-    if drop_low + drop_high >= n:
-        raise ValueError(f"cannot drop {drop_low} + {drop_high} values out of n={n}")
-    ordered = np.sort(xs, axis=0)
-    return ordered[drop_low : n - drop_high].mean(axis=0)
-
-
 def top_eigenpair(xs, weights=None) -> tuple[float, np.ndarray]:
     """Dominant eigenpair of the weighted covariance of the rows.
 

@@ -8,47 +8,63 @@ transforms and finishes with one aggregation rule.
 from __future__ import annotations
 
 import copy
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, ConfiguredAggregator, Rule, make_aggregator
-from .numerics import as_vector_set, block_rows, pairwise_sq_dists
+from .aggregators import AggregatorSpec, ConfiguredAggregator, Param, Rule, RuleSpec, make_aggregator
+from .datadist import POSITIVE, at_least
+from .numerics import as_vector_set, block_rows, pairwise_sq_dists, pairwise_sq_dists_with_copies
 
 DEFAULT_BUCKET_SIZE = 2
 
 
 @dataclass
 class NeighbourMeans:
-    """NNM output rows memoised by neighbour list across the NNM calls of one
-    attack search, which must agree on their first ``fixed`` rows (the honest
-    rows every candidate repeats). ``rows`` maps the bytes of a neighbour list
-    whose indices are all below ``fixed`` to its mean; ``nnm`` serves and
-    fills it only for such lists, so a mean involving another row is never
-    reused."""
+    """What the NNM calls of one attack search share. Every input of the
+    search holds the same first ``fixed`` rows (the honest rows every
+    candidate repeats) over copies of one vector.
+
+    ``block`` is the distance matrix of the fixed rows, computed on the first
+    call; ``sq_dists`` extends it to each input in O(n d). ``rows`` maps the
+    bytes of a neighbour list whose indices are all below ``fixed`` to its
+    mean; ``nnm`` serves and fills it only for such lists, so a mean
+    involving another row is never reused."""
 
     fixed: int
+    block: np.ndarray | None = None
     rows: dict[bytes, np.ndarray] = field(default_factory=dict)
 
+    def sq_dists(self, xs: np.ndarray) -> np.ndarray:
+        """``pairwise_sq_dists(xs)``, bit for bit, for a checked input of the search."""
+        honest = xs[: self.fixed]
+        if self.block is None:
+            self.block = pairwise_sq_dists(honest)
+        return pairwise_sq_dists_with_copies(self.block, honest, xs[self.fixed], len(xs) - self.fixed)
 
-def nnm(xs, f: int, sq_dists: np.ndarray | None = None, memo: NeighbourMeans | None = None) -> np.ndarray:
+
+def nnm(xs, f: int, memo: NeighbourMeans | None = None) -> np.ndarray:
     """Replace each row by the mean of its n - f nearest rows (itself included).
 
-    Distance ties are broken toward lower row indices. ``sq_dists``, when
-    given, must equal ``pairwise_sq_dists(xs)`` and saves recomputing it.
+    Distance ties are broken toward lower row indices. ``memo``, shared by
+    the calls of one search, supplies the distances and serves repeated
+    neighbour means.
 
     When the whole (n, n - f, d) neighbour gather fits in
     ``numerics.BLOCK_ELEMENTS`` entries, or rows have one coordinate, the
     means come from that one gather. Otherwise each output row is summed in
     place: its first two neighbours added, the others added in order, then
-    divided by n - f, the sequential reduction the gather's ``mean`` does, so
-    the result is bit-identical with O(d) extra memory per row. Rows with one
-    neighbour list (the f identical attack rows of a search always have one)
-    share one sum, and lists within ``memo``'s fixed rows are served from it
-    and stored into it. Extra memory is O(n^2 + n d + BLOCK_ELEMENTS), plus
-    the memo's O(n d).
+    divided by n - f, the sequential reduction the gather's ``mean`` does,
+    with O(d) extra memory per row. The result equals the gather's bit for
+    bit except on signed zeros: where every neighbour holds -0.0 in a
+    coordinate, the in-place sum keeps -0.0 and the gather gives +0.0. Rows
+    with one neighbour list (the f identical attack rows of a search always
+    have one) share one sum, and lists within ``memo``'s fixed rows are
+    served from it and stored into it. Extra memory is
+    O(n^2 + n d + BLOCK_ELEMENTS), plus the memo's O(n d).
     """
     xs = as_vector_set(xs)
     n, d = xs.shape
@@ -56,10 +72,7 @@ def nnm(xs, f: int, sq_dists: np.ndarray | None = None, memo: NeighbourMeans | N
         raise ValueError(f"NNM requires f >= 0, got f={f}")
     if n <= f:
         raise ValueError(f"NNM requires n > f (got n={n}, f={f})")
-    if sq_dists is None:
-        sq_dists = pairwise_sq_dists(xs)
-    elif sq_dists.shape != (n, n):
-        raise ValueError(f"sq_dists must have shape ({n}, {n}), got {sq_dists.shape}")
+    sq_dists = pairwise_sq_dists(xs) if memo is None else memo.sq_dists(xs)
     neighbours = np.argsort(sq_dists, axis=1, kind="stable")[:, : n - f]
     # numpy reduces a gather of one-coordinate rows pairwise, not in order.
     if d == 1 or block_rows((n - f) * d) >= n:
@@ -150,57 +163,34 @@ def arc(xs, f: int) -> np.ndarray:
 
 PRE_AGGREGATORS: dict[str, Rule] = {
     "NNM": Rule(nnm, needs_f=True),
-    "Bucketing": Rule(bucketing, {"s": int}),
-    "Clipping": Rule(static_clipping, {"c": float}),
+    "Bucketing": Rule(bucketing, {"s": Param(int, at_least(1))}, carried={"rng": lambda rng: rng}),
+    "Clipping": Rule(static_clipping, {"c": Param(float, POSITIVE)}),
     "ARC": Rule(arc, needs_f=True),
 }
 PRE_AGGREGATOR_NAMES = tuple(PRE_AGGREGATORS)
 
 
-@dataclass
-class PreAggregatorSpec:
-    """Declarative description of one pre-aggregation transform; ``params``
-    are cast to the types of its row in ``PRE_AGGREGATORS``."""
+class PreAggregatorSpec(RuleSpec):
+    """A pre-aggregation transform, a row of ``PRE_AGGREGATORS``."""
 
-    name: str
-    f: int = 0
-    params: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.name not in PRE_AGGREGATORS:
-            raise ValueError(
-                f"unknown pre-aggregator {self.name!r}; valid transforms: {', '.join(PRE_AGGREGATOR_NAMES)}"
-            )
-        if self.f < 0:
-            raise ValueError(f"f must be nonnegative, got {self.f}")
-        self.params = PRE_AGGREGATORS[self.name].cast(self.name, self.params)
-        if self.name == "Clipping":
-            if "c" not in self.params:
-                raise ValueError("Clipping requires parameter c")
-            if self.params["c"] <= 0:
-                raise ValueError(f"Clipping requires c > 0, got {self.params['c']}")
-        if self.name == "Bucketing" and self.params.get("s", DEFAULT_BUCKET_SIZE) < 1:
-            raise ValueError(f"Bucketing requires s >= 1, got {self.params['s']}")
+    table = PRE_AGGREGATORS
+    family = "pre-aggregator"
 
 
 class ConfiguredPreAggregator:
-    """Callable transform bound to its parameters (and, for Bucketing, its
-    shuffle stream; other transforms keep ``rng`` None)."""
+    """Callable transform bound to its parameters and to what its row carries
+    across calls (Bucketing's shuffle stream, which is ``rng``)."""
 
     def __init__(self, spec: PreAggregatorSpec, rng: np.random.Generator | None = None):
+        rule = PRE_AGGREGATORS[spec.name]
         self.spec = spec
-        self.rng = None
-        if spec.name == "Bucketing":
-            if rng is None:
-                raise ValueError("Bucketing requires a seeded numpy Generator")
-            self.rng = rng
+        self.carried = rule.carry(spec.name, rng)
+        self.takes_memo = "memo" in inspect.signature(rule.fn).parameters
 
-    def __call__(self, xs, sq_dists: np.ndarray | None = None, memo: NeighbourMeans | None = None) -> np.ndarray:
-        """Apply the transform; only NNM reads ``sq_dists`` and ``memo`` (see ``nnm``)."""
-        extra = {"sq_dists": sq_dists, "memo": memo} if self.spec.name == "NNM" else {}
-        if self.rng is not None:
-            extra["rng"] = self.rng
-        return PRE_AGGREGATORS[self.spec.name].apply(xs, self.spec.f, self.spec.params, **extra)
+    def __call__(self, xs, memo: NeighbourMeans | None = None) -> np.ndarray:
+        """Apply the transform; ``memo`` reaches only a function that takes one (see ``nnm``)."""
+        extra = {"memo": memo} if self.takes_memo else {}
+        return PRE_AGGREGATORS[self.spec.name].apply(xs, self.spec.f, self.spec.params, **extra, **self.carried)
 
 
 class Pipeline:
@@ -212,26 +202,20 @@ class Pipeline:
         self.pre_aggregators = list(pre_aggregators)
         self.aggregator = aggregator
 
-    def __call__(self, xs, sq_dists: np.ndarray | None = None, memo: NeighbourMeans | None = None) -> np.ndarray:
+    def __call__(self, xs, memo: NeighbourMeans | None = None) -> np.ndarray:
         """Fold the transforms over ``xs`` and aggregate.
 
         Each stage checks its own input, so the pipeline does not, and a stage
-        output that overflows is rejected by the next stage. ``sq_dists``,
-        when given, must equal ``pairwise_sq_dists(xs)``; ``memo`` must only be
-        shared by calls whose inputs agree on its first ``memo.fixed`` rows.
-        Only the first stage receives them (see ``takes_sq_dists``). Memory is
-        that of the stages, each bounded by ``numerics.BLOCK_ELEMENTS`` on top
-        of its O(n^2 + n d) input and output, plus the memo's O(n d).
+        output that overflows is rejected by the next stage. ``memo`` must
+        only be shared by calls whose inputs are its fixed rows over copies of
+        one vector; only the first stage receives it. Memory is that of the
+        stages, each bounded by ``numerics.BLOCK_ELEMENTS`` on top of its
+        O(n^2 + n d) input and output, plus the memo's O(n d).
         """
         for pre in self.pre_aggregators:
-            xs = pre(xs, sq_dists, memo)
-            sq_dists = memo = None
+            xs = pre(xs, memo)
+            memo = None
         return self.aggregator(xs)
-
-    @property
-    def takes_sq_dists(self) -> bool:
-        """Whether the first stage reads a precomputed distance matrix (and a memo)."""
-        return bool(self.pre_aggregators) and self.pre_aggregators[0].spec.name == "NNM"
 
     def clone(self) -> "Pipeline":
         return copy.deepcopy(self)

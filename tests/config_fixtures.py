@@ -30,7 +30,7 @@ SAMPLE_CONFIG = """\
     },
 
     "model": {
-        "name": "cnn_mnist",
+        "name": "mlp",
         "dataset_name": "mnist",
         "loss": "NLLLoss",
         "learning_rate": 0.1,

@@ -20,7 +20,6 @@ from robustfl.aggregators import (
     smea,
     trmean,
 )
-from robustfl.numerics import coord_order_stats
 
 from conftest import multi_row_matrices, random_vector_set
 from oracles import (
@@ -78,9 +77,9 @@ class TestTrMean:
 
     @settings(deadline=None, max_examples=80)
     @given(multi_row_matrices, st.data())
-    def test_equals_coord_order_stats_bit_for_bit(self, xs, data):
+    def test_equals_sorted_slice_mean_bit_for_bit(self, xs, data):
         f = data.draw(st.integers(0, (len(xs) - 1) // 2), label="f")
-        assert trmean(xs, f).tobytes() == coord_order_stats(xs, f, f).tobytes()
+        assert trmean(xs, f).tobytes() == np.sort(xs, axis=0)[f : len(xs) - f].mean(axis=0).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_list_is_rejected(self, bad):
@@ -413,6 +412,27 @@ class TestAggregatorSpec:
     def test_unknown_params_rejected(self):
         with pytest.raises(ValueError, match="does not accept"):
             AggregatorSpec("Median", params={"tau": 1.0})
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"tau": 0}, "CenteredClipping parameter tau must be positive, got 0.0"),
+            ({"tau": float("nan")}, "CenteredClipping parameter tau must be positive, got nan"),
+            ({"iters": 0}, "CenteredClipping parameter iters must be >= 1, got 0"),
+        ],
+        ids=["tau-0", "tau-nan", "iters-0"],
+    )
+    def test_bounds_name_rule_parameter_and_value(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            AggregatorSpec("CenteredClipping", params=params)
+
+    def test_each_configured_rule_carries_its_own_state(self):
+        spec = AggregatorSpec("CenteredClipping", params={"tau": 1.0})
+        first, second = make_aggregator(spec), make_aggregator(spec)
+        first(np.array([[4.0, 0.0]]))
+        np.testing.assert_array_equal(first.carried["state"].prev, [1.0, 0.0])
+        assert second.carried["state"].prev is None
+        assert make_aggregator(AggregatorSpec("Median")).carried == {}
 
     def test_clipping_params_accepted(self, x3):
         agg = make_aggregator(AggregatorSpec("CenteredClipping", params={"tau": 1e6, "iters": 1}))

@@ -63,7 +63,7 @@ class TestParseConfig:
         assert cfg.nb_honest_clients == 10
         assert cfg.f_values == [1, 2, 3, 4]
         assert cfg.data_distributions == [("gamma_similarity_niid", [1.0, 0.66, 0.33])]
-        assert cfg.model.name == "cnn_mnist"
+        assert cfg.model.name == "mlp"
         assert cfg.model.dataset_name == "mnist"
         assert cfg.model.loss == "NLLLoss"
         assert cfg.model.learning_rate == 0.1
@@ -173,9 +173,12 @@ class TestParseConfig:
             ("aggregator", {"name": "CenteredClipping", "parameters": {"iters": 2.5}}, "iters must be an integer"),
             ("pre_aggregators", {"name": "Bucketing", "parameters": {"s": 2.5}}, "Bucketing parameter s must be an"),
             ("aggregator", {"name": "CenteredClipping", "parameters": {"tau": "big"}}, "tau must be a number"),
-            ("aggregator", {"name": "CenteredClipping", "parameters": {"tau": 0}}, "requires tau > 0, got 0.0"),
-            ("aggregator", {"name": "CenteredClipping", "parameters": {"tau": -1.5}}, "requires tau > 0"),
-            ("aggregator", {"name": "CenteredClipping", "parameters": {"iters": 0}}, "requires iters >= 1, got 0"),
+            ("aggregator", {"name": "CenteredClipping", "parameters": {"tau": 0}},
+             "CenteredClipping parameter tau must be positive, got 0.0"),
+            ("aggregator", {"name": "CenteredClipping", "parameters": {"tau": -1.5}},
+             "CenteredClipping parameter tau must be positive, got -1.5"),
+            ("aggregator", {"name": "CenteredClipping", "parameters": {"iters": 0}},
+             "CenteredClipping parameter iters must be >= 1, got 0"),
         ],
         ids=["pivot-1.5", "iters-2.5", "s-2.5", "tau-string", "tau-0", "tau-negative", "iters-0"],
     )
@@ -461,16 +464,12 @@ class TestRunSingle:
     def test_unknown_dataset_and_model_names(self, tmp_path):
         with pytest.raises(ValueError, match="model.dataset_name must be 'blobs' or 'mnist', got 'cifar'"):
             parse_config(tiny_config_text(tmp_path / "results", **{"model.dataset_name": "cifar"}))
-        with pytest.raises(ValueError, match="model.name must be 'linear', 'mlp' or 'cnn_mnist', got 'transformer'"):
+        with pytest.raises(ValueError, match="model.name must be 'linear' or 'mlp', got 'transformer'"):
             parse_config(tiny_config_text(tmp_path / "results", **{"model.name": "transformer"}))
 
-    def test_cnn_mnist_substitution_warns(self, tmp_path, caplog):
-        import logging
-
-        cfg = parse_config(tiny_config_text(tmp_path / "results", **{"model.name": "cnn_mnist", "model.hidden": 8}))
-        with caplog.at_level(logging.WARNING, logger="robustfl.benchmark"):
-            run_single(cfg, expand_grid(cfg)[0])
-        assert "substituting the MLP" in caplog.text
+    def test_cnn_mnist_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="model.name must be 'linear' or 'mlp', got 'cnn_mnist'"):
+            parse_config(tiny_config_text(tmp_path / "results", **{"model.name": "cnn_mnist"}))
 
 
 class TestPersistence:

@@ -303,6 +303,13 @@ class TestValidate:
         assert code == 1 and out == ""
         assert f"model.dataset_params.{keys[0]}" in err and keys[1] in err
 
+    def test_cnn_mnist_exits_one(self, capsys, tmp_path):
+        cfg = tmp_path / "cnn.json"
+        cfg.write_text(tiny_config_text(tmp_path / "results", **{"model.name": "cnn_mnist"}))
+        code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert "model.name must be 'linear' or 'mlp', got 'cnn_mnist'" in err
+
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", "--config", str(tmp_path / "missing.json"))
         assert code == 2

@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 
 from robustfl.numerics import (
     as_vector_set,
-    coord_order_stats,
     pairwise_sq_dists,
     pairwise_sq_dists_with_copies,
     top_eigenpair,
@@ -116,31 +115,6 @@ class TestPairwiseSqDistsWithCopies:
         got = pairwise_sq_dists_with_copies(pairwise_sq_dists(x3), x3, np.array([0.0, 1.0, 2.0]), 2)
         np.testing.assert_array_equal(got[3:, 3:], np.zeros((2, 2)))
         np.testing.assert_array_equal(got[:3, 3], [3.0, 48.0, 147.0])
-
-
-class TestCoordOrderStats:
-    def test_no_drop_is_mean(self, x3):
-        np.testing.assert_array_equal(coord_order_stats(x3, 0, 0), [4.0, 5.0, 6.0])
-
-    def test_symmetric_trim(self):
-        np.testing.assert_array_equal(coord_order_stats([[1.0], [4.0], [7.0], [-4.0]], 1, 1), [2.5])
-
-    def test_one_sided_trim(self):
-        np.testing.assert_array_equal(coord_order_stats([[1.0], [2.0]], 0, 1), [1.0])
-
-    def test_rejects_overdrop(self, x3):
-        with pytest.raises(ValueError, match="cannot drop"):
-            coord_order_stats(x3, 2, 1)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_list_is_rejected(self, bad):
-        with pytest.raises(ValueError, match="matrix contains NaN or Inf"):
-            coord_order_stats([[1.0, bad], [3.0, 4.0], [5.0, 6.0]], 1, 1)
-
-    @settings(deadline=None, max_examples=60)
-    @given(matrices)
-    def test_no_drop_matches_mean(self, xs):
-        np.testing.assert_allclose(coord_order_stats(xs, 0, 0), xs.mean(axis=0), rtol=1e-12, atol=1e-12)
 
 
 class TestTopEigenpair:

@@ -124,19 +124,19 @@ class TestNnm:
         xs, f, memo, near = self.memo_case()
         for i in (0, 5, 6):
             memo.rows[near[i].tobytes()] = np.full(xs.shape[1], 7.0)
-        out = in_blocks(nnm, 1, (len(xs) - f) * xs.shape[1] - 1, xs, f, None, memo)
+        out = in_blocks(nnm, 1, (len(xs) - f) * xs.shape[1] - 1, xs, f, memo)
         assert out.tobytes() == single_block(nnm, xs, f).tobytes()
 
     def test_memo_stores_and_serves_fixed_only_lists(self):
         xs, f, memo, near = self.memo_case()
         budget = (len(xs) - f) * xs.shape[1] - 1
         expected = single_block(nnm, xs, f)
-        assert in_blocks(nnm, 1, budget, xs, f, None, memo).tobytes() == expected.tobytes()
+        assert in_blocks(nnm, 1, budget, xs, f, memo).tobytes() == expected.tobytes()
         assert sorted(memo.rows) == sorted(near[i].tobytes() for i in range(1, 5))
         for i in range(1, 5):
             np.testing.assert_array_equal(memo.rows[near[i].tobytes()], expected[i])
             memo.rows[near[i].tobytes()] = np.full(xs.shape[1], float(i))
-        out = in_blocks(nnm, 1, budget, xs, f, None, memo)
+        out = in_blocks(nnm, 1, budget, xs, f, memo)
         np.testing.assert_array_equal(out[1:5], np.repeat([[1.0], [2.0], [3.0], [4.0]], xs.shape[1], axis=1))
         np.testing.assert_array_equal(out[[0, 5, 6]], expected[[0, 5, 6]])
 
@@ -157,24 +157,27 @@ class TestNnm:
         budget = (len(xs) - f) * xs.shape[1] - 1
         spy = CountingNumpy()
         monkeypatch.setattr(preaggregators, "np", spy)
-        first = in_blocks(nnm, 1, budget, xs, f, None, memo)
+        first = in_blocks(nnm, 1, budget, xs, f, memo)
         # Rows 0, 5 and 6 are equal, so seven rows have five lists.
         assert spy.sums == len({row.tobytes() for row in near}) == 5
         spy.sums = 0
-        again = in_blocks(nnm, 1, budget, xs, f, None, memo)
+        again = in_blocks(nnm, 1, budget, xs, f, memo)
         # The memo serves rows 1-4; the one list of rows 0, 5 and 6 is summed once.
         assert spy.sums == 1
         assert first.tobytes() == again.tobytes() == single_block(nnm, xs, f).tobytes()
 
     @settings(deadline=None, max_examples=40)
     @given(multi_row_matrices, st.data())
-    def test_precomputed_distances_change_nothing(self, xs, data):
-        f = data.draw(st.integers(0, len(xs) - 1), label="f")
-        np.testing.assert_array_equal(nnm(xs, f, pairwise_sq_dists(xs)), nnm(xs, f))
-
-    def test_rejects_misshapen_distances(self, x3):
-        with pytest.raises(ValueError, match=r"sq_dists must have shape \(3, 3\)"):
-            nnm(x3, 1, np.zeros((4, 4)))
+    def test_memo_distances_change_nothing(self, xs, data):
+        # Each call of a search repeats the fixed rows over copies of a new vector.
+        memo = NeighbourMeans(fixed=len(xs))
+        for _ in range(2):
+            copies = data.draw(st.integers(1, 3), label="copies")
+            row = data.draw(st.integers(0, len(xs) - 1), label="row")
+            vector = xs[row] * data.draw(st.sampled_from([-1.0, 0.5, 2.0]), label="factor")
+            candidate = np.vstack([xs, np.tile(vector, (copies, 1))])
+            f = data.draw(st.integers(0, len(candidate) - 1), label="f")
+            assert nnm(candidate, f, memo).tobytes() == nnm(candidate, f).tobytes()
 
     def test_infeasible_f(self, x3):
         with pytest.raises(ValueError, match=r"NNM requires n > f \(got n=3, f=3\)"):
@@ -336,11 +339,11 @@ class TestPreAggregatorSpec:
     def test_clipping_requires_positive_c(self):
         with pytest.raises(ValueError, match="Clipping requires parameter c"):
             PreAggregatorSpec("Clipping")
-        with pytest.raises(ValueError, match="c > 0"):
+        with pytest.raises(ValueError, match="Clipping parameter c must be positive, got 0.0"):
             PreAggregatorSpec("Clipping", params={"c": 0.0})
 
     def test_bucketing_size_validation(self):
-        with pytest.raises(ValueError, match="s >= 1"):
+        with pytest.raises(ValueError, match="Bucketing parameter s must be >= 1, got 0"):
             PreAggregatorSpec("Bucketing", params={"s": 0.0})
         assert PreAggregatorSpec("Bucketing", params={"s": 3.0}).params["s"] == 3.0
 
@@ -416,7 +419,7 @@ class TestPipeline:
         for _ in range(5):
             np.testing.assert_array_equal(pipeline(x3), twin(x3))
 
-    def test_distances_reach_only_the_first_stage(self, x3, monkeypatch):
+    def test_memo_distances_reach_only_the_first_stage(self, x3, monkeypatch):
         computed = []
 
         def counting(xs):
@@ -425,26 +428,28 @@ class TestPipeline:
 
         monkeypatch.setattr(preaggregators, "pairwise_sq_dists", counting)
         pipeline = build_pipeline(AggregatorSpec("Average"), [PreAggregatorSpec("NNM", f=1)] * 2)
-        assert pipeline.takes_sq_dists
-        expected = pipeline(x3)
+        xs = np.vstack([x3, [[0.0, 1.0, 2.0]]])
+        expected = pipeline(xs)
         assert len(computed) == 2
         computed.clear()
-        np.testing.assert_array_equal(pipeline(x3, pairwise_sq_dists(x3)), expected)
-        # The second NNM sees the first one's output and measures it itself.
-        assert len(computed) == 1
-        np.testing.assert_array_equal(computed[0], nnm(x3, 1))
+        np.testing.assert_array_equal(pipeline(xs, NeighbourMeans(fixed=3)), expected)
+        # The memo measures the fixed rows; the second NNM sees the first
+        # one's output and measures it itself.
+        assert len(computed) == 2
+        np.testing.assert_array_equal(computed[0], x3)
+        np.testing.assert_array_equal(computed[1], nnm(xs, 1))
 
     def test_memo_reaches_only_the_first_stage(self, x3, monkeypatch):
         memos = []
 
-        def recording(xs, f, sq_dists=None, memo=None):
+        def recording(xs, f, memo=None):
             memos.append(memo)
-            return nnm(xs, f, sq_dists, memo)
+            return nnm(xs, f, memo)
 
         monkeypatch.setitem(preaggregators.PRE_AGGREGATORS, "NNM", Rule(recording, needs_f=True))
         pipeline = build_pipeline(AggregatorSpec("Average"), [PreAggregatorSpec("NNM", f=1)] * 2)
         memo = NeighbourMeans(fixed=2)
-        pipeline(x3, None, memo)
+        pipeline(x3, memo)
         assert memos == [memo, None]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -470,20 +475,22 @@ class TestPipeline:
                 with pytest.raises(ValueError, match="matrix contains NaN or Inf"):
                     pipeline(xs)
 
-    def test_takes_sq_dists_only_when_nnm_leads(self):
-        nnm_spec, clip_spec = PreAggregatorSpec("NNM", f=1), PreAggregatorSpec("Clipping", params={"c": 1.0})
-        assert not build_pipeline(AggregatorSpec("MultiKrum", f=1)).takes_sq_dists
-        assert not build_pipeline(AggregatorSpec("Average"), [clip_spec, nnm_spec]).takes_sq_dists
-        assert build_pipeline(AggregatorSpec("Average"), [nnm_spec, clip_spec]).takes_sq_dists
+    def test_stage_without_memo_ignores_it(self, x3):
+        nnm_spec = PreAggregatorSpec("NNM", f=1)
+        clip_spec = PreAggregatorSpec("Clipping", params={"c": 1.0})
+        for pres in ([], [clip_spec, nnm_spec], [PreAggregatorSpec("ARC", f=1), nnm_spec]):
+            pipeline = build_pipeline(AggregatorSpec("Average"), pres)
+            memo = NeighbourMeans(fixed=2)
+            np.testing.assert_array_equal(pipeline(x3, memo), pipeline(x3))
+            assert memo.block is None and memo.rows == {}
 
     def test_rng_handed_only_to_bucketing(self):
+        rng = derive_rng(2, "bucketing")
         pipeline = build_pipeline(
-            AggregatorSpec("Average"),
-            [PreAggregatorSpec("NNM", f=1), PreAggregatorSpec("Bucketing")],
-            rng=derive_rng(2, "bucketing"),
+            AggregatorSpec("Average"), [PreAggregatorSpec("NNM", f=1), PreAggregatorSpec("Bucketing")], rng=rng
         )
-        assert pipeline.pre_aggregators[0].rng is None
-        assert pipeline.pre_aggregators[1].rng is not None
+        assert pipeline.pre_aggregators[0].carried == {}
+        assert pipeline.pre_aggregators[1].carried == {"rng": rng}
 
     def test_pipeline_validates_input(self):
         pipeline = build_pipeline(AggregatorSpec("Average"))

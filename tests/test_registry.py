@@ -1,7 +1,10 @@
 """Every row of every rule table agrees with its function, the config parser
-and the command line, and the README's config table agrees with the schema."""
+and the command line; a new rule is one function and one row; the README's
+config table agrees with the schema; and every entry point the benchmark's
+tracer shims exists where it looks."""
 
 import argparse
+import importlib.util
 import inspect
 import json
 from pathlib import Path
@@ -10,12 +13,19 @@ import numpy as np
 import pytest
 from config_fixtures import tiny_config_text
 
-from robustfl.aggregators import AGGREGATOR_NAMES, AGGREGATORS
-from robustfl.attacks import ATTACKS, AttackContext, AttackSpec, attack_vector
-from robustfl.benchmark import REQUIRED, SCHEMA, Key, ListOf, Obj, parse_config
+from robustfl.aggregators import AGGREGATOR_NAMES, AGGREGATORS, AggregatorSpec, Param, Rule
+from robustfl.attacks import (
+    ATTACKS,
+    AttackContext,
+    AttackSpec,
+    a_little_is_enough,
+    attack_vector,
+    optimize_attack_scale,
+)
+from robustfl.benchmark import REQUIRED, SCHEMA, Key, ListOf, Obj, expand_grid, parse_config, run_single
 from robustfl.cli import build_parser, entrypoint, format_value
-from robustfl.datadist import DISTRIBUTIONS, LabeledDataset, make_partition
-from robustfl.preaggregators import PRE_AGGREGATORS
+from robustfl.datadist import DISTRIBUTIONS, POSITIVE, Bound, LabeledDataset, at_least, make_partition
+from robustfl.preaggregators import PRE_AGGREGATORS, PreAggregatorSpec, build_pipeline
 
 TABLES = {"aggregator": AGGREGATORS, "pre_aggregators": PRE_AGGREGATORS, "attack": ATTACKS}
 ROWS = [(section, name, rule) for section, table in TABLES.items() for name, rule in table.items()]
@@ -25,7 +35,8 @@ KEYWORD_KINDS = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYW
 CLOSED_FORM = tuple(
     name for name, rule in ATTACKS.items() if rule.fn is not None and "honest" in inspect.signature(rule.fn).parameters
 )
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def cli_choices(command: str, option: str) -> tuple:
@@ -37,11 +48,13 @@ def cli_choices(command: str, option: str) -> tuple:
 @pytest.mark.parametrize("section, name, rule", ROWS, ids=ROW_IDS)
 def test_row_parameters_are_keywords_of_its_function(section, name, rule):
     if rule.fn is None:
-        assert name == "LabelFlipping" and not rule.params
+        assert name == "LabelFlipping" and not rule.params and not rule.carried
         return
     signature = inspect.signature(rule.fn).parameters
-    for key, kind in rule.params.items():
-        assert kind in (float, int)
+    for key, param in rule.params.items():
+        assert param.kind in (float, int) and (param.bound is None or isinstance(param.bound, Bound))
+        assert key in signature and signature[key].kind in KEYWORD_KINDS, key
+    for key in rule.carried:
         assert key in signature and signature[key].kind in KEYWORD_KINDS, key
     if section != "attack":
         assert rule.needs_f == ("f" in signature)
@@ -53,6 +66,92 @@ def test_row_name_parses(section, name, rule):
     cfg = parse_config(tiny_config_text("/tmp/x", **{section: [entry]}))
     rules = {"aggregator": cfg.aggregators, "pre_aggregators": cfg.pre_aggregators, "attack": cfg.attacks}[section]
     assert [r.name for r in rules] == [name]
+
+
+def running_mean(xs, f: int, weight: float, floor: float = 1.0, history=None):
+    """A new aggregator: the mean of every weighted call so far, plus floor."""
+    history.append(weight * np.asarray(xs).mean(axis=0))
+    return np.mean(history, axis=0) + floor
+
+
+def noisy_copies(xs, copies: int, scale: float = 1.0, rng=None):
+    """A new pre-aggregator: ``copies`` stacked copies of the rows plus noise."""
+    xs = np.tile(xs, (copies, 1))
+    return xs + scale * rng.standard_normal(xs.shape)
+
+
+NEW_ROWS = {
+    "aggregator": (AGGREGATORS, "RunningMean", Rule(
+        running_mean, {"weight": Param(float), "floor": Param(float, POSITIVE)}, needs_f=True,
+        carried={"history": lambda rng: []},
+    )),
+    "pre_aggregators": (PRE_AGGREGATORS, "NoisyCopies", Rule(
+        noisy_copies, {"copies": Param(int, at_least(1)), "scale": Param(float, POSITIVE)},
+        carried={"rng": lambda rng: rng},
+    )),
+}
+
+
+@pytest.fixture
+def new_rows(monkeypatch):
+    for table, name, rule in NEW_ROWS.values():
+        monkeypatch.setitem(table, name, rule)
+
+
+@pytest.mark.parametrize(
+    "section, parameters, message",
+    [
+        ("aggregator", {}, "RunningMean requires parameter weight"),
+        ("aggregator", {"weight": 2, "floor": -0.5}, "RunningMean parameter floor must be positive, got -0.5"),
+        ("pre_aggregators", {}, "NoisyCopies requires parameter copies"),
+        ("pre_aggregators", {"copies": 0}, "NoisyCopies parameter copies must be >= 1, got 0"),
+        ("pre_aggregators", {"copies": 1, "scale": 0}, "NoisyCopies parameter scale must be positive, got 0.0"),
+    ],
+    ids=["missing-weight", "floor-negative", "missing-copies", "copies-0", "scale-0"],
+)
+def test_new_row_bounds_and_required_parameters_checked_at_parse_time(new_rows, section, parameters, message):
+    name = NEW_ROWS[section][1]
+    with pytest.raises(ValueError, match=message):
+        parse_config(tiny_config_text("/tmp/x", **{section: [{"name": name, "parameters": parameters}]}))
+
+
+def test_new_rows_run_and_keep_their_state_across_calls(new_rows, tmp_path):
+    cfg = parse_config(tiny_config_text(
+        tmp_path,
+        aggregator=[{"name": "RunningMean", "parameters": {"weight": 2}}],
+        pre_aggregators=[{"name": "NoisyCopies", "parameters": {"copies": 2, "scale": 0.5}}],
+    ))
+    key = expand_grid(cfg)[0]
+    assert key.server_token == "RunningMean-weight2_NoisyCopies"
+    assert run_single(cfg, key).steps == [0, 2, 4]
+
+    xs = np.arange(6.0).reshape(3, 2)
+    pre = PreAggregatorSpec("NoisyCopies", params={"copies": 2})
+    pipeline = build_pipeline(AggregatorSpec("RunningMean", params={"weight": 2}), [pre], np.random.default_rng(5))
+    stream, history = np.random.default_rng(5), []
+    for _ in range(3):
+        rows = np.tile(xs, (2, 1)) + stream.standard_normal((6, 2))
+        history.append(2.0 * rows.mean(axis=0))
+        np.testing.assert_array_equal(pipeline(xs), np.mean(history, axis=0) + 1.0)
+    assert len(pipeline.aggregator.carried["history"]) == 3
+    with pytest.raises(ValueError, match="NoisyCopies requires a seeded numpy Generator"):
+        build_pipeline(AggregatorSpec("RunningMean", params={"weight": 2}), [pre])
+
+
+def test_every_trace_target_resolves_in_its_owner():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing.trace_targets()
+    for owner, attr, _, _ in targets:
+        assert callable(vars(owner).get(attr)), f"{owner.__name__}.{attr}"
+    tracer = tracing.Tracer()
+    pipeline = build_pipeline(AggregatorSpec("TrMean", f=1), [PreAggregatorSpec("NNM", f=1)])
+    honest = np.arange(12.0).reshape(4, 3) ** 0.5
+    with tracer.installed(targets):
+        optimize_attack_scale(AttackContext(honest, 1, pipeline), a_little_is_enough, (0.0, 1.0))
+    assert {"attacks.clone", "preaggregators.Pipeline", "preaggregators.NNM", "aggregators.TrMean",
+            "numerics.pairwise_sq_dists"} <= set(tracer.labels)
 
 
 @pytest.mark.parametrize("name", list(DISTRIBUTIONS))
@@ -83,7 +182,8 @@ def test_cli_attack_prints_attack_vector(capsys, tmp_path, name, tau):
     honest = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 7.0], [0.5, 8.0, 9.0]])
     argv = ["attack", "--name", name, "--input", str(path)] + ([] if tau is None else ["--tau", str(tau)])
     assert entrypoint(argv) == 0
-    expected = attack_vector(AttackSpec(name, scale=tau), AttackContext(honest, 0, None))
+    params = {} if tau is None else {"tau": tau}
+    expected = attack_vector(AttackSpec(name, params=params), AttackContext(honest, 0, None))
     assert capsys.readouterr().out.strip() == ",".join(format_value(v) for v in expected)
 
 
