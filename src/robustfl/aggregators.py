@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Mapping, NamedTuple
@@ -302,9 +303,9 @@ class Rule:
     def cast(self, name: str, params: Mapping) -> dict:
         """Config ``params`` checked against the row and cast to its types.
 
-        Unknown keys, missing required ones, non-numbers, non-integral values
-        of an int parameter and values outside their bound raise
-        ``ValueError``; ``3.0`` is accepted as the int 3.
+        Unknown keys, missing required ones, non-numbers, NaN, infinities,
+        non-integral values of an int parameter and values outside their
+        bound raise ``ValueError``; ``3.0`` is accepted as the int 3.
         """
         unknown = set(params) - set(self.params)
         if unknown:
@@ -321,6 +322,8 @@ class Rule:
             if kind is int and not float(value).is_integer():
                 raise ValueError(f"{where} must be an integer, got {value!r}")
             cast[key] = kind(value) if bound is None else bound.check(kind(value), where)
+            if not math.isfinite(cast[key]):
+                raise ValueError(f"{where} must be finite, got {value!r}")
         return cast
 
     def carry(self, name: str, rng: np.random.Generator | None) -> dict:
@@ -347,7 +350,7 @@ AGGREGATORS: dict[str, Rule] = {
     "MDA": Rule(mda, needs_f=True),
     "CenteredClipping": Rule(centered_clipping, {"tau": Param(float, POSITIVE), "iters": Param(int, at_least(1))},
                              carried={"state": lambda rng: CenteredClipState()}),
-    "MoNNA": Rule(monna, {"pivot": Param(int)}, needs_f=True),
+    "MoNNA": Rule(monna, {"pivot": Param(int, at_least(0))}, needs_f=True),
     "SMEA": Rule(smea, needs_f=True),
     "CAF": Rule(caf, needs_f=True),
 }

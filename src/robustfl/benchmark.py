@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -38,7 +39,7 @@ from .models import (
     load_idx,
     make_blobs,
 )
-from .preaggregators import Pipeline, PreAggregatorSpec, build_pipeline
+from .preaggregators import PreAggregatorSpec, build_pipeline
 from .seeding import derive_rng
 from .simulator import (
     ByzantineClientGroup,
@@ -162,14 +163,17 @@ _NOUNS = {int: "an integer", float: "a number", bool: "a boolean", str: "a non-e
 
 def _typed(kind: type, bound: Bound | None = None) -> Callable:
     """Reader for a JSON value of type ``kind`` that lies in ``bound``. A float
-    may be written as an integer; a bool is no number, and a string is not
-    empty."""
+    may be written as an integer and is finite; a bool is no number, and a
+    string is not empty."""
     accepted = (int, float) if kind is float else kind
 
     def read(value, where):
         if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool) or value == "":
             raise ValueError(f"{where} must be {_NOUNS[kind]}, got {value!r}")
-        return kind(value) if bound is None else bound.check(kind(value), where)
+        value = kind(value) if bound is None else bound.check(kind(value), where)
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"{where} must be finite, got {value!r}")
+        return value
 
     return read
 
@@ -444,8 +448,13 @@ class ExperimentKey:
         return self.distribution_name if dist is None else dist.token
 
     @property
+    def parameter_token(self) -> str:
+        """The distribution parameter as run ids and plots spell it."""
+        return _number_token(self.distribution_parameter)
+
+    @property
     def run_id(self) -> str:
-        dist = f"{self.distribution_token}{_number_token(self.distribution_parameter)}"
+        dist = f"{self.distribution_token}{self.parameter_token}"
         return "_".join([self.server_token, self.attack_token, f"f{self.f}", dist, f"seed{self.seed}"])
 
     def to_json_dict(self) -> dict:
@@ -516,12 +525,6 @@ class ExperimentResult:
     client_losses: list[list[float]] | None = None
 
 
-def _build_run_pipeline(cfg: BenchmarkConfig, key: ExperimentKey, seed: int) -> Pipeline:
-    agg_spec = AggregatorSpec(key.aggregator.name, f=key.f, params=dict(key.aggregator.parameters))
-    pre_specs = [PreAggregatorSpec(p.name, f=key.f, params=dict(p.parameters)) for p in key.pre_aggregators]
-    return build_pipeline(agg_spec, pre_specs, rng=derive_rng(seed, "bucketing"))
-
-
 def run_single(cfg: BenchmarkConfig, key: ExperimentKey) -> ExperimentResult:
     """Execute one grid point from scratch and return its evaluation series."""
     seed = key.seed
@@ -531,7 +534,11 @@ def run_single(cfg: BenchmarkConfig, key: ExperimentKey) -> ExperimentResult:
     )
     arch = ARCHS[cfg.model.name](cfg.model, train.features.shape[1], train.n_classes)
     schedule = LrSchedule(cfg.model.learning_rate, cfg.model.learning_rate_decay, tuple(cfg.model.milestones))
-    pipeline = _build_run_pipeline(cfg, key, seed)
+    pipeline = build_pipeline(
+        AggregatorSpec(key.aggregator.name, f=key.f, params=dict(key.aggregator.parameters)),
+        [PreAggregatorSpec(p.name, f=key.f, params=dict(p.parameters)) for p in key.pre_aggregators],
+        rng=derive_rng(seed, "bucketing"),
+    )
     hc, n = cfg.honest_clients, cfg.nb_honest_clients
 
     def client(index: int, rows: np.ndarray, stream: str, flip: bool = False) -> HonestClient:

@@ -15,6 +15,11 @@ from pathlib import Path
 from .benchmark import ExperimentResult
 from .svgplot import render_heatmap, render_line_chart
 
+# A board is (server setup, distribution family). A cell is (f, parameter,
+# the parameter as the run id spells it), and maps each attack to its runs
+# in seed order.
+Board = dict[tuple[int, float, str], dict[str, list[ExperimentResult]]]
+
 
 def worst_case_maximal_accuracy(series_by_attack: dict[str, list[list[float]]]) -> float:
     """Min over attacks of the seed-averaged best accuracy along each run.
@@ -43,6 +48,47 @@ def _mean_series(seed_series: list[list[float]], label: str, warnings: list[str]
     return [sum(s[i] for s in seed_series) / len(seed_series) for i in range(length)]
 
 
+def _boards(results: list[ExperimentResult]) -> dict[tuple[str, str], Board]:
+    boards: dict[tuple[str, str], Board] = defaultdict(lambda: defaultdict(lambda: defaultdict(list)))
+    for result in sorted(results, key=lambda r: r.key.seed):
+        key = result.key
+        cell = (key.f, key.distribution_parameter, key.parameter_token)
+        boards[(key.server_token, key.distribution_token)][cell][key.attack_token].append(result)
+    return boards
+
+
+def _report(results: list[ExperimentResult], out_dir, charts) -> tuple[list[Path], list[str]]:
+    """Write the CSV and SVG of every (stem, CSV rows, SVG) that
+    ``charts(boards, warnings)`` yields; returns the paths and warnings."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if not results:
+        return [], ["no completed runs to plot"]
+    files: list[Path] = []
+    warnings: list[str] = []
+    for stem, rows, svg in charts(_boards(results), warnings):
+        for path, text in ((out / f"{stem}.csv", "\n".join(rows) + "\n"), (out / f"{stem}.svg", svg)):
+            path.write_text(text)
+            files.append(path)
+    return files, warnings
+
+
+def _curves(boards: dict[tuple[str, str], Board], warnings: list[str]):
+    # Charts come in (server setup, f, family, parameter) order, the order of the returned paths.
+    cells = [(token, f, dist, param, label, by_attack)
+             for (token, dist), board in boards.items() for (f, param, label), by_attack in board.items()]
+    for token, f, dist, _, label, by_attack in sorted(cells, key=lambda cell: cell[:4]):
+        stem = f"curve_{token}_f{f}_{dist}{label}"
+        attacks = sorted(by_attack)
+        columns = {a: _mean_series([r.test_accuracy for r in by_attack[a]], f"{stem}/{a}", warnings) for a in attacks}
+        length = min(len(col) for col in columns.values())
+        steps = max((r.steps for r in by_attack[attacks[0]]), key=len)[:length]
+        rows = ["step," + ",".join(attacks)]
+        rows += [",".join([str(steps[i])] + [repr(float(columns[a][i])) for a in attacks]) for i in range(length)]
+        series = [(a, [float(s) for s in steps], columns[a][:length]) for a in attacks]
+        yield stem, rows, render_line_chart(series, f"{token} f={f} {dist}={label}", "step", "test accuracy")
+
+
 def emit_curves(results: list[ExperimentResult], out_dir) -> tuple[list[Path], list[str]]:
     """Write one accuracy-vs-step chart (CSV + SVG) per configuration.
 
@@ -50,42 +96,37 @@ def emit_curves(results: list[ExperimentResult], out_dir) -> tuple[list[Path], l
     parameter); each chart carries one seed-averaged line per attack.
     Returns the written paths and any warnings.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if not results:
-        return [], ["no completed runs to plot"]
-    groups: dict[tuple, dict[str, list[ExperimentResult]]] = defaultdict(lambda: defaultdict(list))
-    for result in results:
-        key = result.key
-        group = (key.server_token, key.f, key.distribution_token, key.distribution_parameter)
-        groups[group][key.attack_token].append(result)
+    return _report(results, out_dir, _curves)
 
-    files: list[Path] = []
-    warnings: list[str] = []
-    for (token, f, dist, param), by_attack in sorted(groups.items()):
-        stem = f"curve_{token}_f{f}_{dist}{param:g}"
-        attacks = sorted(by_attack)
-        columns: dict[str, list[float]] = {}
-        steps: list[int] = []
-        for attack in attacks:
-            runs = sorted(by_attack[attack], key=lambda r: r.key.seed)
-            columns[attack] = _mean_series([r.test_accuracy for r in runs], f"{stem}/{attack}", warnings)
-            steps = max((r.steps for r in runs), key=len) if not steps else steps
-        length = min(len(col) for col in columns.values())
-        steps = steps[:length]
 
-        lines = ["step," + ",".join(attacks)]
-        for i in range(length):
-            lines.append(",".join([str(steps[i])] + [repr(float(columns[a][i])) for a in attacks]))
-        csv_path = out / f"{stem}.csv"
-        csv_path.write_text("\n".join(lines) + "\n")
-        svg_path = out / f"{stem}.svg"
-        series = [(a, [float(s) for s in steps], columns[a][:length]) for a in attacks]
-        svg_path.write_text(
-            render_line_chart(series, f"{token} f={f} {dist}={param:g}", "step", "test accuracy", y_range=(0.0, 1.0))
-        )
-        files.extend([csv_path, svg_path])
-    return files, warnings
+def _heatmaps(boards: dict[tuple[str, str], Board], warnings: list[str]):
+    for (token, dist), board in sorted(boards.items()):
+        stem = f"heatmap_{token}_{dist}"
+        f_values = sorted({f for f, _, _ in board})
+        params = sorted({(param, label) for _, param, label in board})
+        all_attacks = {a for cell in board.values() for a in cell}
+        grid: list[list[float]] = []
+        for f in f_values:
+            row = []
+            for param, label in params:
+                cell = board.get((f, param, label))
+                if not cell:
+                    warnings.append(f"{stem}: no runs for f={f}, parameter={label}")
+                    row.append(math.nan)
+                    continue
+                if set(cell) != all_attacks:
+                    missing = sorted(all_attacks - set(cell))
+                    warnings.append(f"{stem}: f={f}, parameter={label} lacks attacks {missing}")
+                series = {attack: [r.test_accuracy for r in runs] for attack, runs in cell.items()}
+                row.append(worst_case_maximal_accuracy(series))
+            grid.append(row)
+        labels = [label for _, label in params]
+        rows = ["f," + ",".join(labels)]
+        rows += [",".join([str(f)] + ["" if math.isnan(v) else repr(float(v)) for v in row])
+                 for f, row in zip(f_values, grid)]
+        svg = render_heatmap(grid, [f"f={f}" for f in f_values], labels, f"{token} ({dist})",
+                             "distribution parameter", "Byzantine clients")
+        yield stem, rows, svg
 
 
 def emit_heatmaps(results: list[ExperimentResult], out_dir) -> tuple[list[Path], list[str]]:
@@ -95,64 +136,4 @@ def emit_heatmaps(results: list[ExperimentResult], out_dir) -> tuple[list[Path],
     ascending; a cell with no completed runs renders as missing. Returns the
     written paths and any warnings.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if not results:
-        return [], ["no completed runs to plot"]
-    boards: dict[tuple, dict[tuple, dict[str, list[ExperimentResult]]]] = defaultdict(
-        lambda: defaultdict(lambda: defaultdict(list))
-    )
-    for result in results:
-        key = result.key
-        boards[(key.server_token, key.distribution_token)][(key.f, key.distribution_parameter)][
-            key.attack_token
-        ].append(result)
-
-    files: list[Path] = []
-    warnings: list[str] = []
-    for (token, dist), cells in sorted(boards.items()):
-        f_values = sorted({f for f, _ in cells})
-        params = sorted({p for _, p in cells})
-        all_attacks = {a for cell in cells.values() for a in cell}
-        grid: list[list[float]] = []
-        for f in f_values:
-            row = []
-            for param in params:
-                cell = cells.get((f, param))
-                if not cell:
-                    warnings.append(f"heatmap_{token}_{dist}: no runs for f={f}, parameter={param:g}")
-                    row.append(math.nan)
-                    continue
-                if set(cell) != all_attacks:
-                    missing = sorted(all_attacks - set(cell))
-                    warnings.append(
-                        f"heatmap_{token}_{dist}: f={f}, parameter={param:g} lacks attacks {missing}"
-                    )
-                series = {
-                    attack: [r.test_accuracy for r in sorted(runs, key=lambda r: r.key.seed)]
-                    for attack, runs in cell.items()
-                }
-                row.append(worst_case_maximal_accuracy(series))
-            grid.append(row)
-
-        stem = f"heatmap_{token}_{dist}"
-        lines = ["f," + ",".join(f"{p:g}" for p in params)]
-        for f, row in zip(f_values, grid):
-            cells_text = ["" if math.isnan(v) else repr(float(v)) for v in row]
-            lines.append(",".join([str(f)] + cells_text))
-        csv_path = out / f"{stem}.csv"
-        csv_path.write_text("\n".join(lines) + "\n")
-        svg_path = out / f"{stem}.svg"
-        svg_path.write_text(
-            render_heatmap(
-                grid,
-                [f"f={f}" for f in f_values],
-                [f"{p:g}" for p in params],
-                f"{token} ({dist})",
-                "distribution parameter",
-                "Byzantine clients",
-                value_range=(0.0, 1.0),
-            )
-        )
-        files.extend([csv_path, svg_path])
-    return files, warnings
+    return _report(results, out_dir, _heatmaps)

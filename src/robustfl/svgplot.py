@@ -1,9 +1,11 @@
 """Dependency-free SVG emitters for accuracy curves and heatmaps.
 
-Hand-rolled on purpose: every coordinate is formatted with fixed precision
-and elements are emitted in a fixed order, so the same inputs always produce
-byte-identical files. That keeps rendered artifacts diffable and lets tests
-assert on them directly.
+Both draw accuracies in one frame (a plot box inside fixed margins, axis
+labels around it), so the line chart's vertical axis and the heatmap's
+color ramp span the fixed interval [0, 1]. Hand-rolled on purpose: every
+coordinate is formatted with fixed precision and elements are emitted in a
+fixed order, so the same inputs always produce byte-identical files. That
+keeps rendered artifacts diffable and lets tests assert on them directly.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ MARGIN_LEFT = 80.0
 MARGIN_RIGHT = 170.0
 MARGIN_TOP = 50.0
 MARGIN_BOTTOM = 60.0
+PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 FONT = 'font-family="Helvetica,Arial,sans-serif" font-size="12"'
 
 LINE_COLORS = (
@@ -83,17 +87,25 @@ def _header(title: str) -> list[str]:
     ]
 
 
+def _axis_labels(x_label: str, y_label: str) -> list[str]:
+    """The x label centred under the plot box, the y label turned along its left side."""
+    return [
+        f'<text x="{_fmt(MARGIN_LEFT + PLOT_W / 2)}" y="{_fmt(HEIGHT - 14)}" text-anchor="middle" '
+        f"{FONT}>{_escape(x_label)}</text>",
+        f'<text x="18" y="{_fmt(MARGIN_TOP + PLOT_H / 2)}" text-anchor="middle" {FONT} '
+        f'transform="rotate(-90 18 {_fmt(MARGIN_TOP + PLOT_H / 2)})">{_escape(y_label)}</text>',
+    ]
+
+
 def render_line_chart(
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     title: str,
     x_label: str,
     y_label: str,
-    y_range: tuple[float, float] | None = None,
 ) -> str:
     """Render labeled (x, y) series as one fixed-size line chart.
 
-    ``y_range`` pins the vertical axis (accuracy charts use (0, 1)); when
-    omitted the axis spans the data.
+    The horizontal axis spans the data; the vertical axis spans [0, 1].
     """
     if not series:
         raise ValueError("line chart needs at least one series")
@@ -101,50 +113,38 @@ def render_line_chart(
         if len(xs) != len(ys) or not xs:
             raise ValueError(f"series {label!r} needs equal, nonzero x and y lengths")
     x_lo, x_hi = _span([x for _, xs, _ in series for x in xs])
-    y_lo, y_hi = y_range if y_range is not None else _span([y for _, _, ys in series for y in ys])
-    if y_hi <= y_lo:
-        raise ValueError(f"y_range must be increasing, got {y_range}")
-    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     def px(x: float) -> float:
-        return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * PLOT_W
 
     def py(y: float) -> float:
-        return MARGIN_TOP + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return MARGIN_TOP + PLOT_H - y * PLOT_H
 
     parts = _header(title)
     parts.append(
-        f'<rect x="{_fmt(MARGIN_LEFT)}" y="{_fmt(MARGIN_TOP)}" width="{_fmt(plot_w)}" '
-        f'height="{_fmt(plot_h)}" fill="none" stroke="#000000"/>'
+        f'<rect x="{_fmt(MARGIN_LEFT)}" y="{_fmt(MARGIN_TOP)}" width="{_fmt(PLOT_W)}" '
+        f'height="{_fmt(PLOT_H)}" fill="none" stroke="#000000"/>'
     )
     for tick in _ticks(x_lo, x_hi):
         x = px(tick)
         parts.append(
             f'<line x1="{_fmt(x)}" y1="{_fmt(MARGIN_TOP)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(MARGIN_TOP + plot_h)}" stroke="#dddddd"/>'
+            f'y2="{_fmt(MARGIN_TOP + PLOT_H)}" stroke="#dddddd"/>'
         )
         parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(MARGIN_TOP + plot_h + 18)}" text-anchor="middle" '
+            f'<text x="{_fmt(x)}" y="{_fmt(MARGIN_TOP + PLOT_H + 18)}" text-anchor="middle" '
             f"{FONT}>{tick:g}</text>"
         )
-    for tick in _ticks(y_lo, y_hi):
+    for tick in _ticks(0.0, 1.0):
         y = py(tick)
         parts.append(
-            f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(y)}" x2="{_fmt(MARGIN_LEFT + plot_w)}" '
+            f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(y)}" x2="{_fmt(MARGIN_LEFT + PLOT_W)}" '
             f'y2="{_fmt(y)}" stroke="#dddddd"/>'
         )
         parts.append(
             f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" text-anchor="end" {FONT}>{tick:.3g}</text>'
         )
-    parts.append(
-        f'<text x="{_fmt(MARGIN_LEFT + plot_w / 2)}" y="{_fmt(HEIGHT - 14)}" text-anchor="middle" '
-        f"{FONT}>{_escape(x_label)}</text>"
-    )
-    parts.append(
-        f'<text x="18" y="{_fmt(MARGIN_TOP + plot_h / 2)}" text-anchor="middle" {FONT} '
-        f'transform="rotate(-90 18 {_fmt(MARGIN_TOP + plot_h / 2)})">{_escape(y_label)}</text>'
-    )
+    parts += _axis_labels(x_label, y_label)
     for i, (label, xs, ys) in enumerate(series):
         color = LINE_COLORS[i % len(LINE_COLORS)]
         points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
@@ -169,28 +169,17 @@ def render_heatmap(
     title: str,
     x_label: str,
     y_label: str,
-    value_range: tuple[float, float] | None = None,
 ) -> str:
-    """Render a labeled grid of floats; NaN cells turn gray with a dash.
+    """Render a labeled grid of values in [0, 1]; NaN cells turn gray with a dash.
 
-    ``value_range`` fixes the color ramp domain (accuracy grids use (0, 1));
-    when omitted the ramp spans the finite cell values.
+    A value's color is its place on the ramp, which spans [0, 1].
     """
     n_rows, n_cols = len(row_labels), len(col_labels)
     if n_rows == 0 or n_cols == 0:
         raise ValueError("heatmap needs at least one row and one column")
     if len(values) != n_rows or any(len(row) != n_cols for row in values):
         raise ValueError("heatmap values must match the label grid shape")
-    if value_range is not None:
-        v_lo, v_hi = value_range
-        if v_hi <= v_lo:
-            raise ValueError(f"value_range must be increasing, got {value_range}")
-    else:
-        finite = [v for row in values for v in row if not math.isnan(v)]
-        v_lo, v_hi = (min(finite), max(finite)) if finite else (0.0, 1.0)
-    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-    cell_w, cell_h = plot_w / n_cols, plot_h / n_rows
+    cell_w, cell_h = PLOT_W / n_cols, PLOT_H / n_rows
 
     parts = _header(title)
     for r in range(n_rows):
@@ -201,8 +190,7 @@ def render_heatmap(
             if math.isnan(value):
                 fill, text, text_color = MISSING_CELL_FILL, MISSING_CELL_TEXT, "#000000"
             else:
-                t = 0.5 if v_hi == v_lo else (value - v_lo) / (v_hi - v_lo)
-                fill = ramp_color(t)
+                fill = ramp_color(value)
                 text, text_color = _fmt(value), _text_color_for(fill)
             parts.append(
                 f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" '
@@ -218,15 +206,8 @@ def render_heatmap(
     for c, label in enumerate(col_labels):
         x = MARGIN_LEFT + (c + 0.5) * cell_w
         parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(MARGIN_TOP + plot_h + 18)}" text-anchor="middle" {FONT}>{_escape(label)}</text>'
+            f'<text x="{_fmt(x)}" y="{_fmt(MARGIN_TOP + PLOT_H + 18)}" text-anchor="middle" {FONT}>{_escape(label)}</text>'
         )
-    parts.append(
-        f'<text x="{_fmt(MARGIN_LEFT + plot_w / 2)}" y="{_fmt(HEIGHT - 14)}" text-anchor="middle" '
-        f"{FONT}>{_escape(x_label)}</text>"
-    )
-    parts.append(
-        f'<text x="18" y="{_fmt(MARGIN_TOP + plot_h / 2)}" text-anchor="middle" {FONT} '
-        f'transform="rotate(-90 18 {_fmt(MARGIN_TOP + plot_h / 2)})">{_escape(y_label)}</text>'
-    )
+    parts += _axis_labels(x_label, y_label)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,6 +1,7 @@
 """Shared benchmark-config fixtures for the test suite."""
 
 import json
+import math
 
 SAMPLE_CONFIG = """\
 {
@@ -105,3 +106,32 @@ def tiny_config_text(results_dir, **tweaks) -> str:
             node = node[part]
         node[last] = value
     return json.dumps(raw)
+
+
+# Config tweaks that write NaN or an infinity where a number goes, each with
+# the parse error it must raise: a bound's own words where the value fails
+# the bound, else "must be finite".
+NON_FINITE_CASES = {
+    "learning_rate-inf": ({"model.learning_rate": math.inf}, "model.learning_rate must be finite, got inf"),
+    "learning_rate-minus-inf": ({"model.learning_rate": -math.inf}, "model.learning_rate must be positive, got -inf"),
+    "spread-nan": (
+        {"model.dataset_params.spread": math.nan},
+        "model.dataset_params.spread must be nonnegative, got nan",
+    ),
+    "weight_decay-inf": (
+        {"honest_clients.weight_decay": math.inf},
+        "honest_clients.weight_decay must be finite, got inf",
+    ),
+    "dirichlet-inf": (
+        {"benchmark_config.data_distribution": [{"name": "dirichlet_niid", "distribution_parameter": [math.inf]}]},
+        "benchmark_config.data_distribution[0].distribution_parameter[0] must be finite, got inf",
+    ),
+    "alie-tau-nan": (
+        {"attack": [{"name": "ALittleIsEnough", "parameters": {"tau": math.nan}}]},
+        "ALittleIsEnough parameter tau must be finite, got nan",
+    ),
+    "clipping-c-inf": (
+        {"pre_aggregators": [{"name": "Clipping", "parameters": {"c": math.inf}}]},
+        "Clipping parameter c must be finite, got inf",
+    ),
+}

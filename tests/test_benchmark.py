@@ -8,7 +8,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
-from config_fixtures import SAMPLE_CONFIG, tiny_config_text
+from config_fixtures import NON_FINITE_CASES, SAMPLE_CONFIG, tiny_config_text
+from hypothesis import given
+from hypothesis import strategies as st
 
 from robustfl import benchmark
 from robustfl.benchmark import (
@@ -179,8 +181,10 @@ class TestParseConfig:
              "CenteredClipping parameter tau must be positive, got -1.5"),
             ("aggregator", {"name": "CenteredClipping", "parameters": {"iters": 0}},
              "CenteredClipping parameter iters must be >= 1, got 0"),
+            ("aggregator", {"name": "MoNNA", "parameters": {"pivot": -1}},
+             "MoNNA parameter pivot must be >= 0, got -1"),
         ],
-        ids=["pivot-1.5", "iters-2.5", "s-2.5", "tau-string", "tau-0", "tau-negative", "iters-0"],
+        ids=["pivot-1.5", "iters-2.5", "s-2.5", "tau-string", "tau-0", "tau-negative", "iters-0", "pivot-negative"],
     )
     def test_rule_parameter_values_checked_eagerly(self, section, rule, message):
         with pytest.raises(ValueError, match=message):
@@ -306,6 +310,11 @@ class TestSchema:
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config(tiny_config_text("/tmp/x", **tweaks))
 
+    @pytest.mark.parametrize("tweaks, message", NON_FINITE_CASES.values(), ids=NON_FINITE_CASES)
+    def test_nan_and_infinity_rejected_naming_the_path_or_parameter(self, tweaks, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(tiny_config_text("/tmp/x", **tweaks))
+
     def test_defaults_are_applied_and_typed_at_parse_time(self):
         tweaks = {**fedavg(local_steps_per_client=3), "model.dataset_params": {"dim": 7}}
         cfg = parse_config(tiny_config_text("/tmp/x", **tweaks))
@@ -379,6 +388,21 @@ class TestExperimentKey:
         assert run_id(0.3333332) == "TrMean_SignFlipping_f1_gamma0.3333332_seed0"
         # A value that six significant digits already give exactly keeps its short id.
         assert run_id(0.333333) == "TrMean_SignFlipping_f1_gamma0.333333_seed0"
+
+    @staticmethod
+    def gamma_key(gamma: float) -> ExperimentKey:
+        return ExperimentKey(RuleConfig("TrMean"), [], RuleConfig("SignFlipping"), 1, "gamma_similarity_niid", gamma, 0)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_parameter_token_reads_back_as_its_value(self, value):
+        key = self.gamma_key(value)
+        assert float(key.parameter_token) == value
+        assert key.run_id.endswith(f"_gamma{key.parameter_token}_seed0")
+
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False))
+    def test_distinct_parameters_get_distinct_tokens(self, a, b):
+        if a != b:
+            assert self.gamma_key(a).parameter_token != self.gamma_key(b).parameter_token
 
     def test_json_round_trip(self):
         key = ExperimentKey(

@@ -4,7 +4,7 @@ import logging
 
 import numpy as np
 import pytest
-from config_fixtures import SAMPLE_CONFIG, tiny_config_text
+from config_fixtures import NON_FINITE_CASES, SAMPLE_CONFIG, tiny_config_text
 
 from robustfl.cli import entrypoint, format_value
 
@@ -278,6 +278,14 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--config", str(cfg))
         assert code == 1
         assert "momentum" in err
+
+    @pytest.mark.parametrize("tweaks, message", NON_FINITE_CASES.values(), ids=NON_FINITE_CASES)
+    def test_nan_or_infinity_exits_one_naming_the_field(self, capsys, tmp_path, tweaks, message):
+        cfg = tmp_path / "non_finite.json"
+        cfg.write_text(tiny_config_text(tmp_path / "results", **tweaks))
+        code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert message in err
 
     def test_misspelt_nested_key_exits_one_naming_its_path(self, capsys, tmp_path):
         cfg = tmp_path / "typo.json"

@@ -104,6 +104,15 @@ class TestEmitCurves:
         for i, row in enumerate(rows):
             assert row.split(",")[1] == repr(sum((a[i], b[i])) / 2)
 
+    def test_seeds_enter_in_seed_order_whatever_the_input_order(self, tmp_path):
+        # Float addition is not associative: 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1.
+        results = [make_result([value], seed=seed) for seed, value in ((2, 0.3), (1, 0.2), (0, 0.1))]
+        curve, _ = emit_curves(results, tmp_path / "curve")
+        heatmap, _ = emit_heatmaps(results, tmp_path / "heatmap")
+        expected = repr((0.1 + 0.2 + 0.3) / 3)
+        assert curve[0].read_text().splitlines()[1] == f"0,{expected}"
+        assert heatmap[0].read_text().splitlines()[1] == f"1,{expected}"
+
     def test_groups_split_by_configuration(self, tmp_path):
         results = [
             make_result([0.5], aggregator="TrMean", pre_aggregators=("Clipping", "NNM"), f=2,
@@ -236,6 +245,30 @@ class TestEmitHeatmaps:
         assert files == [] and warnings == ["no completed runs to plot"]
 
 
+class TestParameterSpelling:
+    """Plots spell a distribution parameter the way its run id does."""
+
+    CLOSE = (0.3333331, 0.3333332)  # both read 0.333333 in :g form
+
+    def close_results(self):
+        return [make_result([0.5, 0.6], attack=attack, distribution_parameter=gamma)
+                for gamma in self.CLOSE for attack in ("SignFlipping", "ALittleIsEnough")]
+
+    def test_close_parameters_get_their_own_curves(self, tmp_path):
+        files, _ = emit_curves(self.close_results(), tmp_path)
+        names = [p.name for p in files]
+        assert names == [f"curve_Median_f1_gamma{g}.{ext}" for g in self.CLOSE for ext in ("csv", "svg")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+        assert "gamma=0.3333332" in files[3].read_text()
+
+    def test_close_parameters_get_their_own_heatmap_columns(self, tmp_path):
+        files, warnings = emit_heatmaps(self.close_results(), tmp_path)
+        assert warnings == []
+        assert files[0].read_text().splitlines()[0] == "f,0.3333331,0.3333332"
+        svg = files[1].read_text()
+        assert ">0.3333331<" in svg and ">0.3333332<" in svg
+
+
 class TestSvgPrimitives:
     def test_ramp_endpoints_and_midpoint(self):
         assert ramp_color(0.0) == "#440154"
@@ -246,8 +279,8 @@ class TestSvgPrimitives:
 
     def test_line_chart_is_deterministic(self):
         series = [("run", [0.0, 1.0, 2.0], [0.1, 0.5, 0.9])]
-        first = render_line_chart(series, "t", "x", "y", y_range=(0.0, 1.0))
-        assert first == render_line_chart(series, "t", "x", "y", y_range=(0.0, 1.0))
+        first = render_line_chart(series, "t", "x", "y")
+        assert first == render_line_chart(series, "t", "x", "y")
         assert first.startswith("<svg ") and first.endswith("</svg>\n")
 
     def test_line_chart_validation(self):
@@ -255,11 +288,9 @@ class TestSvgPrimitives:
             render_line_chart([], "t", "x", "y")
         with pytest.raises(ValueError, match="equal, nonzero"):
             render_line_chart([("bad", [0.0], [])], "t", "x", "y")
-        with pytest.raises(ValueError, match="y_range must be increasing"):
-            render_line_chart([("a", [0.0], [0.0])], "t", "x", "y", y_range=(1.0, 1.0))
 
     def test_heatmap_nan_cell(self):
-        svg = render_heatmap([[0.5, math.nan]], ["f=1"], ["0.1", "0.9"], "t", "x", "y", value_range=(0.0, 1.0))
+        svg = render_heatmap([[0.5, math.nan]], ["f=1"], ["0.1", "0.9"], "t", "x", "y")
         assert ">–<" in svg and "#d9d9d9" in svg
 
     def test_heatmap_shape_validation(self):

@@ -2,6 +2,7 @@
 stay in step with the library's rule tables."""
 
 import importlib.util
+import sys
 import time
 from pathlib import Path
 
@@ -39,3 +40,19 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
     assert [row[1] for row in rules if row[-2] == "skipped"] == ["MDA", "SMEA"]
     # "attack search" is two words, so the name is the third.
     assert [row[2] for row in rows if row[0] == "attack"] == ["Optimal_ALIE", "Optimal_IPM"]
+
+
+def test_demo_prints_the_three_rows_the_readme_quotes(monkeypatch, capsys):
+    demo = load_script("demo_robustness", monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["demo_robustness.py", "--steps", "2", "--delta", "1"])
+    demo.main()
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["attack", "server", "f", "best", "final"]
+    assert [row[:-2] for row in rows] == [
+        ["none", "Average", "0"],
+        ["IPM", "tau=5", "Average", "2"],
+        ["IPM", "tau=5", "TrMean", "+", "NNM", "2"],
+    ]
+    for row in rows:
+        best, final = map(float, row[-2:])
+        assert 0.0 <= final <= best <= 1.0
