@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Median milliseconds per call of every aggregation rule and pre-aggregator.
+"""Median milliseconds per call of every aggregation rule and pre-aggregator,
+of two attack searches and of the models' gradient.
 
     PYTHONPATH=src python3 scripts/microbench_rules.py
 
@@ -14,8 +15,11 @@ runs with c = 1. Two last rows time one whole Optimal_ALittleIsEnough and
 one whole Optimal_InnerProductManipulation search (``optimize_attack_scale``
 over the default 41-point grid) against TrMean behind NNM on the n - f
 honest rows of the last shape; the first is the per-step attack cost of the
-``mnist_optimal`` workload. One BLAS thread is used, as in the benchmark's
-workers.
+``mnist_optimal`` workload. Two model rows time one ``loss_and_gradient``
+call on a seeded batch of 25 (n is the batch, d the parameter count): the
+linear 10 -> 3 model of ``sample_grid``, where this call is most of the time,
+and the 784 -> 64 -> 10 MLP of the ``mnist_*`` workloads. One BLAS thread is
+used, as in the benchmark's workers.
 """
 
 import os
@@ -42,6 +46,7 @@ from robustfl.attacks import (  # noqa: E402
     inner_product_manipulation,
     optimize_attack_scale,
 )
+from robustfl.models import LinearArch, MlpArch, init_params, loss_and_gradient, param_count  # noqa: E402
 from robustfl.preaggregators import (  # noqa: E402
     PRE_AGGREGATOR_NAMES,
     ConfiguredPreAggregator,
@@ -55,6 +60,8 @@ BUDGET_S = 0.5
 MIN_CALLS, MAX_CALLS = 3, 100
 SUBSET_RULES = ("MDA", "SMEA")
 SEARCHES = (("Optimal_ALIE", a_little_is_enough), ("Optimal_IPM", inner_product_manipulation))
+MODELS = (("linear", LinearArch(10, 3)), ("mlp", MlpArch(784, 64, 10)))
+MODEL_BATCH = 25
 
 
 def attacked_rows(n: int, d: int, f: int, rng: np.random.Generator) -> np.ndarray:
@@ -106,6 +113,13 @@ def main() -> int:
     for name, base in SEARCHES:
         ms, calls = median_ms(lambda rows: optimize_attack_scale(AttackContext(rows, f, pipeline), base), honest)
         print(f"{'attack search':<15} {name:<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")
+    rng = np.random.default_rng(SEED)
+    for name, arch in MODELS:
+        flat = init_params(arch, rng)
+        features = rng.normal(size=(MODEL_BATCH, arch.in_dim))
+        labels = rng.integers(0, arch.n_classes, MODEL_BATCH)
+        ms, calls = median_ms(lambda x: loss_and_gradient(arch, flat, x, labels), features)
+        print(f"{'model':<15} {name:<17} {MODEL_BATCH:>3} {param_count(arch):>6} {'-':>2} {ms:>10.4f} {calls:>6}")
     return 0
 
 

@@ -18,8 +18,8 @@ from typing import Callable, ClassVar, Mapping, NamedTuple
 
 import numpy as np
 
-from .datadist import POSITIVE, Bound, at_least
-from .numerics import as_vector_set, pairwise_sq_dists, top_eigenpair
+from .datadist import POSITIVE, Bound, at_least, read_as
+from .numerics import as_vector_set, check_f, pairwise_sq_dists, top_eigenpair
 
 # Exhaustive subset rules (MDA, SMEA) enumerate C(n, n - f) candidates and
 # refuse inputs beyond this many rows.
@@ -36,13 +36,6 @@ DEFAULT_CLIP_RADIUS = 100.0
 DEFAULT_CLIP_STEPS = 1
 
 
-def _check_f(name: str, n: int, f: int, minimum: int, inequality: str) -> None:
-    if f < 0:
-        raise ValueError(f"{name} requires f >= 0, got f={f}")
-    if n < minimum:
-        raise ValueError(f"{name} requires {inequality} (got n={n}, f={f})")
-
-
 def average(xs) -> np.ndarray:
     """Coordinate-wise mean of all rows."""
     return as_vector_set(xs).mean(axis=0)
@@ -56,7 +49,7 @@ def median(xs) -> np.ndarray:
 def trmean(xs, f: int) -> np.ndarray:
     """Trimmed mean: drop the f smallest and f largest values per coordinate."""
     xs = as_vector_set(xs)
-    _check_f("TrMean", len(xs), f, 2 * f + 1, "n > 2f")
+    check_f("TrMean", len(xs), f, 2 * f + 1, "n > 2f")
     return np.sort(xs, axis=0)[f : len(xs) - f].mean(axis=0)
 
 
@@ -114,7 +107,7 @@ def multi_krum(xs, f: int) -> np.ndarray:
     n - f - 1 nearest other rows."""
     xs = as_vector_set(xs)
     n = len(xs)
-    _check_f("MultiKrum", n, f, f + 2, "n >= f + 2")
+    check_f("MultiKrum", n, f, f + 2, "n >= f + 2")
     d2 = pairwise_sq_dists(xs)
     np.fill_diagonal(d2, np.inf)
     scores = np.sort(d2, axis=1)[:, : n - f - 1].sum(axis=1)
@@ -127,7 +120,7 @@ def meamed(xs, f: int) -> np.ndarray:
     median."""
     xs = as_vector_set(xs)
     n = len(xs)
-    _check_f("MeaMed", n, f, f + 1, "n > f")
+    check_f("MeaMed", n, f, f + 1, "n > f")
     deviations = np.abs(xs - np.median(xs, axis=0))
     order = np.argsort(deviations, axis=0, kind="stable")
     kept = np.take_along_axis(xs, order[: n - f], axis=0)
@@ -145,7 +138,7 @@ def mda(xs, f: int) -> np.ndarray:
     """
     xs = as_vector_set(xs)
     n = len(xs)
-    _check_f("MDA", n, f, f + 1, "n > f")
+    check_f("MDA", n, f, f + 1, "n > f")
     if n > SUBSET_ENUMERATION_LIMIT:
         raise ValueError(f"MDA enumerates subsets and requires n <= {SUBSET_ENUMERATION_LIMIT}, got n={n}")
     d2 = pairwise_sq_dists(xs)
@@ -206,7 +199,7 @@ def monna(xs, f: int, pivot: int = 0) -> np.ndarray:
     """Mean of the n - f rows nearest to the pivot row (itself included)."""
     xs = as_vector_set(xs)
     n = len(xs)
-    _check_f("MoNNA", n, f, f + 1, "n > f")
+    check_f("MoNNA", n, f, f + 1, "n > f")
     if not 0 <= pivot < n:
         raise ValueError(f"pivot must lie in [0, {n}), got {pivot}")
     d2 = np.einsum("ij,ij->i", xs - xs[pivot], xs - xs[pivot])
@@ -223,7 +216,7 @@ def smea(xs, f: int) -> np.ndarray:
     """
     xs = as_vector_set(xs)
     n = len(xs)
-    _check_f("SMEA", n, f, f + 1, "n > f")
+    check_f("SMEA", n, f, f + 1, "n > f")
     if n > SUBSET_ENUMERATION_LIMIT:
         raise ValueError(f"SMEA enumerates subsets and requires n <= {SUBSET_ENUMERATION_LIMIT}, got n={n}")
     best_subset = None
@@ -249,7 +242,7 @@ def caf(xs, f: int) -> np.ndarray:
     """
     xs = as_vector_set(xs)
     n = len(xs)
-    _check_f("CAF", n, f, f + 1, "n > f")
+    check_f("CAF", n, f, f + 1, "n > f")
     w = np.ones(n)
     mu = xs.mean(axis=0)
     for _ in range(SPECTRAL_FILTER_MAX_STEPS):
@@ -319,10 +312,10 @@ class Rule:
             where = f"{name} parameter {key}"
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{where} must be a number, got {value!r}")
-            if kind is int and not float(value).is_integer():
+            if kind is int and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
                 raise ValueError(f"{where} must be an integer, got {value!r}")
-            cast[key] = kind(value) if bound is None else bound.check(kind(value), where)
-            if not math.isfinite(cast[key]):
+            cast[key] = read_as(kind, value) if bound is None else bound.check(read_as(kind, value), where)
+            if kind is float and not math.isfinite(cast[key]):
                 raise ValueError(f"{where} must be finite, got {value!r}")
         return cast
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .aggregators import AggregatorSpec
 from .attacks import AttackSpec
-from .datadist import DISTRIBUTIONS, POSITIVE, Bound, LabeledDataset, at_least, make_partition
+from .datadist import DISTRIBUTIONS, POSITIVE, Bound, LabeledDataset, at_least, make_partition, read_as
 from .models import (
     DEFAULT_HIDDEN_UNITS,
     LinearArch,
@@ -43,7 +43,6 @@ from .preaggregators import PreAggregatorSpec, build_pipeline
 from .seeding import derive_rng
 from .simulator import (
     ByzantineClientGroup,
-    FedAvgParams,
     HonestClient,
     ServerState,
     dsgd_step,
@@ -170,10 +169,10 @@ def _typed(kind: type, bound: Bound | None = None) -> Callable:
     def read(value, where):
         if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool) or value == "":
             raise ValueError(f"{where} must be {_NOUNS[kind]}, got {value!r}")
-        value = kind(value) if bound is None else bound.check(kind(value), where)
-        if kind is float and not math.isfinite(value):
+        typed = read_as(kind, value) if bound is None else bound.check(read_as(kind, value), where)
+        if kind is float and not math.isfinite(typed):
             raise ValueError(f"{where} must be finite, got {value!r}")
-        return value
+        return typed
 
     return read
 
@@ -552,10 +551,7 @@ def run_single(cfg: BenchmarkConfig, key: ExperimentKey) -> ExperimentResult:
         flip_clients = [client(n + j, partition.assignments[j % n], f"byz.{j}", flip=True) for j in range(key.f)]
     byz = ByzantineClientGroup(key.f, attack_spec, flip_clients)
     server = ServerState(arch, init_params(arch, derive_rng(seed, "init")), pipeline, schedule)
-    fedavg = None
-    if cfg.training_algorithm.name == "FedAvg":
-        params = cfg.training_algorithm.parameters
-        fedavg = FedAvgParams(params["proportion_selected_clients"], params["local_steps_per_client"])
+    fedavg = cfg.training_algorithm.parameters if cfg.training_algorithm.name == "FedAvg" else None
     sampling_rng = derive_rng(seed, "sampling")
 
     union = np.concatenate(partition.assignments)
@@ -577,7 +573,7 @@ def run_single(cfg: BenchmarkConfig, key: ExperimentKey) -> ExperimentResult:
         if fedavg is None:
             dsgd_step(server, clients, byz)
         else:
-            fedavg_round(server, clients, byz, fedavg, sampling_rng)
+            fedavg_round(server, clients, byz, **fedavg, sampling_rng=sampling_rng)
         if step % cfg.evaluation.evaluation_delta == 0 or step == cfg.nb_steps:
             record(step)
 

@@ -56,6 +56,14 @@ class Bound(NamedTuple):
         return value
 
 
+def read_as(kind: type, value):
+    """``kind(value)``, but an int too large for a float reads as a float +-inf."""
+    try:
+        return kind(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def at_least(low: int) -> Bound:
     """The numbers that are ``low`` or more."""
     return Bound(lambda v: v >= low, f"be >= {low}")

@@ -2,17 +2,20 @@
 schedule, and the dataset providers they train on.
 
 Parameters live in one flat float64 vector so client updates can flow
-straight into the aggregation stack. Two architectures: multinomial logistic
-regression and a one-hidden-layer ReLU network, both trained with the mean
-cross-entropy loss computed from stable log-softmax.
+straight into the aggregation stack. Each architecture (multinomial logistic
+regression, one ReLU hidden layer) is a stack of dense layers given by its
+widths, trained with the mean cross-entropy loss from stable log-softmax.
 """
 
 from __future__ import annotations
 
 import gzip
+import itertools
+import math
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,83 +28,77 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
+class _LayerStack:
+    """Base of the architecture records: frozen dataclasses whose fields, in
+    order, are the layer widths from the input to the classes."""
+
+    def __post_init__(self) -> None:
+        *names, classes = (f.name for f in fields(self))
+        *inner, n_classes = widths = astuple(self)
+        if min(inner) < 1 or n_classes < 2:
+            raise ValueError(f"need {' >= 1, '.join(names)} >= 1 and {classes} >= 2, got {widths}")
+
+    @cached_property
+    def layers(self) -> tuple[tuple[tuple[int, int], slice, slice], ...]:
+        """(weight shape (n_out, n_in), weight slice, bias slice) of every
+        dense layer in the flat parameter vector, input side first."""
+        layers, start = [], 0
+        for n_in, n_out in itertools.pairwise(astuple(self)):
+            end = start + n_out * n_in
+            layers.append(((n_out, n_in), slice(start, end), slice(end, end + n_out)))
+            start = end + n_out
+        return tuple(layers)
+
+
 @dataclass(frozen=True)
-class LinearArch:
+class LinearArch(_LayerStack):
     """Logistic regression: a (n_classes, in_dim) weight matrix plus biases."""
 
     in_dim: int
     n_classes: int
 
-    def __post_init__(self) -> None:
-        if self.in_dim < 1 or self.n_classes < 2:
-            raise ValueError(f"need in_dim >= 1 and n_classes >= 2, got ({self.in_dim}, {self.n_classes})")
-
 
 @dataclass(frozen=True)
-class MlpArch:
+class MlpArch(_LayerStack):
     """One ReLU hidden layer between input and the class logits."""
 
     in_dim: int
     hidden: int
     n_classes: int
 
-    def __post_init__(self) -> None:
-        if self.in_dim < 1 or self.hidden < 1 or self.n_classes < 2:
-            raise ValueError(
-                f"need in_dim, hidden >= 1 and n_classes >= 2, got ({self.in_dim}, {self.hidden}, {self.n_classes})"
-            )
-
 
 Arch = LinearArch | MlpArch
 
 
 def param_count(arch: Arch) -> int:
-    if isinstance(arch, LinearArch):
-        return arch.n_classes * arch.in_dim + arch.n_classes
-    return arch.hidden * arch.in_dim + arch.hidden + arch.n_classes * arch.hidden + arch.n_classes
+    return arch.layers[-1][2].stop  # where the last layer's biases end
 
 
 def init_params(arch: Arch, rng: np.random.Generator) -> np.ndarray:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
-    if isinstance(arch, LinearArch):
-        bound = 1.0 / np.sqrt(arch.in_dim)
-        w = rng.uniform(-bound, bound, arch.n_classes * arch.in_dim)
-        return np.concatenate([w, np.zeros(arch.n_classes)])
-    b1 = 1.0 / np.sqrt(arch.in_dim)
-    w1 = rng.uniform(-b1, b1, arch.hidden * arch.in_dim)
-    b2 = 1.0 / np.sqrt(arch.hidden)
-    w2 = rng.uniform(-b2, b2, arch.n_classes * arch.hidden)
-    return np.concatenate([w1, np.zeros(arch.hidden), w2, np.zeros(arch.n_classes)])
+    parts = []
+    for (n_out, n_in), _, _ in arch.layers:
+        bound = 1.0 / np.sqrt(n_in)
+        parts += [rng.uniform(-bound, bound, n_out * n_in), np.zeros(n_out)]
+    return np.concatenate(parts)
 
 
-def _unpack_linear(arch: LinearArch, flat: np.ndarray):
-    split = arch.n_classes * arch.in_dim
-    return flat[:split].reshape(arch.n_classes, arch.in_dim), flat[split:]
-
-
-def _unpack_mlp(arch: MlpArch, flat: np.ndarray):
-    d, h, c = arch.in_dim, arch.hidden, arch.n_classes
-    o1, o2, o3 = h * d, h * d + h, h * d + h + c * h
-    return flat[:o1].reshape(h, d), flat[o1:o2], flat[o2:o3].reshape(c, h), flat[o3:]
-
-
-def _check_flat(arch: Arch, flat: np.ndarray) -> np.ndarray:
+def _forward(arch: Arch, flat: np.ndarray, features: np.ndarray):
+    """The float64 parameter vector, checked against ``arch``, every layer's
+    input (ReLU applied after the first layer) and the scores."""
     flat = np.asarray(flat, dtype=np.float64)
-    expected = param_count(arch)
-    if flat.shape != (expected,):
-        raise ValueError(f"expected {expected} parameters for {arch}, got shape {flat.shape}")
-    return flat
+    if flat.shape != (param_count(arch),):
+        raise ValueError(f"expected {param_count(arch)} parameters for {arch}, got shape {flat.shape}")
+    inputs, out = [], features
+    for shape, weights, biases in arch.layers:
+        inputs.append(np.maximum(out, 0.0) if inputs else out)
+        out = inputs[-1] @ flat[weights].reshape(shape).T + flat[biases]
+    return flat, inputs, out
 
 
 def logits(arch: Arch, flat: np.ndarray, features: np.ndarray) -> np.ndarray:
     """(batch, n_classes) scores; hidden activations use ReLU."""
-    flat = _check_flat(arch, flat)
-    if isinstance(arch, LinearArch):
-        w, b = _unpack_linear(arch, flat)
-        return features @ w.T + b
-    w1, b1, w2, b2 = _unpack_mlp(arch, flat)
-    hidden = np.maximum(features @ w1.T + b1, 0.0)
-    return hidden @ w2.T + b2
+    return _forward(arch, flat, features)[2]
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -129,36 +126,18 @@ def loss_and_gradient(
     d(loss)/d(logits) = (softmax - onehot) / batch, and the ReLU subgradient
     at exactly zero is taken as zero.
     """
-    flat = _check_flat(arch, flat)
-    batch = len(labels)
-    rows = np.arange(batch)
-    if isinstance(arch, LinearArch):
-        w, b = _unpack_linear(arch, flat)
-        scores = features @ w.T + b
-        logp = _log_softmax(scores)
-        dscores = np.exp(logp)
-        dscores[rows, labels] -= 1.0
-        dscores /= batch
-        grad = np.concatenate([(dscores.T @ features).ravel(), dscores.sum(axis=0)])
-        loss = float(-logp[rows, labels].mean())
-        return loss, grad
-    w1, b1, w2, b2 = _unpack_mlp(arch, flat)
-    pre = features @ w1.T + b1
-    hidden = np.maximum(pre, 0.0)
-    scores = hidden @ w2.T + b2
+    flat, inputs, scores = _forward(arch, flat, features)
+    rows = np.arange(len(labels))
     logp = _log_softmax(scores)
-    dscores = np.exp(logp)
-    dscores[rows, labels] -= 1.0
-    dscores /= batch
-    dhidden = (dscores @ w2) * (pre > 0.0)
-    grad = np.concatenate(
-        [
-            (dhidden.T @ features).ravel(),
-            dhidden.sum(axis=0),
-            (dscores.T @ hidden).ravel(),
-            dscores.sum(axis=0),
-        ]
-    )
+    delta = np.exp(logp)
+    delta[rows, labels] -= 1.0
+    delta /= len(labels)
+    grad = np.empty_like(flat)
+    for (shape, weights, biases), inp in zip(reversed(arch.layers), reversed(inputs)):
+        grad[weights] = (delta.T @ inp).ravel()
+        grad[biases] = delta.sum(axis=0)
+        if inp is not features:
+            delta = (delta @ flat[weights].reshape(shape)) * (inp > 0.0)
     loss = float(-logp[rows, labels].mean())
     return loss, grad
 
@@ -226,10 +205,24 @@ def make_blobs(
     return LabeledDataset(features[order], labels[order], n_classes)
 
 
-def _open_maybe_gzip(path: Path):
+def _read_idx(path: Path, magic: int, what: str) -> tuple[list[int], bytes]:
+    """Dimensions and payload bytes of one IDX file that must carry ``magic``,
+    whose low byte gives the number of dimensions and so the header length."""
+    header_len = 4 * (1 + (magic & 0xFF))
     with open(path, "rb") as probe:
-        magic = probe.read(2)
-    return gzip.open(path, "rb") if magic == b"\x1f\x8b" else open(path, "rb")
+        gzipped = probe.read(2) == b"\x1f\x8b"
+    with (gzip.open if gzipped else open)(path, "rb") as fh:
+        header = fh.read(header_len)
+        if len(header) < header_len:
+            raise ValueError(f"{path}: truncated IDX header")
+        found, *dims = struct.unpack(f">{header_len // 4}I", header)
+        if found != magic:
+            raise ValueError(f"{path}: bad magic {found:#010x}, expected {magic:#010x}")
+        size = math.prod(dims)
+        payload = fh.read(size)
+        if len(payload) < size:
+            raise ValueError(f"{path}: truncated {what} payload")
+    return dims, payload
 
 
 def load_idx(images_path, labels_path) -> LabeledDataset:
@@ -240,30 +233,11 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     image/label count mismatch. Gzip-compressed files are detected and
     decompressed transparently.
     """
-    images_path, labels_path = Path(images_path), Path(labels_path)
-    with _open_maybe_gzip(images_path) as fh:
-        header = fh.read(16)
-        if len(header) < 16:
-            raise ValueError(f"{images_path}: truncated IDX header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGES_MAGIC:
-            raise ValueError(f"{images_path}: bad magic {magic:#010x}, expected {IDX_IMAGES_MAGIC:#010x}")
-        payload = fh.read(count * rows * cols)
-        if len(payload) < count * rows * cols:
-            raise ValueError(f"{images_path}: truncated image payload")
-    with _open_maybe_gzip(labels_path) as fh:
-        header = fh.read(8)
-        if len(header) < 8:
-            raise ValueError(f"{labels_path}: truncated IDX header")
-        magic, label_count = struct.unpack(">II", header)
-        if magic != IDX_LABELS_MAGIC:
-            raise ValueError(f"{labels_path}: bad magic {magic:#010x}, expected {IDX_LABELS_MAGIC:#010x}")
-        raw_labels = fh.read(label_count)
-        if len(raw_labels) < label_count:
-            raise ValueError(f"{labels_path}: truncated label payload")
+    (count, rows, cols), pixels = _read_idx(Path(images_path), IDX_IMAGES_MAGIC, "image")
+    (label_count,), raw_labels = _read_idx(Path(labels_path), IDX_LABELS_MAGIC, "label")
     if count != label_count:
         raise ValueError(f"image/label count mismatch: {count} images vs {label_count} labels")
-    features = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols).astype(np.float64) / 255.0
+    features = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols).astype(np.float64) / 255.0
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
     n_classes = max(int(labels.max()) + 1, 2)
     return LabeledDataset(features, labels, n_classes)

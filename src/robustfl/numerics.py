@@ -39,6 +39,14 @@ def as_vector_set(xs) -> np.ndarray:
     return arr
 
 
+def check_f(name: str, n: int, f: int, minimum: int, inequality: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless f >= 0 and n >= ``minimum`` (the ``inequality``)."""
+    if f < 0:
+        raise ValueError(f"{name} requires f >= 0, got f={f}")
+    if n < minimum:
+        raise ValueError(f"{name} requires {inequality} (got n={n}, f={f})")
+
+
 def block_rows(row_elements: int) -> int:
     """Rows per block so that a block of ``row_elements``-sized rows stays
     within ``BLOCK_ELEMENTS`` (always at least one row)."""

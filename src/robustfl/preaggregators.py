@@ -17,7 +17,7 @@ import numpy as np
 
 from .aggregators import AggregatorSpec, ConfiguredAggregator, Param, Rule, RuleSpec, make_aggregator
 from .datadist import POSITIVE, at_least
-from .numerics import as_vector_set, block_rows, pairwise_sq_dists, pairwise_sq_dists_with_copies
+from .numerics import as_vector_set, block_rows, check_f, pairwise_sq_dists, pairwise_sq_dists_with_copies
 
 DEFAULT_BUCKET_SIZE = 2
 
@@ -68,10 +68,7 @@ def nnm(xs, f: int, memo: NeighbourMeans | None = None) -> np.ndarray:
     """
     xs = as_vector_set(xs)
     n, d = xs.shape
-    if f < 0:
-        raise ValueError(f"NNM requires f >= 0, got f={f}")
-    if n <= f:
-        raise ValueError(f"NNM requires n > f (got n={n}, f={f})")
+    check_f("NNM", n, f, f + 1, "n > f")
     sq_dists = pairwise_sq_dists(xs) if memo is None else memo.sq_dists(xs)
     neighbours = np.argsort(sq_dists, axis=1, kind="stable")[:, : n - f]
     # numpy reduces a gather of one-coordinate rows pairwise, not in order.
@@ -139,10 +136,7 @@ def arc(xs, f: int) -> np.ndarray:
     """
     xs = as_vector_set(xs)
     n = len(xs)
-    if f < 0:
-        raise ValueError(f"ARC requires f >= 0, got f={f}")
-    if n <= f:
-        raise ValueError(f"ARC requires n > f (got n={n}, f={f})")
+    check_f("ARC", n, f, f + 1, "n > f")
     k = (2 * f * (n - f)) // n
     out = xs.copy()
     if k == 0:

@@ -11,7 +11,8 @@ rows first (ordered by client id) followed by f Byzantine rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -70,15 +71,16 @@ class HonestClient:
         y = self.dataset.labels[batch]
         return (self.dataset.n_classes - 1) - y if self.flip_labels else y
 
+    def _momentum_step(self, arch: Arch, params: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """``buf`` advanced by the weight-decayed gradient at ``params`` on the next mini-batch."""
+        features, labels = self._next_batch()
+        self.last_loss, grad = loss_and_gradient(arch, params, features, labels)
+        return self.momentum * buf + (grad + self.weight_decay * params)
+
     def compute_update(self, arch: Arch, flat: np.ndarray) -> np.ndarray:
         """Momentum gradient on the next mini-batch (the DSGD submission)."""
-        features, labels = self._next_batch()
-        loss, grad = loss_and_gradient(arch, flat, features, labels)
-        self.last_loss = loss
-        effective = grad + self.weight_decay * flat
-        if self.momentum_buf is None:
-            self.momentum_buf = np.zeros_like(flat)
-        self.momentum_buf = self.momentum * self.momentum_buf + effective
+        buf = np.zeros_like(flat) if self.momentum_buf is None else self.momentum_buf
+        self.momentum_buf = self._momentum_step(arch, flat, buf)
         return self.momentum_buf.copy()
 
     def local_delta(self, arch: Arch, flat: np.ndarray, lr: float, local_steps: int) -> np.ndarray:
@@ -90,19 +92,13 @@ class HonestClient:
         local = flat.copy()
         buf = np.zeros_like(flat)
         for _ in range(local_steps):
-            features, labels = self._next_batch()
-            loss, grad = loss_and_gradient(arch, local, features, labels)
-            self.last_loss = loss
-            buf = self.momentum * buf + (grad + self.weight_decay * local)
+            buf = self._momentum_step(arch, local, buf)
             local = local - lr * buf
         return local - flat
 
     def partition_loss(self, arch: Arch, flat: np.ndarray) -> float:
         """Mean loss over this client's entire partition."""
-        features = self.dataset.features[self.indices]
-        labels = self._labels(self.indices)
-        loss, _ = forward_loss(arch, flat, features, labels)
-        return loss
+        return forward_loss(arch, flat, self.dataset.features[self.indices], self._labels(self.indices))[0]
 
 
 class ByzantineClientGroup:
@@ -119,38 +115,29 @@ class ByzantineClientGroup:
             raise ValueError(f"f must be nonnegative, got {f}")
         if f > 0 and attack is None:
             raise ValueError("an attack descriptor is required when f > 0")
-        if attack is not None and attack.name == "LabelFlipping":
-            if f > 0 and (flip_clients is None or len(flip_clients) != f):
-                raise ValueError(f"LabelFlipping needs one flip client per Byzantine seat ({f})")
+        if f > 0 and attack.name == "LabelFlipping" and len(flip_clients or []) != f:
+            raise ValueError(f"LabelFlipping needs one flip client per Byzantine seat ({f})")
         self.f = f
         self.attack = attack
         self.flip_clients = flip_clients or []
 
-    def gradient_rows(self, honest: np.ndarray, pipeline: Pipeline, arch: Arch, flat: np.ndarray) -> np.ndarray:
-        """(f, d) Byzantine submissions for one DSGD step."""
+    def _rows(self, honest: np.ndarray, pipeline: Pipeline, submit: Callable[[HonestClient], np.ndarray]) -> np.ndarray:
+        """(f, d) Byzantine rows: each flip client's ``submit``, or f copies of the attack vector."""
         if self.f == 0:
             return np.zeros((0, honest.shape[1]))
         if self.attack.name == "LabelFlipping":
-            return np.stack([c.compute_update(arch, flat) for c in self.flip_clients])
-        vector = attack_vector(self.attack, AttackContext(honest, self.f, pipeline))
-        return np.tile(vector, (self.f, 1))
+            return np.stack([submit(c) for c in self.flip_clients])
+        return np.tile(attack_vector(self.attack, AttackContext(honest, self.f, pipeline)), (self.f, 1))
+
+    def gradient_rows(self, honest: np.ndarray, pipeline: Pipeline, arch: Arch, flat: np.ndarray) -> np.ndarray:
+        """(f, d) Byzantine submissions for one DSGD step."""
+        return self._rows(honest, pipeline, lambda c: c.compute_update(arch, flat))
 
     def delta_rows(
-        self,
-        honest_deltas: np.ndarray,
-        pipeline: Pipeline,
-        arch: Arch,
-        flat: np.ndarray,
-        lr: float,
-        local_steps: int,
+        self, honest_deltas: np.ndarray, pipeline: Pipeline, arch: Arch, flat: np.ndarray, lr: float, local_steps: int
     ) -> np.ndarray:
         """(f, d) Byzantine submissions for one federated averaging round."""
-        if self.f == 0:
-            return np.zeros((0, honest_deltas.shape[1]))
-        if self.attack.name == "LabelFlipping":
-            return np.stack([c.local_delta(arch, flat, lr, local_steps) for c in self.flip_clients])
-        vector = attack_vector(self.attack, AttackContext(honest_deltas, self.f, pipeline))
-        return np.tile(vector, (self.f, 1))
+        return self._rows(honest_deltas, pipeline, lambda c: c.local_delta(arch, flat, lr, local_steps))
 
 
 @dataclass
@@ -164,53 +151,40 @@ class ServerState:
     step: int = 0
 
 
-@dataclass
-class FedAvgParams:
-    """Client sampling fraction and local steps per sampled client."""
-
-    proportion: float
-    local_steps: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.proportion <= 1.0:
-            raise ValueError(f"proportion must lie in (0, 1], got {self.proportion}")
-        if self.local_steps < 1:
-            raise ValueError(f"local_steps must be >= 1, got {self.local_steps}")
+def _aggregate_and_apply(server: ServerState, honest: np.ndarray, byz_rows: np.ndarray, scale: float) -> None:
+    """Add ``scale`` times the aggregate of the honest then the Byzantine rows to the model."""
+    stacked = np.vstack([honest, byz_rows]) if len(byz_rows) else honest
+    server.flat = server.flat + scale * server.pipeline(stacked)
+    server.step += 1
 
 
 def dsgd_step(server: ServerState, clients: list[HonestClient], byz: ByzantineClientGroup) -> None:
     """One synchronous distributed-SGD step; mutates the server in place."""
     honest = np.stack([c.compute_update(server.arch, server.flat) for c in clients])
     byz_rows = byz.gradient_rows(honest, server.pipeline, server.arch, server.flat)
-    stacked = np.vstack([honest, byz_rows]) if len(byz_rows) else honest
-    aggregate = server.pipeline(stacked)
-    server.flat = server.flat - server.schedule.lr_at(server.step) * aggregate
-    server.step += 1
+    _aggregate_and_apply(server, honest, byz_rows, -server.schedule.lr_at(server.step))
 
 
 def fedavg_round(
     server: ServerState,
     clients: list[HonestClient],
     byz: ByzantineClientGroup,
-    params: FedAvgParams,
+    proportion_selected_clients: float,
+    local_steps_per_client: int,
     sampling_rng: np.random.Generator,
 ) -> None:
     """One federated averaging round; mutates the server in place.
 
-    ceil(proportion * n) honest clients are sampled without replacement and
-    their deltas aggregated together with the Byzantine rows; the aggregate
-    delta is added to the model.
+    ceil(proportion_selected_clients * n) honest clients are sampled without
+    replacement, each runs local_steps_per_client local SGD steps, and the
+    aggregate of their deltas and the Byzantine rows is added to the model.
     """
     n = len(clients)
-    k = math.ceil(params.proportion * n)
-    chosen = np.sort(sampling_rng.choice(n, size=k, replace=False))
+    chosen = np.sort(sampling_rng.choice(n, size=math.ceil(proportion_selected_clients * n), replace=False))
     lr = server.schedule.lr_at(server.step)
-    deltas = np.stack([clients[i].local_delta(server.arch, server.flat, lr, params.local_steps) for i in chosen])
-    byz_rows = byz.delta_rows(deltas, server.pipeline, server.arch, server.flat, lr, params.local_steps)
-    stacked = np.vstack([deltas, byz_rows]) if len(byz_rows) else deltas
-    aggregate = server.pipeline(stacked)
-    server.flat = server.flat + aggregate
-    server.step += 1
+    deltas = np.stack([clients[i].local_delta(server.arch, server.flat, lr, local_steps_per_client) for i in chosen])
+    byz_rows = byz.delta_rows(deltas, server.pipeline, server.arch, server.flat, lr, local_steps_per_client)
+    _aggregate_and_apply(server, deltas, byz_rows, 1.0)
 
 
 def evaluate_accuracy(arch: Arch, flat: np.ndarray, dataset: LabeledDataset) -> float:

@@ -108,9 +108,12 @@ def tiny_config_text(results_dir, **tweaks) -> str:
     return json.dumps(raw)
 
 
-# Config tweaks that write NaN or an infinity where a number goes, each with
-# the parse error it must raise: a bound's own words where the value fails
-# the bound, else "must be finite".
+# An integer literal too large for a float (401 digits).
+HUGE_INT = 10**400
+
+# Config tweaks that write NaN, an infinity or ``HUGE_INT`` where a float
+# goes, each with the parse error it must raise: a bound's own words where
+# the value fails the bound, else "must be finite".
 NON_FINITE_CASES = {
     "learning_rate-inf": ({"model.learning_rate": math.inf}, "model.learning_rate must be finite, got inf"),
     "learning_rate-minus-inf": ({"model.learning_rate": -math.inf}, "model.learning_rate must be positive, got -inf"),
@@ -133,5 +136,17 @@ NON_FINITE_CASES = {
     "clipping-c-inf": (
         {"pre_aggregators": [{"name": "Clipping", "parameters": {"c": math.inf}}]},
         "Clipping parameter c must be finite, got inf",
+    ),
+    "learning_rate-401-digits": (
+        {"model.learning_rate": HUGE_INT},
+        f"model.learning_rate must be finite, got {HUGE_INT}",
+    ),
+    "centered-clipping-tau-401-digits": (
+        {"aggregator": [{"name": "CenteredClipping", "parameters": {"tau": HUGE_INT}}]},
+        f"CenteredClipping parameter tau must be finite, got {HUGE_INT}",
+    ),
+    "minus-401-digits-fails-the-bound": (
+        {"honest_clients.weight_decay": -HUGE_INT},
+        "honest_clients.weight_decay must be nonnegative, got -inf",
     ),
 }

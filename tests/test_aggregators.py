@@ -442,6 +442,17 @@ class TestAggregatorSpec:
         agg = make_aggregator(AggregatorSpec("MoNNA", f=1, params={"pivot": 2}))
         np.testing.assert_allclose(agg(x3), [5.5, 6.5, 7.5], rtol=1e-12)
 
+    def test_int_parameter_too_large_for_a_float_is_read_exactly(self, x3):
+        spec = AggregatorSpec("MoNNA", f=1, params={"pivot": 10**400})
+        assert spec.params["pivot"] == 10**400
+        with pytest.raises(ValueError, match=r"pivot must lie in \[0, 3\)"):
+            make_aggregator(spec)(x3)
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+    def test_float_parameter_too_large_for_a_float_is_a_value_error(self, sign):
+        with pytest.raises(ValueError, match="CenteredClipping parameter tau must be"):
+            AggregatorSpec("CenteredClipping", params={"tau": sign * 10**400})
+
     @pytest.mark.parametrize("name", AGGREGATOR_NAMES)
     def test_dispatch_matches_direct_call(self, name, x3):
         configured = make_aggregator(AggregatorSpec(name, f=1))(x3)

@@ -290,6 +290,7 @@ class TestSchema:
         "tweaks, message",
         [
             (fedavg(local_steps_per_client=2.7), f"{FEDAVG_PATH}.local_steps_per_client must be an integer, got 2.7"),
+            (fedavg(local_steps_per_client=0), f"{FEDAVG_PATH}.local_steps_per_client must be >= 1, got 0"),
             (
                 fedavg(proportion_selected_clients="0.5"),
                 f"{FEDAVG_PATH}.proportion_selected_clients must be a number, got '0.5'",
@@ -304,7 +305,7 @@ class TestSchema:
                 f"{DISTRIBUTION_PATH}.distribution_parameter[0] must be positive, got -1.0",
             ),
         ],
-        ids=["local_steps-2.7", "proportion-string", "dim-2.5", "gamma-1.5", "alpha-negative"],
+        ids=["local_steps-2.7", "local_steps-0", "proportion-string", "dim-2.5", "gamma-1.5", "alpha-negative"],
     )
     def test_mistyped_or_out_of_range_value_names_its_dotted_path(self, tweaks, message):
         with pytest.raises(ValueError, match=re.escape(message)):

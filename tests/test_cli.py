@@ -4,7 +4,7 @@ import logging
 
 import numpy as np
 import pytest
-from config_fixtures import NON_FINITE_CASES, SAMPLE_CONFIG, tiny_config_text
+from config_fixtures import HUGE_INT, NON_FINITE_CASES, SAMPLE_CONFIG, tiny_config_text
 
 from robustfl.cli import entrypoint, format_value
 
@@ -122,6 +122,12 @@ class TestAgg:
         code, _, err = run_cli(capsys, "agg", "--rule", "TrMean", "--f", "2", "--input", x3_csv)
         assert code == 1
         assert "TrMean requires n > 2f" in err
+
+    def test_param_too_large_for_a_float_exits_one(self, capsys, x3_csv):
+        param = f"tau={HUGE_INT}"
+        code, _, err = run_cli(capsys, "agg", "--rule", "CenteredClipping", "--param", param, "--input", x3_csv)
+        assert code == 1
+        assert "CenteredClipping parameter tau must be finite" in err
 
     def test_bad_param_value_is_a_usage_error(self, capsys, x3_csv):
         code, _, err = run_cli(capsys, "agg", "--rule", "CenteredClipping", "--param", "tau=big", "--input", x3_csv)

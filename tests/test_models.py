@@ -1,5 +1,6 @@
 import gzip
 import math
+import re
 import struct
 
 import numpy as np
@@ -105,6 +106,107 @@ class TestGradient:
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-5
             assert loss == forward_loss(arch, flat, feats, labels)[0]
+
+
+def reference_unpack(arch, flat):
+    """Weight matrices and bias vectors of the two hand-written layouts."""
+    if isinstance(arch, LinearArch):
+        split = arch.n_classes * arch.in_dim
+        return flat[:split].reshape(arch.n_classes, arch.in_dim), flat[split:]
+    d, h, c = arch.in_dim, arch.hidden, arch.n_classes
+    o1, o2, o3 = h * d, h * d + h, h * d + h + c * h
+    return flat[:o1].reshape(h, d), flat[o1:o2], flat[o2:o3].reshape(c, h), flat[o3:]
+
+
+def reference_init_params(arch, rng):
+    if isinstance(arch, LinearArch):
+        bound = 1.0 / np.sqrt(arch.in_dim)
+        w = rng.uniform(-bound, bound, arch.n_classes * arch.in_dim)
+        return np.concatenate([w, np.zeros(arch.n_classes)])
+    b1 = 1.0 / np.sqrt(arch.in_dim)
+    w1 = rng.uniform(-b1, b1, arch.hidden * arch.in_dim)
+    b2 = 1.0 / np.sqrt(arch.hidden)
+    w2 = rng.uniform(-b2, b2, arch.n_classes * arch.hidden)
+    return np.concatenate([w1, np.zeros(arch.hidden), w2, np.zeros(arch.n_classes)])
+
+
+def reference_logits(arch, flat, features):
+    if isinstance(arch, LinearArch):
+        w, b = reference_unpack(arch, flat)
+        return features @ w.T + b
+    w1, b1, w2, b2 = reference_unpack(arch, flat)
+    hidden = np.maximum(features @ w1.T + b1, 0.0)
+    return hidden @ w2.T + b2
+
+
+def reference_log_softmax(scores):
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def reference_loss_and_gradient(arch, flat, features, labels):
+    """The explicit two-branch forward/backward pass, ReLU subgradient 0 at 0."""
+    batch = len(labels)
+    rows = np.arange(batch)
+    if isinstance(arch, LinearArch):
+        w, b = reference_unpack(arch, flat)
+        logp = reference_log_softmax(features @ w.T + b)
+        dscores = np.exp(logp)
+        dscores[rows, labels] -= 1.0
+        dscores /= batch
+        grad = np.concatenate([(dscores.T @ features).ravel(), dscores.sum(axis=0)])
+        return float(-logp[rows, labels].mean()), grad
+    w1, b1, w2, b2 = reference_unpack(arch, flat)
+    pre = features @ w1.T + b1
+    hidden = np.maximum(pre, 0.0)
+    logp = reference_log_softmax(hidden @ w2.T + b2)
+    dscores = np.exp(logp)
+    dscores[rows, labels] -= 1.0
+    dscores /= batch
+    dhidden = (dscores @ w2) * (pre > 0.0)
+    grad = np.concatenate(
+        [(dhidden.T @ features).ravel(), dhidden.sum(axis=0), (dscores.T @ hidden).ravel(), dscores.sum(axis=0)]
+    )
+    return float(-logp[rows, labels].mean()), grad
+
+
+class TestLayerStackMatchesTwoBranchReference:
+    ARCHS = [LinearArch(5, 3), MlpArch(5, 4, 3)]
+
+    @pytest.mark.parametrize("arch", ARCHS, ids=["linear", "mlp"])
+    def test_init_logits_and_gradient_are_bit_identical(self, arch):
+        rng = np.random.default_rng(11)
+        np.testing.assert_array_equal(
+            init_params(arch, derive_rng(2, "init")), reference_init_params(arch, derive_rng(2, "init"))
+        )
+        for _ in range(20):
+            flat = rng.normal(size=param_count(arch))
+            feats = rng.normal(size=(9, 5))
+            labels = rng.integers(0, 3, 9)
+            assert np.array_equal(logits(arch, flat, feats), reference_logits(arch, flat, feats))
+            loss, grad = loss_and_gradient(arch, flat, feats, labels)
+            ref_loss, ref_grad = reference_loss_and_gradient(arch, flat, feats, labels)
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)
+
+    def test_exactly_zero_hidden_preactivations_pass_no_gradient(self):
+        arch = MlpArch(4, 5, 3)
+        rng = np.random.default_rng(12)
+        flat = rng.normal(size=param_count(arch))
+        w1, b1, _, _ = reference_unpack(arch, flat)
+        w1[0], b1[0] = 0.0, 0.0  # unit 0 is exactly zero on every row
+        b1[1] = 0.0
+        feats = rng.normal(size=(6, 4))
+        feats[2] = 0.0  # and unit 1 on row 2
+        labels = np.array([0, 1, 2, 0, 1, 2])
+        pre = feats @ w1.T + b1
+        assert (pre == 0.0).sum() == 7
+        loss, grad = loss_and_gradient(arch, flat, feats, labels)
+        ref_loss, ref_grad = reference_loss_and_gradient(arch, flat, feats, labels)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+        np.testing.assert_array_equal(grad[:4], 0.0)  # unit 0's weights
+        assert grad[20] == 0.0  # unit 0's bias
 
 
 class TestLrSchedule:
@@ -238,6 +340,18 @@ class TestLoadIdx:
         images, labels = write_idx_pair(tmp_path, self.PIXELS, bytes([1, 0]), count=2)
         images.write_bytes(images.read_bytes()[:10])
         with pytest.raises(ValueError, match="truncated IDX header"):
+            load_idx(images, labels)
+
+    def test_truncated_label_header(self, tmp_path):
+        images, labels = write_idx_pair(tmp_path, self.PIXELS, bytes([1, 0]), count=2)
+        labels.write_bytes(labels.read_bytes()[:6])
+        with pytest.raises(ValueError, match=re.escape(f"{labels}: truncated IDX header")):
+            load_idx(images, labels)
+
+    def test_truncated_label_payload(self, tmp_path):
+        images, labels = write_idx_pair(tmp_path, self.PIXELS, bytes([1, 0]), count=2)
+        labels.write_bytes(labels.read_bytes()[:-1])
+        with pytest.raises(ValueError, match=re.escape(f"{labels}: truncated label payload")):
             load_idx(images, labels)
 
     def test_count_mismatch(self, tmp_path):

@@ -11,7 +11,6 @@ from robustfl.preaggregators import build_pipeline
 from robustfl.seeding import derive_rng
 from robustfl.simulator import (
     ByzantineClientGroup,
-    FedAvgParams,
     HonestClient,
     ServerState,
     dsgd_step,
@@ -231,7 +230,8 @@ class TestFedavgRound:
             via_fedavg,
             [full_batch_client(ds, np.array([0]))],
             ByzantineClientGroup(0, None),
-            FedAvgParams(1.0, 1),
+            1.0,
+            1,
             derive_rng(8, "sampling"),
         )
         via_dsgd = make_server(arch, flat0.copy(), lr=0.1)
@@ -244,7 +244,7 @@ class TestFedavgRound:
         arch = LinearArch(3, 2)
         clients = [full_batch_client(ds, np.array([i, i + 10]), client_id=i, seed=i) for i in range(10)]
         server = make_server(arch, np.zeros(param_count(arch)))
-        fedavg_round(server, clients, ByzantineClientGroup(0, None), FedAvgParams(0.6, 2), derive_rng(0, "sampling"))
+        fedavg_round(server, clients, ByzantineClientGroup(0, None), 0.6, 2, derive_rng(0, "sampling"))
         participated = [not math.isnan(c.last_loss) for c in clients]
         assert sum(participated) == 6
 
@@ -255,9 +255,7 @@ class TestFedavgRound:
         def run(seed):
             clients = [full_batch_client(ds, np.array([i, i + 10]), client_id=i, seed=i) for i in range(10)]
             server = make_server(arch, np.zeros(param_count(arch)))
-            fedavg_round(
-                server, clients, ByzantineClientGroup(0, None), FedAvgParams(0.3, 1), derive_rng(seed, "sampling")
-            )
+            fedavg_round(server, clients, ByzantineClientGroup(0, None), 0.3, 1, derive_rng(seed, "sampling"))
             return [math.isnan(c.last_loss) for c in clients]
 
         assert run(5) == run(5)
@@ -272,17 +270,12 @@ class TestFedavgRound:
             server,
             clients,
             ByzantineClientGroup(1, AttackSpec("SignFlipping")),
-            FedAvgParams(1.0, 1),
+            1.0,
+            1,
             derive_rng(1, "sampling"),
         )
         delta = -0.1 * loss_and_gradient(arch, flat0, ds.features[:1], ds.labels[:1])[1]
         np.testing.assert_allclose(server.flat, flat0 + 0.5 * delta, atol=1e-12)
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError, match=r"proportion must lie in \(0, 1\]"):
-            FedAvgParams(0.0, 1)
-        with pytest.raises(ValueError, match="local_steps must be >= 1"):
-            FedAvgParams(1.0, 0)
 
 
 class TestEvaluateAccuracy:
