@@ -18,8 +18,11 @@ honest rows of the last shape; the first is the per-step attack cost of the
 ``mnist_optimal`` workload. Two model rows time one ``loss_and_gradient``
 call on a seeded batch of 25 (n is the batch, d the parameter count): the
 linear 10 -> 3 model of ``sample_grid``, where this call is most of the time,
-and the 784 -> 64 -> 10 MLP of the ``mnist_*`` workloads. One BLAS thread is
-used, as in the benchmark's workers.
+and the 784 -> 64 -> 10 MLP of the ``mnist_*`` workloads. Two round rows time
+the honest half of one DSGD step, ``HonestClient.compute_update`` on a bank
+of n clients drawing batches of 25 with momentum 0.9 from 100 seeded samples
+each: 10 clients on the linear model (``sample_grid``) and 30 on the MLP
+(``mnist_*``). One BLAS thread is used, as in the benchmark's workers.
 """
 
 import os
@@ -46,6 +49,7 @@ from robustfl.attacks import (  # noqa: E402
     inner_product_manipulation,
     optimize_attack_scale,
 )
+from robustfl.datadist import LabeledDataset  # noqa: E402
 from robustfl.models import LinearArch, MlpArch, init_params, loss_and_gradient, param_count  # noqa: E402
 from robustfl.preaggregators import (  # noqa: E402
     PRE_AGGREGATOR_NAMES,
@@ -53,6 +57,7 @@ from robustfl.preaggregators import (  # noqa: E402
     PreAggregatorSpec,
     build_pipeline,
 )
+from robustfl.simulator import HonestClient  # noqa: E402
 
 SHAPES = ((12, 1_000, 2), (33, 50_890, 3))
 SEED = 0
@@ -60,8 +65,10 @@ BUDGET_S = 0.5
 MIN_CALLS, MAX_CALLS = 3, 100
 SUBSET_RULES = ("MDA", "SMEA")
 SEARCHES = (("Optimal_ALIE", a_little_is_enough), ("Optimal_IPM", inner_product_manipulation))
-MODELS = (("linear", LinearArch(10, 3)), ("mlp", MlpArch(784, 64, 10)))
+# (name, architecture, clients in its round row)
+MODELS = (("linear", LinearArch(10, 3), 10), ("mlp", MlpArch(784, 64, 10), 30))
 MODEL_BATCH = 25
+SAMPLES_PER_CLIENT = 100
 
 
 def attacked_rows(n: int, d: int, f: int, rng: np.random.Generator) -> np.ndarray:
@@ -114,12 +121,20 @@ def main() -> int:
         ms, calls = median_ms(lambda rows: optimize_attack_scale(AttackContext(rows, f, pipeline), base), honest)
         print(f"{'attack search':<15} {name:<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")
     rng = np.random.default_rng(SEED)
-    for name, arch in MODELS:
+    for name, arch, _ in MODELS:
         flat = init_params(arch, rng)
         features = rng.normal(size=(MODEL_BATCH, arch.in_dim))
         labels = rng.integers(0, arch.n_classes, MODEL_BATCH)
         ms, calls = median_ms(lambda x: loss_and_gradient(arch, flat, x, labels), features)
         print(f"{'model':<15} {name:<17} {MODEL_BATCH:>3} {param_count(arch):>6} {'-':>2} {ms:>10.4f} {calls:>6}")
+    for name, arch, clients in MODELS:
+        flat = init_params(arch, rng)
+        m = clients * SAMPLES_PER_CLIENT
+        dataset = LabeledDataset(rng.normal(size=(m, arch.in_dim)), rng.integers(0, arch.n_classes, m), arch.n_classes)
+        rngs = [np.random.default_rng([SEED, i]) for i in range(clients)]
+        bank = HonestClient(dataset, np.array_split(np.arange(m), clients), MODEL_BATCH, 0.9, 0.0, rngs)
+        ms, calls = median_ms(lambda x: bank.compute_update(arch, x), flat)
+        print(f"{'round':<15} {name:<17} {clients:>3} {param_count(arch):>6} {'-':>2} {ms:>10.4f} {calls:>6}")
     return 0
 
 

@@ -540,33 +540,35 @@ def run_single(cfg: BenchmarkConfig, key: ExperimentKey) -> ExperimentResult:
     )
     hc, n = cfg.honest_clients, cfg.nb_honest_clients
 
-    def client(index: int, rows: np.ndarray, stream: str, flip: bool = False) -> HonestClient:
-        rng = derive_rng(seed, stream)
-        return HonestClient(index, train, rows, hc.batch_size, hc.momentum, hc.weight_decay, rng, flip_labels=flip)
+    def bank(partitions: list[np.ndarray], stream: str, flip: bool = False) -> HonestClient:
+        rngs = [derive_rng(seed, f"{stream}.{i}") for i in range(len(partitions))]
+        return HonestClient(train, partitions, hc.batch_size, hc.momentum, hc.weight_decay, rngs, flip_labels=flip)
 
-    clients = [client(i, partition.assignments[i], f"client.{i}") for i in range(n)]
+    clients = bank(partition.assignments, "client")
     attack_spec = AttackSpec(key.attack.name, params=dict(key.attack.parameters))
     flip_clients = None
     if key.f > 0 and attack_spec.name == "LabelFlipping":
-        flip_clients = [client(n + j, partition.assignments[j % n], f"byz.{j}", flip=True) for j in range(key.f)]
+        flip_clients = bank([partition.assignments[j % n] for j in range(key.f)], "byz", flip=True)
     byz = ByzantineClientGroup(key.f, attack_spec, flip_clients)
     server = ServerState(arch, init_params(arch, derive_rng(seed, "init")), pipeline, schedule)
     fedavg = cfg.training_algorithm.parameters if cfg.training_algorithm.name == "FedAvg" else None
     sampling_rng = derive_rng(seed, "sampling")
 
-    union = np.concatenate(partition.assignments)
     steps: list[int] = []
     accuracy: list[float] = []
     losses: list[float] = []
     per_client: list[list[float]] | None = [] if cfg.evaluation.store_per_client_metrics else None
+    subsets = [np.concatenate(partition.assignments)]
+    if per_client is not None:
+        subsets += partition.assignments
 
     def record(step: int) -> None:
         steps.append(step)
         accuracy.append(evaluate_accuracy(arch, server.flat, test))
-        loss, _ = forward_loss(arch, server.flat, train.features[union], train.labels[union])
+        loss, *client_losses = forward_loss(arch, server.flat, train.features, train.labels, subsets)
         losses.append(loss)
         if per_client is not None:
-            per_client.append([c.partition_loss(arch, server.flat) for c in clients])
+            per_client.append(client_losses)
 
     record(0)
     for step in range(1, cfg.nb_steps + 1):

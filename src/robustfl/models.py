@@ -84,16 +84,18 @@ def init_params(arch: Arch, rng: np.random.Generator) -> np.ndarray:
 
 
 def _forward(arch: Arch, flat: np.ndarray, features: np.ndarray):
-    """The float64 parameter vector, checked against ``arch``, every layer's
-    input (ReLU applied after the first layer) and the scores."""
+    """Every layer's weights (views of ``flat``, checked against ``arch``: one
+    matrix, or one per client when ``flat`` is (k, d)), every layer's input
+    (ReLU applied after the first) and the scores."""
     flat = np.asarray(flat, dtype=np.float64)
-    if flat.shape != (param_count(arch),):
+    if flat.shape[-1:] != (param_count(arch),):
         raise ValueError(f"expected {param_count(arch)} parameters for {arch}, got shape {flat.shape}")
-    inputs, out = [], features
-    for shape, weights, biases in arch.layers:
+    weights, inputs, out = [], [], features
+    for shape, w, b in arch.layers:
+        weights.append(flat[..., w].reshape(*flat.shape[:-1], *shape))
         inputs.append(np.maximum(out, 0.0) if inputs else out)
-        out = inputs[-1] @ flat[weights].reshape(shape).T + flat[biases]
-    return flat, inputs, out
+        out = inputs[-1] @ weights[-1].mT + flat[..., None, b]
+    return weights, inputs, out
 
 
 def logits(arch: Arch, flat: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -102,44 +104,59 @@ def logits(arch: Arch, flat: np.ndarray, features: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def forward_loss(arch: Arch, flat: np.ndarray, features: np.ndarray, labels: np.ndarray) -> tuple[float, int]:
+def _mean_nll(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy of ``scores`` against ``labels``."""
+    return float(-_log_softmax(scores)[np.arange(len(labels)), labels].mean())
+
+
+def forward_loss(
+    arch: Arch, flat: np.ndarray, features: np.ndarray, labels: np.ndarray, subsets: list[np.ndarray] | None = None
+) -> tuple[float, int] | list[float]:
     """Mean cross-entropy over the batch plus the count of correct argmax
-    predictions (argmax ties go to the lowest class id)."""
+    predictions (argmax ties go to the lowest class id).
+
+    Given ``subsets``, a list of row-index arrays, the scores are computed once
+    over every row in storage order and the list of each subset's mean
+    cross-entropy, over its rows in the order given, is returned instead.
+    """
     scores = logits(arch, flat, features)
-    logp = _log_softmax(scores)
-    batch = len(labels)
-    loss = float(-logp[np.arange(batch), labels].mean())
-    correct = int((scores.argmax(axis=1) == labels).sum())
-    return loss, correct
+    if subsets is not None:
+        return [_mean_nll(scores[rows], labels[rows]) for rows in subsets]
+    return _mean_nll(scores, labels), int((scores.argmax(axis=1) == labels).sum())
 
 
 def loss_and_gradient(
     arch: Arch, flat: np.ndarray, features: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """One fused forward/backward pass.
 
     Backprop uses the standard softmax-cross-entropy identity
     d(loss)/d(logits) = (softmax - onehot) / batch, and the ReLU subgradient
     at exactly zero is taken as zero.
+
+    With a leading client axis on ``features`` and ``labels`` (and optionally
+    a (k, d) ``flat``), it returns k losses and a (k, d) gradient matrix whose
+    row i is bit for bit the call on client i alone: numpy runs one BLAS call
+    per slice, and each weight-gradient block is written in place.
     """
-    flat, inputs, scores = _forward(arch, flat, features)
-    rows = np.arange(len(labels))
+    weights, inputs, scores = _forward(arch, flat, features)
+    at = (*np.indices(labels.shape, sparse=True), labels)
     logp = _log_softmax(scores)
     delta = np.exp(logp)
-    delta[rows, labels] -= 1.0
-    delta /= len(labels)
-    grad = np.empty_like(flat)
-    for (shape, weights, biases), inp in zip(reversed(arch.layers), reversed(inputs)):
-        grad[weights] = (delta.T @ inp).ravel()
-        grad[biases] = delta.sum(axis=0)
+    delta[at] -= 1.0
+    delta /= labels.shape[-1]
+    lead = labels.shape[:-1]
+    grad = np.empty((*lead, param_count(arch)))
+    for (shape, w, b), weight, inp in zip(reversed(arch.layers), reversed(weights), reversed(inputs)):
+        np.matmul(delta.mT, inp, out=grad[..., w].reshape(*lead, *shape))
+        delta.sum(axis=-2, out=grad[..., b])
         if inp is not features:
-            delta = (delta @ flat[weights].reshape(shape)) * (inp > 0.0)
-    loss = float(-logp[rows, labels].mean())
-    return loss, grad
+            delta = (delta @ weight) * (inp > 0.0)
+    return -logp[at].mean(axis=-1), grad
 
 
 # --------------------------------------------------------------------------- #

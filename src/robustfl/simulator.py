@@ -18,99 +18,118 @@ import numpy as np
 
 from .attacks import AttackContext, AttackSpec, attack_vector
 from .datadist import LabeledDataset
-from .models import Arch, LrSchedule, logits, loss_and_gradient, forward_loss
+from .models import Arch, LrSchedule, logits, loss_and_gradient
 from .preaggregators import Pipeline
 
 
 class HonestClient:
-    """One honest participant: local data, momentum buffer, batch stream.
+    """A run's honest clients as the rows of one bank: partitions, one batch
+    stream per row and an (n, d) momentum matrix.
 
-    The index list is reshuffled once per full pass using the client's own
-    Generator. ``flip_labels`` swaps every label y for (n_classes - 1) - y,
-    which is how the data-poisoning Byzantine clients reuse this class.
+    Row i keeps its own Generator, shuffled order and cursor, so it draws
+    exactly the batches a lone client would. A step stacks the rows' batches
+    into one block per batch length (a partition shorter than ``batch_size``
+    gives shorter batches) and takes their gradients in one pass.
+    ``flip_labels`` swaps every label y for (n_classes - 1) - y, which is how
+    the data-poisoning Byzantine clients reuse this class.
     """
 
     def __init__(
         self,
-        client_id: int,
         dataset: LabeledDataset,
-        indices: np.ndarray,
+        partitions: list[np.ndarray],
         batch_size: int,
         momentum: float,
         weight_decay: float,
-        rng: np.random.Generator,
+        rngs: list[np.random.Generator],
         flip_labels: bool = False,
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.client_id = client_id
-        self.dataset = dataset
-        self.indices = np.asarray(indices, dtype=np.int64)
-        if self.indices.size == 0:
-            raise ValueError(f"client {client_id} has no samples")
+        self.indices = [np.asarray(rows, dtype=np.int64) for rows in partitions]
+        for i, rows in enumerate(self.indices):
+            if rows.size == 0:
+                raise ValueError(f"client {i} has no samples")
+        self.features = dataset.features
+        self.labels = (dataset.n_classes - 1) - dataset.labels if flip_labels else dataset.labels
         self.batch_size = batch_size
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.flip_labels = flip_labels
-        self._rng = rng
-        self._order = rng.permutation(self.indices)
-        self._cursor = 0
+        self._rngs = rngs
+        self._orders = [rng.permutation(rows) for rng, rows in zip(rngs, self.indices)]
+        self._cursors = [0] * len(self.indices)
         self.momentum_buf: np.ndarray | None = None
-        self.last_loss = math.nan
 
-    def _next_batch(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._cursor + self.batch_size > len(self._order):
-            self._order = self._rng.permutation(self.indices)
-            self._cursor = 0
-        take = min(self.batch_size, len(self._order))
-        batch = self._order[self._cursor : self._cursor + take]
-        self._cursor += take
-        return self.dataset.features[batch], self._labels(batch)
+    def __len__(self) -> int:
+        return len(self.indices)
 
-    def _labels(self, batch: np.ndarray) -> np.ndarray:
-        y = self.dataset.labels[batch]
-        return (self.dataset.n_classes - 1) - y if self.flip_labels else y
+    def _next_batch(self, i: int) -> np.ndarray:
+        """Row i's next mini-batch of sample indices."""
+        order, cursor = self._orders[i], self._cursors[i]
+        if cursor + self.batch_size > len(order):
+            order = self._orders[i] = self._rngs[i].permutation(self.indices[i])
+            cursor = 0
+        self._cursors[i] = cursor + min(self.batch_size, len(order))
+        return order[cursor : self._cursors[i]]
 
-    def _momentum_step(self, arch: Arch, params: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        """``buf`` advanced by the weight-decayed gradient at ``params`` on the next mini-batch."""
-        features, labels = self._next_batch()
-        self.last_loss, grad = loss_and_gradient(arch, params, features, labels)
-        return self.momentum * buf + (grad + self.weight_decay * params)
+    def _gradients(self, arch: Arch, params: np.ndarray, rows) -> np.ndarray:
+        """(len(rows), d) gradients on the rows' next mini-batches at ``params``,
+        one vector or one row per client."""
+        batches = [self._next_batch(i) for i in rows]
+        lengths = np.array([len(batch) for batch in batches])
+        if (lengths == lengths[0]).all():
+            return self._stacked_gradient(arch, params, batches)
+        grads = np.empty((len(batches), params.shape[-1]))
+        for length in np.unique(lengths):
+            group = np.flatnonzero(lengths == length)
+            part = params if params.ndim == 1 else params[group]
+            grads[group] = self._stacked_gradient(arch, part, [batches[j] for j in group])
+        return grads
+
+    def _stacked_gradient(self, arch: Arch, params: np.ndarray, batches: list[np.ndarray]) -> np.ndarray:
+        take = np.stack(batches)
+        return loss_and_gradient(arch, params, self.features[take], self.labels[take])[1]
+
+    def _momentum_step(self, arch: Arch, params: np.ndarray, buf: np.ndarray, rows) -> None:
+        """Advance ``buf`` in place by the weight-decayed gradients at ``params``
+        on the rows' next mini-batches."""
+        grads = self._gradients(arch, params, rows)
+        grads += self.weight_decay * params
+        buf *= self.momentum
+        buf += grads
 
     def compute_update(self, arch: Arch, flat: np.ndarray) -> np.ndarray:
-        """Momentum gradient on the next mini-batch (the DSGD submission)."""
-        buf = np.zeros_like(flat) if self.momentum_buf is None else self.momentum_buf
-        self.momentum_buf = self._momentum_step(arch, flat, buf)
+        """(n, d) momentum gradients on every row's next mini-batch (the DSGD submissions)."""
+        if self.momentum_buf is None:
+            self.momentum_buf = np.zeros((len(self), flat.size))
+        self._momentum_step(arch, flat, self.momentum_buf, range(len(self)))
         return self.momentum_buf.copy()
 
-    def local_delta(self, arch: Arch, flat: np.ndarray, lr: float, local_steps: int) -> np.ndarray:
-        """Model delta after local SGD steps from the broadcast parameters.
+    def local_delta(self, arch: Arch, flat: np.ndarray, lr: float, local_steps: int, rows) -> np.ndarray:
+        """(len(rows), d) model deltas after local SGD steps from the broadcast
+        parameters.
 
-        The local momentum buffer starts fresh each round, so one local step
+        The local momentum buffers start fresh each round, so one local step
         with zero momentum reproduces a plain gradient descent step.
         """
-        local = flat.copy()
-        buf = np.zeros_like(flat)
+        local = np.tile(flat, (len(rows), 1))
+        buf = np.zeros_like(local)
         for _ in range(local_steps):
-            buf = self._momentum_step(arch, local, buf)
-            local = local - lr * buf
+            self._momentum_step(arch, local, buf, rows)
+            local -= lr * buf
         return local - flat
-
-    def partition_loss(self, arch: Arch, flat: np.ndarray) -> float:
-        """Mean loss over this client's entire partition."""
-        return forward_loss(arch, flat, self.dataset.features[self.indices], self._labels(self.indices))[0]
 
 
 class ByzantineClientGroup:
     """f adversarial participants driven by one attack descriptor.
 
     Gradient-space attacks are computed from the observed honest matrix and
-    emitted as f identical rows. Label flipping instead runs honest-procedure
-    clients (built by the caller, one per Byzantine seat) on label-flipped
-    partitions, under either training algorithm.
+    emitted as f identical rows. Label flipping instead runs a bank of
+    honest-procedure clients (built by the caller, one row per Byzantine
+    seat) on label-flipped partitions, under either training algorithm.
     """
 
-    def __init__(self, f: int, attack: AttackSpec | None, flip_clients: list[HonestClient] | None = None):
+    def __init__(self, f: int, attack: AttackSpec | None, flip_clients: HonestClient | None = None):
         if f < 0:
             raise ValueError(f"f must be nonnegative, got {f}")
         if f > 0 and attack is None:
@@ -119,25 +138,25 @@ class ByzantineClientGroup:
             raise ValueError(f"LabelFlipping needs one flip client per Byzantine seat ({f})")
         self.f = f
         self.attack = attack
-        self.flip_clients = flip_clients or []
+        self.flip_clients = flip_clients
 
-    def _rows(self, honest: np.ndarray, pipeline: Pipeline, submit: Callable[[HonestClient], np.ndarray]) -> np.ndarray:
-        """(f, d) Byzantine rows: each flip client's ``submit``, or f copies of the attack vector."""
+    def _rows(self, honest: np.ndarray, pipeline: Pipeline, flipped: Callable[[], np.ndarray]) -> np.ndarray:
+        """(f, d) Byzantine rows: the flip bank's ``flipped`` rows, or f copies of the attack vector."""
         if self.f == 0:
             return np.zeros((0, honest.shape[1]))
         if self.attack.name == "LabelFlipping":
-            return np.stack([submit(c) for c in self.flip_clients])
+            return flipped()
         return np.tile(attack_vector(self.attack, AttackContext(honest, self.f, pipeline)), (self.f, 1))
 
     def gradient_rows(self, honest: np.ndarray, pipeline: Pipeline, arch: Arch, flat: np.ndarray) -> np.ndarray:
         """(f, d) Byzantine submissions for one DSGD step."""
-        return self._rows(honest, pipeline, lambda c: c.compute_update(arch, flat))
+        return self._rows(honest, pipeline, lambda: self.flip_clients.compute_update(arch, flat))
 
     def delta_rows(
         self, honest_deltas: np.ndarray, pipeline: Pipeline, arch: Arch, flat: np.ndarray, lr: float, local_steps: int
     ) -> np.ndarray:
         """(f, d) Byzantine submissions for one federated averaging round."""
-        return self._rows(honest_deltas, pipeline, lambda c: c.local_delta(arch, flat, lr, local_steps))
+        return self._rows(honest_deltas, pipeline, lambda: self.flip_clients.local_delta(arch, flat, lr, local_steps, range(self.f)))
 
 
 @dataclass
@@ -158,16 +177,16 @@ def _aggregate_and_apply(server: ServerState, honest: np.ndarray, byz_rows: np.n
     server.step += 1
 
 
-def dsgd_step(server: ServerState, clients: list[HonestClient], byz: ByzantineClientGroup) -> None:
+def dsgd_step(server: ServerState, clients: HonestClient, byz: ByzantineClientGroup) -> None:
     """One synchronous distributed-SGD step; mutates the server in place."""
-    honest = np.stack([c.compute_update(server.arch, server.flat) for c in clients])
+    honest = clients.compute_update(server.arch, server.flat)
     byz_rows = byz.gradient_rows(honest, server.pipeline, server.arch, server.flat)
     _aggregate_and_apply(server, honest, byz_rows, -server.schedule.lr_at(server.step))
 
 
 def fedavg_round(
     server: ServerState,
-    clients: list[HonestClient],
+    clients: HonestClient,
     byz: ByzantineClientGroup,
     proportion_selected_clients: float,
     local_steps_per_client: int,
@@ -182,7 +201,7 @@ def fedavg_round(
     n = len(clients)
     chosen = np.sort(sampling_rng.choice(n, size=math.ceil(proportion_selected_clients * n), replace=False))
     lr = server.schedule.lr_at(server.step)
-    deltas = np.stack([clients[i].local_delta(server.arch, server.flat, lr, local_steps_per_client) for i in chosen])
+    deltas = clients.local_delta(server.arch, server.flat, lr, local_steps_per_client, chosen)
     byz_rows = byz.delta_rows(deltas, server.pipeline, server.arch, server.flat, lr, local_steps_per_client)
     _aggregate_and_apply(server, deltas, byz_rows, 1.0)
 

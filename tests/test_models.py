@@ -81,6 +81,20 @@ class TestForwardLoss:
         _, correct = forward_loss(LinearArch(1, 2), flat, feats, np.array([0, 1, 1]))
         assert correct == 2
 
+    @pytest.mark.parametrize("arch", [LinearArch(4, 3), MlpArch(4, 5, 3)], ids=["linear", "mlp"])
+    def test_subsets_take_their_rows_from_one_pass(self, arch):
+        rng = np.random.default_rng(13)
+        feats, labels = rng.normal(size=(60, 4)), rng.integers(0, 3, 60)
+        flat = rng.normal(size=param_count(arch))
+        union = rng.permutation(60)
+        parts = [union[:25], union[25:]]
+        union_loss, *part_losses = forward_loss(arch, flat, feats, labels, [union, *parts])
+        # The run's training loss: every row, in the clients' order, as the
+        # loss of the gathered rows.
+        assert union_loss == forward_loss(arch, flat, feats[union], labels[union])[0]
+        for loss, rows in zip(part_losses, parts):
+            assert loss == pytest.approx(forward_loss(arch, flat, feats[rows], labels[rows])[0], rel=1e-12)
+
 
 class TestGradient:
     def test_linear_zero_params_golden(self):

@@ -33,7 +33,7 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
     assert bench.main() == 0
     assert time.perf_counter() - start < 2.0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
-    rules = [row for row in rows if row[0] not in ("attack", "model")]
+    rules = [row for row in rows if row[0] not in ("attack", "model", "round")]
     names = list(AGGREGATOR_NAMES) + list(PRE_AGGREGATOR_NAMES)
     assert [row[1] for row in rules if row[2] == "5"] == names
     assert [row[1] for row in rules if row[2] == "7"] == names
@@ -43,6 +43,9 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
     models = [row for row in rows if row[0] == "model"]
     assert [row[1:5] for row in models] == [["linear", "25", "33", "-"], ["mlp", "25", "50890", "-"]]
     assert all(float(row[5]) > 0 for row in models)
+    rounds = [row for row in rows if row[0] == "round"]
+    assert [row[1:5] for row in rounds] == [["linear", "10", "33", "-"], ["mlp", "30", "50890", "-"]]
+    assert all(float(row[5]) > 0 for row in rounds)
 
 
 def test_demo_prints_the_three_rows_the_readme_quotes(monkeypatch, capsys):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustfl.aggregators import AggregatorSpec
 from robustfl.attacks import AttackSpec, sign_flipping
-from robustfl.datadist import LabeledDataset
-from robustfl.models import LinearArch, LrSchedule, init_params, loss_and_gradient, param_count
+from robustfl.datadist import LabeledDataset, make_partition
+from robustfl.models import LinearArch, LrSchedule, MlpArch, init_params, loss_and_gradient, param_count
 from robustfl.preaggregators import build_pipeline
 from robustfl.seeding import derive_rng
 from robustfl.simulator import (
@@ -24,19 +26,17 @@ def toy_dataset(m: int = 12, d: int = 3, n_classes: int = 2, seed: int = 0) -> L
     return LabeledDataset(rng.normal(size=(m, d)), np.arange(m) % n_classes, n_classes)
 
 
-def full_batch_client(dataset, indices, client_id=0, momentum=0.0, weight_decay=0.0, flip=False, seed=0):
-    """Client whose batch is always its whole partition (batch content is
-    then independent of the shuffle)."""
-    return HonestClient(
-        client_id,
-        dataset,
-        np.asarray(indices),
-        batch_size=len(indices),
-        momentum=momentum,
-        weight_decay=weight_decay,
-        rng=derive_rng(seed, f"client.{client_id}"),
-        flip_labels=flip,
-    )
+def bank(dataset, partitions, batch_size, momentum=0.0, weight_decay=0.0, flip=False, seed=0, stream="client"):
+    """A bank with one row per partition, streams seeded as ``run_single`` seeds them."""
+    rngs = [derive_rng(seed, f"{stream}.{i}") for i in range(len(partitions))]
+    return HonestClient(dataset, partitions, batch_size, momentum, weight_decay, rngs, flip_labels=flip)
+
+
+def full_batch_bank(dataset, partitions, momentum=0.0, weight_decay=0.0, flip=False, seed=0):
+    """Bank whose every batch is its row's whole partition (batch content is
+    then independent of the shuffle); all partitions have one size."""
+    partitions = [np.asarray(p) for p in partitions]
+    return bank(dataset, partitions, len(partitions[0]), momentum, weight_decay, flip, seed)
 
 
 def make_server(arch, flat, rule="Average", f=0, lr=0.1):
@@ -48,51 +48,212 @@ def make_server(arch, flat, rule="Average", f=0, lr=0.1):
     )
 
 
+# --------------------------------------------------------------------------- #
+# Reference: the per-client loop the bank replaced, one object per client
+# --------------------------------------------------------------------------- #
+
+
+class LoopClient:
+    """One client drawing its own batches and calling ``loss_and_gradient``
+    on them alone, as the simulator did before clients became bank rows."""
+
+    def __init__(self, dataset, indices, batch_size, momentum, weight_decay, rng, flip_labels=False):
+        self.dataset = dataset
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.batch_size = batch_size
+        self.momentum = momentum
+        self.weight_decay = weight_decay
+        self.flip_labels = flip_labels
+        self._rng = rng
+        self._order = rng.permutation(self.indices)
+        self._cursor = 0
+        self.momentum_buf = None
+
+    def _next_batch(self):
+        if self._cursor + self.batch_size > len(self._order):
+            self._order = self._rng.permutation(self.indices)
+            self._cursor = 0
+        take = min(self.batch_size, len(self._order))
+        batch = self._order[self._cursor : self._cursor + take]
+        self._cursor += take
+        y = self.dataset.labels[batch]
+        return self.dataset.features[batch], (self.dataset.n_classes - 1) - y if self.flip_labels else y
+
+    def _momentum_step(self, arch, params, buf):
+        features, labels = self._next_batch()
+        _, grad = loss_and_gradient(arch, params, features, labels)
+        return self.momentum * buf + (grad + self.weight_decay * params)
+
+    def compute_update(self, arch, flat):
+        buf = np.zeros_like(flat) if self.momentum_buf is None else self.momentum_buf
+        self.momentum_buf = self._momentum_step(arch, flat, buf)
+        return self.momentum_buf.copy()
+
+    def local_delta(self, arch, flat, lr, local_steps):
+        local = flat.copy()
+        buf = np.zeros_like(flat)
+        for _ in range(local_steps):
+            buf = self._momentum_step(arch, local, buf)
+            local = local - lr * buf
+        return local - flat
+
+
+def loop_clients(dataset, partitions, batch_size, momentum=0.0, weight_decay=0.0, flip=False, seed=0, stream="client"):
+    return [
+        LoopClient(dataset, p, batch_size, momentum, weight_decay, derive_rng(seed, f"{stream}.{i}"), flip)
+        for i, p in enumerate(partitions)
+    ]
+
+
+def loop_round(server, honest, byzantine, scale):
+    stacked = np.vstack([honest, *byzantine])
+    server.flat = server.flat + scale * server.pipeline(stacked)
+    server.step += 1
+
+
+def loop_dsgd_step(server, clients, flips):
+    honest = np.stack([c.compute_update(server.arch, server.flat) for c in clients])
+    byzantine = [c.compute_update(server.arch, server.flat) for c in flips]
+    loop_round(server, honest, byzantine, -server.schedule.lr_at(server.step))
+    return honest
+
+
+def loop_fedavg_round(server, clients, flips, proportion, local_steps, sampling_rng):
+    n = len(clients)
+    chosen = np.sort(sampling_rng.choice(n, size=math.ceil(proportion * n), replace=False))
+    lr = server.schedule.lr_at(server.step)
+    deltas = np.stack([clients[i].local_delta(server.arch, server.flat, lr, local_steps) for i in chosen])
+    byzantine = [c.local_delta(server.arch, server.flat, lr, local_steps) for c in flips]
+    loop_round(server, deltas, byzantine, 1.0)
+    return deltas
+
+
+# --------------------------------------------------------------------------- #
+# The bank against the per-client loop, bit for bit
+# --------------------------------------------------------------------------- #
+
+
+@st.composite
+def bank_setups(draw):
+    """A seeded dataset and partition, a model and the client settings; the
+    batch size may exceed some partitions, so batch lengths can differ."""
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    n_classes = draw(st.integers(2, 4))
+    in_dim = draw(st.integers(1, 6))
+    m = draw(st.integers(12, 40))
+    n = draw(st.integers(1, 6))
+    dataset = LabeledDataset(rng.normal(size=(m, in_dim)), rng.integers(0, n_classes, m), n_classes)
+    name, parameter = draw(st.sampled_from([("iid", 0.0), ("dirichlet_niid", 0.3), ("gamma_similarity_niid", 0.5)]))
+    partitions = make_partition(dataset, name, parameter, n, rng).assignments
+    batch_size = draw(st.integers(1, max(len(p) for p in partitions) + 2))
+    arch = draw(st.sampled_from([LinearArch(in_dim, n_classes), MlpArch(in_dim, 3, n_classes)]))
+    momentum = draw(st.sampled_from([0.0, 0.9]))
+    weight_decay = draw(st.sampled_from([0.0, 0.01]))
+    flat = init_params(arch, derive_rng(seed, "init"))
+    return dataset, partitions, batch_size, arch, momentum, weight_decay, flat, seed
+
+
+def twin_runs(setup, f):
+    """The bank side (clients, flip bank or None, Byzantine group, server)
+    and the loop side (clients, flip clients, server) of one setup, with f
+    label-flipping rows."""
+    dataset, partitions, batch_size, arch, momentum, weight_decay, flat, seed = setup
+    settings_ = (batch_size, momentum, weight_decay)
+    flip_parts = [partitions[j % len(partitions)] for j in range(f)]
+    flips = bank(dataset, flip_parts, *settings_, flip=True, seed=seed, stream="byz") if f else None
+    byz = ByzantineClientGroup(f, AttackSpec("LabelFlipping") if f else None, flips)
+    return (
+        (bank(dataset, partitions, *settings_, seed=seed), flips, byz, make_server(arch, flat.copy(), lr=0.05)),
+        (
+            loop_clients(dataset, partitions, *settings_, seed=seed),
+            loop_clients(dataset, flip_parts, *settings_, flip=True, seed=seed, stream="byz"),
+            make_server(arch, flat.copy(), lr=0.05),
+        ),
+    )
+
+
+class TestBankMatchesPerClientLoop:
+    @settings(deadline=None, max_examples=60)
+    @given(bank_setups(), st.integers(0, 2), st.integers(1, 8))
+    def test_dsgd_steps(self, setup, f, steps):
+        """Several steps (crossing reshuffles), with f label-flipping rows."""
+        (clients, flips, byz, server), (ref_clients, ref_flips, ref) = twin_runs(setup, f)
+        for _ in range(steps):
+            dsgd_step(server, clients, byz)
+            assert np.array_equal(clients.momentum_buf, loop_dsgd_step(ref, ref_clients, ref_flips))
+            assert np.array_equal(server.flat, ref.flat)
+        if f:
+            assert np.array_equal(flips.momentum_buf, np.stack([c.momentum_buf for c in ref_flips]))
+
+    @settings(deadline=None, max_examples=60)
+    @given(bank_setups(), st.integers(0, 2), st.sampled_from([0.3, 0.6, 1.0]), st.integers(1, 4), st.integers(1, 3))
+    def test_fedavg_rounds(self, setup, f, proportion, local_steps, rounds):
+        (clients, _, byz, server), (ref_clients, ref_flips, ref) = twin_runs(setup, f)
+        seed = setup[-1]
+        sampling, ref_sampling = derive_rng(seed, "sampling"), derive_rng(seed, "sampling")
+        for _ in range(rounds):
+            fedavg_round(server, clients, byz, proportion, local_steps, sampling)
+            loop_fedavg_round(ref, ref_clients, ref_flips, proportion, local_steps, ref_sampling)
+            assert np.array_equal(server.flat, ref.flat)
+
+    @pytest.mark.parametrize("arch", [LinearArch(3, 3), MlpArch(3, 4, 3)], ids=["linear", "mlp"])
+    def test_partitions_shorter_than_the_batch_form_their_own_groups(self, arch):
+        ds = toy_dataset(m=24, n_classes=3, seed=4)
+        partitions = [np.arange(0, 9), np.arange(9, 11), np.arange(11, 21), np.arange(21, 22), np.arange(22, 24)]
+        flat = init_params(arch, derive_rng(4, "init"))
+        clients = bank(ds, partitions, 4, momentum=0.9, weight_decay=0.01, seed=4)
+        ref_clients = loop_clients(ds, partitions, 4, momentum=0.9, weight_decay=0.01, seed=4)
+        for _ in range(5):
+            rows = clients.compute_update(arch, flat)
+            assert np.array_equal(rows, np.stack([c.compute_update(arch, flat) for c in ref_clients]))
+            flat = flat - 0.1 * rows.mean(axis=0)
+        chosen = np.array([1, 2, 3])
+        deltas = clients.local_delta(arch, flat, 0.1, 3, chosen)
+        assert np.array_equal(deltas, np.stack([ref_clients[i].local_delta(arch, flat, 0.1, 3) for i in chosen]))
+
+
 class TestHonestClient:
     def test_rejects_bad_construction(self):
         ds = toy_dataset()
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
-            HonestClient(0, ds, np.arange(4), 0, 0.0, 0.0, derive_rng(0, "client.0"))
-        with pytest.raises(ValueError, match="client 3 has no samples"):
-            HonestClient(3, ds, np.array([], dtype=np.int64), 2, 0.0, 0.0, derive_rng(0, "client.3"))
+            bank(ds, [np.arange(4)], 0)
+        with pytest.raises(ValueError, match="client 1 has no samples"):
+            bank(ds, [np.arange(4), np.array([], dtype=np.int64)], 2)
 
     def test_batches_stay_inside_partition(self):
         ds = toy_dataset(m=10)
-        client = HonestClient(0, ds, np.array([1, 3, 5, 7, 9]), 2, 0.0, 0.0, derive_rng(1, "client.0"))
+        clients = bank(ds, [np.array([1, 3, 5, 7, 9]), np.array([0, 2])], 2, seed=1)
         for _ in range(10):
-            feats, labels = client._next_batch()
-            assert feats.shape == (2, 3)
-            for row in feats:
-                assert any(np.array_equal(row, ds.features[j]) for j in (1, 3, 5, 7, 9))
+            assert set(clients._next_batch(0)) <= {1, 3, 5, 7, 9}
+            assert sorted(clients._next_batch(1)) == [0, 2]
 
     def test_momentum_buffer_accumulates(self):
         ds = toy_dataset(m=4)
         arch = LinearArch(3, 2)
         flat = np.zeros(param_count(arch))
-        client = full_batch_client(ds, np.arange(4), momentum=0.9, weight_decay=0.01)
+        clients = full_batch_bank(ds, [np.arange(4)], momentum=0.9, weight_decay=0.01)
         g = loss_and_gradient(arch, flat, ds.features, ds.labels)[1] + 0.01 * flat
-        u1 = client.compute_update(arch, flat)
-        np.testing.assert_allclose(u1, g, atol=1e-12)
-        u2 = client.compute_update(arch, flat)
-        np.testing.assert_allclose(u2, 0.9 * g + g, atol=1e-12)
+        u1 = clients.compute_update(arch, flat)
+        np.testing.assert_allclose(u1, [g], atol=1e-12)
+        u2 = clients.compute_update(arch, flat)
+        np.testing.assert_allclose(u2, [0.9 * g + g], atol=1e-12)
 
     def test_flipped_labels_match_manual_relabeling(self):
         ds = toy_dataset(m=9, n_classes=3, seed=5)
         relabeled = LabeledDataset(ds.features, (ds.n_classes - 1) - ds.labels, ds.n_classes)
         arch = LinearArch(3, 3)
         flat = init_params(arch, derive_rng(2, "init"))
-        flipped = full_batch_client(ds, np.arange(9), flip=True)
-        manual = full_batch_client(relabeled, np.arange(9))
+        flipped = full_batch_bank(ds, [np.arange(9)], flip=True)
+        manual = full_batch_bank(relabeled, [np.arange(9)])
         np.testing.assert_array_equal(flipped.compute_update(arch, flat), manual.compute_update(arch, flat))
 
     def test_flip_negates_gradient_at_zero_params_binary(self):
         ds = toy_dataset(m=6, n_classes=2, seed=7)
         arch = LinearArch(3, 2)
         flat = np.zeros(param_count(arch))
-        honest = full_batch_client(ds, np.arange(6))
-        flipped = full_batch_client(ds, np.arange(6), flip=True)
-        g_honest = honest.compute_update(arch, flat)
-        g_flipped = flipped.compute_update(arch, flat)
+        (g_honest,) = full_batch_bank(ds, [np.arange(6)]).compute_update(arch, flat)
+        (g_flipped,) = full_batch_bank(ds, [np.arange(6)], flip=True).compute_update(arch, flat)
         # Uniform softmax makes the flipped per-sample residue the exact
         # negation, so the bias block (and for C=2 the whole vector) negates.
         np.testing.assert_allclose(g_flipped[6:], -g_honest[6:], atol=1e-15)
@@ -102,22 +263,15 @@ class TestHonestClient:
         ds = toy_dataset(m=1)
         arch = LinearArch(3, 2)
         flat = init_params(arch, derive_rng(3, "init"))
-        client = full_batch_client(ds, np.array([0]), momentum=0.5, weight_decay=0.1)
-        delta = client.local_delta(arch, flat, lr=0.2, local_steps=5)
+        clients = full_batch_bank(ds, [np.array([0])], momentum=0.5, weight_decay=0.1)
+        delta = clients.local_delta(arch, flat, lr=0.2, local_steps=5, rows=[0])
         local = flat.copy()
         buf = np.zeros_like(flat)
         for _ in range(5):
             g = loss_and_gradient(arch, local, ds.features, ds.labels)[1] + 0.1 * local
             buf = 0.5 * buf + g
             local = local - 0.2 * buf
-        np.testing.assert_array_equal(delta, local - flat)
-
-    def test_partition_loss_uses_whole_partition(self):
-        ds = toy_dataset(m=8)
-        arch = LinearArch(3, 2)
-        flat = np.zeros(param_count(arch))
-        client = full_batch_client(ds, np.arange(8))
-        assert client.partition_loss(arch, flat) == pytest.approx(math.log(2), abs=1e-12)
+        np.testing.assert_array_equal(delta, [local - flat])
 
 
 class TestByzantineClientGroup:
@@ -128,6 +282,8 @@ class TestByzantineClientGroup:
             ByzantineClientGroup(2, None)
         with pytest.raises(ValueError, match=r"one flip client per Byzantine seat \(2\)"):
             ByzantineClientGroup(2, AttackSpec("LabelFlipping"), flip_clients=[])
+        with pytest.raises(ValueError, match=r"one flip client per Byzantine seat \(2\)"):
+            ByzantineClientGroup(2, AttackSpec("LabelFlipping"), full_batch_bank(toy_dataset(), [np.arange(3)]))
 
     def test_no_adversary_emits_nothing(self, x3):
         group = ByzantineClientGroup(0, None)
@@ -144,17 +300,12 @@ class TestByzantineClientGroup:
         ds = toy_dataset(m=6)
         arch = LinearArch(3, 2)
         flat = np.zeros(param_count(arch))
-        flips = [full_batch_client(ds, np.arange(6), client_id=i, flip=True, seed=i) for i in range(2)]
+        flips = full_batch_bank(ds, [np.arange(6)] * 2, flip=True)
         group = ByzantineClientGroup(2, AttackSpec("LabelFlipping"), flip_clients=flips)
         rows = group.gradient_rows(np.zeros((3, param_count(arch))), None, arch, flat)
-        twin = [full_batch_client(ds, np.arange(6), client_id=i, flip=True, seed=i) for i in range(2)]
-        expected = np.stack([c.compute_update(arch, flat) for c in twin])
-        np.testing.assert_array_equal(rows, expected)
-        fresh = ByzantineClientGroup(
-            2,
-            AttackSpec("LabelFlipping"),
-            flip_clients=[full_batch_client(ds, np.arange(6), client_id=i, flip=True, seed=i) for i in range(2)],
-        )
+        twin = full_batch_bank(ds, [np.arange(6)] * 2, flip=True)
+        np.testing.assert_array_equal(rows, twin.compute_update(arch, flat))
+        fresh = ByzantineClientGroup(2, AttackSpec("LabelFlipping"), full_batch_bank(ds, [np.arange(6)] * 2, flip=True))
         np.testing.assert_array_equal(fresh.gradient_rows(np.zeros((3, param_count(arch))), None, arch, flat), rows)
 
 
@@ -163,15 +314,15 @@ class TestDsgdStep:
         ds = toy_dataset(m=8)
         arch = LinearArch(3, 2)
         flat0 = init_params(arch, derive_rng(4, "init"))
-        client = HonestClient(0, ds, np.arange(8), 2, 0.9, 0.01, derive_rng(4, "client.0"))
+        clients = bank(ds, [np.arange(8)], 2, 0.9, 0.01, seed=4)
         server = make_server(arch, flat0.copy(), lr=0.05)
-        batch_source = HonestClient(0, ds, np.arange(8), 2, 0.9, 0.01, derive_rng(4, "client.0"))
+        batch_source = bank(ds, [np.arange(8)], 2, 0.9, 0.01, seed=4)
         manual = flat0.copy()
         buf = np.zeros_like(manual)
         for _ in range(100):
-            dsgd_step(server, [client], ByzantineClientGroup(0, None))
-            feats, labels = batch_source._next_batch()
-            _, g = loss_and_gradient(arch, manual, feats, labels)
+            dsgd_step(server, clients, ByzantineClientGroup(0, None))
+            batch = batch_source._next_batch(0)
+            _, g = loss_and_gradient(arch, manual, ds.features[batch], ds.labels[batch])
             buf = 0.9 * buf + (g + 0.01 * manual)
             manual = manual - 0.05 * buf
             np.testing.assert_allclose(server.flat, manual, atol=1e-9)
@@ -181,7 +332,7 @@ class TestDsgdStep:
         ds = toy_dataset(m=1)
         arch = LinearArch(3, 2)
         flat0 = np.full(param_count(arch), 0.25)
-        clients = [full_batch_client(ds, np.array([0]), client_id=i, seed=i) for i in range(3)]
+        clients = full_batch_bank(ds, [np.array([0])] * 3)
         g = loss_and_gradient(arch, flat0, ds.features[:1], ds.labels[:1])[1]
         server = make_server(arch, flat0.copy(), rule="Average", lr=0.1)
         dsgd_step(server, clients, ByzantineClientGroup(1, AttackSpec("SignFlipping")))
@@ -191,7 +342,7 @@ class TestDsgdStep:
         ds = toy_dataset(m=1)
         arch = LinearArch(3, 2)
         flat0 = np.full(param_count(arch), 0.25)
-        clients = [full_batch_client(ds, np.array([0]), client_id=i, seed=i) for i in range(3)]
+        clients = full_batch_bank(ds, [np.array([0])] * 3)
         g = loss_and_gradient(arch, flat0, ds.features[:1], ds.labels[:1])[1]
         server = make_server(arch, flat0.copy(), rule="TrMean", f=1, lr=0.1)
         dsgd_step(server, clients, ByzantineClientGroup(1, AttackSpec("SignFlipping")))
@@ -203,18 +354,18 @@ class TestDsgdStep:
         flat0 = init_params(arch, derive_rng(6, "init"))
 
         def one_step(f):
-            clients = [HonestClient(0, ds, np.arange(8), 4, 0.9, 0.0, derive_rng(6, "client.0"))]
+            clients = bank(ds, [np.arange(8)], 4, 0.9, 0.0, seed=6)
             byz = ByzantineClientGroup(f, AttackSpec("SignFlipping") if f else None)
             server = make_server(arch, flat0.copy(), f=f)
             dsgd_step(server, clients, byz)
-            return clients[0].momentum_buf
+            return clients.momentum_buf
 
         np.testing.assert_array_equal(one_step(0), one_step(2))
 
     def test_infeasible_pipeline_propagates(self):
         ds = toy_dataset(m=1)
         arch = LinearArch(3, 2)
-        clients = [full_batch_client(ds, np.array([0]))]
+        clients = full_batch_bank(ds, [np.array([0])])
         server = make_server(arch, np.zeros(param_count(arch)), rule="MultiKrum", f=1)
         with pytest.raises(ValueError, match="MultiKrum requires n >= f \\+ 2"):
             dsgd_step(server, clients, ByzantineClientGroup(1, AttackSpec("SignFlipping")))
@@ -228,43 +379,38 @@ class TestFedavgRound:
         via_fedavg = make_server(arch, flat0.copy(), lr=0.1)
         fedavg_round(
             via_fedavg,
-            [full_batch_client(ds, np.array([0]))],
+            full_batch_bank(ds, [np.array([0])]),
             ByzantineClientGroup(0, None),
             1.0,
             1,
             derive_rng(8, "sampling"),
         )
         via_dsgd = make_server(arch, flat0.copy(), lr=0.1)
-        dsgd_step(via_dsgd, [full_batch_client(ds, np.array([0]))], ByzantineClientGroup(0, None))
+        dsgd_step(via_dsgd, full_batch_bank(ds, [np.array([0])]), ByzantineClientGroup(0, None))
         np.testing.assert_array_equal(via_fedavg.flat, via_dsgd.flat)
         assert via_fedavg.step == 1
 
-    def test_samples_ceil_of_proportion(self):
+    @staticmethod
+    def participants(proportion, seed, local_steps=1):
+        """Which of 10 full-batch rows drew a batch in one round."""
         ds = toy_dataset(m=20)
         arch = LinearArch(3, 2)
-        clients = [full_batch_client(ds, np.array([i, i + 10]), client_id=i, seed=i) for i in range(10)]
+        clients = full_batch_bank(ds, [np.array([i, i + 10]) for i in range(10)])
         server = make_server(arch, np.zeros(param_count(arch)))
-        fedavg_round(server, clients, ByzantineClientGroup(0, None), 0.6, 2, derive_rng(0, "sampling"))
-        participated = [not math.isnan(c.last_loss) for c in clients]
-        assert sum(participated) == 6
+        fedavg_round(server, clients, ByzantineClientGroup(0, None), proportion, local_steps, derive_rng(seed, "sampling"))
+        return [cursor > 0 for cursor in clients._cursors]
+
+    def test_samples_ceil_of_proportion(self):
+        assert sum(self.participants(0.6, 0, local_steps=2)) == 6
 
     def test_sampling_is_seeded(self):
-        ds = toy_dataset(m=20)
-        arch = LinearArch(3, 2)
-
-        def run(seed):
-            clients = [full_batch_client(ds, np.array([i, i + 10]), client_id=i, seed=i) for i in range(10)]
-            server = make_server(arch, np.zeros(param_count(arch)))
-            fedavg_round(server, clients, ByzantineClientGroup(0, None), 0.3, 1, derive_rng(seed, "sampling"))
-            return [math.isnan(c.last_loss) for c in clients]
-
-        assert run(5) == run(5)
+        assert self.participants(0.3, 5) == self.participants(0.3, 5)
 
     def test_byzantine_deltas_join_aggregation(self):
         ds = toy_dataset(m=1)
         arch = LinearArch(3, 2)
         flat0 = np.full(param_count(arch), 0.5)
-        clients = [full_batch_client(ds, np.array([0]), client_id=i, seed=i) for i in range(3)]
+        clients = full_batch_bank(ds, [np.array([0])] * 3)
         server = make_server(arch, flat0.copy(), lr=0.1)
         fedavg_round(
             server,
