@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import inspect
 import itertools
-import math
-import numbers
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Mapping, NamedTuple
+from typing import Callable, ClassVar, Mapping
 
 import numpy as np
 
-from .datadist import POSITIVE, Bound, at_least, read_as
+from .datadist import NONNEGATIVE, POSITIVE, Param, at_least
 from .numerics import as_vector_set, check_f, pairwise_sq_dists, top_eigenpair
 
 # Exhaustive subset rules (MDA, SMEA) enumerate C(n, n - f) candidates and
@@ -175,10 +173,8 @@ def centered_clipping(
     """
     xs = as_vector_set(xs)
     n, d = xs.shape
-    if tau <= 0:
-        raise ValueError(f"CenteredClipping requires tau > 0, got {tau}")
-    if iters < 1:
-        raise ValueError(f"CenteredClipping requires iters >= 1, got {iters}")
+    POSITIVE.check(tau, "CenteredClipping tau")
+    at_least(1).check(iters, "CenteredClipping iters")
     if state is not None and state.prev is not None:
         v = np.asarray(state.prev, dtype=np.float64)
         if v.shape != (d,):
@@ -266,14 +262,6 @@ def caf(xs, f: int) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 
 
-class Param(NamedTuple):
-    """A parameter a config may set: its type (float or int) and, where the
-    function restricts it, the ``Bound`` it must lie in."""
-
-    kind: type
-    bound: Bound | None = None
-
-
 @dataclass(frozen=True)
 class Rule:
     """One row of a rule table: a rule function and how a config calls it.
@@ -294,11 +282,10 @@ class Rule:
     carried: Mapping[str, Callable[[np.random.Generator | None], object]] = field(default_factory=dict)
 
     def cast(self, name: str, params: Mapping) -> dict:
-        """Config ``params`` checked against the row and cast to its types.
+        """Config ``params`` checked against the row and read by its ``Param``s.
 
-        Unknown keys, missing required ones, non-numbers, NaN, infinities,
-        non-integral values of an int parameter and values outside their
-        bound raise ``ValueError``; ``3.0`` is accepted as the int 3.
+        Unknown keys and missing required ones raise ``ValueError``, as does
+        a value its ``Param`` rejects.
         """
         unknown = set(params) - set(self.params)
         if unknown:
@@ -306,18 +293,7 @@ class Rule:
         for key in self.params:
             if key not in params and inspect.signature(self.fn).parameters[key].default is inspect.Parameter.empty:
                 raise ValueError(f"{name} requires parameter {key}")
-        cast = {}
-        for key, value in params.items():
-            kind, bound = self.params[key]
-            where = f"{name} parameter {key}"
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{where} must be a number, got {value!r}")
-            if kind is int and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
-                raise ValueError(f"{where} must be an integer, got {value!r}")
-            cast[key] = read_as(kind, value) if bound is None else bound.check(read_as(kind, value), where)
-            if kind is float and not math.isfinite(cast[key]):
-                raise ValueError(f"{where} must be finite, got {value!r}")
-        return cast
+        return {key: self.params[key](value, f"{name} parameter {key}") for key, value in params.items()}
 
     def carry(self, name: str, rng: np.random.Generator | None) -> dict:
         """Fresh ``carried`` keyword arguments for one configured rule."""
@@ -365,8 +341,7 @@ class RuleSpec:
     def __post_init__(self) -> None:
         if self.name not in self.table:
             raise ValueError(f"unknown {self.family} {self.name!r}; valid {self.family}s: {', '.join(self.table)}")
-        if self.f < 0:
-            raise ValueError(f"f must be nonnegative, got {self.f}")
+        NONNEGATIVE.check(self.f, "f")
         self.params = self.table[self.name].cast(self.name, self.params)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -28,7 +27,17 @@ import numpy as np
 
 from .aggregators import AggregatorSpec
 from .attacks import AttackSpec
-from .datadist import DISTRIBUTIONS, POSITIVE, Bound, LabeledDataset, at_least, make_partition, read_as
+from .datadist import (
+    DISTRIBUTIONS,
+    FRACTION,
+    NONNEGATIVE,
+    POSITIVE,
+    Bound,
+    LabeledDataset,
+    Param,
+    at_least,
+    make_partition,
+)
 from .models import (
     DEFAULT_HIDDEN_UNITS,
     LinearArch,
@@ -153,30 +162,6 @@ class Key(NamedTuple):
         return self.read(self.default, path)
 
 
-NONNEGATIVE = Bound(lambda v: v >= 0, "be nonnegative")
-FRACTION = Bound(lambda v: 0 < v <= 1, "lie in (0, 1]")
-
-
-_NOUNS = {int: "an integer", float: "a number", bool: "a boolean", str: "a non-empty string", dict: "an object"}
-
-
-def _typed(kind: type, bound: Bound | None = None) -> Callable:
-    """Reader for a JSON value of type ``kind`` that lies in ``bound``. A float
-    may be written as an integer and is finite; a bool is no number, and a
-    string is not empty."""
-    accepted = (int, float) if kind is float else kind
-
-    def read(value, where):
-        if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool) or value == "":
-            raise ValueError(f"{where} must be {_NOUNS[kind]}, got {value!r}")
-        typed = read_as(kind, value) if bound is None else bound.check(read_as(kind, value), where)
-        if kind is float and not math.isfinite(typed):
-            raise ValueError(f"{where} must be finite, got {value!r}")
-        return typed
-
-    return read
-
-
 def _one_of(names) -> Callable:
     """Reader for one of the strings ``names``."""
     *head, last = map(repr, names)
@@ -214,7 +199,7 @@ class Obj(NamedTuple):
     variants: tuple[str, dict[str, dict[str, Key]]] | None = None
 
     def __call__(self, raw, where):
-        raw = _typed(dict)(raw, where or "config")
+        raw = Param(dict)(raw, where or "config")
         keys = self.keys
         if self.variants:
             tag, table = self.variants
@@ -276,11 +261,11 @@ class Dataset(NamedTuple):
 
 DATASETS = {
     "blobs": Dataset(_blob_datasets, {
-        "n_classes": Key(_typed(int, at_least(2)), 3),
-        "dim": Key(_typed(int, at_least(1)), 20),
-        "train_size": Key(_typed(int, at_least(1)), 6000),
-        "test_size": Key(_typed(int, at_least(1)), 1000),
-        "spread": Key(_typed(float, NONNEGATIVE), 1.0),
+        "n_classes": Key(Param(int, at_least(2)), 3),
+        "dim": Key(Param(int, at_least(1)), 20),
+        "train_size": Key(Param(int, at_least(1)), 6000),
+        "test_size": Key(Param(int, at_least(1)), 1000),
+        "spread": Key(Param(float, NONNEGATIVE), 1.0),
     }),
     "mnist": Dataset(_mnist_datasets, {}),
 }
@@ -305,12 +290,12 @@ def _rules(check: Callable[[str, dict], object], empty_ok: bool = False) -> List
         check(name, parameters)
         return RuleConfig(name, parameters)
 
-    return ListOf(Obj(build, {"name": Key(_typed(str)), "parameters": Key(_typed(dict), {})}), empty_ok)
+    return ListOf(Obj(build, {"name": Key(Param(str)), "parameters": Key(Param(dict), {})}), empty_ok)
 
 
 _FEDAVG = {
-    "proportion_selected_clients": Key(_typed(float, FRACTION), 1.0),
-    "local_steps_per_client": Key(_typed(int, at_least(1)), 1),
+    "proportion_selected_clients": Key(Param(float, FRACTION), 1.0),
+    "local_steps_per_client": Key(Param(int, at_least(1)), 1),
 }
 _TRAINING_ALGORITHM = Obj(TrainingAlgorithmConfig, {}, ("name", {
     "DSGD": {"parameters": Key(Obj(dict, {}), {})},
@@ -320,38 +305,38 @@ _TRAINING_ALGORITHM = Obj(TrainingAlgorithmConfig, {}, ("name", {
 # The parameter list is required and bounded where the splitter takes the
 # parameter; otherwise it only names the runs.
 _DISTRIBUTION = Obj(lambda name, distribution_parameter: (name, distribution_parameter), {}, ("name", {
-    name: {"distribution_parameter": Key(ListOf(_typed(float, row.parameter)), REQUIRED if row.parameter else [0.0])}
+    name: {"distribution_parameter": Key(ListOf(Param(float, row.parameter)), REQUIRED if row.parameter else [0.0])}
     for name, row in DISTRIBUTIONS.items()
 }))
 
 _BENCHMARK = Obj(lambda f, data_distribution, **rest: dict(rest, f_values=f, data_distributions=data_distribution), {
     "training_algorithm": Key(_TRAINING_ALGORITHM),
-    "nb_steps": Key(_typed(int, at_least(1))),
-    "nb_training_seeds": Key(_typed(int, at_least(1)), 1),
-    "nb_honest_clients": Key(_typed(int, at_least(1))),
-    "f": Key(ListOf(_typed(int, at_least(0))), [0]),
+    "nb_steps": Key(Param(int, at_least(1))),
+    "nb_training_seeds": Key(Param(int, at_least(1)), 1),
+    "nb_honest_clients": Key(Param(int, at_least(1))),
+    "f": Key(ListOf(Param(int, at_least(0))), [0]),
     "data_distribution": Key(ListOf(_DISTRIBUTION), {"name": "iid"}),
 })
 
 _MODEL = Obj(ModelConfig, {
     "name": Key(_one_of(ARCHS)),
-    "learning_rate": Key(_typed(float, POSITIVE)),
+    "learning_rate": Key(Param(float, POSITIVE)),
     "loss": Key(_one_of(("NLLLoss",)), "NLLLoss"),
-    "learning_rate_decay": Key(_typed(float, FRACTION), 1.0),
-    "milestones": Key(ListOf(_typed(int, at_least(0)), empty_ok=True), []),
-    "hidden": Key(_typed(int, at_least(1)), DEFAULT_HIDDEN_UNITS),
+    "learning_rate_decay": Key(Param(float, FRACTION), 1.0),
+    "milestones": Key(ListOf(Param(int, at_least(0)), empty_ok=True), []),
+    "hidden": Key(Param(int, at_least(1)), DEFAULT_HIDDEN_UNITS),
 }, ("dataset_name", {name: {"dataset_params": Key(Obj(dict, row.params), {})} for name, row in DATASETS.items()}))
 
 _HONEST_CLIENTS = Obj(HonestClientsConfig, {
-    "momentum": Key(_typed(float, Bound(lambda m: 0 <= m < 1, "lie in [0, 1)")), 0.0),
-    "weight_decay": Key(_typed(float, NONNEGATIVE), 0.0),
-    "batch_size": Key(_typed(int, at_least(1)), 25),
+    "momentum": Key(Param(float, Bound(lambda m: 0 <= m < 1, "lie in [0, 1)")), 0.0),
+    "weight_decay": Key(Param(float, NONNEGATIVE), 0.0),
+    "batch_size": Key(Param(int, at_least(1)), 25),
 })
 
 _EVALUATION = Obj(EvaluationConfig, {
-    "evaluation_delta": Key(_typed(int, at_least(1))),
-    "results_directory": Key(_typed(str)),
-    "store_per_client_metrics": Key(_typed(bool), False),
+    "evaluation_delta": Key(Param(int, at_least(1))),
+    "results_directory": Key(Param(str)),
+    "store_per_client_metrics": Key(Param(bool), False),
 })
 
 SCHEMA = Obj(lambda benchmark_config, aggregator, attack, evaluation_and_results, **sections: BenchmarkConfig(
@@ -668,8 +653,7 @@ def run_benchmark(cfg: BenchmarkConfig, parallelism: int = 1) -> dict:
     the pool: every run that had not finished by then is recorded as failed
     with the ``BrokenProcessPool`` message, and runs already on disk stay.
     """
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    at_least(1).check(parallelism, "parallelism")
     keys = expand_grid(cfg)
     base = Path(cfg.evaluation.results_directory)
     base.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,5 @@
-"""Partitioning a labeled dataset across honest clients.
+"""Partitioning a labeled dataset across honest clients, ``Param`` (the one
+reader of config values and rule parameters) and ``Bound`` (the range check).
 
 Three schemes with one heterogeneity knob each: plain IID, per-class
 Dirichlet proportions (smaller alpha = more skew), and a similarity split
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -70,7 +72,32 @@ def at_least(low: int) -> Bound:
 
 
 POSITIVE = Bound(lambda v: v > 0, "be positive")
+NONNEGATIVE = Bound(lambda v: v >= 0, "be nonnegative")
+FRACTION = Bound(lambda v: 0 < v <= 1, "lie in (0, 1]")
 UNIT_INTERVAL = Bound(lambda v: 0 <= v <= 1, "lie in [0, 1]")
+
+_NOUNS = {int: "an integer", float: "a number", bool: "a boolean", str: "a non-empty string", dict: "an object"}
+
+
+class Param(NamedTuple):
+    """Reader of a value from outside the program, a config key or a rule
+    parameter: its kind and, where restricted, the ``Bound`` it must lie in.
+    A number is any real but a bool, a float is finite, an int may be written
+    as an integral float (3.0 reads as 3), and a string is not empty."""
+
+    kind: type
+    bound: Bound | None = None
+
+    def __call__(self, value, where: str):
+        kind, bound = self
+        if (not isinstance(value, numbers.Real if kind in (int, float) else kind)
+                or isinstance(value, bool) != (kind is bool) or value == ""
+                or kind is int and not isinstance(value, numbers.Integral) and not float(value).is_integer()):
+            raise ValueError(f"{where} must be {_NOUNS[kind]}, got {value!r}")
+        typed = read_as(kind, value) if bound is None else bound.check(read_as(kind, value), where)
+        if kind is float and not math.isfinite(typed):
+            raise ValueError(f"{where} must be finite, got {value!r}")
+        return typed
 
 
 @dataclass
@@ -119,6 +146,17 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
+def _fill_empty(merged: list[np.ndarray], scheme: str) -> ClientPartition:
+    """``merged`` as a partition; each empty client, in order, takes a sample from the then-largest."""
+    empty = [i for i, idx in enumerate(merged) if idx.size == 0]
+    for needy in empty:
+        donor = max(range(len(merged)), key=lambda i: merged[i].size)
+        merged[needy], merged[donor] = merged[donor][-1:], merged[donor][:-1]
+    if empty:
+        log.info("%s split left %d empty client(s); moved one sample each from the largest", scheme, len(empty))
+    return ClientPartition(merged)
+
+
 def iid_split(dataset: LabeledDataset, n_clients: int, rng: np.random.Generator) -> ClientPartition:
     """Shuffle globally and hand out contiguous equal-size blocks."""
     if n_clients < 1:
@@ -136,7 +174,7 @@ def dirichlet_split(
     Per class, client proportions are drawn as normalised unit-scale Gamma
     variates, rounded with the largest-remainder rule, and realised as
     consecutive blocks of that class's shuffled indices. A client left with
-    nothing overall steals one sample from the currently largest client.
+    nothing overall takes one sample from the then-largest client.
     """
     if n_clients < 1:
         raise ValueError(f"need at least one client, got {n_clients}")
@@ -157,16 +195,7 @@ def dirichlet_split(
         for i in range(n_clients):
             buckets[i].append(members[bounds[i] : bounds[i + 1]])
     merged = [np.concatenate(parts) if parts else np.empty(0, dtype=np.int64) for parts in buckets]
-    repairs = 0
-    while any(idx.size == 0 for idx in merged):
-        needy = next(i for i, idx in enumerate(merged) if idx.size == 0)
-        donor = max(range(n_clients), key=lambda i: merged[i].size)
-        merged[needy] = merged[donor][-1:]
-        merged[donor] = merged[donor][:-1]
-        repairs += 1
-    if repairs:
-        log.info("dirichlet split left %d empty client(s); moved one sample each from the largest", repairs)
-    return ClientPartition(merged)
+    return _fill_empty(merged, "dirichlet")
 
 
 def gamma_split(
@@ -176,7 +205,8 @@ def gamma_split(
 
     The non-IID remainder is stably sorted by label and appended to clients as
     contiguous blocks, so similarity 1.0 reduces to ``iid_split`` and 0.0
-    gives every client a few (often single-label) blocks.
+    gives every client a few (often single-label) blocks. An empty client
+    takes one sample from the then-largest client, as in Dirichlet.
     """
     if n_clients < 1:
         raise ValueError(f"need at least one client, got {n_clients}")
@@ -190,8 +220,7 @@ def gamma_split(
     rest = perm[k:]
     rest = rest[np.argsort(dataset.labels[rest], kind="stable")]
     label_blocks = _chunks(rest, n_clients)
-    merged = [np.concatenate([iid_blocks[i], label_blocks[i]]) for i in range(n_clients)]
-    return ClientPartition(merged)
+    return _fill_empty([np.concatenate([iid_blocks[i], label_blocks[i]]) for i in range(n_clients)], "gamma")
 
 
 class Distribution(NamedTuple):

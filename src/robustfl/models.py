@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datadist import LabeledDataset
+from .datadist import FRACTION, NONNEGATIVE, POSITIVE, LabeledDataset
 
 DEFAULT_HIDDEN_UNITS = 64
 
@@ -173,10 +173,8 @@ class LrSchedule:
     milestones: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
-        if not 0 < self.decay <= 1:
-            raise ValueError(f"decay must lie in (0, 1], got {self.decay}")
+        POSITIVE.check(self.base_lr, "base_lr")
+        FRACTION.check(self.decay, "decay")
         object.__setattr__(self, "milestones", tuple(sorted(int(m) for m in self.milestones)))
 
     def lr_at(self, step: int) -> float:
@@ -205,8 +203,7 @@ def make_blobs(
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
-    if spread < 0:
-        raise ValueError(f"spread must be nonnegative, got {spread}")
+    NONNEGATIVE.check(spread, "spread")
     counts = [int(per_class)] * n_classes if np.isscalar(per_class) else [int(c) for c in per_class]
     if len(counts) != n_classes or any(c < 1 for c in counts):
         raise ValueError(f"need one positive count per class, got {counts}")

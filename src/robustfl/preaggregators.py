@@ -104,8 +104,7 @@ def bucketing(xs, s: int = DEFAULT_BUCKET_SIZE, rng: np.random.Generator | None 
     """
     xs = as_vector_set(xs)
     n = len(xs)
-    if s < 1:
-        raise ValueError(f"bucket size must be >= 1, got {s}")
+    at_least(1).check(s, "bucket size")
     if rng is None:
         raise ValueError("bucketing requires a seeded numpy Generator")
     perm = rng.permutation(n)
@@ -120,8 +119,7 @@ def static_clipping(xs, c: float) -> np.ndarray:
     unchanged, so directions are always preserved.
     """
     xs = as_vector_set(xs)
-    if c <= 0:
-        raise ValueError(f"clipping radius must be positive, got {c}")
+    POSITIVE.check(c, "clipping radius")
     norms = np.linalg.norm(xs, axis=1)
     scale = np.where(norms > c, c / np.where(norms > 0, norms, 1.0), 1.0)
     return xs * scale[:, None]

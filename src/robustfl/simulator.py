@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .attacks import AttackContext, AttackSpec, attack_vector
-from .datadist import LabeledDataset
+from .datadist import NONNEGATIVE, LabeledDataset, at_least
 from .models import Arch, LrSchedule, logits, loss_and_gradient
 from .preaggregators import Pipeline
 
@@ -44,8 +44,7 @@ class HonestClient:
         rngs: list[np.random.Generator],
         flip_labels: bool = False,
     ):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        at_least(1).check(batch_size, "batch_size")
         self.indices = [np.asarray(rows, dtype=np.int64) for rows in partitions]
         for i, rows in enumerate(self.indices):
             if rows.size == 0:
@@ -130,8 +129,7 @@ class ByzantineClientGroup:
     """
 
     def __init__(self, f: int, attack: AttackSpec | None, flip_clients: HonestClient | None = None):
-        if f < 0:
-            raise ValueError(f"f must be nonnegative, got {f}")
+        NONNEGATIVE.check(f, "f")
         if f > 0 and attack is None:
             raise ValueError("an attack descriptor is required when f > 0")
         if f > 0 and attack.name == "LabelFlipping" and len(flip_clients or []) != f:

@@ -261,9 +261,10 @@ class TestCenteredClipping:
             centered_clipping([[1.0, 2.0]], state)
 
     def test_parameter_validation(self, x3):
-        with pytest.raises(ValueError, match="tau > 0"):
-            centered_clipping(x3, tau=0.0)
-        with pytest.raises(ValueError, match="iters >= 1"):
+        for tau in (0.0, float("nan")):
+            with pytest.raises(ValueError, match=f"CenteredClipping tau must be positive, got {tau}"):
+                centered_clipping(x3, tau=tau)
+        with pytest.raises(ValueError, match="CenteredClipping iters must be >= 1, got 0"):
             centered_clipping(x3, iters=0)
 
     def test_more_iterations_converge_on_identical_rows(self):

@@ -250,6 +250,54 @@ class TestParseConfig:
         assert cfg.model.dataset_params == {}
 
 
+def rule_site(name: str, key: str) -> tuple:
+    """A rule parameter as a read site: tweaks writing v there, and the value read back."""
+    return (lambda v: {"aggregator": [{"name": name, "parameters": {key: v}}]},
+            lambda cfg: benchmark.AggregatorSpec(name, params=cfg.aggregators[0].parameters).params[key])
+
+
+# Four places a user writes a number, two config keys and two rule
+# parameters: site -> (kind, the name its messages start with, tweaks writing
+# v there, the value read back from the parsed config).
+READ_SITES = {
+    "nb_steps": (int, "benchmark_config.nb_steps", lambda v: {"benchmark_config.nb_steps": v}, lambda c: c.nb_steps),
+    "learning_rate": (float, "model.learning_rate", lambda v: {"model.learning_rate": v},
+                      lambda c: c.model.learning_rate),
+    "pivot": (int, "MoNNA parameter pivot", *rule_site("MoNNA", "pivot")),
+    "tau": (float, "CenteredClipping parameter tau", *rule_site("CenteredClipping", "tau")),
+}
+# One table for every site: a written value -> what an int site and a float
+# site make of it, the value read or the rest of the "<where> must ..." error.
+READ_OUTCOMES = {
+    "true": (True, "be an integer, got True", "be a number, got True"),
+    "string": ("1", "be an integer, got '1'", "be a number, got '1'"),
+    "2.5": (2.5, "be an integer, got 2.5", 2.5),
+    "2.0": (2.0, 2, 2.0),
+    "nan": (math.nan, "be an integer, got nan", "be positive, got nan"),
+    "inf": (math.inf, "be an integer, got inf", "be finite, got inf"),
+    "minus-inf": (-math.inf, "be an integer, got -inf", "be positive, got -inf"),
+    "401-digits": (10**400, 10**400, f"be finite, got {10**400}"),
+}
+
+
+class TestOneReader:
+    """Config keys and rule parameters are read by one ``Param``, so the same
+    written value meets the same outcome at every site of its kind."""
+
+    @pytest.mark.parametrize("site", READ_SITES)
+    @pytest.mark.parametrize("value, as_int, as_float", READ_OUTCOMES.values(), ids=READ_OUTCOMES)
+    def test_same_value_same_outcome_at_every_site(self, site, value, as_int, as_float):
+        kind, where, tweaks, read_back = READ_SITES[site]
+        expected = as_int if kind is int else as_float
+        text = tiny_config_text("/tmp/x", **tweaks(value))
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=re.escape(f"{where} must {expected}")):
+                parse_config(text)
+        else:
+            read = read_back(parse_config(text))
+            assert read == expected and type(read) is kind
+
+
 class TestSchema:
     """Every object of the config schema rejects a key it does not know."""
 
@@ -615,6 +663,14 @@ class TestRunBenchmark:
         for run_id in others:
             assert (results / run_id / "metrics.csv").exists()
         assert not (results / victim / "metrics.csv").exists()
+
+    def test_gamma_split_with_empty_clients_runs(self, tmp_path):
+        # 8 rows over 6 clients at similarity 0.5 leave two gamma clients
+        # empty until they take a sample each from the largest.
+        tweaks = {**distribution("gamma_similarity_niid", 0.5), "benchmark_config.nb_honest_clients": 6,
+                  "model.dataset_params.train_size": 8}
+        summary = run_benchmark(parse_config(tiny_config_text(tmp_path / "results", **tweaks)))
+        assert summary["failed"] == 0 and summary["completed"] == 1, summary["failures"]
 
     def test_rejects_bad_parallelism(self, tmp_path):
         cfg = parse_config(tiny_config_text(tmp_path / "results"))

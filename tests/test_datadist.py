@@ -1,7 +1,10 @@
 import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustfl.datadist import (
     DISTRIBUTION_NAMES,
@@ -26,6 +29,19 @@ def balanced_dataset(m: int, n_classes: int) -> LabeledDataset:
 def assert_covers_everything(partition: ClientPartition, m: int) -> None:
     merged = np.sort(np.concatenate(partition.assignments))
     np.testing.assert_array_equal(merged, np.arange(m))
+
+
+def reference_gamma_split(dataset: LabeledDataset, n_clients: int, similarity: float, rng) -> list[np.ndarray]:
+    """The gamma split as it was before empty clients were repaired, some
+    clients possibly empty (``np.array_split`` gives ``_chunks``' sizes)."""
+    m = len(dataset)
+    perm = rng.permutation(m)
+    k = math.floor(similarity * m)
+    iid_blocks = np.array_split(perm[:k], n_clients)
+    rest = perm[k:]
+    rest = rest[np.argsort(dataset.labels[rest], kind="stable")]
+    label_blocks = np.array_split(rest, n_clients)
+    return [np.concatenate([iid_blocks[i], label_blocks[i]]) for i in range(n_clients)]
 
 
 class TestLabeledDataset:
@@ -177,6 +193,34 @@ class TestGammaSplit:
         b = gamma_split(ds, 4, 0.5, derive_rng(11, "datadist"))
         for left, right in zip(a.assignments, b.assignments):
             np.testing.assert_array_equal(left, right)
+
+    def test_empty_client_takes_a_sample_from_the_largest(self, caplog):
+        # 8 rows over 6 clients at 0.5: the 4 IID rows and the 4 label-sorted
+        # rows both go to clients 0-3, so clients 4 and 5 start empty.
+        ds = balanced_dataset(8, 3)
+        assert [len(a) for a in reference_gamma_split(ds, 6, 0.5, np.random.default_rng(4))] == [2, 2, 2, 2, 0, 0]
+        with caplog.at_level(logging.INFO, logger="robustfl.datadist"):
+            part = make_partition(ds, "gamma_similarity_niid", 0.5, 6, np.random.default_rng(4))
+        assert "gamma split left 2 empty client(s)" in caplog.text
+        assert [len(a) for a in part.assignments] == [1, 1, 2, 2, 1, 1]
+        assert_covers_everything(part, 8)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 40))),
+        st.floats(0.0, 1.0),
+        st.integers(2, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_client_filled_and_nonempty_splits_unchanged(self, n_and_m, similarity, n_classes, seed):
+        n, m = n_and_m
+        ds = balanced_dataset(m, n_classes)
+        part = gamma_split(ds, n, similarity, np.random.default_rng(seed))
+        assert part.n_clients == n and all(a.size for a in part.assignments)
+        assert_covers_everything(part, m)
+        reference = reference_gamma_split(ds, n, similarity, np.random.default_rng(seed))
+        if all(a.size for a in reference):
+            assert all(np.array_equal(a, b) for a, b in zip(part.assignments, reference))
 
     def test_rejects_out_of_range_similarity(self):
         for bad in (-0.1, 1.1):

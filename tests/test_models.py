@@ -242,6 +242,8 @@ class TestLrSchedule:
     def test_validation(self):
         with pytest.raises(ValueError, match="base_lr must be positive"):
             LrSchedule(0.0)
+        with pytest.raises(ValueError, match="base_lr must be positive, got nan"):
+            LrSchedule(float("nan"))
         with pytest.raises(ValueError, match=r"decay must lie in \(0, 1\]"):
             LrSchedule(0.1, 0.0)
         with pytest.raises(ValueError, match=r"decay must lie in \(0, 1\]"):
@@ -296,6 +298,8 @@ class TestMakeBlobs:
             make_blobs(1, 10, 2, 1.0, rng)
         with pytest.raises(ValueError, match="spread must be nonnegative"):
             make_blobs(2, 10, 2, -1.0, rng)
+        with pytest.raises(ValueError, match="spread must be nonnegative, got nan"):
+            make_blobs(2, 10, 2, float("nan"), rng)
         with pytest.raises(ValueError, match="one positive count per class"):
             make_blobs(3, [10, 10], 2, 1.0, rng)
         with pytest.raises(ValueError, match="one positive count per class"):

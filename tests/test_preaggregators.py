@@ -266,6 +266,8 @@ class TestStaticClipping:
             static_clipping(x3, 0.0)
         with pytest.raises(ValueError, match="clipping radius must be positive"):
             static_clipping(x3, -1.0)
+        with pytest.raises(ValueError, match="clipping radius must be positive, got nan"):
+            static_clipping(x3, float("nan"))
 
 
 class TestArc:

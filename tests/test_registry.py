@@ -7,6 +7,7 @@ import argparse
 import importlib.util
 import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -194,31 +195,36 @@ def test_cli_attack_rejects_tau_the_attack_does_not_take(capsys, tmp_path):
     assert "SignFlipping does not accept parameters ['tau']" in capsys.readouterr().err
 
 
-def schema_defaults(reader, where: str = "") -> dict[str, set]:
-    """Dotted path (list entries as ``[]``) -> the JSON text of each default
-    the schema gives that key, or "required"."""
+def schema_keys(reader, where: str = ""):
+    """(dotted path, ``Key``) for every key below ``reader``, list entries as
+    ``[]``; a variant's tag key reads nothing here."""
     if isinstance(reader, ListOf):
-        return schema_defaults(reader.item, f"{where}[]")
-    if not isinstance(reader, Obj):
-        return {}
-    keys = list(reader.keys.items())
-    if reader.variants:
-        tag, table = reader.variants
-        keys += [(tag, Key(None))] + [item for extra in table.values() for item in extra.items()]
+        yield from schema_keys(reader.item, f"{where}[]")
+    elif isinstance(reader, Obj):
+        keys = list(reader.keys.items())
+        if reader.variants:
+            tag, table = reader.variants
+            keys += [(tag, Key(None))] + [item for extra in table.values() for item in extra.items()]
+        for key, spec in keys:
+            path = f"{where}.{key}" if where else key
+            yield path, spec
+            yield from schema_keys(spec.read, path)
+
+
+def schema_defaults(reader) -> dict[str, set]:
+    """Dotted path -> the JSON text of each default the schema gives that
+    key, or "required"."""
     found: dict[str, set] = {}
-    for key, spec in keys:
-        path = f"{where}.{key}" if where else key
-        found.setdefault(path, set()).add("required" if spec.default is REQUIRED else json.dumps(spec.default))
-        for sub, defaults in schema_defaults(spec.read, path).items():
-            found.setdefault(sub, set()).update(defaults)
+    for path, key in schema_keys(reader):
+        found.setdefault(path, set()).add("required" if key.default is REQUIRED else json.dumps(key.default))
     return found
 
 
-def readme_config_table() -> dict[str, str]:
-    """The README's config key table: key -> its default cell."""
+def readme_config_table(column: int = 2) -> dict[str, str]:
+    """The README's config key table: key -> its cell in ``column`` (1 type, 2 default, 3 bound)."""
     section = README.read_text().split("## Benchmark configs", 1)[1].split("\n## ", 1)[0]
     rows = [line.strip().strip("|").split("|") for line in section.splitlines() if line.startswith("| `")]
-    return {cells[0].strip().strip("`"): cells[2].strip() for cells in rows}
+    return {cells[0].strip().strip("`"): cells[column].strip() for cells in rows}
 
 
 def test_readme_config_table_lists_exactly_the_schema_keys_and_defaults():
@@ -227,3 +233,18 @@ def test_readme_config_table_lists_exactly_the_schema_keys_and_defaults():
     for key, defaults in schema.items():
         if len(defaults) == 1:
             assert table[key].strip("`") == next(iter(defaults)), key
+
+
+KIND_NOUNS = {int: "integer", float: "number", bool: "boolean", str: "string", dict: "object"}
+
+
+def test_readme_type_cells_name_the_kind_each_param_reads():
+    types = readme_config_table(column=1)
+    checked = 0
+    for path, key in schema_keys(SCHEMA):
+        param, plural = (key.read.item, "s") if isinstance(key.read, ListOf) else (key.read, "")
+        if isinstance(param, Param):
+            named = {noun for noun in KIND_NOUNS.values() if re.search(rf"\b{noun}{plural}\b", types[path])}
+            assert named == {KIND_NOUNS[param.kind]}, (path, types[path])
+            checked += 1
+    assert checked >= 20
