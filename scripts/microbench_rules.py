@@ -98,7 +98,7 @@ def callables(n: int, f: int):
             yield "aggregator", name, make_aggregator(AggregatorSpec(name, f=f))
     for name in PRE_AGGREGATOR_NAMES:
         params = {"c": 1.0} if name == "Clipping" else {}
-        spec = PreAggregatorSpec(name, f=f, params=params)
+        spec = PreAggregatorSpec(name, f=f, parameters=params)
         yield "pre-aggregator", name, ConfiguredPreAggregator(spec, np.random.default_rng(0))
 
 

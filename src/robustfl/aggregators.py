@@ -329,11 +329,10 @@ AGGREGATOR_NAMES = tuple(AGGREGATORS)
 @dataclass
 class RuleSpec:
     """Declarative description of one rule of a family, a row of its
-    ``table``; ``params`` are cast to the types of that row."""
+    ``table``; ``parameters`` are cast to the types of that row."""
 
     name: str
-    f: int = 0
-    params: dict[str, float] = field(default_factory=dict)
+    parameters: dict[str, float] = field(default_factory=dict)
 
     table: ClassVar[dict[str, Rule]]
     family: ClassVar[str]
@@ -341,11 +340,21 @@ class RuleSpec:
     def __post_init__(self) -> None:
         if self.name not in self.table:
             raise ValueError(f"unknown {self.family} {self.name!r}; valid {self.family}s: {', '.join(self.table)}")
+        self.parameters = self.table[self.name].cast(self.name, self.parameters)
+
+
+@dataclass
+class StageSpec(RuleSpec):
+    """A rule of the server's pipeline, asked to withstand ``f`` faulty rows."""
+
+    f: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         NONNEGATIVE.check(self.f, "f")
-        self.params = self.table[self.name].cast(self.name, self.params)
 
 
-class AggregatorSpec(RuleSpec):
+class AggregatorSpec(StageSpec):
     """An aggregation rule, a row of ``AGGREGATORS``."""
 
     table = AGGREGATORS
@@ -361,7 +370,7 @@ class ConfiguredAggregator:
         self.carried = AGGREGATORS[spec.name].carry(spec.name, None)
 
     def __call__(self, xs) -> np.ndarray:
-        return AGGREGATORS[self.spec.name].apply(xs, self.spec.f, self.spec.params, **self.carried)
+        return AGGREGATORS[self.spec.name].apply(xs, self.spec.f, self.spec.parameters, **self.carried)
 
 
 make_aggregator = ConfiguredAggregator  # the callable rule described by a spec

@@ -8,12 +8,12 @@ the factor that displaces the aggregate the most.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .aggregators import Param, Rule
+from .aggregators import Param, Rule, RuleSpec
 from .numerics import as_vector_set
 from .preaggregators import NeighbourMeans, Pipeline
 
@@ -135,18 +135,11 @@ ATTACKS: dict[str, Rule] = {
 ATTACK_NAMES = tuple(ATTACKS)
 
 
-@dataclass
-class AttackSpec:
-    """Declarative description of one attack; ``params`` are cast to the
-    types of its row in ``ATTACKS``."""
+class AttackSpec(RuleSpec):
+    """An attack, a row of ``ATTACKS``."""
 
-    name: str
-    params: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.name not in ATTACKS:
-            raise ValueError(f"unknown attack {self.name!r}; valid attacks: {', '.join(ATTACK_NAMES)}")
-        self.params = ATTACKS[self.name].cast(self.name, self.params)
+    table = ATTACKS
+    family = "attack"
 
 
 def attack_vector(spec: AttackSpec, ctx: AttackContext) -> np.ndarray:
@@ -160,4 +153,4 @@ def attack_vector(spec: AttackSpec, ctx: AttackContext) -> np.ndarray:
         raise ValueError(f"{spec.name} acts on client data, not on gradients")
     if rule.needs_f:
         return rule.fn(ctx)
-    return rule.fn(ctx.honest, **spec.params)
+    return rule.fn(ctx.honest, **spec.parameters)

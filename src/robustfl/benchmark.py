@@ -13,19 +13,20 @@ point.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .aggregators import AggregatorSpec
+from .aggregators import AggregatorSpec, RuleSpec
 from .attacks import AttackSpec
 from .datadist import (
     DISTRIBUTIONS,
@@ -70,14 +71,6 @@ DATASET_ENV_VAR = "ROBUSTFL_DATA_DIR"
 
 
 @dataclass
-class RuleConfig:
-    """A named rule (aggregator, pre-aggregator, or attack) plus parameters."""
-
-    name: str
-    parameters: dict = field(default_factory=dict)
-
-
-@dataclass
 class TrainingAlgorithmConfig:
     name: str
     parameters: dict
@@ -118,10 +111,10 @@ class BenchmarkConfig:
     f_values: list[int]
     data_distributions: list[tuple[str, list[float]]]
     model: ModelConfig
-    aggregators: list[RuleConfig]
-    pre_aggregators: list[RuleConfig]
+    aggregators: list[AggregatorSpec]
+    pre_aggregators: list[PreAggregatorSpec]
     honest_clients: HonestClientsConfig
-    attacks: list[RuleConfig]
+    attacks: list[AttackSpec]
     evaluation: EvaluationConfig
 
     def __post_init__(self) -> None:
@@ -283,15 +276,12 @@ ARCHS = {
 # --------------------------------------------------------------------------- #
 
 
-def _rules(check: Callable[[str, dict], object], empty_ok: bool = False) -> ListOf:
-    """Rule entries, validated by ``check`` against their family's table; parameters stay as written."""
+def _rule(spec: type) -> Obj:
+    """Reader for one rule entry: its ``spec``, which casts the parameters by its family's table."""
+    return Obj(spec, {"name": Key(Param(str)), "parameters": Key(Param(dict), {})})
 
-    def build(name: str, parameters: dict) -> RuleConfig:
-        check(name, parameters)
-        return RuleConfig(name, parameters)
 
-    return ListOf(Obj(build, {"name": Key(Param(str)), "parameters": Key(Param(dict), {})}), empty_ok)
-
+_AGGREGATOR, _PRE_AGGREGATOR, _ATTACK = _rule(AggregatorSpec), _rule(PreAggregatorSpec), _rule(AttackSpec)
 
 _FEDAVG = {
     "proportion_selected_clients": Key(Param(float, FRACTION), 1.0),
@@ -344,10 +334,10 @@ SCHEMA = Obj(lambda benchmark_config, aggregator, attack, evaluation_and_results
 ), {
     "benchmark_config": Key(_BENCHMARK),
     "model": Key(_MODEL),
-    "aggregator": Key(_rules(lambda name, params: AggregatorSpec(name, 0, params))),
-    "pre_aggregators": Key(_rules(lambda name, params: PreAggregatorSpec(name, 0, params), empty_ok=True), []),
+    "aggregator": Key(ListOf(_AGGREGATOR)),
+    "pre_aggregators": Key(ListOf(_PRE_AGGREGATOR, empty_ok=True), []),
     "honest_clients": Key(_HONEST_CLIENTS, {}),
-    "attack": Key(_rules(lambda name, params: AttackSpec(name, params=params))),
+    "attack": Key(ListOf(_ATTACK)),
     "evaluation_and_results": Key(_EVALUATION),
 })
 
@@ -394,20 +384,24 @@ def _number_token(value: float) -> str:
     return short if float(short) == value else repr(value)
 
 
-def _rule_token(rule: RuleConfig) -> str:
+def _rule_token(rule: RuleSpec) -> str:
     token = rule.name
-    if rule.parameters:
-        token += "".join(f"-{k}{_number_token(v)}" for k, v in sorted(rule.parameters.items()))
+    for key, value in sorted(rule.parameters.items()):
+        try:
+            token += f"-{key}{_number_token(value)}"
+        except OverflowError:
+            raise ValueError(f"{rule.name} parameter {key} is too large for a run id to spell") from None
     return _sanitize(token)
 
 
 @dataclass
 class ExperimentKey:
-    """One grid point: everything that distinguishes a run."""
+    """One grid point: everything that distinguishes a run. The aggregator
+    and pre-aggregator specs carry the key's ``f``."""
 
-    aggregator: RuleConfig
-    pre_aggregators: list[RuleConfig]
-    attack: RuleConfig
+    aggregator: AggregatorSpec
+    pre_aggregators: list[PreAggregatorSpec]
+    attack: AttackSpec
     f: int
     distribution_name: str
     distribution_parameter: float
@@ -454,42 +448,31 @@ class ExperimentKey:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ExperimentKey":
-        return cls(
-            aggregator=RuleConfig(obj["aggregator"]["name"], dict(obj["aggregator"]["parameters"])),
-            pre_aggregators=[RuleConfig(p["name"], dict(p["parameters"])) for p in obj["pre_aggregators"]],
-            attack=RuleConfig(obj["attack"]["name"], dict(obj["attack"]["parameters"])),
-            f=obj["f"],
-            distribution_name=obj["data_distribution"]["name"],
-            distribution_parameter=obj["data_distribution"]["parameter"],
-            seed=obj["seed"],
-        )
+        """The key ``to_json_dict`` wrote; its rules are read like a config's."""
+        f, dist = obj["f"], obj["data_distribution"]
+        pres = ListOf(_PRE_AGGREGATOR, empty_ok=True)(obj["pre_aggregators"], "pre_aggregators")
+        return cls(replace(_AGGREGATOR(obj["aggregator"], "aggregator"), f=f), [replace(p, f=f) for p in pres],
+                   _ATTACK(obj["attack"], "attack"), f, dist["name"], dist["parameter"], obj["seed"])
 
 
 def expand_grid(cfg: BenchmarkConfig) -> list[ExperimentKey]:
     """Cartesian product: aggregators x attacks x f x (distribution,
     parameter) x seeds, in that nesting order."""
-    keys = []
-    for aggregator in cfg.aggregators:
-        for attack in cfg.attacks:
-            for f in cfg.f_values:
-                for dist_name, params in cfg.data_distributions:
-                    for parameter in params:
-                        for seed in range(cfg.nb_training_seeds):
-                            keys.append(
-                                ExperimentKey(
-                                    aggregator=aggregator,
-                                    pre_aggregators=list(cfg.pre_aggregators),
-                                    attack=attack,
-                                    f=f,
-                                    distribution_name=dist_name,
-                                    distribution_parameter=parameter,
-                                    seed=seed,
-                                )
-                            )
+    grid = itertools.product(cfg.aggregators, cfg.attacks, cfg.f_values, cfg.data_distributions)
+    keys = [
+        ExperimentKey(replace(aggregator, f=f), [replace(p, f=f) for p in cfg.pre_aggregators], attack, f,
+                      dist_name, parameter, seed)
+        for aggregator, attack, f, (dist_name, params) in grid
+        for parameter in params
+        for seed in range(cfg.nb_training_seeds)
+    ]
     ids = [k.run_id for k in keys]
+    longest = max(ids, key=len, default="")  # ASCII: one byte per character
+    if len(longest) > 255:
+        raise ValueError(f"run id {longest!r} is longer than the 255-byte file-name limit")
     if len(set(ids)) != len(ids):
         duplicate = next(i for i in ids if ids.count(i) > 1)
-        raise ValueError(f"grid produces duplicate run id {duplicate!r}; disambiguate rule parameters")
+        raise ValueError(f"grid produces duplicate run id {duplicate!r}")
     return keys
 
 
@@ -518,11 +501,7 @@ def run_single(cfg: BenchmarkConfig, key: ExperimentKey) -> ExperimentResult:
     )
     arch = ARCHS[cfg.model.name](cfg.model, train.features.shape[1], train.n_classes)
     schedule = LrSchedule(cfg.model.learning_rate, cfg.model.learning_rate_decay, tuple(cfg.model.milestones))
-    pipeline = build_pipeline(
-        AggregatorSpec(key.aggregator.name, f=key.f, params=dict(key.aggregator.parameters)),
-        [PreAggregatorSpec(p.name, f=key.f, params=dict(p.parameters)) for p in key.pre_aggregators],
-        rng=derive_rng(seed, "bucketing"),
-    )
+    pipeline = build_pipeline(key.aggregator, key.pre_aggregators, rng=derive_rng(seed, "bucketing"))
     hc, n = cfg.honest_clients, cfg.nb_honest_clients
 
     def bank(partitions: list[np.ndarray], stream: str, flip: bool = False) -> HonestClient:
@@ -530,11 +509,10 @@ def run_single(cfg: BenchmarkConfig, key: ExperimentKey) -> ExperimentResult:
         return HonestClient(train, partitions, hc.batch_size, hc.momentum, hc.weight_decay, rngs, flip_labels=flip)
 
     clients = bank(partition.assignments, "client")
-    attack_spec = AttackSpec(key.attack.name, params=dict(key.attack.parameters))
     flip_clients = None
-    if key.f > 0 and attack_spec.name == "LabelFlipping":
+    if key.f > 0 and key.attack.name == "LabelFlipping":
         flip_clients = bank([partition.assignments[j % n] for j in range(key.f)], "byz", flip=True)
-    byz = ByzantineClientGroup(key.f, attack_spec, flip_clients)
+    byz = ByzantineClientGroup(key.f, key.attack, flip_clients)
     server = ServerState(arch, init_params(arch, derive_rng(seed, "init")), pipeline, schedule)
     fedavg = cfg.training_algorithm.parameters if cfg.training_algorithm.name == "FedAvg" else None
     sampling_rng = derive_rng(seed, "sampling")
@@ -602,7 +580,11 @@ def read_result(base_dir, run_id: str) -> ExperimentResult:
     metrics = run_dir / "metrics.csv"
     if not metrics.exists():
         raise FileNotFoundError(f"result absent: {metrics}")
-    key = ExperimentKey.from_json_dict(json.loads((run_dir / "key.json").read_text()))
+    key_path = run_dir / "key.json"
+    try:
+        key = ExperimentKey.from_json_dict(json.loads(key_path.read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{key_path}: {exc}") from None
     lines = metrics.read_text().strip().splitlines()
     header = lines[0].split(",")
     n_client_cols = sum(1 for h in header if h.startswith("client"))

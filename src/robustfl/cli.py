@@ -80,18 +80,16 @@ def _parse_kv(pairs: list[str], where: str) -> dict:
     return params
 
 
-def _parse_pre(text: str) -> PreAggregatorSpec:
+def _parse_pre(text: str, f: int) -> PreAggregatorSpec:
     name, sep, raw = text.partition(":")
     params = _parse_kv(raw.split(","), f"--pre {name}") if sep and raw else {}
-    return PreAggregatorSpec(name, 0, params)
+    return PreAggregatorSpec(name, params, f=f)
 
 
 def _cmd_agg(args) -> int:
     matrix = _read_matrix(args.input)
-    spec = AggregatorSpec(args.rule, f=args.f, params=_parse_kv(args.param, "--param"))
-    pre_specs = [
-        PreAggregatorSpec(p.name, f=args.f, params=dict(p.params)) for p in map(_parse_pre, args.pre)
-    ]
+    spec = AggregatorSpec(args.rule, _parse_kv(args.param, "--param"), f=args.f)
+    pre_specs = [_parse_pre(text, args.f) for text in args.pre]
     pipeline = build_pipeline(spec, pre_specs, rng=derive_rng(args.seed, "bucketing"))
     print(",".join(format_value(v) for v in pipeline(matrix)))
     return 0
@@ -100,7 +98,7 @@ def _cmd_agg(args) -> int:
 def _cmd_attack(args) -> int:
     honest = _read_matrix(args.input)
     params = {} if args.tau is None else {"tau": args.tau}
-    vector = attack_vector(AttackSpec(args.name, params=params), AttackContext(honest, 0, None))
+    vector = attack_vector(AttackSpec(args.name, params), AttackContext(honest, 0, None))
     print(",".join(format_value(v) for v in vector))
     return 0
 

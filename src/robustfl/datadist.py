@@ -119,11 +119,6 @@ class ClientPartition:
     def n_clients(self) -> int:
         return len(self.assignments)
 
-    def label_histograms(self, labels: np.ndarray, n_classes: int) -> np.ndarray:
-        """(n_clients, n_classes) matrix of per-client label frequencies."""
-        hists = np.stack([np.bincount(labels[idx], minlength=n_classes) for idx in self.assignments])
-        return hists / hists.sum(axis=1, keepdims=True)
-
 
 def _chunks(indices: np.ndarray, n_clients: int) -> list[np.ndarray]:
     """Split into n contiguous blocks; the remainder goes one-each to the

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, ConfiguredAggregator, Param, Rule, RuleSpec, make_aggregator
+from .aggregators import AggregatorSpec, ConfiguredAggregator, Param, Rule, StageSpec, make_aggregator
 from .datadist import POSITIVE, at_least
 from .numerics import as_vector_set, block_rows, check_f, pairwise_sq_dists, pairwise_sq_dists_with_copies
 
@@ -162,7 +162,7 @@ PRE_AGGREGATORS: dict[str, Rule] = {
 PRE_AGGREGATOR_NAMES = tuple(PRE_AGGREGATORS)
 
 
-class PreAggregatorSpec(RuleSpec):
+class PreAggregatorSpec(StageSpec):
     """A pre-aggregation transform, a row of ``PRE_AGGREGATORS``."""
 
     table = PRE_AGGREGATORS
@@ -182,7 +182,7 @@ class ConfiguredPreAggregator:
     def __call__(self, xs, memo: NeighbourMeans | None = None) -> np.ndarray:
         """Apply the transform; ``memo`` reaches only a function that takes one (see ``nnm``)."""
         extra = {"memo": memo} if self.takes_memo else {}
-        return PRE_AGGREGATORS[self.spec.name].apply(xs, self.spec.f, self.spec.params, **extra, **self.carried)
+        return PRE_AGGREGATORS[self.spec.name].apply(xs, self.spec.f, self.spec.parameters, **extra, **self.carried)
 
 
 class Pipeline:

@@ -154,7 +154,8 @@ class ByzantineClientGroup:
         self, honest_deltas: np.ndarray, pipeline: Pipeline, arch: Arch, flat: np.ndarray, lr: float, local_steps: int
     ) -> np.ndarray:
         """(f, d) Byzantine submissions for one federated averaging round."""
-        return self._rows(honest_deltas, pipeline, lambda: self.flip_clients.local_delta(arch, flat, lr, local_steps, range(self.f)))
+        return self._rows(honest_deltas, pipeline,
+                          lambda: self.flip_clients.local_delta(arch, flat, lr, local_steps, range(self.f)))
 
 
 @dataclass

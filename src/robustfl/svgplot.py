@@ -202,11 +202,13 @@ def render_heatmap(
             )
     for r, label in enumerate(row_labels):
         y = MARGIN_TOP + (r + 0.5) * cell_h
-        parts.append(f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" text-anchor="end" {FONT}>{_escape(label)}</text>')
+        parts.append(f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" text-anchor="end" '
+                     f'{FONT}>{_escape(label)}</text>')
     for c, label in enumerate(col_labels):
         x = MARGIN_LEFT + (c + 0.5) * cell_w
         parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(MARGIN_TOP + PLOT_H + 18)}" text-anchor="middle" {FONT}>{_escape(label)}</text>'
+            f'<text x="{_fmt(x)}" y="{_fmt(MARGIN_TOP + PLOT_H + 18)}" text-anchor="middle" '
+            f'{FONT}>{_escape(label)}</text>'
         )
     parts += _axis_labels(x_label, y_label)
     parts.append("</svg>")

@@ -412,7 +412,7 @@ class TestAggregatorSpec:
 
     def test_unknown_params_rejected(self):
         with pytest.raises(ValueError, match="does not accept"):
-            AggregatorSpec("Median", params={"tau": 1.0})
+            AggregatorSpec("Median", parameters={"tau": 1.0})
 
     @pytest.mark.parametrize(
         "params, message",
@@ -425,10 +425,10 @@ class TestAggregatorSpec:
     )
     def test_bounds_name_rule_parameter_and_value(self, params, message):
         with pytest.raises(ValueError, match=message):
-            AggregatorSpec("CenteredClipping", params=params)
+            AggregatorSpec("CenteredClipping", parameters=params)
 
     def test_each_configured_rule_carries_its_own_state(self):
-        spec = AggregatorSpec("CenteredClipping", params={"tau": 1.0})
+        spec = AggregatorSpec("CenteredClipping", parameters={"tau": 1.0})
         first, second = make_aggregator(spec), make_aggregator(spec)
         first(np.array([[4.0, 0.0]]))
         np.testing.assert_array_equal(first.carried["state"].prev, [1.0, 0.0])
@@ -436,23 +436,23 @@ class TestAggregatorSpec:
         assert make_aggregator(AggregatorSpec("Median")).carried == {}
 
     def test_clipping_params_accepted(self, x3):
-        agg = make_aggregator(AggregatorSpec("CenteredClipping", params={"tau": 1e6, "iters": 1}))
+        agg = make_aggregator(AggregatorSpec("CenteredClipping", parameters={"tau": 1e6, "iters": 1}))
         np.testing.assert_allclose(agg(x3), [4.0, 5.0, 6.0], rtol=1e-12)
 
     def test_monna_pivot_param(self, x3):
-        agg = make_aggregator(AggregatorSpec("MoNNA", f=1, params={"pivot": 2}))
+        agg = make_aggregator(AggregatorSpec("MoNNA", f=1, parameters={"pivot": 2}))
         np.testing.assert_allclose(agg(x3), [5.5, 6.5, 7.5], rtol=1e-12)
 
     def test_int_parameter_too_large_for_a_float_is_read_exactly(self, x3):
-        spec = AggregatorSpec("MoNNA", f=1, params={"pivot": 10**400})
-        assert spec.params["pivot"] == 10**400
+        spec = AggregatorSpec("MoNNA", f=1, parameters={"pivot": 10**400})
+        assert spec.parameters["pivot"] == 10**400
         with pytest.raises(ValueError, match=r"pivot must lie in \[0, 3\)"):
             make_aggregator(spec)(x3)
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
     def test_float_parameter_too_large_for_a_float_is_a_value_error(self, sign):
         with pytest.raises(ValueError, match="CenteredClipping parameter tau must be"):
-            AggregatorSpec("CenteredClipping", params={"tau": sign * 10**400})
+            AggregatorSpec("CenteredClipping", parameters={"tau": sign * 10**400})
 
     @pytest.mark.parametrize("name", AGGREGATOR_NAMES)
     def test_dispatch_matches_direct_call(self, name, x3):

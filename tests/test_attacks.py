@@ -42,12 +42,12 @@ SCORED_PIPELINES = {
     "NNM>MultiKrum": lambda f: build_pipeline(AggregatorSpec("MultiKrum", f=f), [PreAggregatorSpec("NNM", f=f)]),
     # Stateful, and NNM is second: it must compute its own distances.
     "Bucketing>NNM>CenteredClipping": lambda f: build_pipeline(
-        AggregatorSpec("CenteredClipping", params={"tau": 5.0, "iters": 2.0}),
-        [PreAggregatorSpec("Bucketing", params={"s": 2.0}), PreAggregatorSpec("NNM", f=1)],
+        AggregatorSpec("CenteredClipping", parameters={"tau": 5.0, "iters": 2.0}),
+        [PreAggregatorSpec("Bucketing", parameters={"s": 2.0}), PreAggregatorSpec("NNM", f=1)],
         rng=derive_rng(f, "bucketing"),
     ),
     "Clipping>NNM>Average": lambda f: build_pipeline(
-        AggregatorSpec("Average"), [PreAggregatorSpec("Clipping", params={"c": 15.0}), PreAggregatorSpec("NNM", f=f)]
+        AggregatorSpec("Average"), [PreAggregatorSpec("Clipping", {"c": 15.0}), PreAggregatorSpec("NNM", f=f)]
     ),
     "MultiKrum": lambda f: build_pipeline(AggregatorSpec("MultiKrum", f=f)),
 }
@@ -268,7 +268,7 @@ class TestOptimizeAttackScale:
         assert computed[0].tobytes() == xs.tobytes()
 
     def test_grid_search_leaves_live_pipeline_untouched(self, x3):
-        pipeline = build_pipeline(AggregatorSpec("CenteredClipping", params={"tau": 1.0, "iters": 1.0}))
+        pipeline = build_pipeline(AggregatorSpec("CenteredClipping", parameters={"tau": 1.0, "iters": 1.0}))
         pipeline(np.array([[5.0, 5.0, 5.0]]))
         before = pipeline.aggregator.carried["state"].prev.copy()
         ctx = AttackContext(honest=x3, f=1, pipeline=pipeline)
@@ -349,7 +349,7 @@ class TestAttackSpec:
             assert name in str(err.value)
 
     def test_tau_parameter_is_cast_to_float(self):
-        params = AttackSpec("InnerProductManipulation", params={"tau": 3}).params
+        params = AttackSpec("InnerProductManipulation", parameters={"tau": 3}).parameters
         assert params == {"tau": 3.0} and type(params["tau"]) is float
 
 
@@ -369,7 +369,7 @@ class TestAttackVectorDispatch:
     def test_scale_override(self, x3):
         ctx = AttackContext(honest=x3, f=1, pipeline=average_pipeline())
         np.testing.assert_array_equal(
-            attack_vector(AttackSpec("InnerProductManipulation", params={"tau": 0.5}), ctx),
+            attack_vector(AttackSpec("InnerProductManipulation", parameters={"tau": 0.5}), ctx),
             inner_product_manipulation(x3, 0.5),
         )
 

@@ -13,9 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from robustfl import benchmark
+from robustfl.aggregators import AggregatorSpec
+from robustfl.attacks import AttackSpec
 from robustfl.benchmark import (
     ExperimentKey,
-    RuleConfig,
     expand_grid,
     list_results,
     parse_config,
@@ -25,6 +26,7 @@ from robustfl.benchmark import (
     strip_json_comments,
     write_result,
 )
+from robustfl.preaggregators import PreAggregatorSpec
 
 FEDAVG_PATH = "benchmark_config.training_algorithm.parameters"
 DISTRIBUTION_PATH = "benchmark_config.data_distribution[0]"
@@ -195,8 +197,17 @@ class TestParseConfig:
         bucketing = {"name": "Bucketing", "parameters": {"s": 3.0}}
         cfg = parse_config(tiny_config_text("/tmp/x", aggregator=[monna], pre_aggregators=[bucketing]))
         assert expand_grid(cfg)[0].server_token == "MoNNA-pivot2_Bucketing"
-        assert benchmark.AggregatorSpec("MoNNA", params={"pivot": 2.0}).params == {"pivot": 2}
-        assert type(benchmark.PreAggregatorSpec("Bucketing", params={"s": 3.0}).params["s"]) is int
+        assert AggregatorSpec("MoNNA", parameters={"pivot": 2.0}).parameters == {"pivot": 2}
+        assert type(PreAggregatorSpec("Bucketing", parameters={"s": 3.0}).parameters["s"]) is int
+        # The parsed config holds the specs themselves, parameters cast.
+        assert cfg.aggregators == [AggregatorSpec("MoNNA", {"pivot": 2})]
+        assert type(cfg.aggregators[0].parameters["pivot"]) is int
+        ipm = {"name": "InnerProductManipulation", "parameters": {"tau": 1}}
+        cfg = parse_config(tiny_config_text("/tmp/x", pre_aggregators=[{"name": "Clipping", "parameters": {"c": 2}}],
+                                            attack=[ipm]))
+        assert cfg.pre_aggregators == [PreAggregatorSpec("Clipping", {"c": 2.0})]
+        assert cfg.attacks == [AttackSpec("InnerProductManipulation", {"tau": 1.0})]
+        assert type(cfg.pre_aggregators[0].parameters["c"]) is float and type(cfg.attacks[0].parameters["tau"]) is float
 
     def test_range_validation(self):
         cases = {
@@ -253,7 +264,7 @@ class TestParseConfig:
 def rule_site(name: str, key: str) -> tuple:
     """A rule parameter as a read site: tweaks writing v there, and the value read back."""
     return (lambda v: {"aggregator": [{"name": name, "parameters": {key: v}}]},
-            lambda cfg: benchmark.AggregatorSpec(name, params=cfg.aggregators[0].parameters).params[key])
+            lambda cfg: cfg.aggregators[0].parameters[key])
 
 
 # Four places a user writes a number, two config keys and two rule
@@ -296,6 +307,18 @@ class TestOneReader:
         else:
             read = read_back(parse_config(text))
             assert read == expected and type(read) is kind
+
+    @pytest.mark.parametrize("name, key", [("MoNNA", "pivot"), ("CenteredClipping", "iters")])
+    def test_401_digit_integer_parameter_reads_but_names_no_run(self, name, key):
+        cfg = parse_config(tiny_config_text("/tmp/x", aggregator=[{"name": name, "parameters": {key: 10**400}}]))
+        assert cfg.aggregators[0].parameters[key] == 10**400
+        with pytest.raises(ValueError, match=f"^{name} parameter {key} is too large for a run id to spell$"):
+            expand_grid(cfg)
+
+    def test_run_id_over_the_file_name_limit_is_rejected(self):
+        cfg = parse_config(tiny_config_text("/tmp/x", aggregator=[{"name": "MoNNA", "parameters": {"pivot": 10**300}}]))
+        with pytest.raises(ValueError, match="^run id 'MoNNA-pivot10{300}_.*' is longer than the 255-byte file-name"):
+            expand_grid(cfg)
 
 
 class TestSchema:
@@ -377,9 +400,9 @@ class TestSchema:
 class TestExperimentKey:
     def test_documented_id_layout(self):
         key = ExperimentKey(
-            aggregator=RuleConfig("TrMean"),
-            pre_aggregators=[RuleConfig("Clipping", {"c": 2.0}), RuleConfig("NNM")],
-            attack=RuleConfig("SignFlipping"),
+            aggregator=AggregatorSpec("TrMean", f=2),
+            pre_aggregators=[PreAggregatorSpec("Clipping", {"c": 2.0}, f=2), PreAggregatorSpec("NNM", f=2)],
+            attack=AttackSpec("SignFlipping"),
             f=2,
             distribution_name="gamma_similarity_niid",
             distribution_parameter=0.33,
@@ -389,9 +412,9 @@ class TestExperimentKey:
 
     def test_parameters_enter_the_rule_tokens(self):
         key = ExperimentKey(
-            aggregator=RuleConfig("CenteredClipping", {"tau": 2.0, "iters": 5.0}),
+            aggregator=AggregatorSpec("CenteredClipping", {"tau": 2.0, "iters": 5.0}),
             pre_aggregators=[],
-            attack=RuleConfig("InnerProductManipulation", {"tau": 0.5}),
+            attack=AttackSpec("InnerProductManipulation", {"tau": 0.5}),
             f=0,
             distribution_name="dirichlet_niid",
             distribution_parameter=0.5,
@@ -401,9 +424,9 @@ class TestExperimentKey:
 
     def test_underscores_in_names_are_sanitized(self):
         key = ExperimentKey(
-            aggregator=RuleConfig("Average"),
+            aggregator=AggregatorSpec("Average", f=3),
             pre_aggregators=[],
-            attack=RuleConfig("Optimal_ALittleIsEnough"),
+            attack=AttackSpec("Optimal_ALittleIsEnough"),
             f=3,
             distribution_name="iid",
             distribution_parameter=0.0,
@@ -424,9 +447,9 @@ class TestExperimentKey:
     def test_distribution_parameters_six_digits_cannot_tell_apart_get_distinct_ids(self):
         def run_id(gamma):
             return ExperimentKey(
-                aggregator=RuleConfig("TrMean"),
+                aggregator=AggregatorSpec("TrMean", f=1),
                 pre_aggregators=[],
-                attack=RuleConfig("SignFlipping"),
+                attack=AttackSpec("SignFlipping"),
                 f=1,
                 distribution_name="gamma_similarity_niid",
                 distribution_parameter=gamma,
@@ -440,7 +463,8 @@ class TestExperimentKey:
 
     @staticmethod
     def gamma_key(gamma: float) -> ExperimentKey:
-        return ExperimentKey(RuleConfig("TrMean"), [], RuleConfig("SignFlipping"), 1, "gamma_similarity_niid", gamma, 0)
+        return ExperimentKey(AggregatorSpec("TrMean", f=1), [], AttackSpec("SignFlipping"), 1, "gamma_similarity_niid",
+                             gamma, 0)
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_parameter_token_reads_back_as_its_value(self, value):
@@ -455,9 +479,9 @@ class TestExperimentKey:
 
     def test_json_round_trip(self):
         key = ExperimentKey(
-            aggregator=RuleConfig("MoNNA", {"pivot": 0.0}),
-            pre_aggregators=[RuleConfig("NNM")],
-            attack=RuleConfig("ALittleIsEnough", {"tau": 1.5}),
+            aggregator=AggregatorSpec("MoNNA", {"pivot": 0.0}, f=1),
+            pre_aggregators=[PreAggregatorSpec("NNM", f=1)],
+            attack=AttackSpec("ALittleIsEnough", {"tau": 1.5}),
             f=1,
             distribution_name="gamma_similarity_niid",
             distribution_parameter=0.66,
@@ -488,9 +512,47 @@ class TestExpandGrid:
         assert keys[0].f == 0
 
     def test_duplicate_rules_are_rejected(self):
-        text = tiny_config_text("/tmp/x", aggregator=[{"name": "Median"}, {"name": "Median"}])
-        with pytest.raises(ValueError, match="duplicate run id"):
-            expand_grid(parse_config(text))
+        # The message names the run id and blames nothing: a repeated f or
+        # distribution value collides as well as a repeated rule.
+        for tweaks, run_id in [
+            ({"aggregator": [{"name": "Median"}, {"name": "Median"}]}, "Median_SignFlipping_f1_iid0_seed0"),
+            ({"benchmark_config.f": [1, 1]}, "TrMean_SignFlipping_f1_iid0_seed0"),
+            (distribution("gamma_similarity_niid", 1.0, 1), "TrMean_SignFlipping_f1_gamma1_seed0"),
+        ]:
+            with pytest.raises(ValueError, match=f"^grid produces duplicate run id '{run_id}'$"):
+                expand_grid(parse_config(tiny_config_text("/tmp/x", **tweaks)))
+
+    def test_specs_carry_the_key_f(self):
+        tweaks = {"pre_aggregators": [{"name": "NNM"}, {"name": "Clipping", "parameters": {"c": 2}}],
+                  "benchmark_config.f": [0, 2, 1]}
+        cfg = parse_config(tiny_config_text("/tmp/x", **tweaks))
+        keys = expand_grid(cfg)
+        assert [k.f for k in keys] == [0, 2, 1]
+        for key in keys:
+            assert key.aggregator == AggregatorSpec("TrMean", f=key.f)
+            assert key.pre_aggregators == [PreAggregatorSpec("NNM", f=key.f),
+                                           PreAggregatorSpec("Clipping", {"c": 2.0}, f=key.f)]
+        assert [p.f for p in cfg.pre_aggregators] == [0, 0]
+
+    def test_parameterised_run_ids_match_the_written_spelling(self):
+        tweaks = {
+            "aggregator": [{"name": "CenteredClipping", "parameters": {"tau": 2.5, "iters": 5}},
+                           {"name": "MoNNA", "parameters": {"pivot": 2.0}}],
+            "pre_aggregators": [{"name": "Clipping", "parameters": {"c": 2}}, {"name": "NNM"}],
+            "attack": [{"name": "InnerProductManipulation", "parameters": {"tau": 0.5}}, {"name": "SignFlipping"}],
+            "benchmark_config.f": [1, 2],
+        }
+        ids = [k.run_id for k in expand_grid(parse_config(tiny_config_text("/tmp/x", **tweaks)))]
+        assert ids == [
+            "CenteredClipping-iters5-tau2.5_Clipping-NNM_InnerProductManipulation-tau0.5_f1_iid0_seed0",
+            "CenteredClipping-iters5-tau2.5_Clipping-NNM_InnerProductManipulation-tau0.5_f2_iid0_seed0",
+            "CenteredClipping-iters5-tau2.5_Clipping-NNM_SignFlipping_f1_iid0_seed0",
+            "CenteredClipping-iters5-tau2.5_Clipping-NNM_SignFlipping_f2_iid0_seed0",
+            "MoNNA-pivot2_Clipping-NNM_InnerProductManipulation-tau0.5_f1_iid0_seed0",
+            "MoNNA-pivot2_Clipping-NNM_InnerProductManipulation-tau0.5_f2_iid0_seed0",
+            "MoNNA-pivot2_Clipping-NNM_SignFlipping_f1_iid0_seed0",
+            "MoNNA-pivot2_Clipping-NNM_SignFlipping_f2_iid0_seed0",
+        ]
 
 
 class TestRunSingle:

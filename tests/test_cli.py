@@ -264,6 +264,15 @@ class TestPlot:
         assert json.loads(out) == {"files": 0, "warnings": 1}
         assert "no completed runs to plot" in caplog.text
 
+    def test_key_json_naming_an_unknown_aggregator_exits_one_naming_the_file(self, capsys, results_dir, tmp_path):
+        key_path = next(results_dir.glob("*/key.json"))
+        key = json.loads(key_path.read_text())
+        key["aggregator"]["name"] = "Krumm"
+        key_path.write_text(json.dumps(key))
+        code, out, err = run_cli(capsys, "plot", "curve", "--results", str(results_dir), "--out", str(tmp_path / "p"))
+        assert code == 1 and out == ""
+        assert f"{key_path}: aggregator: unknown aggregator 'Krumm'" in err
+
     def test_bad_kind_rejected(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             entrypoint(["plot", "scatter", "--results", str(tmp_path), "--out", str(tmp_path)])
@@ -316,6 +325,15 @@ class TestValidate:
         code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
         assert code == 1 and out == ""
         assert f"model.dataset_params.{keys[0]}" in err and keys[1] in err
+
+    @pytest.mark.parametrize("name, key", [("MoNNA", "pivot"), ("CenteredClipping", "iters")])
+    def test_401_digit_integer_parameter_exits_one_naming_it(self, capsys, tmp_path, name, key):
+        cfg = tmp_path / "huge.json"
+        huge = [{"name": name, "parameters": {key: 10**400}}]
+        cfg.write_text(tiny_config_text(tmp_path / "results", aggregator=huge))
+        code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert f"{name} parameter {key} is too large for a run id to spell" in err
 
     def test_cnn_mnist_exits_one(self, capsys, tmp_path):
         cfg = tmp_path / "cnn.json"

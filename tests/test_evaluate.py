@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from robustfl.benchmark import ExperimentKey, ExperimentResult, RuleConfig
+from robustfl.aggregators import AggregatorSpec
+from robustfl.attacks import AttackSpec
+from robustfl.benchmark import ExperimentKey, ExperimentResult
 from robustfl.evaluate import emit_curves, emit_heatmaps, worst_case_maximal_accuracy
+from robustfl.preaggregators import PreAggregatorSpec
 from robustfl.svgplot import ramp_color, render_heatmap, render_line_chart
 
 
@@ -19,9 +22,9 @@ def make_result(
     seed=0,
 ):
     key = ExperimentKey(
-        aggregator=RuleConfig(aggregator),
-        pre_aggregators=[RuleConfig(name) for name in pre_aggregators],
-        attack=RuleConfig(attack),
+        aggregator=AggregatorSpec(aggregator, f=f),
+        pre_aggregators=[PreAggregatorSpec(*pre, f=f) for pre in pre_aggregators],
+        attack=AttackSpec(attack),
         f=f,
         distribution_name=distribution_name,
         distribution_parameter=distribution_parameter,
@@ -115,7 +118,7 @@ class TestEmitCurves:
 
     def test_groups_split_by_configuration(self, tmp_path):
         results = [
-            make_result([0.5], aggregator="TrMean", pre_aggregators=("Clipping", "NNM"), f=2,
+            make_result([0.5], aggregator="TrMean", pre_aggregators=(("Clipping", {"c": 2.0}), ("NNM",)), f=2,
                         distribution_parameter=0.33),
             make_result([0.5], aggregator="Median", distribution_name="iid", distribution_parameter=0.0),
             make_result([0.5], aggregator="Median", f=3),

@@ -336,18 +336,18 @@ class TestPreAggregatorSpec:
 
     def test_unknown_parameter(self):
         with pytest.raises(ValueError, match="does not accept parameters"):
-            PreAggregatorSpec("NNM", f=1, params={"c": 2.0})
+            PreAggregatorSpec("NNM", f=1, parameters={"c": 2.0})
 
     def test_clipping_requires_positive_c(self):
         with pytest.raises(ValueError, match="Clipping requires parameter c"):
             PreAggregatorSpec("Clipping")
         with pytest.raises(ValueError, match="Clipping parameter c must be positive, got 0.0"):
-            PreAggregatorSpec("Clipping", params={"c": 0.0})
+            PreAggregatorSpec("Clipping", parameters={"c": 0.0})
 
     def test_bucketing_size_validation(self):
         with pytest.raises(ValueError, match="Bucketing parameter s must be >= 1, got 0"):
-            PreAggregatorSpec("Bucketing", params={"s": 0.0})
-        assert PreAggregatorSpec("Bucketing", params={"s": 3.0}).params["s"] == 3.0
+            PreAggregatorSpec("Bucketing", parameters={"s": 0.0})
+        assert PreAggregatorSpec("Bucketing", parameters={"s": 3.0}).parameters["s"] == 3.0
 
 
 class TestConfiguredPreAggregator:
@@ -358,7 +358,7 @@ class TestConfiguredPreAggregator:
     def test_dispatch_matches_functions(self, x3):
         cases = [
             (PreAggregatorSpec("NNM", f=1), nnm(x3, 1)),
-            (PreAggregatorSpec("Clipping", params={"c": 5.0}), static_clipping(x3, 5.0)),
+            (PreAggregatorSpec("Clipping", parameters={"c": 5.0}), static_clipping(x3, 5.0)),
             (PreAggregatorSpec("ARC", f=1), arc(x3, 1)),
         ]
         for spec, expected in cases:
@@ -381,12 +381,12 @@ class TestPipeline:
 
     def test_inactive_clipping_then_median(self, x3):
         pipeline = build_pipeline(
-            AggregatorSpec("Median"), [PreAggregatorSpec("Clipping", params={"c": 1e9})]
+            AggregatorSpec("Median"), [PreAggregatorSpec("Clipping", parameters={"c": 1e9})]
         )
         np.testing.assert_allclose(pipeline(x3), [4.0, 5.0, 6.0], atol=1e-12)
 
     def test_transforms_fold_left_to_right(self, x3):
-        specs = [PreAggregatorSpec("NNM", f=1), PreAggregatorSpec("Clipping", params={"c": 7.0})]
+        specs = [PreAggregatorSpec("NNM", f=1), PreAggregatorSpec("Clipping", parameters={"c": 7.0})]
         pipeline = build_pipeline(AggregatorSpec("Average"), specs)
         expected = static_clipping(nnm(x3, 1), 7.0).mean(axis=0)
         np.testing.assert_allclose(pipeline(x3), expected, atol=1e-12)
@@ -394,7 +394,7 @@ class TestPipeline:
         assert not np.allclose(reordered(x3), expected)
 
     def test_clone_copies_clip_memory(self):
-        pipeline = build_pipeline(AggregatorSpec("CenteredClipping", params={"tau": 1.0, "iters": 1.0}))
+        pipeline = build_pipeline(AggregatorSpec("CenteredClipping", parameters={"tau": 1.0, "iters": 1.0}))
         first = np.array([[4.0, 0.0]])
         second = np.array([[10.0, 2.0]])
         pipeline(first)
@@ -403,7 +403,7 @@ class TestPipeline:
         np.testing.assert_array_equal(pipeline(second), twin(second))
 
     def test_clone_is_independent(self):
-        pipeline = build_pipeline(AggregatorSpec("CenteredClipping", params={"tau": 1.0, "iters": 1.0}))
+        pipeline = build_pipeline(AggregatorSpec("CenteredClipping", parameters={"tau": 1.0, "iters": 1.0}))
         pipeline(np.array([[4.0, 0.0]]))
         twin = pipeline.clone()
         twin(np.array([[100.0, 100.0]]))
@@ -414,7 +414,7 @@ class TestPipeline:
     def test_clone_copies_shuffle_stream(self, x3):
         pipeline = build_pipeline(
             AggregatorSpec("Average"),
-            [PreAggregatorSpec("Bucketing", params={"s": 2.0})],
+            [PreAggregatorSpec("Bucketing", parameters={"s": 2.0})],
             rng=derive_rng(9, "bucketing"),
         )
         twin = pipeline.clone()
@@ -455,7 +455,7 @@ class TestPipeline:
         assert memos == [memo, None]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("pre", [[], [PreAggregatorSpec("NNM", f=1)], [PreAggregatorSpec("Clipping", params={"c": 1.0})]])
+    @pytest.mark.parametrize("pre", [[], [PreAggregatorSpec("NNM", f=1)], [PreAggregatorSpec("Clipping", {"c": 1.0})]])
     def test_non_finite_input_is_rejected(self, x3, pre, bad):
         rows = x3.tolist()
         rows[1][2] = bad
@@ -479,7 +479,7 @@ class TestPipeline:
 
     def test_stage_without_memo_ignores_it(self, x3):
         nnm_spec = PreAggregatorSpec("NNM", f=1)
-        clip_spec = PreAggregatorSpec("Clipping", params={"c": 1.0})
+        clip_spec = PreAggregatorSpec("Clipping", parameters={"c": 1.0})
         for pres in ([], [clip_spec, nnm_spec], [PreAggregatorSpec("ARC", f=1), nnm_spec]):
             pipeline = build_pipeline(AggregatorSpec("Average"), pres)
             memo = NeighbourMeans(fixed=2)

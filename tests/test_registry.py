@@ -127,8 +127,8 @@ def test_new_rows_run_and_keep_their_state_across_calls(new_rows, tmp_path):
     assert run_single(cfg, key).steps == [0, 2, 4]
 
     xs = np.arange(6.0).reshape(3, 2)
-    pre = PreAggregatorSpec("NoisyCopies", params={"copies": 2})
-    pipeline = build_pipeline(AggregatorSpec("RunningMean", params={"weight": 2}), [pre], np.random.default_rng(5))
+    pre = PreAggregatorSpec("NoisyCopies", parameters={"copies": 2})
+    pipeline = build_pipeline(AggregatorSpec("RunningMean", parameters={"weight": 2}), [pre], np.random.default_rng(5))
     stream, history = np.random.default_rng(5), []
     for _ in range(3):
         rows = np.tile(xs, (2, 1)) + stream.standard_normal((6, 2))
@@ -136,7 +136,7 @@ def test_new_rows_run_and_keep_their_state_across_calls(new_rows, tmp_path):
         np.testing.assert_array_equal(pipeline(xs), np.mean(history, axis=0) + 1.0)
     assert len(pipeline.aggregator.carried["history"]) == 3
     with pytest.raises(ValueError, match="NoisyCopies requires a seeded numpy Generator"):
-        build_pipeline(AggregatorSpec("RunningMean", params={"weight": 2}), [pre])
+        build_pipeline(AggregatorSpec("RunningMean", parameters={"weight": 2}), [pre])
 
 
 def test_every_trace_target_resolves_in_its_owner():
@@ -184,7 +184,7 @@ def test_cli_attack_prints_attack_vector(capsys, tmp_path, name, tau):
     argv = ["attack", "--name", name, "--input", str(path)] + ([] if tau is None else ["--tau", str(tau)])
     assert entrypoint(argv) == 0
     params = {} if tau is None else {"tau": tau}
-    expected = attack_vector(AttackSpec(name, params=params), AttackContext(honest, 0, None))
+    expected = attack_vector(AttackSpec(name, parameters=params), AttackContext(honest, 0, None))
     assert capsys.readouterr().out.strip() == ",".join(format_value(v) for v in expected)
 
 
