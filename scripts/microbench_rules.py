@@ -15,7 +15,10 @@ runs with c = 1. Two last rows time one whole Optimal_ALittleIsEnough and
 one whole Optimal_InnerProductManipulation search (``optimize_attack_scale``
 over the default 41-point grid) against TrMean behind NNM on the n - f
 honest rows of the last shape; the first is the per-step attack cost of the
-``mnist_optimal`` workload. Two model rows time one ``loss_and_gradient``
+``mnist_optimal`` workload. Two kernel rows time, at that shape, one
+``numerics.pairwise_sq_dists`` call on the n rows (the distance kernel of
+MultiKrum, GeometricMedian and NNM) and ALittleIsEnough's per-search parts,
+the mean and std of the n - f honest rows. Two model rows time one ``loss_and_gradient``
 call on a seeded batch of 25 (n is the batch, d the parameter count): the
 linear 10 -> 3 model of ``sample_grid``, where this call is most of the time,
 and the 784 -> 64 -> 10 MLP of the ``mnist_*`` workloads. Two round rows time
@@ -44,6 +47,7 @@ from robustfl.aggregators import (  # noqa: E402
     make_aggregator,
 )
 from robustfl.attacks import (  # noqa: E402
+    AFFINE_BASES,
     AttackContext,
     a_little_is_enough,
     inner_product_manipulation,
@@ -51,6 +55,7 @@ from robustfl.attacks import (  # noqa: E402
 )
 from robustfl.datadist import LabeledDataset  # noqa: E402
 from robustfl.models import LinearArch, MlpArch, init_params, loss_and_gradient, param_count  # noqa: E402
+from robustfl.numerics import pairwise_sq_dists  # noqa: E402
 from robustfl.preaggregators import (  # noqa: E402
     PRE_AGGREGATOR_NAMES,
     ConfiguredPreAggregator,
@@ -115,11 +120,16 @@ def main() -> int:
             ms, calls = median_ms(fn, xs)
             print(f"{kind:<15} {name:<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")
     n, d, f = SHAPES[-1]
-    honest = attacked_rows(n, d, f, np.random.default_rng(SEED))[: n - f]
+    attacked = attacked_rows(n, d, f, np.random.default_rng(SEED))
+    honest = attacked[: n - f]
     pipeline = build_pipeline(AggregatorSpec("TrMean", f=f), [PreAggregatorSpec("NNM", f=f)])
     for name, base in SEARCHES:
         ms, calls = median_ms(lambda rows: optimize_attack_scale(AttackContext(rows, f, pipeline), base), honest)
         print(f"{'attack search':<15} {name:<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")
+    for name, fn, xs in (("pairwise_sq_dists", pairwise_sq_dists, attacked),
+                         ("ALIE_parts", AFFINE_BASES[a_little_is_enough].parts, honest)):
+        ms, calls = median_ms(fn, xs)
+        print(f"{'kernel':<15} {name:<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")
     rng = np.random.default_rng(SEED)
     for name, arch, _ in MODELS:
         flat = init_params(arch, rng)

@@ -17,7 +17,9 @@ from typing import Callable, ClassVar, Mapping
 import numpy as np
 
 from .datadist import NONNEGATIVE, POSITIVE, Param, at_least
-from .numerics import as_vector_set, check_f, pairwise_sq_dists, top_eigenpair
+from .numerics import as_vector_set, check_f, columnwise, top_eigenpair
+# The rules pass the matrix they have checked; perfbench's tracer patches the kernel under this name.
+from .numerics import trusted_pairwise_sq_dists as pairwise_sq_dists
 
 # Exhaustive subset rules (MDA, SMEA) enumerate C(n, n - f) candidates and
 # refuse inputs beyond this many rows.
@@ -45,10 +47,22 @@ def median(xs) -> np.ndarray:
 
 
 def trmean(xs, f: int) -> np.ndarray:
-    """Trimmed mean: drop the f smallest and f largest values per coordinate."""
+    """Trimmed mean: drop the f smallest and f largest values per coordinate.
+
+    Each column tile is sorted as the rows of its C-contiguous transpose, and
+    the kept values go back into a C-contiguous (n - 2f, W) block, so each
+    column is summed in the order of ``np.sort(xs, axis=0)[f : n - f].mean(axis=0)``.
+    """
     xs = as_vector_set(xs)
-    check_f("TrMean", len(xs), f, 2 * f + 1, "n > 2f")
-    return np.sort(xs, axis=0)[f : len(xs) - f].mean(axis=0)
+    n = len(xs)
+    check_f("TrMean", n, f, 2 * f + 1, "n > 2f")
+
+    def tile_trmean(tile: np.ndarray) -> np.ndarray:
+        rows = tile.T.copy()
+        rows.sort(axis=1)
+        return rows[:, f : n - f].T.copy().mean(axis=0)
+
+    return columnwise(tile_trmean, xs)
 
 
 def geometric_median(xs) -> np.ndarray:
@@ -115,14 +129,36 @@ def multi_krum(xs, f: int) -> np.ndarray:
 
 def meamed(xs, f: int) -> np.ndarray:
     """Per coordinate, mean of the n - f values closest to that coordinate's
-    median."""
+    median, deviation ties going to the lower row index.
+
+    Each column tile is transposed into rows once; the median comes from a
+    sorted copy of them and the deviations are ranked along them. The kept
+    values go back into a C-contiguous (n - f, W) block, so each column is
+    summed in the order of ``np.take_along_axis(xs, order, axis=0).mean(axis=0)``
+    with ``order`` the stable argsort of the deviations along axis 0.
+
+    The ranking is numpy's default argsort, about half the cost of the
+    stable one, which may order tied deviations differently. Tied equal values give the same kept values in the same
+    order whichever comes first (a sum that starts at +0.0 cannot tell -0.0
+    from +0.0), so only a column where two different values tie is ranked
+    again, stably.
+    """
     xs = as_vector_set(xs)
     n = len(xs)
     check_f("MeaMed", n, f, f + 1, "n > f")
-    deviations = np.abs(xs - np.median(xs, axis=0))
-    order = np.argsort(deviations, axis=0, kind="stable")
-    kept = np.take_along_axis(xs, order[: n - f], axis=0)
-    return kept.mean(axis=0)
+    middle = slice((n - 1) // 2, n // 2 + 1)
+
+    def tile_meamed(tile: np.ndarray) -> np.ndarray:
+        rows = tile.T.copy()
+        median_ = np.sort(rows, axis=1)[:, middle].T.copy().mean(axis=0)
+        deviations = np.abs(rows - median_[:, None])
+        flat_order = np.argsort(deviations, axis=1) + np.arange(0, rows.size, n)[:, None]
+        ranked, ranked_deviations = rows.take(flat_order), deviations.take(flat_order)
+        redo = ((ranked_deviations[:, 1:] == ranked_deviations[:, :-1]) & (ranked[:, 1:] != ranked[:, :-1])).any(axis=1)
+        ranked[redo] = np.take_along_axis(rows[redo], np.argsort(deviations[redo], axis=1, kind="stable"), axis=1)
+        return ranked[:, : n - f].T.copy().mean(axis=0)
+
+    return columnwise(tile_meamed, xs)
 
 
 def mda(xs, f: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .aggregators import Param, Rule, RuleSpec
-from .numerics import as_vector_set
+from .numerics import as_vector_set, columnwise
 from .preaggregators import NeighbourMeans, Pipeline
 
 DEFAULT_IPM_SCALE = 0.9
@@ -35,8 +35,10 @@ class AffineBase(NamedTuple):
     at: Callable[..., np.ndarray]
 
 
+# A mean is one streaming pass; the std's temporaries stay in cache in column tiles.
 _IPM = AffineBase(lambda honest: (honest.mean(axis=0),), lambda tau, mean: -tau * mean)
-_ALIE = AffineBase(lambda honest: (honest.mean(axis=0), honest.std(axis=0)), lambda tau, mean, std: mean - tau * std)
+_ALIE = AffineBase(lambda honest: (honest.mean(axis=0), columnwise(lambda tile: tile.std(axis=0), honest)),
+                   lambda tau, mean, std: mean - tau * std)
 
 
 def inner_product_manipulation(honest, tau: float = DEFAULT_IPM_SCALE) -> np.ndarray:

@@ -575,7 +575,8 @@ def write_result(base_dir, result: ExperimentResult) -> Path:
 
 
 def read_result(base_dir, run_id: str) -> ExperimentResult:
-    """Load one persisted run; raises ``FileNotFoundError`` when absent."""
+    """Load one persisted run; raises ``FileNotFoundError`` when absent and
+    ``ValueError`` naming ``key.json`` when it is malformed or misses a key."""
     run_dir = Path(base_dir) / run_id
     metrics = run_dir / "metrics.csv"
     if not metrics.exists():
@@ -583,6 +584,8 @@ def read_result(base_dir, run_id: str) -> ExperimentResult:
     key_path = run_dir / "key.json"
     try:
         key = ExperimentKey.from_json_dict(json.loads(key_path.read_text()))
+    except KeyError as exc:
+        raise ValueError(f"{key_path}: missing key {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{key_path}: {exc}") from None
     lines = metrics.read_text().strip().splitlines()

@@ -2,10 +2,20 @@
 
 Client updates are plain 1-D float64 arrays and a round's worth of updates is
 an (n, d) matrix with one row per client. The public kernels validate shape
-and finiteness on entry (``as_vector_set``); only
+and finiteness on entry (``as_vector_set``); ``trusted_pairwise_sq_dists``,
+which the rules call on the matrix they have already checked, and
 ``pairwise_sq_dists_with_copies``, which extends an already validated block,
-trusts its arguments. Kernels that would build an (n, n, d)-sized temporary
-work in row blocks of at most ``BLOCK_ELEMENTS`` entries instead.
+trust their arguments.
+
+Two budgets bound the temporaries. ``BLOCK_ELEMENTS`` (8 MiB) decides whether
+a kernel builds an (n, n, d)- or (n, n - f, d)-sized temporary in one piece.
+``TILE_ELEMENTS`` (512 KiB, a quarter of a core's L2 cache) sizes the tiles
+that every other pass over an (n, d) matrix, bar one streaming read, works
+in: ``tiles`` cuts a range into runs of about that many elements, and
+``columnwise`` runs a per-column reduction over column tiles of the matrix.
+A tile never holds fewer than two items, because numpy reduces a lone pair,
+or a lone column, in another order; every tiled result is bit-identical to
+its whole-matrix form.
 
 Every rule works on n rows with n much smaller than d, so the n x n matrices
 of pairwise distances or of centred inner products carry what a rule needs:
@@ -16,8 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# Most float64 elements a row-blocked kernel holds in one temporary (8 MiB).
+# Most float64 elements a kernel holds in one temporary built in one piece (8 MiB).
 BLOCK_ELEMENTS = 1 << 20
+# Most float64 elements a cache-sized tile holds (512 KiB): a quarter of a
+# core's 2 MiB L2, so a tiled pass's few tile-sized temporaries stay in it.
+TILE_ELEMENTS = 1 << 16
 
 
 def as_vector_set(xs) -> np.ndarray:
@@ -53,54 +66,100 @@ def block_rows(row_elements: int) -> int:
     return max(1, BLOCK_ELEMENTS // max(1, row_elements))
 
 
+def tile_width(item_elements: int) -> int:
+    """Items of ``item_elements`` entries each in one tile: as many as fit in
+    ``TILE_ELEMENTS``, and at least two."""
+    return max(2, TILE_ELEMENTS // max(1, item_elements))
+
+
+def tiles(stop: int, item_elements: int, start: int = 0) -> list[slice]:
+    """Consecutive runs covering ``range(start, stop)``, each of
+    ``tile_width(item_elements)`` items but the last, which takes a lone
+    trailing item in with the run before it (so a run may hold one item more).
+    A run has one item only when the range has one."""
+    width = tile_width(item_elements)
+    bounds = list(range(start, stop, width))
+    if len(bounds) > 1 and stop - bounds[-1] == 1:
+        bounds.pop()
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:] + [stop])]
+
+
+def columnwise(fn, xs: np.ndarray) -> np.ndarray:
+    """``fn(xs)`` for a ``fn`` that reduces each column of an (n, d) matrix to
+    one value, run on the column tiles ``xs[:, run]`` of ``tiles(d, n)``.
+
+    A tile is a view, so ``fn`` reducing it along axis 0 sums each column in
+    the order the whole matrix would; ``fn`` must not mutate it.
+    """
+    n, d = xs.shape
+    out = np.empty(d)
+    for run in tiles(d, n):
+        out[run] = fn(xs[:, run])
+    return out
+
+
 def pairwise_sq_dists(xs) -> np.ndarray:
-    """Matrix of squared Euclidean distances between all row pairs.
+    """Matrix of squared Euclidean distances between all row pairs: ``xs``
+    checked by ``as_vector_set``, then measured by ``trusted_pairwise_sq_dists``."""
+    return trusted_pairwise_sq_dists(as_vector_set(xs))
+
+
+def trusted_pairwise_sq_dists(xs: np.ndarray) -> np.ndarray:
+    """``pairwise_sq_dists`` of an (n, d) float64 matrix the caller has
+    validated.
 
     Computed from explicit row differences (not the Gram-matrix identity), so
     the result is exactly symmetric with an exactly zero diagonal. When the
     whole (n, n, d) difference tensor fits in ``BLOCK_ELEMENTS`` entries it is
-    built in one piece. Otherwise rows go in blocks sized for that budget (one
-    row when a row alone is larger), each block computes only the columns from
-    its own first row on into one reused buffer, and the upper triangle is
-    mirrored into the lower: half the work, extra memory
-    O(n^2 + max(BLOCK_ELEMENTS, n d)). Every entry is the same per-pair
-    reduction whatever the block size (negating a difference is exact), so
-    the result is bit-identical either way.
+    built in one piece. Otherwise each row i < n - 1 is measured against the
+    rows from i on, in the runs of ``tiles(n, d, i)``, through one reused
+    buffer, and the upper triangle is mirrored into the lower: half the work,
+    extra memory O(n^2 + TILE_ELEMENTS + d). Every entry is the same per-pair
+    reduction whatever the tile (negating a difference is exact), so the
+    result is bit-identical either way.
     """
-    xs = as_vector_set(xs)
     n, d = xs.shape
-    step = block_rows(n * d)
-    if step >= n:
+    if block_rows(n * d) >= n:
         diffs = xs[:, None, :] - xs[None, :, :]
         return np.einsum("ijk,ijk->ij", diffs, diffs)
-    out = np.empty((n, n))
-    buffer = np.empty(step * n * d)
-    for lo in range(0, n, step):
-        block = xs[lo : lo + step]
-        diffs = buffer[: len(block) * (n - lo) * d].reshape(len(block), n - lo, d)
-        np.subtract(block[:, None, :], xs[None, lo:, :], out=diffs)
-        out[lo : lo + step, lo:] = np.einsum("ijk,ijk->ij", diffs, diffs)
+    out = np.zeros((n, n))
+    buffer = np.empty(min(n, tile_width(d) + 1) * d)
+    for i in range(n - 1):
+        for run in tiles(n, d, i):
+            out[i, run] = _sq_dists_to(xs[i], xs[run], buffer)
     lower = np.tril_indices(n, -1)
     out[lower] = out.T[lower]
     return out
 
 
+def _sq_dists_to(v: np.ndarray, rows: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """Squared distance of each of two or more ``rows`` to ``v``, reduced as
+    one (1, len(rows), d) einsum tile held in ``buffer``."""
+    diffs = buffer[: rows.size].reshape(1, *rows.shape)
+    np.subtract(rows, v, out=diffs[0])
+    return np.einsum("ijk,ijk->ij", diffs, diffs)[0]
+
+
 def pairwise_sq_dists_with_copies(honest_sq_dists: np.ndarray, honest: np.ndarray, v: np.ndarray, f: int):
     """``pairwise_sq_dists`` of ``honest`` stacked over f copies of ``v``,
-    built from the already computed honest block in O(n d) time and memory.
+    built from the already computed honest block in O(n d) time and O(n^2 +
+    TILE_ELEMENTS + d) memory.
 
     The result equals ``pairwise_sq_dists(np.vstack([honest, np.tile(v, (f, 1))]))``
     bit for bit: each honest-to-v entry is the same reduction over the same
-    row difference (negating it is exact), and the copies are exactly 0 apart.
-    The inputs are trusted: the caller has validated ``honest``.
+    row difference, taken in the runs of ``tiles(n, d)`` (a lone honest row
+    is measured beside v itself, so that it too is one of two pairs), and the
+    copies are exactly 0 apart. The inputs are trusted: the caller has
+    validated ``honest``.
     """
-    n = len(honest)
-    diffs = honest[:, None, :] - v
-    column = np.einsum("ijk,ijk->ij", diffs, diffs)
+    n, d = honest.shape
+    rows = honest if n > 1 else np.vstack([honest, v])
+    buffer = np.empty(min(len(rows), tile_width(d) + 1) * d)
+    column = np.concatenate([_sq_dists_to(v, rows[run], buffer) for run in tiles(len(rows), d)])[:n]
     out = np.zeros((n + f, n + f))
     out[:n, :n] = honest_sq_dists
-    out[:n, n:] = column
-    out[n:, :n] = column.T
+    out[:n, n:] = column[:, None]
+    out[n:, :n] = column
     return out
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .attacks import AttackContext, AttackSpec, attack_vector
 from .datadist import NONNEGATIVE, LabeledDataset, at_least
 from .models import Arch, LrSchedule, logits, loss_and_gradient
+from .numerics import tiles
 from .preaggregators import Pipeline
 
 
@@ -91,11 +92,14 @@ class HonestClient:
 
     def _momentum_step(self, arch: Arch, params: np.ndarray, buf: np.ndarray, rows) -> None:
         """Advance ``buf`` in place by the weight-decayed gradients at ``params``
-        on the rows' next mini-batches."""
+        on the rows' next mini-batches, one cache-sized column tile at a time."""
         grads = self._gradients(arch, params, rows)
-        grads += self.weight_decay * params
-        buf *= self.momentum
-        buf += grads
+        for run in tiles(grads.shape[1], len(grads)):
+            tile = grads[:, run]
+            tile += self.weight_decay * params[..., run]
+            tile_buf = buf[:, run]
+            tile_buf *= self.momentum
+            tile_buf += tile
 
     def compute_update(self, arch: Arch, flat: np.ndarray) -> np.ndarray:
         """(n, d) momentum gradients on every row's next mini-batch (the DSGD submissions)."""

@@ -11,6 +11,15 @@ tied_elements = st.one_of(finite_elements, st.sampled_from([0.0, 1.0, -2.5]))
 multi_row_matrices = st.integers(2, 9).flatmap(
     lambda n: st.integers(1, 7).flatmap(lambda d: arrays(np.float64, (n, d), elements=tied_elements))
 )
+# Small integers and signed zeros, so columns hold duplicates, values tied
+# across their median and -0.0 beside +0.0.
+signed_elements = st.one_of(finite_elements, st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0]))
+column_matrices = st.integers(2, 12).flatmap(
+    lambda n: st.integers(1, 9).flatmap(lambda d: arrays(np.float64, (n, d), elements=signed_elements))
+)
+# Tile budgets: 1 gives two-item tiles, the middle ones cut the inputs here
+# into uneven tiles, the last fits any of them in one.
+tile_budgets = st.sampled_from([1, 5, 12, 1 << 40])
 
 
 @pytest.fixture
@@ -41,4 +50,13 @@ def in_blocks(kernel, rows: int, row_elements: int, *args):
     """``kernel(*args)`` with a budget of ``rows`` rows of ``row_elements``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numerics, "BLOCK_ELEMENTS", rows * row_elements)
+        return kernel(*args)
+
+
+def in_tiles(kernel, budget: int, *args):
+    """``kernel(*args)`` with a tile budget of ``budget`` elements and a block
+    budget no (n, n, d) tensor fits, so distance kernels take their tiled path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "BLOCK_ELEMENTS", 1)
+        mp.setattr(numerics, "TILE_ELEMENTS", budget)
         return kernel(*args)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustfl import numerics
 from robustfl.aggregators import (
     AGGREGATOR_NAMES,
     AggregatorSpec,
@@ -21,7 +22,9 @@ from robustfl.aggregators import (
     trmean,
 )
 
-from conftest import multi_row_matrices, random_vector_set
+from robustfl.preaggregators import nnm
+
+from conftest import column_matrices, in_tiles, multi_row_matrices, random_vector_set, tile_budgets
 from oracles import (
     brute_mda,
     brute_smea,
@@ -35,6 +38,17 @@ from oracles import (
 )
 
 GOLDEN = [2.5, 3.5, 4.5]
+
+
+def parent_trmean(xs: np.ndarray, f: int) -> np.ndarray:
+    """The whole-matrix expression the tiled TrMean reproduces bit for bit."""
+    return np.sort(xs, axis=0)[f : len(xs) - f].mean(axis=0)
+
+
+def parent_meamed(xs: np.ndarray, f: int) -> np.ndarray:
+    """The whole-matrix expression the tiled MeaMed reproduces bit for bit."""
+    order = np.argsort(np.abs(xs - np.median(xs, axis=0)), axis=0, kind="stable")
+    return np.take_along_axis(xs, order[: len(xs) - f], axis=0).mean(axis=0)
 
 
 class TestAverage:
@@ -215,6 +229,53 @@ class TestMeaMed:
             xs = random_vector_set(rng, n=int(rng.integers(2, 9)))
             f = int(rng.integers(0, xs.shape[0]))
             np.testing.assert_allclose(meamed(xs, f), naive_meamed(xs, f), rtol=1e-12, atol=1e-12)
+
+
+class TestCoordinateTiles:
+    @settings(deadline=None, max_examples=120)
+    @given(column_matrices, tile_budgets, st.data())
+    def test_trmean_and_meamed_equal_parent_expressions(self, xs, budget, data):
+        n = len(xs)
+        f = data.draw(st.integers(0, (n - 1) // 2), label="TrMean f")
+        assert in_tiles(trmean, budget, xs, f).tobytes() == parent_trmean(xs, f).tobytes()
+        f = data.draw(st.integers(0, n - 1), label="MeaMed f")
+        assert in_tiles(meamed, budget, xs, f).tobytes() == parent_meamed(xs, f).tobytes()
+
+    # Eleven or more kept values per column: a sum along a transposed view
+    # would reduce them pairwise, not in row order. The first columns pair
+    # every value with its mirror across the median 0, so deviations tie
+    # between different values, which an unstable ranking may swap.
+    @pytest.mark.parametrize("n", [20, 21, 40])
+    @pytest.mark.parametrize("budget", [1, 7 * 21, 1 << 40])
+    def test_long_columns_with_ties_equal_parent_expressions(self, n, budget):
+        rng = np.random.default_rng(48)
+        xs = rng.normal(size=(n, 37))
+        xs[3] = xs[5]
+        deltas = rng.uniform(0.1, 1.0, size=n // 2)
+        mirrored = np.concatenate([deltas, -deltas, [0.0] * (n % 2)])
+        for column in range(6):
+            xs[:, column] = rng.permutation(mirrored)
+        for f in (0, 1, 2, 4):
+            assert in_tiles(trmean, budget, xs, f).tobytes() == parent_trmean(xs, f).tobytes()
+            assert in_tiles(meamed, budget, xs, f).tobytes() == parent_meamed(xs, f).tobytes()
+
+    def test_wide_rows_equal_parent_expressions(self):
+        xs = np.random.default_rng(49).normal(size=(33, 50_890)) * 0.01
+        assert trmean(xs, 3).tobytes() == parent_trmean(xs, 3).tobytes()
+        assert meamed(xs, 3).tobytes() == parent_meamed(xs, 3).tobytes()
+
+
+@pytest.mark.parametrize("rule", [lambda xs: multi_krum(xs, 1), geometric_median, lambda xs: mda(xs, 1),
+                                  lambda xs: nnm(xs, 1)], ids=["MultiKrum", "GeometricMedian", "MDA", "NNM"])
+def test_distance_rules_check_their_input_once(rule, x4, monkeypatch):
+    expected = rule(x4)
+
+    def second_check(xs):
+        raise AssertionError("the checked matrix was checked again")
+
+    monkeypatch.setattr(numerics, "as_vector_set", second_check)
+    for budget in (1, 1 << 40):
+        np.testing.assert_array_equal(in_tiles(rule, budget, x4), expected)
 
 
 class TestMda:

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from robustfl import attacks, preaggregators
 from robustfl.aggregators import AggregatorSpec
 from robustfl.attacks import (
+    AFFINE_BASES,
     ATTACK_NAMES,
     ATTACKS,
     DEFAULT_ALIE_SCALE,
@@ -26,7 +27,7 @@ from robustfl.numerics import pairwise_sq_dists
 from robustfl.preaggregators import Pipeline, PreAggregatorSpec, build_pipeline
 from robustfl.seeding import derive_rng
 
-from conftest import finite_elements, in_blocks, random_vector_set
+from conftest import column_matrices, finite_elements, in_blocks, in_tiles, random_vector_set, tile_budgets
 from oracles import rescore_attack_grid
 
 
@@ -150,6 +151,21 @@ class TestClosedFormsAgainstOneLineExpressions:
     @given(signed_zero_rows, scales)
     def test_alie(self, xs, tau):
         assert_same_bits(a_little_is_enough(xs, tau), xs.mean(axis=0) - tau * xs.std(axis=0))
+
+    @settings(deadline=None, max_examples=120)
+    @given(column_matrices, tile_budgets)
+    def test_alie_parts_in_tiles(self, xs, budget):
+        mean, std = in_tiles(AFFINE_BASES[a_little_is_enough].parts, budget, xs)
+        assert_same_bits(mean, xs.mean(axis=0))
+        assert_same_bits(std, xs.std(axis=0))
+
+    @pytest.mark.parametrize("budget", [1, 7 * 20, 1 << 40])
+    def test_alie_parts_of_long_columns_in_tiles(self, budget):
+        # Twenty rows: a sum along a transposed view would reduce them pairwise.
+        xs = np.random.default_rng(50).normal(size=(20, 37))
+        mean, std = in_tiles(AFFINE_BASES[a_little_is_enough].parts, budget, xs)
+        assert_same_bits(mean, xs.mean(axis=0))
+        assert_same_bits(std, xs.std(axis=0))
 
     def test_zero_scale_on_signed_zero_rows(self):
         xs = np.array([[0.0, -0.0, 1.0, -0.0], [-0.0, -0.0, -1.0, 0.0]])

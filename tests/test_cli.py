@@ -273,6 +273,15 @@ class TestPlot:
         assert code == 1 and out == ""
         assert f"{key_path}: aggregator: unknown aggregator 'Krumm'" in err
 
+    def test_key_json_missing_a_key_exits_one_naming_the_file(self, capsys, results_dir, tmp_path):
+        key_path = next(results_dir.glob("*/key.json"))
+        key = json.loads(key_path.read_text())
+        del key["seed"]
+        key_path.write_text(json.dumps(key))
+        code, out, err = run_cli(capsys, "plot", "heatmap", "--results", str(results_dir), "--out", str(tmp_path / "p"))
+        assert code == 1 and out == ""
+        assert f"{key_path}: missing key 'seed'" in err
+
     def test_bad_kind_rejected(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             entrypoint(["plot", "scatter", "--results", str(tmp_path), "--out", str(tmp_path)])

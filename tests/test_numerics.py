@@ -4,22 +4,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from robustfl import numerics
 from robustfl.numerics import (
     as_vector_set,
     pairwise_sq_dists,
     pairwise_sq_dists_with_copies,
+    tile_width,
+    tiles,
     top_eigenpair,
 )
 
 from conftest import (
     finite_elements,
     in_blocks,
+    in_tiles,
     multi_row_matrices,
     random_vector_set,
     single_block,
     tied_elements,
+    tile_budgets,
 )
 from oracles import covariance_eigh, covariance_top_eigenvalue, naive_pairwise_sq_dists
+
+# Past numpy's 8,192-element buffer, einsum reduces a tile of one pair in
+# chunks, another order than a tile of two or more: a lone-pair tile shows.
+BUFFERED_D = 9_000
+
+
+def parent_pairwise_sq_dists(xs: np.ndarray) -> np.ndarray:
+    """The whole-tensor expression every tiling reproduces bit for bit."""
+    diffs = xs[:, None, :] - xs[None, :, :]
+    return np.einsum("ijk,ijk->ij", diffs, diffs)
+
 
 matrices = st.integers(1, 6).flatmap(
     lambda n: st.integers(1, 5).flatmap(lambda d: arrays(np.float64, (n, d), elements=finite_elements))
@@ -51,6 +67,11 @@ class TestPairwiseSqDists:
 
     def test_single_row(self):
         np.testing.assert_array_equal(pairwise_sq_dists([[5.0]]), [[0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_public_kernel_checks_its_input(self, bad):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            pairwise_sq_dists([[1.0, bad], [0.0, 0.0]])
 
     def test_coincident_rows(self):
         np.testing.assert_array_equal(pairwise_sq_dists([[1.0, 2.0], [1.0, 2.0]]), np.zeros((2, 2)))
@@ -94,14 +115,56 @@ class TestBlockedPairwiseSqDists:
             )
 
 
+class TestTiles:
+    @settings(deadline=None, max_examples=120)
+    @given(st.integers(0, 40), st.integers(0, 40), st.integers(1, 50), st.sampled_from([1, 2, 7, 64, 1 << 40]))
+    def test_runs_cover_the_range_in_order_two_items_or_more(self, start, length, item_elements, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "TILE_ELEMENTS", budget)
+            runs = tiles(start + length, item_elements, start)
+            width = tile_width(item_elements)
+        assert width == max(2, budget // item_elements)
+        assert [i for run in runs for i in range(run.start, run.stop)] == list(range(start, start + length))
+        sizes = [run.stop - run.start for run in runs]
+        assert all(size == width for size in sizes[:-1])
+        assert sizes == [1] if length == 1 else all(2 <= size <= width + 1 for size in sizes)
+
+
+class TestTiledPairwiseSqDists:
+    @settings(deadline=None, max_examples=80)
+    @given(multi_row_matrices, tile_budgets)
+    def test_tiles_equal_parent_expression(self, xs, budget):
+        tiled = in_tiles(pairwise_sq_dists, budget, xs)
+        assert tiled.tobytes() == parent_pairwise_sq_dists(xs).tobytes()
+
+    # n = 4 in two-pair runs merges row 1's lone trailing pair; 5 and 6 rows
+    # in runs of 3 and 4 end rows in merged runs of 3 to 5 pairs.
+    @pytest.mark.parametrize(
+        "n, budget", [(4, 1), (4, 2 * BUFFERED_D), (5, 1), (5, 3 * BUFFERED_D), (6, 4 * BUFFERED_D)]
+    )
+    def test_rows_past_numpy_buffer(self, n, budget):
+        xs = np.random.default_rng(15).normal(size=(n, BUFFERED_D))
+        tiled = in_tiles(pairwise_sq_dists, budget, xs)
+        assert tiled.tobytes() == parent_pairwise_sq_dists(xs).tobytes()
+
+
 class TestPairwiseSqDistsWithCopies:
     @settings(deadline=None, max_examples=80)
-    @given(multi_row_matrices, st.integers(1, 4), st.data())
-    def test_equals_full_computation(self, honest, f, data):
+    @given(multi_row_matrices, st.integers(1, 4), tile_budgets, st.data())
+    def test_equals_full_computation(self, honest, f, budget, data):
         v = data.draw(arrays(np.float64, honest.shape[1], elements=tied_elements), label="v")
         candidate = np.vstack([honest, np.tile(v, (f, 1))])
-        got = pairwise_sq_dists_with_copies(pairwise_sq_dists(honest), honest, v, f)
+        got = in_tiles(pairwise_sq_dists_with_copies, budget, pairwise_sq_dists(honest), honest, v, f)
         np.testing.assert_array_equal(got, pairwise_sq_dists(candidate))
+
+    @pytest.mark.parametrize("n, budget", [(1, 1), (3, 1), (5, 2 * BUFFERED_D), (5, 1 << 40)])
+    def test_rows_past_numpy_buffer(self, n, budget):
+        rng = np.random.default_rng(16)
+        honest = rng.normal(size=(n, BUFFERED_D))
+        v = rng.normal(size=BUFFERED_D)
+        candidate = np.vstack([honest, np.tile(v, (2, 1))])
+        got = in_tiles(pairwise_sq_dists_with_copies, budget, pairwise_sq_dists(honest), honest, v, 2)
+        assert got.tobytes() == parent_pairwise_sq_dists(candidate).tobytes()
 
     def test_wide_rows(self):
         rng = np.random.default_rng(14)

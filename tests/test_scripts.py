@@ -33,13 +33,16 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
     assert bench.main() == 0
     assert time.perf_counter() - start < 2.0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
-    rules = [row for row in rows if row[0] not in ("attack", "model", "round")]
+    rules = [row for row in rows if row[0] not in ("attack", "kernel", "model", "round")]
     names = list(AGGREGATOR_NAMES) + list(PRE_AGGREGATOR_NAMES)
     assert [row[1] for row in rules if row[2] == "5"] == names
     assert [row[1] for row in rules if row[2] == "7"] == names
     assert [row[1] for row in rules if row[-2] == "skipped"] == ["MDA", "SMEA"]
     # "attack search" is two words, so the name is the third.
     assert [row[2] for row in rows if row[0] == "attack"] == ["Optimal_ALIE", "Optimal_IPM"]
+    kernels = [row for row in rows if row[0] == "kernel"]
+    assert [row[1:5] for row in kernels] == [["pairwise_sq_dists", "7", "12", "2"], ["ALIE_parts", "7", "12", "2"]]
+    assert all(float(row[5]) > 0 for row in kernels)
     models = [row for row in rows if row[0] == "model"]
     assert [row[1:5] for row in models] == [["linear", "25", "33", "-"], ["mlp", "25", "50890", "-"]]
     assert all(float(row[5]) > 0 for row in models)

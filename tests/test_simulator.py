@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustfl import numerics
 from robustfl.aggregators import AggregatorSpec
 from robustfl.attacks import AttackSpec, sign_flipping
 from robustfl.datadist import LabeledDataset, make_partition
@@ -19,6 +20,8 @@ from robustfl.simulator import (
     evaluate_accuracy,
     fedavg_round,
 )
+
+from conftest import tile_budgets
 
 
 def toy_dataset(m: int = 12, d: int = 3, n_classes: int = 2, seed: int = 0) -> LabeledDataset:
@@ -174,28 +177,36 @@ def twin_runs(setup, f):
 
 
 class TestBankMatchesPerClientLoop:
+    """The bank's momentum step runs in column tiles; ``tile_budgets`` cuts
+    the parameters here into several of them, or fits them in one."""
+
     @settings(deadline=None, max_examples=60)
-    @given(bank_setups(), st.integers(0, 2), st.integers(1, 8))
-    def test_dsgd_steps(self, setup, f, steps):
+    @given(bank_setups(), st.integers(0, 2), st.integers(1, 8), tile_budgets)
+    def test_dsgd_steps(self, setup, f, steps, budget):
         """Several steps (crossing reshuffles), with f label-flipping rows."""
         (clients, flips, byz, server), (ref_clients, ref_flips, ref) = twin_runs(setup, f)
-        for _ in range(steps):
-            dsgd_step(server, clients, byz)
-            assert np.array_equal(clients.momentum_buf, loop_dsgd_step(ref, ref_clients, ref_flips))
-            assert np.array_equal(server.flat, ref.flat)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "TILE_ELEMENTS", budget)
+            for _ in range(steps):
+                dsgd_step(server, clients, byz)
+                assert np.array_equal(clients.momentum_buf, loop_dsgd_step(ref, ref_clients, ref_flips))
+                assert np.array_equal(server.flat, ref.flat)
         if f:
             assert np.array_equal(flips.momentum_buf, np.stack([c.momentum_buf for c in ref_flips]))
 
     @settings(deadline=None, max_examples=60)
-    @given(bank_setups(), st.integers(0, 2), st.sampled_from([0.3, 0.6, 1.0]), st.integers(1, 4), st.integers(1, 3))
-    def test_fedavg_rounds(self, setup, f, proportion, local_steps, rounds):
+    @given(bank_setups(), st.integers(0, 2), st.sampled_from([0.3, 0.6, 1.0]), st.integers(1, 4), st.integers(1, 3),
+           tile_budgets)
+    def test_fedavg_rounds(self, setup, f, proportion, local_steps, rounds, budget):
         (clients, _, byz, server), (ref_clients, ref_flips, ref) = twin_runs(setup, f)
         seed = setup[-1]
         sampling, ref_sampling = derive_rng(seed, "sampling"), derive_rng(seed, "sampling")
-        for _ in range(rounds):
-            fedavg_round(server, clients, byz, proportion, local_steps, sampling)
-            loop_fedavg_round(ref, ref_clients, ref_flips, proportion, local_steps, ref_sampling)
-            assert np.array_equal(server.flat, ref.flat)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "TILE_ELEMENTS", budget)
+            for _ in range(rounds):
+                fedavg_round(server, clients, byz, proportion, local_steps, sampling)
+                loop_fedavg_round(ref, ref_clients, ref_flips, proportion, local_steps, ref_sampling)
+                assert np.array_equal(server.flat, ref.flat)
 
     @pytest.mark.parametrize("arch", [LinearArch(3, 3), MlpArch(3, 4, 3)], ids=["linear", "mlp"])
     def test_partitions_shorter_than_the_batch_form_their_own_groups(self, arch):
