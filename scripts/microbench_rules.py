@@ -7,15 +7,19 @@ of two attack searches and of the models' gradient.
 Each rule runs on an (n, d) matrix of n - f honest rows around a common mean
 plus f identical rows in the style of ALittleIsEnough, at (n, d, f) = (12,
 1,000, 2) and (33, 50,890, 3), the second the shape of the ``mnist_rules``
-benchmark workload. After one warm-up call a rule is timed over repeated
-calls, as many as fit in about half a second (between 3 and 100), and the
-median is printed. MDA and SMEA enumerate row subsets and refuse n above
+benchmark workload. Every row is timed in its own process, forked from the
+one that built its input, so that no row runs on what the rows before it
+allocated. After one warm-up call a rule is timed over repeated calls, as
+many as fit in about half a second (between 3 and 100), and the median is
+printed. MDA and SMEA enumerate row subsets and refuse n above
 ``SUBSET_ENUMERATION_LIMIT``; they are reported as skipped there. Clipping
-runs with c = 1. Two last rows time one whole Optimal_ALittleIsEnough and
-one whole Optimal_InnerProductManipulation search (``optimize_attack_scale``
-over the default 41-point grid) against TrMean behind NNM on the n - f
-honest rows of the last shape; the first is the per-step attack cost of the
-``mnist_optimal`` workload. Two kernel rows time, at that shape, one
+runs with c = 1. Four search rows time one whole ``optimize_attack_scale``
+over the default 41-point grid on the n - f honest rows of the last shape:
+Optimal_ALittleIsEnough (``Optimal_ALIE``, the per-step attack cost of the
+``mnist_optimal`` workload) and Optimal_InnerProductManipulation
+(``Optimal_IPM``) against TrMean behind NNM, then Optimal_ALittleIsEnough
+against TrMean alone and against Median behind NNM (the pipeline follows a
+colon in the name). Two kernel rows time, at that shape, one
 ``numerics.pairwise_sq_dists`` call on the n rows (the distance kernel of
 MultiKrum, GeometricMedian and NNM) and ALittleIsEnough's per-search parts,
 the mean and std of the n - f honest rows. Two model rows time one ``loss_and_gradient``
@@ -37,6 +41,7 @@ import math  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
+import traceback  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -69,7 +74,13 @@ SEED = 0
 BUDGET_S = 0.5
 MIN_CALLS, MAX_CALLS = 3, 100
 SUBSET_RULES = ("MDA", "SMEA")
-SEARCHES = (("Optimal_ALIE", a_little_is_enough), ("Optimal_IPM", inner_product_manipulation))
+# (row name, attack base, aggregator, pre-aggregators)
+SEARCHES = (
+    ("Optimal_ALIE", a_little_is_enough, "TrMean", ("NNM",)),
+    ("Optimal_IPM", inner_product_manipulation, "TrMean", ("NNM",)),
+    ("Optimal_ALIE:TrMean", a_little_is_enough, "TrMean", ()),
+    ("Optimal_ALIE:NNM>Median", a_little_is_enough, "Median", ("NNM",)),
+)
 # (name, architecture, clients in its round row)
 MODELS = (("linear", LinearArch(10, 3), 10), ("mlp", MlpArch(784, 64, 10), 30))
 MODEL_BATCH = 25
@@ -82,7 +93,34 @@ def attacked_rows(n: int, d: int, f: int, rng: np.random.Generator) -> np.ndarra
     return np.vstack([honest, np.tile(attack, (f, 1))])
 
 
-def median_ms(fn, xs: np.ndarray) -> tuple[float, int]:
+def median_ms(fn, xs) -> tuple[float, int]:
+    """Median milliseconds of ``fn(xs)`` and the number of timed calls, in a
+    process of its own (``in_fresh_process``)."""
+    return in_fresh_process(time_calls, fn, xs)
+
+
+def in_fresh_process(job, *args) -> tuple[float, int]:
+    """``job(*args)``, an (ms, calls) pair, computed in a child forked from
+    this process, which has run no timed call."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read)
+        try:
+            os.write(write, "{!r} {}".format(*job(*args)).encode())
+        except BaseException:
+            traceback.print_exc()
+            os._exit(1)
+        os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as pipe:
+        reply = pipe.read().split()
+    if os.waitpid(pid, 0)[1] != 0:
+        raise RuntimeError("a timed row failed in its own process")
+    return float(reply[0]), int(reply[1])
+
+
+def time_calls(fn, xs) -> tuple[float, int]:
     start = time.perf_counter()
     fn(xs)
     first = time.perf_counter() - start
@@ -122,8 +160,8 @@ def main() -> int:
     n, d, f = SHAPES[-1]
     attacked = attacked_rows(n, d, f, np.random.default_rng(SEED))
     honest = attacked[: n - f]
-    pipeline = build_pipeline(AggregatorSpec("TrMean", f=f), [PreAggregatorSpec("NNM", f=f)])
-    for name, base in SEARCHES:
+    for name, base, rule, pres in SEARCHES:
+        pipeline = build_pipeline(AggregatorSpec(rule, f=f), [PreAggregatorSpec(pre, f=f) for pre in pres])
         ms, calls = median_ms(lambda rows: optimize_attack_scale(AttackContext(rows, f, pipeline), base), honest)
         print(f"{'attack search':<15} {name:<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")
     for name, fn, xs in (("pairwise_sq_dists", pairwise_sq_dists, attacked),

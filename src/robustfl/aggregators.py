@@ -17,9 +17,10 @@ from typing import Callable, ClassVar, Mapping
 import numpy as np
 
 from .datadist import NONNEGATIVE, POSITIVE, Param, at_least
-from .numerics import as_vector_set, check_f, columnwise, top_eigenpair
-# The rules pass the matrix they have checked; perfbench's tracer patches the kernel under this name.
+from .numerics import OverCopies, as_vector_set, check_f, columnwise, slice_means, sorted_slice_means
+# The rules pass the matrix they have checked; perfbench's tracer patches the kernels under these names.
 from .numerics import trusted_pairwise_sq_dists as pairwise_sq_dists
+from .numerics import trusted_top_eigenpair as top_eigenpair
 
 # Exhaustive subset rules (MDA, SMEA) enumerate C(n, n - f) candidates and
 # refuse inputs beyond this many rows.
@@ -41,28 +42,30 @@ def average(xs) -> np.ndarray:
     return as_vector_set(xs).mean(axis=0)
 
 
+def _median_window(n: int, f: int = 0) -> tuple[int, int]:
+    """Sorted positions of the one or two central values of n."""
+    return (n - 1) // 2, n // 2 + 1
+
+
 def median(xs) -> np.ndarray:
-    """Coordinate-wise median (midpoint of the two central values for even n)."""
-    return np.median(as_vector_set(xs), axis=0)
+    """Coordinate-wise median (midpoint of the two central values for even n),
+    ``np.median(xs, axis=0)`` bit for bit: where the mean of the central
+    values is zero, its sign rests on the sort, and ``np.median`` decides it."""
+    xs = as_vector_set(xs)
+    out = sorted_slice_means(xs, *_median_window(len(xs)))
+    zero = np.flatnonzero(out == 0)
+    if zero.size:
+        out[zero] = np.median(xs[:, zero], axis=0)
+    return out
 
 
 def trmean(xs, f: int) -> np.ndarray:
-    """Trimmed mean: drop the f smallest and f largest values per coordinate.
-
-    Each column tile is sorted as the rows of its C-contiguous transpose, and
-    the kept values go back into a C-contiguous (n - 2f, W) block, so each
-    column is summed in the order of ``np.sort(xs, axis=0)[f : n - f].mean(axis=0)``.
-    """
+    """Trimmed mean: drop the f smallest and f largest values per coordinate,
+    ``np.sort(xs, axis=0)[f : n - f].mean(axis=0)`` bit for bit."""
     xs = as_vector_set(xs)
     n = len(xs)
     check_f("TrMean", n, f, 2 * f + 1, "n > 2f")
-
-    def tile_trmean(tile: np.ndarray) -> np.ndarray:
-        rows = tile.T.copy()
-        rows.sort(axis=1)
-        return rows[:, f : n - f].T.copy().mean(axis=0)
-
-    return columnwise(tile_trmean, xs)
+    return sorted_slice_means(xs, f, n - f)
 
 
 def geometric_median(xs) -> np.ndarray:
@@ -131,11 +134,12 @@ def meamed(xs, f: int) -> np.ndarray:
     """Per coordinate, mean of the n - f values closest to that coordinate's
     median, deviation ties going to the lower row index.
 
-    Each column tile is transposed into rows once; the median comes from a
-    sorted copy of them and the deviations are ranked along them. The kept
-    values go back into a C-contiguous (n - f, W) block, so each column is
-    summed in the order of ``np.take_along_axis(xs, order, axis=0).mean(axis=0)``
-    with ``order`` the stable argsort of the deviations along axis 0.
+    Each column tile is transposed into rows once; the median is the
+    ``slice_means`` of a sorted copy, and the deviations are ranked along the
+    rows. The kept values go back into a C-contiguous (n - f, W) block, so
+    each column is summed in the order of
+    ``np.take_along_axis(xs, order, axis=0).mean(axis=0)`` with ``order`` the
+    stable argsort of the deviations along axis 0.
 
     The ranking is numpy's default argsort, about half the cost of the
     stable one, which may order tied deviations differently. Tied equal values give the same kept values in the same
@@ -146,45 +150,46 @@ def meamed(xs, f: int) -> np.ndarray:
     xs = as_vector_set(xs)
     n = len(xs)
     check_f("MeaMed", n, f, f + 1, "n > f")
-    middle = slice((n - 1) // 2, n // 2 + 1)
+    middle = _median_window(n)
 
     def tile_meamed(tile: np.ndarray) -> np.ndarray:
         rows = tile.T.copy()
-        median_ = np.sort(rows, axis=1)[:, middle].T.copy().mean(axis=0)
-        deviations = np.abs(rows - median_[:, None])
+        deviations = np.abs(rows - slice_means(np.sort(rows, axis=1), *middle)[:, None])
         flat_order = np.argsort(deviations, axis=1) + np.arange(0, rows.size, n)[:, None]
         ranked, ranked_deviations = rows.take(flat_order), deviations.take(flat_order)
         redo = ((ranked_deviations[:, 1:] == ranked_deviations[:, :-1]) & (ranked[:, 1:] != ranked[:, :-1])).any(axis=1)
         ranked[redo] = np.take_along_axis(rows[redo], np.argsort(deviations[redo], axis=1, kind="stable"), axis=1)
-        return ranked[:, : n - f].T.copy().mean(axis=0)
+        return slice_means(ranked, 0, n - f)
 
     return columnwise(tile_meamed, xs)
+
+
+def _best_subset_mean(name: str, xs, f: int, scorer) -> np.ndarray:
+    """Mean of the size-(n - f) row subset that ``scorer(xs)`` scores lowest,
+    ties going to the lexicographically smallest index set. Enumerates all
+    subsets, so n is capped at SUBSET_ENUMERATION_LIMIT."""
+    xs = as_vector_set(xs)
+    n = len(xs)
+    check_f(name, n, f, f + 1, "n > f")
+    if n > SUBSET_ENUMERATION_LIMIT:
+        raise ValueError(f"{name} enumerates subsets and requires n <= {SUBSET_ENUMERATION_LIMIT}, got n={n}")
+    return xs[list(min(itertools.combinations(range(n), n - f), key=scorer(xs)))].mean(axis=0)
 
 
 def mda(xs, f: int) -> np.ndarray:
     """Mean over the size-(n - f) subset of rows with minimum diameter.
 
-    Enumerates all subsets, so n is capped at SUBSET_ENUMERATION_LIMIT.
     Diameter ties are refined by the whole sorted pairwise-distance profile
     (two subsets sharing their farthest pair often tie on diameter alone, and
     the profile depends only on the point set, keeping the rule independent of
     row order); identical profiles fall back to the smallest index set.
     """
-    xs = as_vector_set(xs)
-    n = len(xs)
-    check_f("MDA", n, f, f + 1, "n > f")
-    if n > SUBSET_ENUMERATION_LIMIT:
-        raise ValueError(f"MDA enumerates subsets and requires n <= {SUBSET_ENUMERATION_LIMIT}, got n={n}")
-    d2 = pairwise_sq_dists(xs)
-    rows = np.triu_indices(n - f, k=1)
-    best_subset = None
-    best_profile = None
-    for subset in itertools.combinations(range(n), n - f):
-        profile = tuple(np.sort(d2[np.ix_(subset, subset)][rows])[::-1]) if n - f > 1 else (0.0,)
-        if best_profile is None or profile < best_profile:
-            best_profile = profile
-            best_subset = subset
-    return xs[list(best_subset)].mean(axis=0)
+
+    def profile(xs: np.ndarray):
+        d2, upper = pairwise_sq_dists(xs), np.triu_indices(len(xs) - f, k=1)
+        return lambda subset: tuple(np.sort(d2[np.ix_(subset, subset)][upper])[::-1])
+
+    return _best_subset_mean("MDA", xs, f, profile)
 
 
 @dataclass
@@ -241,24 +246,8 @@ def monna(xs, f: int, pivot: int = 0) -> np.ndarray:
 
 def smea(xs, f: int) -> np.ndarray:
     """Mean over the size-(n - f) subset whose empirical covariance has the
-    smallest top eigenvalue.
-
-    Enumerates all subsets (n capped at SUBSET_ENUMERATION_LIMIT); eigenvalue
-    ties resolve to the lexicographically smallest index set.
-    """
-    xs = as_vector_set(xs)
-    n = len(xs)
-    check_f("SMEA", n, f, f + 1, "n > f")
-    if n > SUBSET_ENUMERATION_LIMIT:
-        raise ValueError(f"SMEA enumerates subsets and requires n <= {SUBSET_ENUMERATION_LIMIT}, got n={n}")
-    best_subset = None
-    best_lam = np.inf
-    for subset in itertools.combinations(range(n), n - f):
-        lam, _ = top_eigenpair(xs[list(subset)])
-        if lam < best_lam:
-            best_lam = lam
-            best_subset = subset
-    return xs[list(best_subset)].mean(axis=0)
+    smallest top eigenvalue (see ``_best_subset_mean``)."""
+    return _best_subset_mean("SMEA", xs, f, lambda xs: lambda subset: top_eigenpair(xs[list(subset)])[0])
 
 
 def caf(xs, f: int) -> np.ndarray:
@@ -309,13 +298,15 @@ class Rule:
     ``carried`` maps a keyword of ``fn`` to a factory of what one configured
     rule keeps across its calls; the factory gets the generator the rule was
     built with and returns None when it needs one and got none. ``fn`` is
-    None for an attack that has no vector form.
+    None for an attack that has no vector form. A sorted-slice rule's
+    ``window`` maps (n, f) to the sorted positions (lo, hi) it averages.
     """
 
     fn: Callable[..., np.ndarray] | None
     params: Mapping[str, Param] = field(default_factory=dict)
     needs_f: bool = False
     carried: Mapping[str, Callable[[np.random.Generator | None], object]] = field(default_factory=dict)
+    window: Callable[[int, int], tuple[int, int]] | None = None
 
     def cast(self, name: str, params: Mapping) -> dict:
         """Config ``params`` checked against the row and read by its ``Param``s.
@@ -347,8 +338,8 @@ class Rule:
 
 AGGREGATORS: dict[str, Rule] = {
     "Average": Rule(average),
-    "Median": Rule(median),
-    "TrMean": Rule(trmean, needs_f=True),
+    "Median": Rule(median, window=_median_window),
+    "TrMean": Rule(trmean, needs_f=True, window=lambda n, f: (f, n - f)),
     "GeometricMedian": Rule(geometric_median),
     "MultiKrum": Rule(multi_krum, needs_f=True),
     "MeaMed": Rule(meamed, needs_f=True),
@@ -406,7 +397,11 @@ class ConfiguredAggregator:
         self.carried = AGGREGATORS[spec.name].carry(spec.name, None)
 
     def __call__(self, xs) -> np.ndarray:
-        return AGGREGATORS[self.spec.name].apply(xs, self.spec.f, self.spec.parameters, **self.carried)
+        """The rule on an (n, d) matrix, or a sorted-slice rule on an ``OverCopies``."""
+        rule = AGGREGATORS[self.spec.name]
+        if isinstance(xs, OverCopies):
+            return xs.means(lambda rows: rule.apply(rows, self.spec.f, self.spec.parameters))
+        return rule.apply(xs, self.spec.f, self.spec.parameters, **self.carried)
 
 
 make_aggregator = ConfiguredAggregator  # the callable rule described by a spec

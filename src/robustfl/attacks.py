@@ -87,12 +87,17 @@ def optimize_attack_scale(
     alike); the score is the aggregate's distance to the honest mean, and ties
     go to the smallest scale. The honest rows are checked, and ``base``'s
     ``AFFINE_BASES`` parts computed, once per search; each candidate writes
-    its f rows into one reused (n + f, d) buffer, checked by the pipeline's
-    first stage. The candidates share one ``NeighbourMeans`` memo: an NNM
-    first stage computes the honest distance block once, extends it in O(n d)
-    per candidate, and reuses honest-only neighbour means. Buffer and memo die
-    with the call; the returned vector is computed afresh. Memory is
-    O((n + f) (d + n)) plus ``numerics.BLOCK_ELEMENTS`` and the memo's O(n d).
+    its f rows into one reused (n + f, d) buffer, and the pipeline's first
+    stage checks those rows. The candidates share one ``NeighbourMeans`` memo:
+    an NNM first stage computes the honest distance block once, extends it in
+    O(n d) per candidate, and reuses honest-only neighbour means. When the
+    last stage is a sorted-slice rule (Median, TrMean) fed by NNM or by
+    nothing, the rows that reach it are the same fixed block over copies of
+    one row for every candidate whose honest neighbour lists stay honest:
+    that block is sorted once, and each such candidate merges its one row in.
+    Buffer and memo die with the call; the returned vector is computed
+    afresh. Memory is O((n + f) (d + n)) plus ``numerics.BLOCK_ELEMENTS`` and
+    the memo's O(n d).
     """
     if len(grid) == 0:
         raise ValueError("scale grid must be non-empty")

@@ -5,7 +5,7 @@ an (n, d) matrix with one row per client. The public kernels validate shape
 and finiteness on entry (``as_vector_set``); ``trusted_pairwise_sq_dists``,
 which the rules call on the matrix they have already checked, and
 ``pairwise_sq_dists_with_copies``, which extends an already validated block,
-trust their arguments.
+``trusted_top_eigenpair`` and ``sorted_slice_means`` trust their arguments.
 
 Two budgets bound the temporaries. ``BLOCK_ELEMENTS`` (8 MiB) decides whether
 a kernel builds an (n, n, d)- or (n, n - f, d)-sized temporary in one piece.
@@ -17,12 +17,19 @@ A tile never holds fewer than two items, because numpy reduces a lone pair,
 or a lone column, in another order; every tiled result is bit-identical to
 its whole-matrix form.
 
+The coordinate-wise rules (Median, TrMean, MeaMed's median) take per column
+the mean of a slice of the sorted values: ``sorted_slice_means`` for a whole
+matrix, and ``SortedColumns`` for many matrices that share all rows but f
+copies of one row, as the candidates of an attack search do.
+
 Every rule works on n rows with n much smaller than d, so the n x n matrices
 of pairwise distances or of centred inner products carry what a rule needs:
 ``top_eigenpair`` solves the n x n problem and maps the answer back to d-space.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +103,96 @@ def columnwise(fn, xs: np.ndarray) -> np.ndarray:
     for run in tiles(d, n):
         out[run] = fn(xs[:, run])
     return out
+
+
+def slice_means(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Per row of a matrix whose rows are sorted, the mean of ``rows[:, lo:hi]``.
+
+    The slice goes back into a C-contiguous (hi - lo, W) block summed along
+    axis 0, so each value joins its row's sum in index order (numpy would sum
+    a transposed view, or a lone row, pairwise).
+    """
+    return rows[:, lo:hi].T.copy().mean(axis=0)
+
+
+def sorted_slice_means(xs: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Per column of a checked (n, d) matrix, the mean of its sorted values at
+    positions lo to hi - 1: ``np.sort(xs, axis=0)[lo:hi].mean(axis=0)``, bit for bit.
+
+    Each column tile is sorted as the rows of its C-contiguous transpose.
+    """
+
+    def tile_means(tile: np.ndarray) -> np.ndarray:
+        rows = tile.T.copy()
+        rows.sort(axis=1)
+        return slice_means(rows, lo, hi)
+
+    return columnwise(tile_means, xs)
+
+
+class OverCopies(NamedTuple):
+    """A stage input given as ``block``'s fixed rows over its copies of ``w``."""
+
+    block: "SortedColumns"
+    w: np.ndarray
+
+    def means(self, dense) -> np.ndarray:
+        """``block.means(w)``, but where that is zero (the sort may have changed
+        its sign), ``dense`` (the rule) on the stacked rows of those columns;
+        two columns at least, as numpy sums a lone column pairwise."""
+        out = self.block.means(self.w)
+        zero = np.flatnonzero(out == 0)
+        if zero.size:
+            out[zero] = dense(self.block.stacked(self.w, np.resize(zero, max(2, zero.size))))[: zero.size]
+        return out
+
+
+class SortedColumns:
+    """The merge entry of ``sorted_slice_means``: fixed (m, d) ``rows``, each
+    column sorted once, stacked over ``copies`` copies of a row w that
+    changes from call to call, for the sorted positions lo to hi - 1.
+
+    ``means(w)`` equals ``sorted_slice_means(self.stacked(w, all columns),
+    lo, hi)`` wherever that is not zero, when copies <= lo < hi <= m and
+    d >= 2. With s a column's sorted fixed values, its merged value at
+    position k is s[k - copies] if w <= s[k - copies], s[k] if s[k] <= w, and
+    w otherwise. So a column whose fixed values all lie at or above w (or at
+    or below it) keeps one slice of them whatever w is: those two slice means
+    are computed once, and only the other columns are merged and summed, in
+    order. A sum over sorted values depends only on the values kept, but for
+    the sign of a zero sum: an unstable sort may keep -0.0 where the dense
+    one kept +0.0. Memory is that of ``rows`` plus (m + 2) d.
+    """
+
+    def __init__(self, rows, copies: int, lo: int, hi: int):
+        self.rows, self.copies, self.lo, self.hi = rows, copies, lo, hi
+        m, d = len(rows), len(rows[0])
+        # Row k holds each column's k-th smallest fixed value.
+        self.sorted = np.empty((m, d))
+        for run in tiles(d, m):
+            tile = np.array([row[run] for row in rows]).T.copy()
+            tile.sort(axis=1)
+            self.sorted[:, run] = tile.T
+        self.below_means = self.sorted[lo - copies : hi - copies].mean(axis=0)
+        self.above_means = self.sorted[lo:hi].mean(axis=0)
+
+    def stacked(self, w: np.ndarray, columns) -> np.ndarray:
+        """``columns`` of the fixed rows stacked over the copies of ``w``, rows in their order."""
+        return np.vstack([np.array([row[columns] for row in self.rows]), np.tile(w[columns], (self.copies, 1))])
+
+    def means(self, w: np.ndarray) -> np.ndarray:
+        """Per column, the mean of the merged sorted values at lo to hi - 1."""
+        s, c, lo, hi = self.sorted, self.copies, self.lo, self.hi
+        below = w <= s[0]
+        out = np.where(below, self.below_means, self.above_means)
+        inside = np.flatnonzero(~below & (w < s[-1]))
+        if inside.size:
+            fixed, v = s[:, inside], w[inside]
+            total = np.maximum(fixed[lo - c], np.minimum(v, fixed[lo]))
+            for k in range(lo + 1, hi):
+                total += np.maximum(fixed[k - c], np.minimum(v, fixed[k]))
+            out[inside] = total / (hi - lo)
+        return out
 
 
 def pairwise_sq_dists(xs) -> np.ndarray:
@@ -178,7 +275,12 @@ def top_eigenpair(xs, weights=None) -> tuple[float, np.ndarray]:
         (eigenvalue, unit eigenvector). Rows with no spread around their
         weighted mean yield ``(0.0, e_1)``. The eigenvector sign is arbitrary.
     """
-    xs = as_vector_set(xs)
+    return trusted_top_eigenpair(as_vector_set(xs), weights)
+
+
+def trusted_top_eigenpair(xs: np.ndarray, weights=None) -> tuple[float, np.ndarray]:
+    """``top_eigenpair`` of an (n, d) float64 matrix the caller has validated;
+    ``weights`` are still checked."""
     n, d = xs.shape
     if weights is None:
         w = np.ones(n)

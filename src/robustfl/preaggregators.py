@@ -11,13 +11,13 @@ import copy
 import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, ConfiguredAggregator, Param, Rule, StageSpec, make_aggregator
+from .aggregators import AGGREGATORS, AggregatorSpec, ConfiguredAggregator, Param, Rule, StageSpec, make_aggregator
 from .datadist import POSITIVE, at_least
-from .numerics import as_vector_set, block_rows, check_f, pairwise_sq_dists_with_copies
+from .numerics import OverCopies, SortedColumns, as_vector_set, block_rows, check_f, pairwise_sq_dists_with_copies
 # NNM passes the matrix it has checked; perfbench's tracer patches the kernel under this name.
 from .numerics import trusted_pairwise_sq_dists as pairwise_sq_dists
 
@@ -26,19 +26,29 @@ DEFAULT_BUCKET_SIZE = 2
 
 @dataclass
 class NeighbourMeans:
-    """What the NNM calls of one attack search share. Every input of the
+    """What the pipeline calls of one attack search share. Every input of the
     search holds the same first ``fixed`` rows (the honest rows every
-    candidate repeats) over copies of one vector.
+    candidate repeats, checked by the search) over copies of one vector.
 
     ``block`` is the distance matrix of the fixed rows, computed on the first
     call; ``sq_dists`` extends it to each input in O(n d). ``rows`` maps the
     bytes of a neighbour list whose indices are all below ``fixed`` to its
     mean; ``nnm`` serves and fills it only for such lists, so a mean
-    involving another row is never reused."""
+    involving another row is never reused.
+
+    ``window`` is set by the pipeline on each call (``window_for``): the sorted
+    slice its last stage keeps, when that stage is a sorted-slice rule fed by
+    at most one stage, else None. With a window, an input whose fixed rows
+    reach the last stage as one fixed block (there is no other stage, or
+    every fixed row's NNM list stays inside the fixed rows) reaches it as
+    ``OverCopies``: that block sorted once (``sorted_block`` keeps the one
+    for the last set of lists) over the copies' one row."""
 
     fixed: int
     block: np.ndarray | None = None
     rows: dict[bytes, np.ndarray] = field(default_factory=dict)
+    window: tuple[int, int] | None = None
+    sorted_block: tuple[tuple, SortedColumns] | None = None
 
     def sq_dists(self, xs: np.ndarray) -> np.ndarray:
         """``pairwise_sq_dists(xs)``, bit for bit, for a checked input of the search."""
@@ -46,6 +56,54 @@ class NeighbourMeans:
         if self.block is None:
             self.block = pairwise_sq_dists(honest)
         return pairwise_sq_dists_with_copies(self.block, honest, xs[self.fixed], len(xs) - self.fixed)
+
+    def window_for(self, rule: ConfiguredAggregator, xs: np.ndarray) -> tuple[int, int] | None:
+        """The sorted positions ``rule`` keeps of the rows of ``xs``, when it is
+        a sorted-slice rule whose slice lies past the copies and inside the
+        fixed rows, and rows have two coordinates or more (numpy sums a lone
+        column pairwise, ``SortedColumns`` in order)."""
+        window = AGGREGATORS[rule.spec.name].window
+        lo, hi = window(len(xs), rule.spec.f) if window and xs.shape[1] > 1 else (0, 0)
+        return (lo, hi) if len(xs) - self.fixed <= lo < hi <= self.fixed else None
+
+    def checked(self, xs: np.ndarray) -> np.ndarray:
+        """``xs`` once ``as_vector_set`` passes its rows past the fixed ones."""
+        as_vector_set(xs[self.fixed :])
+        return xs
+
+    def mean(self, xs: np.ndarray, near: np.ndarray) -> np.ndarray:
+        """The mean of the fixed rows ``near`` of ``xs``, summed on first use."""
+        key = near.tobytes()
+        if key not in self.rows:
+            self.rows[key] = _neighbour_mean(xs, near, np.empty(xs.shape[1]))
+        return self.rows[key]
+
+    def merges(self, neighbours: np.ndarray) -> bool:
+        """Whether NNM output with these neighbour lists goes on as ``OverCopies``."""
+        fixed = self.fixed
+        return (self.window is not None and neighbours[:fixed].max() < fixed
+                and bool((neighbours[fixed:] == neighbours[fixed]).all()))
+
+    def over_copies(self, key: bytes, rows: Callable[[], Sequence[np.ndarray]], w: np.ndarray, copies: int):
+        """``rows()``, the fixed block for ``key``, over ``copies`` copies of ``w``."""
+        key = (key, copies, self.window)
+        if self.sorted_block is None or self.sorted_block[0] != key:
+            self.sorted_block = None  # free the old block first
+            self.sorted_block = (key, SortedColumns(rows(), copies, *self.window))
+        return OverCopies(self.sorted_block[1], w)
+
+
+def _neighbour_mean(xs: np.ndarray, near: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The mean of the rows ``near`` of ``xs`` in ``out``: the first two added,
+    the others added in order, then divided by their count (a lone row copied)."""
+    if len(near) == 1:
+        out[:] = xs[near[0]]
+        return out
+    np.add(xs[near[0]], xs[near[1]], out=out)
+    for j in near[2:]:
+        out += xs[j]
+    out /= len(near)
+    return out
 
 
 def nnm(xs, f: int, memo: NeighbourMeans | None = None) -> np.ndarray:
@@ -58,17 +116,18 @@ def nnm(xs, f: int, memo: NeighbourMeans | None = None) -> np.ndarray:
     When the whole (n, n - f, d) neighbour gather fits in
     ``numerics.BLOCK_ELEMENTS`` entries, or rows have one coordinate, the
     means come from that one gather. Otherwise each output row is summed in
-    place: its first two neighbours added, the others added in order, then
-    divided by n - f, the sequential reduction the gather's ``mean`` does,
-    with O(d) extra memory per row. The result equals the gather's bit for
-    bit except on signed zeros: where every neighbour holds -0.0 in a
-    coordinate, the in-place sum keeps -0.0 and the gather gives +0.0. Rows
-    with one neighbour list (the f identical attack rows of a search always
-    have one) share one sum, and lists within ``memo``'s fixed rows are
-    served from it and stored into it. Extra memory is
+    place (``_neighbour_mean``), the sequential reduction the gather's
+    ``mean`` does, with O(d) extra memory per row. The result equals the
+    gather's bit for bit except on signed zeros: where every neighbour holds
+    -0.0 in a coordinate, the in-place sum keeps -0.0 and the gather gives
+    +0.0. Rows with one neighbour list (the f identical attack rows of a
+    search always have one) share one sum, and lists within ``memo``'s fixed
+    rows are served from it and stored into it. On that in-place path, when
+    ``memo.merges`` the lists, the output is ``OverCopies`` (see
+    ``NeighbourMeans``) and only the copies' row is summed. Extra memory is
     O(n^2 + n d + BLOCK_ELEMENTS), plus the memo's O(n d).
     """
-    xs = as_vector_set(xs)
+    xs = as_vector_set(xs) if memo is None else memo.checked(xs)
     n, d = xs.shape
     check_f("NNM", n, f, f + 1, "n > f")
     sq_dists = pairwise_sq_dists(xs) if memo is None else memo.sq_dists(xs)
@@ -76,24 +135,20 @@ def nnm(xs, f: int, memo: NeighbourMeans | None = None) -> np.ndarray:
     # numpy reduces a gather of one-coordinate rows pairwise, not in order.
     if d == 1 or block_rows((n - f) * d) >= n:
         return xs[neighbours].mean(axis=1)
+    if memo is not None and memo.merges(neighbours):
+        lists, w = neighbours[: memo.fixed], _neighbour_mean(xs, neighbours[memo.fixed], np.empty(d))
+        return memo.over_copies(lists.tobytes(), lambda: [memo.mean(xs, near) for near in lists], w, n - memo.fixed)
     out = np.empty_like(xs)
     summed: dict[bytes, np.ndarray] = {}
     for row, near in zip(out, neighbours):
         key = near.tobytes()
-        fixed = memo is not None and near.max() < memo.fixed
-        done = summed.get(key, memo.rows.get(key) if fixed else None)
-        if done is not None:
-            row[:] = done
-        elif n - f == 1:
-            row[:] = xs[near[0]]
+        if key in summed:
+            row[:] = summed[key]
+        elif memo is not None and near.max() < memo.fixed:
+            row[:] = memo.mean(xs, near)
         else:
-            np.add(xs[near[0]], xs[near[1]], out=row)
-            for j in near[2:]:
-                row += xs[j]
-            row /= n - f
+            _neighbour_mean(xs, near, row)
         summed.setdefault(key, row)
-        if fixed and done is None:
-            memo.rows[key] = row.copy()
     return out
 
 
@@ -201,11 +256,19 @@ class Pipeline:
 
         Each stage checks its own input, so the pipeline does not, and a stage
         output that overflows is rejected by the next stage. ``memo`` must
-        only be shared by calls whose inputs are its fixed rows over copies of
-        one vector; only the first stage receives it. Memory is that of the
-        stages, each bounded by ``numerics.BLOCK_ELEMENTS`` on top of its
-        O(n^2 + n d) input and output, plus the memo's O(n d).
+        only be shared by calls whose inputs are its fixed rows, already
+        checked, over copies of one vector; only the first stage receives it,
+        and checks only the copies, and the pipeline sets its ``window``. With
+        no transform and a window, the pipeline checks the copies and hands
+        the last stage ``OverCopies``. Memory is that of the stages, each
+        bounded by ``numerics.BLOCK_ELEMENTS`` on top of its O(n^2 + n d)
+        input and output, plus the memo's O(n d).
         """
+        if memo is not None:
+            memo.window = memo.window_for(self.aggregator, xs) if len(self.pre_aggregators) < 2 else None
+            if memo.window and not self.pre_aggregators:
+                fixed, w = xs[: memo.fixed], memo.checked(xs)[memo.fixed]
+                xs = memo.over_copies(b"", lambda: fixed, w, len(xs) - memo.fixed)
         for pre in self.pre_aggregators:
             xs = pre(xs, memo)
             memo = None

@@ -5,7 +5,9 @@ momentum gradient each step and the server descends along the robust
 aggregate. Federated averaging: a sampled subset of clients runs several
 local SGD steps and submits its model delta, and the server adds the robust
 aggregate of the deltas. In both cases the aggregation input stacks honest
-rows first (ordered by client id) followed by f Byzantine rows.
+rows first (ordered by client id) followed by f Byzantine rows, in one buffer
+whose first rows the honest clients fill in place. No attack and no stage of
+the pipeline writes to its input, which is what makes that safe.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ class HonestClient:
     Row i keeps its own Generator, shuffled order and cursor, so it draws
     exactly the batches a lone client would. A step stacks the rows' batches
     into one block per batch length (a partition shorter than ``batch_size``
-    gives shorter batches) and takes their gradients in one pass.
+    gives shorter batches) and takes their gradients in one pass. The
+    momentum rows are the first n rows of the (n + spare, d) ``step_buf``.
     ``flip_labels`` swaps every label y for (n_classes - 1) - y, which is how
     the data-poisoning Byzantine clients reuse this class.
     """
@@ -58,6 +61,7 @@ class HonestClient:
         self._rngs = rngs
         self._orders = [rng.permutation(rows) for rng, rows in zip(rngs, self.indices)]
         self._cursors = [0] * len(self.indices)
+        self.step_buf: np.ndarray | None = None
         self.momentum_buf: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -101,26 +105,39 @@ class HonestClient:
             tile_buf *= self.momentum
             tile_buf += tile
 
-    def compute_update(self, arch: Arch, flat: np.ndarray) -> np.ndarray:
-        """(n, d) momentum gradients on every row's next mini-batch (the DSGD submissions)."""
-        if self.momentum_buf is None:
-            self.momentum_buf = np.zeros((len(self), flat.size))
-        self._momentum_step(arch, flat, self.momentum_buf, range(len(self)))
-        return self.momentum_buf.copy()
+    def compute_update(self, arch: Arch, flat: np.ndarray, spare: int = 0) -> np.ndarray:
+        """(n, d) momentum gradients on every row's next mini-batch (the DSGD submissions).
 
-    def local_delta(self, arch: Arch, flat: np.ndarray, lr: float, local_steps: int, rows) -> np.ndarray:
+        They are the momentum rows themselves, not a copy: the next call
+        updates them in place, and no caller may write to them. They head a
+        (n + spare, d) ``step_buf`` whose last ``spare`` rows are free for the
+        caller (a new ``spare`` moves the momentum rows to a new buffer).
+        """
+        n = len(self)
+        if self.step_buf is None or len(self.step_buf) != n + spare:
+            step_buf = np.zeros((n + spare, flat.size))
+            if self.momentum_buf is not None:
+                step_buf[:n] = self.momentum_buf
+            self.step_buf, self.momentum_buf = step_buf, step_buf[:n]
+        self._momentum_step(arch, flat, self.momentum_buf, range(n))
+        return self.momentum_buf
+
+    def local_delta(self, arch: Arch, flat: np.ndarray, lr: float, local_steps: int, rows,
+                    out: np.ndarray | None = None) -> np.ndarray:
         """(len(rows), d) model deltas after local SGD steps from the broadcast
-        parameters.
+        parameters, computed in ``out`` when given.
 
         The local momentum buffers start fresh each round, so one local step
         with zero momentum reproduces a plain gradient descent step.
         """
-        local = np.tile(flat, (len(rows), 1))
+        local = np.empty((len(rows), flat.size)) if out is None else out
+        local[:] = flat
         buf = np.zeros_like(local)
         for _ in range(local_steps):
             self._momentum_step(arch, local, buf, rows)
             local -= lr * buf
-        return local - flat
+        local -= flat
+        return local
 
 
 class ByzantineClientGroup:
@@ -173,18 +190,19 @@ class ServerState:
     step: int = 0
 
 
-def _aggregate_and_apply(server: ServerState, honest: np.ndarray, byz_rows: np.ndarray, scale: float) -> None:
-    """Add ``scale`` times the aggregate of the honest then the Byzantine rows to the model."""
-    stacked = np.vstack([honest, byz_rows]) if len(byz_rows) else honest
-    server.flat = server.flat + scale * server.pipeline(stacked)
+def _aggregate_and_apply(server: ServerState, rows: np.ndarray, byz_rows: np.ndarray, scale: float) -> None:
+    """Write ``byz_rows`` as the last rows of ``rows``, under the honest rows,
+    and add ``scale`` times the aggregate of all of them to the model."""
+    rows[len(rows) - len(byz_rows) :] = byz_rows
+    server.flat = server.flat + scale * server.pipeline(rows)
     server.step += 1
 
 
 def dsgd_step(server: ServerState, clients: HonestClient, byz: ByzantineClientGroup) -> None:
     """One synchronous distributed-SGD step; mutates the server in place."""
-    honest = clients.compute_update(server.arch, server.flat)
+    honest = clients.compute_update(server.arch, server.flat, byz.f)
     byz_rows = byz.gradient_rows(honest, server.pipeline, server.arch, server.flat)
-    _aggregate_and_apply(server, honest, byz_rows, -server.schedule.lr_at(server.step))
+    _aggregate_and_apply(server, clients.step_buf, byz_rows, -server.schedule.lr_at(server.step))
 
 
 def fedavg_round(
@@ -204,9 +222,10 @@ def fedavg_round(
     n = len(clients)
     chosen = np.sort(sampling_rng.choice(n, size=math.ceil(proportion_selected_clients * n), replace=False))
     lr = server.schedule.lr_at(server.step)
-    deltas = clients.local_delta(server.arch, server.flat, lr, local_steps_per_client, chosen)
+    rows = np.empty((len(chosen) + byz.f, server.flat.size))
+    deltas = clients.local_delta(server.arch, server.flat, lr, local_steps_per_client, chosen, rows[: len(chosen)])
     byz_rows = byz.delta_rows(deltas, server.pipeline, server.arch, server.flat, lr, local_steps_per_client)
-    _aggregate_and_apply(server, deltas, byz_rows, 1.0)
+    _aggregate_and_apply(server, rows, byz_rows, 1.0)
 
 
 def evaluate_accuracy(arch: Arch, flat: np.ndarray, dataset: LabeledDataset) -> float:

@@ -22,6 +22,26 @@ column_matrices = st.integers(2, 12).flatmap(
 tile_budgets = st.sampled_from([1, 5, 12, 1 << 40])
 
 
+@st.composite
+def merge_cases(draw):
+    """(fixed, copies, w): fixed rows with d >= 2 and a row w to stack under
+    them ``copies`` times. Per column, w lies below, above, at, between or
+    on a signed zero beside the fixed values; column 0 is constant and
+    column 1 holds zeros of both signs."""
+    fixed = draw(column_matrices.filter(lambda xs: xs.shape[1] >= 2)).copy()
+    m, d = fixed.shape
+    fixed[:, 0] = fixed[0, 0]
+    fixed[:, 1] = np.where(np.arange(m) % 2, 0.0, -0.0)
+    w = np.empty(d)
+    for j, column in enumerate(fixed.T):
+        values = np.unique(column)
+        w[j] = draw(st.sampled_from([
+            column.min() - 1.5, column.max() + 2.0, column[draw(st.integers(0, m - 1), label="at")],
+            (values[0] + values[-1]) / 2, 0.0, -0.0,
+        ]), label=f"w[{j}]")
+    return fixed, draw(st.integers(1, m - 1), label="copies"), w
+
+
 @pytest.fixture
 def x3() -> np.ndarray:
     return np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])

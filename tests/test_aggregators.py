@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robustfl import numerics
@@ -22,9 +22,10 @@ from robustfl.aggregators import (
     trmean,
 )
 
-from robustfl.preaggregators import nnm
+from robustfl.numerics import OverCopies, SortedColumns
+from robustfl.preaggregators import NeighbourMeans, nnm
 
-from conftest import column_matrices, in_tiles, multi_row_matrices, random_vector_set, tile_budgets
+from conftest import column_matrices, in_tiles, merge_cases, multi_row_matrices, random_vector_set, tile_budgets
 from oracles import (
     brute_mda,
     brute_smea,
@@ -241,6 +242,19 @@ class TestCoordinateTiles:
         f = data.draw(st.integers(0, n - 1), label="MeaMed f")
         assert in_tiles(meamed, budget, xs, f).tobytes() == parent_meamed(xs, f).tobytes()
 
+    @settings(deadline=None, max_examples=120)
+    @given(column_matrices, tile_budgets)
+    def test_median_equals_numpy(self, xs, budget):
+        assert in_tiles(median, budget, xs).tobytes() == np.median(xs, axis=0).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 12, 13])
+    def test_median_of_signed_zeros_equals_numpy(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            xs = rng.choice([0.0, -0.0, 1.0, -1.0], size=(n, 7), p=[0.4, 0.4, 0.1, 0.1])
+            for budget in (1, 5, 1 << 40):
+                assert in_tiles(median, budget, xs).tobytes() == np.median(xs, axis=0).tobytes()
+
     # Eleven or more kept values per column: a sum along a transposed view
     # would reduce them pairwise, not in row order. The first columns pair
     # every value with its mirror across the median 0, so deviations tie
@@ -258,15 +272,34 @@ class TestCoordinateTiles:
         for f in (0, 1, 2, 4):
             assert in_tiles(trmean, budget, xs, f).tobytes() == parent_trmean(xs, f).tobytes()
             assert in_tiles(meamed, budget, xs, f).tobytes() == parent_meamed(xs, f).tobytes()
+        assert in_tiles(median, budget, xs).tobytes() == np.median(xs, axis=0).tobytes()
 
     def test_wide_rows_equal_parent_expressions(self):
         xs = np.random.default_rng(49).normal(size=(33, 50_890)) * 0.01
         assert trmean(xs, 3).tobytes() == parent_trmean(xs, 3).tobytes()
         assert meamed(xs, 3).tobytes() == parent_meamed(xs, 3).tobytes()
+        assert median(xs).tobytes() == np.median(xs, axis=0).tobytes()
+
+
+class TestOverCopies:
+    """A sorted-slice rule given fixed rows over copies of one row equals the
+    rule on the stacked rows bit for bit, zeros included."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(merge_cases(), st.sampled_from(["Median", "TrMean"]), tile_budgets, st.data())
+    def test_equals_rule_on_stacked_rows(self, case, name, budget, data):
+        fixed, copies, w = case
+        stacked = np.vstack([fixed, np.tile(w, (copies, 1))])
+        rule = make_aggregator(AggregatorSpec(name, f=data.draw(st.integers(0, len(stacked) // 2), label="f")))
+        window = NeighbourMeans(fixed=len(fixed)).window_for(rule, stacked)
+        assume(window is not None)
+        block = in_tiles(SortedColumns, budget, list(fixed), copies, *window)
+        assert in_tiles(rule, budget, OverCopies(block, w)).tobytes() == in_tiles(rule, budget, stacked).tobytes()
 
 
 @pytest.mark.parametrize("rule", [lambda xs: multi_krum(xs, 1), geometric_median, lambda xs: mda(xs, 1),
-                                  lambda xs: nnm(xs, 1)], ids=["MultiKrum", "GeometricMedian", "MDA", "NNM"])
+                                  lambda xs: nnm(xs, 1), lambda xs: caf(xs, 1), lambda xs: smea(xs, 1)],
+                         ids=["MultiKrum", "GeometricMedian", "MDA", "NNM", "CAF", "SMEA"])
 def test_distance_rules_check_their_input_once(rule, x4, monkeypatch):
     expected = rule(x4)
 

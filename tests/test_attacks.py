@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from robustfl import attacks, preaggregators
-from robustfl.aggregators import AggregatorSpec
+from robustfl.aggregators import AggregatorSpec, ConfiguredAggregator
 from robustfl.attacks import (
     AFFINE_BASES,
     ATTACK_NAMES,
@@ -23,7 +23,7 @@ from robustfl.attacks import (
     optimize_attack_scale,
     sign_flipping,
 )
-from robustfl.numerics import pairwise_sq_dists
+from robustfl.numerics import OverCopies, SortedColumns, pairwise_sq_dists
 from robustfl.preaggregators import Pipeline, PreAggregatorSpec, build_pipeline
 from robustfl.seeding import derive_rng
 
@@ -267,6 +267,54 @@ class TestOptimizeAttackScale:
             result, (oracle_scale, oracle_score) = in_blocks(search_and_oracle, 1, n * d - 1)
             assert (result.scale, result.score) == (oracle_scale, oracle_score)
             np.testing.assert_array_equal(result.vector, base(xs, oracle_scale))
+
+    @settings(deadline=None, max_examples=60)
+    @given(column_matrices, st.sampled_from(["TrMean", "Median"]), st.booleans(), st.booleans(),
+           st.sampled_from([a_little_is_enough, inner_product_manipulation]), st.data())
+    def test_sorted_slice_rules_equal_exhaustive_rescoring(self, xs, name, behind_nnm, in_place, base, data):
+        # Signed zeros, duplicates, and IPM at scale 0 (-0.0 rows): the merged
+        # candidates must score exactly as the dense oracle does.
+        n, d = xs.shape
+        f = data.draw(st.integers(1, max(1, n - 1)), label="f")
+        spec = AggregatorSpec(name, f=data.draw(st.integers(0, (n + f - 1) // 2), label="rule f"))
+        pres = [PreAggregatorSpec("NNM", f=data.draw(st.integers(0, n + f - 1), label="NNM f"))] if behind_nnm else []
+        budget = 1 if in_place else 1 << 40
+
+        def search_and_oracle():
+            live = build_pipeline(spec, pres)
+            return (
+                optimize_attack_scale(AttackContext(honest=xs, f=f, pipeline=live), base, DEFAULT_SCALE_GRID),
+                rescore_attack_grid(live.clone, xs, f, base, DEFAULT_SCALE_GRID),
+            )
+
+        result, (oracle_scale, oracle_score) = in_blocks(search_and_oracle, 1, budget)
+        assert (result.scale, result.score) == (oracle_scale, oracle_score)
+        np.testing.assert_array_equal(result.vector, base(xs, oracle_scale))
+
+    @pytest.mark.parametrize("pres", [[], [PreAggregatorSpec("NNM", f=2)]], ids=["TrMean", "NNM>TrMean"])
+    def test_candidates_reach_the_rule_merged(self, monkeypatch, pres):
+        # Far attack rows keep every honest neighbour list honest, so each
+        # candidate reaches TrMean as one block sorted once over its copies
+        # (behind NNM, on its in-place path, which the block budget forces).
+        xs = random_vector_set(np.random.default_rng(31), n=6, d=4)
+        given, built = [], []
+        call = ConfiguredAggregator.__call__
+
+        def recording(self, rows):
+            given.append(rows)
+            return call(self, rows)
+
+        class Counted(SortedColumns):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(ConfiguredAggregator, "__call__", recording)
+        monkeypatch.setattr(preaggregators, "SortedColumns", Counted)
+        ctx = AttackContext(honest=xs, f=2, pipeline=build_pipeline(AggregatorSpec("TrMean", f=2), pres))
+        in_blocks(optimize_attack_scale, 1, 1, ctx, inner_product_manipulation, (50.0, 60.0, 70.0))
+        assert len(given) == 3 and all(isinstance(rows, OverCopies) for rows in given)
+        assert len(built) == 1
 
     def test_honest_distances_computed_once_per_search(self, monkeypatch):
         computed = []

@@ -6,18 +6,22 @@ from hypothesis.extra.numpy import arrays
 
 from robustfl import numerics
 from robustfl.numerics import (
+    SortedColumns,
     as_vector_set,
     pairwise_sq_dists,
     pairwise_sq_dists_with_copies,
+    sorted_slice_means,
     tile_width,
     tiles,
     top_eigenpair,
 )
 
 from conftest import (
+    column_matrices,
     finite_elements,
     in_blocks,
     in_tiles,
+    merge_cases,
     multi_row_matrices,
     random_vector_set,
     single_block,
@@ -180,6 +184,53 @@ class TestPairwiseSqDistsWithCopies:
         np.testing.assert_array_equal(got[:3, 3], [3.0, 48.0, 147.0])
 
 
+class TestSortedSliceMeans:
+    @settings(deadline=None, max_examples=120)
+    @given(column_matrices, tile_budgets, st.data())
+    def test_equals_parent_expression(self, xs, budget, data):
+        lo = data.draw(st.integers(0, len(xs) - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, len(xs)), label="hi")
+        expected = np.sort(xs, axis=0)[lo:hi].mean(axis=0)
+        assert in_tiles(sorted_slice_means, budget, xs, lo, hi).tobytes() == expected.tobytes()
+
+
+class TestSortedColumns:
+    """The merge entry against the dense kernel on the stacked rows: equal
+    bytes wherever the mean is not zero, equal values where it is."""
+
+    @staticmethod
+    def merge_and_dense(fixed, copies, w, lo, hi, budget):
+        block = in_tiles(SortedColumns, budget, list(fixed), copies, lo, hi)
+        stacked = block.stacked(w, np.arange(len(w)))
+        np.testing.assert_array_equal(stacked, np.vstack([fixed, np.tile(w, (copies, 1))]))
+        return block.means(w), in_tiles(sorted_slice_means, budget, stacked, lo, hi)
+
+    @settings(deadline=None, max_examples=200)
+    @given(merge_cases(), tile_budgets, st.data())
+    def test_merge_equals_dense_kernel(self, case, budget, data):
+        fixed, copies, w = case
+        lo = data.draw(st.integers(copies, len(fixed) - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, len(fixed)), label="hi")
+        got, expected = self.merge_and_dense(fixed, copies, w, lo, hi, budget)
+        np.testing.assert_array_equal(got, expected)
+        assert got[expected != 0].tobytes() == expected[expected != 0].tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 5, 1 << 40])
+    def test_each_placement_of_w_on_long_columns(self, budget):
+        # Eleven or more kept values: a pairwise sum would differ from the in-order one.
+        rng = np.random.default_rng(17)
+        fixed = rng.normal(size=(24, 8))
+        fixed[:, 6] = 3.0
+        fixed[:, 7] = np.where(np.arange(24) % 3, -0.0, 0.0)
+        column = np.sort(fixed, axis=0)
+        w = np.array([column[0, 0] - 1.0, column[-1, 1] + 1.0, column[5, 2], column[0, 3],
+                      column[-1, 4], (column[9, 5] + column[10, 5]) / 2, 3.0, 0.0])
+        for copies, lo, hi in ((1, 1, 23), (3, 3, 21), (4, 13, 15), (2, 12, 13)):
+            got, expected = self.merge_and_dense(fixed, copies, w, lo, hi, budget)
+            assert got[:7].tobytes() == expected[:7].tobytes()
+            assert got[7] == expected[7] == 0.0
+
+
 class TestTopEigenpair:
     def test_identical_rows_degenerate(self):
         lam, v = top_eigenpair([[2.0, 3.0], [2.0, 3.0], [2.0, 3.0]])
@@ -254,6 +305,13 @@ class TestTopEigenpair:
         weights = np.array([1.0, 1.0, 0.0])
         lam, _ = top_eigenpair(xs, weights)
         assert lam == pytest.approx(covariance_top_eigenvalue(xs[:2]), rel=1e-8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_public_kernel_checks_its_input(self, x3, bad):
+        x3 = x3.copy()
+        x3[1, 1] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            top_eigenpair(x3)
 
     def test_rejects_zero_weight_total(self, x3):
         with pytest.raises(ValueError, match="positive sum"):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from robustfl import numerics, preaggregators
 from robustfl.aggregators import AggregatorSpec, Rule, make_aggregator
-from robustfl.numerics import pairwise_sq_dists
+from robustfl.numerics import OverCopies, pairwise_sq_dists
 from robustfl.preaggregators import (
     DEFAULT_BUCKET_SIZE,
     PRE_AGGREGATOR_NAMES,
@@ -178,6 +178,66 @@ class TestNnm:
             candidate = np.vstack([xs, np.tile(vector, (copies, 1))])
             f = data.draw(st.integers(0, len(candidate) - 1), label="f")
             assert nnm(candidate, f, memo).tobytes() == nnm(candidate, f).tobytes()
+
+    @staticmethod
+    def dense_form(out):
+        """NNM output as a matrix: an ``OverCopies`` stacked, rows in their order."""
+        if isinstance(out, OverCopies):
+            return out.block.stacked(out.w, np.arange(len(out.w)))
+        return out
+
+    @settings(deadline=None, max_examples=60)
+    @given(multi_row_matrices, st.booleans(), st.data())
+    def test_merged_output_stacks_to_the_dense_output(self, xs, in_place, data):
+        # A memo with a window merges, on the in-place path, whenever every
+        # fixed row's list stays inside the fixed rows.
+        copies = data.draw(st.integers(1, 3), label="copies")
+        memo = NeighbourMeans(fixed=len(xs), window=(copies, len(xs)) if copies < len(xs) else None)
+        f = data.draw(st.integers(0, len(xs) + copies - 1), label="f")
+        n, d = len(xs) + copies, xs.shape[1]
+        budget = (n - f) * d - 1 if in_place else 1 << 40
+        for factor in (-1.0, 0.5, 40.0):
+            candidate = np.vstack([xs, np.tile(xs[0] * factor + factor, (copies, 1))])
+            got = in_blocks(nnm, 1, budget, candidate, f, memo)
+            assert self.dense_form(got).tobytes() == in_blocks(nnm, 1, budget, candidate, f).tobytes()
+
+    def test_fixed_block_is_sorted_once_and_only_the_copies_are_summed(self, monkeypatch):
+        xs = random_vector_set(np.random.default_rng(15), n=6, d=4)
+        memo, f = NeighbourMeans(fixed=6, window=(2, 6)), 2
+        budget = len(xs) * xs.shape[1] - 1
+        spy = CountingNumpy()
+        monkeypatch.setattr(preaggregators, "np", spy)
+        blocks = []
+        for far in (500.0, -700.0):
+            candidate = np.vstack([xs, np.full((f, 4), far)])
+            dense = in_blocks(nnm, 1, budget, candidate, f)
+            spy.sums = 0
+            out = in_blocks(nnm, 1, budget, candidate, f, memo)
+            assert isinstance(out, OverCopies)
+            assert self.dense_form(out).tobytes() == dense.tobytes()
+            blocks.append(out.block)
+        assert blocks[0] is blocks[1]
+        assert spy.sums == 1  # the second call sums the copies' row alone
+        # One gather serves a small input whole.
+        assert not isinstance(single_block(nnm, candidate, f, memo), OverCopies)
+
+    def test_a_list_reaching_the_copies_keeps_the_dense_path(self):
+        xs, f, memo, near = self.memo_case()
+        memo.window = (2, 5)
+        out = in_blocks(nnm, 1, (len(xs) - f) * xs.shape[1] - 1, xs, f, memo)
+        assert not isinstance(out, OverCopies)
+        assert memo.sorted_block is None
+
+    def test_window_fits_only_a_sorted_slice_inside_the_fixed_rows(self):
+        def fit(name, f, n, fixed, d=2):
+            return NeighbourMeans(fixed).window_for(make_aggregator(AggregatorSpec(name, f=f)), np.zeros((n, d)))
+
+        assert fit("TrMean", 2, 9, 7) == (2, 7)
+        assert fit("TrMean", 2, 9, 6) is None  # three copies: the slice would start among them
+        assert fit("TrMean", 2, 4, 3) is None  # n <= 2f
+        assert fit("Median", 0, 8, 6) == (3, 5)
+        assert fit("Median", 0, 8, 6, d=1) is None  # numpy sums a lone column pairwise
+        assert fit("MeaMed", 1, 8, 6) is None
 
     def test_infeasible_f(self, x3):
         with pytest.raises(ValueError, match=r"NNM requires n > f \(got n=3, f=3\)"):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from config_fixtures import tiny_config_text
 
-from robustfl.aggregators import AGGREGATOR_NAMES, AGGREGATORS, AggregatorSpec, Param, Rule
+from robustfl.aggregators import AGGREGATOR_NAMES, AGGREGATORS, AggregatorSpec, Param, Rule, make_aggregator
 from robustfl.attacks import (
     ATTACKS,
     AttackContext,
@@ -26,7 +26,7 @@ from robustfl.attacks import (
 from robustfl.benchmark import REQUIRED, SCHEMA, Key, ListOf, Obj, expand_grid, parse_config, run_single
 from robustfl.cli import build_parser, entrypoint, format_value
 from robustfl.datadist import DISTRIBUTIONS, POSITIVE, Bound, LabeledDataset, at_least, make_partition
-from robustfl.preaggregators import PRE_AGGREGATORS, PreAggregatorSpec, build_pipeline
+from robustfl.preaggregators import PRE_AGGREGATORS, ConfiguredPreAggregator, PreAggregatorSpec, build_pipeline
 
 TABLES = {"aggregator": AGGREGATORS, "pre_aggregators": PRE_AGGREGATORS, "attack": ATTACKS}
 ROWS = [(section, name, rule) for section, table in TABLES.items() for name, rule in table.items()]
@@ -67,6 +67,27 @@ def test_row_name_parses(section, name, rule):
     cfg = parse_config(tiny_config_text("/tmp/x", **{section: [entry]}))
     rules = {"aggregator": cfg.aggregators, "pre_aggregators": cfg.pre_aggregators, "attack": cfg.attacks}[section]
     assert [r.name for r in rules] == [name]
+
+
+@pytest.mark.parametrize("section, name, rule", [row for row in ROWS if row[0] != "attack"],
+                         ids=[name for section, name, _ in ROWS if section != "attack"])
+def test_stage_leaves_its_input_untouched(section, name, rule):
+    # The simulator hands the pipeline its live momentum rows, and a search its
+    # reused candidate buffer: no stage may write to its input.
+    rng = np.random.default_rng(7)
+    xs = rng.normal(size=(7, 5))
+    xs[3] = xs[1]
+    xs[:, 2] = -0.0
+    before = xs.tobytes()
+    xs.flags.writeable = False
+    parameters = {key: 1 for key in rule.params}
+    if section == "aggregator":
+        stage = make_aggregator(AggregatorSpec(name, parameters, f=2))
+    else:
+        stage = ConfiguredPreAggregator(PreAggregatorSpec(name, parameters, f=2), np.random.default_rng(1))
+    for _ in range(2):
+        stage(xs)
+    assert xs.tobytes() == before
 
 
 def running_mean(xs, f: int, weight: float, floor: float = 1.0, history=None):

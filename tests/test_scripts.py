@@ -2,9 +2,12 @@
 stay in step with the library's rule tables."""
 
 import importlib.util
+import os
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from robustfl.aggregators import AGGREGATOR_NAMES
 from robustfl.preaggregators import PRE_AGGREGATOR_NAMES
@@ -39,7 +42,9 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
     assert [row[1] for row in rules if row[2] == "7"] == names
     assert [row[1] for row in rules if row[-2] == "skipped"] == ["MDA", "SMEA"]
     # "attack search" is two words, so the name is the third.
-    assert [row[2] for row in rows if row[0] == "attack"] == ["Optimal_ALIE", "Optimal_IPM"]
+    assert [row[2] for row in rows if row[0] == "attack"] == [
+        "Optimal_ALIE", "Optimal_IPM", "Optimal_ALIE:TrMean", "Optimal_ALIE:NNM>Median"
+    ]
     kernels = [row for row in rows if row[0] == "kernel"]
     assert [row[1:5] for row in kernels] == [["pairwise_sq_dists", "7", "12", "2"], ["ALIE_parts", "7", "12", "2"]]
     assert all(float(row[5]) > 0 for row in kernels)
@@ -49,6 +54,13 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
     rounds = [row for row in rows if row[0] == "round"]
     assert [row[1:5] for row in rounds] == [["linear", "10", "33", "-"], ["mlp", "30", "50890", "-"]]
     assert all(float(row[5]) > 0 for row in rounds)
+
+
+def test_microbench_times_each_row_in_its_own_process(monkeypatch):
+    bench = load_script("microbench_rules", monkeypatch)
+    assert bench.in_fresh_process(lambda: (float(os.getpid()), 1)) != (float(os.getpid()), 1)
+    with pytest.raises(RuntimeError, match="failed in its own process"):
+        bench.in_fresh_process(lambda: 1 / 0)
 
 
 def test_demo_prints_the_three_rows_the_readme_quotes(monkeypatch, capsys):

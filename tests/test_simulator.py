@@ -10,7 +10,7 @@ from robustfl.aggregators import AggregatorSpec
 from robustfl.attacks import AttackSpec, sign_flipping
 from robustfl.datadist import LabeledDataset, make_partition
 from robustfl.models import LinearArch, LrSchedule, MlpArch, init_params, loss_and_gradient, param_count
-from robustfl.preaggregators import build_pipeline
+from robustfl.preaggregators import Pipeline, build_pipeline
 from robustfl.seeding import derive_rng
 from robustfl.simulator import (
     ByzantineClientGroup,
@@ -372,6 +372,37 @@ class TestDsgdStep:
             return clients.momentum_buf
 
         np.testing.assert_array_equal(one_step(0), one_step(2))
+
+    def test_step_rows_are_the_momentum_rows_over_the_attack_rows(self, monkeypatch):
+        # No copy of the honest rows: the pipeline reads the bank's momentum
+        # rows in place, with the attack rows written below them.
+        ds = toy_dataset(m=8)
+        arch = LinearArch(3, 2)
+        clients = bank(ds, [np.arange(4), np.arange(4, 8)], 4, 0.9, 0.0, seed=6)
+        server = make_server(arch, init_params(arch, derive_rng(6, "init")), f=1)
+        given = []
+
+        def recording(pipeline, rows, memo=None):
+            given.append(rows.copy())
+            assert rows is clients.step_buf
+            return np.zeros(rows.shape[1])
+
+        monkeypatch.setattr(Pipeline, "__call__", recording)
+        for _ in range(2):
+            dsgd_step(server, clients, ByzantineClientGroup(1, AttackSpec("SignFlipping")))
+        assert np.shares_memory(clients.momentum_buf, clients.step_buf)
+        np.testing.assert_array_equal(given[1][:2], clients.momentum_buf)
+        np.testing.assert_array_equal(given[1][2], sign_flipping(clients.momentum_buf))
+
+    def test_new_spare_rows_keep_the_momentum(self):
+        ds = toy_dataset(m=4)
+        arch = LinearArch(3, 2)
+        flat = np.zeros(param_count(arch))
+        clients, twin = (full_batch_bank(ds, [np.arange(4)], momentum=0.9) for _ in range(2))
+        clients.compute_update(arch, flat, 2)
+        twin.compute_update(arch, flat)
+        np.testing.assert_array_equal(clients.compute_update(arch, flat), twin.compute_update(arch, flat))
+        assert clients.step_buf.shape == (1, param_count(arch))
 
     def test_infeasible_pipeline_propagates(self):
         ds = toy_dataset(m=1)
