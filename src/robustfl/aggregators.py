@@ -16,7 +16,7 @@ from typing import Callable, ClassVar, Mapping
 
 import numpy as np
 
-from .datadist import NONNEGATIVE, POSITIVE, Param, at_least
+from .config import NONNEGATIVE, POSITIVE, Param, at_least
 from .numerics import OverCopies, as_vector_set, check_f, columnwise, slice_means, sorted_slice_means
 # The rules pass the matrix they have checked; perfbench's tracer patches the kernels under these names.
 from .numerics import trusted_pairwise_sq_dists as pairwise_sq_dists

@@ -13,7 +13,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .aggregators import Param, Rule, RuleSpec
+from .aggregators import Rule, RuleSpec
+from .config import Param
 from .numerics import as_vector_set, columnwise
 from .preaggregators import NeighbourMeans, Pipeline
 

@@ -13,6 +13,7 @@ point.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import logging
@@ -28,17 +29,8 @@ import numpy as np
 
 from .aggregators import AggregatorSpec, RuleSpec
 from .attacks import AttackSpec
-from .datadist import (
-    DISTRIBUTIONS,
-    FRACTION,
-    NONNEGATIVE,
-    POSITIVE,
-    Bound,
-    LabeledDataset,
-    Param,
-    at_least,
-    make_partition,
-)
+from .config import FRACTION, NONNEGATIVE, POSITIVE, REQUIRED, Bound, Key, ListOf, Obj, Param, at_least, one_of
+from .datadist import DISTRIBUTIONS, LabeledDataset, make_partition
 from .models import (
     DEFAULT_HIDDEN_UNITS,
     LinearArch,
@@ -66,157 +58,8 @@ DATASET_ENV_VAR = "ROBUSTFL_DATA_DIR"
 
 
 # --------------------------------------------------------------------------- #
-# Config model: what ``SCHEMA`` builds; every default and bound lives there
-# --------------------------------------------------------------------------- #
-
-
-@dataclass
-class TrainingAlgorithmConfig:
-    name: str
-    parameters: dict
-
-
-@dataclass
-class ModelConfig:
-    name: str
-    dataset_name: str
-    learning_rate: float
-    loss: str
-    learning_rate_decay: float
-    milestones: list[int]
-    hidden: int
-    dataset_params: dict
-
-
-@dataclass
-class HonestClientsConfig:
-    momentum: float
-    weight_decay: float
-    batch_size: int
-
-
-@dataclass
-class EvaluationConfig:
-    evaluation_delta: int
-    results_directory: str
-    store_per_client_metrics: bool
-
-
-@dataclass
-class BenchmarkConfig:
-    training_algorithm: TrainingAlgorithmConfig
-    nb_steps: int
-    nb_training_seeds: int
-    nb_honest_clients: int
-    f_values: list[int]
-    data_distributions: list[tuple[str, list[float]]]
-    model: ModelConfig
-    aggregators: list[AggregatorSpec]
-    pre_aggregators: list[PreAggregatorSpec]
-    honest_clients: HonestClientsConfig
-    attacks: list[AttackSpec]
-    evaluation: EvaluationConfig
-
-    def __post_init__(self) -> None:
-        delta = self.evaluation.evaluation_delta
-        if delta > self.nb_steps:
-            raise ValueError(f"evaluation_delta ({delta}) cannot exceed nb_steps ({self.nb_steps})")
-        if self.model.dataset_name == "blobs":
-            blobs, at = self.model.dataset_params, "model.dataset_params."
-            for size, floor, name in (("train_size", blobs["n_classes"], f"{at}n_classes"),
-                                      ("test_size", blobs["n_classes"], f"{at}n_classes"),
-                                      ("train_size", self.nb_honest_clients, "benchmark_config.nb_honest_clients")):
-                if blobs[size] < floor:
-                    raise ValueError(f"{at}{size} ({blobs[size]}) cannot be below {name} ({floor})")
-
-
-# --------------------------------------------------------------------------- #
-# Schema readers: each takes a JSON value and its dotted path, and returns the
-# typed value or raises ``ValueError`` naming the path
-# --------------------------------------------------------------------------- #
-
-
-REQUIRED = object()
-
-
-class Key(NamedTuple):
-    """One key of a JSON object: its reader and its default, a JSON value read
-    like a written one, or ``REQUIRED``."""
-
-    read: Callable
-    default: object = REQUIRED
-
-    def value(self, raw: dict, key: str, where: str):
-        path = f"{where}.{key}" if where else key
-        if key in raw:
-            return self.read(raw[key], path)
-        if self.default is REQUIRED:
-            raise ValueError(f"missing {path}")
-        return self.read(self.default, path)
-
-
-def _one_of(names) -> Callable:
-    """Reader for one of the strings ``names``."""
-    *head, last = map(repr, names)
-    alternatives = f"{', '.join(head)} or {last}" if head else last
-
-    def read(value, where):
-        if not isinstance(value, str) or value not in names:
-            raise ValueError(f"{where} must be {alternatives}, got {value!r}")
-        return value
-
-    return read
-
-
-class ListOf(NamedTuple):
-    """Reader for a JSON list of ``item``s; a lone object stands for a list
-    of one."""
-
-    item: Callable
-    empty_ok: bool = False
-
-    def __call__(self, value, where):
-        value = [value] if isinstance(value, dict) else value
-        if not isinstance(value, list) or not (value or self.empty_ok):
-            raise ValueError(f"{where} must be a {'' if self.empty_ok else 'non-empty '}list, got {value!r}")
-        return [self.item(v, f"{where}[{i}]") for i, v in enumerate(value)]
-
-
-class Obj(NamedTuple):
-    """Reader for a JSON object: unknown keys are errors, and ``build`` gets
-    every key's value (or default) by name. With ``variants`` = (tag, table),
-    the tag key must name a table entry, whose keys join ``keys``."""
-
-    build: Callable
-    keys: dict[str, Key]
-    variants: tuple[str, dict[str, dict[str, Key]]] | None = None
-
-    def __call__(self, raw, where):
-        raw = Param(dict)(raw, where or "config")
-        keys = self.keys
-        if self.variants:
-            tag, table = self.variants
-            tag_key = Key(_one_of(table))
-            keys = {tag: tag_key, **keys, **table[tag_key.value(raw, tag, where)]}
-        unknown = sorted(set(raw) - set(keys))
-        if unknown:
-            name = unknown[0]
-            raise ValueError(f"unknown key '{where}.{name}'" if where else f"unknown top-level key: {name!r}")
-        values = {key: spec.value(raw, key, where) for key, spec in keys.items()}
-        try:
-            return self.build(**values)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}" if where else str(exc)) from None
-
-
-# --------------------------------------------------------------------------- #
 # Datasets and architectures
 # --------------------------------------------------------------------------- #
-
-
-def _split_total(total: int, parts: int) -> list[int]:
-    base, rem = divmod(total, parts)
-    return [base + 1 if i < rem else base for i in range(parts)]
 
 
 def _blob_datasets(cfg: ModelConfig, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
@@ -224,9 +67,11 @@ def _blob_datasets(cfg: ModelConfig, seed: int) -> tuple[LabeledDataset, Labeled
     n_classes, dim, spread = params["n_classes"], params["dim"], params["spread"]
     rng = derive_rng(seed, "dataset")
     centers = rng.standard_normal((n_classes, dim))
-    train = make_blobs(n_classes, _split_total(params["train_size"], n_classes), dim, spread, rng, centers)
-    test = make_blobs(n_classes, _split_total(params["test_size"], n_classes), dim, spread, rng, centers)
-    return train, test
+    return tuple(
+        make_blobs(n_classes, [len(part) for part in np.array_split(range(params[size]), n_classes)], dim, spread,
+                   rng, centers)
+        for size in ("train_size", "test_size")
+    )
 
 
 def _mnist_datasets(cfg: ModelConfig, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
@@ -287,7 +132,7 @@ _FEDAVG = {
     "proportion_selected_clients": Key(Param(float, FRACTION), 1.0),
     "local_steps_per_client": Key(Param(int, at_least(1)), 1),
 }
-_TRAINING_ALGORITHM = Obj(TrainingAlgorithmConfig, {}, ("name", {
+_TRAINING_ALGORITHM = Obj.record("TrainingAlgorithmConfig", __name__, {}, ("name", {
     "DSGD": {"parameters": Key(Obj(dict, {}), {})},
     "FedAvg": {"parameters": Key(Obj(dict, _FEDAVG), {})},
 }))
@@ -308,26 +153,59 @@ _BENCHMARK = Obj(lambda f, data_distribution, **rest: dict(rest, f_values=f, dat
     "data_distribution": Key(ListOf(_DISTRIBUTION), {"name": "iid"}),
 })
 
-_MODEL = Obj(ModelConfig, {
-    "name": Key(_one_of(ARCHS)),
+_MODEL = Obj.record("ModelConfig", __name__, {
+    "name": Key(one_of(ARCHS)),
     "learning_rate": Key(Param(float, POSITIVE)),
-    "loss": Key(_one_of(("NLLLoss",)), "NLLLoss"),
+    "loss": Key(one_of(("NLLLoss",)), "NLLLoss"),
     "learning_rate_decay": Key(Param(float, FRACTION), 1.0),
     "milestones": Key(ListOf(Param(int, at_least(0)), empty_ok=True), []),
     "hidden": Key(Param(int, at_least(1)), DEFAULT_HIDDEN_UNITS),
 }, ("dataset_name", {name: {"dataset_params": Key(Obj(dict, row.params), {})} for name, row in DATASETS.items()}))
 
-_HONEST_CLIENTS = Obj(HonestClientsConfig, {
+_HONEST_CLIENTS = Obj.record("HonestClientsConfig", __name__, {
     "momentum": Key(Param(float, Bound(lambda m: 0 <= m < 1, "lie in [0, 1)")), 0.0),
     "weight_decay": Key(Param(float, NONNEGATIVE), 0.0),
     "batch_size": Key(Param(int, at_least(1)), 25),
 })
 
-_EVALUATION = Obj(EvaluationConfig, {
+_EVALUATION = Obj.record("EvaluationConfig", __name__, {
     "evaluation_delta": Key(Param(int, at_least(1))),
     "results_directory": Key(Param(str)),
     "store_per_client_metrics": Key(Param(bool), False),
 })
+
+# Each section's record, bound to its name so that a parsed config pickles into pool workers.
+TrainingAlgorithmConfig, ModelConfig, HonestClientsConfig, EvaluationConfig = (
+    section.build for section in (_TRAINING_ALGORITHM, _MODEL, _HONEST_CLIENTS, _EVALUATION))
+
+
+@dataclass
+class BenchmarkConfig:
+    training_algorithm: TrainingAlgorithmConfig
+    nb_steps: int
+    nb_training_seeds: int
+    nb_honest_clients: int
+    f_values: list[int]
+    data_distributions: list[tuple[str, list[float]]]
+    model: ModelConfig
+    aggregators: list[AggregatorSpec]
+    pre_aggregators: list[PreAggregatorSpec]
+    honest_clients: HonestClientsConfig
+    attacks: list[AttackSpec]
+    evaluation: EvaluationConfig
+
+    def __post_init__(self) -> None:
+        delta = self.evaluation.evaluation_delta
+        if delta > self.nb_steps:
+            raise ValueError(f"evaluation_delta ({delta}) cannot exceed nb_steps ({self.nb_steps})")
+        if self.model.dataset_name == "blobs":
+            blobs, at = self.model.dataset_params, "model.dataset_params."
+            for size, floor, name in (("train_size", blobs["n_classes"], f"{at}n_classes"),
+                                      ("test_size", blobs["n_classes"], f"{at}n_classes"),
+                                      ("train_size", self.nb_honest_clients, "benchmark_config.nb_honest_clients")):
+                if blobs[size] < floor:
+                    raise ValueError(f"{at}{size} ({blobs[size]}) cannot be below {name} ({floor})")
+
 
 SCHEMA = Obj(lambda benchmark_config, aggregator, attack, evaluation_and_results, **sections: BenchmarkConfig(
     **benchmark_config, **sections, aggregators=aggregator, attacks=attack, evaluation=evaluation_and_results
@@ -550,6 +428,9 @@ def run_single(cfg: BenchmarkConfig, key: ExperimentKey) -> ExperimentResult:
 # --------------------------------------------------------------------------- #
 
 
+_METRICS_HEADER = ["step", "test_accuracy", "train_loss"]
+
+
 def _atomic_write(path: Path, content: str) -> None:
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     tmp.write_text(content)
@@ -561,7 +442,7 @@ def write_result(base_dir, result: ExperimentResult) -> Path:
     run_dir = Path(base_dir) / result.key.run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(run_dir / "key.json", json.dumps(result.key.to_json_dict(), indent=2) + "\n")
-    header = ["step", "test_accuracy", "train_loss"]
+    header = list(_METRICS_HEADER)
     if result.client_losses is not None:
         header += [f"client{i}_loss" for i in range(len(result.client_losses[0]))]
     lines = [",".join(header)]
@@ -576,7 +457,7 @@ def write_result(base_dir, result: ExperimentResult) -> Path:
 
 def read_result(base_dir, run_id: str) -> ExperimentResult:
     """Load one persisted run; raises ``FileNotFoundError`` when absent and
-    ``ValueError`` naming ``key.json`` when it is malformed or misses a key."""
+    ``ValueError`` naming ``key.json`` or ``metrics.csv`` when it is malformed."""
     run_dir = Path(base_dir) / run_id
     metrics = run_dir / "metrics.csv"
     if not metrics.exists():
@@ -588,19 +469,19 @@ def read_result(base_dir, run_id: str) -> ExperimentResult:
         raise ValueError(f"{key_path}: missing key {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{key_path}: {exc}") from None
-    lines = metrics.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    n_client_cols = sum(1 for h in header if h.startswith("client"))
-    steps, accuracy, losses = [], [], []
-    per_client: list[list[float]] | None = [] if n_client_cols else None
-    for line in lines[1:]:
-        cells = line.split(",")
-        steps.append(int(cells[0]))
-        accuracy.append(float(cells[1]))
-        losses.append(float(cells[2]))
-        if per_client is not None:
-            per_client.append([float(v) for v in cells[3 : 3 + n_client_cols]])
-    return ExperimentResult(key, steps, accuracy, losses, per_client)
+    header, *rows = list(csv.reader(metrics.read_text().strip().splitlines())) or [[]]
+    try:
+        if header[:3] != _METRICS_HEADER or not rows:
+            raise ValueError(f"needs the header {','.join(_METRICS_HEADER)},... and at least one row")
+        for line, row in enumerate(rows, 2):
+            if len(row) != len(header):
+                raise ValueError(f"line {line} has {len(row)} cells, the header {len(header)}")
+        steps = [int(row[0]) for row in rows]
+        values = [[float(v) for v in row[1:]] for row in rows]
+    except ValueError as exc:
+        raise ValueError(f"{metrics}: {exc}") from None
+    per_client = [v[2:] for v in values] if len(header) > 3 else None
+    return ExperimentResult(key, steps, [v[0] for v in values], [v[1] for v in values], per_client)
 
 
 def list_results(base_dir) -> list[ExperimentResult]:
@@ -635,8 +516,10 @@ def run_benchmark(cfg: BenchmarkConfig, parallelism: int = 1) -> dict:
     Returns ``{"completed": int, "skipped": int, "failed": int, "failures":
     [(run_id, message), ...]}``. Individual failures are recorded and the
     remaining runs proceed. A pool worker that dies (OOM kill, signal) breaks
-    the pool: every run that had not finished by then is recorded as failed
-    with the ``BrokenProcessPool`` message, and runs already on disk stay.
+    its pool: the runs that pool left unfinished and not on disk run again in
+    a fresh pool, and once a second pool breaks, each in a one-worker pool of
+    its own. Only a run whose lone worker dies is recorded as failed, with the
+    ``BrokenProcessPool`` message.
     """
     at_least(1).check(parallelism, "parallelism")
     keys = expand_grid(cfg)
@@ -658,17 +541,34 @@ def run_benchmark(cfg: BenchmarkConfig, parallelism: int = 1) -> dict:
             failures.append((key.run_id, error))
             log.error("failed %s: %s", key.run_id, error)
 
+    def run_pool(batch: list[ExperimentKey]) -> list[ExperimentKey]:
+        """Run ``batch`` in one pool; returns the runs a broken pool left unfinished and not on disk."""
+        lost = []
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(batch))) as pool:
+            futures = {pool.submit(_execute_key, cfg, key, str(base)): key for key in batch}
+            for future in as_completed(futures):
+                key = futures[future]
+                try:
+                    record(key, future.result())
+                except BrokenProcessPool as exc:
+                    if (base / key.run_id / "metrics.csv").exists():
+                        record(key, None)
+                    elif len(batch) == 1:
+                        record(key, f"{type(exc).__name__}: {exc}")
+                    else:
+                        lost.append(key)
+        if lost:
+            log.warning("a pool worker died; %d unfinished runs will run again", len(lost))
+        return lost
+
     if parallelism == 1 or len(pending) <= 1:
         for key in pending:
             record(key, _execute_key(cfg, key, str(base)))
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            futures = {pool.submit(_execute_key, cfg, key, str(base)): key for key in pending}
-            for future in as_completed(futures):
-                try:
-                    error = future.result()
-                except BrokenProcessPool as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                record(futures[future], error)
+        lost = run_pool(pending)
+        if lost:
+            lost = run_pool(lost)
+        for key in lost:
+            run_pool([key])
     failures.sort()
     return {"completed": completed, "skipped": skipped, "failed": len(failures), "failures": failures}

@@ -1,5 +1,4 @@
-"""Partitioning a labeled dataset across honest clients, ``Param`` (the one
-reader of config values and rule parameters) and ``Bound`` (the range check).
+"""Partitioning a labeled dataset across honest clients.
 
 Three schemes with one heterogeneity knob each: plain IID, per-class
 Dirichlet proportions (smaller alpha = more skew), and a similarity split
@@ -11,11 +10,12 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .config import POSITIVE, UNIT_INTERVAL, Bound
 
 log = logging.getLogger(__name__)
 
@@ -46,60 +46,6 @@ class LabeledDataset:
         return len(self.features)
 
 
-class Bound(NamedTuple):
-    """A range a number must lie in: the test, and the words that name it."""
-
-    holds: Callable[[float], bool]
-    text: str
-
-    def check(self, value, where: str):
-        if not self.holds(value):
-            raise ValueError(f"{where} must {self.text}, got {value}")
-        return value
-
-
-def read_as(kind: type, value):
-    """``kind(value)``, but an int too large for a float reads as a float +-inf."""
-    try:
-        return kind(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-def at_least(low: int) -> Bound:
-    """The numbers that are ``low`` or more."""
-    return Bound(lambda v: v >= low, f"be >= {low}")
-
-
-POSITIVE = Bound(lambda v: v > 0, "be positive")
-NONNEGATIVE = Bound(lambda v: v >= 0, "be nonnegative")
-FRACTION = Bound(lambda v: 0 < v <= 1, "lie in (0, 1]")
-UNIT_INTERVAL = Bound(lambda v: 0 <= v <= 1, "lie in [0, 1]")
-
-_NOUNS = {int: "an integer", float: "a number", bool: "a boolean", str: "a non-empty string", dict: "an object"}
-
-
-class Param(NamedTuple):
-    """Reader of a value from outside the program, a config key or a rule
-    parameter: its kind and, where restricted, the ``Bound`` it must lie in.
-    A number is any real but a bool, a float is finite, an int may be written
-    as an integral float (3.0 reads as 3), and a string is not empty."""
-
-    kind: type
-    bound: Bound | None = None
-
-    def __call__(self, value, where: str):
-        kind, bound = self
-        if (not isinstance(value, numbers.Real if kind in (int, float) else kind)
-                or isinstance(value, bool) != (kind is bool) or value == ""
-                or kind is int and not isinstance(value, numbers.Integral) and not float(value).is_integer()):
-            raise ValueError(f"{where} must be {_NOUNS[kind]}, got {value!r}")
-        typed = read_as(kind, value) if bound is None else bound.check(read_as(kind, value), where)
-        if kind is float and not math.isfinite(typed):
-            raise ValueError(f"{where} must be finite, got {value!r}")
-        return typed
-
-
 @dataclass
 class ClientPartition:
     """Per-client sample index lists; disjoint and each non-empty."""
@@ -118,15 +64,6 @@ class ClientPartition:
     @property
     def n_clients(self) -> int:
         return len(self.assignments)
-
-
-def _chunks(indices: np.ndarray, n_clients: int) -> list[np.ndarray]:
-    """Split into n contiguous blocks; the remainder goes one-each to the
-    first len(indices) mod n clients."""
-    base, rem = divmod(len(indices), n_clients)
-    sizes = [base + 1 if i < rem else base for i in range(n_clients)]
-    bounds = np.cumsum([0] + sizes)
-    return [indices[bounds[i] : bounds[i + 1]] for i in range(n_clients)]
 
 
 def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
@@ -158,7 +95,7 @@ def iid_split(dataset: LabeledDataset, n_clients: int, rng: np.random.Generator)
         raise ValueError(f"need at least one client, got {n_clients}")
     if len(dataset) < n_clients:
         raise ValueError(f"cannot split {len(dataset)} samples across {n_clients} clients")
-    return ClientPartition(_chunks(rng.permutation(len(dataset)), n_clients))
+    return ClientPartition(np.array_split(rng.permutation(len(dataset)), n_clients))
 
 
 def dirichlet_split(
@@ -211,10 +148,10 @@ def gamma_split(
         raise ValueError(f"cannot split {m} samples across {n_clients} clients")
     perm = rng.permutation(m)
     k = math.floor(similarity * m)
-    iid_blocks = _chunks(perm[:k], n_clients)
+    iid_blocks = np.array_split(perm[:k], n_clients)
     rest = perm[k:]
     rest = rest[np.argsort(dataset.labels[rest], kind="stable")]
-    label_blocks = _chunks(rest, n_clients)
+    label_blocks = np.array_split(rest, n_clients)
     return _fill_empty([np.concatenate([iid_blocks[i], label_blocks[i]]) for i in range(n_clients)], "gamma")
 
 

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .datadist import FRACTION, NONNEGATIVE, POSITIVE, LabeledDataset
+from .config import FRACTION, NONNEGATIVE, POSITIVE
+from .datadist import LabeledDataset
 
 DEFAULT_HIDDEN_UNITS = 64
 

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregators import AGGREGATORS, AggregatorSpec, ConfiguredAggregator, Param, Rule, StageSpec, make_aggregator
-from .datadist import POSITIVE, at_least
+from .aggregators import AGGREGATORS, AggregatorSpec, ConfiguredAggregator, Rule, StageSpec, make_aggregator
+from .config import POSITIVE, Param, at_least
 from .numerics import OverCopies, SortedColumns, as_vector_set, block_rows, check_f, pairwise_sq_dists_with_copies
 # NNM passes the matrix it has checked; perfbench's tracer patches the kernel under this name.
 from .numerics import trusted_pairwise_sq_dists as pairwise_sq_dists

@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .attacks import AttackContext, AttackSpec, attack_vector
-from .datadist import NONNEGATIVE, LabeledDataset, at_least
+from .config import NONNEGATIVE, at_least
+from .datadist import LabeledDataset
 from .models import Arch, LrSchedule, logits, loss_and_gradient
 from .numerics import tiles
 from .preaggregators import Pipeline

@@ -1,8 +1,10 @@
+import dataclasses
 import functools
 import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -82,6 +84,20 @@ class TestParseConfig:
         assert cfg.evaluation.evaluation_delta == 50
         assert cfg.evaluation.store_per_client_metrics is True
         assert cfg.evaluation.results_directory == "./results"
+
+    def test_parsed_config_round_trips_through_pickle(self):
+        # The grid pool pickles the config into each worker.
+        for text in (SAMPLE_CONFIG, tiny_config_text("/tmp/x", **fedavg(local_steps_per_client=2))):
+            cfg = parse_config(text)
+            assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+    def test_sections_are_frozen_records_that_replace_builds_anew(self):
+        cfg = parse_config(tiny_config_text("/tmp/x"))
+        moved = dataclasses.replace(cfg, evaluation=dataclasses.replace(cfg.evaluation, results_directory="/tmp/y"))
+        assert moved.evaluation.results_directory == "/tmp/y" and cfg.evaluation.results_directory == "/tmp/x"
+        assert moved.evaluation.evaluation_delta == cfg.evaluation.evaluation_delta and moved.model == cfg.model
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.honest_clients.batch_size = 1
 
     def test_empty_text(self):
         with pytest.raises(ValueError, match="missing benchmark_config"):
@@ -721,6 +737,31 @@ class TestRunBenchmark:
         summary = run_benchmark(cfg, parallelism=2)
         assert summary["completed"] == 2 and summary["failed"] == 1
         run_id, message = summary["failures"][0]
+        assert run_id == victim and message.startswith("BrokenProcessPool: ")
+        for run_id in others:
+            assert (results / run_id / "metrics.csv").exists()
+        assert not (results / victim / "metrics.csv").exists()
+
+    def test_worker_dying_at_its_start_costs_only_its_own_run(self, tmp_path, monkeypatch):
+        results = tmp_path / "results"
+        cfg = parse_config(tiny_config_text(results, **{"benchmark_config.nb_training_seeds": 6}))
+        victim, *others = [key.run_id for key in expand_grid(cfg)]
+        real_run_single = benchmark.run_single
+
+        def run_single_or_die(cfg, key):
+            if key.run_id == victim:
+                os._exit(1)
+            return real_run_single(cfg, key)
+
+        monkeypatch.setattr(benchmark, "run_single", run_single_or_die)
+        monkeypatch.setattr(
+            benchmark,
+            "ProcessPoolExecutor",
+            functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")),
+        )
+        summary = run_benchmark(cfg, parallelism=2)
+        assert summary["completed"] == len(others) and summary["failed"] == 1
+        [(run_id, message)] = summary["failures"]
         assert run_id == victim and message.startswith("BrokenProcessPool: ")
         for run_id in others:
             assert (results / run_id / "metrics.csv").exists()

@@ -282,6 +282,25 @@ class TestPlot:
         assert code == 1 and out == ""
         assert f"{key_path}: missing key 'seed'" in err
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda text: "", "needs the header step,test_accuracy,train_loss,... and at least one row"),
+            (lambda text: text.splitlines()[0] + "\n", "needs the header"),
+            (lambda text: text.rstrip("\n") + ",1\n", "has 4 cells, the header 3"),
+            (lambda text: text.rsplit(",", 1)[0] + "\n", "has 2 cells, the header 3"),
+            (lambda text: text.rsplit(",", 1)[0] + ",abc\n", "could not convert string to float: 'abc'"),
+            (lambda text: "step,accuracy,loss\n" + text.split("\n", 1)[1], "needs the header"),
+        ],
+        ids=["empty", "header-only", "row-a-cell-long", "row-a-cell-short", "non-numeric", "wrong-header"],
+    )
+    def test_malformed_metrics_csv_exits_one_naming_the_file(self, capsys, results_dir, tmp_path, damage, message):
+        metrics = next(results_dir.glob("*/metrics.csv"))
+        metrics.write_text(damage(metrics.read_text()))
+        code, out, err = run_cli(capsys, "plot", "curve", "--results", str(results_dir), "--out", str(tmp_path / "p"))
+        assert code == 1 and out == ""
+        assert f"error: {metrics}: " in err and message in err
+
     def test_bad_kind_rejected(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             entrypoint(["plot", "scatter", "--results", str(tmp_path), "--out", str(tmp_path)])

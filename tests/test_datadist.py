@@ -33,7 +33,7 @@ def assert_covers_everything(partition: ClientPartition, m: int) -> None:
 
 def reference_gamma_split(dataset: LabeledDataset, n_clients: int, similarity: float, rng) -> list[np.ndarray]:
     """The gamma split as it was before empty clients were repaired, some
-    clients possibly empty (``np.array_split`` gives ``_chunks``' sizes)."""
+    clients possibly empty."""
     m = len(dataset)
     perm = rng.permutation(m)
     k = math.floor(similarity * m)

@@ -4,6 +4,7 @@ config table agrees with the schema; and every entry point the benchmark's
 tracer shims exists where it looks."""
 
 import argparse
+import ast
 import importlib.util
 import inspect
 import json
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from config_fixtures import tiny_config_text
 
-from robustfl.aggregators import AGGREGATOR_NAMES, AGGREGATORS, AggregatorSpec, Param, Rule, make_aggregator
+from robustfl.aggregators import AGGREGATOR_NAMES, AGGREGATORS, AggregatorSpec, Rule, make_aggregator
 from robustfl.attacks import (
     ATTACKS,
     AttackContext,
@@ -23,9 +24,10 @@ from robustfl.attacks import (
     attack_vector,
     optimize_attack_scale,
 )
-from robustfl.benchmark import REQUIRED, SCHEMA, Key, ListOf, Obj, expand_grid, parse_config, run_single
+from robustfl.benchmark import SCHEMA, expand_grid, parse_config, run_single
 from robustfl.cli import build_parser, entrypoint, format_value
-from robustfl.datadist import DISTRIBUTIONS, POSITIVE, Bound, LabeledDataset, at_least, make_partition
+from robustfl.config import POSITIVE, REQUIRED, Bound, Key, ListOf, Obj, Param, at_least
+from robustfl.datadist import DISTRIBUTIONS, LabeledDataset, make_partition
 from robustfl.preaggregators import PRE_AGGREGATORS, ConfiguredPreAggregator, PreAggregatorSpec, build_pipeline
 
 TABLES = {"aggregator": AGGREGATORS, "pre_aggregators": PRE_AGGREGATORS, "attack": ATTACKS}
@@ -269,3 +271,32 @@ def test_readme_type_cells_name_the_kind_each_param_reads():
             assert named == {KIND_NOUNS[param.kind]}, (path, types[path])
             checked += 1
     assert checked >= 20
+
+
+@pytest.mark.parametrize("section, attribute", [
+    ("model", "model"), ("honest_clients", "honest_clients"), ("evaluation_and_results", "evaluation"),
+])
+def test_new_key_is_one_key_in_its_section_and_parses_into_its_record(section, attribute):
+    # A copy of the schema whose section gains one Key, and nothing else.
+    key = SCHEMA.keys[section]
+    toy = Obj.record("Toy", __name__, {**key.read.keys, "toy_key": Key(Param(int, at_least(0)), 7)}, key.read.variants)
+    schema = SCHEMA._replace(keys={**SCHEMA.keys, section: key._replace(read=toy)})
+
+    def read(**tweaks):
+        return getattr(schema(json.loads(tiny_config_text("/tmp/x", **tweaks)), ""), attribute)
+
+    assert read().toy_key == 7
+    written = read(**{f"{section}.toy_key": 3.0})
+    assert written.toy_key == 3 and type(written.toy_key) is int
+    with pytest.raises(ValueError, match=re.escape(f"{section}.toy_key must be >= 0, got -1")):
+        read(**{f"{section}.toy_key": -1})
+    assert not hasattr(getattr(parse_config(tiny_config_text("/tmp/x")), attribute), "toy_key")
+
+
+def test_config_module_imports_nothing_else_from_the_package():
+    tree = ast.parse((ROOT / "src" / "robustfl" / "config.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = [node.module for node in imports if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names]
+    assert not any(getattr(node, "level", 0) for node in imports)
+    assert not any(module.startswith("robustfl") for module in modules), modules
