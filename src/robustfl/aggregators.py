@@ -9,6 +9,7 @@ lexicographically smallest index subset) so results are reproducible.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 from dataclasses import dataclass, field
@@ -142,10 +143,10 @@ def meamed(xs, f: int) -> np.ndarray:
     stable argsort of the deviations along axis 0.
 
     The ranking is numpy's default argsort, about half the cost of the
-    stable one, which may order tied deviations differently. Tied equal values give the same kept values in the same
-    order whichever comes first (a sum that starts at +0.0 cannot tell -0.0
-    from +0.0), so only a column where two different values tie is ranked
-    again, stably.
+    stable one, which may order tied deviations differently. Tied equal
+    values give the same kept values in the same order whichever comes
+    first (a sum that starts at +0.0 cannot tell -0.0 from +0.0), so only a
+    column where two different values tie is ranked again, stably.
     """
     xs = as_vector_set(xs)
     n = len(xs)
@@ -397,11 +398,12 @@ class ConfiguredAggregator:
         self.carried = AGGREGATORS[spec.name].carry(spec.name, None)
 
     def __call__(self, xs) -> np.ndarray:
-        """The rule on an (n, d) matrix, or a sorted-slice rule on an ``OverCopies``."""
+        """The rule on an (n, d) matrix; a sorted-slice rule asks an ``OverCopies`` for its slice means."""
         rule = AGGREGATORS[self.spec.name]
-        if isinstance(xs, OverCopies):
-            return xs.means(lambda rows: rule.apply(rows, self.spec.f, self.spec.parameters))
-        return rule.apply(xs, self.spec.f, self.spec.parameters, **self.carried)
+        dense = functools.partial(rule.apply, f=self.spec.f, params=self.spec.parameters, **self.carried)
+        if rule.window and isinstance(xs, OverCopies):
+            return xs.slice_means(*rule.window(len(xs), self.spec.f), dense)
+        return dense(xs)
 
 
 make_aggregator = ConfiguredAggregator  # the callable rule described by a spec

@@ -15,8 +15,8 @@ import numpy as np
 
 from .aggregators import Rule, RuleSpec
 from .config import Param
-from .numerics import as_vector_set, columnwise
-from .preaggregators import NeighbourMeans, Pipeline
+from .numerics import OverCopies, as_vector_set, columnwise
+from .preaggregators import Pipeline
 
 DEFAULT_IPM_SCALE = 0.9
 DEFAULT_ALIE_SCALE = 1.5
@@ -87,18 +87,17 @@ def optimize_attack_scale(
     honest rows and through a clone of the pipeline (so stateful stages start
     alike); the score is the aggregate's distance to the honest mean, and ties
     go to the smallest scale. The honest rows are checked, and ``base``'s
-    ``AFFINE_BASES`` parts computed, once per search; each candidate writes
-    its f rows into one reused (n + f, d) buffer, and the pipeline's first
-    stage checks those rows. The candidates share one ``NeighbourMeans`` memo:
-    an NNM first stage computes the honest distance block once, extends it in
-    O(n d) per candidate, and reuses honest-only neighbour means. When the
-    last stage is a sorted-slice rule (Median, TrMean) fed by NNM or by
-    nothing, the rows that reach it are the same fixed block over copies of
-    one row for every candidate whose honest neighbour lists stay honest:
-    that block is sorted once, and each such candidate merges its one row in.
-    Buffer and memo die with the call; the returned vector is computed
-    afresh. Memory is O((n + f) (d + n)) plus ``numerics.BLOCK_ELEMENTS`` and
-    the memo's O(n d).
+    ``AFFINE_BASES`` parts computed, once per search. Each candidate writes
+    its f rows into one reused (n + f, d) buffer and reaches the pipeline as
+    ``numerics.OverCopies``: the honest rows over f copies of one row, which
+    is checked there, with one dict shared by the whole search. A stage may
+    use that shape: an NNM first stage computes the honest distance block
+    once, extends it in O(n d) per candidate, reuses honest-only neighbour
+    means and may hand on an ``OverCopies`` itself; a sorted-slice rule
+    (Median, TrMean) sorts the fixed rows once and merges each candidate's
+    row in. Every other stage reads the buffer as a matrix. Buffer and dict
+    die with the call; the returned vector is computed afresh. Memory is
+    O((n + f) (d + n)) plus ``numerics.BLOCK_ELEMENTS`` and the dict's O(n d).
     """
     if len(grid) == 0:
         raise ValueError("scale grid must be non-empty")
@@ -111,12 +110,12 @@ def optimize_attack_scale(
     honest_mean = honest.mean(axis=0)
     n = len(honest)
     candidate = np.vstack([honest, np.empty((ctx.f, honest.shape[1]))])
-    memo = NeighbourMeans(n)
+    shared: dict = {}
     best_scale = None
     best_score = -np.inf
     for scale in grid:
         candidate[n:] = at(scale, *parts)
-        aggregate = ctx.pipeline.clone()(candidate, memo)
+        aggregate = ctx.pipeline.clone()(OverCopies(candidate, n, shared))
         score = float(np.linalg.norm(aggregate - honest_mean))
         if score > best_score or (score == best_score and scale < best_scale):
             best_score = score

@@ -324,13 +324,19 @@ class ExperimentKey:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ExperimentKey":
-        """The key ``to_json_dict`` wrote; its rules are read like a config's."""
-        f, dist = obj["f"], obj["data_distribution"]
-        pres = ListOf(_PRE_AGGREGATOR, empty_ok=True)(obj["pre_aggregators"], "pre_aggregators")
-        return cls(replace(_AGGREGATOR(obj["aggregator"], "aggregator"), f=f), [replace(p, f=f) for p in pres],
-                   _ATTACK(obj["attack"], "attack"), f, dist["name"], dist["parameter"], obj["seed"])
+
+# Reader of the key.json that ``ExperimentKey.to_json_dict`` writes; its rules are read like a config's.
+KEY_JSON = Obj(lambda aggregator, pre_aggregators, attack, f, data_distribution, seed, **_: ExperimentKey(
+    replace(aggregator, f=f), [replace(p, f=f) for p in pre_aggregators], attack, f, *data_distribution, seed), {
+    "id": Key(Param(str)),
+    "aggregator": Key(_AGGREGATOR),
+    "pre_aggregators": Key(ListOf(_PRE_AGGREGATOR, empty_ok=True)),
+    "attack": Key(_ATTACK),
+    "f": Key(Param(int, at_least(0))),
+    "data_distribution": Key(Obj(lambda name, parameter: (name, parameter),
+                                 {"name": Key(Param(str)), "parameter": Key(Param(float))})),
+    "seed": Key(Param(int, at_least(0))),
+})
 
 
 def expand_grid(cfg: BenchmarkConfig) -> list[ExperimentKey]:
@@ -464,9 +470,7 @@ def read_result(base_dir, run_id: str) -> ExperimentResult:
         raise FileNotFoundError(f"result absent: {metrics}")
     key_path = run_dir / "key.json"
     try:
-        key = ExperimentKey.from_json_dict(json.loads(key_path.read_text()))
-    except KeyError as exc:
-        raise ValueError(f"{key_path}: missing key {exc}") from None
+        key = KEY_JSON(json.loads(key_path.read_text()), "")
     except ValueError as exc:
         raise ValueError(f"{key_path}: {exc}") from None
     header, *rows = list(csv.reader(metrics.read_text().strip().splitlines())) or [[]]

@@ -19,8 +19,10 @@ its whole-matrix form.
 
 The coordinate-wise rules (Median, TrMean, MeaMed's median) take per column
 the mean of a slice of the sorted values: ``sorted_slice_means`` for a whole
-matrix, and ``SortedColumns`` for many matrices that share all rows but f
-copies of one row, as the candidates of an attack search do.
+matrix. An attack search's candidates share all rows but f copies of one
+row, and reach the pipeline as ``OverCopies``, which carries that shape and
+the dict its inputs share: its ``slice_means`` sorts the fixed rows once
+(``SortedColumns``) and merges each candidate's row in.
 
 Every rule works on n rows with n much smaller than d, so the n x n matrices
 of pairwise distances or of centred inner products carry what a rule needs:
@@ -28,8 +30,6 @@ of pairwise distances or of centred inner products carry what a rule needs:
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -130,20 +130,53 @@ def sorted_slice_means(xs: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return columnwise(tile_means, xs)
 
 
-class OverCopies(NamedTuple):
-    """A stage input given as ``block``'s fixed rows over its copies of ``w``."""
+class OverCopies:
+    """A stage input of m + copies rows: m fixed rows over ``copies`` copies
+    of one row w, as an attack search's candidates and NNM's output for them
+    are. ``rows`` holds them all in order (an (m + copies, d) matrix, or a
+    list of rows whose last ``copies`` entries are w). ``shared`` is the dict
+    of the inputs that hold the same fixed rows: a stage keeps there what it
+    computes from the fixed rows alone, and reuses it for every such input.
 
-    block: "SortedColumns"
-    w: np.ndarray
+    Its rows are finite: w is checked here, and the maker of the fixed rows
+    has checked them. A stage that does not use the shape reads the stacked
+    rows through ``__array__`` inside its own ``as_vector_set``; a matrix
+    ``rows`` is read as is, without a copy.
+    """
 
-    def means(self, dense) -> np.ndarray:
-        """``block.means(w)``, but where that is zero (the sort may have changed
-        its sign), ``dense`` (the rule) on the stacked rows of those columns;
-        two columns at least, as numpy sums a lone column pairwise."""
-        out = self.block.means(self.w)
+    def __init__(self, rows, fixed: int, shared: dict):
+        as_vector_set(rows[fixed][None])
+        self.rows, self.fixed, self.shared = rows, fixed, shared
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.rows, dtype=dtype, copy=copy)
+
+    def slice_means(self, lo: int, hi: int, dense) -> np.ndarray:
+        """``dense``, a rule that averages the sorted positions lo to hi - 1 of
+        each column, on the stacked rows, bit for bit.
+
+        When that slice lies past the copies and inside the fixed rows, and
+        rows have two coordinates or more (numpy sums a lone column pairwise,
+        ``SortedColumns`` in order), the fixed rows are sorted once per
+        ``shared`` dict and w is merged in. Where that mean is zero (the sort
+        may have changed its sign), ``dense`` runs on the stacked rows of
+        those columns; two columns at least, for the same reason.
+        """
+        m, w = self.fixed, self.rows[self.fixed]
+        copies = len(self) - m
+        if not copies <= lo < hi <= m or len(w) < 2:
+            return dense(self)
+        key = ("sorted", copies, lo, hi)
+        if key not in self.shared:
+            self.shared[key] = SortedColumns(self.rows[:m], copies, lo, hi)
+        block = self.shared[key]
+        out = block.means(w)
         zero = np.flatnonzero(out == 0)
         if zero.size:
-            out[zero] = dense(self.block.stacked(self.w, np.resize(zero, max(2, zero.size))))[: zero.size]
+            out[zero] = dense(block.stacked(w, np.resize(zero, max(2, zero.size))))[: zero.size]
         return out
 
 

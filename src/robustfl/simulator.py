@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Callable
 
 import numpy as np
@@ -219,9 +220,12 @@ def fedavg_round(
     ceil(proportion_selected_clients * n) honest clients are sampled without
     replacement, each runs local_steps_per_client local SGD steps, and the
     aggregate of their deltas and the Byzantine rows is added to the model.
+    The product is taken on the proportion's shortest decimal spelling, so
+    0.55 of 100 clients is 55 (in floats it is 55.00000000000001).
     """
     n = len(clients)
-    chosen = np.sort(sampling_rng.choice(n, size=math.ceil(proportion_selected_clients * n), replace=False))
+    size = math.ceil(Decimal(repr(proportion_selected_clients)) * n)
+    chosen = np.sort(sampling_rng.choice(n, size=size, replace=False))
     lr = server.schedule.lr_at(server.step)
     rows = np.empty((len(chosen) + byz.f, server.flat.size))
     deltas = clients.local_delta(server.arch, server.flat, lr, local_steps_per_client, chosen, rows[: len(chosen)])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from robustfl import numerics
 from robustfl.aggregators import (
     AGGREGATOR_NAMES,
+    AGGREGATORS,
     AggregatorSpec,
     CenteredClipState,
     average,
@@ -22,8 +23,8 @@ from robustfl.aggregators import (
     trmean,
 )
 
-from robustfl.numerics import OverCopies, SortedColumns
-from robustfl.preaggregators import NeighbourMeans, nnm
+from robustfl.numerics import OverCopies, as_vector_set, sorted_slice_means
+from robustfl.preaggregators import nnm
 
 from conftest import column_matrices, in_tiles, merge_cases, multi_row_matrices, random_vector_set, tile_budgets
 from oracles import (
@@ -286,15 +287,46 @@ class TestOverCopies:
     rule on the stacked rows bit for bit, zeros included."""
 
     @settings(deadline=None, max_examples=150)
-    @given(merge_cases(), st.sampled_from(["Median", "TrMean"]), tile_budgets, st.data())
-    def test_equals_rule_on_stacked_rows(self, case, name, budget, data):
+    @given(merge_cases(), st.sampled_from(["Median", "TrMean"]), tile_budgets, st.booleans(), st.data())
+    def test_equals_rule_on_stacked_rows(self, case, name, budget, as_list, data):
         fixed, copies, w = case
         stacked = np.vstack([fixed, np.tile(w, (copies, 1))])
-        rule = make_aggregator(AggregatorSpec(name, f=data.draw(st.integers(0, len(stacked) // 2), label="f")))
-        window = NeighbourMeans(fixed=len(fixed)).window_for(rule, stacked)
-        assume(window is not None)
-        block = in_tiles(SortedColumns, budget, list(fixed), copies, *window)
-        assert in_tiles(rule, budget, OverCopies(block, w)).tobytes() == in_tiles(rule, budget, stacked).tobytes()
+        f = data.draw(st.integers(0, len(stacked) // 2), label="f")
+        lo, hi = AGGREGATORS[name].window(len(stacked), f)
+        assume(copies <= lo < hi <= len(fixed))
+        rule, shared = make_aggregator(AggregatorSpec(name, f=f)), {}
+        given_rows = OverCopies(list(stacked) if as_list else stacked, len(fixed), shared)
+        assert in_tiles(rule, budget, given_rows).tobytes() == in_tiles(rule, budget, stacked).tobytes()
+        assert list(shared) == [("sorted", copies, lo, hi)]
+
+    def test_merges_only_a_slice_past_the_copies_inside_the_fixed_rows(self):
+        def merged(name, f, n, fixed, d=2):
+            rows = np.random.default_rng(n).normal(size=(n, d))
+            rows[fixed:] = rows[fixed]
+            shared, rule = {}, make_aggregator(AggregatorSpec(name, f=f))
+            assert rule(OverCopies(rows, fixed, shared)).tobytes() == rule(rows).tobytes()
+            return [key[2:] for key in shared]
+
+        assert merged("TrMean", 2, 9, 7) == [(2, 7)]
+        assert merged("TrMean", 2, 9, 6) == []  # three copies: the slice would start among them
+        assert merged("Median", 0, 8, 6) == [(3, 5)]
+        assert merged("Median", 0, 8, 6, d=1) == []  # numpy sums a lone column pairwise
+        assert merged("MeaMed", 1, 8, 6) == []
+        with pytest.raises(ValueError, match=r"TrMean requires n > 2f"):
+            merged("TrMean", 2, 4, 3)
+        # No row of the table has a slice that fits the fixed rows but starts
+        # among the copies; a window that does is served densely.
+        rows = np.random.default_rng(3).normal(size=(6, 3))
+        rows[4:] = rows[4]
+        shared = {}
+        given = OverCopies(rows, 4, shared).slice_means(1, 3, lambda xs: sorted_slice_means(as_vector_set(xs), 1, 3))
+        assert given.tobytes() == sorted_slice_means(rows, 1, 3).tobytes() and shared == {}
+
+    def test_non_finite_copied_row_is_rejected(self, x3):
+        rows = x3.copy()
+        rows[2] = np.inf
+        with pytest.raises(ValueError, match="matrix contains NaN or Inf"):
+            OverCopies(rows, 2, {})
 
 
 @pytest.mark.parametrize("rule", [lambda xs: multi_krum(xs, 1), geometric_median, lambda xs: mda(xs, 1),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from robustfl import attacks, preaggregators
+from robustfl import attacks, numerics, preaggregators
 from robustfl.aggregators import AggregatorSpec, ConfiguredAggregator
 from robustfl.attacks import (
     AFFINE_BASES,
@@ -41,6 +41,8 @@ SCORED_PIPELINES = {
     "NNM>TrMean": lambda f: build_pipeline(AggregatorSpec("TrMean", f=f), [PreAggregatorSpec("NNM", f=f)]),
     "NNM>Median": lambda f: build_pipeline(AggregatorSpec("Median"), [PreAggregatorSpec("NNM", f=f)]),
     "NNM>MultiKrum": lambda f: build_pipeline(AggregatorSpec("MultiKrum", f=f), [PreAggregatorSpec("NNM", f=f)]),
+    # The second NNM may get the first one's merged output.
+    "NNM>NNM>TrMean": lambda f: build_pipeline(AggregatorSpec("TrMean", f=f), [PreAggregatorSpec("NNM", f=f)] * 2),
     # Stateful, and NNM is second: it must compute its own distances.
     "Bucketing>NNM>CenteredClipping": lambda f: build_pipeline(
         AggregatorSpec("CenteredClipping", parameters={"tau": 5.0, "iters": 2.0}),
@@ -242,7 +244,7 @@ class TestOptimizeAttackScale:
             np.testing.assert_array_equal(result.vector, base(xs, oracle_scale))
 
     @pytest.mark.parametrize("base", [a_little_is_enough, inner_product_manipulation])
-    @pytest.mark.parametrize("pipeline_name", ["NNM>TrMean", "NNM>Median", "NNM>MultiKrum"])
+    @pytest.mark.parametrize("pipeline_name", ["NNM>TrMean", "NNM>Median", "NNM>MultiKrum", "NNM>NNM>TrMean"])
     def test_rows_past_the_block_budget_equal_clone_per_candidate_rescoring(self, pipeline_name, base):
         # The budget is below one row's neighbour block, so NNM sums every output
         # row in place and the search serves honest-only neighbour means from
@@ -294,8 +296,9 @@ class TestOptimizeAttackScale:
     @pytest.mark.parametrize("pres", [[], [PreAggregatorSpec("NNM", f=2)]], ids=["TrMean", "NNM>TrMean"])
     def test_candidates_reach_the_rule_merged(self, monkeypatch, pres):
         # Far attack rows keep every honest neighbour list honest, so each
-        # candidate reaches TrMean as one block sorted once over its copies
-        # (behind NNM, on its in-place path, which the block budget forces).
+        # candidate reaches TrMean as fixed rows over its copies, and the
+        # fixed rows are sorted once (behind NNM, on its in-place path, which
+        # the block budget forces).
         xs = random_vector_set(np.random.default_rng(31), n=6, d=4)
         given, built = [], []
         call = ConfiguredAggregator.__call__
@@ -310,11 +313,25 @@ class TestOptimizeAttackScale:
                 super().__init__(*args)
 
         monkeypatch.setattr(ConfiguredAggregator, "__call__", recording)
-        monkeypatch.setattr(preaggregators, "SortedColumns", Counted)
+        monkeypatch.setattr(numerics, "SortedColumns", Counted)
         ctx = AttackContext(honest=xs, f=2, pipeline=build_pipeline(AggregatorSpec("TrMean", f=2), pres))
         in_blocks(optimize_attack_scale, 1, 1, ctx, inner_product_manipulation, (50.0, 60.0, 70.0))
         assert len(given) == 3 and all(isinstance(rows, OverCopies) for rows in given)
+        assert len({id(rows.shared) for rows in given}) == 1
         assert len(built) == 1
+
+    def test_neighbour_mean_that_overflows_is_rejected(self):
+        # Honest rows of alternating sign near the largest float: on NNM's
+        # in-place path an honest neighbour mean overflows, which the search
+        # must reject as the dense pipeline does.
+        xs = np.array([[(-1.0) ** k * 1e308, k] for k in range(1, 7)])
+        factory = SCORED_PIPELINES["NNM>TrMean"]
+        for search in (
+            lambda: optimize_attack_scale(AttackContext(xs, 2, factory(2)), inner_product_manipulation, (1.0, 2.0)),
+            lambda: rescore_attack_grid(lambda: factory(2), xs, 2, inner_product_manipulation, (1.0, 2.0)),
+        ):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
+                in_blocks(search, 1, 1)
 
     def test_honest_distances_computed_once_per_search(self, monkeypatch):
         computed = []
@@ -346,10 +363,10 @@ class TestOptimizeAttackScale:
         given_to, rows = [], []
         call = Pipeline.__call__
 
-        def recording(self, matrix, *args):
+        def recording(self, matrix):
             given_to.append(matrix)
             rows.append(np.array(matrix))
-            return call(self, matrix, *args)
+            return call(self, matrix)
 
         monkeypatch.setattr(Pipeline, "__call__", recording)
         result = optimize_attack_scale(AttackContext(honest=xs, f=f, pipeline=pipeline), base, DEFAULT_SCALE_GRID)
@@ -363,8 +380,9 @@ class TestOptimizeAttackScale:
         xs[:, 1] = 0.0
         xs[:, 2] = -0.0
         f = 2
-        _, _, rows = self.recorded_search(monkeypatch, SCORED_PIPELINES["NNM>TrMean"](f), xs, f, base)
+        _, given_to, rows = self.recorded_search(monkeypatch, SCORED_PIPELINES["NNM>TrMean"](f), xs, f, base)
         assert len(rows) == len(DEFAULT_SCALE_GRID)
+        assert all(isinstance(matrix, OverCopies) and matrix.fixed == len(xs) for matrix in given_to)
         for scale, candidate in zip(DEFAULT_SCALE_GRID, rows):
             expected = np.vstack([xs, np.tile(base(xs, scale), (f, 1))])
             assert candidate.tobytes() == expected.tobytes()
@@ -379,8 +397,8 @@ class TestOptimizeAttackScale:
         centre = live.aggregator.carried["state"].prev.tobytes()
         stream = live.pre_aggregators[0].carried["rng"].bit_generator.state
         result, given_to, _ = self.recorded_search(monkeypatch, live, xs, f, base)
-        assert len({id(matrix) for matrix in given_to}) == 1
-        assert not np.shares_memory(result.vector, given_to[0])
+        assert len({id(matrix.rows) for matrix in given_to}) == len({id(matrix.shared) for matrix in given_to}) == 1
+        assert not np.shares_memory(result.vector, given_to[0].rows)
         assert xs.tobytes() == before
         assert live.aggregator.carried["state"].prev.tobytes() == centre
         assert live.pre_aggregators[0].carried["rng"].bit_generator.state == stream

@@ -18,6 +18,7 @@ from robustfl import benchmark
 from robustfl.aggregators import AggregatorSpec
 from robustfl.attacks import AttackSpec
 from robustfl.benchmark import (
+    KEY_JSON,
     ExperimentKey,
     expand_grid,
     list_results,
@@ -503,7 +504,7 @@ class TestExperimentKey:
             distribution_parameter=0.66,
             seed=4,
         )
-        assert ExperimentKey.from_json_dict(json.loads(json.dumps(key.to_json_dict()))) == key
+        assert KEY_JSON(json.loads(json.dumps(key.to_json_dict())), "") == key
 
 
 class TestExpandGrid:

@@ -280,7 +280,26 @@ class TestPlot:
         key_path.write_text(json.dumps(key))
         code, out, err = run_cli(capsys, "plot", "heatmap", "--results", str(results_dir), "--out", str(tmp_path / "p"))
         assert code == 1 and out == ""
-        assert f"{key_path}: missing key 'seed'" in err
+        assert f"{key_path}: missing seed" in err
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda key: [1, 2], "config must be an object, got [1, 2]"),
+            (lambda key: dict(key, data_distribution=[1, 2]), "data_distribution must be an object, got [1, 2]"),
+            (lambda key: dict(key, data_distribution={"name": "iid"}), "missing data_distribution.parameter"),
+            (lambda key: dict(key, pre_aggregators=["NNM"]), "pre_aggregators[0] must be an object, got 'NNM'"),
+            (lambda key: dict(key, f="1"), "f must be an integer, got '1'"),
+            (lambda key: dict(key, extra=1), "unknown top-level key: 'extra'"),
+        ],
+        ids=["list", "distribution-list", "distribution-without-parameter", "rule-string", "f-string", "extra-key"],
+    )
+    def test_malformed_key_json_exits_one_naming_the_file_and_key(self, capsys, results_dir, tmp_path, damage, message):
+        key_path = next(results_dir.glob("*/key.json"))
+        key_path.write_text(json.dumps(damage(json.loads(key_path.read_text()))))
+        code, out, err = run_cli(capsys, "plot", "curve", "--results", str(results_dir), "--out", str(tmp_path / "p"))
+        assert code == 1 and out == ""
+        assert f"{key_path}: {message}" in err
 
     @pytest.mark.parametrize(
         "damage, message",

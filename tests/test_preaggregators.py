@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustfl import numerics, preaggregators
-from robustfl.aggregators import AggregatorSpec, Rule, make_aggregator
+from robustfl.aggregators import AggregatorSpec, Rule
 from robustfl.numerics import OverCopies, pairwise_sq_dists
 from robustfl.preaggregators import (
     DEFAULT_BUCKET_SIZE,
     PRE_AGGREGATOR_NAMES,
     ConfiguredPreAggregator,
-    NeighbourMeans,
     Pipeline,
     PreAggregatorSpec,
     arc,
@@ -109,34 +108,34 @@ class TestNnm:
                 np.testing.assert_array_equal(in_blocks(nnm, 1, kept * d, xs, f), expected)
 
     @staticmethod
-    def memo_case():
-        """Five rows kept fixed and two copies of the far row 0 after them:
+    def search_case():
+        """Five fixed rows and two copies of the far row 0 after them:
         rows 1-4 have fixed-only neighbour lists, rows 0, 5 and 6 do not."""
         xs = random_vector_set(np.random.default_rng(14), n=7, d=4)
         xs[0] += 500.0
         xs[5:] = xs[0]
-        f, memo = 2, NeighbourMeans(fixed=5)
+        f, fixed = 2, 5
         near = np.argsort(pairwise_sq_dists(xs), axis=1, kind="stable")[:, : len(xs) - f]
-        assert [bool(row.max() < memo.fixed) for row in near] == [False, True, True, True, True, False, False]
-        return xs, f, memo, near
+        assert [bool(row.max() < fixed) for row in near] == [False, True, True, True, True, False, False]
+        return xs, f, fixed, near
 
-    def test_memo_never_serves_a_list_holding_a_row_past_its_fixed_rows(self):
-        xs, f, memo, near = self.memo_case()
-        for i in (0, 5, 6):
-            memo.rows[near[i].tobytes()] = np.full(xs.shape[1], 7.0)
-        out = in_blocks(nnm, 1, (len(xs) - f) * xs.shape[1] - 1, xs, f, memo)
+    def test_shared_means_never_serve_a_list_holding_a_row_past_the_fixed_rows(self):
+        xs, f, fixed, near = self.search_case()
+        shared = {"means": {near[i].tobytes(): np.full(xs.shape[1], 7.0) for i in (0, 5, 6)}}
+        out = in_blocks(nnm, 1, (len(xs) - f) * xs.shape[1] - 1, OverCopies(xs, fixed, shared), f)
         assert out.tobytes() == single_block(nnm, xs, f).tobytes()
 
-    def test_memo_stores_and_serves_fixed_only_lists(self):
-        xs, f, memo, near = self.memo_case()
-        budget = (len(xs) - f) * xs.shape[1] - 1
+    def test_shared_dict_stores_and_serves_fixed_only_lists(self):
+        xs, f, fixed, near = self.search_case()
+        budget, shared = (len(xs) - f) * xs.shape[1] - 1, {}
         expected = single_block(nnm, xs, f)
-        assert in_blocks(nnm, 1, budget, xs, f, memo).tobytes() == expected.tobytes()
-        assert sorted(memo.rows) == sorted(near[i].tobytes() for i in range(1, 5))
+        assert in_blocks(nnm, 1, budget, OverCopies(xs, fixed, shared), f).tobytes() == expected.tobytes()
+        means = shared["means"]
+        assert sorted(means) == sorted(near[i].tobytes() for i in range(1, 5))
         for i in range(1, 5):
-            np.testing.assert_array_equal(memo.rows[near[i].tobytes()], expected[i])
-            memo.rows[near[i].tobytes()] = np.full(xs.shape[1], float(i))
-        out = in_blocks(nnm, 1, budget, xs, f, memo)
+            np.testing.assert_array_equal(means[near[i].tobytes()], expected[i])
+            means[near[i].tobytes()] = np.full(xs.shape[1], float(i))
+        out = in_blocks(nnm, 1, budget, OverCopies(xs, fixed, shared), f)
         np.testing.assert_array_equal(out[1:5], np.repeat([[1.0], [2.0], [3.0], [4.0]], xs.shape[1], axis=1))
         np.testing.assert_array_equal(out[[0, 5, 6]], expected[[0, 5, 6]])
 
@@ -153,91 +152,79 @@ class TestNnm:
         np.testing.assert_array_equal(in_blocks(nnm, 1, (n - f) * d - 1, xs, f), single_block(nnm, xs, f))
 
     def test_each_distinct_neighbour_list_is_summed_once_per_call(self, monkeypatch):
-        xs, f, memo, near = self.memo_case()
-        budget = (len(xs) - f) * xs.shape[1] - 1
+        xs, f, fixed, near = self.search_case()
+        budget, shared = (len(xs) - f) * xs.shape[1] - 1, {}
         spy = CountingNumpy()
         monkeypatch.setattr(preaggregators, "np", spy)
-        first = in_blocks(nnm, 1, budget, xs, f, memo)
+        first = in_blocks(nnm, 1, budget, OverCopies(xs, fixed, shared), f)
         # Rows 0, 5 and 6 are equal, so seven rows have five lists.
         assert spy.sums == len({row.tobytes() for row in near}) == 5
         spy.sums = 0
-        again = in_blocks(nnm, 1, budget, xs, f, memo)
-        # The memo serves rows 1-4; the one list of rows 0, 5 and 6 is summed once.
+        again = in_blocks(nnm, 1, budget, OverCopies(xs, fixed, shared), f)
+        # The dict serves rows 1-4; the one list of rows 0, 5 and 6 is summed once.
         assert spy.sums == 1
         assert first.tobytes() == again.tobytes() == single_block(nnm, xs, f).tobytes()
 
     @settings(deadline=None, max_examples=40)
     @given(multi_row_matrices, st.data())
-    def test_memo_distances_change_nothing(self, xs, data):
+    def test_over_copies_input_changes_nothing(self, xs, data):
         # Each call of a search repeats the fixed rows over copies of a new vector.
-        memo = NeighbourMeans(fixed=len(xs))
+        shared = {}
         for _ in range(2):
             copies = data.draw(st.integers(1, 3), label="copies")
             row = data.draw(st.integers(0, len(xs) - 1), label="row")
             vector = xs[row] * data.draw(st.sampled_from([-1.0, 0.5, 2.0]), label="factor")
             candidate = np.vstack([xs, np.tile(vector, (copies, 1))])
             f = data.draw(st.integers(0, len(candidate) - 1), label="f")
-            assert nnm(candidate, f, memo).tobytes() == nnm(candidate, f).tobytes()
-
-    @staticmethod
-    def dense_form(out):
-        """NNM output as a matrix: an ``OverCopies`` stacked, rows in their order."""
-        if isinstance(out, OverCopies):
-            return out.block.stacked(out.w, np.arange(len(out.w)))
-        return out
+            out = nnm(OverCopies(candidate, len(xs), shared), f)
+            assert np.asarray(out).tobytes() == nnm(candidate, f).tobytes()
 
     @settings(deadline=None, max_examples=60)
     @given(multi_row_matrices, st.booleans(), st.data())
     def test_merged_output_stacks_to_the_dense_output(self, xs, in_place, data):
-        # A memo with a window merges, on the in-place path, whenever every
+        # On the in-place path the output is an OverCopies whenever every
         # fixed row's list stays inside the fixed rows.
         copies = data.draw(st.integers(1, 3), label="copies")
-        memo = NeighbourMeans(fixed=len(xs), window=(copies, len(xs)) if copies < len(xs) else None)
         f = data.draw(st.integers(0, len(xs) + copies - 1), label="f")
         n, d = len(xs) + copies, xs.shape[1]
-        budget = (n - f) * d - 1 if in_place else 1 << 40
+        budget, shared = (n - f) * d - 1 if in_place else 1 << 40, {}
         for factor in (-1.0, 0.5, 40.0):
             candidate = np.vstack([xs, np.tile(xs[0] * factor + factor, (copies, 1))])
-            got = in_blocks(nnm, 1, budget, candidate, f, memo)
-            assert self.dense_form(got).tobytes() == in_blocks(nnm, 1, budget, candidate, f).tobytes()
+            got = in_blocks(nnm, 1, budget, OverCopies(candidate, len(xs), shared), f)
+            assert np.asarray(got).tobytes() == in_blocks(nnm, 1, budget, candidate, f).tobytes()
 
-    def test_fixed_block_is_sorted_once_and_only_the_copies_are_summed(self, monkeypatch):
+    def test_merged_rows_are_shared_and_only_the_copies_are_summed(self, monkeypatch):
         xs = random_vector_set(np.random.default_rng(15), n=6, d=4)
-        memo, f = NeighbourMeans(fixed=6, window=(2, 6)), 2
+        f, shared = 2, {}
         budget = len(xs) * xs.shape[1] - 1
         spy = CountingNumpy()
         monkeypatch.setattr(preaggregators, "np", spy)
-        blocks = []
+        outs = []
         for far in (500.0, -700.0):
             candidate = np.vstack([xs, np.full((f, 4), far)])
             dense = in_blocks(nnm, 1, budget, candidate, f)
             spy.sums = 0
-            out = in_blocks(nnm, 1, budget, candidate, f, memo)
-            assert isinstance(out, OverCopies)
-            assert self.dense_form(out).tobytes() == dense.tobytes()
-            blocks.append(out.block)
-        assert blocks[0] is blocks[1]
+            out = in_blocks(nnm, 1, budget, OverCopies(candidate, 6, shared), f)
+            assert isinstance(out, OverCopies) and out.fixed == 6
+            assert np.asarray(out).tobytes() == dense.tobytes()
+            outs.append(out)
+        assert outs[0].shared is outs[1].shared
+        assert all(a is b for a, b in zip(outs[0].rows[:6], outs[1].rows[:6]))
         assert spy.sums == 1  # the second call sums the copies' row alone
         # One gather serves a small input whole.
-        assert not isinstance(single_block(nnm, candidate, f, memo), OverCopies)
+        assert not isinstance(single_block(nnm, OverCopies(candidate, 6, shared), f), OverCopies)
 
     def test_a_list_reaching_the_copies_keeps_the_dense_path(self):
-        xs, f, memo, near = self.memo_case()
-        memo.window = (2, 5)
-        out = in_blocks(nnm, 1, (len(xs) - f) * xs.shape[1] - 1, xs, f, memo)
-        assert not isinstance(out, OverCopies)
-        assert memo.sorted_block is None
+        xs, f, fixed, near = self.search_case()
+        shared = {}
+        out = in_blocks(nnm, 1, (len(xs) - f) * xs.shape[1] - 1, OverCopies(xs, fixed, shared), f)
+        assert isinstance(out, np.ndarray)
+        assert "merged" not in shared
 
-    def test_window_fits_only_a_sorted_slice_inside_the_fixed_rows(self):
-        def fit(name, f, n, fixed, d=2):
-            return NeighbourMeans(fixed).window_for(make_aggregator(AggregatorSpec(name, f=f)), np.zeros((n, d)))
-
-        assert fit("TrMean", 2, 9, 7) == (2, 7)
-        assert fit("TrMean", 2, 9, 6) is None  # three copies: the slice would start among them
-        assert fit("TrMean", 2, 4, 3) is None  # n <= 2f
-        assert fit("Median", 0, 8, 6) == (3, 5)
-        assert fit("Median", 0, 8, 6, d=1) is None  # numpy sums a lone column pairwise
-        assert fit("MeaMed", 1, 8, 6) is None
+    def test_fixed_mean_that_overflows_is_rejected(self):
+        xs = np.array([[1.7e308, 1.0], [1.7e308, 2.0], [0.0, 3.0], [0.0, 3.0]])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="matrix contains NaN or Inf"):
+            in_blocks(nnm, 1, 1, OverCopies(xs, 3, {}), 2)
 
     def test_infeasible_f(self, x3):
         with pytest.raises(ValueError, match=r"NNM requires n > f \(got n=3, f=3\)"):
@@ -481,7 +468,7 @@ class TestPipeline:
         for _ in range(5):
             np.testing.assert_array_equal(pipeline(x3), twin(x3))
 
-    def test_memo_distances_reach_only_the_first_stage(self, x3, monkeypatch):
+    def test_fixed_distances_reach_only_the_first_stage(self, x3, monkeypatch):
         computed = []
 
         def counting(xs):
@@ -494,25 +481,25 @@ class TestPipeline:
         expected = pipeline(xs)
         assert len(computed) == 2
         computed.clear()
-        np.testing.assert_array_equal(pipeline(xs, NeighbourMeans(fixed=3)), expected)
-        # The memo measures the fixed rows; the second NNM sees the first
+        np.testing.assert_array_equal(pipeline(OverCopies(xs, 3, {})), expected)
+        # The first NNM measures the fixed rows; the second sees the first
         # one's output and measures it itself.
         assert len(computed) == 2
         np.testing.assert_array_equal(computed[0], x3)
         np.testing.assert_array_equal(computed[1], nnm(xs, 1))
 
-    def test_memo_reaches_only_the_first_stage(self, x3, monkeypatch):
-        memos = []
+    def test_only_the_first_stage_gets_the_over_copies_input(self, x3, monkeypatch):
+        given = []
 
-        def recording(xs, f, memo=None):
-            memos.append(memo)
-            return nnm(xs, f, memo)
+        def recording(xs, f):
+            given.append(xs)
+            return nnm(xs, f)
 
         monkeypatch.setitem(preaggregators.PRE_AGGREGATORS, "NNM", Rule(recording, needs_f=True))
         pipeline = build_pipeline(AggregatorSpec("Average"), [PreAggregatorSpec("NNM", f=1)] * 2)
-        memo = NeighbourMeans(fixed=2)
-        pipeline(x3, memo)
-        assert memos == [memo, None]
+        candidate = OverCopies(x3, 2, {})
+        pipeline(candidate)
+        assert given[0] is candidate and type(given[1]) is np.ndarray
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("pre", [[], [PreAggregatorSpec("NNM", f=1)], [PreAggregatorSpec("Clipping", {"c": 1.0})]])
@@ -537,14 +524,14 @@ class TestPipeline:
                 with pytest.raises(ValueError, match="matrix contains NaN or Inf"):
                     pipeline(xs)
 
-    def test_stage_without_memo_ignores_it(self, x3):
+    def test_other_stages_read_over_copies_as_its_matrix(self, x3):
         nnm_spec = PreAggregatorSpec("NNM", f=1)
         clip_spec = PreAggregatorSpec("Clipping", parameters={"c": 1.0})
         for pres in ([], [clip_spec, nnm_spec], [PreAggregatorSpec("ARC", f=1), nnm_spec]):
             pipeline = build_pipeline(AggregatorSpec("Average"), pres)
-            memo = NeighbourMeans(fixed=2)
-            np.testing.assert_array_equal(pipeline(x3, memo), pipeline(x3))
-            assert memo.block is None and memo.rows == {}
+            shared = {}
+            np.testing.assert_array_equal(pipeline(OverCopies(x3, 2, shared)), pipeline(x3))
+            assert shared == {}
 
     def test_rng_handed_only_to_bucketing(self):
         rng = derive_rng(2, "bucketing")

@@ -77,3 +77,15 @@ def test_demo_prints_the_three_rows_the_readme_quotes(monkeypatch, capsys):
     for row in rows:
         best, final = map(float, row[-2:])
         assert 0.0 <= final <= best <= 1.0
+
+
+def test_every_tracer_target_is_an_attribute_of_its_owner():
+    # perfbench patches each target where it is looked up; one that moved
+    # would make ``perfbench/run.py --trace 1`` fail with a KeyError.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", SCRIPTS.parent / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing.trace_targets()
+    assert targets
+    for owner, attr, _, _ in targets:
+        assert attr in vars(owner), f"{owner.__name__}.{attr}"

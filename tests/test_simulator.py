@@ -382,7 +382,7 @@ class TestDsgdStep:
         server = make_server(arch, init_params(arch, derive_rng(6, "init")), f=1)
         given = []
 
-        def recording(pipeline, rows, memo=None):
+        def recording(pipeline, rows):
             given.append(rows.copy())
             assert rows is clients.step_buf
             return np.zeros(rows.shape[1])
@@ -433,17 +433,24 @@ class TestFedavgRound:
         assert via_fedavg.step == 1
 
     @staticmethod
-    def participants(proportion, seed, local_steps=1):
-        """Which of 10 full-batch rows drew a batch in one round."""
-        ds = toy_dataset(m=20)
+    def participants(proportion, seed, local_steps=1, n=10):
+        """Which of n full-batch rows drew a batch in one round."""
+        ds = toy_dataset(m=2 * n)
         arch = LinearArch(3, 2)
-        clients = full_batch_bank(ds, [np.array([i, i + 10]) for i in range(10)])
+        clients = full_batch_bank(ds, [np.array([i, i + n]) for i in range(n)])
         server = make_server(arch, np.zeros(param_count(arch)))
         fedavg_round(server, clients, ByzantineClientGroup(0, None), proportion, local_steps, derive_rng(seed, "sampling"))
         return [cursor > 0 for cursor in clients._cursors]
 
     def test_samples_ceil_of_proportion(self):
         assert sum(self.participants(0.6, 0, local_steps=2)) == 6
+
+    @pytest.mark.parametrize("proportion, n, expected",
+                             [(0.55, 100, 55), (0.07, 100, 7), (0.28, 25, 7), (0.68, 75, 51)])
+    def test_samples_ceil_of_the_decimal_proportion(self, proportion, n, expected):
+        # Each float product lies just above an integer: 0.55 * 100 is 55.00000000000001.
+        assert proportion * n > expected
+        assert sum(self.participants(proportion, 0, n=n)) == expected
 
     def test_sampling_is_seeded(self):
         assert self.participants(0.3, 5) == self.participants(0.3, 5)
