@@ -50,6 +50,7 @@ from .simulator import (
     dsgd_step,
     evaluate_accuracy,
     fedavg_round,
+    sampled_count,
 )
 
 log = logging.getLogger(__name__)
@@ -243,7 +244,7 @@ def parse_config(text: str) -> BenchmarkConfig:
 
 
 def parse_config_file(path) -> BenchmarkConfig:
-    return parse_config(Path(path).read_text())
+    return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
 # --------------------------------------------------------------------------- #
@@ -360,6 +361,24 @@ def expand_grid(cfg: BenchmarkConfig) -> list[ExperimentKey]:
     return keys
 
 
+def check_pipelines(cfg: BenchmarkConfig, keys: list[ExperimentKey]) -> None:
+    """Aggregate a seeded (rows, 2) matrix once per (server setup, f), rows being what one step of
+    that run aggregates; a rule that rejects it (an infeasible f, a pivot past the rows) raises
+    ``ValueError`` naming the first such run."""
+    algorithm, rows = cfg.training_algorithm, cfg.nb_honest_clients
+    if algorithm.name == "FedAvg":
+        rows = sampled_count(algorithm.parameters["proportion_selected_clients"], rows)
+    firsts: dict[tuple[str, int], ExperimentKey] = {}
+    for key in keys:
+        firsts.setdefault((key.server_token, key.f), key)
+    for key in firsts.values():
+        pipeline = build_pipeline(key.aggregator, key.pre_aggregators, rng=derive_rng(0, "bucketing"))
+        try:
+            pipeline(derive_rng(0, "validate").standard_normal((rows + key.f, 2)))
+        except ValueError as exc:
+            raise ValueError(f"run {key.run_id}: {exc}") from None
+
+
 # --------------------------------------------------------------------------- #
 # Single-run execution
 # --------------------------------------------------------------------------- #
@@ -439,7 +458,7 @@ _METRICS_HEADER = ["step", "test_accuracy", "train_loss"]
 
 def _atomic_write(path: Path, content: str) -> None:
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    tmp.write_text(content)
+    tmp.write_text(content, encoding="utf-8")
     os.replace(tmp, path)
 
 
@@ -470,10 +489,10 @@ def read_result(base_dir, run_id: str) -> ExperimentResult:
         raise FileNotFoundError(f"result absent: {metrics}")
     key_path = run_dir / "key.json"
     try:
-        key = KEY_JSON(json.loads(key_path.read_text()), "")
+        key = KEY_JSON(json.loads(key_path.read_text(encoding="utf-8")), "")
     except ValueError as exc:
         raise ValueError(f"{key_path}: {exc}") from None
-    header, *rows = list(csv.reader(metrics.read_text().strip().splitlines())) or [[]]
+    header, *rows = list(csv.reader(metrics.read_text(encoding="utf-8").strip().splitlines())) or [[]]
     try:
         if header[:3] != _METRICS_HEADER or not rows:
             raise ValueError(f"needs the header {','.join(_METRICS_HEADER)},... and at least one row")

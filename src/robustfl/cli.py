@@ -16,7 +16,7 @@ import numpy as np
 
 from .aggregators import AGGREGATOR_NAMES, AggregatorSpec
 from .attacks import ATTACKS, AttackContext, AttackSpec, attack_vector
-from .benchmark import expand_grid, list_results, parse_config_file, run_benchmark
+from .benchmark import check_pipelines, expand_grid, list_results, parse_config_file, run_benchmark
 from .evaluate import emit_curves, emit_heatmaps
 from .preaggregators import PRE_AGGREGATOR_NAMES, PreAggregatorSpec, build_pipeline
 from .seeding import derive_rng
@@ -123,6 +123,7 @@ def _cmd_plot(args) -> int:
 def _cmd_validate(args) -> int:
     cfg = parse_config_file(args.config)
     keys = expand_grid(cfg)
+    check_pipelines(cfg, keys)
     print(len(keys))
     return 0
 

@@ -68,7 +68,7 @@ def _report(results: list[ExperimentResult], out_dir, charts) -> tuple[list[Path
     warnings: list[str] = []
     for stem, rows, svg in charts(_boards(results), warnings):
         for path, text in ((out / f"{stem}.csv", "\n".join(rows) + "\n"), (out / f"{stem}.svg", svg)):
-            path.write_text(text)
+            path.write_text(text, encoding="utf-8")
             files.append(path)
     return files, warnings
 

@@ -207,6 +207,11 @@ def dsgd_step(server: ServerState, clients: HonestClient, byz: ByzantineClientGr
     _aggregate_and_apply(server, clients.step_buf, byz_rows, -server.schedule.lr_at(server.step))
 
 
+def sampled_count(proportion_selected_clients: float, n: int) -> int:
+    """How many of n honest clients a federated averaging round samples."""
+    return math.ceil(Decimal(repr(proportion_selected_clients)) * n)
+
+
 def fedavg_round(
     server: ServerState,
     clients: HonestClient,
@@ -224,8 +229,7 @@ def fedavg_round(
     0.55 of 100 clients is 55 (in floats it is 55.00000000000001).
     """
     n = len(clients)
-    size = math.ceil(Decimal(repr(proportion_selected_clients)) * n)
-    chosen = np.sort(sampling_rng.choice(n, size=size, replace=False))
+    chosen = np.sort(sampling_rng.choice(n, size=sampled_count(proportion_selected_clients, n), replace=False))
     lr = server.schedule.lr_at(server.step)
     rows = np.empty((len(chosen) + byz.f, server.flat.size))
     deltas = clients.local_delta(server.arch, server.flat, lr, local_steps_per_client, chosen, rows[: len(chosen)])

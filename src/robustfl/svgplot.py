@@ -6,6 +6,10 @@ color ramp span the fixed interval [0, 1]. Hand-rolled on purpose: every
 coordinate is formatted with fixed precision and elements are emitted in a
 fixed order, so the same inputs always produce byte-identical files. That
 keeps rendered artifacts diffable and lets tests assert on them directly.
+
+Every element but the ``<svg>`` root goes through one writer, ``_el``: its
+attributes come from keywords, so an element cannot name one twice, and its
+text is escaped, so each document is well-formed XML.
 """
 
 from __future__ import annotations
@@ -21,18 +25,9 @@ MARGIN_TOP = 50.0
 MARGIN_BOTTOM = 60.0
 PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
 PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-FONT = 'font-family="Helvetica,Arial,sans-serif" font-size="12"'
+FONT = {"font_family": "Helvetica,Arial,sans-serif", "font_size": "12"}
 
-LINE_COLORS = (
-    "#4c72b0",
-    "#dd8452",
-    "#55a868",
-    "#c44e52",
-    "#8172b3",
-    "#937860",
-    "#da8bc3",
-    "#8c8c8c",
-)
+LINE_COLORS = ("#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3", "#937860", "#da8bc3", "#8c8c8c")
 
 # Three-stop ramp, dark purple through teal to yellow.
 _RAMP = ((68.0, 1.0, 84.0), (33.0, 145.0, 140.0), (253.0, 231.0, 37.0))
@@ -47,6 +42,17 @@ def _fmt(value: float) -> str:
 
 def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _el(tag: str, text: str | None = None, **attrs) -> str:
+    """One element, self-closing when ``text`` is None.
+
+    Attributes come out in call order, an ``_`` in a keyword as ``-``; a
+    string value is written as given, a number with ``_fmt``. ``text`` is
+    escaped.
+    """
+    spelt = "".join(f' {key.replace("_", "-")}="{v if isinstance(v, str) else _fmt(v)}"' for key, v in attrs.items())
+    return f"<{tag}{spelt}/>" if text is None else f"<{tag}{spelt}>{_escape(text)}</{tag}>"
 
 
 def _span(values: Sequence[float]) -> tuple[float, float]:
@@ -77,24 +83,23 @@ def _text_color_for(fill: str) -> str:
     return "#000000" if luminance > 140.0 else "#ffffff"
 
 
-def _header(title: str) -> list[str]:
-    return [
+def _frame(title: str, x_label: str, y_label: str, body: list[str], tail: Sequence[str] = ()) -> str:
+    """The whole document: background and title, ``body``, the x label
+    centred under the plot box, the y label turned along its left side,
+    then ``tail``."""
+    mid_y = MARGIN_TOP + PLOT_H / 2
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:g}" height="{HEIGHT:g}" '
         f'viewBox="0 0 {WIDTH:g} {HEIGHT:g}">',
-        f'<rect width="{WIDTH:g}" height="{HEIGHT:g}" fill="#ffffff"/>',
-        f'<text x="{_fmt(WIDTH / 2)}" y="{_fmt(MARGIN_TOP / 2 + 6)}" text-anchor="middle" '
-        f'{FONT} font-size="16">{_escape(title)}</text>',
+        _el("rect", width=f"{WIDTH:g}", height=f"{HEIGHT:g}", fill="#ffffff"),
+        _el("text", title, x=WIDTH / 2, y=MARGIN_TOP / 2 + 6, text_anchor="middle", **{**FONT, "font_size": "16"}),
+        *body,
+        _el("text", x_label, x=MARGIN_LEFT + PLOT_W / 2, y=HEIGHT - 14, text_anchor="middle", **FONT),
+        _el("text", y_label, x="18", y=mid_y, text_anchor="middle", **FONT, transform=f"rotate(-90 18 {_fmt(mid_y)})"),
+        *tail,
+        "</svg>",
     ]
-
-
-def _axis_labels(x_label: str, y_label: str) -> list[str]:
-    """The x label centred under the plot box, the y label turned along its left side."""
-    return [
-        f'<text x="{_fmt(MARGIN_LEFT + PLOT_W / 2)}" y="{_fmt(HEIGHT - 14)}" text-anchor="middle" '
-        f"{FONT}>{_escape(x_label)}</text>",
-        f'<text x="18" y="{_fmt(MARGIN_TOP + PLOT_H / 2)}" text-anchor="middle" {FONT} '
-        f'transform="rotate(-90 18 {_fmt(MARGIN_TOP + PLOT_H / 2)})">{_escape(y_label)}</text>',
-    ]
+    return "\n".join(parts) + "\n"
 
 
 def render_line_chart(
@@ -120,46 +125,25 @@ def render_line_chart(
     def py(y: float) -> float:
         return MARGIN_TOP + PLOT_H - y * PLOT_H
 
-    parts = _header(title)
-    parts.append(
-        f'<rect x="{_fmt(MARGIN_LEFT)}" y="{_fmt(MARGIN_TOP)}" width="{_fmt(PLOT_W)}" '
-        f'height="{_fmt(PLOT_H)}" fill="none" stroke="#000000"/>'
-    )
+    body = [_el("rect", x=MARGIN_LEFT, y=MARGIN_TOP, width=PLOT_W, height=PLOT_H, fill="none", stroke="#000000")]
     for tick in _ticks(x_lo, x_hi):
         x = px(tick)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(MARGIN_TOP)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(MARGIN_TOP + PLOT_H)}" stroke="#dddddd"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(MARGIN_TOP + PLOT_H + 18)}" text-anchor="middle" '
-            f"{FONT}>{tick:g}</text>"
-        )
+        body += [_el("line", x1=x, y1=MARGIN_TOP, x2=x, y2=MARGIN_TOP + PLOT_H, stroke="#dddddd"),
+                 _el("text", f"{tick:g}", x=x, y=MARGIN_TOP + PLOT_H + 18, text_anchor="middle", **FONT)]
     for tick in _ticks(0.0, 1.0):
         y = py(tick)
-        parts.append(
-            f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(y)}" x2="{_fmt(MARGIN_LEFT + PLOT_W)}" '
-            f'y2="{_fmt(y)}" stroke="#dddddd"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" text-anchor="end" {FONT}>{tick:.3g}</text>'
-        )
-    parts += _axis_labels(x_label, y_label)
+        body += [_el("line", x1=MARGIN_LEFT, y1=y, x2=MARGIN_LEFT + PLOT_W, y2=y, stroke="#dddddd"),
+                 _el("text", f"{tick:.3g}", x=MARGIN_LEFT - 8, y=y + 4, text_anchor="end", **FONT)]
+    tail = []
+    legend_x = WIDTH - MARGIN_RIGHT + 12
     for i, (label, xs, ys) in enumerate(series):
         color = LINE_COLORS[i % len(LINE_COLORS)]
         points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
-        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         legend_y = MARGIN_TOP + 12 + 18 * i
-        legend_x = WIDTH - MARGIN_RIGHT + 12
-        parts.append(
-            f'<line x1="{_fmt(legend_x)}" y1="{_fmt(legend_y)}" x2="{_fmt(legend_x + 22)}" '
-            f'y2="{_fmt(legend_y)}" stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(legend_x + 28)}" y="{_fmt(legend_y + 4)}" {FONT}>{_escape(label)}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        tail += [_el("polyline", points=points, fill="none", stroke=color, stroke_width="1.5"),
+                 _el("line", x1=legend_x, y1=legend_y, x2=legend_x + 22, y2=legend_y, stroke=color, stroke_width="1.5"),
+                 _el("text", label, x=legend_x + 28, y=legend_y + 4, **FONT)]
+    return _frame(title, x_label, y_label, body, tail)
 
 
 def render_heatmap(
@@ -181,35 +165,21 @@ def render_heatmap(
         raise ValueError("heatmap values must match the label grid shape")
     cell_w, cell_h = PLOT_W / n_cols, PLOT_H / n_rows
 
-    parts = _header(title)
+    body = []
     for r in range(n_rows):
         for c in range(n_cols):
-            x = MARGIN_LEFT + c * cell_w
-            y = MARGIN_TOP + r * cell_h
+            x, y = MARGIN_LEFT + c * cell_w, MARGIN_TOP + r * cell_h
             value = values[r][c]
             if math.isnan(value):
                 fill, text, text_color = MISSING_CELL_FILL, MISSING_CELL_TEXT, "#000000"
             else:
                 fill = ramp_color(value)
                 text, text_color = _fmt(value), _text_color_for(fill)
-            parts.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" '
-                f'fill="{fill}" stroke="#ffffff"/>'
-            )
-            parts.append(
-                f'<text x="{_fmt(x + cell_w / 2)}" y="{_fmt(y + cell_h / 2 + 4)}" text-anchor="middle" '
-                f'{FONT} fill="{text_color}">{text}</text>'
-            )
-    for r, label in enumerate(row_labels):
-        y = MARGIN_TOP + (r + 0.5) * cell_h
-        parts.append(f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" text-anchor="end" '
-                     f'{FONT}>{_escape(label)}</text>')
-    for c, label in enumerate(col_labels):
-        x = MARGIN_LEFT + (c + 0.5) * cell_w
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(MARGIN_TOP + PLOT_H + 18)}" text-anchor="middle" '
-            f'{FONT}>{_escape(label)}</text>'
-        )
-    parts += _axis_labels(x_label, y_label)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+            body += [_el("rect", x=x, y=y, width=cell_w, height=cell_h, fill=fill, stroke="#ffffff"),
+                     _el("text", text, x=x + cell_w / 2, y=y + cell_h / 2 + 4, text_anchor="middle", **FONT,
+                         fill=text_color)]
+    body += [_el("text", label, x=MARGIN_LEFT - 8, y=MARGIN_TOP + (r + 0.5) * cell_h + 4, text_anchor="end", **FONT)
+             for r, label in enumerate(row_labels)]
+    body += [_el("text", label, x=MARGIN_LEFT + (c + 0.5) * cell_w, y=MARGIN_TOP + PLOT_H + 18, text_anchor="middle",
+                 **FONT) for c, label in enumerate(col_labels)]
+    return _frame(title, x_label, y_label, body)

@@ -1,14 +1,25 @@
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 from config_fixtures import HUGE_INT, NON_FINITE_CASES, SAMPLE_CONFIG, tiny_config_text
 
+from robustfl import benchmark
+from robustfl.aggregators import AggregatorSpec
+from robustfl.attacks import AttackSpec
+from robustfl.benchmark import ExperimentKey, ExperimentResult, write_result
 from robustfl.cli import entrypoint, format_value
 
 X3_TEXT = "1,2,3\n4,5,6\n7,8,9\n"
+REPO = Path(__file__).resolve().parents[1]
+SAMPLE_GRID = REPO / "scripts" / "sample_config.json"
 
 
 def run_cli(capsys, *argv):
@@ -389,6 +400,39 @@ class TestValidate:
         assert code == 1 and out == ""
         assert "model.name must be 'linear' or 'mlp', got 'cnn_mnist'" in err
 
+    MONNA = {"name": "MoNNA", "parameters": {"pivot": 9}}
+    FEDAVG = {"name": "FedAvg", "parameters": {"proportion_selected_clients": 0.5}}
+
+    @pytest.mark.parametrize("tweaks, message", [
+        ({"benchmark_config.f": [3]}, "run TrMean_SignFlipping_f3_iid0_seed0: TrMean requires n > 2f (got n=6, f=3)"),
+        ({"aggregator": [MONNA]}, "run MoNNA-pivot9_SignFlipping_f1_iid0_seed0: pivot must lie in [0, 4), got 9"),
+        # 3 honest clients and f = 1 give 4 rows; FedAvg samples 2 of the 3, Bucketing halves the 4.
+        ({"aggregator": [dict(MONNA, parameters={"pivot": 3})], "benchmark_config.training_algorithm": FEDAVG},
+         "run MoNNA-pivot3_SignFlipping_f1_iid0_seed0: pivot must lie in [0, 3), got 3"),
+        ({"aggregator": [dict(MONNA, parameters={"pivot": 2})],
+          "pre_aggregators": [{"name": "Bucketing", "parameters": {"s": 2}}]},
+         "run MoNNA-pivot2_Bucketing_SignFlipping_f1_iid0_seed0: pivot must lie in [0, 2), got 2"),
+        ({"aggregator": [{"name": "MDA", "parameters": {}}], "benchmark_config.nb_honest_clients": 25},
+         "run MDA_SignFlipping_f1_iid0_seed0: MDA enumerates subsets and requires n <= 25, got n=26"),
+        ({"aggregator": [{"name": "Median", "parameters": {}}, {"name": "TrMean", "parameters": {}}],
+          "benchmark_config.f": [0, 3], "benchmark_config.nb_training_seeds": 2},
+         "run TrMean_SignFlipping_f3_iid0_seed0: TrMean requires n > 2f"),
+    ], ids=["trmean-f", "monna-pivot", "fedavg-sampled-rows", "bucketed-rows", "mda-rows", "first-failing-run"])
+    def test_run_that_cannot_aggregate_exits_one_naming_it(self, capsys, tmp_path, tweaks, message):
+        cfg = tmp_path / "infeasible.json"
+        cfg.write_text(tiny_config_text(tmp_path / "results", **tweaks))
+        code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert f"error: {message}" in err
+
+    def test_each_server_setup_and_f_aggregates_once(self, capsys, monkeypatch):
+        built = []
+        real = benchmark.build_pipeline
+        monkeypatch.setattr(benchmark, "build_pipeline", lambda *args, **kw: built.append(args) or real(*args, **kw))
+        code, out, _ = run_cli(capsys, "validate", "--config", str(SAMPLE_GRID))
+        assert code == 0 and out.strip() == "32"
+        assert [(spec.name, spec.f) for spec, _ in built] == [("Median", 1), ("Median", 2), ("TrMean", 1), ("TrMean", 2)]
+
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", "--config", str(tmp_path / "missing.json"))
         assert code == 2
@@ -398,3 +442,32 @@ class TestValidate:
         with pytest.raises(SystemExit) as excinfo:
             entrypoint(["validate"])
         assert excinfo.value.code == 2
+
+
+class TestTextFilesAreUtf8:
+    """Configs are read and plots written as UTF-8 whatever the locale's encoding."""
+
+    ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+    def robustfl(self, *argv):
+        env = {**os.environ, **self.ASCII_LOCALE, "PYTHONPATH": str(REPO / "src")}
+        return subprocess.run([sys.executable, "-m", "robustfl.cli", *argv], capture_output=True, text=True, env=env)
+
+    def test_heatmap_with_a_missing_cell(self, tmp_path):
+        for f in (0, 1):
+            for gamma in (0.5, 1.0):
+                if (f, gamma) != (1, 1.0):
+                    key = ExperimentKey(AggregatorSpec("Median", f=f), [], AttackSpec("SignFlipping"), f,
+                                        "gamma_similarity_niid", gamma, 0)
+                    write_result(tmp_path / "results", ExperimentResult(key, [0, 1], [0.5, 0.75], [1.0, 0.5]))
+        run = self.robustfl("plot", "heatmap", "--results", str(tmp_path / "results"), "--out", str(tmp_path / "plots"))
+        assert (run.returncode, run.stdout.strip()) == (0, '{"files": 2, "warnings": 1}'), run.stderr
+        svg = (tmp_path / "plots" / "heatmap_Median_gamma.svg").read_bytes()
+        assert ">–<".encode("utf-8") in svg
+        ET.fromstring(svg)
+
+    def test_validate_reads_a_non_ascii_comment(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("// Réglages: σ = 1\n" + SAMPLE_GRID.read_text(encoding="utf-8"), encoding="utf-8")
+        run = self.robustfl("validate", "--config", str(cfg))
+        assert (run.returncode, run.stdout.strip()) == (0, "32"), run.stderr

@@ -1,7 +1,12 @@
 import math
+import re
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustfl.aggregators import AggregatorSpec
 from robustfl.attacks import AttackSpec
@@ -301,3 +306,72 @@ class TestSvgPrimitives:
             render_heatmap([[0.5]], ["r"], ["c1", "c2"], "t", "x", "y")
         with pytest.raises(ValueError, match="at least one row"):
             render_heatmap([], [], ["c"], "t", "x", "y")
+
+
+GOLDENS = Path(__file__).parent / "goldens"
+# Nine series wrap the eight line colors; the last is a single x, labelled with all three escaped characters.
+GOLDEN_SERIES = [(f"attack{i}", [0.0, 50.0, 100.0], [0.1 * i, 0.5, 1.0 - 0.05 * i]) for i in range(8)]
+GOLDEN_SERIES.append(("a&b <c> d", [50.0], [0.75]))
+GOLDEN_HEATMAP = ([[0.0, 0.5, math.nan], [1.0, 0.123, 0.9876]], ["f=1", "f=2"], ["0.1", "a<b", "x&y>z"])
+
+labels = st.text(alphabet="ab z0.=&<>\"'–σ", max_size=8)
+line_series = st.lists(
+    st.integers(1, 6).flatmap(lambda k: st.tuples(
+        labels,
+        st.one_of(st.lists(st.floats(-10.0, 1000.0), min_size=k, max_size=k).map(sorted),
+                  st.floats(0.0, 500.0).map(lambda x: [x] * k)),
+        st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0), min_size=k, max_size=k))),
+    min_size=1, max_size=10)
+heatmap_cells = st.sampled_from([math.nan, 0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestWellFormedSvg:
+    """Every SVG parses as XML: no element repeats an attribute and all text is escaped."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(line_series, labels, labels, labels)
+    def test_line_charts_parse(self, series, title, x_label, y_label):
+        root = ET.fromstring(render_line_chart(series, title, x_label, y_label))
+        texts = [el.text or "" for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[0] == title and [label for label, _, _ in series] == texts[-len(series):]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 7), st.data())
+    def test_heatmaps_parse(self, n_rows, n_cols, data):
+        values = data.draw(st.lists(st.lists(heatmap_cells, min_size=n_cols, max_size=n_cols),
+                                    min_size=n_rows, max_size=n_rows))
+        row_labels = data.draw(st.lists(labels, min_size=n_rows, max_size=n_rows))
+        col_labels = data.draw(st.lists(labels, min_size=n_cols, max_size=n_cols))
+        title, x_label, y_label = data.draw(st.tuples(labels, labels, labels))
+        root = ET.fromstring(render_heatmap(values, row_labels, col_labels, title, x_label, y_label))
+        assert len(root.findall("{http://www.w3.org/2000/svg}rect")) == 1 + n_rows * n_cols
+
+    def test_written_curves_and_heatmaps_parse(self, tmp_path):
+        results = [make_result([0.2, 0.5 + seed / 10], aggregator=aggregator, attack=attack, f=f,
+                               distribution_parameter=gamma, seed=seed)
+                   for aggregator in ("Median", "TrMean") for attack in ("SignFlipping", "ALittleIsEnough")
+                   for f in (1, 2) for gamma in (0.33, 1.0) for seed in (0, 1)
+                   if (f, gamma) != (2, 1.0) or aggregator == "Median"]  # TrMean's board misses a cell
+        curves, _ = emit_curves(results, tmp_path / "curves")
+        heatmaps, warnings = emit_heatmaps(results, tmp_path / "heatmaps")
+        assert warnings == ["heatmap_TrMean_gamma: no runs for f=2, parameter=1"]
+        svgs = [p for p in curves + heatmaps if p.suffix == ".svg"]
+        assert len(svgs) == 7 + 2  # four Median curves, three TrMean curves, two heatmaps
+        for path in svgs:
+            ET.fromstring(path.read_bytes())
+
+    @pytest.mark.parametrize("kind", [np.float32, np.int64, int])
+    def test_coordinates_of_any_number_type_get_two_decimals(self, kind):
+        svg = render_line_chart([("a", [kind(0), kind(3)], [np.float32(0.5), 1])], "t", "x", "y")
+        root = ET.fromstring(svg)
+        coordinates = [value for el in list(root)[2:] for name, value in el.attrib.items()
+                       if name in ("x", "y", "x1", "y1", "x2", "y2", "width", "height") and value != "18"]
+        assert coordinates and all(re.fullmatch(r"-?\d+\.\d\d", value) for value in coordinates)
+
+    def test_line_chart_golden(self):
+        svg = render_line_chart(GOLDEN_SERIES, "Median_NNM f=2 gamma=0.33 & <all>", "step", "test accuracy")
+        assert svg.encode("utf-8") == (GOLDENS / "line_chart.svg").read_bytes()
+
+    def test_heatmap_golden(self):
+        svg = render_heatmap(*GOLDEN_HEATMAP, "TrMean (<gamma> & co)", "distribution parameter", "Byzantine clients")
+        assert svg.encode("utf-8") == (GOLDENS / "heatmap.svg").read_bytes()
