@@ -25,11 +25,16 @@ MultiKrum, GeometricMedian and NNM) and ALittleIsEnough's per-search parts,
 the mean and std of the n - f honest rows. Two model rows time one ``loss_and_gradient``
 call on a seeded batch of 25 (n is the batch, d the parameter count): the
 linear 10 -> 3 model of ``sample_grid``, where this call is most of the time,
-and the 784 -> 64 -> 10 MLP of the ``mnist_*`` workloads. Two round rows time
-the honest half of one DSGD step, ``HonestClient.compute_update`` on a bank
-of n clients drawing batches of 25 with momentum 0.9 from 100 seeded samples
-each: 10 clients on the linear model (``sample_grid``) and 30 on the MLP
-(``mnist_*``). One BLAS thread is used, as in the benchmark's workers.
+and the 784 -> 64 -> 10 MLP of the ``mnist_*`` workloads. Three round rows
+time the clients' training in one step, on a bank of clients drawing
+batches of 25 with momentum 0.9 from 100 seeded samples each. Two time the
+honest half of one DSGD step, ``HonestClient.compute_update``, over n
+clients: 10 on the linear model (``sample_grid``) and 30 on the MLP
+(``mnist_*``). The ``fedavg_flip`` row times one LabelFlipping round of
+federated averaging at that workload's shape, ``HonestClient.local_delta``
+with 5 local steps on the linear model for n = 5 of 10 clients plus f = 2
+LabelFlipping seats, which train in the same call. One BLAS thread is used,
+as in the benchmark's workers.
 """
 
 import os
@@ -85,6 +90,8 @@ SEARCHES = (
 MODELS = (("linear", LinearArch(10, 3), 10), ("mlp", MlpArch(784, 64, 10), 30))
 MODEL_BATCH = 25
 SAMPLES_PER_CLIENT = 100
+# (name, clients, sampled clients, seats, local steps) of the federated round row, on the linear model
+FEDAVG_ROUND = ("fedavg_flip", 10, 5, 2, 5)
 
 
 def attacked_rows(n: int, d: int, f: int, rng: np.random.Generator) -> np.ndarray:
@@ -145,6 +152,14 @@ def callables(n: int, f: int):
         yield "pre-aggregator", name, ConfiguredPreAggregator(spec, np.random.default_rng(0))
 
 
+def seeded_bank(arch, clients: int, seats: int, rng: np.random.Generator) -> HonestClient:
+    """A bank of ``clients`` rows of ``SAMPLES_PER_CLIENT`` seeded samples each, plus ``seats``."""
+    m = clients * SAMPLES_PER_CLIENT
+    dataset = LabeledDataset(rng.normal(size=(m, arch.in_dim)), rng.integers(0, arch.n_classes, m), arch.n_classes)
+    rngs = [np.random.default_rng([SEED, i]) for i in range(clients + seats)]
+    return HonestClient(dataset, np.array_split(np.arange(m), clients), MODEL_BATCH, 0.9, 0.0, rngs, seats)
+
+
 def main() -> int:
     print(f"# python {platform.python_version()}, numpy {np.__version__}, {os.cpu_count()} cpus, "
           f"{platform.processor() or platform.machine()}")
@@ -177,12 +192,17 @@ def main() -> int:
         print(f"{'model':<15} {name:<17} {MODEL_BATCH:>3} {param_count(arch):>6} {'-':>2} {ms:>10.4f} {calls:>6}")
     for name, arch, clients in MODELS:
         flat = init_params(arch, rng)
-        m = clients * SAMPLES_PER_CLIENT
-        dataset = LabeledDataset(rng.normal(size=(m, arch.in_dim)), rng.integers(0, arch.n_classes, m), arch.n_classes)
-        rngs = [np.random.default_rng([SEED, i]) for i in range(clients)]
-        bank = HonestClient(dataset, np.array_split(np.arange(m), clients), MODEL_BATCH, 0.9, 0.0, rngs)
+        bank = seeded_bank(arch, clients, 0, rng)
         ms, calls = median_ms(lambda x: bank.compute_update(arch, x), flat)
         print(f"{'round':<15} {name:<17} {clients:>3} {param_count(arch):>6} {'-':>2} {ms:>10.4f} {calls:>6}")
+    name, clients, sampled, seats, local_steps = FEDAVG_ROUND
+    arch = MODELS[0][1]
+    flat = init_params(arch, rng)
+    bank = seeded_bank(arch, clients, seats, rng)
+    chosen = np.sort(rng.choice(clients, size=sampled, replace=False))
+    out = np.empty((sampled + seats, param_count(arch)))
+    ms, calls = median_ms(lambda x: bank.local_delta(arch, x, 0.05, local_steps, chosen, out), flat)
+    print(f"{'round':<15} {name:<17} {sampled:>3} {param_count(arch):>6} {seats:>2} {ms:>10.4f} {calls:>6}")
     return 0
 
 

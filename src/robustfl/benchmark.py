@@ -337,7 +337,7 @@ KEY_JSON = Obj(lambda aggregator, pre_aggregators, attack, f, data_distribution,
     "data_distribution": Key(Obj(lambda name, parameter: (name, parameter),
                                  {"name": Key(Param(str)), "parameter": Key(Param(float))})),
     "seed": Key(Param(int, at_least(0))),
-})
+}, document="key.json")
 
 
 def expand_grid(cfg: BenchmarkConfig) -> list[ExperimentKey]:
@@ -407,15 +407,10 @@ def run_single(cfg: BenchmarkConfig, key: ExperimentKey) -> ExperimentResult:
     pipeline = build_pipeline(key.aggregator, key.pre_aggregators, rng=derive_rng(seed, "bucketing"))
     hc, n = cfg.honest_clients, cfg.nb_honest_clients
 
-    def bank(partitions: list[np.ndarray], stream: str, flip: bool = False) -> HonestClient:
-        rngs = [derive_rng(seed, f"{stream}.{i}") for i in range(len(partitions))]
-        return HonestClient(train, partitions, hc.batch_size, hc.momentum, hc.weight_decay, rngs, flip_labels=flip)
-
-    clients = bank(partition.assignments, "client")
-    flip_clients = None
-    if key.f > 0 and key.attack.name == "LabelFlipping":
-        flip_clients = bank([partition.assignments[j % n] for j in range(key.f)], "byz", flip=True)
-    byz = ByzantineClientGroup(key.f, key.attack, flip_clients)
+    seats = key.f if key.f > 0 and key.attack.name == "LabelFlipping" else 0
+    rngs = [derive_rng(seed, f"client.{i}") for i in range(n)] + [derive_rng(seed, f"byz.{j}") for j in range(seats)]
+    clients = HonestClient(train, partition.assignments, hc.batch_size, hc.momentum, hc.weight_decay, rngs, seats)
+    byz = ByzantineClientGroup(key.f, key.attack, clients)
     server = ServerState(arch, init_params(arch, derive_rng(seed, "init")), pipeline, schedule)
     fedavg = cfg.training_algorithm.parameters if cfg.training_algorithm.name == "FedAvg" else None
     sampling_rng = derive_rng(seed, "sampling")

@@ -113,13 +113,14 @@ class ListOf(NamedTuple):
 
 
 class Obj(NamedTuple):
-    """Reader for a JSON object: unknown keys are errors, and ``build`` gets
-    every key's value (or default) by name. With ``variants`` = (tag, table),
-    the tag key must name a table entry, whose keys join ``keys``."""
+    """Reader for a JSON object, named ``document`` at the root: unknown keys
+    are errors, and ``build`` gets every key's value (or default) by name. With
+    ``variants`` = (tag, table), the tag key must name a table entry, whose keys join ``keys``."""
 
     build: Callable
     keys: dict[str, Key]
     variants: tuple[str, dict[str, dict[str, Key]]] | None = None
+    document: str = "config"
 
     @classmethod
     def record(cls, name: str, module: str, keys: dict[str, Key], variants=None) -> Obj:
@@ -135,7 +136,7 @@ class Obj(NamedTuple):
         return cls(record, keys, variants)
 
     def __call__(self, raw, where):
-        raw = Param(dict)(raw, where or "config")
+        raw = Param(dict)(raw, where or self.document)
         keys = self.keys
         if self.variants:
             tag, table = self.variants

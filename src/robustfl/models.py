@@ -104,9 +104,14 @@ def logits(arch: Arch, flat: np.ndarray, features: np.ndarray) -> np.ndarray:
     return _forward(arch, flat, features)[2]
 
 
-def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _log_softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Log-softmax over the class axis, in ``out`` (may be ``scores``); the max is an exact ``np.maximum`` chain."""
+    top = np.maximum(scores[..., 0], scores[..., 1])
+    for c in range(2, scores.shape[-1]):
+        np.maximum(top, scores[..., c], out=top)
+    shifted = np.subtract(scores, top[..., None], out=out)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def _mean_nll(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -130,6 +135,26 @@ def forward_loss(
     return _mean_nll(scores, labels), int((scores.argmax(axis=1) == labels).sum())
 
 
+def backward(arch: Arch, flat: np.ndarray, features: np.ndarray, labels: np.ndarray, with_loss: bool = False) -> tuple:
+    """``loss_and_gradient``'s pass, its losses None unless ``with_loss``: without, the clients' training
+    pass. The scores' label entries are addressed by flat (row, label) positions."""
+    weights, inputs, scores = _forward(arch, flat, features)
+    at = np.arange(0, labels.size * scores.shape[-1], scores.shape[-1]) + labels.reshape(-1)
+    delta = _log_softmax(scores, out=scores)
+    losses = -delta.reshape(-1)[at].reshape(labels.shape).mean(axis=-1) if with_loss else None
+    np.exp(delta, out=delta)
+    delta.reshape(-1)[at] -= 1.0
+    delta /= labels.shape[-1]
+    lead = labels.shape[:-1]
+    grad = np.empty((*lead, param_count(arch)))
+    for (shape, w, b), weight, inp in zip(reversed(arch.layers), reversed(weights), reversed(inputs)):
+        np.matmul(delta.mT, inp, out=grad[..., w].reshape(*lead, *shape))
+        delta.sum(axis=-2, out=grad[..., b])
+        if inp is not features:
+            delta = (delta @ weight) * (inp > 0.0)
+    return losses, grad
+
+
 def loss_and_gradient(
     arch: Arch, flat: np.ndarray, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float | np.ndarray, np.ndarray]:
@@ -144,20 +169,7 @@ def loss_and_gradient(
     row i is bit for bit the call on client i alone: numpy runs one BLAS call
     per slice, and each weight-gradient block is written in place.
     """
-    weights, inputs, scores = _forward(arch, flat, features)
-    at = (*np.indices(labels.shape, sparse=True), labels)
-    logp = _log_softmax(scores)
-    delta = np.exp(logp)
-    delta[at] -= 1.0
-    delta /= labels.shape[-1]
-    lead = labels.shape[:-1]
-    grad = np.empty((*lead, param_count(arch)))
-    for (shape, w, b), weight, inp in zip(reversed(arch.layers), reversed(weights), reversed(inputs)):
-        np.matmul(delta.mT, inp, out=grad[..., w].reshape(*lead, *shape))
-        delta.sum(axis=-2, out=grad[..., b])
-        if inp is not features:
-            delta = (delta @ weight) * (inp > 0.0)
-    return -logp[at].mean(axis=-1), grad
+    return backward(arch, flat, features, labels, with_loss=True)
 
 
 # --------------------------------------------------------------------------- #

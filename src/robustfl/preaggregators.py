@@ -55,15 +55,21 @@ def nnm(xs, f: int) -> np.ndarray | OverCopies:
 
     An ``OverCopies`` input is not checked again. Its ``shared`` dict keeps
     the distances of its fixed rows, computed on first use and extended to
-    the copies in O(n d), and the mean of each neighbour list within the
-    fixed rows, summed and checked once. On the in-place path, when every
-    fixed row's list stays inside the fixed rows, the output is an
-    ``OverCopies`` too: those means over the copies' one mean, no (n, d)
-    matrix built, with the dict of those lists.
+    the copies in O(n d), the mean of each neighbour list within the fixed
+    rows, summed and checked once, and a row list stacked once (its copies
+    rewritten per call). On the in-place path, when every fixed row's list
+    stays inside the fixed rows, the output is an ``OverCopies`` too: those
+    means over the copies' one mean (no (n, d) matrix), with the dict of those lists.
     """
     over = isinstance(xs, OverCopies)
     m, shared = (xs.fixed, xs.shared) if over else (0, {})
-    xs = np.asarray(xs) if over else as_vector_set(xs)
+    if over and isinstance(xs.rows, list):  # one NNM's merged output: fixed rows stacked once per dict
+        if "stacked" not in shared:
+            shared["stacked"] = np.array(xs.rows)
+        shared["stacked"][m:] = xs.rows[m]
+        xs = shared["stacked"]
+    else:
+        xs = np.asarray(xs) if over else as_vector_set(xs)
     n, d = xs.shape
     check_f("NNM", n, f, f + 1, "n > f")
     if over:

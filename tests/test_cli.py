@@ -296,7 +296,7 @@ class TestPlot:
     @pytest.mark.parametrize(
         "damage, message",
         [
-            (lambda key: [1, 2], "config must be an object, got [1, 2]"),
+            (lambda key: [1, 2], "key.json must be an object, got [1, 2]"),
             (lambda key: dict(key, data_distribution=[1, 2]), "data_distribution must be an object, got [1, 2]"),
             (lambda key: dict(key, data_distribution={"name": "iid"}), "missing data_distribution.parameter"),
             (lambda key: dict(key, pre_aggregators=["NNM"]), "pre_aggregators[0] must be an object, got 'NNM'"),

@@ -52,7 +52,9 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
     assert [row[1:5] for row in models] == [["linear", "25", "33", "-"], ["mlp", "25", "50890", "-"]]
     assert all(float(row[5]) > 0 for row in models)
     rounds = [row for row in rows if row[0] == "round"]
-    assert [row[1:5] for row in rounds] == [["linear", "10", "33", "-"], ["mlp", "30", "50890", "-"]]
+    assert [row[1:5] for row in rounds] == [
+        ["linear", "10", "33", "-"], ["mlp", "30", "50890", "-"], ["fedavg_flip", "5", "33", "2"]
+    ]
     assert all(float(row[5]) > 0 for row in rounds)
 
 

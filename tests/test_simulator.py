@@ -5,11 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from config_fixtures import tiny_config_text
 from robustfl import numerics
 from robustfl.aggregators import AggregatorSpec
 from robustfl.attacks import AttackSpec, sign_flipping
+from robustfl.benchmark import ARCHS, DATASETS, expand_grid, parse_config, run_single
 from robustfl.datadist import LabeledDataset, make_partition
-from robustfl.models import LinearArch, LrSchedule, MlpArch, init_params, loss_and_gradient, param_count
+from robustfl.models import (
+    LinearArch,
+    LrSchedule,
+    MlpArch,
+    forward_loss,
+    init_params,
+    loss_and_gradient,
+    param_count,
+)
 from robustfl.preaggregators import Pipeline, build_pipeline
 from robustfl.seeding import derive_rng
 from robustfl.simulator import (
@@ -29,17 +39,25 @@ def toy_dataset(m: int = 12, d: int = 3, n_classes: int = 2, seed: int = 0) -> L
     return LabeledDataset(rng.normal(size=(m, d)), np.arange(m) % n_classes, n_classes)
 
 
-def bank(dataset, partitions, batch_size, momentum=0.0, weight_decay=0.0, flip=False, seed=0, stream="client"):
-    """A bank with one row per partition, streams seeded as ``run_single`` seeds them."""
+def bank(dataset, partitions, batch_size, momentum=0.0, weight_decay=0.0, seats=0, seed=0, stream="client"):
+    """A bank with one honest row per partition and ``seats`` LabelFlipping
+    rows, streams seeded as ``run_single`` seeds them."""
     rngs = [derive_rng(seed, f"{stream}.{i}") for i in range(len(partitions))]
-    return HonestClient(dataset, partitions, batch_size, momentum, weight_decay, rngs, flip_labels=flip)
+    rngs += [derive_rng(seed, f"byz.{j}") for j in range(seats)]
+    return HonestClient(dataset, partitions, batch_size, momentum, weight_decay, rngs, seats)
 
 
-def full_batch_bank(dataset, partitions, momentum=0.0, weight_decay=0.0, flip=False, seed=0):
+def full_batch_bank(dataset, partitions, momentum=0.0, weight_decay=0.0, seats=0, seed=0):
     """Bank whose every batch is its row's whole partition (batch content is
     then independent of the shuffle); all partitions have one size."""
     partitions = [np.asarray(p) for p in partitions]
-    return bank(dataset, partitions, len(partitions[0]), momentum, weight_decay, flip, seed)
+    return bank(dataset, partitions, len(partitions[0]), momentum, weight_decay, seats, seed)
+
+
+def next_batch(clients, i):
+    """Row i's next mini-batch of sample indices, drawn alone."""
+    ((_, take),) = clients._batches(np.array([i]))
+    return take[0]
 
 
 def make_server(arch, flat, rule="Average", f=0, lr=0.1):
@@ -72,13 +90,17 @@ class LoopClient:
         self._cursor = 0
         self.momentum_buf = None
 
-    def _next_batch(self):
+    def _next_indices(self):
         if self._cursor + self.batch_size > len(self._order):
             self._order = self._rng.permutation(self.indices)
             self._cursor = 0
         take = min(self.batch_size, len(self._order))
         batch = self._order[self._cursor : self._cursor + take]
         self._cursor += take
+        return batch
+
+    def _next_batch(self):
+        batch = self._next_indices()
         y = self.dataset.labels[batch]
         return self.dataset.features[batch], (self.dataset.n_classes - 1) - y if self.flip_labels else y
 
@@ -109,16 +131,17 @@ def loop_clients(dataset, partitions, batch_size, momentum=0.0, weight_decay=0.0
 
 
 def loop_round(server, honest, byzantine, scale):
+    """Aggregate and apply the stacked rows; returns them."""
     stacked = np.vstack([honest, *byzantine])
     server.flat = server.flat + scale * server.pipeline(stacked)
     server.step += 1
+    return stacked
 
 
 def loop_dsgd_step(server, clients, flips):
     honest = np.stack([c.compute_update(server.arch, server.flat) for c in clients])
     byzantine = [c.compute_update(server.arch, server.flat) for c in flips]
-    loop_round(server, honest, byzantine, -server.schedule.lr_at(server.step))
-    return honest
+    return loop_round(server, honest, byzantine, -server.schedule.lr_at(server.step))
 
 
 def loop_fedavg_round(server, clients, flips, proportion, local_steps, sampling_rng):
@@ -127,8 +150,7 @@ def loop_fedavg_round(server, clients, flips, proportion, local_steps, sampling_
     lr = server.schedule.lr_at(server.step)
     deltas = np.stack([clients[i].local_delta(server.arch, server.flat, lr, local_steps) for i in chosen])
     byzantine = [c.local_delta(server.arch, server.flat, lr, local_steps) for c in flips]
-    loop_round(server, deltas, byzantine, 1.0)
-    return deltas
+    return loop_round(server, deltas, byzantine, 1.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -158,16 +180,15 @@ def bank_setups(draw):
 
 
 def twin_runs(setup, f):
-    """The bank side (clients, flip bank or None, Byzantine group, server)
-    and the loop side (clients, flip clients, server) of one setup, with f
-    label-flipping rows."""
+    """The bank side (clients with f LabelFlipping seats, Byzantine group,
+    server) and the loop side (clients, flip clients, server) of one setup."""
     dataset, partitions, batch_size, arch, momentum, weight_decay, flat, seed = setup
     settings_ = (batch_size, momentum, weight_decay)
+    clients = bank(dataset, partitions, *settings_, seats=f, seed=seed)
+    byz = ByzantineClientGroup(f, AttackSpec("LabelFlipping") if f else None, clients)
     flip_parts = [partitions[j % len(partitions)] for j in range(f)]
-    flips = bank(dataset, flip_parts, *settings_, flip=True, seed=seed, stream="byz") if f else None
-    byz = ByzantineClientGroup(f, AttackSpec("LabelFlipping") if f else None, flips)
     return (
-        (bank(dataset, partitions, *settings_, seed=seed), flips, byz, make_server(arch, flat.copy(), lr=0.05)),
+        (clients, byz, make_server(arch, flat.copy(), lr=0.05)),
         (
             loop_clients(dataset, partitions, *settings_, seed=seed),
             loop_clients(dataset, flip_parts, *settings_, flip=True, seed=seed, stream="byz"),
@@ -183,22 +204,23 @@ class TestBankMatchesPerClientLoop:
     @settings(deadline=None, max_examples=60)
     @given(bank_setups(), st.integers(0, 2), st.integers(1, 8), tile_budgets)
     def test_dsgd_steps(self, setup, f, steps, budget):
-        """Several steps (crossing reshuffles), with f label-flipping rows."""
-        (clients, flips, byz, server), (ref_clients, ref_flips, ref) = twin_runs(setup, f)
+        """Several steps (crossing reshuffles), with f label-flipping seats,
+        whose momentum rows sit directly under the honest rows."""
+        (clients, byz, server), (ref_clients, ref_flips, ref) = twin_runs(setup, f)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(numerics, "TILE_ELEMENTS", budget)
             for _ in range(steps):
                 dsgd_step(server, clients, byz)
-                assert np.array_equal(clients.momentum_buf, loop_dsgd_step(ref, ref_clients, ref_flips))
+                assert np.array_equal(clients.step_buf, loop_dsgd_step(ref, ref_clients, ref_flips))
                 assert np.array_equal(server.flat, ref.flat)
-        if f:
-            assert np.array_equal(flips.momentum_buf, np.stack([c.momentum_buf for c in ref_flips]))
+        assert np.shares_memory(clients.momentum_buf, clients.step_buf)
+        assert clients.seat_rows.base is clients.step_buf and len(clients.seat_rows) == f
 
     @settings(deadline=None, max_examples=60)
     @given(bank_setups(), st.integers(0, 2), st.sampled_from([0.3, 0.6, 1.0]), st.integers(1, 4), st.integers(1, 3),
            tile_budgets)
     def test_fedavg_rounds(self, setup, f, proportion, local_steps, rounds, budget):
-        (clients, _, byz, server), (ref_clients, ref_flips, ref) = twin_runs(setup, f)
+        (clients, byz, server), (ref_clients, ref_flips, ref) = twin_runs(setup, f)
         seed = setup[-1]
         sampling, ref_sampling = derive_rng(seed, "sampling"), derive_rng(seed, "sampling")
         with pytest.MonkeyPatch.context() as mp:
@@ -223,6 +245,74 @@ class TestBankMatchesPerClientLoop:
         deltas = clients.local_delta(arch, flat, 0.1, 3, chosen)
         assert np.array_equal(deltas, np.stack([ref_clients[i].local_delta(arch, flat, 0.1, 3) for i in chosen]))
 
+    # Partitions of 9, 2, 10, 1 and 2 samples under batches of 4. The seats
+    # train on the first three, seat 1 on one shorter than a batch, so the
+    # rows draw batches of 4, 2 and 1. Seat 0 runs out of full batches after
+    # two draws: its third comes from a new permutation, mid-round under
+    # three local steps.
+    @pytest.mark.parametrize("arch", [LinearArch(3, 3), MlpArch(3, 4, 3)], ids=["linear", "mlp"])
+    @pytest.mark.parametrize("algorithm", ["DSGD", "FedAvg"])
+    def test_seats_with_short_partitions_mixed_lengths_and_a_wrap_mid_round(self, arch, algorithm):
+        ds = toy_dataset(m=24, n_classes=3, seed=4)
+        partitions = [np.arange(0, 9), np.arange(9, 11), np.arange(11, 21), np.arange(21, 22), np.arange(22, 24)]
+        setup = (ds, partitions, 4, arch, 0.9, 0.01, init_params(arch, derive_rng(4, "init")), 4)
+        (clients, byz, server), (ref_clients, ref_flips, ref) = twin_runs(setup, 3)
+        sampling, ref_sampling = derive_rng(4, "sampling"), derive_rng(4, "sampling")
+        for _ in range(3):
+            if algorithm == "DSGD":
+                dsgd_step(server, clients, byz)
+                np.testing.assert_array_equal(clients.step_buf, loop_dsgd_step(ref, ref_clients, ref_flips))
+            else:
+                fedavg_round(server, clients, byz, 0.6, 3, sampling)
+                ref_rows = loop_fedavg_round(ref, ref_clients, ref_flips, 0.6, 3, ref_sampling)
+                np.testing.assert_array_equal(clients.seat_rows, ref_rows[-3:])
+                assert server.step > 1 or clients._cursors[len(partitions)] == 4  # seat 0 wrapped in round 1
+            np.testing.assert_array_equal(server.flat, ref.flat)
+
+
+def replay_dsgd_run(cfg, key):
+    """``run_single``'s test accuracies and training losses for a DSGD key,
+    with the per-client loop in place of the bank and the LabelFlipping
+    seats as flip clients on partitions j % n and streams ``byz.j``."""
+    train, test = DATASETS[cfg.model.dataset_name].load(cfg.model, key.seed)
+    n, hc = cfg.nb_honest_clients, cfg.honest_clients
+    partitions = make_partition(train, key.distribution_name, key.distribution_parameter, n,
+                                derive_rng(key.seed, "datadist")).assignments
+    arch = ARCHS[cfg.model.name](cfg.model, train.features.shape[1], train.n_classes)
+    settings_ = (hc.batch_size, hc.momentum, hc.weight_decay)
+    clients = loop_clients(train, partitions, *settings_, seed=key.seed)
+    flips = loop_clients(train, [partitions[j % n] for j in range(key.f)], *settings_, flip=True, seed=key.seed,
+                         stream="byz")
+    schedule = LrSchedule(cfg.model.learning_rate, cfg.model.learning_rate_decay, tuple(cfg.model.milestones))
+    pipeline = build_pipeline(key.aggregator, key.pre_aggregators, rng=derive_rng(key.seed, "bucketing"))
+    server = ServerState(arch, init_params(arch, derive_rng(key.seed, "init")), pipeline, schedule)
+    union = np.concatenate(partitions)
+    accuracy, losses = [], []
+    for step in range(cfg.nb_steps + 1):
+        if step:
+            loop_dsgd_step(server, clients, flips)
+        if step % cfg.evaluation.evaluation_delta == 0 or step == cfg.nb_steps:
+            accuracy.append(evaluate_accuracy(arch, server.flat, test))
+            losses.append(forward_loss(arch, server.flat, train.features, train.labels, [union])[0])
+    return accuracy, losses
+
+
+def test_dsgd_label_flipping_grid_equals_the_per_client_loop(tmp_path):
+    """A DSGD grid under LabelFlipping, a case no benchmark workload runs: f
+    in {1, 2} seats on skewed partitions, some shorter than a batch, over
+    several epochs. Every run's series equals the per-client loop's."""
+    cfg = parse_config(tiny_config_text(
+        tmp_path, attack=[{"name": "LabelFlipping", "parameters": {}}],
+        **{"benchmark_config.nb_steps": 9, "benchmark_config.nb_honest_clients": 4, "benchmark_config.f": [1, 2],
+           "benchmark_config.data_distribution": [{"name": "dirichlet_niid", "distribution_parameter": [0.5]}],
+           "honest_clients.batch_size": 12},
+    ))
+    keys = expand_grid(cfg)
+    assert [key.f for key in keys] == [1, 2]
+    for key in keys:
+        result = run_single(cfg, key)
+        assert (result.test_accuracy, result.train_loss) == replay_dsgd_run(cfg, key)
+
 
 class TestHonestClient:
     def test_rejects_bad_construction(self):
@@ -231,13 +321,33 @@ class TestHonestClient:
             bank(ds, [np.arange(4)], 0)
         with pytest.raises(ValueError, match="client 1 has no samples"):
             bank(ds, [np.arange(4), np.array([], dtype=np.int64)], 2)
+        with pytest.raises(ValueError, match=r"need one Generator per row \(1 \+ 2\), got 2"):
+            HonestClient(ds, [np.arange(4)], 2, 0.0, 0.0, [derive_rng(0, "client.0"), derive_rng(0, "byz.0")], 2)
 
     def test_batches_stay_inside_partition(self):
         ds = toy_dataset(m=10)
         clients = bank(ds, [np.array([1, 3, 5, 7, 9]), np.array([0, 2])], 2, seed=1)
         for _ in range(10):
-            assert set(clients._next_batch(0)) <= {1, 3, 5, 7, 9}
-            assert sorted(clients._next_batch(1)) == [0, 2]
+            assert set(next_batch(clients, 0)) <= {1, 3, 5, 7, 9}
+            assert sorted(next_batch(clients, 1)) == [0, 2]
+
+    def test_cursor_draws_reproduce_the_per_row_draws(self):
+        """Rows drawn in random subsets, seats included, under partitions
+        longer and shorter than a batch, get the batches a lone client's
+        per-row draw gives, in order."""
+        ds = toy_dataset(m=30, n_classes=3)
+        partitions = [np.arange(0, 9), np.arange(9, 11), np.arange(11, 21), np.arange(21, 22), np.arange(22, 30)]
+        clients = bank(ds, partitions, 4, seats=2, seed=3)
+        refs = loop_clients(ds, partitions, 4, seed=3) + loop_clients(ds, partitions[:2], 4, seed=3, stream="byz")
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            rows = np.sort(rng.choice(len(refs), size=rng.integers(1, len(refs) + 1), replace=False))
+            drawn = {}
+            for group, take in clients._batches(rows):
+                drawn.update(zip(rows[group], take))
+            assert sorted(drawn) == list(rows)
+            for row in rows:
+                np.testing.assert_array_equal(drawn[row], refs[row]._next_indices())
 
     def test_momentum_buffer_accumulates(self):
         ds = toy_dataset(m=4)
@@ -255,16 +365,18 @@ class TestHonestClient:
         relabeled = LabeledDataset(ds.features, (ds.n_classes - 1) - ds.labels, ds.n_classes)
         arch = LinearArch(3, 3)
         flat = init_params(arch, derive_rng(2, "init"))
-        flipped = full_batch_bank(ds, [np.arange(9)], flip=True)
-        manual = full_batch_bank(relabeled, [np.arange(9)])
-        np.testing.assert_array_equal(flipped.compute_update(arch, flat), manual.compute_update(arch, flat))
+        flipped = full_batch_bank(ds, [np.arange(9)], seats=1)
+        manual = bank(relabeled, [np.arange(9)], 9, stream="byz")  # the seat's stream, so the same batch order
+        flipped.compute_update(arch, flat)
+        np.testing.assert_array_equal(flipped.seat_rows, manual.compute_update(arch, flat))
 
     def test_flip_negates_gradient_at_zero_params_binary(self):
         ds = toy_dataset(m=6, n_classes=2, seed=7)
         arch = LinearArch(3, 2)
         flat = np.zeros(param_count(arch))
-        (g_honest,) = full_batch_bank(ds, [np.arange(6)]).compute_update(arch, flat)
-        (g_flipped,) = full_batch_bank(ds, [np.arange(6)], flip=True).compute_update(arch, flat)
+        clients = full_batch_bank(ds, [np.arange(6)], seats=1)
+        (g_honest,) = clients.compute_update(arch, flat)
+        (g_flipped,) = clients.seat_rows
         # Uniform softmax makes the flipped per-sample residue the exact
         # negation, so the bias block (and for C=2 the whole vector) negates.
         np.testing.assert_allclose(g_flipped[6:], -g_honest[6:], atol=1e-15)
@@ -291,33 +403,38 @@ class TestByzantineClientGroup:
             ByzantineClientGroup(-1, None)
         with pytest.raises(ValueError, match="attack descriptor is required"):
             ByzantineClientGroup(2, None)
-        with pytest.raises(ValueError, match=r"one flip client per Byzantine seat \(2\)"):
-            ByzantineClientGroup(2, AttackSpec("LabelFlipping"), flip_clients=[])
-        with pytest.raises(ValueError, match=r"one flip client per Byzantine seat \(2\)"):
-            ByzantineClientGroup(2, AttackSpec("LabelFlipping"), full_batch_bank(toy_dataset(), [np.arange(3)]))
+        with pytest.raises(ValueError, match=r"one seat per Byzantine client \(2\)"):
+            ByzantineClientGroup(2, AttackSpec("LabelFlipping"))
+        one_seat = full_batch_bank(toy_dataset(), [np.arange(3)], seats=1)
+        with pytest.raises(ValueError, match=r"one seat per Byzantine client \(2\)"):
+            ByzantineClientGroup(2, AttackSpec("LabelFlipping"), one_seat)
 
     def test_no_adversary_emits_nothing(self, x3):
         group = ByzantineClientGroup(0, None)
         pipeline = build_pipeline(AggregatorSpec("Average"))
-        assert group.gradient_rows(x3, pipeline, LinearArch(1, 2), np.zeros(4)).shape == (0, 3)
+        assert group.gradient_rows(x3, pipeline).shape == (0, 3)
 
     def test_gradient_rows_tile_the_attack_vector(self, x3):
         group = ByzantineClientGroup(3, AttackSpec("SignFlipping"))
         pipeline = build_pipeline(AggregatorSpec("Average"))
-        rows = group.gradient_rows(x3, pipeline, LinearArch(1, 2), np.zeros(4))
+        rows = group.gradient_rows(x3, pipeline)
         np.testing.assert_array_equal(rows, np.tile(sign_flipping(x3), (3, 1)))
 
-    def test_label_flip_rows_come_from_flip_clients(self):
+    def test_label_flip_rows_are_the_bank_seat_rows(self):
         ds = toy_dataset(m=6)
         arch = LinearArch(3, 2)
         flat = np.zeros(param_count(arch))
-        flips = full_batch_bank(ds, [np.arange(6)] * 2, flip=True)
-        group = ByzantineClientGroup(2, AttackSpec("LabelFlipping"), flip_clients=flips)
-        rows = group.gradient_rows(np.zeros((3, param_count(arch))), None, arch, flat)
-        twin = full_batch_bank(ds, [np.arange(6)] * 2, flip=True)
-        np.testing.assert_array_equal(rows, twin.compute_update(arch, flat))
-        fresh = ByzantineClientGroup(2, AttackSpec("LabelFlipping"), full_batch_bank(ds, [np.arange(6)] * 2, flip=True))
-        np.testing.assert_array_equal(fresh.gradient_rows(np.zeros((3, param_count(arch))), None, arch, flat), rows)
+        clients = full_batch_bank(ds, [np.arange(6)], seats=2)
+        group = ByzantineClientGroup(2, AttackSpec("LabelFlipping"), clients)
+        ref_flips = loop_clients(ds, [np.arange(6)] * 2, 6, flip=True, stream="byz")
+        honest = clients.compute_update(arch, flat)
+        rows = group.gradient_rows(honest, None)
+        assert rows is clients.seat_rows
+        np.testing.assert_array_equal(rows, np.stack([c.compute_update(arch, flat) for c in ref_flips]))
+        honest = clients.local_delta(arch, flat, 0.1, 2, [0])
+        rows = group.delta_rows(honest, None)
+        assert rows is clients.seat_rows
+        np.testing.assert_array_equal(rows, np.stack([c.local_delta(arch, flat, 0.1, 2) for c in ref_flips]))
 
 
 class TestDsgdStep:
@@ -332,7 +449,7 @@ class TestDsgdStep:
         buf = np.zeros_like(manual)
         for _ in range(100):
             dsgd_step(server, clients, ByzantineClientGroup(0, None))
-            batch = batch_source._next_batch(0)
+            batch = next_batch(batch_source, 0)
             _, g = loss_and_gradient(arch, manual, ds.features[batch], ds.labels[batch])
             buf = 0.9 * buf + (g + 0.01 * manual)
             manual = manual - 0.05 * buf
