@@ -19,10 +19,12 @@ Optimal_ALittleIsEnough (``Optimal_ALIE``, the per-step attack cost of the
 ``mnist_optimal`` workload) and Optimal_InnerProductManipulation
 (``Optimal_IPM``) against TrMean behind NNM, then Optimal_ALittleIsEnough
 against TrMean alone and against Median behind NNM (the pipeline follows a
-colon in the name). Two kernel rows time, at that shape, one
-``numerics.pairwise_sq_dists`` call on the n rows (the distance kernel of
-MultiKrum, GeometricMedian and NNM) and ALittleIsEnough's per-search parts,
-the mean and std of the n - f honest rows. Two model rows time one ``loss_and_gradient``
+colon in the name). Three kernel rows time, at that shape, one
+``numerics.pairwise_sq_dists`` call on the n rows (the exact distance kernel
+of NNM and MDA), one ``numerics.gram_sq_dists`` call on them (the Gram-form
+distances and their error bound that MultiKrum and GeometricMedian order
+rows by past ``BLOCK_ELEMENTS``; below it, the exact kernel) and
+ALittleIsEnough's per-search parts, the mean and std of the n - f honest rows. Two model rows time one ``loss_and_gradient``
 call on a seeded batch of 25 (n is the batch, d the parameter count): the
 linear 10 -> 3 model of ``sample_grid``, where this call is most of the time,
 and the 784 -> 64 -> 10 MLP of the ``mnist_*`` workloads. Three round rows
@@ -65,7 +67,7 @@ from robustfl.attacks import (  # noqa: E402
 )
 from robustfl.datadist import LabeledDataset  # noqa: E402
 from robustfl.models import LinearArch, MlpArch, init_params, loss_and_gradient, param_count  # noqa: E402
-from robustfl.numerics import pairwise_sq_dists  # noqa: E402
+from robustfl.numerics import gram_sq_dists, pairwise_sq_dists  # noqa: E402
 from robustfl.preaggregators import (  # noqa: E402
     PRE_AGGREGATOR_NAMES,
     ConfiguredPreAggregator,
@@ -180,6 +182,7 @@ def main() -> int:
         ms, calls = median_ms(lambda rows: optimize_attack_scale(AttackContext(rows, f, pipeline), base), honest)
         print(f"{'attack search':<15} {name:<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")
     for name, fn, xs in (("pairwise_sq_dists", pairwise_sq_dists, attacked),
+                         ("gram_sq_dists", gram_sq_dists, attacked),
                          ("ALIE_parts", AFFINE_BASES[a_little_is_enough].parts, honest)):
         ms, calls = median_ms(fn, xs)
         print(f"{'kernel':<15} {name:<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")

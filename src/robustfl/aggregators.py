@@ -19,8 +19,9 @@ import numpy as np
 
 from .config import NONNEGATIVE, POSITIVE, Param, at_least
 from .numerics import OverCopies, as_vector_set, check_f, columnwise, slice_means, sorted_slice_means
+from .numerics import sq_dists_to, stable_head, trusted_pairwise_sq_dists
 # The rules pass the matrix they have checked; perfbench's tracer patches the kernels under these names.
-from .numerics import trusted_pairwise_sq_dists as pairwise_sq_dists
+from .numerics import gram_sq_dists as pairwise_sq_dists
 from .numerics import trusted_top_eigenpair as top_eigenpair
 
 # Exhaustive subset rules (MDA, SMEA) enumerate C(n, n - f) candidates and
@@ -82,8 +83,8 @@ def geometric_median(xs) -> np.ndarray:
     summed distance.
 
     Every iterate is a convex combination v = a @ xs, so the iteration runs on
-    the n coefficients ``a``. The best input row r, the smallest row sum of
-    the square-rooted ``pairwise_sq_dists``, anchors the n x n matrix
+    the n coefficients ``a``. The best input row r (the first least sum of the
+    square roots of a ``trusted_pairwise_sq_dists`` row) anchors the n x n matrix
     G = Y Y^T of the rows centred at it (Y = xs - r, built once in d-space):
     ||x_i - v||^2 = G_ii - 2 (G a)_i + a.G a, and a step delta in ``a`` has
     length^2 = delta.G delta. Centred at r, an entry's rounding scales with
@@ -96,7 +97,10 @@ def geometric_median(xs) -> np.ndarray:
     """
     xs = as_vector_set(xs)
     n = len(xs)
-    best_row = xs[int(np.argmin(np.sqrt(pairwise_sq_dists(xs)).sum(axis=1)))]
+    d2, err = pairwise_sq_dists(xs)
+    with np.errstate(divide="ignore", invalid="ignore"):  # |sqrt(a) - sqrt(b)| <= min(sqrt(e), e / sqrt(a - e))
+        spread = None if err is None else np.fmin(np.sqrt(err), err / np.sqrt(d2 - err)).sum(axis=1)
+    best_row = xs[_first_by_key(xs, d2, spread, n, 1, lambda i, d2: np.sqrt(d2).sum(axis=1))[0]]
     centered = xs - best_row
     gram = centered @ centered.T
     best_objective = float(np.linalg.norm(centered, axis=1).sum())
@@ -119,16 +123,27 @@ def geometric_median(xs) -> np.ndarray:
 
 
 def multi_krum(xs, f: int) -> np.ndarray:
-    """Mean of the n - f rows with the smallest summed distances to their
-    n - f - 1 nearest other rows."""
+    """Mean of the n - f rows with the smallest sums of squared distances to
+    their n - f - 1 nearest other rows, in the stable order of those exact sums."""
     xs = as_vector_set(xs)
     n = len(xs)
     check_f("MultiKrum", n, f, f + 2, "n >= f + 2")
-    d2 = pairwise_sq_dists(xs)
-    np.fill_diagonal(d2, np.inf)
-    scores = np.sort(d2, axis=1)[:, : n - f - 1].sum(axis=1)
-    chosen = np.argsort(scores, kind="stable")[: n - f]
+    k, (d2, err) = n - f - 1, pairwise_sq_dists(xs)
+    chosen = _first_by_key(xs, d2, None if err is None else k * err.max(axis=1), k, n - f,
+                           lambda i, d2: np.sort(np.where(i[:, None] == np.arange(n), np.inf, d2), 1)[:, :k].sum(1))
     return xs[chosen].mean(axis=0)
+
+
+def _first_by_key(xs, d2, spread, terms: int, need: int, key_of) -> np.ndarray:
+    """The first ``need`` positions of the stable argsort of ``key_of(rows, d2)``
+    on exact rows, sums of ``terms`` values, from ``pairwise_sq_dists``'s ``d2``,
+    whose terms err by ``spread`` per row in all (None: exact); the bound adds both sums' rounding."""
+    keys = key_of(np.arange(len(xs)), d2)
+    if spread is None:
+        return np.argsort(keys, kind="stable")[:need]
+    bound = spread + 2.0 * (terms + 1) * np.finfo(np.float64).eps * (np.abs(keys) + spread)
+    return stable_head(keys[None], bound[None],
+                       lambda _, rows: key_of(rows, np.array([sq_dists_to(xs[i], xs) for i in rows])), need)[0]
 
 
 def meamed(xs, f: int) -> np.ndarray:
@@ -187,7 +202,7 @@ def mda(xs, f: int) -> np.ndarray:
     """
 
     def profile(xs: np.ndarray):
-        d2, upper = pairwise_sq_dists(xs), np.triu_indices(len(xs) - f, k=1)
+        d2, upper = trusted_pairwise_sq_dists(xs), np.triu_indices(len(xs) - f, k=1)
         return lambda subset: tuple(np.sort(d2[np.ix_(subset, subset)][upper])[::-1])
 
     return _best_subset_mean("MDA", xs, f, profile)

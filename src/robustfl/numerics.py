@@ -2,10 +2,10 @@
 
 Client updates are plain 1-D float64 arrays and a round's worth of updates is
 an (n, d) matrix with one row per client. The public kernels validate shape
-and finiteness on entry (``as_vector_set``); ``trusted_pairwise_sq_dists``,
-which the rules call on the matrix they have already checked, and
-``pairwise_sq_dists_with_copies``, which extends an already validated block,
-``trusted_top_eigenpair`` and ``sorted_slice_means`` trust their arguments.
+and finiteness on entry (``as_vector_set``). The rest trust their arguments:
+the rules call ``trusted_pairwise_sq_dists``, ``gram_sq_dists``,
+``trusted_top_eigenpair`` and ``sorted_slice_means`` on the matrix they have
+checked, and ``pairwise_sq_dists_with_copies`` extends a validated block.
 
 Two budgets bound the temporaries. ``BLOCK_ELEMENTS`` (8 MiB) decides whether
 a kernel builds an (n, n, d)- or (n, n - f, d)-sized temporary in one piece.
@@ -26,7 +26,10 @@ the dict its inputs share: its ``slice_means`` sorts the fixed rows once
 
 Every rule works on n rows with n much smaller than d, so the n x n matrices
 of pairwise distances or of centred inner products carry what a rule needs:
-``top_eigenpair`` solves the n x n problem and maps the answer back to d-space.
+``top_eigenpair`` solves the n x n problem and maps the answer back to d-space,
+and a rule that ranks rows by their distances takes them in Gram form with an
+error bound (``gram_sq_dists``), recomputing exactly only the rows whose rank
+that bound leaves in doubt (``stable_head``).
 """
 
 from __future__ import annotations
@@ -235,39 +238,85 @@ def pairwise_sq_dists(xs) -> np.ndarray:
 
 
 def trusted_pairwise_sq_dists(xs: np.ndarray) -> np.ndarray:
-    """``pairwise_sq_dists`` of an (n, d) float64 matrix the caller has
-    validated.
+    """``pairwise_sq_dists`` of an (n, d) float64 matrix the caller has validated.
 
-    Computed from explicit row differences (not the Gram-matrix identity), so
-    the result is exactly symmetric with an exactly zero diagonal. When the
-    whole (n, n, d) difference tensor fits in ``BLOCK_ELEMENTS`` entries it is
-    built in one piece. Otherwise each row i < n - 1 is measured against the
-    rows from i on, in the runs of ``tiles(n, d, i)``, through one reused
-    buffer, and the upper triangle is mirrored into the lower: half the work,
-    extra memory O(n^2 + TILE_ELEMENTS + d). Every entry is the same per-pair
+    Computed from explicit row differences, so exactly symmetric with an exactly
+    zero diagonal. The (n, n, d) difference tensor is built in one piece when it
+    fits in ``BLOCK_ELEMENTS``; otherwise row i < n - 1 is ``sq_dists_to`` the
+    rows from i on, and the upper triangle is mirrored: half the work, extra
+    memory O(n^2 + TILE_ELEMENTS + d). Every entry is the same per-pair
     reduction whatever the tile (negating a difference is exact), so the
-    result is bit-identical either way.
+    result is bit-identical.
     """
     n, d = xs.shape
     if block_rows(n * d) >= n:
         diffs = xs[:, None, :] - xs[None, :, :]
         return np.einsum("ijk,ijk->ij", diffs, diffs)
     out = np.zeros((n, n))
-    buffer = np.empty(min(n, tile_width(d) + 1) * d)
     for i in range(n - 1):
-        for run in tiles(n, d, i):
-            out[i, run] = _sq_dists_to(xs[i], xs[run], buffer)
+        out[i, i:] = sq_dists_to(xs[i], xs[i:])
     lower = np.tril_indices(n, -1)
     out[lower] = out.T[lower]
     return out
 
 
-def _sq_dists_to(v: np.ndarray, rows: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-    """Squared distance of each of two or more ``rows`` to ``v``, reduced as
-    one (1, len(rows), d) einsum tile held in ``buffer``."""
-    diffs = buffer[: rows.size].reshape(1, *rows.shape)
-    np.subtract(rows, v, out=diffs[0])
-    return np.einsum("ijk,ijk->ij", diffs, diffs)[0]
+def sq_dists_to(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Squared distance of each of two or more trusted ``rows`` to ``v``, each
+    run of ``tiles(len(rows), d)`` reduced as one (1, run, d) einsum tile in
+    one reused buffer."""
+    m, d = rows.shape
+    buffer, out = np.empty(min(m, tile_width(d) + 1) * d), np.empty(m)
+    for run in tiles(m, d):
+        diffs = buffer[: (run.stop - run.start) * d].reshape(1, -1, d)
+        np.subtract(rows[run], v, out=diffs[0])
+        out[run] = np.einsum("ijk,ijk->ij", diffs, diffs)[0]
+    return out
+
+
+def gram_sq_dists(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``trusted_pairwise_sq_dists(xs)`` and None while its one-piece block fits
+    in ``BLOCK_ELEMENTS``; past it, the Gram form D = s_i + s_j - 2 G_ij of
+    G = xs xs^T, s = diag(G), and E >= |D - trusted_pairwise_sq_dists(xs)|
+    where both are finite, E = inf wherever the exact kernel may overflow.
+    With Higham's gamma_m ~ m u, u = 2^-53 (ch. 3), the entries of G in D_ij err
+    by 2 gamma_d (s_i + s_j) in all, forming D_ij by 4 u (s_i + s_j), the exact
+    kernel by gamma_(d+2) D_ij <= 2 gamma_(d+2) (s_i + s_j). E is four times
+    that, 16 (d + 2) u (s_i + s_j), plus 8 (d + 1) smallest normal floats for
+    products that underflow."""
+    n, d = xs.shape
+    if block_rows(n * d) >= n:
+        return trusted_pairwise_sq_dists(xs), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = xs @ xs.T
+        scale = gram.diagonal()[:, None] + gram.diagonal()[None, :]
+        d2 = np.maximum(scale - 2.0 * gram, 0.0)
+        err = 8.0 * scale * ((d + 2) * np.finfo(np.float64).eps) + 8 * (d + 1) * np.finfo(np.float64).tiny
+    err[~np.isfinite(d2)] = np.inf  # inf too where 8 (s_i + s_j) overflows
+    d2[np.diag_indices(n)] = err[np.diag_indices(n)] = 0.0
+    return d2, err
+
+
+def stable_head(keys: np.ndarray, bounds: np.ndarray, exact, need: int) -> np.ndarray:
+    """Per row of (m, n) ``keys``, the first ``need`` positions of the stable
+    argsort of exact keys within ``bounds`` of them (zero: exact; a key or bound
+    not finite, or within a factor 4 of overflow: anywhere). Where intervals
+    sorted by lower end overlap before ``need``, ``exact(row, positions)``
+    recomputes the members with a non-zero bound of each cluster of them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        unknown = ~np.isfinite(4.0 * (np.abs(keys) + bounds))
+        lo, hi = np.where(unknown, -np.inf, keys - bounds), np.where(unknown, np.inf, keys + bounds)
+    order = np.argsort(lo, axis=1, kind="stable")
+    apart = np.maximum.accumulate(np.take_along_axis(hi, order, 1), 1)[:, :-1] < np.take_along_axis(lo, order, 1)[:, 1:]
+    head = order[:, :need].copy()
+    for r in np.flatnonzero(~apart[:, :need].all(axis=1)):
+        cluster = np.concatenate([[0], np.cumsum(apart[r])])
+        taken = cluster <= cluster[need - 1]
+        members, known = order[r, taken], keys[r, order[r, taken]].copy()
+        redo = (np.bincount(cluster)[cluster[taken]] > 1) & (bounds[r, members] != 0)
+        if redo.any():
+            known[redo] = exact(r, members[redo])
+        head[r] = members[np.lexsort((members, known, cluster[taken]))][:need]
+    return head
 
 
 def pairwise_sq_dists_with_copies(honest_sq_dists: np.ndarray, honest: np.ndarray, v: np.ndarray, f: int):
@@ -276,16 +325,12 @@ def pairwise_sq_dists_with_copies(honest_sq_dists: np.ndarray, honest: np.ndarra
     TILE_ELEMENTS + d) memory.
 
     The result equals ``pairwise_sq_dists(np.vstack([honest, np.tile(v, (f, 1))]))``
-    bit for bit: each honest-to-v entry is the same reduction over the same
-    row difference, taken in the runs of ``tiles(n, d)`` (a lone honest row
-    is measured beside v itself, so that it too is one of two pairs), and the
-    copies are exactly 0 apart. The inputs are trusted: the caller has
-    validated ``honest``.
+    bit for bit: each honest-to-v entry is ``sq_dists_to``'s (a lone honest
+    row is measured beside v itself, one of two rows), and the copies are
+    exactly 0 apart. The caller has validated ``honest``.
     """
-    n, d = honest.shape
-    rows = honest if n > 1 else np.vstack([honest, v])
-    buffer = np.empty(min(len(rows), tile_width(d) + 1) * d)
-    column = np.concatenate([_sq_dists_to(v, rows[run], buffer) for run in tiles(len(rows), d)])[:n]
+    n = len(honest)
+    column = sq_dists_to(v, honest if n > 1 else np.vstack([honest, v]))[:n]
     out = np.zeros((n + f, n + f))
     out[:n, :n] = honest_sq_dists
     out[:n, n:] = column[:, None]

@@ -22,6 +22,33 @@ column_matrices = st.integers(2, 12).flatmap(
 tile_budgets = st.sampled_from([1, 5, 12, 1 << 40])
 
 
+def gram_cases() -> dict[str, np.ndarray]:
+    """Named (7, 5) inputs on which the Gram-form distances are hard to order:
+    duplicate rows and f = 3 copies of one row, rows one ulp apart beside
+    signed zeros, rows whose Gram entries overflow or whose products
+    underflow, one row 1e8 times farther out than the rest, and rows 1e8
+    from the origin, whose Gram-form distances keep no correct digit."""
+    base = np.random.default_rng(107).normal(size=(7, 5))
+    duplicates = base.copy()
+    duplicates[1] = duplicates[0]
+    duplicates[4:] = duplicates[3]
+    ulps = np.tile(base[0], (7, 1))
+    ulps[1::2] = np.nextafter(ulps[1::2], np.inf)
+    ulps[2] = np.nextafter(ulps[2], -np.inf)
+    ulps[:, 0] = [0.0, -0.0, 0.0, -0.0, 1.0, -0.0, 0.0]
+    far = base.copy()
+    far[2] *= 1e8
+    return {"duplicates": duplicates, "ulps": ulps, "overflow": np.sign(base) * 1e200,
+            "underflow": np.sign(base) * 1e-160, "far": far, "offset": base + 1e8}
+
+
+# Random tied matrices scaled to normal size, to where Gram entries underflow
+# or overflow, and some shifted far from the origin.
+scaled_matrices = st.tuples(
+    multi_row_matrices, st.sampled_from([1.0, 1e-160, 1e200]), st.sampled_from([0.0, 0.0, 1e8])
+).map(lambda case: case[0] * case[1] + case[2])
+
+
 @st.composite
 def merge_cases(draw):
     """(fixed, copies, w): fixed rows with d >= 2 and a row w to stack under

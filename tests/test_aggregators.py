@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from robustfl import numerics
+from robustfl import aggregators, numerics
 from robustfl.aggregators import (
     AGGREGATOR_NAMES,
     AGGREGATORS,
@@ -26,7 +26,18 @@ from robustfl.aggregators import (
 from robustfl.numerics import OverCopies, as_vector_set, sorted_slice_means
 from robustfl.preaggregators import nnm
 
-from conftest import column_matrices, in_tiles, merge_cases, multi_row_matrices, random_vector_set, tile_budgets
+from conftest import (
+    column_matrices,
+    gram_cases,
+    in_tiles,
+    merge_cases,
+    multi_row_matrices,
+    random_vector_set,
+    scaled_matrices,
+    single_block,
+    tile_budgets,
+)
+from test_scripts import load_script
 from oracles import (
     brute_mda,
     brute_smea,
@@ -216,6 +227,82 @@ class TestMultiKrum:
         xs = rng.normal(size=(33, 50_890)) * 0.01
         xs[30:] = xs[:30].mean(axis=0) - 1.5 * xs[:30].std(axis=0)
         np.testing.assert_array_equal(multi_krum(xs, 3), loop_multi_krum(xs, 3))
+
+
+GRAM_RULES = {"MultiKrum": multi_krum, "GeometricMedian": lambda xs, f: geometric_median(xs)}
+
+
+def on_exact_kernel(rule, xs, f):
+    """``rule`` ranking rows by the exact kernel's distances, as it does below
+    the block budget, without building the one-piece block of a wide input."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aggregators, "pairwise_sq_dists", lambda xs: (numerics.trusted_pairwise_sq_dists(xs), None))
+        return rule(xs, f)
+
+
+def count_exact_rows(monkeypatch) -> list:
+    """Record each exact distance row the rules recompute, by its row."""
+    rows = []
+
+    def counting(v, xs):
+        rows.append(v.copy())
+        return numerics.sq_dists_to(v, xs)
+
+    monkeypatch.setattr(aggregators, "sq_dists_to", counting)
+    return rows
+
+
+class TestGramOrder:
+    """Past the block budget MultiKrum and GeometricMedian order rows from
+    Gram-form distances; their output equals the exact kernel's bit for bit."""
+
+    @pytest.mark.parametrize("f", [1, 3])
+    @pytest.mark.parametrize("case", list(gram_cases()))
+    @pytest.mark.parametrize("name", list(GRAM_RULES))
+    def test_named_cases_equal_exact_path(self, name, case, f):
+        xs, rule = gram_cases()[case], GRAM_RULES[name]
+        with np.errstate(all="ignore"):
+            expected = single_block(rule, xs, f)
+            for budget in (1, 1 << 40):
+                np.testing.assert_array_equal(in_tiles(rule, budget, xs, f), expected)
+
+    @settings(deadline=None, max_examples=120)
+    @given(scaled_matrices, tile_budgets, st.sampled_from(list(GRAM_RULES)), st.data())
+    def test_equal_exact_path(self, xs, budget, name, data):
+        f = data.draw(st.integers(0, len(xs) - 2), label="f")
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(in_tiles(GRAM_RULES[name], budget, xs, f),
+                                          single_block(GRAM_RULES[name], xs, f))
+
+    @pytest.mark.parametrize("name", list(GRAM_RULES))
+    def test_attacked_input_recomputes_at_most_f_rows(self, name, monkeypatch):
+        bench = load_script("microbench_rules", monkeypatch)
+        n, d, f = bench.SHAPES[-1]
+        xs = bench.attacked_rows(n, d, f, np.random.default_rng(bench.SEED))
+        rows = count_exact_rows(monkeypatch)
+        got = GRAM_RULES[name](xs, f)
+        assert len(rows) <= f
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got, on_exact_kernel(GRAM_RULES[name], xs, f))
+
+    @pytest.mark.parametrize("name", list(GRAM_RULES))
+    def test_non_finite_entries_send_their_rows_to_the_fallback(self, name, monkeypatch):
+        overflow = gram_cases()["overflow"]
+        rows = count_exact_rows(monkeypatch)
+        with np.errstate(all="ignore"):
+            in_tiles(GRAM_RULES[name], 1 << 40, overflow, 2)
+        assert len(rows) == len(overflow)
+        # One far row: every row's entry to it is not finite in the Gram form.
+        xs = np.vstack([random_vector_set(np.random.default_rng(109), n=6, d=4), np.full(4, 1e200)])
+        rows.clear()
+        with np.errstate(all="ignore"):
+            _, err = in_tiles(numerics.gram_sq_dists, 1 << 40, xs)
+            got = in_tiles(GRAM_RULES[name], 1 << 40, xs, 2)
+        assert np.isinf(err[:, -1][:-1]).all()
+        np.testing.assert_array_equal(sorted(map(tuple, rows)), sorted(map(tuple, xs)))
+        monkeypatch.undo()
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(got, single_block(GRAM_RULES[name], xs, 2))
 
 
 class TestMeaMed:

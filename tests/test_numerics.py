@@ -8,9 +8,11 @@ from robustfl import numerics
 from robustfl.numerics import (
     SortedColumns,
     as_vector_set,
+    gram_sq_dists,
     pairwise_sq_dists,
     pairwise_sq_dists_with_copies,
     sorted_slice_means,
+    stable_head,
     tile_width,
     tiles,
     top_eigenpair,
@@ -19,11 +21,13 @@ from robustfl.numerics import (
 from conftest import (
     column_matrices,
     finite_elements,
+    gram_cases,
     in_blocks,
     in_tiles,
     merge_cases,
     multi_row_matrices,
     random_vector_set,
+    scaled_matrices,
     single_block,
     tied_elements,
     tile_budgets,
@@ -150,6 +154,81 @@ class TestTiledPairwiseSqDists:
         xs = np.random.default_rng(15).normal(size=(n, BUFFERED_D))
         tiled = in_tiles(pairwise_sq_dists, budget, xs)
         assert tiled.tobytes() == parent_pairwise_sq_dists(xs).tobytes()
+
+
+def assert_bound_covers_exact_kernel(xs: np.ndarray) -> None:
+    """Past the block budget, the Gram form lies within its bound of the exact
+    kernel wherever both are finite, and the bound is inf wherever either is not."""
+    d2, err = in_tiles(gram_sq_dists, 1 << 40, xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = pairwise_sq_dists(xs)
+        both = np.isfinite(d2) & np.isfinite(exact)
+        assert (np.abs(d2 - exact)[both] <= err[both]).all()
+    assert np.isinf(err[~both]).all()
+    assert not np.diag(d2).any() and not np.diag(err).any()
+
+
+class TestGramSqDists:
+    @pytest.mark.parametrize("name", list(gram_cases()))
+    def test_bound_covers_exact_kernel(self, name):
+        assert_bound_covers_exact_kernel(gram_cases()[name])
+
+    @settings(deadline=None, max_examples=150)
+    @given(scaled_matrices)
+    def test_bound_covers_exact_kernel_on_random_sets(self, xs):
+        assert_bound_covers_exact_kernel(xs)
+
+    def test_bound_covers_exact_kernel_on_wide_rows(self):
+        rng = np.random.default_rng(19)
+        xs = rng.normal(size=50_890) + rng.normal(size=(33, 50_890)) * 0.01
+        xs[30:] = xs[:30].mean(axis=0) - 1.5 * xs[:30].std(axis=0)
+        assert_bound_covers_exact_kernel(xs)
+        d2, err = gram_sq_dists(xs)
+        assert err.max() < 1e-6 * np.median(d2)
+
+    def test_one_piece_block_is_the_exact_matrix_without_a_bound(self, x3):
+        d2, err = gram_sq_dists(x3)
+        assert err is None and d2.tobytes() == parent_pairwise_sq_dists(x3).tobytes()
+
+
+class TestStableHead:
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 3), st.integers(1, 9), st.data())
+    def test_equals_stable_argsort_of_exact_keys(self, m, n, data):
+        exact = data.draw(arrays(np.float64, (m, n), elements=st.sampled_from([0.0, 1.0, 2.0, 2.5, 1e308, np.inf])))
+        bounds = data.draw(arrays(np.float64, (m, n), elements=st.sampled_from([0.0, 0.25, 1.0, 3.0, np.inf])))
+        offsets = data.draw(arrays(np.float64, (m, n), elements=st.floats(-1.0, 1.0)))
+        need = data.draw(st.integers(1, n), label="need")
+        with np.errstate(invalid="ignore"):
+            keys = np.where(bounds == 0, exact, exact + offsets * bounds)
+        asked = []
+
+        def exact_keys(row, positions):
+            asked.extend(bounds[row, positions])
+            return exact[row, positions]
+
+        got = stable_head(keys, bounds, exact_keys, need)
+        np.testing.assert_array_equal(got, np.argsort(exact, axis=1, kind="stable")[:, :need])
+        assert all(asked)
+
+    def test_separated_intervals_need_no_exact_key(self):
+        keys = np.array([[3.0, 0.0, 2.0, 1.0]])
+        got = stable_head(keys, np.full((1, 4), 0.4), lambda row, positions: pytest.fail("recomputed"), 4)
+        np.testing.assert_array_equal(got, [[1, 3, 2, 0]])
+
+    @pytest.mark.parametrize("bounds, recomputed", [([1.0, 1.0, 1.0, 1.0], [0, 1, 2, 3]),
+                                                    ([0.0, 0.0, np.inf, 0.0], [2])])
+    def test_non_finite_key_overlaps_every_interval(self, bounds, recomputed):
+        exact = np.array([[0.0, 10.0, 20.0, 30.0]])
+        asked = []
+
+        def exact_keys(row, positions):
+            asked.extend(positions)
+            return exact[row, positions]
+
+        got = stable_head(np.array([[0.0, 10.0, np.nan, 30.0]]), np.array([bounds]), exact_keys, 1)
+        np.testing.assert_array_equal(got, [[0]])
+        assert sorted(asked) == recomputed
 
 
 class TestPairwiseSqDistsWithCopies:

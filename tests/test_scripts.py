@@ -46,7 +46,9 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
         "Optimal_ALIE", "Optimal_IPM", "Optimal_ALIE:TrMean", "Optimal_ALIE:NNM>Median"
     ]
     kernels = [row for row in rows if row[0] == "kernel"]
-    assert [row[1:5] for row in kernels] == [["pairwise_sq_dists", "7", "12", "2"], ["ALIE_parts", "7", "12", "2"]]
+    assert [row[1:5] for row in kernels] == [
+        ["pairwise_sq_dists", "7", "12", "2"], ["gram_sq_dists", "7", "12", "2"], ["ALIE_parts", "7", "12", "2"]
+    ]
     assert all(float(row[5]) > 0 for row in kernels)
     models = [row for row in rows if row[0] == "model"]
     assert [row[1:5] for row in models] == [["linear", "25", "33", "-"], ["mlp", "25", "50890", "-"]]
