@@ -23,8 +23,7 @@ colon in the name). Three kernel rows time, at that shape, one
 ``numerics.pairwise_sq_dists`` call on the n rows (the exact distance kernel
 of NNM and MDA), one ``numerics.gram_sq_dists`` call on them (the Gram-form
 distances and their error bound that MultiKrum and GeometricMedian order
-rows by past ``BLOCK_ELEMENTS``; below it, the exact kernel) and
-ALittleIsEnough's per-search parts, the mean and std of the n - f honest rows. Two model rows time one ``loss_and_gradient``
+rows by) and ALittleIsEnough's per-search parts, the mean and std of the n - f honest rows. Two model rows time one ``loss_and_gradient``
 call on a seeded batch of 25 (n is the batch, d the parameter count): the
 linear 10 -> 3 model of ``sample_grid``, where this call is most of the time,
 and the 784 -> 64 -> 10 MLP of the ``mnist_*`` workloads. Three round rows

@@ -99,8 +99,8 @@ def geometric_median(xs) -> np.ndarray:
     n = len(xs)
     d2, err = pairwise_sq_dists(xs)
     with np.errstate(divide="ignore", invalid="ignore"):  # |sqrt(a) - sqrt(b)| <= min(sqrt(e), e / sqrt(a - e))
-        spread = None if err is None else np.fmin(np.sqrt(err), err / np.sqrt(d2 - err)).sum(axis=1)
-    best_row = xs[_first_by_key(xs, d2, spread, n, 1, lambda i, d2: np.sqrt(d2).sum(axis=1))[0]]
+        spread = np.fmin(np.sqrt(err), err / np.sqrt(d2 - err)).sum(axis=1)
+    best_row = xs[_first_by_key(xs, d2, spread, n, 1, lambda d2, rows: np.sqrt(d2).sum(axis=1))[0]]
     centered = xs - best_row
     gram = centered @ centered.T
     best_objective = float(np.linalg.norm(centered, axis=1).sum())
@@ -128,22 +128,31 @@ def multi_krum(xs, f: int) -> np.ndarray:
     xs = as_vector_set(xs)
     n = len(xs)
     check_f("MultiKrum", n, f, f + 2, "n >= f + 2")
-    k, (d2, err) = n - f - 1, pairwise_sq_dists(xs)
-    chosen = _first_by_key(xs, d2, None if err is None else k * err.max(axis=1), k, n - f,
-                           lambda i, d2: np.sort(np.where(i[:, None] == np.arange(n), np.inf, d2), 1)[:, :k].sum(1))
+    k = n - f - 1
+
+    def scores(d2, rows):  # each row's sum of its k smallest distances to other rows
+        d2[np.arange(len(rows)), rows] = np.inf
+        return np.sort(d2, axis=1)[:, :k].sum(axis=1)
+
+    d2, err = pairwise_sq_dists(xs)
+    chosen = _first_by_key(xs, d2, k * err.max(axis=1), k, n - f, scores)
     return xs[chosen].mean(axis=0)
 
 
 def _first_by_key(xs, d2, spread, terms: int, need: int, key_of) -> np.ndarray:
-    """The first ``need`` positions of the stable argsort of ``key_of(rows, d2)``
-    on exact rows, sums of ``terms`` values, from ``pairwise_sq_dists``'s ``d2``,
-    whose terms err by ``spread`` per row in all (None: exact); the bound adds both sums' rounding."""
-    keys = key_of(np.arange(len(xs)), d2)
-    if spread is None:
-        return np.argsort(keys, kind="stable")[:need]
-    bound = spread + 2.0 * (terms + 1) * np.finfo(np.float64).eps * (np.abs(keys) + spread)
-    return stable_head(keys[None], bound[None],
-                       lambda _, rows: key_of(rows, np.array([sq_dists_to(xs[i], xs) for i in rows])), need)[0]
+    """The first ``need`` positions of the stable argsort of ``key_of(d2, rows)``,
+    a sum of ``terms`` entries, on exact distance rows, given ``pairwise_sq_dists``'s
+    ``d2`` and ``spread``, a bound on the error of each row's terms in all (0: exact)."""
+
+    def exact_keys(rows):
+        if 2 * len(rows) > len(xs):  # the whole matrix reduces each pair once
+            return key_of(trusted_pairwise_sq_dists(xs)[rows], rows)
+        return key_of(np.array([sq_dists_to(xs[i], xs) for i in rows]), rows)
+
+    keys = key_of(d2, np.arange(len(xs)))
+    rounding = 2.0 * (terms + 1) * np.finfo(np.float64).eps * (np.abs(keys) + spread)  # of both sums
+    bound = np.where(spread > 0, spread + rounding, 0.0)
+    return stable_head(keys, bound, exact_keys, need)
 
 
 def meamed(xs, f: int) -> np.ndarray:

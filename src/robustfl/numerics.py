@@ -27,9 +27,7 @@ the dict its inputs share: its ``slice_means`` sorts the fixed rows once
 Every rule works on n rows with n much smaller than d, so the n x n matrices
 of pairwise distances or of centred inner products carry what a rule needs:
 ``top_eigenpair`` solves the n x n problem and maps the answer back to d-space,
-and a rule that ranks rows by their distances takes them in Gram form with an
-error bound (``gram_sq_dists``), recomputing exactly only the rows whose rank
-that bound leaves in doubt (``stable_head``).
+and ``gram_sq_dists`` with ``stable_head`` rank rows by distance from one n x n product.
 """
 
 from __future__ import annotations
@@ -240,32 +238,31 @@ def pairwise_sq_dists(xs) -> np.ndarray:
 def trusted_pairwise_sq_dists(xs: np.ndarray) -> np.ndarray:
     """``pairwise_sq_dists`` of an (n, d) float64 matrix the caller has validated.
 
-    Computed from explicit row differences, so exactly symmetric with an exactly
-    zero diagonal. The (n, n, d) difference tensor is built in one piece when it
-    fits in ``BLOCK_ELEMENTS``; otherwise row i < n - 1 is ``sq_dists_to`` the
-    rows from i on, and the upper triangle is mirrored: half the work, extra
-    memory O(n^2 + TILE_ELEMENTS + d). Every entry is the same per-pair
-    reduction whatever the tile (negating a difference is exact), so the
-    result is bit-identical.
+    Computed from explicit row differences, so exactly symmetric with an exactly zero diagonal.
+    The (n, n, d) difference tensor is built in one piece when it fits in ``BLOCK_ELEMENTS``;
+    otherwise row i < n - 1 is ``sq_dists_to`` the rows from i on, through one buffer, and the
+    upper triangle is mirrored: half the work, extra memory O(n^2 + TILE_ELEMENTS + d). Each entry
+    is one per-pair reduction whatever the tile (negating a difference is exact): bit-identical.
     """
     n, d = xs.shape
     if block_rows(n * d) >= n:
         diffs = xs[:, None, :] - xs[None, :, :]
         return np.einsum("ijk,ijk->ij", diffs, diffs)
     out = np.zeros((n, n))
+    buffer = np.empty(min(n, tile_width(d) + 1) * d)
     for i in range(n - 1):
-        out[i, i:] = sq_dists_to(xs[i], xs[i:])
+        out[i, i:] = sq_dists_to(xs[i], xs[i:], buffer)
     lower = np.tril_indices(n, -1)
     out[lower] = out.T[lower]
     return out
 
 
-def sq_dists_to(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Squared distance of each of two or more trusted ``rows`` to ``v``, each
-    run of ``tiles(len(rows), d)`` reduced as one (1, run, d) einsum tile in
-    one reused buffer."""
+def sq_dists_to(v: np.ndarray, rows: np.ndarray, buffer: np.ndarray | None = None) -> np.ndarray:
+    """Squared distance of each of two or more trusted ``rows`` to ``v``, each run of ``tiles(len(rows), d)``
+    reduced as one (1, run, d) einsum tile in ``buffer``, min(len(rows), tile_width(d) + 1) * d long (None: new)."""
     m, d = rows.shape
-    buffer, out = np.empty(min(m, tile_width(d) + 1) * d), np.empty(m)
+    buffer = np.empty(min(m, tile_width(d) + 1) * d) if buffer is None else buffer
+    out = np.empty(m)
     for run in tiles(m, d):
         diffs = buffer[: (run.stop - run.start) * d].reshape(1, -1, d)
         np.subtract(rows[run], v, out=diffs[0])
@@ -273,19 +270,17 @@ def sq_dists_to(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def gram_sq_dists(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """``trusted_pairwise_sq_dists(xs)`` and None while its one-piece block fits
-    in ``BLOCK_ELEMENTS``; past it, the Gram form D = s_i + s_j - 2 G_ij of
-    G = xs xs^T, s = diag(G), and E >= |D - trusted_pairwise_sq_dists(xs)|
-    where both are finite, E = inf wherever the exact kernel may overflow.
-    With Higham's gamma_m ~ m u, u = 2^-53 (ch. 3), the entries of G in D_ij err
-    by 2 gamma_d (s_i + s_j) in all, forming D_ij by 4 u (s_i + s_j), the exact
-    kernel by gamma_(d+2) D_ij <= 2 gamma_(d+2) (s_i + s_j). E is four times
-    that, 16 (d + 2) u (s_i + s_j), plus 8 (d + 1) smallest normal floats for
-    products that underflow."""
+def gram_sq_dists(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances D and a bound E on their error: ``trusted_pairwise_sq_dists(xs)`` and E = 0
+    while its one-piece block fits in ``BLOCK_ELEMENTS``; past it, the Gram form s_i + s_j - 2 G_ij
+    of G = xs xs^T, s = diag(G), with E >= |D - exact| where both are finite and E = inf wherever the
+    exact kernel may overflow. With Higham's gamma_m ~ m u, u = 2^-53 (ch. 3), the entries of G in
+    D_ij err by 2 gamma_d (s_i + s_j) in all, forming D_ij by 4 u (s_i + s_j) and the exact kernel by
+    gamma_(d+2) D_ij <= 2 gamma_(d+2) (s_i + s_j); E is four times that, 16 (d + 2) u (s_i + s_j),
+    plus 8 (d + 1) smallest normals for products that underflow."""
     n, d = xs.shape
     if block_rows(n * d) >= n:
-        return trusted_pairwise_sq_dists(xs), None
+        return trusted_pairwise_sq_dists(xs), np.zeros((n, n))
     with np.errstate(over="ignore", invalid="ignore"):
         gram = xs @ xs.T
         scale = gram.diagonal()[:, None] + gram.diagonal()[None, :]
@@ -297,37 +292,33 @@ def gram_sq_dists(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def stable_head(keys: np.ndarray, bounds: np.ndarray, exact, need: int) -> np.ndarray:
-    """Per row of (m, n) ``keys``, the first ``need`` positions of the stable
-    argsort of exact keys within ``bounds`` of them (zero: exact; a key or bound
-    not finite, or within a factor 4 of overflow: anywhere). Where intervals
-    sorted by lower end overlap before ``need``, ``exact(row, positions)``
-    recomputes the members with a non-zero bound of each cluster of them."""
+    """The first ``need`` positions of the stable argsort of exact keys, each within ``bounds``
+    of ``keys`` (zero: exact; a key or bound not finite, or within a factor 4 of overflow:
+    anywhere). Sorted by lower end, intervals that overlap before ``need`` form clusters, each
+    ordered by exact keys, which ``exact(positions)`` gives for its members with non-zero bounds."""
     with np.errstate(over="ignore", invalid="ignore"):
         unknown = ~np.isfinite(4.0 * (np.abs(keys) + bounds))
-        lo, hi = np.where(unknown, -np.inf, keys - bounds), np.where(unknown, np.inf, keys + bounds)
-    order = np.argsort(lo, axis=1, kind="stable")
-    apart = np.maximum.accumulate(np.take_along_axis(hi, order, 1), 1)[:, :-1] < np.take_along_axis(lo, order, 1)[:, 1:]
-    head = order[:, :need].copy()
-    for r in np.flatnonzero(~apart[:, :need].all(axis=1)):
-        cluster = np.concatenate([[0], np.cumsum(apart[r])])
-        taken = cluster <= cluster[need - 1]
-        members, known = order[r, taken], keys[r, order[r, taken]].copy()
-        redo = (np.bincount(cluster)[cluster[taken]] > 1) & (bounds[r, members] != 0)
-        if redo.any():
-            known[redo] = exact(r, members[redo])
-        head[r] = members[np.lexsort((members, known, cluster[taken]))][:need]
-    return head
+        lo = np.where(unknown, -np.inf, keys - bounds)
+        hi = np.where(unknown, np.inf, keys + bounds)
+    order = np.argsort(lo, kind="stable")
+    apart = np.maximum.accumulate(hi[order])[:-1] < lo[order][1:]
+    cluster = np.concatenate([[0], np.cumsum(apart)])
+    taken = cluster <= cluster[need - 1]
+    members, known = order[taken], keys[order[taken]]
+    redo = (np.bincount(cluster)[cluster[taken]] > 1) & (bounds[members] != 0)
+    if redo.any():
+        known[redo] = exact(members[redo])
+    return members[np.lexsort((members, known, cluster[taken]))][:need]
 
 
 def pairwise_sq_dists_with_copies(honest_sq_dists: np.ndarray, honest: np.ndarray, v: np.ndarray, f: int):
-    """``pairwise_sq_dists`` of ``honest`` stacked over f copies of ``v``,
-    built from the already computed honest block in O(n d) time and O(n^2 +
-    TILE_ELEMENTS + d) memory.
+    """``pairwise_sq_dists`` of ``honest`` stacked over f copies of ``v``, built from the already
+    computed honest block in O(n d) time and O(n^2 + TILE_ELEMENTS + d) memory.
 
-    The result equals ``pairwise_sq_dists(np.vstack([honest, np.tile(v, (f, 1))]))``
-    bit for bit: each honest-to-v entry is ``sq_dists_to``'s (a lone honest
-    row is measured beside v itself, one of two rows), and the copies are
-    exactly 0 apart. The caller has validated ``honest``.
+    The result equals ``pairwise_sq_dists(np.vstack([honest, np.tile(v, (f, 1))]))`` bit for
+    bit: each honest-to-v entry is ``sq_dists_to``'s (a lone honest row is measured beside v
+    itself, one of two rows), and the copies are exactly 0 apart. The caller has validated
+    ``honest``.
     """
     n = len(honest)
     column = sq_dists_to(v, honest if n > 1 else np.vstack([honest, v]))[:n]

@@ -233,28 +233,37 @@ GRAM_RULES = {"MultiKrum": multi_krum, "GeometricMedian": lambda xs, f: geometri
 
 
 def on_exact_kernel(rule, xs, f):
-    """``rule`` ranking rows by the exact kernel's distances, as it does below
-    the block budget, without building the one-piece block of a wide input."""
+    """``rule`` taking the stable argsort of its keys on the exact kernel's
+    distances, as it did before it ranked rows from the Gram form."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(aggregators, "pairwise_sq_dists", lambda xs: (numerics.trusted_pairwise_sq_dists(xs), None))
+        mp.setattr(aggregators, "pairwise_sq_dists",
+                   lambda xs: (numerics.trusted_pairwise_sq_dists(xs), np.zeros((len(xs), len(xs)))))
+        mp.setattr(aggregators, "stable_head", lambda keys, bounds, exact, need: np.argsort(keys, kind="stable")[:need])
         return rule(xs, f)
 
 
 def count_exact_rows(monkeypatch) -> list:
-    """Record each exact distance row the rules recompute, by its row."""
+    """Record each exact distance row the rules recompute, by its row: one per
+    ``sq_dists_to`` call, every row of a ``trusted_pairwise_sq_dists`` call."""
     rows = []
 
-    def counting(v, xs):
+    def one_row(v, xs):
         rows.append(v.copy())
         return numerics.sq_dists_to(v, xs)
 
-    monkeypatch.setattr(aggregators, "sq_dists_to", counting)
+    def all_rows(xs):
+        rows.extend(xs.copy())
+        return numerics.trusted_pairwise_sq_dists(xs)
+
+    monkeypatch.setattr(aggregators, "sq_dists_to", one_row)
+    monkeypatch.setattr(aggregators, "trusted_pairwise_sq_dists", all_rows)
     return rows
 
 
 class TestGramOrder:
     """Past the block budget MultiKrum and GeometricMedian order rows from
-    Gram-form distances; their output equals the exact kernel's bit for bit."""
+    Gram-form distances; their output equals the stable order of the exact
+    kernel's keys bit for bit, past the budget and below it."""
 
     @pytest.mark.parametrize("f", [1, 3])
     @pytest.mark.parametrize("case", list(gram_cases()))
@@ -262,7 +271,8 @@ class TestGramOrder:
     def test_named_cases_equal_exact_path(self, name, case, f):
         xs, rule = gram_cases()[case], GRAM_RULES[name]
         with np.errstate(all="ignore"):
-            expected = single_block(rule, xs, f)
+            expected = on_exact_kernel(rule, xs, f)
+            np.testing.assert_array_equal(single_block(rule, xs, f), expected)
             for budget in (1, 1 << 40):
                 np.testing.assert_array_equal(in_tiles(rule, budget, xs, f), expected)
 
@@ -270,9 +280,11 @@ class TestGramOrder:
     @given(scaled_matrices, tile_budgets, st.sampled_from(list(GRAM_RULES)), st.data())
     def test_equal_exact_path(self, xs, budget, name, data):
         f = data.draw(st.integers(0, len(xs) - 2), label="f")
+        rule = GRAM_RULES[name]
         with np.errstate(all="ignore"):
-            np.testing.assert_array_equal(in_tiles(GRAM_RULES[name], budget, xs, f),
-                                          single_block(GRAM_RULES[name], xs, f))
+            expected = on_exact_kernel(rule, xs, f)
+            np.testing.assert_array_equal(single_block(rule, xs, f), expected)
+            np.testing.assert_array_equal(in_tiles(rule, budget, xs, f), expected)
 
     @pytest.mark.parametrize("name", list(GRAM_RULES))
     def test_attacked_input_recomputes_at_most_f_rows(self, name, monkeypatch):
@@ -302,7 +314,20 @@ class TestGramOrder:
         np.testing.assert_array_equal(sorted(map(tuple, rows)), sorted(map(tuple, xs)))
         monkeypatch.undo()
         with np.errstate(all="ignore"):
-            np.testing.assert_array_equal(got, single_block(GRAM_RULES[name], xs, 2))
+            np.testing.assert_array_equal(got, on_exact_kernel(GRAM_RULES[name], xs, 2))
+
+    @pytest.mark.parametrize("name", list(GRAM_RULES))
+    def test_more_than_half_the_rows_come_from_one_exact_matrix(self, name, monkeypatch):
+        matrices = []
+        monkeypatch.setattr(aggregators, "sq_dists_to", lambda v, xs: pytest.fail("one exact row measured"))
+        monkeypatch.setattr(aggregators, "trusted_pairwise_sq_dists",
+                            lambda xs: matrices.append(xs) or numerics.trusted_pairwise_sq_dists(xs))
+        with np.errstate(all="ignore"):
+            got = in_tiles(GRAM_RULES[name], 1 << 40, gram_cases()["overflow"], 2)
+        assert len(matrices) == 1
+        monkeypatch.undo()
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(got, on_exact_kernel(GRAM_RULES[name], gram_cases()["overflow"], 2))
 
 
 class TestMeaMed:
