@@ -19,11 +19,17 @@ Optimal_ALittleIsEnough (``Optimal_ALIE``, the per-step attack cost of the
 ``mnist_optimal`` workload) and Optimal_InnerProductManipulation
 (``Optimal_IPM``) against TrMean behind NNM, then Optimal_ALittleIsEnough
 against TrMean alone and against Median behind NNM (the pipeline follows a
-colon in the name). Three kernel rows time, at that shape, one
-``numerics.pairwise_sq_dists`` call on the n rows (the exact distance kernel
-of NNM and MDA), one ``numerics.gram_sq_dists`` call on them (the Gram-form
-distances and their error bound that MultiKrum and GeometricMedian order
-rows by) and ALittleIsEnough's per-search parts, the mean and std of the n - f honest rows. Two model rows time one ``loss_and_gradient``
+colon in the name). The ``attack step`` row times what a ``mnist_optimal``
+step does after its clients' training: one Optimal_ALittleIsEnough attack by
+``ByzantineClientGroup.gradient_rows`` on those honest rows against TrMean
+behind NNM, plus the server's aggregate-and-apply, which adds the search's
+winning aggregate instead of running the pipeline again. Three kernel rows
+time, at that shape, one ``numerics.pairwise_sq_dists`` call on the n rows
+(the exact distance kernel of MDA and of the orderings' fallback), one
+``numerics.gram_sq_dists`` call on them (the Gram-form distances and their
+error bound that NNM, MultiKrum and GeometricMedian order rows by) and
+ALittleIsEnough's per-search parts, the mean and std of the n - f honest
+rows. Two model rows time one ``loss_and_gradient``
 call on a seeded batch of 25 (n is the batch, d the parameter count): the
 linear 10 -> 3 model of ``sample_grid``, where this call is most of the time,
 and the 784 -> 64 -> 10 MLP of the ``mnist_*`` workloads. Three round rows
@@ -60,12 +66,13 @@ from robustfl.aggregators import (  # noqa: E402
 from robustfl.attacks import (  # noqa: E402
     AFFINE_BASES,
     AttackContext,
+    AttackSpec,
     a_little_is_enough,
     inner_product_manipulation,
     optimize_attack_scale,
 )
 from robustfl.datadist import LabeledDataset  # noqa: E402
-from robustfl.models import LinearArch, MlpArch, init_params, loss_and_gradient, param_count  # noqa: E402
+from robustfl.models import LinearArch, LrSchedule, MlpArch, init_params, loss_and_gradient, param_count  # noqa: E402
 from robustfl.numerics import gram_sq_dists, pairwise_sq_dists  # noqa: E402
 from robustfl.preaggregators import (  # noqa: E402
     PRE_AGGREGATOR_NAMES,
@@ -73,7 +80,7 @@ from robustfl.preaggregators import (  # noqa: E402
     PreAggregatorSpec,
     build_pipeline,
 )
-from robustfl.simulator import HonestClient  # noqa: E402
+from robustfl.simulator import ByzantineClientGroup, HonestClient, ServerState, _aggregate_and_apply  # noqa: E402
 
 SHAPES = ((12, 1_000, 2), (33, 50_890, 3))
 SEED = 0
@@ -180,6 +187,16 @@ def main() -> int:
         pipeline = build_pipeline(AggregatorSpec(rule, f=f), [PreAggregatorSpec(pre, f=f) for pre in pres])
         ms, calls = median_ms(lambda rows: optimize_attack_scale(AttackContext(rows, f, pipeline), base), honest)
         print(f"{'attack search':<15} {name:<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")
+    group = ByzantineClientGroup(f, AttackSpec("Optimal_ALittleIsEnough"))
+    pipeline = build_pipeline(AggregatorSpec("TrMean", f=f), [PreAggregatorSpec("NNM", f=f)])
+    server = ServerState(MODELS[1][1], np.zeros(d), pipeline, LrSchedule(0.05))
+
+    def attack_step(rows: np.ndarray) -> None:
+        byz_rows = group.gradient_rows(rows[: n - f], server.pipeline)
+        _aggregate_and_apply(server, rows, byz_rows, group.search, -server.schedule.lr_at(server.step))
+
+    ms, calls = median_ms(attack_step, attacked.copy())
+    print(f"{'attack step':<15} {'Optimal_ALIE':<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")
     for name, fn, xs in (("pairwise_sq_dists", pairwise_sq_dists, attacked),
                          ("gram_sq_dists", gram_sq_dists, attacked),
                          ("ALIE_parts", AFFINE_BASES[a_little_is_enough].parts, honest)):

@@ -144,7 +144,7 @@ def _first_by_key(xs, d2, spread, terms: int, need: int, key_of) -> np.ndarray:
     a sum of ``terms`` entries, on exact distance rows, given ``pairwise_sq_dists``'s
     ``d2`` and ``spread``, a bound on the error of each row's terms in all (0: exact)."""
 
-    def exact_keys(rows):
+    def exact_keys(_, rows):  # the key row's positions are rows of xs
         if 2 * len(rows) > len(xs):  # the whole matrix reduces each pair once
             return key_of(trusted_pairwise_sq_dists(xs)[rows], rows)
         return key_of(np.array([sq_dists_to(xs[i], xs) for i in rows]), rows)

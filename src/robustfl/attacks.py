@@ -71,9 +71,13 @@ class AttackContext:
 
 
 class OptimizedAttack(NamedTuple):
+    """A search's winner: scale, vector, score, and the aggregate and pipeline clone of its candidate."""
+
     scale: float
     vector: np.ndarray
     score: float
+    aggregate: np.ndarray
+    pipeline: Pipeline
 
 
 def optimize_attack_scale(
@@ -85,19 +89,13 @@ def optimize_attack_scale(
 
     Each candidate scale's f copies of ``base(honest, scale)`` go under the
     honest rows and through a clone of the pipeline (so stateful stages start
-    alike); the score is the aggregate's distance to the honest mean, and ties
-    go to the smallest scale. The honest rows are checked, and ``base``'s
-    ``AFFINE_BASES`` parts computed, once per search. Each candidate writes
-    its f rows into one reused (n + f, d) buffer and reaches the pipeline as
-    ``numerics.OverCopies``: the honest rows over f copies of one row, which
-    is checked there, with one dict shared by the whole search. A stage may
-    use that shape: an NNM first stage computes the honest distance block
-    once, extends it in O(n d) per candidate, reuses honest-only neighbour
-    means and may hand on an ``OverCopies`` itself; a sorted-slice rule
-    (Median, TrMean) sorts the fixed rows once and merges each candidate's
-    row in. Every other stage reads the buffer as a matrix. Buffer and dict
-    die with the call; the returned vector is computed afresh. Memory is
-    O((n + f) (d + n)) plus ``numerics.BLOCK_ELEMENTS`` and the dict's O(n d).
+    alike), as ``numerics.OverCopies`` with one dict shared by the whole search;
+    the score is the aggregate's distance to the honest mean, and ties go to the
+    smallest scale. ``base`` needs a row in ``AFFINE_BASES``. The returned vector
+    is computed afresh; the returned aggregate and clone are, bit for bit and
+    state for state, what the live pipeline gives for the honest rows over f
+    copies of that vector and is left in. Nothing the caller passed is changed.
+    Memory is O((n + f) (d + n)) plus ``BLOCK_ELEMENTS`` and the dict's O(n d).
     """
     if len(grid) == 0:
         raise ValueError("scale grid must be non-empty")
@@ -111,21 +109,22 @@ def optimize_attack_scale(
     n = len(honest)
     candidate = np.vstack([honest, np.empty((ctx.f, honest.shape[1]))])
     shared: dict = {}
-    best_scale = None
+    best_scale = best_aggregate = best_pipeline = None
     best_score = -np.inf
     for scale in grid:
         candidate[n:] = at(scale, *parts)
-        aggregate = ctx.pipeline.clone()(OverCopies(candidate, n, shared))
+        pipeline = ctx.pipeline.clone()
+        aggregate = pipeline(OverCopies(candidate, n, shared))
         score = float(np.linalg.norm(aggregate - honest_mean))
         if score > best_score or (score == best_score and scale < best_scale):
-            best_score = score
-            best_scale = scale
-    return OptimizedAttack(best_scale, at(best_scale, *parts), best_score)
+            best_scale, best_score, best_pipeline = scale, score, pipeline
+            best_aggregate = np.array(aggregate)
+    return OptimizedAttack(best_scale, at(best_scale, *parts), best_score, best_aggregate, best_pipeline)
 
 
-def _optimal(base: Callable[[np.ndarray, float], np.ndarray]) -> Callable[..., np.ndarray]:
-    """The Optimal_* variant of ``base``: its vector at the best scale of the default grid."""
-    return lambda ctx: optimize_attack_scale(ctx, base).vector
+def _optimal(base: Callable[[np.ndarray, float], np.ndarray]) -> Callable[[AttackContext], OptimizedAttack]:
+    """The Optimal_* variant of ``base``: its search over the default grid."""
+    return lambda ctx: optimize_attack_scale(ctx, base)
 
 
 # A closed-form row takes the honest rows; a row that needs f takes the whole
@@ -149,10 +148,11 @@ class AttackSpec(RuleSpec):
     family = "attack"
 
 
-def attack_vector(spec: AttackSpec, ctx: AttackContext) -> np.ndarray:
-    """Single Byzantine vector for a gradient-space attack.
+def crafted(spec: AttackSpec, ctx: AttackContext) -> np.ndarray | OptimizedAttack:
+    """Single Byzantine vector for a gradient-space attack, or, for an
+    Optimal_* attack, the ``OptimizedAttack`` whose ``vector`` it is.
 
-    The caller tiles the result f times. LabelFlipping has no gradient-space
+    The caller tiles the vector f times. LabelFlipping has no gradient-space
     form and is rejected here.
     """
     rule = ATTACKS[spec.name]
@@ -161,3 +161,9 @@ def attack_vector(spec: AttackSpec, ctx: AttackContext) -> np.ndarray:
     if rule.needs_f:
         return rule.fn(ctx)
     return rule.fn(ctx.honest, **spec.parameters)
+
+
+def attack_vector(spec: AttackSpec, ctx: AttackContext) -> np.ndarray:
+    """The vector of ``crafted(spec, ctx)``."""
+    found = crafted(spec, ctx)
+    return found.vector if isinstance(found, OptimizedAttack) else found

@@ -5,7 +5,7 @@ an (n, d) matrix with one row per client. The public kernels validate shape
 and finiteness on entry (``as_vector_set``). The rest trust their arguments:
 the rules call ``trusted_pairwise_sq_dists``, ``gram_sq_dists``,
 ``trusted_top_eigenpair`` and ``sorted_slice_means`` on the matrix they have
-checked, and ``pairwise_sq_dists_with_copies`` extends a validated block.
+checked, and ``gram_sq_dists_with_copy`` extends a validated block.
 
 Two budgets bound the temporaries. ``BLOCK_ELEMENTS`` (8 MiB) decides whether
 a kernel builds an (n, n, d)- or (n, n - f, d)-sized temporary in one piece.
@@ -281,52 +281,60 @@ def gram_sq_dists(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, d = xs.shape
     if block_rows(n * d) >= n:
         return trusted_pairwise_sq_dists(xs), np.zeros((n, n))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         gram = xs @ xs.T
-        scale = gram.diagonal()[:, None] + gram.diagonal()[None, :]
-        d2 = np.maximum(scale - 2.0 * gram, 0.0)
-        err = 8.0 * scale * ((d + 2) * np.finfo(np.float64).eps) + 8 * (d + 1) * np.finfo(np.float64).tiny
-    err[~np.isfinite(d2)] = np.inf  # inf too where 8 (s_i + s_j) overflows
+    d2, err = _gram_form(gram, gram.diagonal()[:, None], gram.diagonal()[None, :], d)
     d2[np.diag_indices(n)] = err[np.diag_indices(n)] = 0.0
     return d2, err
 
 
+def _gram_form(gram, rows_sq, cols_sq, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``gram_sq_dists``'s entries s_i + s_j - 2 G_ij and bound from inner products ``gram`` and
+    squared norms ``rows_sq`` and ``cols_sq`` (broadcast against it) of d-long rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = rows_sq + cols_sq
+        d2 = np.maximum(scale - 2.0 * gram, 0.0)
+        err = 8.0 * scale * ((d + 2) * np.finfo(np.float64).eps) + 8 * (d + 1) * np.finfo(np.float64).tiny
+    err[~np.isfinite(d2)] = np.inf  # inf too where 8 (s_i + s_j) overflows
+    return d2, err
+
+
+def gram_sq_dists_with_copy(block: tuple, honest: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and bounds as ``gram_sq_dists`` gives them, of trusted ``honest`` stacked over one row ``v``:
+    ``block`` (``gram_sq_dists(honest)`` and the rows' squared norms) as is, and v's column in the Gram form
+    past the block budget, from one product honest @ v in O(n d) time."""
+    d2, err, sq_norms = block
+    with np.errstate(over="ignore"):
+        column, column_err = _gram_form(honest @ v, sq_norms, v @ v, honest.shape[1])
+    return np.block([[d2, column[:, None]], [column, 0.0]]), np.block([[err, column_err[:, None]], [column_err, 0.0]])
+
+
 def stable_head(keys: np.ndarray, bounds: np.ndarray, exact, need: int) -> np.ndarray:
-    """The first ``need`` positions of the stable argsort of exact keys, each within ``bounds``
-    of ``keys`` (zero: exact; a key or bound not finite, or within a factor 4 of overflow:
-    anywhere). Sorted by lower end, intervals that overlap before ``need`` form clusters, each
-    ordered by exact keys, which ``exact(positions)`` gives for its members with non-zero bounds."""
+    """Per row of ``keys`` (one row, or an (r, n) block), the first ``need`` positions of the stable argsort
+    of exact keys, each within ``bounds`` of ``keys`` (zero: exact; a key or bound not finite, or within a
+    factor 4 of overflow: anywhere). Sorted by lower end, intervals that overlap before ``need`` form
+    clusters, each ordered by exact keys, which ``exact(rows, positions)`` gives at the block's entries
+    (rows[k], positions[k]) for the members with non-zero bounds; with no such bound, none is asked for."""
+    if not bounds.any():
+        return np.argsort(keys, axis=-1, kind="stable")[..., :need]
+    shape, (keys, bounds) = keys.shape, np.atleast_2d(keys, bounds)
+    r, n = keys.shape
     with np.errstate(over="ignore", invalid="ignore"):
         unknown = ~np.isfinite(4.0 * (np.abs(keys) + bounds))
         lo = np.where(unknown, -np.inf, keys - bounds)
         hi = np.where(unknown, np.inf, keys + bounds)
-    order = np.argsort(lo, kind="stable")
-    apart = np.maximum.accumulate(hi[order])[:-1] < lo[order][1:]
-    cluster = np.concatenate([[0], np.cumsum(apart)])
-    taken = cluster <= cluster[need - 1]
-    members, known = order[taken], keys[order[taken]]
-    redo = (np.bincount(cluster)[cluster[taken]] > 1) & (bounds[members] != 0)
+    order = np.argsort(lo, axis=1, kind="stable")
+    lo, hi = np.take_along_axis(lo, order, 1), np.take_along_axis(hi, order, 1)
+    cluster = np.zeros((r, n), dtype=np.intp)
+    np.cumsum(np.maximum.accumulate(hi, axis=1)[:, :-1] < lo[:, 1:], axis=1, out=cluster[:, 1:])
+    size = np.bincount((cluster + n * np.arange(r)[:, None]).ravel(), minlength=r * n).reshape(r, n)
+    redo = (cluster <= cluster[:, need - 1 : need]) & (np.take_along_axis(size, cluster, 1) > 1)
+    redo &= np.take_along_axis(bounds, order, 1) != 0
+    known = np.take_along_axis(keys, order, 1)
     if redo.any():
-        known[redo] = exact(members[redo])
-    return members[np.lexsort((members, known, cluster[taken]))][:need]
-
-
-def pairwise_sq_dists_with_copies(honest_sq_dists: np.ndarray, honest: np.ndarray, v: np.ndarray, f: int):
-    """``pairwise_sq_dists`` of ``honest`` stacked over f copies of ``v``, built from the already
-    computed honest block in O(n d) time and O(n^2 + TILE_ELEMENTS + d) memory.
-
-    The result equals ``pairwise_sq_dists(np.vstack([honest, np.tile(v, (f, 1))]))`` bit for
-    bit: each honest-to-v entry is ``sq_dists_to``'s (a lone honest row is measured beside v
-    itself, one of two rows), and the copies are exactly 0 apart. The caller has validated
-    ``honest``.
-    """
-    n = len(honest)
-    column = sq_dists_to(v, honest if n > 1 else np.vstack([honest, v]))[:n]
-    out = np.zeros((n + f, n + f))
-    out[:n, :n] = honest_sq_dists
-    out[:n, n:] = column[:, None]
-    out[n:, :n] = column
-    return out
+        known[redo] = exact(np.nonzero(redo)[0], order[redo])
+    head = np.lexsort((order, known, cluster), axis=1)[:, :need]
+    return np.take_along_axis(order, head, 1).reshape(*shape[:-1], need)
 
 
 def top_eigenpair(xs, weights=None) -> tuple[float, np.ndarray]:

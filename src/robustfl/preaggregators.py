@@ -10,6 +10,7 @@ as well, and may return one (see ``nnm``).
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from typing import Sequence
 
@@ -17,9 +18,10 @@ import numpy as np
 
 from .aggregators import AggregatorSpec, ConfiguredAggregator, Rule, StageSpec, make_aggregator
 from .config import POSITIVE, Param, at_least
-from .numerics import OverCopies, as_vector_set, block_rows, check_f, pairwise_sq_dists_with_copies
+from .numerics import OverCopies, as_vector_set, block_rows, check_f, gram_sq_dists_with_copy, sq_dists_to
+from .numerics import stable_head, trusted_pairwise_sq_dists
 # NNM passes the matrix it has checked; perfbench's tracer patches the kernel under this name.
-from .numerics import trusted_pairwise_sq_dists as pairwise_sq_dists
+from .numerics import gram_sq_dists as pairwise_sq_dists
 
 DEFAULT_BUCKET_SIZE = 2
 
@@ -37,29 +39,43 @@ def _neighbour_mean(xs: np.ndarray, near: np.ndarray, out: np.ndarray) -> np.nda
     return out
 
 
+def _exact_sq_dists(xs: np.ndarray, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The exact kernel's distances between rows rows[k] and columns[k] of ``xs``: ``sq_dists_to`` on
+    each row's entries, or one ``trusted_pairwise_sq_dists`` matrix past half its n (n + 1) / 2 pairs."""
+    if 4 * len(rows) > len(xs) * (len(xs) + 1):
+        return trusted_pairwise_sq_dists(xs)[rows, columns]
+    out = np.empty(len(rows))
+    for row in np.unique(rows):  # sq_dists_to needs two rows: a lone one is measured twice
+        at = np.flatnonzero(rows == row)
+        out[at] = sq_dists_to(xs[row], xs[np.resize(columns[at], max(2, at.size))])[: at.size]
+    return out
+
+
+def _spelled_out(heads: np.ndarray, m: int, copies: int, need: int) -> np.ndarray:
+    """``heads``, lists over m rows and one copy m of a row (row m standing for each copy), read over the m
+    rows and ``copies`` copies: each m spelled out as m, ..., m + copies - 1, each list cut to ``need``."""
+    counts = np.where(heads == m, copies, 1).ravel()
+    ends = np.cumsum(counts)
+    flat = np.repeat(heads.ravel(), counts) + np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    starts = np.concatenate([[0], ends.reshape(len(heads), -1)[:-1, -1]])
+    return flat[starts[:, None] + np.arange(need)][np.minimum(np.arange(m + copies), m)]
+
+
 def nnm(xs, f: int) -> np.ndarray | OverCopies:
-    """Replace each row by the mean of its n - f nearest rows (itself included).
+    """Replace each row by the mean of its n - f nearest rows (itself included),
+    distance ties going to lower row indices: neighbours come in the stable
+    order of the exact kernel's distances.
 
-    Distance ties are broken toward lower row indices.
+    The means come from one (n, n - f, d) gather when it fits in
+    ``numerics.BLOCK_ELEMENTS`` or rows have one coordinate; otherwise each row
+    is summed in place in the gather's order, which gives its bytes but where
+    every neighbour holds -0.0 in a coordinate (the in-place sum keeps -0.0, the
+    gather gives +0.0). Extra memory is O(n^2 + n d + BLOCK_ELEMENTS).
 
-    When the whole (n, n - f, d) neighbour gather fits in
-    ``numerics.BLOCK_ELEMENTS`` entries, or rows have one coordinate, the
-    means come from that one gather. Otherwise each output row is summed in
-    place (``_neighbour_mean``), the sequential reduction the gather's
-    ``mean`` does, with O(d) extra memory per row. The result equals the
-    gather's bit for bit except on signed zeros: where every neighbour holds
-    -0.0 in a coordinate, the in-place sum keeps -0.0 and the gather gives
-    +0.0. Rows with one neighbour list (the f identical attack rows of a
-    search always have one) share one sum. Extra memory is O(n^2 + n d +
-    BLOCK_ELEMENTS).
-
-    An ``OverCopies`` input is not checked again. Its ``shared`` dict keeps
-    the distances of its fixed rows, computed on first use and extended to
-    the copies in O(n d), the mean of each neighbour list within the fixed
-    rows, summed and checked once, and a row list stacked once (its copies
-    rewritten per call). On the in-place path, when every fixed row's list
-    stays inside the fixed rows, the output is an ``OverCopies`` too: those
-    means over the copies' one mean (no (n, d) matrix), with the dict of those lists.
+    An ``OverCopies`` input is not checked again and gives the output of its
+    stacked rows; its ``shared`` dict keeps what the fixed rows alone decide. On
+    the in-place path, when every fixed row's list stays inside the fixed rows,
+    the output is an ``OverCopies`` too.
     """
     over = isinstance(xs, OverCopies)
     m, shared = (xs.fixed, xs.shared) if over else (0, {})
@@ -73,12 +89,13 @@ def nnm(xs, f: int) -> np.ndarray | OverCopies:
     n, d = xs.shape
     check_f("NNM", n, f, f + 1, "n > f")
     if over:
-        if "sq_dists" not in shared:
-            shared["sq_dists"] = pairwise_sq_dists(xs[:m])
-        sq_dists = pairwise_sq_dists_with_copies(shared["sq_dists"], xs[:m], xs[m], n - m)
+        if "gram" not in shared:
+            shared["gram"] = (*pairwise_sq_dists(xs[:m]), np.einsum("ij,ij->i", xs[:m], xs[:m]))
+        exact = functools.partial(_exact_sq_dists, xs[: m + 1])
+        heads = stable_head(*gram_sq_dists_with_copy(shared["gram"], xs[:m], xs[m]), exact, min(m + 1, n - f))
+        neighbours = _spelled_out(heads, m, n - m, n - f)
     else:
-        sq_dists = pairwise_sq_dists(xs)
-    neighbours = np.argsort(sq_dists, axis=1, kind="stable")[:, : n - f]
+        neighbours = stable_head(*pairwise_sq_dists(xs), functools.partial(_exact_sq_dists, xs), n - f)
     # numpy reduces a gather of one-coordinate rows pairwise, not in order.
     if d == 1 or block_rows((n - f) * d) >= n:
         return xs[neighbours].mean(axis=1)

@@ -18,7 +18,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .attacks import AttackContext, AttackSpec, attack_vector
+from .attacks import AttackContext, AttackSpec, OptimizedAttack, crafted
 from .config import NONNEGATIVE, at_least
 from .datadist import LabeledDataset
 from .models import Arch, LrSchedule, backward, logits
@@ -161,7 +161,8 @@ class ByzantineClientGroup:
     Gradient-space attacks are computed from the observed honest matrix and
     emitted as f identical rows. LabelFlipping's f clients are instead the
     ``seats`` of the ``bank``, trained with its honest rows under either
-    training algorithm, and their rows are its ``seat_rows``.
+    training algorithm, and their rows are its ``seat_rows``. ``search`` is the
+    ``OptimizedAttack`` behind the last rows of an Optimal_* attack, else None.
     """
 
     def __init__(self, f: int, attack: AttackSpec | None, bank: HonestClient | None = None):
@@ -173,6 +174,7 @@ class ByzantineClientGroup:
         self.f = f
         self.attack = attack
         self.bank = bank
+        self.search: OptimizedAttack | None = None
 
     def gradient_rows(self, honest: np.ndarray, pipeline: Pipeline) -> np.ndarray:
         """(f, d) Byzantine submissions for one DSGD step or federated averaging
@@ -181,7 +183,9 @@ class ByzantineClientGroup:
             return np.zeros((0, honest.shape[1]))
         if self.attack.name == "LabelFlipping":
             return self.bank.seat_rows
-        return np.tile(attack_vector(self.attack, AttackContext(honest, self.f, pipeline)), (self.f, 1))
+        found = crafted(self.attack, AttackContext(honest, self.f, pipeline))
+        self.search = found if isinstance(found, OptimizedAttack) else None
+        return np.tile(found.vector if self.search else found, (self.f, 1))
 
     delta_rows = gradient_rows  # one name per training algorithm, each timed by perfbench's tracer
 
@@ -197,11 +201,16 @@ class ServerState:
     step: int = 0
 
 
-def _aggregate_and_apply(server: ServerState, rows: np.ndarray, byz_rows: np.ndarray, scale: float) -> None:
-    """Write ``byz_rows`` as the last rows of ``rows`` (numpy skips seat rows, already there),
-    and add ``scale`` times the aggregate of all of them to the model."""
+def _aggregate_and_apply(server: ServerState, rows: np.ndarray, byz_rows: np.ndarray, search, scale: float) -> None:
+    """Write ``byz_rows`` as the last rows of ``rows`` (numpy skips seat rows, already there), and add
+    ``scale`` times the aggregate of all of them to the model: that of ``search``, which ran the pipeline
+    on them, when they came from one (its pipeline clone, left as the live one would be, goes live)."""
     rows[len(rows) - len(byz_rows) :] = byz_rows
-    server.flat = server.flat + scale * server.pipeline(rows)
+    if search is None:
+        aggregate = server.pipeline(rows)
+    else:
+        aggregate, server.pipeline = search.aggregate, search.pipeline
+    server.flat = server.flat + scale * aggregate
     server.step += 1
 
 
@@ -209,7 +218,7 @@ def dsgd_step(server: ServerState, clients: HonestClient, byz: ByzantineClientGr
     """One synchronous distributed-SGD step; mutates the server in place."""
     honest = clients.compute_update(server.arch, server.flat, byz.f)
     byz_rows = byz.gradient_rows(honest, server.pipeline)
-    _aggregate_and_apply(server, clients.step_buf, byz_rows, -server.schedule.lr_at(server.step))
+    _aggregate_and_apply(server, clients.step_buf, byz_rows, byz.search, -server.schedule.lr_at(server.step))
 
 
 def sampled_count(proportion_selected_clients: float, n: int) -> int:
@@ -240,7 +249,7 @@ def fedavg_round(
     deltas = clients.local_delta(server.arch, server.flat, lr, local_steps_per_client, chosen,
                                  rows[: len(chosen) + clients.seats])
     byz_rows = byz.delta_rows(deltas, server.pipeline)
-    _aggregate_and_apply(server, rows, byz_rows, 1.0)
+    _aggregate_and_apply(server, rows, byz_rows, byz.search, 1.0)
 
 
 def evaluate_accuracy(arch: Arch, flat: np.ndarray, dataset: LabeledDataset) -> float:

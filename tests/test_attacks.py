@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from robustfl import attacks, numerics, preaggregators
-from robustfl.aggregators import AggregatorSpec, ConfiguredAggregator
+from robustfl.aggregators import AGGREGATOR_NAMES, AggregatorSpec, ConfiguredAggregator
 from robustfl.attacks import (
     AFFINE_BASES,
     ATTACK_NAMES,
@@ -23,7 +23,7 @@ from robustfl.attacks import (
     optimize_attack_scale,
     sign_flipping,
 )
-from robustfl.numerics import OverCopies, SortedColumns, pairwise_sq_dists
+from robustfl.numerics import OverCopies, SortedColumns
 from robustfl.preaggregators import Pipeline, PreAggregatorSpec, build_pipeline
 from robustfl.seeding import derive_rng
 
@@ -338,7 +338,7 @@ class TestOptimizeAttackScale:
 
         def counting(xs):
             computed.append(xs.copy())
-            return pairwise_sq_dists(xs)
+            return numerics.gram_sq_dists(xs)
 
         monkeypatch.setattr(preaggregators, "pairwise_sq_dists", counting)
         xs = random_vector_set(np.random.default_rng(27), n=6)
@@ -421,6 +421,66 @@ class TestOptimizeAttackScale:
             optimize_attack_scale(
                 AttackContext(honest=x3, f=0, pipeline=average_pipeline()), inner_product_manipulation
             )
+
+
+# Every pre-aggregator, alone or none, in front of each rule of the reuse tests.
+PRE_STAGES = {
+    "none": [],
+    "NNM": [PreAggregatorSpec("NNM", f=2)],
+    "Bucketing": [PreAggregatorSpec("Bucketing", parameters={"s": 2.0})],
+    "Clipping": [PreAggregatorSpec("Clipping", {"c": 15.0})],
+    "ARC": [PreAggregatorSpec("ARC", f=2)],
+}
+
+
+def pipeline_state(pipeline: Pipeline) -> tuple:
+    """What a pipeline carries across calls: CenteredClipping's centre bytes and each Bucketing stream."""
+    centre = getattr(pipeline.aggregator.carried.get("state"), "prev", None)
+    streams = [pre.carried["rng"].bit_generator.state for pre in pipeline.pre_aggregators if "rng" in pre.carried]
+    return None if centre is None else centre.tobytes(), streams
+
+
+class TestSearchWinner:
+    """The search hands back its winner's aggregate and pipeline clone: what the
+    live pipeline gives, and is left in, on the dense rows of that winner."""
+
+    @pytest.mark.parametrize("base", [a_little_is_enough, inner_product_manipulation])
+    @pytest.mark.parametrize("pres", list(PRE_STAGES))
+    @pytest.mark.parametrize("name", AGGREGATOR_NAMES)
+    def test_winner_equals_live_clone_on_the_dense_rows(self, name, pres, base):
+        rng = np.random.default_rng(43)
+        f, xs = 2, random_vector_set(rng, n=7, d=5)
+        xs[:, 1] = 0.0
+        xs[::2, 2] = -0.0
+        live = build_pipeline(AggregatorSpec(name, f=f), PRE_STAGES[pres], rng=derive_rng(5, "bucketing"))
+        live(rng.normal(size=(len(xs) + f, xs.shape[1])) * 10.0)  # off the initial state
+        before = pipeline_state(live)
+        result = optimize_attack_scale(AttackContext(honest=xs, f=f, pipeline=live), base, DEFAULT_SCALE_GRID)
+        twin = live.clone()
+        expected = twin(np.vstack([xs, np.tile(result.vector, (f, 1))]))
+        assert result.aggregate.tobytes() == expected.tobytes()
+        assert pipeline_state(result.pipeline) == pipeline_state(twin)
+        assert pipeline_state(live) == before and result.pipeline is not live
+
+    @pytest.mark.parametrize("name", ["Median", "TrMean", "Average"])
+    def test_signed_zero_columns_keep_their_bytes(self, name):
+        # Columns of zeros of one sign or both, under copies of +0.0 or -0.0.
+        xs = np.array([[-0.0, 0.0, -0.0, 1.0], [-0.0, -0.0, 0.0, 2.0], [-0.0, 0.0, 0.0, 4.0]])
+        live = build_pipeline(AggregatorSpec(name, f=1))
+        for scale in (0.0, -0.0):
+            ctx = AttackContext(honest=xs, f=2, pipeline=live)
+            result = optimize_attack_scale(ctx, inner_product_manipulation, (scale,))
+            expected = live.clone()(np.vstack([xs, np.tile(result.vector, (2, 1))]))
+            assert result.aggregate.tobytes() == expected.tobytes()
+
+    def test_winner_aggregate_is_its_own_copy(self, monkeypatch):
+        # A rule that returns a view of its input must not leave the winner on the search's buffer.
+        xs = random_vector_set(np.random.default_rng(44), n=5, d=3)
+        pipeline = build_pipeline(AggregatorSpec("Average"))
+        monkeypatch.setattr(Pipeline, "__call__", lambda self, rows: np.asarray(rows)[-1])
+        result = optimize_attack_scale(AttackContext(xs, 1, pipeline), inner_product_manipulation, (3.0, 1.0, 2.0))
+        assert result.scale == 3.0
+        np.testing.assert_array_equal(result.aggregate, inner_product_manipulation(xs, 3.0))
 
 
 class TestAttackSpec:

@@ -9,8 +9,8 @@ from robustfl.numerics import (
     SortedColumns,
     as_vector_set,
     gram_sq_dists,
+    gram_sq_dists_with_copy,
     pairwise_sq_dists,
-    pairwise_sq_dists_with_copies,
     sorted_slice_means,
     stable_head,
     tile_width,
@@ -193,27 +193,46 @@ class TestGramSqDists:
 
 class TestStableHead:
     @settings(deadline=None, max_examples=200)
-    @given(st.integers(1, 9), st.data())
-    def test_equals_stable_argsort_of_exact_keys(self, n, data):
-        exact = data.draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0, 2.0, 2.5, 1e308, np.inf])))
-        bounds = data.draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 0.25, 1.0, 3.0, np.inf])))
-        offsets = data.draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    @given(st.integers(0, 3), st.integers(1, 9), st.data())
+    def test_equals_stable_argsort_of_exact_keys(self, r, n, data):
+        # r = 0 draws one 1-D row of keys, r >= 1 an (r, n) block.
+        shape = (r, n) if r else (n,)
+        exact = data.draw(arrays(np.float64, shape, elements=st.sampled_from([0.0, 1.0, 2.0, 2.5, 1e308, np.inf])))
+        bounds = data.draw(arrays(np.float64, shape, elements=st.sampled_from([0.0, 0.25, 1.0, 3.0, np.inf])))
+        offsets = data.draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
         need = data.draw(st.integers(1, n), label="need")
         with np.errstate(invalid="ignore"):
             keys = np.where(bounds == 0, exact, exact + offsets * bounds)
-        asked = []
+        block, asked = np.atleast_2d(exact), []
 
-        def exact_keys(positions):
-            asked.extend(bounds[positions])
-            return exact[positions]
+        def exact_keys(rows, positions):
+            asked.extend(np.atleast_2d(bounds)[rows, positions])
+            return block[rows, positions]
 
         got = stable_head(keys, bounds, exact_keys, need)
-        np.testing.assert_array_equal(got, np.argsort(exact, kind="stable")[:need])
+        np.testing.assert_array_equal(got, np.argsort(exact, axis=-1, kind="stable")[..., :need])
         assert all(asked)
+
+    def test_a_block_orders_each_row_as_a_call_on_that_row_does(self):
+        rng = np.random.default_rng(111)
+        exact = rng.integers(0, 4, size=(5, 8)).astype(float)
+        bounds = np.where(rng.random((5, 8)) < 0.5, 0.0, 0.75)
+        keys = exact + bounds * rng.uniform(-1.0, 1.0, size=(5, 8))
+        got = stable_head(keys, bounds, lambda rows, positions: exact[rows, positions], 6)
+        for i in range(5):
+            row = stable_head(keys[i], bounds[i], lambda _, positions: exact[i, positions], 6)
+            np.testing.assert_array_equal(got[i], row)
+            np.testing.assert_array_equal(row, np.argsort(exact[i], kind="stable")[:6])
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 7)])
+    def test_zero_bounds_never_ask_for_an_exact_key(self, shape):
+        keys = np.resize([2.0, 0.0, 2.0, -0.0, np.inf, 1.0, 0.0], shape)
+        got = stable_head(keys, np.zeros(shape), lambda rows, positions: pytest.fail("recomputed"), 5)
+        np.testing.assert_array_equal(got, np.argsort(keys, axis=-1, kind="stable")[..., :5])
 
     def test_separated_intervals_need_no_exact_key(self):
         keys = np.array([3.0, 0.0, 2.0, 1.0])
-        got = stable_head(keys, np.full(4, 0.4), lambda positions: pytest.fail("recomputed"), 4)
+        got = stable_head(keys, np.full(4, 0.4), lambda rows, positions: pytest.fail("recomputed"), 4)
         np.testing.assert_array_equal(got, [1, 3, 2, 0])
 
     @pytest.mark.parametrize("bounds, recomputed", [([1.0, 1.0, 1.0, 1.0], [0, 1, 2, 3]),
@@ -222,7 +241,7 @@ class TestStableHead:
         exact = np.array([0.0, 10.0, 20.0, 30.0])
         asked = []
 
-        def exact_keys(positions):
+        def exact_keys(rows, positions):
             asked.extend(positions)
             return exact[positions]
 
@@ -231,36 +250,51 @@ class TestStableHead:
         assert sorted(asked) == recomputed
 
 
-class TestPairwiseSqDistsWithCopies:
-    @settings(deadline=None, max_examples=80)
-    @given(multi_row_matrices, st.integers(1, 4), tile_budgets, st.data())
-    def test_equals_full_computation(self, honest, f, budget, data):
-        v = data.draw(arrays(np.float64, honest.shape[1], elements=tied_elements), label="v")
-        candidate = np.vstack([honest, np.tile(v, (f, 1))])
-        got = in_tiles(pairwise_sq_dists_with_copies, budget, pairwise_sq_dists(honest), honest, v, f)
-        np.testing.assert_array_equal(got, pairwise_sq_dists(candidate))
+def assert_copy_column_covers_exact_kernel(honest: np.ndarray, v: np.ndarray):
+    """Stacked over one row v, the honest block is ``gram_sq_dists``'s, and v's
+    column lies within its bound of the exact kernel wherever both are finite,
+    with an inf bound wherever either is not."""
+    block = (*gram_sq_dists(honest), np.einsum("ij,ij->i", honest, honest))
+    with np.errstate(over="ignore", invalid="ignore"):
+        keys, bounds = gram_sq_dists_with_copy(block, honest, v)
+        exact = pairwise_sq_dists(np.vstack([honest, v]))
+    n = len(honest)
+    assert keys[:n, :n].tobytes() == block[0].tobytes() and bounds[:n, :n].tobytes() == block[1].tobytes()
+    assert keys[n, n] == bounds[n, n] == 0.0
+    np.testing.assert_array_equal(keys[:n, n], keys[n, :n])
+    np.testing.assert_array_equal(bounds[:n, n], bounds[n, :n])
+    column, err, exact = keys[:n, n], bounds[:n, n], exact[:n, n]
+    both = np.isfinite(column) & np.isfinite(exact)
+    with np.errstate(invalid="ignore"):
+        assert (np.abs(column - exact)[both] <= err[both]).all()
+    assert np.isinf(err[~both]).all()
 
-    @pytest.mark.parametrize("n, budget", [(1, 1), (3, 1), (5, 2 * BUFFERED_D), (5, 1 << 40)])
-    def test_rows_past_numpy_buffer(self, n, budget):
-        rng = np.random.default_rng(16)
-        honest = rng.normal(size=(n, BUFFERED_D))
-        v = rng.normal(size=BUFFERED_D)
-        candidate = np.vstack([honest, np.tile(v, (2, 1))])
-        got = in_tiles(pairwise_sq_dists_with_copies, budget, pairwise_sq_dists(honest), honest, v, 2)
-        assert got.tobytes() == parent_pairwise_sq_dists(candidate).tobytes()
+
+class TestGramSqDistsWithCopy:
+    @pytest.mark.parametrize("name", list(gram_cases()))
+    def test_bound_covers_exact_kernel(self, name):
+        xs = gram_cases()[name]
+        for budget in (1, 1 << 40):
+            in_blocks(assert_copy_column_covers_exact_kernel, budget, 1, xs[:-1], xs[-1])
+
+    @settings(deadline=None, max_examples=150)
+    @given(scaled_matrices, st.booleans())
+    def test_bound_covers_exact_kernel_on_random_sets(self, xs, exact_block):
+        in_blocks(assert_copy_column_covers_exact_kernel, 1 << 40 if exact_block else 1, 1, xs[:-1], xs[-1])
 
     def test_wide_rows(self):
         rng = np.random.default_rng(14)
-        honest = rng.normal(size=(30, 50_890))
+        honest = rng.normal(size=50_890) * 0.01 + rng.normal(size=(30, 50_890)) * 0.01
         v = honest.mean(axis=0) - 1.5 * honest.std(axis=0)
-        candidate = np.vstack([honest, np.tile(v, (3, 1))])
-        got = pairwise_sq_dists_with_copies(pairwise_sq_dists(honest), honest, v, 3)
-        np.testing.assert_array_equal(got, pairwise_sq_dists(candidate))
+        assert_copy_column_covers_exact_kernel(honest, v)
+        keys, bounds = gram_sq_dists_with_copy((*gram_sq_dists(honest), (honest * honest).sum(axis=1)), honest, v)
+        assert bounds.max() < 1e-6 * np.median(keys)
 
-    def test_copies_block_is_zero(self, x3):
-        got = pairwise_sq_dists_with_copies(pairwise_sq_dists(x3), x3, np.array([0.0, 1.0, 2.0]), 2)
-        np.testing.assert_array_equal(got[3:, 3:], np.zeros((2, 2)))
-        np.testing.assert_array_equal(got[:3, 3], [3.0, 48.0, 147.0])
+    def test_copy_column_golden(self, x3):
+        block = (*gram_sq_dists(x3), (x3 * x3).sum(axis=1))
+        keys, bounds = in_tiles(gram_sq_dists_with_copy, 1 << 40, block, x3, np.array([0.0, 1.0, 2.0]))
+        np.testing.assert_array_equal(keys[3], [3.0, 48.0, 147.0, 0.0])
+        assert (bounds[3, :3] > 0).all() and bounds[3, 3] == 0.0
 
 
 class TestSortedSliceMeans:

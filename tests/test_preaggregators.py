@@ -22,7 +22,15 @@ from robustfl.preaggregators import (
 )
 from robustfl.seeding import derive_rng
 
-from conftest import in_blocks, multi_row_matrices, random_vector_set, single_block
+from conftest import (
+    gram_cases,
+    in_blocks,
+    in_tiles,
+    multi_row_matrices,
+    random_vector_set,
+    scaled_matrices,
+    single_block,
+)
 from oracles import naive_nnm
 
 
@@ -231,6 +239,129 @@ class TestNnm:
             nnm(x3, 3)
         with pytest.raises(ValueError, match="f >= 0"):
             nnm(x3, -1)
+
+
+def nnm_on_exact_order(xs, f, budget):
+    """``nnm`` with a block budget of ``budget``, its neighbours in the stable
+    argsort of the exact kernel's distances, as before it ranked them from the
+    Gram form."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "BLOCK_ELEMENTS", budget)
+        mp.setattr(preaggregators, "pairwise_sq_dists",
+                   lambda xs: (numerics.trusted_pairwise_sq_dists(xs), np.zeros((len(xs), len(xs)))))
+        return nnm(xs, f)
+
+
+def count_exact_entries(monkeypatch) -> list:
+    """Record what NNM's ordering measures exactly: ("rows", k) for a
+    ``sq_dists_to`` call on k rows, ("matrix", n) for a whole exact matrix."""
+    calls = []
+
+    def rows(v, xs):
+        calls.append(("rows", len(xs)))
+        return numerics.sq_dists_to(v, xs)
+
+    def matrix(xs):
+        calls.append(("matrix", len(xs)))
+        return numerics.trusted_pairwise_sq_dists(xs)
+
+    monkeypatch.setattr(preaggregators, "sq_dists_to", rows)
+    monkeypatch.setattr(preaggregators, "trusted_pairwise_sq_dists", matrix)
+    return calls
+
+
+def assert_gram_order_keeps_the_bytes(xs, f, candidates):
+    """Past the block budget NNM ranks from the Gram form; on ``xs`` and on each
+    ``(fixed, candidate)`` search input, read dense and as ``OverCopies``, its
+    output keeps the bytes of the exact order: ``single_block``'s on the gather
+    path, and the in-place path's own on the exact kernel."""
+    n, d = xs.shape
+    with np.errstate(all="ignore"):
+        expected = single_block(nnm, xs, f)
+        in_place = nnm_on_exact_order(xs, f, 1)
+        np.testing.assert_array_equal(in_place, expected)  # values: the gather drops -0.0
+        for budget in (1, 1 << 40):
+            assert in_tiles(nnm, budget, xs, f).tobytes() == in_place.tobytes()
+        if f:  # a budget that fits the gather but not the one-piece distance block
+            assert in_blocks(nnm, n, (n - f) * d, xs, f).tobytes() == expected.tobytes()
+        for fixed, candidate in candidates:
+            m = len(candidate)
+            expected = single_block(nnm, candidate, f)
+            in_place = nnm_on_exact_order(candidate, f, 1)
+            assert np.asarray(in_tiles(nnm, 1, OverCopies(candidate, fixed, {}), f)).tobytes() == in_place.tobytes()
+            assert np.asarray(single_block(nnm, OverCopies(candidate, fixed, {}), f)).tobytes() == expected.tobytes()
+            if f:
+                got = in_blocks(nnm, m, (m - f) * d, OverCopies(candidate, fixed, {}), f)
+                assert np.asarray(got).tobytes() == expected.tobytes()
+
+
+def over_copies(xs, copies, w):
+    """(len(xs), xs stacked over ``copies`` copies of w)."""
+    return len(xs), np.vstack([xs, np.tile(w, (copies, 1))])
+
+
+class TestNnmGramOrder:
+    """Past the block budget NNM orders neighbours from Gram-form distances, and
+    a search's candidates from the fixed rows' block and one product per copy
+    row; outputs keep their bytes."""
+
+    @pytest.mark.parametrize("f", [0, 1, 3])
+    @pytest.mark.parametrize("case", list(gram_cases()))
+    def test_named_cases_keep_the_bytes(self, case, f):
+        xs = gram_cases()[case]
+        # The copies tie an honest row exactly, lie one ulp off it, or far out.
+        w = [xs[2], np.nextafter(xs[2], np.inf), xs.mean(axis=0), 3.0 * xs[0]]
+        assert_gram_order_keeps_the_bytes(xs, f, [over_copies(xs, 3, v) for v in w])
+
+    def test_duplicates_with_their_copies_keep_the_bytes(self):
+        # Rows 4-6 of the duplicates case are 3 copies of row 3.
+        xs = gram_cases()["duplicates"]
+        assert_gram_order_keeps_the_bytes(xs, 3, [(4, xs), (6, xs)])
+
+    @settings(deadline=None, max_examples=100)
+    @given(scaled_matrices, st.data())
+    def test_random_sets_keep_the_bytes(self, xs, data):
+        f = data.draw(st.integers(0, len(xs) - 1), label="f")
+        copies = data.draw(st.integers(1, 3), label="copies")
+        row = data.draw(st.integers(0, len(xs) - 1), label="row")
+        w = xs[row] * data.draw(st.sampled_from([1.0, -1.0, 0.5, 2.0, -0.0]), label="factor")
+        assert_gram_order_keeps_the_bytes(xs, f, [over_copies(xs, copies, w)])
+
+    def test_search_input_measures_no_exact_entry(self, monkeypatch):
+        # The honest rows and ALittleIsEnough copies of the mnist_* shape.
+        rng = np.random.default_rng(0)
+        honest = rng.normal(size=50_890) * 0.01 + rng.normal(size=(30, 50_890)) * 0.01
+        fixed, candidate = over_copies(honest, 3, honest.mean(axis=0) - 1.5 * honest.std(axis=0))
+        calls = count_exact_entries(monkeypatch)
+        shared = {}
+        got = [np.asarray(nnm(OverCopies(candidate, fixed, shared), 3)) for _ in range(2)]
+        assert calls == []
+        monkeypatch.undo()
+        expected = nnm_on_exact_order(candidate, 3, numerics.BLOCK_ELEMENTS)
+        assert got[0].tobytes() == got[1].tobytes() == expected.tobytes()
+
+    def test_few_entries_in_doubt_are_measured_one_by_one(self, monkeypatch):
+        # Read dense, row 0 and its two copies tie in every row's Gram keys:
+        # at most those three entries of each row are measured.
+        xs = random_vector_set(np.random.default_rng(113), n=20, d=5)
+        xs = np.vstack([xs, xs[:1], xs[:1]])
+        calls = count_exact_entries(monkeypatch)
+        got = in_tiles(nnm, 1 << 40, xs, 2)
+        assert calls and all(kind == "rows" and k <= 3 for kind, k in calls) and len(calls) <= len(xs)
+        monkeypatch.undo()
+        assert got.tobytes() == nnm_on_exact_order(xs, 2, 1).tobytes()
+
+    @pytest.mark.parametrize("over", [False, True])
+    def test_more_than_half_the_entries_in_doubt_take_one_exact_matrix(self, over, monkeypatch):
+        # Rows 1e8 from the origin keep no correct digit in the Gram form.
+        xs = gram_cases()["offset"]
+        fixed, candidate = over_copies(xs, 2, xs[0] + 0.5)
+        calls = count_exact_entries(monkeypatch)
+        with np.errstate(all="ignore"):
+            got = in_tiles(nnm, 1 << 40, OverCopies(candidate, fixed, {}) if over else candidate, 2)
+        assert calls == [("matrix", fixed + 1 if over else len(candidate))]
+        monkeypatch.undo()
+        assert np.asarray(got).tobytes() == nnm_on_exact_order(candidate, 2, 1).tobytes()
 
 
 class TestBucketing:
@@ -473,7 +604,7 @@ class TestPipeline:
 
         def counting(xs):
             computed.append(xs.copy())
-            return pairwise_sq_dists(xs)
+            return numerics.gram_sq_dists(xs)
 
         monkeypatch.setattr(preaggregators, "pairwise_sq_dists", counting)
         pipeline = build_pipeline(AggregatorSpec("Average"), [PreAggregatorSpec("NNM", f=1)] * 2)

@@ -41,10 +41,13 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
     assert [row[1] for row in rules if row[2] == "5"] == names
     assert [row[1] for row in rules if row[2] == "7"] == names
     assert [row[1] for row in rules if row[-2] == "skipped"] == ["MDA", "SMEA"]
-    # "attack search" is two words, so the name is the third.
-    assert [row[2] for row in rows if row[0] == "attack"] == [
+    # "attack search" and "attack step" are two words, so the name is the third.
+    assert [row[2] for row in rows if row[:2] == ["attack", "search"]] == [
         "Optimal_ALIE", "Optimal_IPM", "Optimal_ALIE:TrMean", "Optimal_ALIE:NNM>Median"
     ]
+    steps = [row for row in rows if row[:2] == ["attack", "step"]]
+    assert [row[2:6] for row in steps] == [["Optimal_ALIE", "7", "12", "2"]]
+    assert float(steps[0][6]) > 0
     kernels = [row for row in rows if row[0] == "kernel"]
     assert [row[1:5] for row in kernels] == [
         ["pairwise_sq_dists", "7", "12", "2"], ["gram_sq_dists", "7", "12", "2"], ["ALIE_parts", "7", "12", "2"]

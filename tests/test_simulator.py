@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from config_fixtures import tiny_config_text
-from robustfl import numerics
+from robustfl import numerics, simulator
 from robustfl.aggregators import AggregatorSpec
-from robustfl.attacks import AttackSpec, sign_flipping
+from robustfl.attacks import DEFAULT_SCALE_GRID, AttackSpec, sign_flipping
 from robustfl.benchmark import ARCHS, DATASETS, expand_grid, parse_config, run_single
 from robustfl.datadist import LabeledDataset, make_partition
 from robustfl.models import (
@@ -588,6 +588,61 @@ class TestFedavgRound:
         )
         delta = -0.1 * loss_and_gradient(arch, flat0, ds.features[:1], ds.labels[:1])[1]
         np.testing.assert_allclose(server.flat, flat0 + 0.5 * delta, atol=1e-12)
+
+
+# Stateful and shape-using stages, so a reused pass must carry clip memory,
+# the shuffle stream and NNM's merged output into the next step.
+SEARCHED_SERVERS = {
+    "NNM>TrMean": {"aggregator": [{"name": "TrMean", "parameters": {}}],
+                   "pre_aggregators": [{"name": "NNM", "parameters": {}}]},
+    "Bucketing>CenteredClipping": {
+        "aggregator": [{"name": "CenteredClipping", "parameters": {"tau": 0.5, "iters": 2}}],
+        "pre_aggregators": [{"name": "Bucketing", "parameters": {"s": 2}}],
+    },
+}
+FEDAVG = {"name": "FedAvg", "parameters": {"proportion_selected_clients": 0.6, "local_steps_per_client": 2}}
+
+
+class TestSearchReuse:
+    """A step whose Byzantine rows came from a search adds the search's winning
+    aggregate and installs its pipeline clone instead of running the pipeline
+    again: every series equals that of a run that runs it again."""
+
+    @pytest.mark.parametrize("server", list(SEARCHED_SERVERS))
+    @pytest.mark.parametrize("algorithm", ["DSGD", "FedAvg"])
+    @pytest.mark.parametrize("attack", ["Optimal_InnerProductManipulation", "Optimal_ALittleIsEnough"])
+    def test_series_equal_a_run_without_the_reuse(self, tmp_path, monkeypatch, attack, algorithm, server):
+        tweaks = {"attack": [{"name": attack, "parameters": {}}], "benchmark_config.nb_honest_clients": 5,
+                  "benchmark_config.f": [2], "benchmark_config.nb_steps": 3,
+                  "evaluation_and_results.evaluation_delta": 1,
+                  "evaluation_and_results.store_per_client_metrics": True, **SEARCHED_SERVERS[server]}
+        if algorithm == "FedAvg":
+            tweaks["benchmark_config.training_algorithm"] = FEDAVG
+        cfg = parse_config(tiny_config_text(tmp_path / "results", **tweaks))
+        key = expand_grid(cfg)[0]
+        calls = []
+        call = Pipeline.__call__
+        monkeypatch.setattr(Pipeline, "__call__", lambda self, xs: calls.append(1) or call(self, xs))
+        reused = run_single(cfg, key)
+        assert len(calls) == 3 * len(DEFAULT_SCALE_GRID)
+        apply = simulator._aggregate_and_apply
+        monkeypatch.setattr(simulator, "_aggregate_and_apply",
+                            lambda server, rows, byz_rows, search, scale: apply(server, rows, byz_rows, None, scale))
+        calls.clear()
+        again = run_single(cfg, key)
+        assert len(calls) == 3 * (len(DEFAULT_SCALE_GRID) + 1)
+        assert (reused.test_accuracy, reused.train_loss, reused.client_losses) == (
+            again.test_accuracy, again.train_loss, again.client_losses)
+
+    def test_only_a_search_is_reused(self):
+        group = ByzantineClientGroup(1, AttackSpec("Optimal_ALittleIsEnough"))
+        pipeline = build_pipeline(AggregatorSpec("Average"))
+        x3 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+        rows = group.gradient_rows(x3, pipeline)
+        assert group.search is not None and rows.tobytes() == group.search.vector[None].tobytes()
+        for other in (ByzantineClientGroup(1, AttackSpec("ALittleIsEnough")), ByzantineClientGroup(0, None)):
+            other.gradient_rows(x3, pipeline)
+            assert other.search is None
 
 
 class TestEvaluateAccuracy:
