@@ -13,14 +13,16 @@ allocated. After one warm-up call a rule is timed over repeated calls, as
 many as fit in about half a second (between 3 and 100), and the median is
 printed. MDA and SMEA enumerate row subsets and refuse n above
 ``SUBSET_ENUMERATION_LIMIT``; they are reported as skipped there. Clipping
-runs with c = 1. Four search rows time one whole ``optimize_attack_scale``
+runs with c = 1. Search rows time one whole ``optimize_attack_scale``
 over the default 41-point grid on the n - f honest rows of the last shape:
 Optimal_ALittleIsEnough (``Optimal_ALIE``, the per-step attack cost of the
 ``mnist_optimal`` workload) and Optimal_InnerProductManipulation
 (``Optimal_IPM``) against TrMean behind NNM, then Optimal_ALittleIsEnough
 against TrMean alone and against Median behind NNM (the pipeline follows a
-colon in the name). The ``attack step`` row times what a ``mnist_optimal``
-step does after its clients' training: one Optimal_ALittleIsEnough attack by
+colon in the name); a fifth, ``Optimal_ALIE@2cores``, times the first search
+dealt to two processes, as a lone run's search is on two cores. The ``attack
+step`` row times what a ``mnist_optimal`` step does after its clients'
+training: one Optimal_ALittleIsEnough attack by
 ``ByzantineClientGroup.gradient_rows`` on those honest rows against TrMean
 behind NNM, plus the server's aggregate-and-apply, which adds the search's
 winning aggregate instead of running the pipeline again. Three kernel rows
@@ -87,12 +89,13 @@ SEED = 0
 BUDGET_S = 0.5
 MIN_CALLS, MAX_CALLS = 3, 100
 SUBSET_RULES = ("MDA", "SMEA")
-# (row name, attack base, aggregator, pre-aggregators)
+# (row name, attack base, aggregator, pre-aggregators, cores)
 SEARCHES = (
-    ("Optimal_ALIE", a_little_is_enough, "TrMean", ("NNM",)),
-    ("Optimal_IPM", inner_product_manipulation, "TrMean", ("NNM",)),
-    ("Optimal_ALIE:TrMean", a_little_is_enough, "TrMean", ()),
-    ("Optimal_ALIE:NNM>Median", a_little_is_enough, "Median", ("NNM",)),
+    ("Optimal_ALIE", a_little_is_enough, "TrMean", ("NNM",), 1),
+    ("Optimal_IPM", inner_product_manipulation, "TrMean", ("NNM",), 1),
+    ("Optimal_ALIE:TrMean", a_little_is_enough, "TrMean", (), 1),
+    ("Optimal_ALIE:NNM>Median", a_little_is_enough, "Median", ("NNM",), 1),
+    ("Optimal_ALIE@2cores", a_little_is_enough, "TrMean", ("NNM",), 2),
 )
 # (name, architecture, clients in its round row)
 MODELS = (("linear", LinearArch(10, 3), 10), ("mlp", MlpArch(784, 64, 10), 30))
@@ -183,9 +186,9 @@ def main() -> int:
     n, d, f = SHAPES[-1]
     attacked = attacked_rows(n, d, f, np.random.default_rng(SEED))
     honest = attacked[: n - f]
-    for name, base, rule, pres in SEARCHES:
+    for name, base, rule, pres, cores in SEARCHES:
         pipeline = build_pipeline(AggregatorSpec(rule, f=f), [PreAggregatorSpec(pre, f=f) for pre in pres])
-        ms, calls = median_ms(lambda rows: optimize_attack_scale(AttackContext(rows, f, pipeline), base), honest)
+        ms, calls = median_ms(lambda rows: optimize_attack_scale(AttackContext(rows, f, pipeline, cores), base), honest)
         print(f"{'attack search':<15} {name:<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")
     group = ByzantineClientGroup(f, AttackSpec("Optimal_ALittleIsEnough"))
     pipeline = build_pipeline(AggregatorSpec("TrMean", f=f), [PreAggregatorSpec("NNM", f=f)])

@@ -8,13 +8,14 @@ the factor that displaces the aggregate the most.
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .aggregators import Rule, RuleSpec
-from .config import Param
+from .config import Param, at_least
 from .numerics import OverCopies, as_vector_set, columnwise
 from .preaggregators import Pipeline
 
@@ -63,11 +64,12 @@ AFFINE_BASES = {inner_product_manipulation: _IPM, a_little_is_enough: _ALIE}
 @dataclass
 class AttackContext:
     """What the adversary can see: honest updates, its own multiplicity, and
-    the server's aggregation pipeline."""
+    the server's aggregation pipeline; ``cores`` is how many processes a search may use."""
 
     honest: np.ndarray
     f: int
     pipeline: Pipeline
+    cores: int = 1
 
 
 class OptimizedAttack(NamedTuple):
@@ -89,37 +91,78 @@ def optimize_attack_scale(
 
     Each candidate scale's f copies of ``base(honest, scale)`` go under the
     honest rows and through a clone of the pipeline (so stateful stages start
-    alike), as ``numerics.OverCopies`` with one dict shared by the whole search;
-    the score is the aggregate's distance to the honest mean, and ties go to the
-    smallest scale. ``base`` needs a row in ``AFFINE_BASES``. The returned vector
+    alike); the score is the aggregate's distance to the honest mean, and ties
+    go to the smallest scale. ``base`` needs a row in ``AFFINE_BASES``. Scale i
+    goes to chunk i mod ``ctx.cores``: chunk 0 is scored here, each other one in
+    a forked child (none where the platform cannot fork) that sends back its
+    winner, or here if the child dies first. A chunk's candidates reach the
+    pipeline as ``numerics.OverCopies`` sharing one dict. Winner and error (the
+    earliest failing candidate's) are the serial search's. The returned vector
     is computed afresh; the returned aggregate and clone are, bit for bit and
     state for state, what the live pipeline gives for the honest rows over f
     copies of that vector and is left in. Nothing the caller passed is changed.
-    Memory is O((n + f) (d + n)) plus ``BLOCK_ELEMENTS`` and the dict's O(n d).
+    Memory per process is O((n + f) (d + n)) plus ``BLOCK_ELEMENTS`` and the dict's O(n d).
     """
     if len(grid) == 0:
         raise ValueError("scale grid must be non-empty")
     honest = as_vector_set(ctx.honest)
     if ctx.f < 1:
         raise ValueError(f"optimizing an attack needs f >= 1, got f={ctx.f}")
+    at_least(1).check(ctx.cores, "cores")
     if base not in AFFINE_BASES:
         raise ValueError(f"{base!r} has no row in AFFINE_BASES")
     parts, at = AFFINE_BASES[base].parts(honest), AFFINE_BASES[base].at
     honest_mean = honest.mean(axis=0)
     n = len(honest)
-    candidate = np.vstack([honest, np.empty((ctx.f, honest.shape[1]))])
-    shared: dict = {}
-    best_scale = best_aggregate = best_pipeline = None
-    best_score = -np.inf
-    for scale in grid:
-        candidate[n:] = at(scale, *parts)
-        pipeline = ctx.pipeline.clone()
-        aggregate = pipeline(OverCopies(candidate, n, shared))
-        score = float(np.linalg.norm(aggregate - honest_mean))
-        if score > best_score or (score == best_score and scale < best_scale):
-            best_scale, best_score, best_pipeline = scale, score, pipeline
-            best_aggregate = np.array(aggregate)
-    return OptimizedAttack(best_scale, at(best_scale, *parts), best_score, best_aggregate, best_pipeline)
+
+    def beats(found: tuple, best: tuple) -> bool:  # of two (score, index, ...), ``found`` met later in the grid
+        return found[0] > best[0] or (found[0] == best[0] and grid[found[1]] < grid[best[1]])
+
+    def score(chunk: range) -> tuple:
+        """``chunk``'s first failure (index, exception) or None, and its winner (score, index, aggregate, clone)."""
+        candidate = np.vstack([honest, np.empty((ctx.f, honest.shape[1]))])
+        shared, best = {}, (-np.inf, None, None, None)
+        for i in chunk:
+            try:
+                candidate[n:] = at(grid[i], *parts)
+                pipeline = ctx.pipeline.clone()
+                aggregate = pipeline(OverCopies(candidate, n, shared))
+                found = (float(np.linalg.norm(aggregate - honest_mean)), i)
+            except Exception as exc:  # noqa: BLE001 - raised below if no earlier candidate failed
+                return (i, exc), best
+            if beats(found, best):
+                best = (*found, np.array(aggregate), pipeline)
+        return None, best
+
+    fork = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
+    cores = min(ctx.cores, len(grid)) if fork else 1
+    chunks, children = [range(k, len(grid), cores) for k in range(cores)], []
+    try:
+        for chunk in chunks[1:]:
+            read, write = fork.Pipe(duplex=False)
+            child = fork.Process(target=lambda c=chunk, w=write: w.send(score(c)))
+            child.start()
+            write.close()
+            children.append((child, read, chunk))
+        results = [score(chunks[0])]
+        for _, read, chunk in children:
+            try:
+                results.append(read.recv())
+            except Exception:  # noqa: BLE001 - the child died or its result did not arrive whole
+                results.append(score(chunk))
+    finally:
+        for child, read, _ in children:
+            read.close()
+            child.terminate()
+            child.join()
+    failures = [failure for failure, _ in results if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    best = (-np.inf, None, None, None)
+    for found in sorted((found for _, found in results if found[1] is not None), key=lambda found: found[1]):
+        best = found if beats(found, best) else best
+    best_score, index, aggregate, pipeline = best
+    return OptimizedAttack(grid[index], at(grid[index], *parts), best_score, aggregate, pipeline)
 
 
 def _optimal(base: Callable[[np.ndarray, float], np.ndarray]) -> Callable[[AttackContext], OptimizedAttack]:

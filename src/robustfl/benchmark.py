@@ -395,8 +395,8 @@ class ExperimentResult:
     client_losses: list[list[float]] | None = None
 
 
-def run_single(cfg: BenchmarkConfig, key: ExperimentKey) -> ExperimentResult:
-    """Execute one grid point from scratch and return its evaluation series."""
+def run_single(cfg: BenchmarkConfig, key: ExperimentKey, cores: int = 1) -> ExperimentResult:
+    """Execute one grid point from scratch and return its evaluation series, attack searches on ``cores`` cores."""
     seed = key.seed
     train, test = DATASETS[cfg.model.dataset_name].load(cfg.model, seed)
     partition = make_partition(
@@ -410,7 +410,7 @@ def run_single(cfg: BenchmarkConfig, key: ExperimentKey) -> ExperimentResult:
     seats = key.f if key.f > 0 and key.attack.name == "LabelFlipping" else 0
     rngs = [derive_rng(seed, f"client.{i}") for i in range(n)] + [derive_rng(seed, f"byz.{j}") for j in range(seats)]
     clients = HonestClient(train, partition.assignments, hc.batch_size, hc.momentum, hc.weight_decay, rngs, seats)
-    byz = ByzantineClientGroup(key.f, key.attack, clients)
+    byz = ByzantineClientGroup(key.f, key.attack, clients, cores)
     server = ServerState(arch, init_params(arch, derive_rng(seed, "init")), pipeline, schedule)
     fedavg = cfg.training_algorithm.parameters if cfg.training_algorithm.name == "FedAvg" else None
     sampling_rng = derive_rng(seed, "sampling")
@@ -519,10 +519,10 @@ def list_results(base_dir) -> list[ExperimentResult]:
 # --------------------------------------------------------------------------- #
 
 
-def _execute_key(cfg: BenchmarkConfig, key: ExperimentKey, base_dir: str) -> str | None:
-    """Run one grid point and persist it; returns an error message or None."""
+def _execute_key(cfg: BenchmarkConfig, key: ExperimentKey, base_dir: str, cores: int) -> str | None:
+    """Run one grid point on ``cores`` cores and persist it; returns an error message or None."""
     try:
-        write_result(base_dir, run_single(cfg, key))
+        write_result(base_dir, run_single(cfg, key, cores))
         return None
     except Exception as exc:  # noqa: BLE001 - one bad run must not sink the grid
         return f"{type(exc).__name__}: {exc}"
@@ -537,7 +537,7 @@ def run_benchmark(cfg: BenchmarkConfig, parallelism: int = 1) -> dict:
     its pool: the runs that pool left unfinished and not on disk run again in
     a fresh pool, and once a second pool breaks, each in a one-worker pool of
     its own. Only a run whose lone worker dies is recorded as failed, with the
-    ``BrokenProcessPool`` message.
+    ``BrokenProcessPool`` message. Each run's attack searches may use max(1, parallelism // runs to execute) cores.
     """
     at_least(1).check(parallelism, "parallelism")
     keys = expand_grid(cfg)
@@ -545,6 +545,7 @@ def run_benchmark(cfg: BenchmarkConfig, parallelism: int = 1) -> dict:
     base.mkdir(parents=True, exist_ok=True)
     pending = [k for k in keys if not (base / k.run_id / "metrics.csv").exists()]
     skipped = len(keys) - len(pending)
+    cores = max(1, parallelism // max(1, len(pending)))
     log.info("grid has %d runs: %d already on disk, %d to execute", len(keys), skipped, len(pending))
 
     failures: list[tuple[str, str]] = []
@@ -563,7 +564,7 @@ def run_benchmark(cfg: BenchmarkConfig, parallelism: int = 1) -> dict:
         """Run ``batch`` in one pool; returns the runs a broken pool left unfinished and not on disk."""
         lost = []
         with ProcessPoolExecutor(max_workers=min(parallelism, len(batch))) as pool:
-            futures = {pool.submit(_execute_key, cfg, key, str(base)): key for key in batch}
+            futures = {pool.submit(_execute_key, cfg, key, str(base), cores): key for key in batch}
             for future in as_completed(futures):
                 key = futures[future]
                 try:
@@ -581,7 +582,7 @@ def run_benchmark(cfg: BenchmarkConfig, parallelism: int = 1) -> dict:
 
     if parallelism == 1 or len(pending) <= 1:
         for key in pending:
-            record(key, _execute_key(cfg, key, str(base)))
+            record(key, _execute_key(cfg, key, str(base), cores))
     else:
         lost = run_pool(pending)
         if lost:

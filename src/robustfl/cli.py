@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a benchmark config")
     run.add_argument("--config", default="./config.json")
-    run.add_argument("--parallel", type=int, default=1, help="number of worker processes")
+    run.add_argument("--parallel", type=int, default=1, help="cores the grid may use")
     run.set_defaults(handler=_cmd_run)
 
     plot = sub.add_parser("plot", help="render charts from a results directory")

@@ -325,8 +325,11 @@ def stable_head(keys: np.ndarray, bounds: np.ndarray, exact, need: int) -> np.nd
         hi = np.where(unknown, np.inf, keys + bounds)
     order = np.argsort(lo, axis=1, kind="stable")
     lo, hi = np.take_along_axis(lo, order, 1), np.take_along_axis(hi, order, 1)
+    gaps = np.maximum.accumulate(hi, axis=1)[:, :-1] < lo[:, 1:]
+    if gaps[:, :need].all():  # each of the first need intervals is a cluster of its own
+        return order[:, :need].reshape(*shape[:-1], need)
     cluster = np.zeros((r, n), dtype=np.intp)
-    np.cumsum(np.maximum.accumulate(hi, axis=1)[:, :-1] < lo[:, 1:], axis=1, out=cluster[:, 1:])
+    np.cumsum(gaps, axis=1, out=cluster[:, 1:])
     size = np.bincount((cluster + n * np.arange(r)[:, None]).ravel(), minlength=r * n).reshape(r, n)
     redo = (cluster <= cluster[:, need - 1 : need]) & (np.take_along_axis(size, cluster, 1) > 1)
     redo &= np.take_along_axis(bounds, order, 1) != 0

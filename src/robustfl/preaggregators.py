@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import math
 from typing import Sequence
 
 import numpy as np
@@ -142,8 +141,10 @@ def bucketing(xs, s: int = DEFAULT_BUCKET_SIZE, rng: np.random.Generator | None 
     if rng is None:
         raise ValueError("bucketing requires a seeded numpy Generator")
     perm = rng.permutation(n)
-    buckets = math.ceil(n / s)
-    return np.stack([xs[perm[b * s : (b + 1) * s]].mean(axis=0) for b in range(buckets)])
+    # Each full bucket's rows are summed in order, as its own (s, d) mean would sum them.
+    full = n // s * s
+    means = xs[perm[:full]].reshape(-1, s, xs.shape[1]).mean(axis=1)
+    return np.vstack([means, xs[perm[full:]].mean(axis=0)]) if full < n else means
 
 
 def static_clipping(xs, c: float) -> np.ndarray:

@@ -161,11 +161,11 @@ class ByzantineClientGroup:
     Gradient-space attacks are computed from the observed honest matrix and
     emitted as f identical rows. LabelFlipping's f clients are instead the
     ``seats`` of the ``bank``, trained with its honest rows under either
-    training algorithm, and their rows are its ``seat_rows``. ``search`` is the
-    ``OptimizedAttack`` behind the last rows of an Optimal_* attack, else None.
+    training algorithm, and their rows are its ``seat_rows``. An Optimal_* attack searches on ``cores`` cores;
+    ``search`` is the ``OptimizedAttack`` behind its last rows, else None.
     """
 
-    def __init__(self, f: int, attack: AttackSpec | None, bank: HonestClient | None = None):
+    def __init__(self, f: int, attack: AttackSpec | None, bank: HonestClient | None = None, cores: int = 1):
         NONNEGATIVE.check(f, "f")
         if f > 0 and attack is None:
             raise ValueError("an attack descriptor is required when f > 0")
@@ -174,6 +174,7 @@ class ByzantineClientGroup:
         self.f = f
         self.attack = attack
         self.bank = bank
+        self.cores = cores
         self.search: OptimizedAttack | None = None
 
     def gradient_rows(self, honest: np.ndarray, pipeline: Pipeline) -> np.ndarray:
@@ -183,7 +184,7 @@ class ByzantineClientGroup:
             return np.zeros((0, honest.shape[1]))
         if self.attack.name == "LabelFlipping":
             return self.bank.seat_rows
-        found = crafted(self.attack, AttackContext(honest, self.f, pipeline))
+        found = crafted(self.attack, AttackContext(honest, self.f, pipeline, self.cores))
         self.search = found if isinstance(found, OptimizedAttack) else None
         return np.tile(found.vector if self.search else found, (self.f, 1))
 

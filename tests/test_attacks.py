@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -481,6 +483,91 @@ class TestSearchWinner:
         result = optimize_attack_scale(AttackContext(xs, 1, pipeline), inner_product_manipulation, (3.0, 1.0, 2.0))
         assert result.scale == 3.0
         np.testing.assert_array_equal(result.aggregate, inner_product_manipulation(xs, 3.0))
+
+
+def refusing_large_copies(self, rows) -> np.ndarray:
+    """A pipeline call that refuses copies of -scale * (1, 1, 1) past scale 0.6, naming the scale."""
+    copy = np.asarray(rows)[-1]
+    if -copy[0] > 0.6:
+        raise ValueError(f"refused scale {float(-copy[0])!r}")
+    return copy
+
+
+class TestSplitSearch:
+    """A search dealt to ``cores`` chunks, all but the first scored in forked
+    children, is the serial search: winner, failure and all."""
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("base", [a_little_is_enough, inner_product_manipulation])
+    @pytest.mark.parametrize("pres", list(PRE_STAGES))
+    @pytest.mark.parametrize("name", AGGREGATOR_NAMES)
+    def test_equals_the_serial_search(self, name, pres, base, cores):
+        rng = np.random.default_rng(43)
+        f, xs = 2, random_vector_set(rng, n=7, d=5)
+        xs[:, 1] = 0.0
+        xs[::2, 2] = -0.0
+        live = build_pipeline(AggregatorSpec(name, f=f), PRE_STAGES[pres], rng=derive_rng(5, "bucketing"))
+        live(rng.normal(size=(len(xs) + f, xs.shape[1])) * 10.0)  # off the initial state
+        before = pipeline_state(live)
+        serial = optimize_attack_scale(AttackContext(xs, f, live), base)
+        split = optimize_attack_scale(AttackContext(xs, f, live, cores), base)
+        assert (split.scale, split.score) == (serial.scale, serial.score)
+        assert split.vector.tobytes() == serial.vector.tobytes()
+        assert split.aggregate.tobytes() == serial.aggregate.tobytes()
+        assert pipeline_state(split.pipeline) == pipeline_state(serial.pipeline)
+        assert pipeline_state(live) == before
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_a_winner_from_a_child_ties_to_the_smallest_scale(self, monkeypatch, cores):
+        # Every candidate scores the same, so the smallest scale wins, whichever chunk scored it.
+        xs = np.ones((3, 3))
+        monkeypatch.setattr(Pipeline, "__call__", lambda self, rows: np.zeros(3))
+        grid = (3.0, 2.0, 1.0, 4.0, 1.0, 0.5, 0.5)
+        result = optimize_attack_scale(AttackContext(xs, 1, average_pipeline(), cores), inner_product_manipulation, grid)
+        assert (result.scale, result.score) == (0.5, math.sqrt(3.0))
+        # 0.0 and -0.0 tie as scales too, so the first in grid order wins.
+        for grid in ((0.0, -0.0, 1.0), (-0.0, 0.0, 1.0)):
+            result = optimize_attack_scale(AttackContext(xs, 1, average_pipeline(), cores), inner_product_manipulation,
+                                           grid)
+            assert math.copysign(1.0, result.scale) == math.copysign(1.0, grid[0])
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_earliest_failing_candidate_raises_the_serial_error(self, monkeypatch, cores):
+        # Scales 0.8, 0.7, 0.9 and 1.0 fail; 0.8, the first in grid order, is in a child's chunk.
+        xs = np.ones((3, 3))
+        monkeypatch.setattr(Pipeline, "__call__", refusing_large_copies)
+        grid = (0.0, 0.8, 0.7, 0.1, 0.9, 1.0)
+        with pytest.raises(ValueError) as serial:
+            optimize_attack_scale(AttackContext(xs, 1, average_pipeline()), inner_product_manipulation, grid)
+        assert str(serial.value) == "refused scale 0.8"
+        with pytest.raises(ValueError, match="^refused scale 0.8$"):
+            optimize_attack_scale(AttackContext(xs, 1, average_pipeline(), cores), inner_product_manipulation, grid)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_a_child_that_exits_without_a_result_is_scored_here(self, monkeypatch, cores):
+        rng = np.random.default_rng(45)
+        xs, pipeline = random_vector_set(rng, n=9, d=6), SCORED_PIPELINES["NNM>TrMean"](2)
+        serial = optimize_attack_scale(AttackContext(xs, 2, pipeline), a_little_is_enough)
+        parent, clone = os.getpid(), Pipeline.clone
+        monkeypatch.setattr(Pipeline, "clone", lambda self: os._exit(3) if os.getpid() != parent else clone(self))
+        split = optimize_attack_scale(AttackContext(xs, 2, pipeline, cores), a_little_is_enough)
+        assert (split.scale, split.score) == (serial.scale, serial.score)
+        assert split.aggregate.tobytes() == serial.aggregate.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_without_fork_the_search_stays_in_this_process(self, monkeypatch):
+        xs = random_vector_set(np.random.default_rng(46), n=5, d=3)
+        serial = optimize_attack_scale(AttackContext(xs, 1, average_pipeline()), a_little_is_enough)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", lambda *args: pytest.fail("asked for a process"))
+        result = optimize_attack_scale(AttackContext(xs, 1, average_pipeline(), 2), a_little_is_enough)
+        assert (result.scale, result.score) == (serial.scale, serial.score)
+
+    def test_rejects_fewer_than_one_core(self, x3):
+        with pytest.raises(ValueError, match="cores must be >= 1"):
+            optimize_attack_scale(AttackContext(x3, 1, average_pipeline(), 0), a_little_is_enough)
 
 
 class TestAttackSpec:

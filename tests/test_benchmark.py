@@ -717,11 +717,11 @@ class TestRunBenchmark:
         *others, victim = [key.run_id for key in expand_grid(cfg)]
         real_run_single = benchmark.run_single
 
-        def run_single_or_die(cfg, key):
+        def run_single_or_die(cfg, key, cores=1):
             # The victim dies like an OOM-killed worker once the other runs are
             # on disk and their results have had time to reach the parent.
             if key.run_id != victim:
-                return real_run_single(cfg, key)
+                return real_run_single(cfg, key, cores)
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline and not all((results / r / "metrics.csv").exists() for r in others):
                 time.sleep(0.01)
@@ -749,10 +749,10 @@ class TestRunBenchmark:
         victim, *others = [key.run_id for key in expand_grid(cfg)]
         real_run_single = benchmark.run_single
 
-        def run_single_or_die(cfg, key):
+        def run_single_or_die(cfg, key, cores=1):
             if key.run_id == victim:
                 os._exit(1)
-            return real_run_single(cfg, key)
+            return real_run_single(cfg, key, cores)
 
         monkeypatch.setattr(benchmark, "run_single", run_single_or_die)
         monkeypatch.setattr(
@@ -767,6 +767,47 @@ class TestRunBenchmark:
         for run_id in others:
             assert (results / run_id / "metrics.csv").exists()
         assert not (results / victim / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("seeds, parallelism, cores", [(1, 2, 2), (3, 2, 1), (1, 1, 1), (2, 4, 2), (3, 8, 2)])
+    def test_each_run_gets_the_cores_its_grid_leaves_idle(self, tmp_path, monkeypatch, seeds, parallelism, cores):
+        def run_single_naming_its_cores(cfg, key, cores=1):
+            raise RuntimeError(f"cores={cores}")
+
+        # Forked workers inherit the patched module attribute.
+        monkeypatch.setattr(benchmark, "run_single", run_single_naming_its_cores)
+        monkeypatch.setattr(
+            benchmark,
+            "ProcessPoolExecutor",
+            functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")),
+        )
+        cfg = parse_config(tiny_config_text(tmp_path / "results", **{"benchmark_config.nb_training_seeds": seeds}))
+        summary = run_benchmark(cfg, parallelism=parallelism)
+        assert [message for _, message in summary["failures"]] == [f"RuntimeError: cores={cores}"] * seeds
+
+    def test_a_lone_optimal_run_writes_the_same_bytes_on_two_cores(self, tmp_path):
+        grids = {}
+        for parallelism in (1, 2):
+            out = tmp_path / str(parallelism)
+            cfg = parse_config(tiny_config_text(out, attack=[{"name": "Optimal_ALittleIsEnough"}],
+                                                pre_aggregators=[{"name": "NNM"}]))
+            assert run_benchmark(cfg, parallelism=parallelism)["completed"] == 1
+            grids[parallelism] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        assert grids[1] == grids[2]
+
+    def test_the_lone_run_left_by_a_resume_gets_every_core(self, tmp_path, monkeypatch):
+        cfg = parse_config(tiny_config_text(tmp_path / "results", **{"benchmark_config.nb_training_seeds": 3}))
+        run_benchmark(cfg)
+        (tmp_path / "results" / expand_grid(cfg)[1].run_id / "metrics.csv").unlink()
+        seen = []
+        real_run_single = benchmark.run_single
+
+        def run_single_noting_its_cores(cfg, key, cores=1):
+            seen.append(cores)
+            return real_run_single(cfg, key, cores)
+
+        monkeypatch.setattr(benchmark, "run_single", run_single_noting_its_cores)
+        assert run_benchmark(cfg, parallelism=2)["completed"] == 1
+        assert seen == [2]
 
     def test_gamma_split_with_empty_clients_runs(self, tmp_path):
         # 8 rows over 6 clients at similarity 0.5 leave two gamma clients

@@ -191,6 +191,30 @@ class TestGramSqDists:
         assert d2.tobytes() == parent_pairwise_sq_dists(x3).tobytes() and not err.any()
 
 
+def clustered_head(keys: np.ndarray, bounds: np.ndarray, exact, need: int) -> np.ndarray:
+    """``stable_head`` with no shortcut for separated intervals: each row's head read off its clusters."""
+    if not bounds.any():
+        return np.argsort(keys, axis=-1, kind="stable")[..., :need]
+    shape, (keys, bounds) = keys.shape, np.atleast_2d(keys, bounds)
+    r, n = keys.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        unknown = ~np.isfinite(4.0 * (np.abs(keys) + bounds))
+        lo = np.where(unknown, -np.inf, keys - bounds)
+        hi = np.where(unknown, np.inf, keys + bounds)
+    order = np.argsort(lo, axis=1, kind="stable")
+    lo, hi = np.take_along_axis(lo, order, 1), np.take_along_axis(hi, order, 1)
+    cluster = np.zeros((r, n), dtype=np.intp)
+    np.cumsum(np.maximum.accumulate(hi, axis=1)[:, :-1] < lo[:, 1:], axis=1, out=cluster[:, 1:])
+    size = np.bincount((cluster + n * np.arange(r)[:, None]).ravel(), minlength=r * n).reshape(r, n)
+    redo = (cluster <= cluster[:, need - 1 : need]) & (np.take_along_axis(size, cluster, 1) > 1)
+    redo &= np.take_along_axis(bounds, order, 1) != 0
+    known = np.take_along_axis(keys, order, 1)
+    if redo.any():
+        known[redo] = exact(np.nonzero(redo)[0], order[redo])
+    head = np.lexsort((order, known, cluster), axis=1)[:, :need]
+    return np.take_along_axis(order, head, 1).reshape(*shape[:-1], need)
+
+
 class TestStableHead:
     @settings(deadline=None, max_examples=200)
     @given(st.integers(0, 3), st.integers(1, 9), st.data())
@@ -212,13 +236,16 @@ class TestStableHead:
         got = stable_head(keys, bounds, exact_keys, need)
         np.testing.assert_array_equal(got, np.argsort(exact, axis=-1, kind="stable")[..., :need])
         assert all(asked)
+        np.testing.assert_array_equal(got, clustered_head(keys, bounds, exact_keys, need))
 
     def test_a_block_orders_each_row_as_a_call_on_that_row_does(self):
         rng = np.random.default_rng(111)
         exact = rng.integers(0, 4, size=(5, 8)).astype(float)
         bounds = np.where(rng.random((5, 8)) < 0.5, 0.0, 0.75)
         keys = exact + bounds * rng.uniform(-1.0, 1.0, size=(5, 8))
-        got = stable_head(keys, bounds, lambda rows, positions: exact[rows, positions], 6)
+        exact_keys = lambda rows, positions: exact[rows, positions]  # noqa: E731
+        got = stable_head(keys, bounds, exact_keys, 6)
+        np.testing.assert_array_equal(got, clustered_head(keys, bounds, exact_keys, 6))
         for i in range(5):
             row = stable_head(keys[i], bounds[i], lambda _, positions: exact[i, positions], 6)
             np.testing.assert_array_equal(got[i], row)
@@ -232,8 +259,10 @@ class TestStableHead:
 
     def test_separated_intervals_need_no_exact_key(self):
         keys = np.array([3.0, 0.0, 2.0, 1.0])
-        got = stable_head(keys, np.full(4, 0.4), lambda rows, positions: pytest.fail("recomputed"), 4)
-        np.testing.assert_array_equal(got, [1, 3, 2, 0])
+        for need in range(1, 5):
+            got = stable_head(keys, np.full(4, 0.4), lambda rows, positions: pytest.fail("recomputed"), need)
+            np.testing.assert_array_equal(got, [1, 3, 2, 0][:need])
+            np.testing.assert_array_equal(got, clustered_head(keys, np.full(4, 0.4), None, need))
 
     @pytest.mark.parametrize("bounds, recomputed", [([1.0, 1.0, 1.0, 1.0], [0, 1, 2, 3]),
                                                     ([0.0, 0.0, np.inf, 0.0], [2])])
@@ -248,6 +277,8 @@ class TestStableHead:
         got = stable_head(np.array([0.0, 10.0, np.nan, 30.0]), np.array(bounds), exact_keys, 1)
         np.testing.assert_array_equal(got, [0])
         assert sorted(asked) == recomputed
+        np.testing.assert_array_equal(got, clustered_head(np.array([0.0, 10.0, np.nan, 30.0]), np.array(bounds),
+                                                          lambda rows, positions: exact[positions], 1))
 
 
 def assert_copy_column_covers_exact_kernel(honest: np.ndarray, v: np.ndarray):

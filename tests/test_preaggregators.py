@@ -407,6 +407,33 @@ class TestBucketing:
         draws = {bucketing(xs, s=3, rng=stream).tobytes() for _ in range(20)}
         assert len(draws) > 1
 
+    @staticmethod
+    def each_bucket_alone(xs: np.ndarray, s: int, perm: np.ndarray) -> np.ndarray:
+        """Every bucket's rows averaged by a mean of their own, in shuffled order."""
+        return np.stack([xs[perm[b * s : (b + 1) * s]].mean(axis=0) for b in range(math.ceil(len(xs) / s))])
+
+    @pytest.mark.parametrize("n, s, d", [(1, 1, 1), (6, 3, 1), (6, 1, 33), (4, 9, 2), (7, 2, 3), (39, 13, 33),
+                                         (38, 13, 1)])
+    def test_full_buckets_in_one_reshape_equal_each_bucket_alone(self, n, s, d):
+        rng = np.random.default_rng(n * 100 + s)
+        xs = rng.normal(size=(n, d))
+        xs[:, 0] = -0.0  # a column of negative zeros keeps its sign
+        perm = rng.permutation(n)
+        got = bucketing(xs, s=s, rng=FixedPermutation(perm))
+        np.testing.assert_array_equal(got, self.each_bucket_alone(xs, s, perm))
+        assert got.tobytes() == self.each_bucket_alone(xs, s, perm).tobytes()
+
+    def test_random_shapes_and_magnitudes_equal_each_bucket_alone(self):
+        # n up to 39, s up to 13, d in {1, 2, 3, 33}, values of both signs spanning e^-20 to e^20.
+        rng = np.random.default_rng(15)
+        for _ in range(7000):
+            n, s, d = int(rng.integers(1, 40)), int(rng.integers(1, 14)), int(rng.choice([1, 2, 3, 33]))
+            xs = np.exp(rng.uniform(-20.0, 20.0, size=(n, d))) * rng.choice([-1.0, 1.0], size=(n, d))
+            perm = rng.permutation(n)
+            got = bucketing(xs, s=s, rng=FixedPermutation(perm))
+            np.testing.assert_array_equal(got, self.each_bucket_alone(xs, s, perm))
+            assert got.tobytes() == self.each_bucket_alone(xs, s, perm).tobytes(), (n, s, d)
+
     def test_rejects_bad_arguments(self, x3):
         with pytest.raises(ValueError, match="bucket size"):
             bucketing(x3, s=0, rng=derive_rng(0, "bucketing"))

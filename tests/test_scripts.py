@@ -43,8 +43,10 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
     assert [row[1] for row in rules if row[-2] == "skipped"] == ["MDA", "SMEA"]
     # "attack search" and "attack step" are two words, so the name is the third.
     assert [row[2] for row in rows if row[:2] == ["attack", "search"]] == [
-        "Optimal_ALIE", "Optimal_IPM", "Optimal_ALIE:TrMean", "Optimal_ALIE:NNM>Median"
+        "Optimal_ALIE", "Optimal_IPM", "Optimal_ALIE:TrMean", "Optimal_ALIE:NNM>Median", "Optimal_ALIE@2cores"
     ]
+    searches = [row for row in rows if row[:2] == ["attack", "search"]]
+    assert all(row[3:6] == ["7", "12", "2"] and float(row[6]) > 0 for row in searches)
     steps = [row for row in rows if row[:2] == ["attack", "step"]]
     assert [row[2:6] for row in steps] == [["Optimal_ALIE", "7", "12", "2"]]
     assert float(steps[0][6]) > 0
