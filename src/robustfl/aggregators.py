@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import NONNEGATIVE, POSITIVE, Param, at_least
 from .numerics import OverCopies, as_vector_set, check_f, columnwise, slice_means, sorted_slice_means
-from .numerics import sq_dists_to, stable_head, trusted_pairwise_sq_dists
+from .numerics import stable_head, trusted_pairwise_sq_dists
 # The rules pass the matrix they have checked; perfbench's tracer patches the kernels under these names.
 from .numerics import gram_sq_dists as pairwise_sq_dists
 from .numerics import trusted_top_eigenpair as top_eigenpair
@@ -145,9 +145,7 @@ def _first_by_key(xs, d2, spread, terms: int, need: int, key_of) -> np.ndarray:
     ``d2`` and ``spread``, a bound on the error of each row's terms in all (0: exact)."""
 
     def exact_keys(_, rows):  # the key row's positions are rows of xs
-        if 2 * len(rows) > len(xs):  # the whole matrix reduces each pair once
-            return key_of(trusted_pairwise_sq_dists(xs)[rows], rows)
-        return key_of(np.array([sq_dists_to(xs[i], xs) for i in rows]), rows)
+        return key_of(trusted_pairwise_sq_dists(xs, rows), rows)
 
     keys = key_of(d2, np.arange(len(xs)))
     rounding = 2.0 * (terms + 1) * np.finfo(np.float64).eps * (np.abs(keys) + spread)  # of both sums
@@ -264,8 +262,7 @@ def monna(xs, f: int, pivot: int = 0) -> np.ndarray:
     check_f("MoNNA", n, f, f + 1, "n > f")
     if not 0 <= pivot < n:
         raise ValueError(f"pivot must lie in [0, {n}), got {pivot}")
-    d2 = np.einsum("ij,ij->i", xs - xs[pivot], xs - xs[pivot])
-    order = np.argsort(d2, kind="stable")
+    order = np.argsort(trusted_pairwise_sq_dists(xs, [pivot])[0], kind="stable")
     return xs[order[: n - f]].mean(axis=0)
 
 

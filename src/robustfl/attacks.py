@@ -204,9 +204,3 @@ def crafted(spec: AttackSpec, ctx: AttackContext) -> np.ndarray | OptimizedAttac
     if rule.needs_f:
         return rule.fn(ctx)
     return rule.fn(ctx.honest, **spec.parameters)
-
-
-def attack_vector(spec: AttackSpec, ctx: AttackContext) -> np.ndarray:
-    """The vector of ``crafted(spec, ctx)``."""
-    found = crafted(spec, ctx)
-    return found.vector if isinstance(found, OptimizedAttack) else found

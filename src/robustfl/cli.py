@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .aggregators import AGGREGATOR_NAMES, AggregatorSpec
-from .attacks import ATTACKS, AttackContext, AttackSpec, attack_vector
+from .attacks import ATTACKS, AttackContext, AttackSpec, crafted
 from .benchmark import check_pipelines, expand_grid, list_results, parse_config_file, run_benchmark
 from .evaluate import emit_curves, emit_heatmaps
 from .preaggregators import PRE_AGGREGATOR_NAMES, PreAggregatorSpec, build_pipeline
@@ -98,7 +98,7 @@ def _cmd_agg(args) -> int:
 def _cmd_attack(args) -> int:
     honest = _read_matrix(args.input)
     params = {} if args.tau is None else {"tau": args.tau}
-    vector = attack_vector(AttackSpec(args.name, params), AttackContext(honest, 0, None))
+    vector = crafted(AttackSpec(args.name, params), AttackContext(honest, 0, None))
     print(",".join(format_value(v) for v in vector))
     return 0
 

@@ -28,6 +28,8 @@ Every rule works on n rows with n much smaller than d, so the n x n matrices
 of pairwise distances or of centred inner products carry what a rule needs:
 ``top_eigenpair`` solves the n x n problem and maps the answer back to d-space,
 and ``gram_sq_dists`` with ``stable_head`` rank rows by distance from one n x n product.
+Every exact squared distance comes from ``trusted_pairwise_sq_dists``: any rows
+of the exact matrix, with the same bytes whichever path builds them.
 """
 
 from __future__ import annotations
@@ -235,33 +237,41 @@ def pairwise_sq_dists(xs) -> np.ndarray:
     return trusted_pairwise_sq_dists(as_vector_set(xs))
 
 
-def trusted_pairwise_sq_dists(xs: np.ndarray) -> np.ndarray:
-    """``pairwise_sq_dists`` of an (n, d) float64 matrix the caller has validated.
+def trusted_pairwise_sq_dists(xs: np.ndarray, rows=None) -> np.ndarray:
+    """Squared distances from the rows ``rows`` (indices in any order, repeats allowed; None: all n) of an
+    (n, d) float64 matrix the caller has validated to each of its rows: ``pairwise_sq_dists(xs)[rows]``.
 
-    Computed from explicit row differences, so exactly symmetric with an exactly zero diagonal.
-    The (n, n, d) difference tensor is built in one piece when it fits in ``BLOCK_ELEMENTS``;
-    otherwise row i < n - 1 is ``sq_dists_to`` the rows from i on, through one buffer, and the
-    upper triangle is mirrored: half the work, extra memory O(n^2 + TILE_ELEMENTS + d). Each entry
-    is one per-pair reduction whatever the tile (negating a difference is exact): bit-identical.
+    Entries come from explicit row differences, one per-pair reduction each, so they have the same bytes
+    whichever rows are asked for: the matrix is exactly symmetric with an exactly zero diagonal. Temporaries
+    hold at most ``BLOCK_ELEMENTS`` elements, or O(n^2 + TILE_ELEMENTS + d) past that budget, where up to half
+    the rows are measured one by one and more rows come from one mirrored upper triangle (half their work).
     """
     n, d = xs.shape
-    if block_rows(n * d) >= n:
-        diffs = xs[:, None, :] - xs[None, :, :]
+    count, rows = (n, slice(None)) if rows is None else (len(rows), np.asarray(rows, dtype=np.intp))
+    if count * n * d <= BLOCK_ELEMENTS:
+        diffs = xs[rows][:, None, :] - xs
         return np.einsum("ijk,ijk->ij", diffs, diffs)
+    if 2 * count <= n:  # count < n, so rows were given as indices
+        return np.array([sq_dists_to(xs[i], xs) for i in rows])
     out = np.zeros((n, n))
-    buffer = np.empty(min(n, tile_width(d) + 1) * d)
     for i in range(n - 1):
-        out[i, i:] = sq_dists_to(xs[i], xs[i:], buffer)
+        out[i, i:] = sq_dists_to(xs[i], xs[i:])
     lower = np.tril_indices(n, -1)
     out[lower] = out.T[lower]
-    return out
+    return out[rows]
 
 
-def sq_dists_to(v: np.ndarray, rows: np.ndarray, buffer: np.ndarray | None = None) -> np.ndarray:
+def sq_dists_at(xs: np.ndarray, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``trusted_pairwise_sq_dists(xs)[rows, columns]``, from the exact rows the entries lie in."""
+    unique, at = np.unique(rows, return_inverse=True)
+    return trusted_pairwise_sq_dists(xs, unique)[at, columns]
+
+
+def sq_dists_to(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Squared distance of each of two or more trusted ``rows`` to ``v``, each run of ``tiles(len(rows), d)``
-    reduced as one (1, run, d) einsum tile in ``buffer``, min(len(rows), tile_width(d) + 1) * d long (None: new)."""
+    reduced as one (1, run, d) einsum tile."""
     m, d = rows.shape
-    buffer = np.empty(min(m, tile_width(d) + 1) * d) if buffer is None else buffer
+    buffer = np.empty(min(m, tile_width(d) + 1) * d)
     out = np.empty(m)
     for run in tiles(m, d):
         diffs = buffer[: (run.stop - run.start) * d].reshape(1, -1, d)

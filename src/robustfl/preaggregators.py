@@ -17,8 +17,8 @@ import numpy as np
 
 from .aggregators import AggregatorSpec, ConfiguredAggregator, Rule, StageSpec, make_aggregator
 from .config import POSITIVE, Param, at_least
-from .numerics import OverCopies, as_vector_set, block_rows, check_f, gram_sq_dists_with_copy, sq_dists_to
-from .numerics import stable_head, trusted_pairwise_sq_dists
+from .numerics import OverCopies, as_vector_set, block_rows, check_f, gram_sq_dists_with_copy, sq_dists_at
+from .numerics import stable_head
 # NNM passes the matrix it has checked; perfbench's tracer patches the kernel under this name.
 from .numerics import gram_sq_dists as pairwise_sq_dists
 
@@ -35,18 +35,6 @@ def _neighbour_mean(xs: np.ndarray, near: np.ndarray, out: np.ndarray) -> np.nda
     for j in near[2:]:
         out += xs[j]
     out /= len(near)
-    return out
-
-
-def _exact_sq_dists(xs: np.ndarray, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """The exact kernel's distances between rows rows[k] and columns[k] of ``xs``: ``sq_dists_to`` on
-    each row's entries, or one ``trusted_pairwise_sq_dists`` matrix past half its n (n + 1) / 2 pairs."""
-    if 4 * len(rows) > len(xs) * (len(xs) + 1):
-        return trusted_pairwise_sq_dists(xs)[rows, columns]
-    out = np.empty(len(rows))
-    for row in np.unique(rows):  # sq_dists_to needs two rows: a lone one is measured twice
-        at = np.flatnonzero(rows == row)
-        out[at] = sq_dists_to(xs[row], xs[np.resize(columns[at], max(2, at.size))])[: at.size]
     return out
 
 
@@ -90,11 +78,11 @@ def nnm(xs, f: int) -> np.ndarray | OverCopies:
     if over:
         if "gram" not in shared:
             shared["gram"] = (*pairwise_sq_dists(xs[:m]), np.einsum("ij,ij->i", xs[:m], xs[:m]))
-        exact = functools.partial(_exact_sq_dists, xs[: m + 1])
+        exact = functools.partial(sq_dists_at, xs[: m + 1])
         heads = stable_head(*gram_sq_dists_with_copy(shared["gram"], xs[:m], xs[m]), exact, min(m + 1, n - f))
         neighbours = _spelled_out(heads, m, n - m, n - f)
     else:
-        neighbours = stable_head(*pairwise_sq_dists(xs), functools.partial(_exact_sq_dists, xs), n - f)
+        neighbours = stable_head(*pairwise_sq_dists(xs), functools.partial(sq_dists_at, xs), n - f)
     # numpy reduces a gather of one-coordinate rows pairwise, not in order.
     if d == 1 or block_rows((n - f) * d) >= n:
         return xs[neighbours].mean(axis=1)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from robustfl import numerics
+from robustfl import aggregators, numerics
 
 finite_elements = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 # Few distinct values, so rows repeat and distances tie.
@@ -67,6 +67,21 @@ def merge_cases(draw):
             (values[0] + values[-1]) / 2, 0.0, -0.0,
         ]), label=f"w[{j}]")
     return fixed, draw(st.integers(1, m - 1), label="copies"), w
+
+
+@pytest.fixture
+def exact_rows(monkeypatch) -> list:
+    """The rows each ``numerics.trusted_pairwise_sq_dists`` call is asked for,
+    one index array per call (all n rows when it is given none)."""
+    calls, kernel = [], numerics.trusted_pairwise_sq_dists
+
+    def recorded(xs, rows=None):
+        calls.append(np.arange(len(xs)) if rows is None else np.asarray(rows))
+        return kernel(xs, rows)
+
+    monkeypatch.setattr(numerics, "trusted_pairwise_sq_dists", recorded)
+    monkeypatch.setattr(aggregators, "trusted_pairwise_sq_dists", recorded)
+    return calls
 
 
 @pytest.fixture

@@ -29,6 +29,7 @@ from robustfl.preaggregators import nnm
 from conftest import (
     column_matrices,
     gram_cases,
+    in_blocks,
     in_tiles,
     merge_cases,
     multi_row_matrices,
@@ -37,6 +38,7 @@ from conftest import (
     single_block,
     tile_budgets,
 )
+from test_numerics import BUFFERED_D
 from test_scripts import load_script
 from oracles import (
     brute_mda,
@@ -51,6 +53,13 @@ from oracles import (
 )
 
 GOLDEN = [2.5, 3.5, 4.5]
+
+
+def parent_monna(xs: np.ndarray, f: int, pivot: int) -> np.ndarray:
+    """MoNNA as it ranked rows before it read the distance kernel: one einsum
+    over the rows' differences to the pivot."""
+    d2 = np.einsum("ij,ij->i", xs - xs[pivot], xs - xs[pivot])
+    return xs[np.argsort(d2, kind="stable")[: len(xs) - f]].mean(axis=0)
 
 
 def parent_trmean(xs: np.ndarray, f: int) -> np.ndarray:
@@ -242,24 +251,6 @@ def on_exact_kernel(rule, xs, f):
         return rule(xs, f)
 
 
-def count_exact_rows(monkeypatch) -> list:
-    """Record each exact distance row the rules recompute, by its row: one per
-    ``sq_dists_to`` call, every row of a ``trusted_pairwise_sq_dists`` call."""
-    rows = []
-
-    def one_row(v, xs):
-        rows.append(v.copy())
-        return numerics.sq_dists_to(v, xs)
-
-    def all_rows(xs):
-        rows.extend(xs.copy())
-        return numerics.trusted_pairwise_sq_dists(xs)
-
-    monkeypatch.setattr(aggregators, "sq_dists_to", one_row)
-    monkeypatch.setattr(aggregators, "trusted_pairwise_sq_dists", all_rows)
-    return rows
-
-
 class TestGramOrder:
     """Past the block budget MultiKrum and GeometricMedian order rows from
     Gram-form distances; their output equals the stable order of the exact
@@ -287,47 +278,47 @@ class TestGramOrder:
             np.testing.assert_array_equal(in_tiles(rule, budget, xs, f), expected)
 
     @pytest.mark.parametrize("name", list(GRAM_RULES))
-    def test_attacked_input_recomputes_at_most_f_rows(self, name, monkeypatch):
+    def test_attacked_input_recomputes_at_most_f_rows(self, name, monkeypatch, exact_rows):
         bench = load_script("microbench_rules", monkeypatch)
         n, d, f = bench.SHAPES[-1]
         xs = bench.attacked_rows(n, d, f, np.random.default_rng(bench.SEED))
-        rows = count_exact_rows(monkeypatch)
+        exact_rows.clear()
         got = GRAM_RULES[name](xs, f)
-        assert len(rows) <= f
+        assert sum(map(len, exact_rows)) <= f
         monkeypatch.undo()
         np.testing.assert_array_equal(got, on_exact_kernel(GRAM_RULES[name], xs, f))
 
     @pytest.mark.parametrize("name", list(GRAM_RULES))
-    def test_non_finite_entries_send_their_rows_to_the_fallback(self, name, monkeypatch):
+    def test_non_finite_entries_send_their_rows_to_the_fallback(self, name, monkeypatch, exact_rows):
         overflow = gram_cases()["overflow"]
-        rows = count_exact_rows(monkeypatch)
         with np.errstate(all="ignore"):
             in_tiles(GRAM_RULES[name], 1 << 40, overflow, 2)
-        assert len(rows) == len(overflow)
+        assert sorted(np.concatenate(exact_rows)) == list(range(len(overflow)))
         # One far row: every row's entry to it is not finite in the Gram form.
         xs = np.vstack([random_vector_set(np.random.default_rng(109), n=6, d=4), np.full(4, 1e200)])
-        rows.clear()
+        exact_rows.clear()
         with np.errstate(all="ignore"):
             _, err = in_tiles(numerics.gram_sq_dists, 1 << 40, xs)
             got = in_tiles(GRAM_RULES[name], 1 << 40, xs, 2)
         assert np.isinf(err[:, -1][:-1]).all()
-        np.testing.assert_array_equal(sorted(map(tuple, rows)), sorted(map(tuple, xs)))
+        assert sorted(np.concatenate(exact_rows)) == list(range(len(xs)))
         monkeypatch.undo()
         with np.errstate(all="ignore"):
             np.testing.assert_array_equal(got, on_exact_kernel(GRAM_RULES[name], xs, 2))
 
     @pytest.mark.parametrize("name", list(GRAM_RULES))
-    def test_more_than_half_the_rows_come_from_one_exact_matrix(self, name, monkeypatch):
-        matrices = []
-        monkeypatch.setattr(aggregators, "sq_dists_to", lambda v, xs: pytest.fail("one exact row measured"))
-        monkeypatch.setattr(aggregators, "trusted_pairwise_sq_dists",
-                            lambda xs: matrices.append(xs) or numerics.trusted_pairwise_sq_dists(xs))
+    def test_more_than_half_the_rows_come_from_one_exact_matrix(self, name, monkeypatch, exact_rows):
+        measured, sq_dists_to = [], numerics.sq_dists_to
+        monkeypatch.setattr(numerics, "sq_dists_to", lambda v, xs: measured.append(len(xs)) or sq_dists_to(v, xs))
+        xs = gram_cases()["overflow"]
         with np.errstate(all="ignore"):
-            got = in_tiles(GRAM_RULES[name], 1 << 40, gram_cases()["overflow"], 2)
-        assert len(matrices) == 1
+            got = in_tiles(GRAM_RULES[name], 1 << 40, xs, 2)
+        # One call past half the rows: the kernel mirrors the upper triangle.
+        assert len(exact_rows) == 1 and 2 * len(exact_rows[0]) > len(xs)
+        assert measured == list(range(len(xs), 1, -1))
         monkeypatch.undo()
         with np.errstate(all="ignore"):
-            np.testing.assert_array_equal(got, on_exact_kernel(GRAM_RULES[name], gram_cases()["overflow"], 2))
+            np.testing.assert_array_equal(got, on_exact_kernel(GRAM_RULES[name], xs, 2))
 
 
 class TestMeaMed:
@@ -521,6 +512,23 @@ class TestMonna:
     def test_pivot_bounds(self, x3):
         with pytest.raises(ValueError, match="pivot"):
             monna(x3, 1, pivot=3)
+
+    @settings(deadline=None, max_examples=80)
+    @given(scaled_matrices, st.sampled_from([1, 1 << 40]), st.data())
+    def test_every_pivot_equals_parent_ranking(self, xs, budget, data):
+        f = data.draw(st.integers(0, len(xs) - 1), label="f")
+        for pivot in range(len(xs)):
+            with np.errstate(all="ignore"):
+                got = in_blocks(monna, 1, budget, xs, f, pivot)
+                assert got.tobytes() == parent_monna(xs, f, pivot).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 8_191, 8_192, 8_193, BUFFERED_D])
+    def test_every_pivot_equals_parent_ranking_on_wide_rows(self, d):
+        xs = np.random.default_rng(d).normal(size=(5, d))
+        xs[3] = xs[1]
+        for pivot in range(len(xs)):
+            for budget in (1, 1 << 40):
+                assert in_blocks(monna, 1, budget, xs, 2, pivot).tobytes() == parent_monna(xs, 2, pivot).tobytes()
 
 
 class TestSmea:

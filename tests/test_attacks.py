@@ -20,7 +20,7 @@ from robustfl.attacks import (
     AttackContext,
     AttackSpec,
     a_little_is_enough,
-    attack_vector,
+    crafted,
     inner_product_manipulation,
     optimize_attack_scale,
     sign_flipping,
@@ -185,7 +185,8 @@ class TestVectorAttacksGeneral:
             xs = random_vector_set(rng)
             ctx = AttackContext(honest=xs, f=2, pipeline=average_pipeline())
             for name in (name for name, rule in ATTACKS.items() if rule.fn is not None):
-                out = attack_vector(AttackSpec(name), ctx)
+                out = crafted(AttackSpec(name), ctx)
+                out = out.vector if name.startswith("Optimal_") else out
                 assert out.shape == (xs.shape[1],)
                 assert np.isfinite(out).all()
 
@@ -585,29 +586,29 @@ class TestAttackSpec:
 class TestAttackVectorDispatch:
     def test_fixed_attacks_match_functions(self, x3):
         ctx = AttackContext(honest=x3, f=1, pipeline=average_pipeline())
-        np.testing.assert_array_equal(attack_vector(AttackSpec("SignFlipping"), ctx), sign_flipping(x3))
+        np.testing.assert_array_equal(crafted(AttackSpec("SignFlipping"), ctx), sign_flipping(x3))
         np.testing.assert_array_equal(
-            attack_vector(AttackSpec("InnerProductManipulation"), ctx),
+            crafted(AttackSpec("InnerProductManipulation"), ctx),
             inner_product_manipulation(x3, DEFAULT_IPM_SCALE),
         )
         np.testing.assert_array_equal(
-            attack_vector(AttackSpec("ALittleIsEnough"), ctx),
+            crafted(AttackSpec("ALittleIsEnough"), ctx),
             a_little_is_enough(x3, DEFAULT_ALIE_SCALE),
         )
 
     def test_scale_override(self, x3):
         ctx = AttackContext(honest=x3, f=1, pipeline=average_pipeline())
         np.testing.assert_array_equal(
-            attack_vector(AttackSpec("InnerProductManipulation", parameters={"tau": 0.5}), ctx),
+            crafted(AttackSpec("InnerProductManipulation", parameters={"tau": 0.5}), ctx),
             inner_product_manipulation(x3, 0.5),
         )
 
     def test_optimized_variants_use_default_grid(self, x3):
         ctx = AttackContext(honest=x3, f=1, pipeline=average_pipeline())
-        out = attack_vector(AttackSpec("Optimal_ALittleIsEnough"), ctx)
+        out = crafted(AttackSpec("Optimal_ALittleIsEnough"), ctx).vector
         np.testing.assert_array_equal(out, a_little_is_enough(x3, 10.0))
 
     def test_label_flipping_has_no_gradient_form(self, x3):
         ctx = AttackContext(honest=x3, f=1, pipeline=average_pipeline())
         with pytest.raises(ValueError, match="acts on client data"):
-            attack_vector(AttackSpec("LabelFlipping"), ctx)
+            crafted(AttackSpec("LabelFlipping"), ctx)

@@ -156,6 +156,39 @@ class TestTiledPairwiseSqDists:
         assert tiled.tobytes() == parent_pairwise_sq_dists(xs).tobytes()
 
 
+def exact_rows_of(xs: np.ndarray, rows, budget: int, tile_budget: int = numerics.TILE_ELEMENTS) -> np.ndarray:
+    """``trusted_pairwise_sq_dists(xs, rows)`` with block and tile budgets of ``budget`` and ``tile_budget``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "BLOCK_ELEMENTS", budget)
+        mp.setattr(numerics, "TILE_ELEMENTS", tile_budget)
+        return numerics.trusted_pairwise_sq_dists(xs, rows)
+
+
+class TestExactRows:
+    """Any rows of the exact kernel, in any order and with repeats, keep the
+    bytes of the parent expression's rows, whichever path builds them: one
+    block (budget 1 << 40), one row per block (budget n d), or per row and
+    past half the rows the mirrored triangle (budget 1)."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.one_of(matrices, multi_row_matrices), tile_budgets, st.data())
+    def test_rows_equal_parent_expression(self, xs, tile_budget, data):
+        n, d = xs.shape
+        rows = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n), label="rows")
+        budget = data.draw(st.sampled_from([1, n * d, 1 << 40]), label="budget")
+        got = exact_rows_of(xs, rows, budget, tile_budget)
+        assert got.tobytes() == parent_pairwise_sq_dists(xs)[rows].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 6])
+    def test_rows_past_numpy_buffer(self, n):
+        xs = np.random.default_rng(16).normal(size=(n, BUFFERED_D))
+        expected = parent_pairwise_sq_dists(xs)
+        for rows in ([0], [n - 1, 0, n - 1], list(range(n))[::-1], [1] * (n + 1)):
+            for budget in (1, n * BUFFERED_D, 1 << 40):
+                for tile_budget in (1, 2 * BUFFERED_D, numerics.TILE_ELEMENTS):
+                    assert exact_rows_of(xs, rows, budget, tile_budget).tobytes() == expected[rows].tobytes()
+
+
 def assert_bound_covers_exact_kernel(xs: np.ndarray) -> None:
     """Past the block budget, the Gram form lies within its bound of the exact
     kernel wherever both are finite, and the bound is inf wherever either is not."""

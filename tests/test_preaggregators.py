@@ -252,24 +252,6 @@ def nnm_on_exact_order(xs, f, budget):
         return nnm(xs, f)
 
 
-def count_exact_entries(monkeypatch) -> list:
-    """Record what NNM's ordering measures exactly: ("rows", k) for a
-    ``sq_dists_to`` call on k rows, ("matrix", n) for a whole exact matrix."""
-    calls = []
-
-    def rows(v, xs):
-        calls.append(("rows", len(xs)))
-        return numerics.sq_dists_to(v, xs)
-
-    def matrix(xs):
-        calls.append(("matrix", len(xs)))
-        return numerics.trusted_pairwise_sq_dists(xs)
-
-    monkeypatch.setattr(preaggregators, "sq_dists_to", rows)
-    monkeypatch.setattr(preaggregators, "trusted_pairwise_sq_dists", matrix)
-    return calls
-
-
 def assert_gram_order_keeps_the_bytes(xs, f, candidates):
     """Past the block budget NNM ranks from the Gram form; on ``xs`` and on each
     ``(fixed, candidate)`` search input, read dense and as ``OverCopies``, its
@@ -327,39 +309,39 @@ class TestNnmGramOrder:
         w = xs[row] * data.draw(st.sampled_from([1.0, -1.0, 0.5, 2.0, -0.0]), label="factor")
         assert_gram_order_keeps_the_bytes(xs, f, [over_copies(xs, copies, w)])
 
-    def test_search_input_measures_no_exact_entry(self, monkeypatch):
+    def test_search_input_measures_no_exact_entry(self, monkeypatch, exact_rows):
         # The honest rows and ALittleIsEnough copies of the mnist_* shape.
         rng = np.random.default_rng(0)
         honest = rng.normal(size=50_890) * 0.01 + rng.normal(size=(30, 50_890)) * 0.01
         fixed, candidate = over_copies(honest, 3, honest.mean(axis=0) - 1.5 * honest.std(axis=0))
-        calls = count_exact_entries(monkeypatch)
         shared = {}
         got = [np.asarray(nnm(OverCopies(candidate, fixed, shared), 3)) for _ in range(2)]
-        assert calls == []
+        assert exact_rows == []
         monkeypatch.undo()
         expected = nnm_on_exact_order(candidate, 3, numerics.BLOCK_ELEMENTS)
         assert got[0].tobytes() == got[1].tobytes() == expected.tobytes()
 
-    def test_few_entries_in_doubt_are_measured_one_by_one(self, monkeypatch):
-        # Read dense, row 0 and its two copies tie in every row's Gram keys:
-        # at most those three entries of each row are measured.
+    def test_rows_in_doubt_are_measured_row_by_row(self, monkeypatch, exact_rows):
+        # Read dense, row 0 and its two copies tie in the Gram keys of each
+        # row: with 12 neighbours, fewer than half the rows hold them in doubt.
         xs = random_vector_set(np.random.default_rng(113), n=20, d=5)
         xs = np.vstack([xs, xs[:1], xs[:1]])
-        calls = count_exact_entries(monkeypatch)
-        got = in_tiles(nnm, 1 << 40, xs, 2)
-        assert calls and all(kind == "rows" and k <= 3 for kind, k in calls) and len(calls) <= len(xs)
+        measured, sq_dists_to = [], numerics.sq_dists_to
+        monkeypatch.setattr(numerics, "sq_dists_to", lambda v, xs: measured.append(len(xs)) or sq_dists_to(v, xs))
+        got = in_tiles(nnm, 1 << 40, xs, 10)
+        assert len(exact_rows) == 1 and {0, 20, 21} <= set(exact_rows[0]) and 2 * len(exact_rows[0]) <= len(xs)
+        assert measured == [len(xs)] * len(exact_rows[0])
         monkeypatch.undo()
-        assert got.tobytes() == nnm_on_exact_order(xs, 2, 1).tobytes()
+        assert got.tobytes() == nnm_on_exact_order(xs, 10, 1).tobytes()
 
     @pytest.mark.parametrize("over", [False, True])
-    def test_more_than_half_the_entries_in_doubt_take_one_exact_matrix(self, over, monkeypatch):
+    def test_more_than_half_the_entries_in_doubt_take_one_exact_matrix(self, over, monkeypatch, exact_rows):
         # Rows 1e8 from the origin keep no correct digit in the Gram form.
         xs = gram_cases()["offset"]
         fixed, candidate = over_copies(xs, 2, xs[0] + 0.5)
-        calls = count_exact_entries(monkeypatch)
         with np.errstate(all="ignore"):
             got = in_tiles(nnm, 1 << 40, OverCopies(candidate, fixed, {}) if over else candidate, 2)
-        assert calls == [("matrix", fixed + 1 if over else len(candidate))]
+        assert len(exact_rows) == 1 and 2 * len(exact_rows[0]) > (fixed + 1 if over else len(candidate))
         monkeypatch.undo()
         assert np.asarray(got).tobytes() == nnm_on_exact_order(candidate, 2, 1).tobytes()
 

@@ -21,7 +21,7 @@ from robustfl.attacks import (
     AttackContext,
     AttackSpec,
     a_little_is_enough,
-    attack_vector,
+    crafted,
     optimize_attack_scale,
 )
 from robustfl.benchmark import SCHEMA, expand_grid, parse_config, run_single
@@ -207,7 +207,7 @@ def test_cli_attack_prints_attack_vector(capsys, tmp_path, name, tau):
     argv = ["attack", "--name", name, "--input", str(path)] + ([] if tau is None else ["--tau", str(tau)])
     assert entrypoint(argv) == 0
     params = {} if tau is None else {"tau": tau}
-    expected = attack_vector(AttackSpec(name, parameters=params), AttackContext(honest, 0, None))
+    expected = crafted(AttackSpec(name, parameters=params), AttackContext(honest, 0, None))
     assert capsys.readouterr().out.strip() == ",".join(format_value(v) for v in expected)
 
 
