@@ -42,8 +42,12 @@ clients: 10 on the linear model (``sample_grid``) and 30 on the MLP
 (``mnist_*``). The ``fedavg_flip`` row times one LabelFlipping round of
 federated averaging at that workload's shape, ``HonestClient.local_delta``
 with 5 local steps on the linear model for n = 5 of 10 clients plus f = 2
-LabelFlipping seats, which train in the same call. One BLAS thread is used,
-as in the benchmark's workers.
+LabelFlipping seats, which train in the same call. Two evaluation rows time
+the training loss of a ``mnist_rules`` run's 13 evaluation snapshots of the
+MLP on 6,000 seeded rows (n is the snapshots): ``grouped`` is one
+``forward_loss`` call on the (13, d) group, which shares each row block's
+first-layer product among the snapshots, and ``one_by_one`` a call per
+snapshot. One BLAS thread is used, as in the benchmark's workers.
 """
 
 import os
@@ -74,7 +78,15 @@ from robustfl.attacks import (  # noqa: E402
     optimize_attack_scale,
 )
 from robustfl.datadist import LabeledDataset  # noqa: E402
-from robustfl.models import LinearArch, LrSchedule, MlpArch, init_params, loss_and_gradient, param_count  # noqa: E402
+from robustfl.models import (  # noqa: E402
+    LinearArch,
+    LrSchedule,
+    MlpArch,
+    forward_loss,
+    init_params,
+    loss_and_gradient,
+    param_count,
+)
 from robustfl.numerics import gram_sq_dists, pairwise_sq_dists  # noqa: E402
 from robustfl.preaggregators import (  # noqa: E402
     PRE_AGGREGATOR_NAMES,
@@ -103,6 +115,8 @@ MODEL_BATCH = 25
 SAMPLES_PER_CLIENT = 100
 # (name, clients, sampled clients, seats, local steps) of the federated round row, on the linear model
 FEDAVG_ROUND = ("fedavg_flip", 10, 5, 2, 5)
+# (snapshots, rows) of the evaluation rows, on the MLP: a mnist_rules run's evaluation steps and training rows
+EVALUATION = (13, 6_000)
 
 
 def attacked_rows(n: int, d: int, f: int, rng: np.random.Generator) -> np.ndarray:
@@ -225,6 +239,14 @@ def main() -> int:
     out = np.empty((sampled + seats, param_count(arch)))
     ms, calls = median_ms(lambda x: bank.local_delta(arch, x, 0.05, local_steps, chosen, out), flat)
     print(f"{'round':<15} {name:<17} {sampled:>3} {param_count(arch):>6} {seats:>2} {ms:>10.4f} {calls:>6}")
+    snapshots, rows = EVALUATION
+    arch = MODELS[1][1]
+    group = np.stack([init_params(arch, rng) for _ in range(snapshots)])
+    features, labels = rng.random((rows, arch.in_dim)), rng.integers(0, arch.n_classes, rows)
+    for name, fn in (("grouped", lambda flats: forward_loss(arch, flats, features, labels)),
+                     ("one_by_one", lambda flats: [forward_loss(arch, flat, features, labels) for flat in flats])):
+        ms, calls = median_ms(fn, group)
+        print(f"{'evaluation':<15} {name:<17} {snapshots:>3} {param_count(arch):>6} {'-':>2} {ms:>10.3f} {calls:>6}")
     return 0
 
 

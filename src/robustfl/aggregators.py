@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import NONNEGATIVE, POSITIVE, Param, at_least
 from .numerics import OverCopies, as_vector_set, check_f, columnwise, slice_means, sorted_slice_means
-from .numerics import stable_head, trusted_pairwise_sq_dists
+from .numerics import stable_head, tiles, trusted_pairwise_sq_dists
 # The rules pass the matrix they have checked; perfbench's tracer patches the kernels under these names.
 from .numerics import gram_sq_dists as pairwise_sq_dists
 from .numerics import trusted_top_eigenpair as top_eigenpair
@@ -103,7 +103,7 @@ def geometric_median(xs) -> np.ndarray:
     best_row = xs[_first_by_key(xs, d2, spread, n, 1, lambda d2, rows: np.sqrt(d2).sum(axis=1))[0]]
     centered = xs - best_row
     gram = centered @ centered.T
-    best_objective = float(np.linalg.norm(centered, axis=1).sum())
+    best_objective = float(_row_norms(centered).sum())
     del centered  # free n * d floats before xs - v takes as many
     a = np.full(n, 1.0 / n)
     for _ in range(WEISZFELD_MAX_STEPS):
@@ -117,9 +117,22 @@ def geometric_median(xs) -> np.ndarray:
         if step <= WEISZFELD_STEP_RTOL * float(dists.max()):
             break
     v = a @ xs
-    if best_objective < float(np.linalg.norm(xs - v, axis=1).sum()):
+    if best_objective < float(_row_norms(xs, v).sum()):
         return best_row.copy()
     return v
+
+
+def _row_norms(xs: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """``np.linalg.norm(xs - v, axis=1)`` (of ``xs`` when ``v`` is None), bit for
+    bit, one row tile at a time through one buffer: each row is reduced alone."""
+    runs = tiles(len(xs), xs.shape[1])
+    buf = np.empty((max(run.stop - run.start for run in runs), xs.shape[1]))
+    out = np.empty(len(xs))
+    for run in runs:
+        part = np.subtract(xs[run], v, out=buf[: run.stop - run.start]) if v is not None else xs[run]
+        part = np.multiply(part, part, out=buf[: run.stop - run.start])
+        np.add.reduce(part, axis=1, out=out[run])
+    return np.sqrt(out, out=out)
 
 
 def multi_krum(xs, f: int) -> np.ndarray:
@@ -136,7 +149,13 @@ def multi_krum(xs, f: int) -> np.ndarray:
 
     d2, err = pairwise_sq_dists(xs)
     chosen = _first_by_key(xs, d2, k * err.max(axis=1), k, n - f, scores)
-    return xs[chosen].mean(axis=0)
+    if xs.shape[1] == 1:  # numpy sums a one-column gather pairwise
+        return xs[chosen].mean(axis=0)
+    total = np.zeros(xs.shape[1])  # numpy's axis-0 sum also starts from +0.0 and adds the rows in order
+    for row in chosen:
+        total += xs[row]
+    total /= len(chosen)
+    return total
 
 
 def _first_by_key(xs, d2, spread, terms: int, need: int, key_of) -> np.ndarray:

@@ -37,10 +37,13 @@ from .models import (
     LrSchedule,
     MlpArch,
     forward_loss,
+    groups_snapshots,
     init_params,
     load_idx,
     make_blobs,
+    param_count,
 )
+from .numerics import block_rows
 from .preaggregators import PreAggregatorSpec, build_pipeline
 from .seeding import derive_rng
 from .simulator import (
@@ -422,14 +425,26 @@ def run_single(cfg: BenchmarkConfig, key: ExperimentKey, cores: int = 1) -> Expe
     subsets = [np.concatenate(partition.assignments)]
     if per_client is not None:
         subsets += partition.assignments
+    # The parameter vectors of the evaluation steps not yet evaluated (read-only, so they stay as recorded),
+    # evaluated together once they hold BLOCK_ELEMENTS entries where snapshots share first-layer products.
+    group: list[np.ndarray] = []
+    grouped = any(groups_snapshots(arch, len(dataset.labels)) for dataset in (train, test))
+    group_size = block_rows(param_count(arch)) if grouped else 1
+
+    def evaluate() -> None:
+        flats = np.stack(group)
+        group.clear()
+        accuracy.extend(evaluate_accuracy(arch, flats, test))
+        for loss, *client_losses in forward_loss(arch, flats, train.features, train.labels, subsets):
+            losses.append(loss)
+            if per_client is not None:
+                per_client.append(client_losses)
 
     def record(step: int) -> None:
         steps.append(step)
-        accuracy.append(evaluate_accuracy(arch, server.flat, test))
-        loss, *client_losses = forward_loss(arch, server.flat, train.features, train.labels, subsets)
-        losses.append(loss)
-        if per_client is not None:
-            per_client.append(client_losses)
+        group.append(server.flat)
+        if len(group) == group_size:
+            evaluate()
 
     record(0)
     for step in range(1, cfg.nb_steps + 1):
@@ -439,7 +454,9 @@ def run_single(cfg: BenchmarkConfig, key: ExperimentKey, cores: int = 1) -> Expe
             fedavg_round(server, clients, byz, **fedavg, sampling_rng=sampling_rng)
         if step % cfg.evaluation.evaluation_delta == 0 or step == cfg.nb_steps:
             record(step)
-
+    del clients, byz  # the bank and the attack's search, before the last group's scores
+    if group:
+        evaluate()
     return ExperimentResult(key, steps, accuracy, losses, per_client)
 
 

@@ -22,8 +22,19 @@ import numpy as np
 
 from .config import FRACTION, NONNEGATIVE, POSITIVE
 from .datadist import LabeledDataset
+from .numerics import BLOCK_ELEMENTS
 
 DEFAULT_HIDDEN_UNITS = 64
+
+# Evaluation snapshots share one first-layer product per row block only where
+# BLAS gives every entry the bits of the one-snapshot product: a first layer
+# whose width is a multiple of GROUP_WIDTH, a one-snapshot product of more than
+# BLOCK_ELEMENTS multiply-adds, and blocks of at least GROUP_ROWS rows. A sweep
+# of random shapes against per-snapshot ``logits`` (OpenBLAS 0.3.31, AVX-512)
+# found no differing entry under this rule, and found some for width 1 or 33,
+# for smaller products and for 256-row blocks; tests/test_models.py re-checks it.
+GROUP_WIDTH = 8
+GROUP_ROWS = 1024
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -84,13 +95,19 @@ def init_params(arch: Arch, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _checked(arch: Arch, flat) -> np.ndarray:
+    """``flat`` as float64, whose last axis must hold ``arch``'s parameters."""
+    flat = np.asarray(flat, dtype=np.float64)
+    if flat.shape[-1:] != (param_count(arch),):
+        raise ValueError(f"expected {param_count(arch)} parameters for {arch}, got shape {flat.shape}")
+    return flat
+
+
 def _forward(arch: Arch, flat: np.ndarray, features: np.ndarray):
     """Every layer's weights (views of ``flat``, checked against ``arch``: one
     matrix, or one per client when ``flat`` is (k, d)), every layer's input
     (ReLU applied after the first) and the scores."""
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.shape[-1:] != (param_count(arch),):
-        raise ValueError(f"expected {param_count(arch)} parameters for {arch}, got shape {flat.shape}")
+    flat = _checked(arch, flat)
     weights, inputs, out = [], [], features
     for shape, w, b in arch.layers:
         weights.append(flat[..., w].reshape(*flat.shape[:-1], *shape))
@@ -104,6 +121,37 @@ def logits(arch: Arch, flat: np.ndarray, features: np.ndarray) -> np.ndarray:
     return _forward(arch, flat, features)[2]
 
 
+def groups_snapshots(arch: Arch, rows: int) -> bool:
+    """Whether snapshots of ``arch`` evaluated on ``rows`` feature rows share first-layer products."""
+    (width, n_in), _, _ = arch.layers[0]
+    return width % GROUP_WIDTH == 0 and rows * n_in * width > BLOCK_ELEMENTS
+
+
+def snapshot_scores(arch: Arch, flats: np.ndarray, features: np.ndarray):
+    """Yield (j, rows, scores) until every snapshot j of the (k, d) group ``flats``
+    has its ``logits`` on every row, bit for bit: one product per snapshot, or,
+    where ``groups_snapshots``, one first-layer product of each row block with
+    every snapshot's weights, of about BLOCK_ELEMENTS / 4 entries (rows cut into
+    equal blocks of at least GROUP_ROWS rows, or one block when there are fewer)."""
+    flats = _checked(arch, flats)
+    (width, n_in), w, b = arch.layers[0]
+    k, m = len(flats), len(features)
+    if k == 1 or not groups_snapshots(arch, m):
+        for j, flat in enumerate(flats):
+            yield j, slice(None), logits(arch, flat, features)
+        return
+    stacked = flats[:, w].reshape(k * width, n_in).T
+    blocks = max(1, m // max(GROUP_ROWS, BLOCK_ELEMENTS // 4 // (k * width)))
+    for lo, hi in itertools.pairwise(m * i // blocks for i in range(blocks + 1)):
+        rows = slice(lo, hi)
+        first = features[rows] @ stacked
+        for j, flat in enumerate(flats):
+            out = first[:, j * width : (j + 1) * width] + flat[None, b]
+            for shape, w_next, b_next in arch.layers[1:]:
+                out = np.maximum(out, 0.0) @ flat[w_next].reshape(shape).T + flat[None, b_next]
+            yield j, rows, out
+
+
 def _log_softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Log-softmax over the class axis, in ``out`` (may be ``scores``); the max is an exact ``np.maximum`` chain."""
     top = np.maximum(scores[..., 0], scores[..., 1])
@@ -114,25 +162,39 @@ def _log_softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     return shifted
 
 
-def _mean_nll(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of ``scores`` against ``labels``."""
-    return float(-_log_softmax(scores)[np.arange(len(labels)), labels].mean())
+def scored_rows(arch: Arch, flat: np.ndarray, features: np.ndarray, labels: np.ndarray):
+    """(log-likelihoods, hits): for each snapshot of the (k, d) group ``flat``
+    (one row for a vector) and each row, the log-softmax at the row's label and
+    whether the argmax is the label (ties go to the lowest class id), from
+    ``snapshot_scores``."""
+    flats = np.asarray(flat, dtype=np.float64)
+    group = flats.reshape(-1, flats.shape[-1])
+    loglik = np.empty((len(group), len(labels)))
+    hits = np.empty(loglik.shape, dtype=bool)
+    for j, rows, scores in snapshot_scores(arch, group, features):
+        at = labels[rows]
+        loglik[j, rows] = _log_softmax(scores)[np.arange(len(at)), at]
+        hits[j, rows] = scores.argmax(axis=1) == at
+    return loglik, hits
 
 
 def forward_loss(
     arch: Arch, flat: np.ndarray, features: np.ndarray, labels: np.ndarray, subsets: list[np.ndarray] | None = None
-) -> tuple[float, int] | list[float]:
+) -> tuple[float, int] | list[float] | list:
     """Mean cross-entropy over the batch plus the count of correct argmax
     predictions (argmax ties go to the lowest class id).
 
     Given ``subsets``, a list of row-index arrays, the scores are computed once
     over every row in storage order and the list of each subset's mean
     cross-entropy, over its rows in the order given, is returned instead.
+    A (k, d) group of parameter vectors gives the list of the k results.
     """
-    scores = logits(arch, flat, features)
-    if subsets is not None:
-        return [_mean_nll(scores[rows], labels[rows]) for rows in subsets]
-    return _mean_nll(scores, labels), int((scores.argmax(axis=1) == labels).sum())
+    loglik, hits = scored_rows(arch, flat, features, labels)
+    results = [
+        (float(-p.mean()), int(h.sum())) if subsets is None else [float(-p[rows].mean()) for rows in subsets]
+        for p, h in zip(loglik, hits)
+    ]
+    return results if np.ndim(flat) == 2 else results[0]
 
 
 def backward(arch: Arch, flat: np.ndarray, features: np.ndarray, labels: np.ndarray, with_loss: bool = False) -> tuple:

@@ -21,7 +21,7 @@ import numpy as np
 from .attacks import AttackContext, AttackSpec, OptimizedAttack, crafted
 from .config import NONNEGATIVE, at_least
 from .datadist import LabeledDataset
-from .models import Arch, LrSchedule, backward, logits
+from .models import Arch, LrSchedule, backward, scored_rows
 from .numerics import tile_width, tiles
 from .preaggregators import Pipeline
 
@@ -201,6 +201,17 @@ class ServerState:
     schedule: LrSchedule
     step: int = 0
 
+    def __post_init__(self) -> None:
+        self.flat = _read_only(self.flat)
+
+
+def _read_only(flat) -> np.ndarray:
+    """A read-only view of ``flat``: each step binds a new parameter vector
+    and none is written in place, so an evaluation may hold on to it."""
+    view = np.asarray(flat, dtype=np.float64).view()
+    view.flags.writeable = False
+    return view
+
 
 def _aggregate_and_apply(server: ServerState, rows: np.ndarray, byz_rows: np.ndarray, search, scale: float) -> None:
     """Write ``byz_rows`` as the last rows of ``rows`` (numpy skips seat rows, already there), and add
@@ -211,7 +222,7 @@ def _aggregate_and_apply(server: ServerState, rows: np.ndarray, byz_rows: np.nda
         aggregate = server.pipeline(rows)
     else:
         aggregate, server.pipeline = search.aggregate, search.pipeline
-    server.flat = server.flat + scale * aggregate
+    server.flat = _read_only(server.flat + scale * aggregate)
     server.step += 1
 
 
@@ -253,8 +264,9 @@ def fedavg_round(
     _aggregate_and_apply(server, rows, byz_rows, byz.search, 1.0)
 
 
-def evaluate_accuracy(arch: Arch, flat: np.ndarray, dataset: LabeledDataset) -> float:
+def evaluate_accuracy(arch: Arch, flat: np.ndarray, dataset: LabeledDataset) -> float | list[float]:
     """Fraction of samples whose argmax logit matches the label (argmax ties
-    go to the lowest class id)."""
-    predictions = logits(arch, flat, dataset.features).argmax(axis=1)
-    return float((predictions == dataset.labels).mean())
+    go to the lowest class id); for a (k, d) group of parameter vectors, the
+    list of the k fractions."""
+    accuracies = [float(row.mean()) for row in scored_rows(arch, flat, dataset.features, dataset.labels)[1]]
+    return accuracies if np.ndim(flat) == 2 else accuracies[0]

@@ -151,6 +151,35 @@ class TestGeometricMedian:
             assert geometric_median_objective(out, xs) <= best_input + 1e-6
 
 
+def numpy_row_norms(xs, v=None):
+    """The row norms GeometricMedian took before it reduced rows through one
+    buffer: ``np.linalg.norm`` of a fresh (n, d) difference."""
+    return np.linalg.norm(xs if v is None else xs - v, axis=1)
+
+
+class TestRowNorms:
+    @settings(deadline=None, max_examples=80)
+    @given(column_matrices, tile_budgets, st.data())
+    def test_equal_numpy_norms_bit_for_bit(self, xs, budget, data):
+        v = data.draw(st.sampled_from([None, xs[0], xs.mean(axis=0), -xs[-1]]), label="v")
+        np.testing.assert_array_equal(in_tiles(aggregators._row_norms, budget, xs, v), numpy_row_norms(xs, v))
+
+    @pytest.mark.parametrize("n", [1, 2, 33])
+    def test_wide_rows_equal_numpy_norms_bit_for_bit(self, n):
+        xs = np.random.default_rng(n).normal(size=(n, 50_890)) * 0.01
+        for v in (None, xs.mean(axis=0)):
+            np.testing.assert_array_equal(aggregators._row_norms(xs, v), numpy_row_norms(xs, v))
+
+    @settings(deadline=None, max_examples=40)
+    @given(scaled_matrices)
+    def test_geometric_median_keeps_its_bits(self, xs):
+        with np.errstate(all="ignore"):
+            got = geometric_median(xs)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(aggregators, "_row_norms", numpy_row_norms)
+                np.testing.assert_array_equal(got, geometric_median(xs))
+
+
 def assert_matches_geometric_median_oracle(xs):
     got, expected = geometric_median(xs), naive_geometric_median(xs)
     reference = geometric_median_objective(expected, xs)
@@ -230,6 +259,32 @@ class TestMultiKrum:
     def test_matches_row_loop_bit_for_bit(self, xs, data):
         f = data.draw(st.integers(0, len(xs) - 2), label="f")
         np.testing.assert_array_equal(multi_krum(xs, f), loop_multi_krum(xs, f))
+
+    @settings(deadline=None, max_examples=80)
+    @given(column_matrices, st.data())
+    def test_mean_equals_the_gathered_mean_bit_for_bit(self, xs, data):
+        f = data.draw(st.integers(0, len(xs) - 2), label="f")
+        picked = []
+
+        def first_by_key(*args):
+            picked.append(aggregators._first_by_key.__wrapped__(*args))
+            return picked[-1]
+
+        first_by_key.__wrapped__ = aggregators._first_by_key
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(aggregators, "_first_by_key", first_by_key)
+            got = multi_krum(xs, f)
+        expected = xs[picked[0]].mean(axis=0)
+        np.testing.assert_array_equal(got, expected)
+        assert got.tobytes() == expected.tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    def test_columns_of_negative_zeros_average_to_positive_zero(self, d):
+        xs = np.full((5, d), -0.0)
+        xs[:, 1:] = np.arange(5.0)[:, None]
+        got = multi_krum(xs, 1)
+        np.testing.assert_array_equal(np.signbit(got), np.zeros(d, dtype=bool))
+        assert got.tobytes() == loop_multi_krum(xs, 1).tobytes()
 
     def test_wide_rows_match_row_loop_bit_for_bit(self):
         rng = np.random.default_rng(103)

@@ -9,6 +9,7 @@ import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 from config_fixtures import NON_FINITE_CASES, SAMPLE_CONFIG, tiny_config_text
 from hypothesis import given
@@ -29,7 +30,18 @@ from robustfl.benchmark import (
     strip_json_comments,
     write_result,
 )
-from robustfl.preaggregators import PreAggregatorSpec
+from robustfl.datadist import make_partition
+from robustfl.models import LrSchedule, forward_loss, init_params
+from robustfl.preaggregators import PreAggregatorSpec, build_pipeline
+from robustfl.seeding import derive_rng
+from robustfl.simulator import (
+    ByzantineClientGroup,
+    HonestClient,
+    ServerState,
+    dsgd_step,
+    evaluate_accuracy,
+    fedavg_round,
+)
 
 FEDAVG_PATH = "benchmark_config.training_algorithm.parameters"
 DISTRIBUTION_PATH = "benchmark_config.data_distribution[0]"
@@ -659,6 +671,87 @@ class TestPersistence:
         results = list_results(tmp_path / "results")
         assert [r.key.aggregator.name for r in results] == ["Average", "Median"]
         assert list_results(tmp_path / "nowhere") == []
+
+
+def replay_evaluating_each_step(cfg, key) -> benchmark.ExperimentResult:
+    """``run_single`` as a hand-rolled loop that scores each evaluation step
+    right after it, alone, with the one-snapshot ``evaluate_accuracy`` and
+    ``forward_loss``."""
+    seed, n, hc = key.seed, cfg.nb_honest_clients, cfg.honest_clients
+    train, test = benchmark.DATASETS[cfg.model.dataset_name].load(cfg.model, seed)
+    partitions = make_partition(train, key.distribution_name, key.distribution_parameter, n,
+                                derive_rng(seed, "datadist")).assignments
+    arch = benchmark.ARCHS[cfg.model.name](cfg.model, train.features.shape[1], train.n_classes)
+    seats = key.f if key.attack.name == "LabelFlipping" else 0
+    rngs = [derive_rng(seed, f"client.{i}") for i in range(n)] + [derive_rng(seed, f"byz.{j}") for j in range(seats)]
+    clients = HonestClient(train, partitions, hc.batch_size, hc.momentum, hc.weight_decay, rngs, seats)
+    byz = ByzantineClientGroup(key.f, key.attack, clients)
+    pipeline = build_pipeline(key.aggregator, key.pre_aggregators, rng=derive_rng(seed, "bucketing"))
+    server = ServerState(arch, init_params(arch, derive_rng(seed, "init")), pipeline,
+                         LrSchedule(cfg.model.learning_rate, cfg.model.learning_rate_decay, tuple(cfg.model.milestones)))
+    sampling = derive_rng(seed, "sampling")
+    subsets = [np.concatenate(partitions)] + (partitions if cfg.evaluation.store_per_client_metrics else [])
+    result = benchmark.ExperimentResult(key, [], [], [], [] if cfg.evaluation.store_per_client_metrics else None)
+    for step in range(cfg.nb_steps + 1):
+        if step and cfg.training_algorithm.name == "FedAvg":
+            fedavg_round(server, clients, byz, **cfg.training_algorithm.parameters, sampling_rng=sampling)
+        elif step:
+            dsgd_step(server, clients, byz)
+        if step % cfg.evaluation.evaluation_delta == 0 or step == cfg.nb_steps:
+            result.steps.append(step)
+            result.test_accuracy.append(evaluate_accuracy(arch, server.flat, test))
+            loss, *client_losses = forward_loss(arch, server.flat, train.features, train.labels, subsets)
+            result.train_loss.append(loss)
+            if result.client_losses is not None:
+                result.client_losses.append(client_losses)
+    return result
+
+
+# An MLP whose evaluations group: 1,100 rows x 64 inputs x 16 hidden units is
+# 1,126,400 multiply-adds per snapshot, above BLOCK_ELEMENTS, at width 16.
+GROUPING_MLP = {
+    "model.name": "mlp",
+    "model.hidden": 16,
+    "model.dataset_params": {"n_classes": 3, "dim": 64, "train_size": 1100, "test_size": 1100, "spread": 2.0},
+    "benchmark_config.nb_steps": 7,
+    "evaluation_and_results.evaluation_delta": 3,
+    "evaluation_and_results.store_per_client_metrics": True,
+}
+
+
+class TestGroupedEvaluation:
+    """``run_single`` evaluates its snapshots in groups; every series equals the
+    hand-rolled loop's, bit for bit."""
+
+    @staticmethod
+    def run_counting(cfg, monkeypatch) -> tuple[benchmark.ExperimentResult, list[int]]:
+        """``run_single`` on the config's one key, and the group size of each evaluation call."""
+        sizes = []
+        evaluate = benchmark.evaluate_accuracy
+        monkeypatch.setattr(benchmark, "evaluate_accuracy",
+                            lambda arch, flat, dataset: sizes.append(len(flat)) or evaluate(arch, flat, dataset))
+        return run_single(cfg, expand_grid(cfg)[0]), sizes
+
+    @pytest.mark.parametrize("algorithm", [{}, fedavg(proportion_selected_clients=0.7, local_steps_per_client=2)],
+                             ids=["DSGD", "FedAvg"])
+    @pytest.mark.parametrize("model, sizes", [(GROUPING_MLP, [4]), ({}, [1, 1, 1]),
+                                              ({**GROUPING_MLP, "model.hidden": 10}, [1, 1, 1, 1])],
+                             ids=["mlp-groups", "linear", "mlp-width-10"])
+    def test_run_equals_the_loop_that_evaluates_each_step(self, tmp_path, monkeypatch, algorithm, model, sizes):
+        cfg = parse_config(tiny_config_text(tmp_path, **{**model, **algorithm}))
+        result, seen = self.run_counting(cfg, monkeypatch)
+        assert seen == sizes
+        expected = replay_evaluating_each_step(cfg, expand_grid(cfg)[0])
+        assert dataclasses.astuple(result) == dataclasses.astuple(expected)
+
+    def test_a_group_that_fills_mid_run_is_evaluated_then(self, tmp_path, monkeypatch):
+        cfg = parse_config(tiny_config_text(tmp_path, **{
+            **GROUPING_MLP, "evaluation_and_results.evaluation_delta": 1,
+            "attack": [{"name": "LabelFlipping", "parameters": {}}]}))
+        monkeypatch.setattr(benchmark, "block_rows", lambda row_elements: 3)
+        result, seen = self.run_counting(cfg, monkeypatch)
+        assert seen == [3, 3, 2]
+        assert dataclasses.astuple(result) == dataclasses.astuple(replay_evaluating_each_step(cfg, expand_grid(cfg)[0]))
 
 
 class TestRunBenchmark:

@@ -5,22 +5,31 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from robustfl.datadist import LabeledDataset
 from robustfl.models import (
+    GROUP_ROWS,
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
     LinearArch,
     LrSchedule,
     MlpArch,
+    _log_softmax,
     forward_loss,
+    groups_snapshots,
     init_params,
     load_idx,
     logits,
     loss_and_gradient,
     make_blobs,
     param_count,
+    snapshot_scores,
 )
+from robustfl.numerics import BLOCK_ELEMENTS
 from robustfl.seeding import derive_rng
+from robustfl.simulator import evaluate_accuracy
 
 from oracles import fd_gradient
 
@@ -94,6 +103,96 @@ class TestForwardLoss:
         assert union_loss == forward_loss(arch, flat, feats[union], labels[union])[0]
         for loss, rows in zip(part_losses, parts):
             assert loss == pytest.approx(forward_loss(arch, flat, feats[rows], labels[rows])[0], rel=1e-12)
+
+
+@st.composite
+def snapshot_groups(draw):
+    """(arch, (k, d) group, features, labels): first-layer widths that are and
+    are not multiples of 8 (1 among them), products on both sides of
+    BLOCK_ELEMENTS, 1,023-2,049 rows (one block, or two with a row to spare)
+    or 3,071-3,073, groups of 1-20, linear and MLP models."""
+    rows = draw(st.one_of(st.integers(1023, 2049), st.integers(3071, 3073), st.integers(2, 40)), label="rows")
+    width = draw(st.sampled_from([1, 2, 3, 8, 10, 16, 24, 33, 64]), label="width")
+    n_in = draw(st.sampled_from([1, 3, 40, 64, 130]), label="inputs")
+    classes = draw(st.integers(2, 10), label="classes")
+    arch = MlpArch(n_in, width, classes) if draw(st.booleans(), label="mlp") else LinearArch(n_in, max(2, width))
+    k = draw(st.integers(1, 20), label="snapshots")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    group = np.stack([init_params(arch, rng) for _ in range(k)]) * rng.uniform(0.5, 4.0)
+    labels = rng.integers(0, arch.layers[-1][0][0], rows)
+    return arch, group, rng.normal(size=(rows, n_in)), labels
+
+
+def gathered_loss(arch, flat, features, labels, rows):
+    """The loss of ``rows`` as one snapshot's scores gave it before groups: the
+    log-softmax of the gathered scores, at each row's label."""
+    picked = _log_softmax(logits(arch, flat, features)[rows])[np.arange(len(rows)), labels[rows]]
+    return float(-picked.mean())
+
+
+def check_group(arch, group, features, labels):
+    """Grouped scores, accuracies and losses equal each snapshot's own, and the
+    losses equal those of the gathered scores, with ``assert_array_equal``."""
+    m = len(labels)
+    for j, rows, scores in snapshot_scores(arch, group, features):
+        np.testing.assert_array_equal(scores, logits(arch, group[j], features)[rows])
+    dataset = LabeledDataset(features, labels, arch.layers[-1][0][0])
+    accuracies = evaluate_accuracy(arch, group, dataset)
+    np.testing.assert_array_equal(accuracies, [evaluate_accuracy(arch, flat, dataset) for flat in group])
+    np.testing.assert_array_equal(accuracies, [float((logits(arch, flat, features).argmax(axis=1) == labels).mean())
+                                               for flat in group])
+    subsets = [np.arange(m), np.random.default_rng(m).permutation(m), np.arange(m // 2, m), np.arange(0, m, 3)[::-1]]
+    losses = forward_loss(arch, group, features, labels, subsets)
+    singles = [forward_loss(arch, flat, features, labels, subsets) for flat in group]
+    np.testing.assert_array_equal(losses, singles)
+    np.testing.assert_array_equal(
+        losses, [[gathered_loss(arch, flat, features, labels, rows) for rows in subsets] for flat in group]
+    )
+    assert forward_loss(arch, group, features, labels) == [forward_loss(arch, flat, features, labels)
+                                                           for flat in group]
+
+
+class TestSnapshotGroups:
+    @settings(max_examples=60, deadline=None)
+    @given(snapshot_groups())
+    def test_a_group_gives_each_snapshots_values_bit_for_bit(self, case):
+        check_group(*case)
+
+    @pytest.mark.parametrize("arch, rows, k", [
+        (MlpArch(64, 16, 3), 1100, 13),  # one block
+        (MlpArch(130, 64, 2), 2049, 20),  # two blocks
+        (MlpArch(130, 24, 10), 3073, 11),  # three blocks
+        (LinearArch(300, 8), 1500, 2),  # one block of a linear model
+    ])
+    def test_grouping_shapes_give_each_snapshots_values_bit_for_bit(self, arch, rows, k):
+        assert groups_snapshots(arch, rows)
+        rng = np.random.default_rng(rows)
+        group = np.stack([init_params(arch, rng) for _ in range(k)])
+        check_group(arch, group, rng.normal(size=(rows, arch.in_dim)), rng.integers(0, arch.layers[-1][0][0], rows))
+
+    def test_groups_form_only_where_the_rule_allows(self):
+        assert groups_snapshots(MlpArch(784, 64, 10), 6000)  # the MNIST-scale workloads
+        assert not groups_snapshots(LinearArch(10, 3), 6000)  # the blob workloads: width 3
+        assert not groups_snapshots(MlpArch(784, 10, 10), 6000)  # width 10
+        assert not groups_snapshots(MlpArch(784, 1, 10), 6000)  # width 1: a matrix-vector product
+        assert not groups_snapshots(MlpArch(64, 16, 3), 1024)  # 1,048,576 multiply-adds: not above the budget
+        assert groups_snapshots(MlpArch(64, 16, 3), 1025)
+        assert 1024 * 64 * 16 == BLOCK_ELEMENTS
+
+    @pytest.mark.parametrize("rows, blocks", [(1000, 1), (2047, 1), (2048, 2), (6000, 5)])
+    def test_rows_are_cut_into_equal_blocks_of_at_least_group_rows(self, rows, blocks):
+        arch = MlpArch(80, 16, 3)  # 20 snapshots: 262,144 // 320 = 819 rows, so the floor binds
+        group = np.stack([init_params(arch, np.random.default_rng(j)) for j in range(20)])
+        seen = [(j, (block.start, block.stop)) for j, block, _ in snapshot_scores(arch, group, np.ones((rows, 80)))]
+        cuts = [block for j, block in seen if j == 0]
+        assert seen == [(j, block) for block in cuts for j in range(20)]
+        assert [lo for lo, _ in cuts] == [0] + [hi for _, hi in cuts[:-1]] and cuts[-1][1] == rows
+        assert len(cuts) == blocks
+        assert blocks == 1 or min(hi - lo for lo, hi in cuts) >= GROUP_ROWS
+
+    def test_wrong_parameter_count_rejected_for_a_group(self):
+        with pytest.raises(ValueError, match="expected 1091 parameters"):
+            forward_loss(MlpArch(64, 16, 3), np.zeros((2, 1090)), np.zeros((2000, 64)), np.zeros(2000, dtype=int))
 
 
 class TestGradient:

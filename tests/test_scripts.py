@@ -32,11 +32,12 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
     monkeypatch.setattr(bench, "BUDGET_S", 0.0)
     monkeypatch.setattr(bench, "MIN_CALLS", 1)
     monkeypatch.setattr(bench, "SUBSET_ENUMERATION_LIMIT", 6)
+    monkeypatch.setattr(bench, "EVALUATION", (3, 40))
     start = time.perf_counter()
     assert bench.main() == 0
     assert time.perf_counter() - start < 2.0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
-    rules = [row for row in rows if row[0] not in ("attack", "kernel", "model", "round")]
+    rules = [row for row in rows if row[0] not in ("attack", "kernel", "model", "round", "evaluation")]
     names = list(AGGREGATOR_NAMES) + list(PRE_AGGREGATOR_NAMES)
     assert [row[1] for row in rules if row[2] == "5"] == names
     assert [row[1] for row in rules if row[2] == "7"] == names
@@ -63,6 +64,9 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
         ["linear", "10", "33", "-"], ["mlp", "30", "50890", "-"], ["fedavg_flip", "5", "33", "2"]
     ]
     assert all(float(row[5]) > 0 for row in rounds)
+    evaluations = [row for row in rows if row[0] == "evaluation"]
+    assert [row[1:5] for row in evaluations] == [["grouped", "3", "50890", "-"], ["one_by_one", "3", "50890", "-"]]
+    assert all(float(row[5]) > 0 for row in evaluations)
 
 
 def test_microbench_times_each_row_in_its_own_process(monkeypatch):

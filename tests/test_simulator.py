@@ -645,6 +645,35 @@ class TestSearchReuse:
             assert other.search is None
 
 
+class TestReadOnlyParameters:
+    """Each step binds a new parameter vector and none is written in place, so
+    a run may keep earlier vectors and evaluate them later."""
+
+    @pytest.mark.parametrize("algorithm", ["DSGD", "FedAvg"])
+    def test_installed_vectors_refuse_writes_and_training_runs(self, algorithm):
+        ds, arch = toy_dataset(m=24, n_classes=3, seed=5), MlpArch(3, 4, 3)
+        flat = init_params(arch, derive_rng(5, "init"))
+        server = make_server(arch, flat, rule="TrMean", f=1)
+        clients = bank(ds, np.array_split(np.arange(24), 4), 3, momentum=0.9)
+        byz, sampling = ByzantineClientGroup(1, AttackSpec("SignFlipping")), derive_rng(5, "sampling")
+        kept = [server.flat]
+        for _ in range(3):
+            if algorithm == "DSGD":
+                dsgd_step(server, clients, byz)
+            else:
+                fedavg_round(server, clients, byz, 0.5, 2, sampling)
+            kept.append(server.flat)
+        assert len({id(v) for v in kept}) == 4 and not any(v.flags.writeable for v in kept)
+        for vector in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                vector[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                vector += 1.0
+        np.testing.assert_array_equal(kept[0], flat)
+        assert flat.flags.writeable  # the caller's vector is left as it was
+        assert np.isfinite(kept[-1]).all() and not np.array_equal(kept[-1], flat)
+
+
 class TestEvaluateAccuracy:
     def test_zero_params_predict_lowest_class(self):
         ds = toy_dataset(m=10, n_classes=2)
