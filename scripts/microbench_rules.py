@@ -47,7 +47,10 @@ the training loss of a ``mnist_rules`` run's 13 evaluation snapshots of the
 MLP on 6,000 seeded rows (n is the snapshots): ``grouped`` is one
 ``forward_loss`` call on the (13, d) group, which shares each row block's
 first-layer product among the snapshots, and ``one_by_one`` a call per
-snapshot. One BLAS thread is used, as in the benchmark's workers.
+snapshot, each a group of one. Two ``accuracy`` rows time one
+``evaluate_accuracy`` call of the linear model on a blob workload's test set,
+500 seeded rows of 10 features and 3 classes, for a group of one snapshot
+and for a run's 7. One BLAS thread is used, as in the benchmark's workers.
 """
 
 import os
@@ -82,6 +85,7 @@ from robustfl.models import (  # noqa: E402
     LinearArch,
     LrSchedule,
     MlpArch,
+    evaluate_accuracy,
     forward_loss,
     init_params,
     loss_and_gradient,
@@ -117,6 +121,8 @@ SAMPLES_PER_CLIENT = 100
 FEDAVG_ROUND = ("fedavg_flip", 10, 5, 2, 5)
 # (snapshots, rows) of the evaluation rows, on the MLP: a mnist_rules run's evaluation steps and training rows
 EVALUATION = (13, 6_000)
+# (snapshots in each row, rows) of the accuracy rows, on the linear model: a blob run's test set
+ACCURACY = ((1, 7), 500)
 
 
 def attacked_rows(n: int, d: int, f: int, rng: np.random.Generator) -> np.ndarray:
@@ -243,10 +249,19 @@ def main() -> int:
     arch = MODELS[1][1]
     group = np.stack([init_params(arch, rng) for _ in range(snapshots)])
     features, labels = rng.random((rows, arch.in_dim)), rng.integers(0, arch.n_classes, rows)
-    for name, fn in (("grouped", lambda flats: forward_loss(arch, flats, features, labels)),
-                     ("one_by_one", lambda flats: [forward_loss(arch, flat, features, labels) for flat in flats])):
+    subsets = [np.arange(rows)]
+    for name, fn in (("grouped", lambda flats: forward_loss(arch, flats, features, labels, subsets)),
+                     ("one_by_one", lambda flats: [forward_loss(arch, [flat], features, labels, subsets)
+                                                   for flat in flats])):
         ms, calls = median_ms(fn, group)
         print(f"{'evaluation':<15} {name:<17} {snapshots:>3} {param_count(arch):>6} {'-':>2} {ms:>10.3f} {calls:>6}")
+    counts, rows = ACCURACY
+    arch = MODELS[0][1]
+    test = LabeledDataset(rng.normal(size=(rows, arch.in_dim)), rng.integers(0, arch.n_classes, rows), arch.n_classes)
+    for snapshots in counts:
+        group = np.stack([init_params(arch, rng) for _ in range(snapshots)])
+        ms, calls = median_ms(lambda flats: evaluate_accuracy(arch, flats, test), group)
+        print(f"{'evaluation':<15} {'accuracy':<17} {snapshots:>3} {param_count(arch):>6} {'-':>2} {ms:>10.4f} {calls:>6}")
     return 0
 
 

@@ -36,8 +36,8 @@ from .models import (
     LinearArch,
     LrSchedule,
     MlpArch,
+    evaluate_accuracy,
     forward_loss,
-    groups_snapshots,
     init_params,
     load_idx,
     make_blobs,
@@ -51,7 +51,6 @@ from .simulator import (
     HonestClient,
     ServerState,
     dsgd_step,
-    evaluate_accuracy,
     fedavg_round,
     sampled_count,
 )
@@ -426,10 +425,10 @@ def run_single(cfg: BenchmarkConfig, key: ExperimentKey, cores: int = 1) -> Expe
     if per_client is not None:
         subsets += partition.assignments
     # The parameter vectors of the evaluation steps not yet evaluated (read-only, so they stay as recorded),
-    # evaluated together once they hold BLOCK_ELEMENTS entries where snapshots share first-layer products.
+    # evaluated together in groups of block_rows(max(d, rows)), so that the (k, d) group and the scorers'
+    # (k, rows) arrays stay within BLOCK_ELEMENTS entries; models decides whether snapshots share products.
     group: list[np.ndarray] = []
-    grouped = any(groups_snapshots(arch, len(dataset.labels)) for dataset in (train, test))
-    group_size = block_rows(param_count(arch)) if grouped else 1
+    group_size = block_rows(max(param_count(arch), len(train.labels), len(test.labels)))
 
     def evaluate() -> None:
         flats = np.stack(group)

@@ -1,5 +1,6 @@
-"""Small classification models with closed-form gradients, their learning-rate
-schedule, and the dataset providers they train on.
+"""Small classification models with closed-form gradients, the scorers that
+evaluate groups of their snapshots, their learning-rate schedule, and the
+dataset providers they train on.
 
 Parameters live in one flat float64 vector so client updates can flow
 straight into the aggregation stack. Each architecture (multinomial logistic
@@ -162,39 +163,25 @@ def _log_softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     return shifted
 
 
-def scored_rows(arch: Arch, flat: np.ndarray, features: np.ndarray, labels: np.ndarray):
-    """(log-likelihoods, hits): for each snapshot of the (k, d) group ``flat``
-    (one row for a vector) and each row, the log-softmax at the row's label and
-    whether the argmax is the label (ties go to the lowest class id), from
-    ``snapshot_scores``."""
-    flats = np.asarray(flat, dtype=np.float64)
-    group = flats.reshape(-1, flats.shape[-1])
-    loglik = np.empty((len(group), len(labels)))
-    hits = np.empty(loglik.shape, dtype=bool)
-    for j, rows, scores in snapshot_scores(arch, group, features):
-        at = labels[rows]
-        loglik[j, rows] = _log_softmax(scores)[np.arange(len(at)), at]
-        hits[j, rows] = scores.argmax(axis=1) == at
-    return loglik, hits
+def evaluate_accuracy(arch: Arch, flats: np.ndarray, dataset: LabeledDataset) -> list[float]:
+    """For each snapshot of the (k, d) group ``flats``, the fraction of ``dataset``'s rows whose argmax
+    score is the label (argmax ties go to the lowest class id)."""
+    hits = np.empty((len(flats), len(dataset.labels)), dtype=bool)
+    for j, rows, scores in snapshot_scores(arch, flats, dataset.features):
+        hits[j, rows] = scores.argmax(axis=1) == dataset.labels[rows]
+    return [float(row.mean()) for row in hits]
 
 
 def forward_loss(
-    arch: Arch, flat: np.ndarray, features: np.ndarray, labels: np.ndarray, subsets: list[np.ndarray] | None = None
-) -> tuple[float, int] | list[float] | list:
-    """Mean cross-entropy over the batch plus the count of correct argmax
-    predictions (argmax ties go to the lowest class id).
-
-    Given ``subsets``, a list of row-index arrays, the scores are computed once
-    over every row in storage order and the list of each subset's mean
-    cross-entropy, over its rows in the order given, is returned instead.
-    A (k, d) group of parameter vectors gives the list of the k results.
-    """
-    loglik, hits = scored_rows(arch, flat, features, labels)
-    results = [
-        (float(-p.mean()), int(h.sum())) if subsets is None else [float(-p[rows].mean()) for rows in subsets]
-        for p, h in zip(loglik, hits)
-    ]
-    return results if np.ndim(flat) == 2 else results[0]
+    arch: Arch, flats: np.ndarray, features: np.ndarray, labels: np.ndarray, subsets: list[np.ndarray]
+) -> list[list[float]]:
+    """For each snapshot of the (k, d) group ``flats``, the mean cross-entropy of each subset (an array of
+    row indices) over its rows in the order given, from one pass of the scores over every row."""
+    loglik = np.empty((len(flats), len(labels)))
+    for j, rows, scores in snapshot_scores(arch, flats, features):
+        at = labels[rows]
+        loglik[j, rows] = _log_softmax(scores)[np.arange(len(at)), at]
+    return [[float(-p[rows].mean()) for rows in subsets] for p in loglik]
 
 
 def backward(arch: Arch, flat: np.ndarray, features: np.ndarray, labels: np.ndarray, with_loss: bool = False) -> tuple:

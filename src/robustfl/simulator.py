@@ -21,7 +21,7 @@ import numpy as np
 from .attacks import AttackContext, AttackSpec, OptimizedAttack, crafted
 from .config import NONNEGATIVE, at_least
 from .datadist import LabeledDataset
-from .models import Arch, LrSchedule, backward, scored_rows
+from .models import Arch, LrSchedule, backward
 from .numerics import tile_width, tiles
 from .preaggregators import Pipeline
 
@@ -262,11 +262,3 @@ def fedavg_round(
                                  rows[: len(chosen) + clients.seats])
     byz_rows = byz.delta_rows(deltas, server.pipeline)
     _aggregate_and_apply(server, rows, byz_rows, byz.search, 1.0)
-
-
-def evaluate_accuracy(arch: Arch, flat: np.ndarray, dataset: LabeledDataset) -> float | list[float]:
-    """Fraction of samples whose argmax logit matches the label (argmax ties
-    go to the lowest class id); for a (k, d) group of parameter vectors, the
-    list of the k fractions."""
-    accuracies = [float(row.mean()) for row in scored_rows(arch, flat, dataset.features, dataset.labels)[1]]
-    return accuracies if np.ndim(flat) == 2 else accuracies[0]

@@ -31,7 +31,7 @@ from robustfl.benchmark import (
     write_result,
 )
 from robustfl.datadist import make_partition
-from robustfl.models import LrSchedule, forward_loss, init_params
+from robustfl.models import LrSchedule, evaluate_accuracy, forward_loss, init_params
 from robustfl.preaggregators import PreAggregatorSpec, build_pipeline
 from robustfl.seeding import derive_rng
 from robustfl.simulator import (
@@ -39,7 +39,6 @@ from robustfl.simulator import (
     HonestClient,
     ServerState,
     dsgd_step,
-    evaluate_accuracy,
     fedavg_round,
 )
 
@@ -675,8 +674,7 @@ class TestPersistence:
 
 def replay_evaluating_each_step(cfg, key) -> benchmark.ExperimentResult:
     """``run_single`` as a hand-rolled loop that scores each evaluation step
-    right after it, alone, with the one-snapshot ``evaluate_accuracy`` and
-    ``forward_loss``."""
+    right after it, alone, as a group of one."""
     seed, n, hc = key.seed, cfg.nb_honest_clients, cfg.honest_clients
     train, test = benchmark.DATASETS[cfg.model.dataset_name].load(cfg.model, seed)
     partitions = make_partition(train, key.distribution_name, key.distribution_parameter, n,
@@ -699,8 +697,8 @@ def replay_evaluating_each_step(cfg, key) -> benchmark.ExperimentResult:
             dsgd_step(server, clients, byz)
         if step % cfg.evaluation.evaluation_delta == 0 or step == cfg.nb_steps:
             result.steps.append(step)
-            result.test_accuracy.append(evaluate_accuracy(arch, server.flat, test))
-            loss, *client_losses = forward_loss(arch, server.flat, train.features, train.labels, subsets)
+            result.test_accuracy.append(evaluate_accuracy(arch, [server.flat], test)[0])
+            [[loss, *client_losses]] = forward_loss(arch, [server.flat], train.features, train.labels, subsets)
             result.train_loss.append(loss)
             if result.client_losses is not None:
                 result.client_losses.append(client_losses)
@@ -719,8 +717,13 @@ GROUPING_MLP = {
 }
 
 
+# A linear model whose parameter count, 41 x 3 = 123, exceeds its 60 training and 21 test rows.
+WIDE_LINEAR = {"model.dataset_params": {"n_classes": 3, "dim": 40, "train_size": 60, "test_size": 21, "spread": 0.5}}
+
+
 class TestGroupedEvaluation:
-    """``run_single`` evaluates its snapshots in groups; every series equals the
+    """``run_single`` evaluates its snapshots in groups of
+    ``block_rows(max(d, train rows, test rows))``; every series equals the
     hand-rolled loop's, bit for bit."""
 
     @staticmethod
@@ -734,8 +737,8 @@ class TestGroupedEvaluation:
 
     @pytest.mark.parametrize("algorithm", [{}, fedavg(proportion_selected_clients=0.7, local_steps_per_client=2)],
                              ids=["DSGD", "FedAvg"])
-    @pytest.mark.parametrize("model, sizes", [(GROUPING_MLP, [4]), ({}, [1, 1, 1]),
-                                              ({**GROUPING_MLP, "model.hidden": 10}, [1, 1, 1, 1])],
+    @pytest.mark.parametrize("model, sizes", [(GROUPING_MLP, [4]), ({}, [3]),
+                                              ({**GROUPING_MLP, "model.hidden": 10}, [4])],
                              ids=["mlp-groups", "linear", "mlp-width-10"])
     def test_run_equals_the_loop_that_evaluates_each_step(self, tmp_path, monkeypatch, algorithm, model, sizes):
         cfg = parse_config(tiny_config_text(tmp_path, **{**model, **algorithm}))
@@ -744,12 +747,16 @@ class TestGroupedEvaluation:
         expected = replay_evaluating_each_step(cfg, expand_grid(cfg)[0])
         assert dataclasses.astuple(result) == dataclasses.astuple(expected)
 
-    def test_a_group_that_fills_mid_run_is_evaluated_then(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("model, bound", [(GROUPING_MLP, 1100), (WIDE_LINEAR, 123)],
+                             ids=["mlp-rows-bind", "linear-parameters-bind"])
+    def test_a_group_that_fills_mid_run_is_evaluated_then(self, tmp_path, monkeypatch, model, bound):
         cfg = parse_config(tiny_config_text(tmp_path, **{
-            **GROUPING_MLP, "evaluation_and_results.evaluation_delta": 1,
+            **model, "benchmark_config.nb_steps": 7, "evaluation_and_results.evaluation_delta": 1,
             "attack": [{"name": "LabelFlipping", "parameters": {}}]}))
-        monkeypatch.setattr(benchmark, "block_rows", lambda row_elements: 3)
+        asked = []
+        monkeypatch.setattr(benchmark, "block_rows", lambda row_elements: asked.append(row_elements) or 3)
         result, seen = self.run_counting(cfg, monkeypatch)
+        assert asked == [bound]
         assert seen == [3, 3, 2]
         assert dataclasses.astuple(result) == dataclasses.astuple(replay_evaluating_each_step(cfg, expand_grid(cfg)[0]))
 

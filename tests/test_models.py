@@ -17,6 +17,7 @@ from robustfl.models import (
     LrSchedule,
     MlpArch,
     _log_softmax,
+    evaluate_accuracy,
     forward_loss,
     groups_snapshots,
     init_params,
@@ -29,7 +30,6 @@ from robustfl.models import (
 )
 from robustfl.numerics import BLOCK_ELEMENTS
 from robustfl.seeding import derive_rng
-from robustfl.simulator import evaluate_accuracy
 
 from oracles import fd_gradient
 
@@ -69,26 +69,28 @@ class TestArchitectures:
             logits(LinearArch(4, 3), np.zeros(14), np.zeros((1, 4)))
 
 
+def loss_of(arch, flat, feats, labels) -> float:
+    """One snapshot's mean cross-entropy over every row, as a group of one."""
+    return forward_loss(arch, [flat], feats, labels, [np.arange(len(labels))])[0][0]
+
+
 class TestForwardLoss:
     def test_zero_params_give_log_n_classes(self):
         feats = np.random.default_rng(1).normal(size=(7, 4))
         labels = np.arange(7) % 3
-        loss, _ = forward_loss(LinearArch(4, 3), np.zeros(15), feats, labels)
-        assert loss == pytest.approx(math.log(3), abs=1e-12)
-        loss, _ = forward_loss(MlpArch(4, 5, 3), np.zeros(43), feats, labels)
-        assert loss == pytest.approx(math.log(3), abs=1e-12)
+        assert loss_of(LinearArch(4, 3), np.zeros(15), feats, labels) == pytest.approx(math.log(3), abs=1e-12)
+        assert loss_of(MlpArch(4, 5, 3), np.zeros(43), feats, labels) == pytest.approx(math.log(3), abs=1e-12)
 
     def test_extreme_logits_stay_finite(self):
         flat = np.array([1000.0, -1000.0, 0.0, 0.0])
-        loss, correct = forward_loss(LinearArch(1, 2), flat, np.array([[1.0]]), np.array([0]))
+        loss = loss_of(LinearArch(1, 2), flat, np.array([[1.0]]), np.array([0]))
         assert np.isfinite(loss) and loss == pytest.approx(0.0, abs=1e-12)
-        assert correct == 1
+        assert evaluate_accuracy(LinearArch(1, 2), [flat], LabeledDataset(np.array([[1.0]]), np.array([0]), 2)) == [1.0]
 
-    def test_correct_counts_argmax(self):
+    def test_accuracy_counts_argmax_hits(self):
         flat = np.array([1.0, -1.0, 0.0, 0.0])
-        feats = np.array([[1.0], [-1.0], [2.0]])
-        _, correct = forward_loss(LinearArch(1, 2), flat, feats, np.array([0, 1, 1]))
-        assert correct == 2
+        dataset = LabeledDataset(np.array([[1.0], [-1.0], [2.0]]), np.array([0, 1, 1]), 2)
+        assert evaluate_accuracy(LinearArch(1, 2), [flat], dataset) == [2 / 3]
 
     @pytest.mark.parametrize("arch", [LinearArch(4, 3), MlpArch(4, 5, 3)], ids=["linear", "mlp"])
     def test_subsets_take_their_rows_from_one_pass(self, arch):
@@ -97,12 +99,12 @@ class TestForwardLoss:
         flat = rng.normal(size=param_count(arch))
         union = rng.permutation(60)
         parts = [union[:25], union[25:]]
-        union_loss, *part_losses = forward_loss(arch, flat, feats, labels, [union, *parts])
+        [[union_loss, *part_losses]] = forward_loss(arch, [flat], feats, labels, [union, *parts])
         # The run's training loss: every row, in the clients' order, as the
         # loss of the gathered rows.
-        assert union_loss == forward_loss(arch, flat, feats[union], labels[union])[0]
+        assert union_loss == loss_of(arch, flat, feats[union], labels[union])
         for loss, rows in zip(part_losses, parts):
-            assert loss == pytest.approx(forward_loss(arch, flat, feats[rows], labels[rows])[0], rel=1e-12)
+            assert loss == pytest.approx(loss_of(arch, flat, feats[rows], labels[rows]), rel=1e-12)
 
 
 @st.composite
@@ -138,18 +140,16 @@ def check_group(arch, group, features, labels):
         np.testing.assert_array_equal(scores, logits(arch, group[j], features)[rows])
     dataset = LabeledDataset(features, labels, arch.layers[-1][0][0])
     accuracies = evaluate_accuracy(arch, group, dataset)
-    np.testing.assert_array_equal(accuracies, [evaluate_accuracy(arch, flat, dataset) for flat in group])
+    np.testing.assert_array_equal(accuracies, [evaluate_accuracy(arch, [flat], dataset)[0] for flat in group])
     np.testing.assert_array_equal(accuracies, [float((logits(arch, flat, features).argmax(axis=1) == labels).mean())
                                                for flat in group])
     subsets = [np.arange(m), np.random.default_rng(m).permutation(m), np.arange(m // 2, m), np.arange(0, m, 3)[::-1]]
     losses = forward_loss(arch, group, features, labels, subsets)
-    singles = [forward_loss(arch, flat, features, labels, subsets) for flat in group]
+    singles = [forward_loss(arch, [flat], features, labels, subsets)[0] for flat in group]
     np.testing.assert_array_equal(losses, singles)
     np.testing.assert_array_equal(
         losses, [[gathered_loss(arch, flat, features, labels, rows) for rows in subsets] for flat in group]
     )
-    assert forward_loss(arch, group, features, labels) == [forward_loss(arch, flat, features, labels)
-                                                           for flat in group]
 
 
 class TestSnapshotGroups:
@@ -192,7 +192,8 @@ class TestSnapshotGroups:
 
     def test_wrong_parameter_count_rejected_for_a_group(self):
         with pytest.raises(ValueError, match="expected 1091 parameters"):
-            forward_loss(MlpArch(64, 16, 3), np.zeros((2, 1090)), np.zeros((2000, 64)), np.zeros(2000, dtype=int))
+            forward_loss(MlpArch(64, 16, 3), np.zeros((2, 1090)), np.zeros((2000, 64)), np.zeros(2000, dtype=int),
+                         [np.arange(2000)])
 
 
 class TestGradient:
@@ -215,10 +216,10 @@ class TestGradient:
             feats = rng.normal(size=(8, 4))
             labels = rng.integers(0, 3, 8)
             loss, grad = loss_and_gradient(arch, flat, feats, labels)
-            fd = fd_gradient(lambda p: forward_loss(arch, p, feats, labels)[0], flat)
+            fd = fd_gradient(lambda p: loss_of(arch, p, feats, labels), flat)
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-5
-            assert loss == forward_loss(arch, flat, feats, labels)[0]
+            assert loss == loss_of(arch, flat, feats, labels)
 
 
 def reference_unpack(arch, flat):
@@ -373,9 +374,8 @@ class TestMakeBlobs:
         flat = np.zeros(param_count(arch))
         for _ in range(500):
             flat -= 1.0 * loss_and_gradient(arch, flat, ds.features, ds.labels)[1]
-        loss, correct = forward_loss(arch, flat, ds.features, ds.labels)
-        assert correct == len(ds)
-        assert loss < 0.01
+        assert evaluate_accuracy(arch, [flat], ds) == [1.0]
+        assert loss_of(arch, flat, ds.features, ds.labels) < 0.01
 
     def test_fixed_seed_is_bitwise_stable(self):
         a = make_blobs(4, 25, 6, 1.0, derive_rng(9, "dataset"))

@@ -33,9 +33,10 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
     monkeypatch.setattr(bench, "MIN_CALLS", 1)
     monkeypatch.setattr(bench, "SUBSET_ENUMERATION_LIMIT", 6)
     monkeypatch.setattr(bench, "EVALUATION", (3, 40))
-    start = time.perf_counter()
+    # CPU time of this process, not wall time, so that a busy machine does not fail the bound.
+    start = time.process_time()
     assert bench.main() == 0
-    assert time.perf_counter() - start < 2.0
+    assert time.process_time() - start < 2.0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
     rules = [row for row in rows if row[0] not in ("attack", "kernel", "model", "round", "evaluation")]
     names = list(AGGREGATOR_NAMES) + list(PRE_AGGREGATOR_NAMES)
@@ -65,7 +66,10 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
     ]
     assert all(float(row[5]) > 0 for row in rounds)
     evaluations = [row for row in rows if row[0] == "evaluation"]
-    assert [row[1:5] for row in evaluations] == [["grouped", "3", "50890", "-"], ["one_by_one", "3", "50890", "-"]]
+    assert [row[1:5] for row in evaluations] == [
+        ["grouped", "3", "50890", "-"], ["one_by_one", "3", "50890", "-"],
+        ["accuracy", "1", "33", "-"], ["accuracy", "7", "33", "-"],
+    ]
     assert all(float(row[5]) > 0 for row in evaluations)
 
 

@@ -15,6 +15,7 @@ from robustfl.models import (
     LinearArch,
     LrSchedule,
     MlpArch,
+    evaluate_accuracy,
     forward_loss,
     init_params,
     loss_and_gradient,
@@ -27,7 +28,6 @@ from robustfl.simulator import (
     HonestClient,
     ServerState,
     dsgd_step,
-    evaluate_accuracy,
     fedavg_round,
 )
 
@@ -292,8 +292,8 @@ def replay_dsgd_run(cfg, key):
         if step:
             loop_dsgd_step(server, clients, flips)
         if step % cfg.evaluation.evaluation_delta == 0 or step == cfg.nb_steps:
-            accuracy.append(evaluate_accuracy(arch, server.flat, test))
-            losses.append(forward_loss(arch, server.flat, train.features, train.labels, [union])[0])
+            accuracy.append(evaluate_accuracy(arch, [server.flat], test)[0])
+            losses.append(forward_loss(arch, [server.flat], train.features, train.labels, [union])[0][0])
     return accuracy, losses
 
 
@@ -678,16 +678,16 @@ class TestEvaluateAccuracy:
     def test_zero_params_predict_lowest_class(self):
         ds = toy_dataset(m=10, n_classes=2)
         expected = float((ds.labels == 0).mean())
-        assert evaluate_accuracy(LinearArch(3, 2), np.zeros(8), ds) == expected
+        assert evaluate_accuracy(LinearArch(3, 2), [np.zeros(8)], ds) == [expected]
 
     def test_perfect_separator(self):
         features = np.array([[-2.0], [-1.5], [1.5], [2.0]])
         ds = LabeledDataset(features, np.array([0, 0, 1, 1]), 2)
         flat = np.array([-1.0, 1.0, 0.0, 0.0])
-        assert evaluate_accuracy(LinearArch(1, 2), flat, ds) == 1.0
+        assert evaluate_accuracy(LinearArch(1, 2), [flat], ds) == [1.0]
 
     def test_random_model_near_chance(self):
         rng = np.random.default_rng(9)
         ds = LabeledDataset(rng.normal(size=(1000, 4)), rng.integers(0, 10, 1000), 10)
         arch = LinearArch(4, 10)
-        assert abs(evaluate_accuracy(arch, init_params(arch, rng), ds) - 0.1) < 0.03
+        assert abs(evaluate_accuracy(arch, [init_params(arch, rng)], ds)[0] - 0.1) < 0.03
