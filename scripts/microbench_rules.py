@@ -42,7 +42,12 @@ clients: 10 on the linear model (``sample_grid``) and 30 on the MLP
 (``mnist_*``). The ``fedavg_flip`` row times one LabelFlipping round of
 federated averaging at that workload's shape, ``HonestClient.local_delta``
 with 5 local steps on the linear model for n = 5 of 10 clients plus f = 2
-LabelFlipping seats, which train in the same call. Two evaluation rows time
+LabelFlipping seats, which train in the same call. Four cohort rows time
+that training pass at the blob shape for one run and for a cohort of 8 runs,
+each at parameters of its own, sharing one bank: ``dsgd`` is
+``compute_update`` for 10 honest rows per run, ``fedavg`` is
+``local_delta`` for the ``fedavg_flip`` round's 5 sampled rows and 2 seats
+per run (n is the runs). Two evaluation rows time
 the training loss of a ``mnist_rules`` run's 13 evaluation snapshots of the
 MLP on 6,000 seeded rows (n is the snapshots): ``grouped`` is one
 ``forward_loss`` call on the (13, d) group, which shares each row block's
@@ -119,6 +124,8 @@ MODEL_BATCH = 25
 SAMPLES_PER_CLIENT = 100
 # (name, clients, sampled clients, seats, local steps) of the federated round row, on the linear model
 FEDAVG_ROUND = ("fedavg_flip", 10, 5, 2, 5)
+# Runs in each cohort row: one alone, and the 8 runs that share a seed and data split in the blob grids
+COHORTS = (1, 8)
 # (snapshots, rows) of the evaluation rows, on the MLP: a mnist_rules run's evaluation steps and training rows
 EVALUATION = (13, 6_000)
 # (snapshots in each row, rows) of the accuracy rows, on the linear model: a blob run's test set
@@ -215,7 +222,7 @@ def main() -> int:
     server = ServerState(MODELS[1][1], np.zeros(d), pipeline, LrSchedule(0.05))
 
     def attack_step(rows: np.ndarray) -> None:
-        byz_rows = group.gradient_rows(rows[: n - f], server.pipeline)
+        byz_rows = group.gradient_rows(rows, server.pipeline)
         _aggregate_and_apply(server, rows, byz_rows, group.search, -server.schedule.lr_at(server.step))
 
     ms, calls = median_ms(attack_step, attacked.copy())
@@ -235,16 +242,28 @@ def main() -> int:
     for name, arch, clients in MODELS:
         flat = init_params(arch, rng)
         bank = seeded_bank(arch, clients, 0, rng)
-        ms, calls = median_ms(lambda x: bank.compute_update(arch, x), flat)
+        head = np.zeros((clients, param_count(arch)))
+        ms, calls = median_ms(lambda x: bank.compute_update(arch, [x], [head]), flat)
         print(f"{'round':<15} {name:<17} {clients:>3} {param_count(arch):>6} {'-':>2} {ms:>10.4f} {calls:>6}")
     name, clients, sampled, seats, local_steps = FEDAVG_ROUND
     arch = MODELS[0][1]
+    d = param_count(arch)
     flat = init_params(arch, rng)
     bank = seeded_bank(arch, clients, seats, rng)
     chosen = np.sort(rng.choice(clients, size=sampled, replace=False))
-    out = np.empty((sampled + seats, param_count(arch)))
-    ms, calls = median_ms(lambda x: bank.local_delta(arch, x, 0.05, local_steps, chosen, out), flat)
-    print(f"{'round':<15} {name:<17} {sampled:>3} {param_count(arch):>6} {seats:>2} {ms:>10.4f} {calls:>6}")
+    out = np.empty((sampled + seats, d))
+    ms, calls = median_ms(lambda x: bank.local_delta(arch, [x], 0.05, local_steps, chosen, [out]), flat)
+    print(f"{'round':<15} {name:<17} {sampled:>3} {d:>6} {seats:>2} {ms:>10.4f} {calls:>6}")
+    for runs in COHORTS:
+        flats = [init_params(arch, rng) for _ in range(runs)]
+        bank, heads = seeded_bank(arch, clients, 0, rng), [np.zeros((clients, d)) for _ in flats]
+        ms, calls = median_ms(lambda xs: bank.compute_update(arch, xs, heads), flats)
+        print(f"{'cohort':<15} {'dsgd':<17} {runs:>3} {d:>6} {'-':>2} {ms:>10.4f} {calls:>6}")
+    for runs in COHORTS:
+        flats = [init_params(arch, rng) for _ in range(runs)]
+        bank, outs = seeded_bank(arch, clients, seats, rng), [np.empty((sampled + seats, d)) for _ in flats]
+        ms, calls = median_ms(lambda xs: bank.local_delta(arch, xs, 0.05, local_steps, chosen, outs), flats)
+        print(f"{'cohort':<15} {'fedavg':<17} {runs:>3} {d:>6} {seats:>2} {ms:>10.4f} {calls:>6}")
     snapshots, rows = EVALUATION
     arch = MODELS[1][1]
     group = np.stack([init_params(arch, rng) for _ in range(snapshots)])

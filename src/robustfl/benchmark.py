@@ -17,11 +17,12 @@ import csv
 import itertools
 import json
 import logging
+import math
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -94,10 +95,12 @@ def _mnist_datasets(cfg: ModelConfig, seed: int) -> tuple[LabeledDataset, Labele
 
 
 class Dataset(NamedTuple):
-    """One row of ``DATASETS``: the (train, test) loader and the keys of ``model.dataset_params``."""
+    """One row of ``DATASETS``: the (train, test) loader, the keys of ``model.dataset_params`` and the
+    training set's (input dim, classes) from the config alone, None where only the files tell."""
 
     load: Callable[[ModelConfig, int], tuple[LabeledDataset, LabeledDataset]]
     params: dict[str, Key]
+    shape: Callable[[ModelConfig], tuple[int, int]] | None
 
 
 DATASETS = {
@@ -107,8 +110,8 @@ DATASETS = {
         "train_size": Key(Param(int, at_least(1)), 6000),
         "test_size": Key(Param(int, at_least(1)), 1000),
         "spread": Key(Param(float, NONNEGATIVE), 1.0),
-    }),
-    "mnist": Dataset(_mnist_datasets, {}),
+    }, lambda cfg: (cfg.dataset_params["dim"], cfg.dataset_params["n_classes"])),
+    "mnist": Dataset(_mnist_datasets, {}, None),
 }
 
 
@@ -397,66 +400,105 @@ class ExperimentResult:
     client_losses: list[list[float]] | None = None
 
 
-def run_single(cfg: BenchmarkConfig, key: ExperimentKey, cores: int = 1) -> ExperimentResult:
-    """Execute one grid point from scratch and return its evaluation series, attack searches on ``cores`` cores."""
-    seed = key.seed
+@dataclass
+class _Member:
+    """A cohort's run: series, server, attack, (m + f, d) step rows (the bank trains m + seats), unscored steps."""
+
+    result: ExperimentResult
+    server: ServerState
+    byz: ByzantineClientGroup
+    rows: np.ndarray
+    snapshots: list[np.ndarray] = field(default_factory=list)
+
+
+def run_cohort(cfg: BenchmarkConfig, keys: list[ExperimentKey], cores: int = 1) -> list[ExperimentResult | Exception]:
+    """Execute grid points that share a seed and data split from scratch, in lockstep: the cohort loads its data
+    and draws each step's batches once, one bank pass trains every run's client rows at the run's parameters,
+    then each run's attack, pipeline and update run in turn. Returns each run's evaluation series, bit for bit
+    its series alone, or the exception that ended it (the others go on); what the runs share raises for all of
+    them. Attack searches run on ``cores`` cores."""
+    seed, name, parameter = shared = keys[0].seed, keys[0].distribution_name, keys[0].distribution_parameter
+    if any((key.seed, key.distribution_name, key.distribution_parameter) != shared for key in keys):
+        raise ValueError(f"a cohort's runs must share (seed, distribution, parameter) {shared}")
+    hc, n = cfg.honest_clients, cfg.nb_honest_clients
     train, test = DATASETS[cfg.model.dataset_name].load(cfg.model, seed)
-    partition = make_partition(
-        train, key.distribution_name, key.distribution_parameter, cfg.nb_honest_clients, derive_rng(seed, "datadist")
-    )
+    partition = make_partition(train, name, parameter, n, derive_rng(seed, "datadist"))
     arch = ARCHS[cfg.model.name](cfg.model, train.features.shape[1], train.n_classes)
     schedule = LrSchedule(cfg.model.learning_rate, cfg.model.learning_rate_decay, tuple(cfg.model.milestones))
-    pipeline = build_pipeline(key.aggregator, key.pre_aggregators, rng=derive_rng(seed, "bucketing"))
-    hc, n = cfg.honest_clients, cfg.nb_honest_clients
-
-    seats = key.f if key.f > 0 and key.attack.name == "LabelFlipping" else 0
+    seats = max((key.f for key in keys if key.attack.name == "LabelFlipping"), default=0)
     rngs = [derive_rng(seed, f"client.{i}") for i in range(n)] + [derive_rng(seed, f"byz.{j}") for j in range(seats)]
     clients = HonestClient(train, partition.assignments, hc.batch_size, hc.momentum, hc.weight_decay, rngs, seats)
-    byz = ByzantineClientGroup(key.f, key.attack, clients, cores)
-    server = ServerState(arch, init_params(arch, derive_rng(seed, "init")), pipeline, schedule)
     fedavg = cfg.training_algorithm.parameters if cfg.training_algorithm.name == "FedAvg" else None
-    sampling_rng = derive_rng(seed, "sampling")
-
-    steps: list[int] = []
-    accuracy: list[float] = []
-    losses: list[float] = []
-    per_client: list[list[float]] | None = [] if cfg.evaluation.store_per_client_metrics else None
-    subsets = [np.concatenate(partition.assignments)]
-    if per_client is not None:
-        subsets += partition.assignments
-    # The parameter vectors of the evaluation steps not yet evaluated (read-only, so they stay as recorded),
-    # evaluated together in groups of block_rows(max(d, rows)), so that the (k, d) group and the scorers'
-    # (k, rows) arrays stay within BLOCK_ELEMENTS entries; models decides whether snapshots share products.
-    group: list[np.ndarray] = []
+    m = n if fedavg is None else sampled_count(fedavg["proportion_selected_clients"], n)
+    train_step, sampling_rng = (dsgd_step if fedavg is None else fedavg_round), derive_rng(seed, "sampling")
+    per_client = cfg.evaluation.store_per_client_metrics
+    subsets = [np.concatenate(partition.assignments)] + (partition.assignments if per_client else [])
+    # A run's snapshots (read-only) are scored in groups whose (k, d) and (k, rows) arrays fit in BLOCK_ELEMENTS.
     group_size = block_rows(max(param_count(arch), len(train.labels), len(test.labels)))
+    outcomes: list[ExperimentResult | Exception | None] = [None] * len(keys)
+    live: dict[int, _Member] = {}
 
-    def evaluate() -> None:
-        flats = np.stack(group)
-        group.clear()
-        accuracy.extend(evaluate_accuracy(arch, flats, test))
+    def each(work, runs) -> None:
+        """``work(i)`` for every run i of ``runs``; a run whose work raises leaves the cohort with its exception."""
+        for i in list(runs):
+            try:
+                work(i)
+            except Exception as exc:  # noqa: BLE001 - one bad run must not sink its cohort
+                outcomes[i] = exc
+                live.pop(i, None)
+
+    def start(i: int) -> None:
+        key = keys[i]
+        pipeline = build_pipeline(key.aggregator, key.pre_aggregators, rng=derive_rng(seed, "bucketing"))
+        byz = ByzantineClientGroup(key.f, key.attack, cores)
+        result = ExperimentResult(key, [], [], [], [] if per_client else None)
+        server = ServerState(arch, init_params(arch, derive_rng(seed, "init")), pipeline, schedule)
+        live[i], outcomes[i] = _Member(result, server, byz, np.zeros((m + key.f, param_count(arch)))), result
+
+    def evaluate(member: _Member) -> None:
+        flats, result = np.stack(member.snapshots), member.result
+        member.snapshots.clear()
+        result.test_accuracy.extend(evaluate_accuracy(arch, flats, test))
         for loss, *client_losses in forward_loss(arch, flats, train.features, train.labels, subsets):
-            losses.append(loss)
-            if per_client is not None:
-                per_client.append(client_losses)
+            result.train_loss.append(loss)
+            if result.client_losses is not None:
+                result.client_losses.append(client_losses)
 
-    def record(step: int) -> None:
-        steps.append(step)
-        group.append(server.flat)
-        if len(group) == group_size:
-            evaluate()
+    def record(member: _Member, step: int) -> None:
+        member.result.steps.append(step)
+        member.snapshots.append(member.server.flat)
+        if len(member.snapshots) == group_size:
+            evaluate(member)
 
-    record(0)
+    each(start, range(len(keys)))
+    each(lambda i: record(live[i], 0), live)
+    heads: list[np.ndarray] = []
     for step in range(1, cfg.nb_steps + 1):
+        if not live:
+            break
+        flats = [member.server.flat for member in live.values()]
+        heads = [member.rows[: m + member.byz.seats] for member in live.values()]
         if fedavg is None:
-            dsgd_step(server, clients, byz)
+            clients.compute_update(arch, flats, heads)
         else:
-            fedavg_round(server, clients, byz, **fedavg, sampling_rng=sampling_rng)
+            chosen = np.sort(sampling_rng.choice(n, size=m, replace=False))
+            clients.local_delta(arch, flats, schedule.lr_at(step - 1), fedavg["local_steps_per_client"], chosen, heads)
+        each(lambda i: train_step(live[i].server, live[i].rows, live[i].byz), live)
         if step % cfg.evaluation.evaluation_delta == 0 or step == cfg.nb_steps:
-            record(step)
-    del clients, byz  # the bank and the attack's search, before the last group's scores
-    if group:
-        evaluate()
-    return ExperimentResult(key, steps, accuracy, losses, per_client)
+            each(lambda i: record(live[i], step), live)
+    del clients, heads  # the bank, and below each run's rows and attack search, before the last groups' scores
+    for member in live.values():
+        del member.byz, member.rows
+    each(lambda i: live[i].snapshots and evaluate(live[i]), live)
+    return outcomes
+
+
+def run_single(cfg: BenchmarkConfig, key: ExperimentKey, cores: int = 1) -> ExperimentResult:
+    """Execute one grid point from scratch, a cohort of one, and return its series or raise what ended it."""
+    [result] = run_cohort(cfg, [key], cores)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # --------------------------------------------------------------------------- #
@@ -535,13 +577,35 @@ def list_results(base_dir) -> list[ExperimentResult]:
 # --------------------------------------------------------------------------- #
 
 
-def _execute_key(cfg: BenchmarkConfig, key: ExperimentKey, base_dir: str, cores: int) -> str | None:
-    """Run one grid point on ``cores`` cores and persist it; returns an error message or None."""
+def _execute_cohort(cfg: BenchmarkConfig, keys: list[ExperimentKey], base_dir: str, cores: int) -> list[str | None]:
+    """Run one cohort on ``cores`` cores and persist each of its runs; returns each one's error message or None."""
     try:
-        write_result(base_dir, run_single(cfg, key, cores))
-        return None
-    except Exception as exc:  # noqa: BLE001 - one bad run must not sink the grid
-        return f"{type(exc).__name__}: {exc}"
+        outcomes = run_cohort(cfg, keys, cores)
+    except Exception as exc:  # noqa: BLE001 - what a cohort shares failed for each of its runs
+        return [f"{type(exc).__name__}: {exc}"] * len(keys)
+    messages = []
+    for outcome in outcomes:
+        if isinstance(outcome, ExperimentResult):
+            try:
+                write_result(base_dir, outcome)
+            except Exception as exc:  # noqa: BLE001 - one bad run must not sink the grid
+                outcome = exc
+        messages.append(f"{type(outcome).__name__}: {outcome}" if isinstance(outcome, Exception) else None)
+    return messages
+
+
+def _cohorts(cfg: BenchmarkConfig, keys: list[ExperimentKey], parallelism: int) -> list[list[ExperimentKey]]:
+    """``keys`` in grid order as tasks of runs that share (seed, distribution, parameter), of at most
+    min(block_rows((n + max f) * d), ceil(len(keys) / parallelism)) runs each: a step's stacked client rows fit in
+    ``BLOCK_ELEMENTS`` and every worker gets a task. Runs on a dataset whose files alone tell d (mnist) go alone."""
+    shape, size = DATASETS[cfg.model.dataset_name].shape, 1
+    if shape is not None:
+        d = param_count(ARCHS[cfg.model.name](cfg.model, *shape(cfg.model)))
+        size = min(block_rows((cfg.nb_honest_clients + max(cfg.f_values)) * d), math.ceil(len(keys) / parallelism))
+    shared: dict[tuple, list[ExperimentKey]] = {}
+    for key in keys:
+        shared.setdefault((key.seed, key.distribution_name, key.distribution_parameter), []).append(key)
+    return [runs[i : i + size] for runs in shared.values() for i in range(0, len(runs), size)]
 
 
 def run_benchmark(cfg: BenchmarkConfig, parallelism: int = 1) -> dict:
@@ -553,7 +617,8 @@ def run_benchmark(cfg: BenchmarkConfig, parallelism: int = 1) -> dict:
     its pool: the runs that pool left unfinished and not on disk run again in
     a fresh pool, and once a second pool breaks, each in a one-worker pool of
     its own. Only a run whose lone worker dies is recorded as failed, with the
-    ``BrokenProcessPool`` message. Each run's attack searches may use max(1, parallelism // runs to execute) cores.
+    ``BrokenProcessPool`` message. The runs execute as cohorts (``_cohorts``), each cohort's attack searches on
+    max(1, parallelism // cohorts to execute) cores.
     """
     at_least(1).check(parallelism, "parallelism")
     keys = expand_grid(cfg)
@@ -561,49 +626,51 @@ def run_benchmark(cfg: BenchmarkConfig, parallelism: int = 1) -> dict:
     base.mkdir(parents=True, exist_ok=True)
     pending = [k for k in keys if not (base / k.run_id / "metrics.csv").exists()]
     skipped = len(keys) - len(pending)
-    cores = max(1, parallelism // max(1, len(pending)))
+    tasks = _cohorts(cfg, pending, parallelism)
+    cores = max(1, parallelism // max(1, len(tasks)))
     log.info("grid has %d runs: %d already on disk, %d to execute", len(keys), skipped, len(pending))
 
     failures: list[tuple[str, str]] = []
     completed = 0
 
-    def record(key: ExperimentKey, error: str | None) -> None:
+    def record(cohort: list[ExperimentKey], errors: list[str | None]) -> None:
         nonlocal completed
-        if error is None:
-            completed += 1
-            log.info("completed %s", key.run_id)
-        else:
-            failures.append((key.run_id, error))
-            log.error("failed %s: %s", key.run_id, error)
+        for key, error in zip(cohort, errors):
+            if error is None:
+                completed += 1
+                log.info("completed %s", key.run_id)
+            else:
+                failures.append((key.run_id, error))
+                log.error("failed %s: %s", key.run_id, error)
 
-    def run_pool(batch: list[ExperimentKey]) -> list[ExperimentKey]:
-        """Run ``batch`` in one pool; returns the runs a broken pool left unfinished and not on disk."""
+    def run_pool(batch: list[list[ExperimentKey]]) -> list[ExperimentKey]:
+        """Run the cohorts of ``batch`` in one pool; returns the runs a broken pool left unfinished and not on disk."""
         lost = []
         with ProcessPoolExecutor(max_workers=min(parallelism, len(batch))) as pool:
-            futures = {pool.submit(_execute_key, cfg, key, str(base), cores): key for key in batch}
+            futures = {pool.submit(_execute_cohort, cfg, cohort, str(base), cores): cohort for cohort in batch}
             for future in as_completed(futures):
-                key = futures[future]
                 try:
-                    record(key, future.result())
+                    record(futures[future], future.result())
                 except BrokenProcessPool as exc:
-                    if (base / key.run_id / "metrics.csv").exists():
-                        record(key, None)
-                    elif len(batch) == 1:
-                        record(key, f"{type(exc).__name__}: {exc}")
-                    else:
-                        lost.append(key)
+                    for key in futures[future]:
+                        if (base / key.run_id / "metrics.csv").exists():
+                            record([key], [None])
+                        elif batch == [[key]]:
+                            record([key], [f"{type(exc).__name__}: {exc}"])
+                        else:
+                            lost.append(key)
         if lost:
             log.warning("a pool worker died; %d unfinished runs will run again", len(lost))
         return lost
 
-    if parallelism == 1 or len(pending) <= 1:
-        for key in pending:
-            record(key, _execute_key(cfg, key, str(base), cores))
+    if parallelism == 1 or len(tasks) <= 1:
+        for cohort in tasks:
+            record(cohort, _execute_cohort(cfg, cohort, str(base), cores))
     else:
-        lost = run_pool(pending)
+        lost = run_pool(tasks)
         if lost:
-            lost = run_pool(lost)
+            lost = run_pool(_cohorts(cfg, lost, parallelism))
         for key in lost:
-            run_pool([key])
+            run_pool([[key]])
     failures.sort()
     return {"completed": completed, "skipped": skipped, "failed": len(failures), "failures": failures}

@@ -6,8 +6,10 @@ aggregate. Federated averaging: a sampled subset of clients runs several
 local SGD steps and submits its model delta, and the server adds the robust
 aggregate of the deltas. In both cases the aggregation input stacks honest
 rows first (ordered by client id) followed by f Byzantine rows, in one buffer
-whose honest rows (and LabelFlipping's seat rows) the clients fill in place.
-No attack or pipeline stage writes to its input, which makes that safe.
+per run whose honest rows (and LabelFlipping's seat rows) the clients fill in
+place. No attack or pipeline stage writes to its input, which makes that safe.
+One bank of clients trains every run of a cohort, the runs that share a seed
+and data split, and so the same batches, at once, each at its own parameters.
 """
 
 from __future__ import annotations
@@ -27,17 +29,18 @@ from .preaggregators import Pipeline
 
 
 class HonestClient:
-    """A run's training clients as the rows of one bank: partitions, one batch
-    stream (``rngs``) per row and a momentum matrix. The first n = ``len(bank)``
-    rows are the honest clients; the last ``seats`` are LabelFlipping's, seat j
-    training on partition j % n with each label y swapped for (n_classes - 1) - y.
+    """A cohort's training clients as the rows of one bank: partitions, one batch
+    stream (``rngs``) per row, drawn once a step for every run of the cohort.
+    The first n = ``len(bank)`` rows are the honest clients; the last ``seats``
+    are LabelFlipping's, seat j training on partition j % n with each label y
+    swapped for (n_classes - 1) - y, and a run with f such seats trains the first f.
 
     Row i draws the batches a lone client would: its shuffled order is row i of
     a padded index matrix read from its cursor, and only a row whose epoch ran
-    out draws a new permutation. A step takes the rows' batches with one fancy
-    index per batch length (a partition shorter than ``batch_size`` gives
-    shorter ones) and their gradients in one pass. The momentum rows, seats
-    under the honest rows, head ``step_buf``.
+    out draws a new permutation. A step takes the batches of every (run, row)
+    pair with one fancy index per batch length (a partition shorter than
+    ``batch_size`` gives shorter ones) and their gradients, each at its run's
+    parameters, in one pass; a pair's rows are bit for bit those of its run alone.
     """
 
     def __init__(
@@ -73,118 +76,105 @@ class HonestClient:
         for i, (rng, rows) in enumerate(zip(rngs, self.indices)):
             self._orders[i, : len(rows)] = rng.permutation(rows)
         self._cursors = np.zeros(len(rngs), dtype=np.int64)
-        self.step_buf: np.ndarray | None = None
-        self.momentum_buf: np.ndarray | None = None
-        self.seat_rows: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.indices) - self.seats
 
-    def _batches(self, rows: np.ndarray) -> list[tuple[np.ndarray | slice, np.ndarray]]:
-        """The rows' next mini-batches, as (positions in ``rows``, (k, length)
-        sample indices) per batch length. A row whose cursor is past its last
-        full batch (a short row's always is) first draws a new permutation."""
+    def _batches(self, rows: np.ndarray, picks=slice(None)) -> list[tuple[np.ndarray | slice, np.ndarray]]:
+        """The rows' next mini-batches, each row drawn once, as (positions in ``picks``, (k, length) sample
+        indices) per batch length, where ``picks`` are positions in ``rows`` and may repeat. A row whose cursor
+        is past its last full batch (a short row's always is) first draws a new permutation."""
         cursors = self._cursors[rows]
         spent = cursors > self._last[rows]
         for i in rows[spent]:
             self._orders[i, : self._sizes[i]] = self._rngs[i].permutation(self.indices[i])
         cursors[spent] = 0
         self._cursors[rows] = cursors + self.batch_size
+        rows, cursors = rows[picks], cursors[picks]
         lengths = np.minimum(self._sizes[rows], self.batch_size)
         groups = [slice(None)] if self._full else [np.flatnonzero(lengths == n) for n in np.unique(lengths)]
         return [(g, self._orders[rows[g, None], cursors[g, None] + np.arange(lengths[g][0])]) for g in groups]
 
-    def _momentum_step(self, arch: Arch, params: np.ndarray, buf: np.ndarray, rows: np.ndarray) -> None:
-        """Advance ``buf`` in place by the weight-decayed gradients at ``params``
-        (one vector, or one row per client) on the rows' next mini-batches, one
+    def _momentum_step(self, arch: Arch, params: np.ndarray, bufs: list[np.ndarray], rows: np.ndarray,
+                       picks: np.ndarray) -> None:
+        """Advance the momentum rows ``bufs`` (a matrix per run, stacked in ``picks`` order) in place by the
+        weight-decayed gradients at ``params`` (a row per pick) on the picked rows' next mini-batches, one
         cache-sized column tile at a time (the whole rows when they fit in one)."""
-        flipped, batches = self._flipped[rows], self._batches(rows)
-        grads = None if len(batches) == 1 else np.empty((len(rows), params.shape[-1]))
+        flipped, batches = self._flipped[rows[picks]], self._batches(rows, picks)
+        grads = None if len(batches) == 1 else np.empty((len(flipped), params.shape[1]))
         for group, take in batches:
-            part = params if params.ndim == 1 else params[group]
+            part = params if len(params) == 1 else params[group]
             grad = backward(arch, part, self.features[take], self._labels[flipped[group, None], take])[1]
             if grads is None:
                 grads = grad
             else:
                 grads[group] = grad
-        k, d = grads.shape
+        (k, d), starts = grads.shape, np.cumsum([0] + [len(buf) for buf in bufs])
         for run in [slice(None)] if tile_width(k) >= d else tiles(d, k):
             tile = grads[:, run]
-            tile += self.weight_decay * params[..., run]
-            tile_buf = buf[:, run]
-            tile_buf *= self.momentum
-            tile_buf += tile
+            tile += self.weight_decay * params[:, run]
+            for buf, lo in zip(bufs, starts):
+                tile_buf = buf[:, run]
+                tile_buf *= self.momentum
+                tile_buf += tile[lo : lo + len(buf)]
 
-    def compute_update(self, arch: Arch, flat: np.ndarray, spare: int = 0) -> np.ndarray:
-        """(n, d) momentum gradients on every honest row's next mini-batch (the
-        DSGD submissions), with the seats' rows, ``seat_rows``, right under them.
+    def compute_update(self, arch: Arch, flats: list[np.ndarray], heads: list[np.ndarray]) -> None:
+        """Advance in place each run's momentum rows ``heads[r]`` (the DSGD submissions), its n honest rows then
+        its first len(heads[r]) - n seats, by the gradients at its ``flats[r]`` on every bank row's next batch."""
+        picks = np.concatenate([np.arange(len(head)) for head in heads])
+        self._momentum_step(arch, _rows_at(flats, heads), heads, np.arange(len(self._rngs)), picks)
 
-        They are the momentum rows themselves, not a copy: the next call
-        updates them in place, and no caller may write to them. They head a
-        (n + spare, d) ``step_buf`` whose rows past the seats' are free for the
-        caller (a new ``spare``, at least ``seats``, moves them to a new buffer).
-        """
-        n, rows, spare = len(self), len(self._rngs), max(spare, self.seats)
-        if self.step_buf is None or len(self.step_buf) != n + spare:
-            step_buf = np.zeros((n + spare, flat.size))
-            if self.momentum_buf is not None:
-                step_buf[:rows] = self.momentum_buf
-            self.step_buf, self.momentum_buf = step_buf, step_buf[:rows]
-        self._momentum_step(arch, flat, self.momentum_buf, np.arange(rows))
-        self.seat_rows = self.momentum_buf[n:]
-        return self.momentum_buf[:n]
-
-    def local_delta(self, arch: Arch, flat: np.ndarray, lr: float, local_steps: int, rows,
-                    out: np.ndarray | None = None) -> np.ndarray:
-        """(len(rows), d) model deltas of the honest ``rows`` after local SGD
-        steps from the broadcast parameters, in ``out`` when given, followed by
-        the seats' deltas, ``seat_rows``, trained in the same steps.
-
-        The local momentum buffers start fresh each round, so one local step
-        with zero momentum reproduces a plain gradient descent step.
-        """
+    def local_delta(self, arch: Arch, flats: list[np.ndarray], lr: float, local_steps: int, rows,
+                    outs: list[np.ndarray]) -> None:
+        """Write into each run's ``outs[r]`` the model deltas of the honest ``rows``, then of its first
+        len(outs[r]) - len(rows) seats, after local SGD steps from its parameters ``flats[r]``. The local momentum
+        buffers start fresh each round, so one local step with zero momentum is a plain gradient descent step."""
         train = np.concatenate([np.asarray(rows, dtype=np.intp), np.arange(len(self), len(self._rngs))])
-        local = np.empty((len(train), flat.size)) if out is None else out
-        local[:] = flat
+        picks = np.concatenate([np.arange(len(out)) for out in outs])
+        local = outs[0] if len(outs) == 1 else np.empty((len(picks), flats[0].size))
+        local[:] = _rows_at(flats, outs)
         buf = np.zeros_like(local)
         for _ in range(local_steps):
-            self._momentum_step(arch, local, buf, train)
+            self._momentum_step(arch, local, [buf], train, picks)
             local -= lr * buf
-        local -= flat
-        self.seat_rows = local[len(rows):]
-        return local[: len(rows)]
+        for flat, out, lo in zip(flats, outs, np.cumsum([0] + [len(out) for out in outs])):
+            np.subtract(local[lo : lo + len(out)], flat, out=out)
+
+
+def _rows_at(flats: list[np.ndarray], blocks: list[np.ndarray]) -> np.ndarray:
+    """``flats[r]`` for each row of ``blocks[r]``: a lone run's vector as one (1, d) row, broadcast, else copies."""
+    if len(flats) == 1:
+        return flats[0][None]
+    return np.repeat(np.stack(flats), [len(block) for block in blocks], axis=0)
 
 
 class ByzantineClientGroup:
     """f adversarial participants driven by one attack descriptor.
 
-    Gradient-space attacks are computed from the observed honest matrix and
+    Gradient-space attacks are computed from the observed honest rows and
     emitted as f identical rows. LabelFlipping's f clients are instead the
-    ``seats`` of the ``bank``, trained with its honest rows under either
-    training algorithm, and their rows are its ``seat_rows``. An Optimal_* attack searches on ``cores`` cores;
-    ``search`` is the ``OptimizedAttack`` behind its last rows, else None.
+    bank's first f ``seats``, trained with the honest rows under either
+    training algorithm, so that their rows are already the step's last f. An Optimal_* attack searches on
+    ``cores`` cores; ``search`` is the ``OptimizedAttack`` behind its last rows, else None.
     """
 
-    def __init__(self, f: int, attack: AttackSpec | None, bank: HonestClient | None = None, cores: int = 1):
+    def __init__(self, f: int, attack: AttackSpec | None, cores: int = 1):
         NONNEGATIVE.check(f, "f")
         if f > 0 and attack is None:
             raise ValueError("an attack descriptor is required when f > 0")
-        if f > 0 and attack.name == "LabelFlipping" and getattr(bank, "seats", 0) != f:
-            raise ValueError(f"LabelFlipping needs a bank with one seat per Byzantine client ({f})")
         self.f = f
         self.attack = attack
-        self.bank = bank
+        self.seats = f if f > 0 and attack.name == "LabelFlipping" else 0
         self.cores = cores
         self.search: OptimizedAttack | None = None
 
-    def gradient_rows(self, honest: np.ndarray, pipeline: Pipeline) -> np.ndarray:
+    def gradient_rows(self, rows: np.ndarray, pipeline: Pipeline) -> np.ndarray:
         """(f, d) Byzantine submissions for one DSGD step or federated averaging
-        round: the bank's ``seat_rows``, or f copies of the attack vector."""
-        if self.f == 0:
-            return np.zeros((0, honest.shape[1]))
-        if self.attack.name == "LabelFlipping":
-            return self.bank.seat_rows
-        found = crafted(self.attack, AttackContext(honest, self.f, pipeline, self.cores))
+        round whose (m + f, d) ``rows`` start with the m honest ones: the seats'
+        rows, the last f, or f copies of the attack vector."""
+        if self.f == self.seats:
+            return rows[len(rows) - self.f :]
+        found = crafted(self.attack, AttackContext(rows[: len(rows) - self.f], self.f, pipeline, self.cores))
         self.search = found if isinstance(found, OptimizedAttack) else None
         return np.tile(found.vector if self.search else found, (self.f, 1))
 
@@ -226,39 +216,21 @@ def _aggregate_and_apply(server: ServerState, rows: np.ndarray, byz_rows: np.nda
     server.step += 1
 
 
-def dsgd_step(server: ServerState, clients: HonestClient, byz: ByzantineClientGroup) -> None:
-    """One synchronous distributed-SGD step; mutates the server in place."""
-    honest = clients.compute_update(server.arch, server.flat, byz.f)
-    byz_rows = byz.gradient_rows(honest, server.pipeline)
-    _aggregate_and_apply(server, clients.step_buf, byz_rows, byz.search, -server.schedule.lr_at(server.step))
+def dsgd_step(server: ServerState, rows: np.ndarray, byz: ByzantineClientGroup) -> None:
+    """One synchronous distributed-SGD step on its (n + f, d) ``rows``, the n honest momentum gradients
+    first (then the seats'); mutates the server in place."""
+    _aggregate_and_apply(server, rows, byz.gradient_rows(rows, server.pipeline), byz.search,
+                         -server.schedule.lr_at(server.step))
 
 
 def sampled_count(proportion_selected_clients: float, n: int) -> int:
-    """How many of n honest clients a federated averaging round samples."""
+    """How many of n honest clients a federated averaging round samples: ceil(proportion * n), the product
+    taken on the proportion's shortest decimal spelling, so 0.55 of 100 clients is 55 (in floats it is
+    55.00000000000001)."""
     return math.ceil(Decimal(repr(proportion_selected_clients)) * n)
 
 
-def fedavg_round(
-    server: ServerState,
-    clients: HonestClient,
-    byz: ByzantineClientGroup,
-    proportion_selected_clients: float,
-    local_steps_per_client: int,
-    sampling_rng: np.random.Generator,
-) -> None:
-    """One federated averaging round; mutates the server in place.
-
-    ceil(proportion_selected_clients * n) honest clients are sampled without
-    replacement, each runs local_steps_per_client local SGD steps, and the
-    aggregate of their deltas and the Byzantine rows is added to the model.
-    The product is taken on the proportion's shortest decimal spelling, so
-    0.55 of 100 clients is 55 (in floats it is 55.00000000000001).
-    """
-    n = len(clients)
-    chosen = np.sort(sampling_rng.choice(n, size=sampled_count(proportion_selected_clients, n), replace=False))
-    lr = server.schedule.lr_at(server.step)
-    rows = np.empty((len(chosen) + byz.f, server.flat.size))
-    deltas = clients.local_delta(server.arch, server.flat, lr, local_steps_per_client, chosen,
-                                 rows[: len(chosen) + clients.seats])
-    byz_rows = byz.delta_rows(deltas, server.pipeline)
-    _aggregate_and_apply(server, rows, byz_rows, byz.search, 1.0)
+def fedavg_round(server: ServerState, rows: np.ndarray, byz: ByzantineClientGroup) -> None:
+    """One federated averaging round on its (m + f, d) ``rows``, the model deltas of the m sampled honest
+    clients first (then the seats'); mutates the server in place by adding the rows' aggregate."""
+    _aggregate_and_apply(server, rows, byz.delta_rows(rows, server.pipeline), byz.search, 1.0)

@@ -8,6 +8,7 @@ import pickle
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from robustfl.benchmark import (
     parse_config,
     read_result,
     run_benchmark,
+    run_cohort,
     run_single,
     strip_json_comments,
     write_result,
@@ -40,6 +42,7 @@ from robustfl.simulator import (
     ServerState,
     dsgd_step,
     fedavg_round,
+    sampled_count,
 )
 
 FEDAVG_PATH = "benchmark_config.training_algorithm.parameters"
@@ -683,18 +686,25 @@ def replay_evaluating_each_step(cfg, key) -> benchmark.ExperimentResult:
     seats = key.f if key.attack.name == "LabelFlipping" else 0
     rngs = [derive_rng(seed, f"client.{i}") for i in range(n)] + [derive_rng(seed, f"byz.{j}") for j in range(seats)]
     clients = HonestClient(train, partitions, hc.batch_size, hc.momentum, hc.weight_decay, rngs, seats)
-    byz = ByzantineClientGroup(key.f, key.attack, clients)
+    byz = ByzantineClientGroup(key.f, key.attack)
     pipeline = build_pipeline(key.aggregator, key.pre_aggregators, rng=derive_rng(seed, "bucketing"))
     server = ServerState(arch, init_params(arch, derive_rng(seed, "init")), pipeline,
                          LrSchedule(cfg.model.learning_rate, cfg.model.learning_rate_decay, tuple(cfg.model.milestones)))
     sampling = derive_rng(seed, "sampling")
+    fedavg = cfg.training_algorithm.parameters if cfg.training_algorithm.name == "FedAvg" else None
+    m = n if fedavg is None else sampled_count(fedavg["proportion_selected_clients"], n)
+    rows = np.zeros((m + key.f, len(server.flat)))
     subsets = [np.concatenate(partitions)] + (partitions if cfg.evaluation.store_per_client_metrics else [])
     result = benchmark.ExperimentResult(key, [], [], [], [] if cfg.evaluation.store_per_client_metrics else None)
     for step in range(cfg.nb_steps + 1):
-        if step and cfg.training_algorithm.name == "FedAvg":
-            fedavg_round(server, clients, byz, **cfg.training_algorithm.parameters, sampling_rng=sampling)
+        if step and fedavg is not None:
+            chosen = np.sort(sampling.choice(n, size=m, replace=False))
+            clients.local_delta(arch, [server.flat], server.schedule.lr_at(server.step),
+                                fedavg["local_steps_per_client"], chosen, [rows[: m + seats]])
+            fedavg_round(server, rows, byz)
         elif step:
-            dsgd_step(server, clients, byz)
+            clients.compute_update(arch, [server.flat], [rows[: n + seats]])
+            dsgd_step(server, rows, byz)
         if step % cfg.evaluation.evaluation_delta == 0 or step == cfg.nb_steps:
             result.steps.append(step)
             result.test_accuracy.append(evaluate_accuracy(arch, [server.flat], test)[0])
@@ -761,6 +771,119 @@ class TestGroupedEvaluation:
         assert dataclasses.astuple(result) == dataclasses.astuple(replay_evaluating_each_step(cfg, expand_grid(cfg)[0]))
 
 
+def written(directory) -> dict:
+    """Every file under ``directory``, by relative path, with its bytes."""
+    return {p.relative_to(directory): p.read_bytes() for p in sorted(Path(directory).rglob("*")) if p.is_file()}
+
+
+# 2 rules x 2 attacks x f in {1, 2} x 2 gammas x 2 seeds = 32 runs: four groups of 8 that share a seed and a split.
+COHORT_GRID = {
+    "aggregator": [{"name": "TrMean"}, {"name": "CenteredClipping"}],
+    "attack": [{"name": "LabelFlipping"}, {"name": "InnerProductManipulation"}],
+    "benchmark_config.f": [1, 2],
+    "benchmark_config.nb_training_seeds": 2,
+    "benchmark_config.nb_honest_clients": 5,
+    "benchmark_config.nb_steps": 6,
+    **distribution("gamma_similarity_niid", 0.5, 1.0),
+}
+ALGORITHMS = pytest.mark.parametrize(
+    "algorithm", [{}, fedavg(proportion_selected_clients=0.6, local_steps_per_client=2)], ids=["DSGD", "FedAvg"])
+
+
+class TestCohorts:
+    """Runs that share a seed and a data split train in lockstep on one bank;
+    each writes the bytes it writes alone, whichever runs share its cohort."""
+
+    @ALGORITHMS
+    def test_a_grid_writes_the_bytes_of_each_run_alone(self, tmp_path, algorithm):
+        cfg = parse_config(tiny_config_text(tmp_path / "alone", **COHORT_GRID, **algorithm))
+        for key in expand_grid(cfg):
+            write_result(tmp_path / "alone", run_single(cfg, key))
+        alone = written(tmp_path / "alone")
+        assert len(alone) == 2 * 32
+        for parallelism in (1, 2):
+            out = tmp_path / str(parallelism)
+            cfg = parse_config(tiny_config_text(out, **COHORT_GRID, **algorithm))
+            assert [len(cohort) for cohort in benchmark._cohorts(cfg, expand_grid(cfg), parallelism)] == [8] * 4
+            assert run_benchmark(cfg, parallelism)["completed"] == 32
+            assert written(out) == alone
+
+    @ALGORITHMS
+    def test_a_member_leaving_changes_no_siblings_bytes(self, tmp_path, algorithm):
+        cfg = parse_config(tiny_config_text(tmp_path, **COHORT_GRID, **algorithm))
+        keys = [key for key in expand_grid(cfg) if (key.seed, key.distribution_parameter) == (1, 0.5)]
+        for result in run_cohort(cfg, keys):
+            write_result(tmp_path / "full", result)
+        full = written(tmp_path / "full")
+        for gone in range(len(keys)):
+            out = tmp_path / f"without{gone}"
+            for result in run_cohort(cfg, keys[:gone] + keys[gone + 1 :]):
+                write_result(out, result)
+            assert written(out) == {path: data for path, data in full.items() if path.parts[0] != keys[gone].run_id}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_diverged_member_fails_alone_and_its_siblings_keep_their_bytes(self, tmp_path):
+        # Average under IPM with tau = 1e300 overflows mid-run; the cohort's
+        # other runs finish with the bytes they write alone.
+        ipm = {"name": "InnerProductManipulation", "parameters": {"tau": 1e300}}
+        tweaks = {"aggregator": [{"name": "Average"}], "benchmark_config.nb_steps": 20,
+                  "honest_clients.weight_decay": 1e-4,
+                  "attack": [{"name": "SignFlipping"}, ipm, {"name": "LabelFlipping"}, {"name": "ALittleIsEnough"}]}
+        cfg = parse_config(tiny_config_text(tmp_path / "alone", **tweaks))
+        keys = expand_grid(cfg)
+        diverged = keys[1].run_id
+        for key in keys[:1] + keys[2:]:
+            write_result(tmp_path / "alone", run_single(cfg, key))
+        with pytest.raises(ValueError, match="matrix contains NaN or Inf"):
+            run_single(cfg, keys[1])
+        cfg = parse_config(tiny_config_text(tmp_path / "grid", **tweaks))
+        assert [len(cohort) for cohort in benchmark._cohorts(cfg, keys, 1)] == [4]
+        summary = run_benchmark(cfg)
+        assert summary["completed"] == 3 and summary["failures"] == [
+            (diverged, "ValueError: matrix contains NaN or Inf")]
+        assert written(tmp_path / "grid") == written(tmp_path / "alone")
+
+    def test_a_run_that_cannot_be_written_fails_alone(self, tmp_path, monkeypatch):
+        cfg = parse_config(tiny_config_text(tmp_path, **COHORT_GRID))
+        victim = expand_grid(cfg)[3].run_id
+        write = benchmark.write_result
+
+        def write_or_refuse(base_dir, result):
+            if result.key.run_id == victim:
+                raise OSError("disk full")
+            return write(base_dir, result)
+
+        monkeypatch.setattr(benchmark, "write_result", write_or_refuse)
+        summary = run_benchmark(cfg)
+        assert summary["completed"] == 31 and summary["failures"] == [(victim, "OSError: disk full")]
+
+    def test_runs_that_do_not_share_a_split_are_refused(self, tmp_path):
+        cfg = parse_config(tiny_config_text(tmp_path, **COHORT_GRID))
+        first, *rest = expand_grid(cfg)
+        for other in (next(k for k in rest if k.seed != first.seed),
+                      next(k for k in rest if k.distribution_parameter != first.distribution_parameter)):
+            with pytest.raises(ValueError, match=r"must share \(seed, distribution, parameter\)"):
+                run_cohort(cfg, [first, other])
+
+    @pytest.mark.parametrize("tweaks, parallelism, sizes", [
+        ({}, 1, [8] * 4),
+        ({}, 8, [4] * 8),
+        ({}, 64, [1] * 32),
+        # d = 3 x 40,001 parameters: (5 + 2) d rows' worth of entries exceed BLOCK_ELEMENTS, so every run is alone.
+        ({"model.dataset_params.dim": 40_000}, 1, [1] * 32),
+        ({"model.dataset_name": "mnist", "model.dataset_params": {}}, 1, [1] * 32),
+    ], ids=["serial", "eight-workers", "more-workers-than-runs", "wide-model", "mnist"])
+    def test_cohort_size_rule(self, tmp_path, tweaks, parallelism, sizes):
+        cfg = parse_config(tiny_config_text(tmp_path, **{**COHORT_GRID, **tweaks}))
+        cohorts = benchmark._cohorts(cfg, expand_grid(cfg), parallelism)
+        assert [len(cohort) for cohort in cohorts] == sizes
+        order = [key.run_id for key in expand_grid(cfg)]
+        assert sorted(order.index(key.run_id) for cohort in cohorts for key in cohort) == list(range(len(order)))
+        positions = [[order.index(key.run_id) for key in cohort] for cohort in cohorts]
+        assert all(places == sorted(places) for places in positions)
+        assert all(len({(k.seed, k.distribution_name, k.distribution_parameter) for k in c}) == 1 for c in cohorts)
+
+
 class TestRunBenchmark:
     def test_execute_then_resume(self, tmp_path):
         cfg = parse_config(tiny_config_text(tmp_path / "results", **{"benchmark_config.nb_training_seeds": 2}))
@@ -815,13 +938,13 @@ class TestRunBenchmark:
         results = tmp_path / "results"
         cfg = parse_config(tiny_config_text(results, **{"benchmark_config.nb_training_seeds": 3}))
         *others, victim = [key.run_id for key in expand_grid(cfg)]
-        real_run_single = benchmark.run_single
+        real_run_cohort = benchmark.run_cohort
 
-        def run_single_or_die(cfg, key, cores=1):
+        def run_cohort_or_die(cfg, keys, cores=1):
             # The victim dies like an OOM-killed worker once the other runs are
             # on disk and their results have had time to reach the parent.
-            if key.run_id != victim:
-                return real_run_single(cfg, key, cores)
+            if victim not in [key.run_id for key in keys]:
+                return real_run_cohort(cfg, keys, cores)
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline and not all((results / r / "metrics.csv").exists() for r in others):
                 time.sleep(0.01)
@@ -829,7 +952,7 @@ class TestRunBenchmark:
             os._exit(1)
 
         # Forked workers inherit the patched module attribute.
-        monkeypatch.setattr(benchmark, "run_single", run_single_or_die)
+        monkeypatch.setattr(benchmark, "run_cohort", run_cohort_or_die)
         monkeypatch.setattr(
             benchmark,
             "ProcessPoolExecutor",
@@ -847,14 +970,14 @@ class TestRunBenchmark:
         results = tmp_path / "results"
         cfg = parse_config(tiny_config_text(results, **{"benchmark_config.nb_training_seeds": 6}))
         victim, *others = [key.run_id for key in expand_grid(cfg)]
-        real_run_single = benchmark.run_single
+        real_run_cohort = benchmark.run_cohort
 
-        def run_single_or_die(cfg, key, cores=1):
-            if key.run_id == victim:
+        def run_cohort_or_die(cfg, keys, cores=1):
+            if victim in [key.run_id for key in keys]:
                 os._exit(1)
-            return real_run_single(cfg, key, cores)
+            return real_run_cohort(cfg, keys, cores)
 
-        monkeypatch.setattr(benchmark, "run_single", run_single_or_die)
+        monkeypatch.setattr(benchmark, "run_cohort", run_cohort_or_die)
         monkeypatch.setattr(
             benchmark,
             "ProcessPoolExecutor",
@@ -868,13 +991,44 @@ class TestRunBenchmark:
             assert (results / run_id / "metrics.csv").exists()
         assert not (results / victim / "metrics.csv").exists()
 
+    def test_a_victim_sharing_its_cohort_costs_only_its_own_run(self, tmp_path, monkeypatch):
+        # Two seeds of four runs each, so two cohorts of four at parallelism 2:
+        # the cohort holding the victim dies in both pools, then its runs go
+        # one to a pool and only the victim's lone worker dies.
+        results = tmp_path / "results"
+        cfg = parse_config(tiny_config_text(results, aggregator=[{"name": "Median"}, {"name": "Average"}],
+                                            **{"benchmark_config.nb_training_seeds": 2, "benchmark_config.f": [1, 2]}))
+        keys = expand_grid(cfg)
+        victim = keys[2].run_id
+        real_run_cohort = benchmark.run_cohort
+
+        def run_cohort_or_die(cfg, keys, cores=1):
+            if victim in [key.run_id for key in keys]:
+                os._exit(1)
+            return real_run_cohort(cfg, keys, cores)
+
+        monkeypatch.setattr(benchmark, "run_cohort", run_cohort_or_die)
+        monkeypatch.setattr(
+            benchmark,
+            "ProcessPoolExecutor",
+            functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")),
+        )
+        summary = run_benchmark(cfg, parallelism=2)
+        assert summary["completed"] == len(keys) - 1 and summary["failed"] == 1
+        [(run_id, message)] = summary["failures"]
+        assert run_id == victim and message.startswith("BrokenProcessPool: ")
+        for key in keys:
+            assert (results / key.run_id / "metrics.csv").exists() == (key.run_id != victim)
+        shared = [key.run_id for key in keys if key.seed == keys[2].seed]
+        assert len(shared) == 4 and victim in shared
+
     @pytest.mark.parametrize("seeds, parallelism, cores", [(1, 2, 2), (3, 2, 1), (1, 1, 1), (2, 4, 2), (3, 8, 2)])
     def test_each_run_gets_the_cores_its_grid_leaves_idle(self, tmp_path, monkeypatch, seeds, parallelism, cores):
-        def run_single_naming_its_cores(cfg, key, cores=1):
+        def run_cohort_naming_its_cores(cfg, keys, cores=1):
             raise RuntimeError(f"cores={cores}")
 
         # Forked workers inherit the patched module attribute.
-        monkeypatch.setattr(benchmark, "run_single", run_single_naming_its_cores)
+        monkeypatch.setattr(benchmark, "run_cohort", run_cohort_naming_its_cores)
         monkeypatch.setattr(
             benchmark,
             "ProcessPoolExecutor",
@@ -899,13 +1053,13 @@ class TestRunBenchmark:
         run_benchmark(cfg)
         (tmp_path / "results" / expand_grid(cfg)[1].run_id / "metrics.csv").unlink()
         seen = []
-        real_run_single = benchmark.run_single
+        real_run_cohort = benchmark.run_cohort
 
-        def run_single_noting_its_cores(cfg, key, cores=1):
+        def run_cohort_noting_its_cores(cfg, keys, cores=1):
             seen.append(cores)
-            return real_run_single(cfg, key, cores)
+            return real_run_cohort(cfg, keys, cores)
 
-        monkeypatch.setattr(benchmark, "run_single", run_single_noting_its_cores)
+        monkeypatch.setattr(benchmark, "run_cohort", run_cohort_noting_its_cores)
         assert run_benchmark(cfg, parallelism=2)["completed"] == 1
         assert seen == [2]
 

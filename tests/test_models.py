@@ -16,6 +16,7 @@ from robustfl.models import (
     LinearArch,
     LrSchedule,
     MlpArch,
+    _class_sum,
     _log_softmax,
     evaluate_accuracy,
     forward_loss,
@@ -194,6 +195,30 @@ class TestSnapshotGroups:
         with pytest.raises(ValueError, match="expected 1091 parameters"):
             forward_loss(MlpArch(64, 16, 3), np.zeros((2, 1090)), np.zeros((2000, 64)), np.zeros(2000, dtype=int),
                          [np.arange(2000)])
+
+    # The linear blob model scores each snapshot alone; the MLP at 2,000 rows shares first-layer products.
+    @pytest.mark.parametrize("arch", [LinearArch(10, 3), MlpArch(64, 16, 3)], ids=["linear", "mlp"])
+    def test_one_vector_instead_of_a_group_is_named(self, arch):
+        d, rows = param_count(arch), 2000
+        dataset = LabeledDataset(np.zeros((rows, arch.in_dim)), np.arange(rows) % 3, 3)
+        message = re.escape(f"expected a (k, {d}) group of parameter vectors, got shape ({d},)")
+        with pytest.raises(ValueError, match=message):
+            evaluate_accuracy(arch, np.zeros(d), dataset)
+        with pytest.raises(ValueError, match=message):
+            forward_loss(arch, np.zeros(d), dataset.features, dataset.labels, [np.arange(rows)])
+
+
+class TestClassSum:
+    """``_class_sum`` is ``sum(axis=-1)`` bit for bit: numpy adds a row's
+    entries in a chain below 8, in 8 accumulators up to 128 and in halves past
+    that, and every one of those orders is taken here."""
+
+    def test_equals_numpy_sum_from_2_to_300_classes(self):
+        rng = np.random.default_rng(0)
+        for classes in range(2, 301):
+            for shape in ((classes,), (7, classes), (3, 25, classes)):
+                x = np.exp(3.0 * rng.standard_normal(shape))
+                np.testing.assert_array_equal(_class_sum(x), x.sum(axis=-1), err_msg=f"{classes} classes")
 
 
 class TestGradient:

@@ -38,7 +38,7 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
     assert bench.main() == 0
     assert time.process_time() - start < 2.0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
-    rules = [row for row in rows if row[0] not in ("attack", "kernel", "model", "round", "evaluation")]
+    rules = [row for row in rows if row[0] not in ("attack", "kernel", "model", "round", "cohort", "evaluation")]
     names = list(AGGREGATOR_NAMES) + list(PRE_AGGREGATOR_NAMES)
     assert [row[1] for row in rules if row[2] == "5"] == names
     assert [row[1] for row in rules if row[2] == "7"] == names
@@ -65,6 +65,11 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
         ["linear", "10", "33", "-"], ["mlp", "30", "50890", "-"], ["fedavg_flip", "5", "33", "2"]
     ]
     assert all(float(row[5]) > 0 for row in rounds)
+    cohorts = [row for row in rows if row[0] == "cohort"]
+    assert [row[1:5] for row in cohorts] == [
+        ["dsgd", "1", "33", "-"], ["dsgd", "8", "33", "-"], ["fedavg", "1", "33", "2"], ["fedavg", "8", "33", "2"]
+    ]
+    assert all(float(row[5]) > 0 for row in cohorts)
     evaluations = [row for row in rows if row[0] == "evaluation"]
     assert [row[1:5] for row in evaluations] == [
         ["grouped", "3", "50890", "-"], ["one_by_one", "3", "50890", "-"],

@@ -29,6 +29,7 @@ from robustfl.simulator import (
     ServerState,
     dsgd_step,
     fedavg_round,
+    sampled_count,
 )
 
 from conftest import tile_budgets
@@ -67,6 +68,44 @@ def make_server(arch, flat, rule="Average", f=0, lr=0.1):
         pipeline=build_pipeline(AggregatorSpec(rule, f=f)),
         schedule=LrSchedule(lr),
     )
+
+
+class Run:
+    """One run as ``run_cohort`` holds it: its server and Byzantine group, and
+    its (m + f, d) step rows, whose first m + seats (``head``) the bank trains;
+    m is every honest client under DSGD, the sampled ones under FedAvg."""
+
+    def __init__(self, server, byz, clients, proportion=None):
+        n = len(clients)
+        m = n if proportion is None else sampled_count(proportion, n)
+        self.server, self.byz = server, byz
+        self.rows = np.zeros((m + byz.f, server.flat.size))
+        self.head = self.rows[: m + byz.seats]
+
+
+def step(clients, runs, sampling=None, proportion=1.0, local_steps=1):
+    """One step of ``runs`` on their shared bank, as ``run_cohort`` takes it:
+    one bank pass trains every run's head at its parameters, then each run's
+    attack, pipeline and update run in turn. A DSGD step, or with a
+    ``sampling`` Generator a federated averaging round; returns the runs' rows."""
+    server = runs[0].server
+    flats, heads = [run.server.flat for run in runs], [run.head for run in runs]
+    if sampling is None:
+        clients.compute_update(server.arch, flats, heads)
+    else:
+        n = len(clients)
+        chosen = np.sort(sampling.choice(n, size=sampled_count(proportion, n), replace=False))
+        clients.local_delta(server.arch, flats, server.schedule.lr_at(server.step), local_steps, chosen, heads)
+    for run in runs:
+        (dsgd_step if sampling is None else fedavg_round)(run.server, run.rows, run.byz)
+    return [run.rows for run in runs]
+
+
+def momentum_rows(clients, arch, flat, seats=0):
+    """A lone run's momentum rows (honest, then ``seats``) after one more bank step at ``flat``."""
+    head = np.zeros((len(clients) + seats, param_count(arch)))
+    clients.compute_update(arch, [flat], [head])
+    return head
 
 
 # --------------------------------------------------------------------------- #
@@ -179,95 +218,106 @@ def bank_setups(draw):
     return dataset, partitions, batch_size, arch, momentum, weight_decay, flat, seed
 
 
-def twin_runs(setup, f):
-    """The bank side (clients with f LabelFlipping seats, Byzantine group,
-    server) and the loop side (clients, flip clients, server) of one setup."""
+def twin_runs(setup, fs, proportion=None):
+    """A cohort and its per-client loops: one bank with the most LabelFlipping
+    seats of ``fs``, and a run for each f of ``fs`` at parameters of its own;
+    and for each run the loop side (clients, flip clients, server)."""
     dataset, partitions, batch_size, arch, momentum, weight_decay, flat, seed = setup
     settings_ = (batch_size, momentum, weight_decay)
-    clients = bank(dataset, partitions, *settings_, seats=f, seed=seed)
-    byz = ByzantineClientGroup(f, AttackSpec("LabelFlipping") if f else None, clients)
-    flip_parts = [partitions[j % len(partitions)] for j in range(f)]
-    return (
-        (clients, byz, make_server(arch, flat.copy(), lr=0.05)),
-        (
-            loop_clients(dataset, partitions, *settings_, seed=seed),
-            loop_clients(dataset, flip_parts, *settings_, flip=True, seed=seed, stream="byz"),
-            make_server(arch, flat.copy(), lr=0.05),
-        ),
-    )
+    clients = bank(dataset, partitions, *settings_, seats=max(fs), seed=seed)
+    runs, loops = [], []
+    for j, f in enumerate(fs):
+        start = flat if j == 0 else init_params(arch, derive_rng(seed + j, "init"))
+        byz = ByzantineClientGroup(f, AttackSpec("LabelFlipping") if f else None)
+        runs.append(Run(make_server(arch, start.copy(), lr=0.05), byz, clients, proportion))
+        flip_parts = [partitions[i % len(partitions)] for i in range(f)]
+        loops.append((loop_clients(dataset, partitions, *settings_, seed=seed),
+                      loop_clients(dataset, flip_parts, *settings_, flip=True, seed=seed, stream="byz"),
+                      make_server(arch, start.copy(), lr=0.05)))
+    return clients, runs, loops
 
 
 class TestBankMatchesPerClientLoop:
-    """The bank's momentum step runs in column tiles; ``tile_budgets`` cuts
-    the parameters here into several of them, or fits them in one."""
+    """A cohort of runs on one bank, each with its own parameters and f
+    label-flipping seats, against each run's per-client loop, bit for bit. The
+    bank's momentum step runs in column tiles; ``tile_budgets`` cuts the
+    parameters here into several of them, or fits them in one."""
 
     @settings(deadline=None, max_examples=60)
-    @given(bank_setups(), st.integers(0, 2), st.integers(1, 8), tile_budgets)
-    def test_dsgd_steps(self, setup, f, steps, budget):
+    @given(bank_setups(), st.lists(st.integers(0, 2), min_size=1, max_size=3), st.integers(1, 8), tile_budgets)
+    def test_dsgd_steps(self, setup, fs, steps, budget):
         """Several steps (crossing reshuffles), with f label-flipping seats,
         whose momentum rows sit directly under the honest rows."""
-        (clients, byz, server), (ref_clients, ref_flips, ref) = twin_runs(setup, f)
+        clients, runs, loops = twin_runs(setup, fs)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(numerics, "TILE_ELEMENTS", budget)
             for _ in range(steps):
-                dsgd_step(server, clients, byz)
-                assert np.array_equal(clients.step_buf, loop_dsgd_step(ref, ref_clients, ref_flips))
-                assert np.array_equal(server.flat, ref.flat)
-        assert np.shares_memory(clients.momentum_buf, clients.step_buf)
-        assert clients.seat_rows.base is clients.step_buf and len(clients.seat_rows) == f
+                for run, rows, (ref_clients, ref_flips, ref) in zip(runs, step(clients, runs), loops):
+                    assert np.array_equal(rows, loop_dsgd_step(ref, ref_clients, ref_flips))
+                    assert np.array_equal(run.server.flat, ref.flat)
 
     @settings(deadline=None, max_examples=60)
-    @given(bank_setups(), st.integers(0, 2), st.sampled_from([0.3, 0.6, 1.0]), st.integers(1, 4), st.integers(1, 3),
-           tile_budgets)
-    def test_fedavg_rounds(self, setup, f, proportion, local_steps, rounds, budget):
-        (clients, byz, server), (ref_clients, ref_flips, ref) = twin_runs(setup, f)
+    @given(bank_setups(), st.lists(st.integers(0, 2), min_size=1, max_size=3), st.sampled_from([0.3, 0.6, 1.0]),
+           st.integers(1, 4), st.integers(1, 3), tile_budgets)
+    def test_fedavg_rounds(self, setup, fs, proportion, local_steps, rounds, budget):
+        clients, runs, loops = twin_runs(setup, fs, proportion)
         seed = setup[-1]
-        sampling, ref_sampling = derive_rng(seed, "sampling"), derive_rng(seed, "sampling")
+        sampling = derive_rng(seed, "sampling")
+        ref_samplings = [derive_rng(seed, "sampling") for _ in fs]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(numerics, "TILE_ELEMENTS", budget)
             for _ in range(rounds):
-                fedavg_round(server, clients, byz, proportion, local_steps, sampling)
-                loop_fedavg_round(ref, ref_clients, ref_flips, proportion, local_steps, ref_sampling)
-                assert np.array_equal(server.flat, ref.flat)
+                step(clients, runs, sampling, proportion, local_steps)
+                for run, (ref_clients, ref_flips, ref), ref_sampling in zip(runs, loops, ref_samplings):
+                    loop_fedavg_round(ref, ref_clients, ref_flips, proportion, local_steps, ref_sampling)
+                    assert np.array_equal(run.server.flat, ref.flat)
 
     @pytest.mark.parametrize("arch", [LinearArch(3, 3), MlpArch(3, 4, 3)], ids=["linear", "mlp"])
     def test_partitions_shorter_than_the_batch_form_their_own_groups(self, arch):
         ds = toy_dataset(m=24, n_classes=3, seed=4)
         partitions = [np.arange(0, 9), np.arange(9, 11), np.arange(11, 21), np.arange(21, 22), np.arange(22, 24)]
-        flat = init_params(arch, derive_rng(4, "init"))
+        flats = [init_params(arch, derive_rng(seed, "init")) for seed in (4, 5)]
         clients = bank(ds, partitions, 4, momentum=0.9, weight_decay=0.01, seed=4)
-        ref_clients = loop_clients(ds, partitions, 4, momentum=0.9, weight_decay=0.01, seed=4)
+        refs = [loop_clients(ds, partitions, 4, momentum=0.9, weight_decay=0.01, seed=4) for _ in flats]
+        heads = [np.zeros((5, param_count(arch))) for _ in flats]
         for _ in range(5):
-            rows = clients.compute_update(arch, flat)
-            assert np.array_equal(rows, np.stack([c.compute_update(arch, flat) for c in ref_clients]))
-            flat = flat - 0.1 * rows.mean(axis=0)
+            clients.compute_update(arch, flats, heads)
+            for j, (head, ref_clients) in enumerate(zip(heads, refs)):
+                assert np.array_equal(head, np.stack([c.compute_update(arch, flats[j]) for c in ref_clients]))
+                flats[j] = flats[j] - 0.1 * head.mean(axis=0)
         chosen = np.array([1, 2, 3])
-        deltas = clients.local_delta(arch, flat, 0.1, 3, chosen)
-        assert np.array_equal(deltas, np.stack([ref_clients[i].local_delta(arch, flat, 0.1, 3) for i in chosen]))
+        deltas = [np.empty((3, param_count(arch))) for _ in flats]
+        clients.local_delta(arch, flats, 0.1, 3, chosen, deltas)
+        for flat, delta, ref_clients in zip(flats, deltas, refs):
+            assert np.array_equal(delta, np.stack([ref_clients[i].local_delta(arch, flat, 0.1, 3) for i in chosen]))
 
     # Partitions of 9, 2, 10, 1 and 2 samples under batches of 4. The seats
     # train on the first three, seat 1 on one shorter than a batch, so the
     # rows draw batches of 4, 2 and 1. Seat 0 runs out of full batches after
     # two draws: its third comes from a new permutation, mid-round under
-    # three local steps.
+    # three local steps. A sibling run trains only the first seat.
     @pytest.mark.parametrize("arch", [LinearArch(3, 3), MlpArch(3, 4, 3)], ids=["linear", "mlp"])
     @pytest.mark.parametrize("algorithm", ["DSGD", "FedAvg"])
     def test_seats_with_short_partitions_mixed_lengths_and_a_wrap_mid_round(self, arch, algorithm):
         ds = toy_dataset(m=24, n_classes=3, seed=4)
         partitions = [np.arange(0, 9), np.arange(9, 11), np.arange(11, 21), np.arange(21, 22), np.arange(22, 24)]
         setup = (ds, partitions, 4, arch, 0.9, 0.01, init_params(arch, derive_rng(4, "init")), 4)
-        (clients, byz, server), (ref_clients, ref_flips, ref) = twin_runs(setup, 3)
-        sampling, ref_sampling = derive_rng(4, "sampling"), derive_rng(4, "sampling")
+        proportion = None if algorithm == "DSGD" else 0.6
+        clients, runs, loops = twin_runs(setup, [3, 1], proportion)
+        sampling, ref_samplings = derive_rng(4, "sampling"), [derive_rng(4, "sampling") for _ in runs]
         for _ in range(3):
             if algorithm == "DSGD":
-                dsgd_step(server, clients, byz)
-                np.testing.assert_array_equal(clients.step_buf, loop_dsgd_step(ref, ref_clients, ref_flips))
+                for rows, (ref_clients, ref_flips, ref) in zip(step(clients, runs), loops):
+                    np.testing.assert_array_equal(rows, loop_dsgd_step(ref, ref_clients, ref_flips))
             else:
-                fedavg_round(server, clients, byz, 0.6, 3, sampling)
-                ref_rows = loop_fedavg_round(ref, ref_clients, ref_flips, 0.6, 3, ref_sampling)
-                np.testing.assert_array_equal(clients.seat_rows, ref_rows[-3:])
-                assert server.step > 1 or clients._cursors[len(partitions)] == 4  # seat 0 wrapped in round 1
-            np.testing.assert_array_equal(server.flat, ref.flat)
+                step(clients, runs, sampling, 0.6, 3)
+                for run, (ref_clients, ref_flips, ref), ref_sampling in zip(runs, loops, ref_samplings):
+                    ref_rows = loop_fedavg_round(ref, ref_clients, ref_flips, 0.6, 3, ref_sampling)
+                    seat_rows = run.byz.gradient_rows(run.rows, None)
+                    np.testing.assert_array_equal(seat_rows, ref_rows[len(ref_rows) - run.byz.f :])
+                assert runs[0].server.step > 1 or clients._cursors[len(partitions)] == 4  # seat 0 wrapped in round 1
+            for run, (_, _, ref) in zip(runs, loops):
+                np.testing.assert_array_equal(run.server.flat, ref.flat)
 
 
 def replay_dsgd_run(cfg, key):
@@ -355,10 +405,11 @@ class TestHonestClient:
         flat = np.zeros(param_count(arch))
         clients = full_batch_bank(ds, [np.arange(4)], momentum=0.9, weight_decay=0.01)
         g = loss_and_gradient(arch, flat, ds.features, ds.labels)[1] + 0.01 * flat
-        u1 = clients.compute_update(arch, flat)
-        np.testing.assert_allclose(u1, [g], atol=1e-12)
-        u2 = clients.compute_update(arch, flat)
-        np.testing.assert_allclose(u2, [0.9 * g + g], atol=1e-12)
+        head = np.zeros((1, param_count(arch)))
+        clients.compute_update(arch, [flat], [head])
+        np.testing.assert_allclose(head, [g], atol=1e-12)
+        clients.compute_update(arch, [flat], [head])
+        np.testing.assert_allclose(head, [0.9 * g + g], atol=1e-12)
 
     def test_flipped_labels_match_manual_relabeling(self):
         ds = toy_dataset(m=9, n_classes=3, seed=5)
@@ -367,16 +418,15 @@ class TestHonestClient:
         flat = init_params(arch, derive_rng(2, "init"))
         flipped = full_batch_bank(ds, [np.arange(9)], seats=1)
         manual = bank(relabeled, [np.arange(9)], 9, stream="byz")  # the seat's stream, so the same batch order
-        flipped.compute_update(arch, flat)
-        np.testing.assert_array_equal(flipped.seat_rows, manual.compute_update(arch, flat))
+        seat_row = momentum_rows(flipped, arch, flat, seats=1)[1:]
+        np.testing.assert_array_equal(seat_row, momentum_rows(manual, arch, flat))
 
     def test_flip_negates_gradient_at_zero_params_binary(self):
         ds = toy_dataset(m=6, n_classes=2, seed=7)
         arch = LinearArch(3, 2)
         flat = np.zeros(param_count(arch))
         clients = full_batch_bank(ds, [np.arange(6)], seats=1)
-        (g_honest,) = clients.compute_update(arch, flat)
-        (g_flipped,) = clients.seat_rows
+        g_honest, g_flipped = momentum_rows(clients, arch, flat, seats=1)
         # Uniform softmax makes the flipped per-sample residue the exact
         # negation, so the bias block (and for C=2 the whole vector) negates.
         np.testing.assert_allclose(g_flipped[6:], -g_honest[6:], atol=1e-15)
@@ -387,7 +437,8 @@ class TestHonestClient:
         arch = LinearArch(3, 2)
         flat = init_params(arch, derive_rng(3, "init"))
         clients = full_batch_bank(ds, [np.array([0])], momentum=0.5, weight_decay=0.1)
-        delta = clients.local_delta(arch, flat, lr=0.2, local_steps=5, rows=[0])
+        delta = np.empty((1, param_count(arch)))
+        clients.local_delta(arch, [flat], lr=0.2, local_steps=5, rows=[0], outs=[delta])
         local = flat.copy()
         buf = np.zeros_like(flat)
         for _ in range(5):
@@ -403,11 +454,11 @@ class TestByzantineClientGroup:
             ByzantineClientGroup(-1, None)
         with pytest.raises(ValueError, match="attack descriptor is required"):
             ByzantineClientGroup(2, None)
-        with pytest.raises(ValueError, match=r"one seat per Byzantine client \(2\)"):
-            ByzantineClientGroup(2, AttackSpec("LabelFlipping"))
-        one_seat = full_batch_bank(toy_dataset(), [np.arange(3)], seats=1)
-        with pytest.raises(ValueError, match=r"one seat per Byzantine client \(2\)"):
-            ByzantineClientGroup(2, AttackSpec("LabelFlipping"), one_seat)
+
+    def test_only_label_flipping_takes_seats(self):
+        assert ByzantineClientGroup(2, AttackSpec("LabelFlipping")).seats == 2
+        assert ByzantineClientGroup(0, AttackSpec("LabelFlipping")).seats == 0
+        assert ByzantineClientGroup(2, AttackSpec("SignFlipping")).seats == 0
 
     def test_no_adversary_emits_nothing(self, x3):
         group = ByzantineClientGroup(0, None)
@@ -417,7 +468,7 @@ class TestByzantineClientGroup:
     def test_gradient_rows_tile_the_attack_vector(self, x3):
         group = ByzantineClientGroup(3, AttackSpec("SignFlipping"))
         pipeline = build_pipeline(AggregatorSpec("Average"))
-        rows = group.gradient_rows(x3, pipeline)
+        rows = group.gradient_rows(np.vstack([x3, np.full((3, 3), np.nan)]), pipeline)  # the attack reads x3 alone
         np.testing.assert_array_equal(rows, np.tile(sign_flipping(x3), (3, 1)))
 
     def test_label_flip_rows_are_the_bank_seat_rows(self):
@@ -427,13 +478,13 @@ class TestByzantineClientGroup:
         clients = full_batch_bank(ds, [np.arange(6)], seats=2)
         group = ByzantineClientGroup(2, AttackSpec("LabelFlipping"), clients)
         ref_flips = loop_clients(ds, [np.arange(6)] * 2, 6, flip=True, stream="byz")
-        honest = clients.compute_update(arch, flat)
-        rows = group.gradient_rows(honest, None)
-        assert rows is clients.seat_rows
+        step_rows = momentum_rows(clients, arch, flat, seats=2)
+        rows = group.gradient_rows(step_rows, None)
+        assert rows.base is step_rows and len(rows) == 2
         np.testing.assert_array_equal(rows, np.stack([c.compute_update(arch, flat) for c in ref_flips]))
-        honest = clients.local_delta(arch, flat, 0.1, 2, [0])
-        rows = group.delta_rows(honest, None)
-        assert rows is clients.seat_rows
+        clients.local_delta(arch, [flat], 0.1, 2, [0], [step_rows])
+        rows = group.delta_rows(step_rows, None)
+        assert rows.base is step_rows
         np.testing.assert_array_equal(rows, np.stack([c.local_delta(arch, flat, 0.1, 2) for c in ref_flips]))
 
 
@@ -443,18 +494,18 @@ class TestDsgdStep:
         arch = LinearArch(3, 2)
         flat0 = init_params(arch, derive_rng(4, "init"))
         clients = bank(ds, [np.arange(8)], 2, 0.9, 0.01, seed=4)
-        server = make_server(arch, flat0.copy(), lr=0.05)
+        run = Run(make_server(arch, flat0.copy(), lr=0.05), ByzantineClientGroup(0, None), clients)
         batch_source = bank(ds, [np.arange(8)], 2, 0.9, 0.01, seed=4)
         manual = flat0.copy()
         buf = np.zeros_like(manual)
         for _ in range(100):
-            dsgd_step(server, clients, ByzantineClientGroup(0, None))
+            step(clients, [run])
             batch = next_batch(batch_source, 0)
             _, g = loss_and_gradient(arch, manual, ds.features[batch], ds.labels[batch])
             buf = 0.9 * buf + (g + 0.01 * manual)
             manual = manual - 0.05 * buf
-            np.testing.assert_allclose(server.flat, manual, atol=1e-9)
-        assert server.step == 100
+            np.testing.assert_allclose(run.server.flat, manual, atol=1e-9)
+        assert run.server.step == 100
 
     def test_sign_flipping_against_average_shrinks_the_step(self):
         ds = toy_dataset(m=1)
@@ -463,7 +514,7 @@ class TestDsgdStep:
         clients = full_batch_bank(ds, [np.array([0])] * 3)
         g = loss_and_gradient(arch, flat0, ds.features[:1], ds.labels[:1])[1]
         server = make_server(arch, flat0.copy(), rule="Average", lr=0.1)
-        dsgd_step(server, clients, ByzantineClientGroup(1, AttackSpec("SignFlipping")))
+        step(clients, [Run(server, ByzantineClientGroup(1, AttackSpec("SignFlipping")), clients)])
         np.testing.assert_allclose(server.flat, flat0 - 0.1 * 0.5 * g, atol=1e-12)
 
     def test_sign_flipping_against_trmean_is_neutralized(self):
@@ -473,7 +524,7 @@ class TestDsgdStep:
         clients = full_batch_bank(ds, [np.array([0])] * 3)
         g = loss_and_gradient(arch, flat0, ds.features[:1], ds.labels[:1])[1]
         server = make_server(arch, flat0.copy(), rule="TrMean", f=1, lr=0.1)
-        dsgd_step(server, clients, ByzantineClientGroup(1, AttackSpec("SignFlipping")))
+        step(clients, [Run(server, ByzantineClientGroup(1, AttackSpec("SignFlipping")), clients)])
         np.testing.assert_allclose(server.flat, flat0 - 0.1 * g, atol=1e-12)
 
     def test_attack_does_not_touch_honest_state(self):
@@ -484,42 +535,45 @@ class TestDsgdStep:
         def one_step(f):
             clients = bank(ds, [np.arange(8)], 4, 0.9, 0.0, seed=6)
             byz = ByzantineClientGroup(f, AttackSpec("SignFlipping") if f else None)
-            server = make_server(arch, flat0.copy(), f=f)
-            dsgd_step(server, clients, byz)
-            return clients.momentum_buf
+            run = Run(make_server(arch, flat0.copy(), f=f), byz, clients)
+            step(clients, [run])
+            return run.head
 
         np.testing.assert_array_equal(one_step(0), one_step(2))
 
     def test_step_rows_are_the_momentum_rows_over_the_attack_rows(self, monkeypatch):
-        # No copy of the honest rows: the pipeline reads the bank's momentum
+        # No copy of the honest rows: the pipeline reads the run's momentum
         # rows in place, with the attack rows written below them.
         ds = toy_dataset(m=8)
         arch = LinearArch(3, 2)
         clients = bank(ds, [np.arange(4), np.arange(4, 8)], 4, 0.9, 0.0, seed=6)
-        server = make_server(arch, init_params(arch, derive_rng(6, "init")), f=1)
+        run = Run(make_server(arch, init_params(arch, derive_rng(6, "init")), f=1),
+                  ByzantineClientGroup(1, AttackSpec("SignFlipping")), clients)
         given = []
 
         def recording(pipeline, rows):
             given.append(rows.copy())
-            assert rows is clients.step_buf
+            assert rows is run.rows
             return np.zeros(rows.shape[1])
 
         monkeypatch.setattr(Pipeline, "__call__", recording)
         for _ in range(2):
-            dsgd_step(server, clients, ByzantineClientGroup(1, AttackSpec("SignFlipping")))
-        assert np.shares_memory(clients.momentum_buf, clients.step_buf)
-        np.testing.assert_array_equal(given[1][:2], clients.momentum_buf)
-        np.testing.assert_array_equal(given[1][2], sign_flipping(clients.momentum_buf))
+            step(clients, [run])
+        np.testing.assert_array_equal(given[1][:2], run.head)
+        np.testing.assert_array_equal(given[1][2], sign_flipping(run.head))
 
-    def test_new_spare_rows_keep_the_momentum(self):
+    def test_spare_rows_do_not_touch_the_momentum(self):
+        # Two runs of one cohort at the same parameters: one with two crafted
+        # rows under its momentum rows, one with none, keep the same momentum.
         ds = toy_dataset(m=4)
         arch = LinearArch(3, 2)
         flat = np.zeros(param_count(arch))
-        clients, twin = (full_batch_bank(ds, [np.arange(4)], momentum=0.9) for _ in range(2))
-        clients.compute_update(arch, flat, 2)
-        twin.compute_update(arch, flat)
-        np.testing.assert_array_equal(clients.compute_update(arch, flat), twin.compute_update(arch, flat))
-        assert clients.step_buf.shape == (1, param_count(arch))
+        clients = full_batch_bank(ds, [np.arange(4)], momentum=0.9)
+        spare, bare = np.zeros((3, param_count(arch))), np.zeros((1, param_count(arch)))
+        for _ in range(2):
+            spare[1:] = np.nan
+            clients.compute_update(arch, [flat, flat], [spare[:1], bare])
+        np.testing.assert_array_equal(spare[:1], bare)
 
     def test_infeasible_pipeline_propagates(self):
         ds = toy_dataset(m=1)
@@ -527,7 +581,7 @@ class TestDsgdStep:
         clients = full_batch_bank(ds, [np.array([0])])
         server = make_server(arch, np.zeros(param_count(arch)), rule="MultiKrum", f=1)
         with pytest.raises(ValueError, match="MultiKrum requires n >= f \\+ 2"):
-            dsgd_step(server, clients, ByzantineClientGroup(1, AttackSpec("SignFlipping")))
+            step(clients, [Run(server, ByzantineClientGroup(1, AttackSpec("SignFlipping")), clients)])
 
 
 class TestFedavgRound:
@@ -536,16 +590,11 @@ class TestFedavgRound:
         arch = LinearArch(3, 2)
         flat0 = init_params(arch, derive_rng(8, "init"))
         via_fedavg = make_server(arch, flat0.copy(), lr=0.1)
-        fedavg_round(
-            via_fedavg,
-            full_batch_bank(ds, [np.array([0])]),
-            ByzantineClientGroup(0, None),
-            1.0,
-            1,
-            derive_rng(8, "sampling"),
-        )
+        clients = full_batch_bank(ds, [np.array([0])])
+        step(clients, [Run(via_fedavg, ByzantineClientGroup(0, None), clients, 1.0)], derive_rng(8, "sampling"))
         via_dsgd = make_server(arch, flat0.copy(), lr=0.1)
-        dsgd_step(via_dsgd, full_batch_bank(ds, [np.array([0])]), ByzantineClientGroup(0, None))
+        clients = full_batch_bank(ds, [np.array([0])])
+        step(clients, [Run(via_dsgd, ByzantineClientGroup(0, None), clients)])
         np.testing.assert_array_equal(via_fedavg.flat, via_dsgd.flat)
         assert via_fedavg.step == 1
 
@@ -555,8 +604,8 @@ class TestFedavgRound:
         ds = toy_dataset(m=2 * n)
         arch = LinearArch(3, 2)
         clients = full_batch_bank(ds, [np.array([i, i + n]) for i in range(n)])
-        server = make_server(arch, np.zeros(param_count(arch)))
-        fedavg_round(server, clients, ByzantineClientGroup(0, None), proportion, local_steps, derive_rng(seed, "sampling"))
+        run = Run(make_server(arch, np.zeros(param_count(arch))), ByzantineClientGroup(0, None), clients, proportion)
+        step(clients, [run], derive_rng(seed, "sampling"), proportion, local_steps)
         return [cursor > 0 for cursor in clients._cursors]
 
     def test_samples_ceil_of_proportion(self):
@@ -567,6 +616,7 @@ class TestFedavgRound:
     def test_samples_ceil_of_the_decimal_proportion(self, proportion, n, expected):
         # Each float product lies just above an integer: 0.55 * 100 is 55.00000000000001.
         assert proportion * n > expected
+        assert sampled_count(proportion, n) == expected
         assert sum(self.participants(proportion, 0, n=n)) == expected
 
     def test_sampling_is_seeded(self):
@@ -578,14 +628,8 @@ class TestFedavgRound:
         flat0 = np.full(param_count(arch), 0.5)
         clients = full_batch_bank(ds, [np.array([0])] * 3)
         server = make_server(arch, flat0.copy(), lr=0.1)
-        fedavg_round(
-            server,
-            clients,
-            ByzantineClientGroup(1, AttackSpec("SignFlipping")),
-            1.0,
-            1,
-            derive_rng(1, "sampling"),
-        )
+        step(clients, [Run(server, ByzantineClientGroup(1, AttackSpec("SignFlipping")), clients, 1.0)],
+             derive_rng(1, "sampling"))
         delta = -0.1 * loss_and_gradient(arch, flat0, ds.features[:1], ds.labels[:1])[1]
         np.testing.assert_allclose(server.flat, flat0 + 0.5 * delta, atol=1e-12)
 
@@ -656,12 +700,13 @@ class TestReadOnlyParameters:
         server = make_server(arch, flat, rule="TrMean", f=1)
         clients = bank(ds, np.array_split(np.arange(24), 4), 3, momentum=0.9)
         byz, sampling = ByzantineClientGroup(1, AttackSpec("SignFlipping")), derive_rng(5, "sampling")
+        run = Run(server, byz, clients, None if algorithm == "DSGD" else 0.5)
         kept = [server.flat]
         for _ in range(3):
             if algorithm == "DSGD":
-                dsgd_step(server, clients, byz)
+                step(clients, [run])
             else:
-                fedavg_round(server, clients, byz, 0.5, 2, sampling)
+                step(clients, [run], sampling, 0.5, 2)
             kept.append(server.flat)
         assert len({id(v) for v in kept}) == 4 and not any(v.flags.writeable for v in kept)
         for vector in kept:
