@@ -22,10 +22,10 @@ against TrMean alone and against Median behind NNM (the pipeline follows a
 colon in the name); a fifth, ``Optimal_ALIE@2cores``, times the first search
 dealt to two processes, as a lone run's search is on two cores. The ``attack
 step`` row times what a ``mnist_optimal`` step does after its clients'
-training: one Optimal_ALittleIsEnough attack by
+training, one ``simulator.dsgd_step``: one Optimal_ALittleIsEnough attack by
 ``ByzantineClientGroup.gradient_rows`` on those honest rows against TrMean
-behind NNM, plus the server's aggregate-and-apply, which adds the search's
-winning aggregate instead of running the pipeline again. Three kernel rows
+behind NNM, plus the server's update, which adds the search's winning
+aggregate instead of running the pipeline again. Three kernel rows
 time, at that shape, one ``numerics.pairwise_sq_dists`` call on the n rows
 (the exact distance kernel of MDA and of the orderings' fallback), one
 ``numerics.gram_sq_dists`` call on them (the Gram-form distances and their
@@ -88,7 +88,6 @@ from robustfl.attacks import (  # noqa: E402
 from robustfl.datadist import LabeledDataset  # noqa: E402
 from robustfl.models import (  # noqa: E402
     LinearArch,
-    LrSchedule,
     MlpArch,
     evaluate_accuracy,
     forward_loss,
@@ -103,7 +102,7 @@ from robustfl.preaggregators import (  # noqa: E402
     PreAggregatorSpec,
     build_pipeline,
 )
-from robustfl.simulator import ByzantineClientGroup, HonestClient, ServerState, _aggregate_and_apply  # noqa: E402
+from robustfl.simulator import ByzantineClientGroup, HonestClient, ServerState, dsgd_step  # noqa: E402
 
 SHAPES = ((12, 1_000, 2), (33, 50_890, 3))
 SEED = 0
@@ -219,13 +218,8 @@ def main() -> int:
         print(f"{'attack search':<15} {name:<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")
     group = ByzantineClientGroup(f, AttackSpec("Optimal_ALittleIsEnough"))
     pipeline = build_pipeline(AggregatorSpec("TrMean", f=f), [PreAggregatorSpec("NNM", f=f)])
-    server = ServerState(MODELS[1][1], np.zeros(d), pipeline, LrSchedule(0.05))
-
-    def attack_step(rows: np.ndarray) -> None:
-        byz_rows = group.gradient_rows(rows, server.pipeline)
-        _aggregate_and_apply(server, rows, byz_rows, group.search, -server.schedule.lr_at(server.step))
-
-    ms, calls = median_ms(attack_step, attacked.copy())
+    server = ServerState(np.zeros(d), pipeline)
+    ms, calls = median_ms(lambda rows: dsgd_step(server, rows, group, 0.05), attacked.copy())
     print(f"{'attack step':<15} {'Optimal_ALIE':<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")
     for name, fn, xs in (("pairwise_sq_dists", pairwise_sq_dists, attacked),
                          ("gram_sq_dists", gram_sq_dists, attacked),

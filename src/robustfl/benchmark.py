@@ -366,13 +366,17 @@ def expand_grid(cfg: BenchmarkConfig) -> list[ExperimentKey]:
     return keys
 
 
+def honest_rows(cfg: BenchmarkConfig) -> int:
+    """The honest rows one step aggregates: every client's under DSGD, the sampled clients' under FedAvg."""
+    algorithm, n = cfg.training_algorithm, cfg.nb_honest_clients
+    return sampled_count(algorithm.parameters["proportion_selected_clients"], n) if algorithm.name == "FedAvg" else n
+
+
 def check_pipelines(cfg: BenchmarkConfig, keys: list[ExperimentKey]) -> None:
-    """Aggregate a seeded (rows, 2) matrix once per (server setup, f), rows being what one step of
+    """Aggregate a seeded (rows + f, 2) matrix once per (server setup, f), rows + f being what one step of
     that run aggregates; a rule that rejects it (an infeasible f, a pivot past the rows) raises
     ``ValueError`` naming the first such run."""
-    algorithm, rows = cfg.training_algorithm, cfg.nb_honest_clients
-    if algorithm.name == "FedAvg":
-        rows = sampled_count(algorithm.parameters["proportion_selected_clients"], rows)
+    rows = honest_rows(cfg)
     firsts: dict[tuple[str, int], ExperimentKey] = {}
     for key in keys:
         firsts.setdefault((key.server_token, key.f), key)
@@ -425,12 +429,9 @@ def run_cohort(cfg: BenchmarkConfig, keys: list[ExperimentKey], cores: int = 1) 
     partition = make_partition(train, name, parameter, n, derive_rng(seed, "datadist"))
     arch = ARCHS[cfg.model.name](cfg.model, train.features.shape[1], train.n_classes)
     schedule = LrSchedule(cfg.model.learning_rate, cfg.model.learning_rate_decay, tuple(cfg.model.milestones))
-    seats = max((key.f for key in keys if key.attack.name == "LabelFlipping"), default=0)
-    rngs = [derive_rng(seed, f"client.{i}") for i in range(n)] + [derive_rng(seed, f"byz.{j}") for j in range(seats)]
-    clients = HonestClient(train, partition.assignments, hc.batch_size, hc.momentum, hc.weight_decay, rngs, seats)
+    init = init_params(arch, derive_rng(seed, "init"))  # every run's first parameters, behind read-only views
     fedavg = cfg.training_algorithm.parameters if cfg.training_algorithm.name == "FedAvg" else None
-    m = n if fedavg is None else sampled_count(fedavg["proportion_selected_clients"], n)
-    train_step, sampling_rng = (dsgd_step if fedavg is None else fedavg_round), derive_rng(seed, "sampling")
+    m, sampling_rng = honest_rows(cfg), derive_rng(seed, "sampling")
     per_client = cfg.evaluation.store_per_client_metrics
     subsets = [np.concatenate(partition.assignments)] + (partition.assignments if per_client else [])
     # A run's snapshots (read-only) are scored in groups whose (k, d) and (k, rows) arrays fit in BLOCK_ELEMENTS.
@@ -452,7 +453,7 @@ def run_cohort(cfg: BenchmarkConfig, keys: list[ExperimentKey], cores: int = 1) 
         pipeline = build_pipeline(key.aggregator, key.pre_aggregators, rng=derive_rng(seed, "bucketing"))
         byz = ByzantineClientGroup(key.f, key.attack, cores)
         result = ExperimentResult(key, [], [], [], [] if per_client else None)
-        server = ServerState(arch, init_params(arch, derive_rng(seed, "init")), pipeline, schedule)
+        server = ServerState(init, pipeline)
         live[i], outcomes[i] = _Member(result, server, byz, np.zeros((m + key.f, param_count(arch)))), result
 
     def evaluate(member: _Member) -> None:
@@ -471,24 +472,28 @@ def run_cohort(cfg: BenchmarkConfig, keys: list[ExperimentKey], cores: int = 1) 
             evaluate(member)
 
     each(start, range(len(keys)))
+    seats = max((member.byz.seats for member in live.values()), default=0)
+    rngs = [derive_rng(seed, f"client.{i}") for i in range(n)] + [derive_rng(seed, f"byz.{j}") for j in range(seats)]
+    clients = HonestClient(train, partition.assignments, hc.batch_size, hc.momentum, hc.weight_decay, rngs, seats)
     each(lambda i: record(live[i], 0), live)
     heads: list[np.ndarray] = []
     for step in range(1, cfg.nb_steps + 1):
         if not live:
             break
         flats = [member.server.flat for member in live.values()]
-        heads = [member.rows[: m + member.byz.seats] for member in live.values()]
+        heads, lr = [member.rows[: m + member.byz.seats] for member in live.values()], schedule.lr_at(step - 1)
         if fedavg is None:
             clients.compute_update(arch, flats, heads)
         else:
             chosen = np.sort(sampling_rng.choice(n, size=m, replace=False))
-            clients.local_delta(arch, flats, schedule.lr_at(step - 1), fedavg["local_steps_per_client"], chosen, heads)
-        each(lambda i: train_step(live[i].server, live[i].rows, live[i].byz), live)
+            clients.local_delta(arch, flats, lr, fedavg["local_steps_per_client"], chosen, heads)
+        each(lambda i: dsgd_step(live[i].server, live[i].rows, live[i].byz, lr) if fedavg is None
+             else fedavg_round(live[i].server, live[i].rows, live[i].byz), live)
         if step % cfg.evaluation.evaluation_delta == 0 or step == cfg.nb_steps:
             each(lambda i: record(live[i], step), live)
-    del clients, heads  # the bank, and below each run's rows and attack search, before the last groups' scores
+    del clients, heads  # the bank, and below each run's rows, before the last groups' scores
     for member in live.values():
-        del member.byz, member.rows
+        del member.rows
     each(lambda i: live[i].snapshots and evaluate(live[i]), live)
     return outcomes
 

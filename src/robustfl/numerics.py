@@ -82,16 +82,15 @@ def tile_width(item_elements: int) -> int:
     return max(2, TILE_ELEMENTS // max(1, item_elements))
 
 
-def tiles(stop: int, item_elements: int, start: int = 0) -> list[slice]:
-    """Consecutive runs covering ``range(start, stop)``, each of
+def tiles(items: int, item_elements: int) -> list[slice]:
+    """Consecutive runs covering ``range(items)``, each of
     ``tile_width(item_elements)`` items but the last, which takes a lone
     trailing item in with the run before it (so a run may hold one item more).
     A run has one item only when the range has one."""
-    width = tile_width(item_elements)
-    bounds = list(range(start, stop, width))
-    if len(bounds) > 1 and stop - bounds[-1] == 1:
+    bounds = list(range(0, items, tile_width(item_elements)))
+    if len(bounds) > 1 and items - bounds[-1] == 1:
         bounds.pop()
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:] + [stop])]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:] + [items])]
 
 
 def columnwise(fn, xs: np.ndarray) -> np.ndarray:

@@ -7,9 +7,9 @@ local SGD steps and submits its model delta, and the server adds the robust
 aggregate of the deltas. In both cases the aggregation input stacks honest
 rows first (ordered by client id) followed by f Byzantine rows, in one buffer
 per run whose honest rows (and LabelFlipping's seat rows) the clients fill in
-place. No attack or pipeline stage writes to its input, which makes that safe.
-One bank of clients trains every run of a cohort, the runs that share a seed
-and data split, and so the same batches, at once, each at its own parameters.
+place, and the attack the rest. No attack or pipeline stage writes to its
+input, which makes that safe. One bank of clients trains every run of a cohort
+(the runs that share a seed and data split) at once, each at its own parameters.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .attacks import AttackContext, AttackSpec, OptimizedAttack, crafted
 from .config import NONNEGATIVE, at_least
 from .datadist import LabeledDataset
-from .models import Arch, LrSchedule, backward
+from .models import Arch, backward
 from .numerics import tile_width, tiles
 from .preaggregators import Pipeline
 
@@ -152,10 +152,10 @@ class ByzantineClientGroup:
     """f adversarial participants driven by one attack descriptor.
 
     Gradient-space attacks are computed from the observed honest rows and
-    emitted as f identical rows. LabelFlipping's f clients are instead the
+    written as f identical rows. LabelFlipping's f clients are instead the
     bank's first f ``seats``, trained with the honest rows under either
-    training algorithm, so that their rows are already the step's last f. An Optimal_* attack searches on
-    ``cores`` cores; ``search`` is the ``OptimizedAttack`` behind its last rows, else None.
+    training algorithm, so that their rows are already the step's last f.
+    An Optimal_* attack searches on ``cores`` cores.
     """
 
     def __init__(self, f: int, attack: AttackSpec | None, cores: int = 1):
@@ -166,30 +166,27 @@ class ByzantineClientGroup:
         self.attack = attack
         self.seats = f if f > 0 and attack.name == "LabelFlipping" else 0
         self.cores = cores
-        self.search: OptimizedAttack | None = None
 
-    def gradient_rows(self, rows: np.ndarray, pipeline: Pipeline) -> np.ndarray:
-        """(f, d) Byzantine submissions for one DSGD step or federated averaging
-        round whose (m + f, d) ``rows`` start with the m honest ones: the seats'
-        rows, the last f, or f copies of the attack vector."""
+    def gradient_rows(self, rows: np.ndarray, pipeline: Pipeline) -> OptimizedAttack | None:
+        """Write the f Byzantine submissions of one DSGD step or federated averaging round as the last f of its
+        (m + f, d) ``rows``, which start with the m honest ones: f copies of the attack vector, or nothing for
+        the seats, whose rows are there already. Returns the ``OptimizedAttack`` behind the copies, else None."""
         if self.f == self.seats:
-            return rows[len(rows) - self.f :]
+            return None
         found = crafted(self.attack, AttackContext(rows[: len(rows) - self.f], self.f, pipeline, self.cores))
-        self.search = found if isinstance(found, OptimizedAttack) else None
-        return np.tile(found.vector if self.search else found, (self.f, 1))
+        search = found if isinstance(found, OptimizedAttack) else None
+        rows[len(rows) - self.f :] = found.vector if search else found
+        return search
 
     delta_rows = gradient_rows  # one name per training algorithm, each timed by perfbench's tracer
 
 
 @dataclass
 class ServerState:
-    """Everything the server owns: model, pipeline, schedule, step counter."""
+    """What a run's server owns: its model parameters and its pipeline."""
 
-    arch: Arch
     flat: np.ndarray
     pipeline: Pipeline
-    schedule: LrSchedule
-    step: int = 0
 
     def __post_init__(self) -> None:
         self.flat = _read_only(self.flat)
@@ -203,24 +200,20 @@ def _read_only(flat) -> np.ndarray:
     return view
 
 
-def _aggregate_and_apply(server: ServerState, rows: np.ndarray, byz_rows: np.ndarray, search, scale: float) -> None:
-    """Write ``byz_rows`` as the last rows of ``rows`` (numpy skips seat rows, already there), and add
-    ``scale`` times the aggregate of all of them to the model: that of ``search``, which ran the pipeline
-    on them, when they came from one (its pipeline clone, left as the live one would be, goes live)."""
-    rows[len(rows) - len(byz_rows) :] = byz_rows
+def _aggregate_and_apply(server: ServerState, rows: np.ndarray, search, scale: float) -> None:
+    """Add ``scale`` times the aggregate of ``rows`` to the model: that of ``search``, which ran the pipeline on
+    them, when their attack rows came from one (its pipeline clone, left as the live one would be, goes live)."""
     if search is None:
         aggregate = server.pipeline(rows)
     else:
         aggregate, server.pipeline = search.aggregate, search.pipeline
     server.flat = _read_only(server.flat + scale * aggregate)
-    server.step += 1
 
 
-def dsgd_step(server: ServerState, rows: np.ndarray, byz: ByzantineClientGroup) -> None:
-    """One synchronous distributed-SGD step on its (n + f, d) ``rows``, the n honest momentum gradients
-    first (then the seats'); mutates the server in place."""
-    _aggregate_and_apply(server, rows, byz.gradient_rows(rows, server.pipeline), byz.search,
-                         -server.schedule.lr_at(server.step))
+def dsgd_step(server: ServerState, rows: np.ndarray, byz: ByzantineClientGroup, lr: float) -> None:
+    """One synchronous distributed-SGD step at learning rate ``lr`` on its (n + f, d) ``rows``, the n honest
+    momentum gradients first (then the seats'); mutates the server in place."""
+    _aggregate_and_apply(server, rows, byz.gradient_rows(rows, server.pipeline), -lr)
 
 
 def sampled_count(proportion_selected_clients: float, n: int) -> int:
@@ -233,4 +226,4 @@ def sampled_count(proportion_selected_clients: float, n: int) -> int:
 def fedavg_round(server: ServerState, rows: np.ndarray, byz: ByzantineClientGroup) -> None:
     """One federated averaging round on its (m + f, d) ``rows``, the model deltas of the m sampled honest
     clients first (then the seats'); mutates the server in place by adding the rows' aggregate."""
-    _aggregate_and_apply(server, rows, byz.delta_rows(rows, server.pipeline), byz.search, 1.0)
+    _aggregate_and_apply(server, rows, byz.delta_rows(rows, server.pipeline), 1.0)

@@ -683,13 +683,13 @@ def replay_evaluating_each_step(cfg, key) -> benchmark.ExperimentResult:
     partitions = make_partition(train, key.distribution_name, key.distribution_parameter, n,
                                 derive_rng(seed, "datadist")).assignments
     arch = benchmark.ARCHS[cfg.model.name](cfg.model, train.features.shape[1], train.n_classes)
-    seats = key.f if key.attack.name == "LabelFlipping" else 0
-    rngs = [derive_rng(seed, f"client.{i}") for i in range(n)] + [derive_rng(seed, f"byz.{j}") for j in range(seats)]
-    clients = HonestClient(train, partitions, hc.batch_size, hc.momentum, hc.weight_decay, rngs, seats)
     byz = ByzantineClientGroup(key.f, key.attack)
+    rngs = [derive_rng(seed, f"client.{i}") for i in range(n)]
+    rngs += [derive_rng(seed, f"byz.{j}") for j in range(byz.seats)]
+    clients = HonestClient(train, partitions, hc.batch_size, hc.momentum, hc.weight_decay, rngs, byz.seats)
     pipeline = build_pipeline(key.aggregator, key.pre_aggregators, rng=derive_rng(seed, "bucketing"))
-    server = ServerState(arch, init_params(arch, derive_rng(seed, "init")), pipeline,
-                         LrSchedule(cfg.model.learning_rate, cfg.model.learning_rate_decay, tuple(cfg.model.milestones)))
+    server = ServerState(init_params(arch, derive_rng(seed, "init")), pipeline)
+    schedule = LrSchedule(cfg.model.learning_rate, cfg.model.learning_rate_decay, tuple(cfg.model.milestones))
     sampling = derive_rng(seed, "sampling")
     fedavg = cfg.training_algorithm.parameters if cfg.training_algorithm.name == "FedAvg" else None
     m = n if fedavg is None else sampled_count(fedavg["proportion_selected_clients"], n)
@@ -699,12 +699,12 @@ def replay_evaluating_each_step(cfg, key) -> benchmark.ExperimentResult:
     for step in range(cfg.nb_steps + 1):
         if step and fedavg is not None:
             chosen = np.sort(sampling.choice(n, size=m, replace=False))
-            clients.local_delta(arch, [server.flat], server.schedule.lr_at(server.step),
-                                fedavg["local_steps_per_client"], chosen, [rows[: m + seats]])
+            clients.local_delta(arch, [server.flat], schedule.lr_at(step - 1), fedavg["local_steps_per_client"],
+                                chosen, [rows[: m + byz.seats]])
             fedavg_round(server, rows, byz)
         elif step:
-            clients.compute_update(arch, [server.flat], [rows[: n + seats]])
-            dsgd_step(server, rows, byz)
+            clients.compute_update(arch, [server.flat], [rows[: n + byz.seats]])
+            dsgd_step(server, rows, byz, schedule.lr_at(step - 1))
         if step % cfg.evaluation.evaluation_delta == 0 or step == cfg.nb_steps:
             result.steps.append(step)
             result.test_accuracy.append(evaluate_accuracy(arch, [server.flat], test)[0])
@@ -864,6 +864,27 @@ class TestCohorts:
                       next(k for k in rest if k.distribution_parameter != first.distribution_parameter)):
             with pytest.raises(ValueError, match=r"must share \(seed, distribution, parameter\)"):
                 run_cohort(cfg, [first, other])
+
+    def test_the_initial_vector_is_drawn_once_and_shared_read_only(self, tmp_path, monkeypatch):
+        cfg = parse_config(tiny_config_text(tmp_path, **COHORT_GRID))
+        keys = [key for key in expand_grid(cfg) if (key.seed, key.distribution_parameter) == (1, 0.5)]
+        drawn, views = [], []
+        monkeypatch.setattr(benchmark, "init_params", lambda *args: drawn.append(init_params(*args)) or drawn[-1])
+
+        def server(flat, pipeline):
+            made = ServerState(flat, pipeline)
+            views.append(made.flat)
+            return made
+
+        monkeypatch.setattr(benchmark, "ServerState", server)
+        run_cohort(cfg, keys)
+        assert len(keys) == 8 and len(drawn) == 1 and len(views) == 8
+        assert all(view.base is drawn[0] and not view.flags.writeable for view in views)
+
+    @pytest.mark.parametrize("algorithm, rows", [
+        ({}, 5), (fedavg(proportion_selected_clients=0.55, local_steps_per_client=1), 3)], ids=["DSGD", "FedAvg"])
+    def test_honest_rows_are_every_client_or_the_sampled_ones(self, tmp_path, algorithm, rows):
+        assert benchmark.honest_rows(parse_config(tiny_config_text(tmp_path, **COHORT_GRID, **algorithm))) == rows
 
     @pytest.mark.parametrize("tweaks, parallelism, sizes", [
         ({}, 1, [8] * 4),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from config_fixtures import tiny_config_text
 from robustfl import numerics, simulator
 from robustfl.aggregators import AggregatorSpec
-from robustfl.attacks import DEFAULT_SCALE_GRID, AttackSpec, sign_flipping
-from robustfl.benchmark import ARCHS, DATASETS, expand_grid, parse_config, run_single
+from robustfl.attacks import DEFAULT_SCALE_GRID, AttackSpec, OptimizedAttack, sign_flipping
+from robustfl.benchmark import ARCHS, DATASETS, expand_grid, parse_config, run_cohort, run_single
 from robustfl.datadist import LabeledDataset, make_partition
 from robustfl.models import (
     LinearArch,
@@ -61,13 +62,8 @@ def next_batch(clients, i):
     return take[0]
 
 
-def make_server(arch, flat, rule="Average", f=0, lr=0.1):
-    return ServerState(
-        arch=arch,
-        flat=np.asarray(flat, dtype=np.float64),
-        pipeline=build_pipeline(AggregatorSpec(rule, f=f)),
-        schedule=LrSchedule(lr),
-    )
+def make_server(flat, rule="Average", f=0):
+    return ServerState(flat=np.asarray(flat, dtype=np.float64), pipeline=build_pipeline(AggregatorSpec(rule, f=f)))
 
 
 class Run:
@@ -83,21 +79,24 @@ class Run:
         self.head = self.rows[: m + byz.seats]
 
 
-def step(clients, runs, sampling=None, proportion=1.0, local_steps=1):
-    """One step of ``runs`` on their shared bank, as ``run_cohort`` takes it:
-    one bank pass trains every run's head at its parameters, then each run's
-    attack, pipeline and update run in turn. A DSGD step, or with a
-    ``sampling`` Generator a federated averaging round; returns the runs' rows."""
-    server = runs[0].server
+def step(clients, arch, runs, sampling=None, proportion=1.0, local_steps=1, lr=0.1):
+    """One step of ``runs`` of model ``arch`` on their shared bank at learning
+    rate ``lr``, as ``run_cohort`` takes it: one bank pass trains every run's
+    head at its parameters, then each run's attack, pipeline and update run in
+    turn. A DSGD step, or with a ``sampling`` Generator a federated averaging
+    round; returns the runs' rows."""
     flats, heads = [run.server.flat for run in runs], [run.head for run in runs]
     if sampling is None:
-        clients.compute_update(server.arch, flats, heads)
+        clients.compute_update(arch, flats, heads)
     else:
         n = len(clients)
         chosen = np.sort(sampling.choice(n, size=sampled_count(proportion, n), replace=False))
-        clients.local_delta(server.arch, flats, server.schedule.lr_at(server.step), local_steps, chosen, heads)
+        clients.local_delta(arch, flats, lr, local_steps, chosen, heads)
     for run in runs:
-        (dsgd_step if sampling is None else fedavg_round)(run.server, run.rows, run.byz)
+        if sampling is None:
+            dsgd_step(run.server, run.rows, run.byz, lr)
+        else:
+            fedavg_round(run.server, run.rows, run.byz)
     return [run.rows for run in runs]
 
 
@@ -160,6 +159,23 @@ class LoopClient:
             buf = self._momentum_step(arch, local, buf)
             local = local - lr * buf
         return local - flat
+
+
+@dataclass
+class LoopServer:
+    """The per-client loop's server, which keeps its own learning-rate
+    schedule and step counter."""
+
+    arch: object
+    flat: np.ndarray
+    pipeline: Pipeline
+    schedule: LrSchedule
+    step: int = 0
+
+
+def loop_server(arch, flat, lr):
+    return LoopServer(arch, np.asarray(flat, dtype=np.float64), build_pipeline(AggregatorSpec("Average")),
+                      LrSchedule(lr))
 
 
 def loop_clients(dataset, partitions, batch_size, momentum=0.0, weight_decay=0.0, flip=False, seed=0, stream="client"):
@@ -229,11 +245,11 @@ def twin_runs(setup, fs, proportion=None):
     for j, f in enumerate(fs):
         start = flat if j == 0 else init_params(arch, derive_rng(seed + j, "init"))
         byz = ByzantineClientGroup(f, AttackSpec("LabelFlipping") if f else None)
-        runs.append(Run(make_server(arch, start.copy(), lr=0.05), byz, clients, proportion))
+        runs.append(Run(make_server(start.copy()), byz, clients, proportion))
         flip_parts = [partitions[i % len(partitions)] for i in range(f)]
         loops.append((loop_clients(dataset, partitions, *settings_, seed=seed),
                       loop_clients(dataset, flip_parts, *settings_, flip=True, seed=seed, stream="byz"),
-                      make_server(arch, start.copy(), lr=0.05)))
+                      loop_server(arch, start.copy(), lr=0.05)))
     return clients, runs, loops
 
 
@@ -252,7 +268,8 @@ class TestBankMatchesPerClientLoop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(numerics, "TILE_ELEMENTS", budget)
             for _ in range(steps):
-                for run, rows, (ref_clients, ref_flips, ref) in zip(runs, step(clients, runs), loops):
+                all_rows = step(clients, setup[3], runs, lr=0.05)
+                for run, rows, (ref_clients, ref_flips, ref) in zip(runs, all_rows, loops):
                     assert np.array_equal(rows, loop_dsgd_step(ref, ref_clients, ref_flips))
                     assert np.array_equal(run.server.flat, ref.flat)
 
@@ -267,7 +284,7 @@ class TestBankMatchesPerClientLoop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(numerics, "TILE_ELEMENTS", budget)
             for _ in range(rounds):
-                step(clients, runs, sampling, proportion, local_steps)
+                step(clients, setup[3], runs, sampling, proportion, local_steps, lr=0.05)
                 for run, (ref_clients, ref_flips, ref), ref_sampling in zip(runs, loops, ref_samplings):
                     loop_fedavg_round(ref, ref_clients, ref_flips, proportion, local_steps, ref_sampling)
                     assert np.array_equal(run.server.flat, ref.flat)
@@ -305,25 +322,26 @@ class TestBankMatchesPerClientLoop:
         proportion = None if algorithm == "DSGD" else 0.6
         clients, runs, loops = twin_runs(setup, [3, 1], proportion)
         sampling, ref_samplings = derive_rng(4, "sampling"), [derive_rng(4, "sampling") for _ in runs]
-        for _ in range(3):
+        for round_ in range(3):
             if algorithm == "DSGD":
-                for rows, (ref_clients, ref_flips, ref) in zip(step(clients, runs), loops):
+                for rows, (ref_clients, ref_flips, ref) in zip(step(clients, arch, runs, lr=0.05), loops):
                     np.testing.assert_array_equal(rows, loop_dsgd_step(ref, ref_clients, ref_flips))
             else:
-                step(clients, runs, sampling, 0.6, 3)
-                for run, (ref_clients, ref_flips, ref), ref_sampling in zip(runs, loops, ref_samplings):
-                    ref_rows = loop_fedavg_round(ref, ref_clients, ref_flips, 0.6, 3, ref_sampling)
-                    seat_rows = run.byz.gradient_rows(run.rows, None)
-                    np.testing.assert_array_equal(seat_rows, ref_rows[len(ref_rows) - run.byz.f :])
-                assert runs[0].server.step > 1 or clients._cursors[len(partitions)] == 4  # seat 0 wrapped in round 1
+                all_rows = step(clients, arch, runs, sampling, 0.6, 3, lr=0.05)
+                for rows, (ref_clients, ref_flips, ref), ref_sampling in zip(all_rows, loops, ref_samplings):
+                    np.testing.assert_array_equal(rows, loop_fedavg_round(ref, ref_clients, ref_flips, 0.6, 3,
+                                                                          ref_sampling))
+                assert round_ > 0 or clients._cursors[len(partitions)] == 4  # seat 0 wrapped in round 1
             for run, (_, _, ref) in zip(runs, loops):
                 np.testing.assert_array_equal(run.server.flat, ref.flat)
 
 
-def replay_dsgd_run(cfg, key):
-    """``run_single``'s test accuracies and training losses for a DSGD key,
-    with the per-client loop in place of the bank and the LabelFlipping
-    seats as flip clients on partitions j % n and streams ``byz.j``."""
+def replay_run(cfg, key):
+    """``run_single``'s test accuracies and training losses for a key, with
+    the per-client loop in place of the bank (``loop_dsgd_step`` under DSGD,
+    ``loop_fedavg_round`` under FedAvg, drawing from the ``sampling`` stream)
+    and the LabelFlipping seats as flip clients on partitions j % n and
+    streams ``byz.j``."""
     train, test = DATASETS[cfg.model.dataset_name].load(cfg.model, key.seed)
     n, hc = cfg.nb_honest_clients, cfg.honest_clients
     partitions = make_partition(train, key.distribution_name, key.distribution_parameter, n,
@@ -335,12 +353,16 @@ def replay_dsgd_run(cfg, key):
                          stream="byz")
     schedule = LrSchedule(cfg.model.learning_rate, cfg.model.learning_rate_decay, tuple(cfg.model.milestones))
     pipeline = build_pipeline(key.aggregator, key.pre_aggregators, rng=derive_rng(key.seed, "bucketing"))
-    server = ServerState(arch, init_params(arch, derive_rng(key.seed, "init")), pipeline, schedule)
-    union = np.concatenate(partitions)
+    server = LoopServer(arch, init_params(arch, derive_rng(key.seed, "init")), pipeline, schedule)
+    fedavg = cfg.training_algorithm.parameters if cfg.training_algorithm.name == "FedAvg" else None
+    sampling, union = derive_rng(key.seed, "sampling"), np.concatenate(partitions)
     accuracy, losses = [], []
     for step in range(cfg.nb_steps + 1):
-        if step:
+        if step and fedavg is None:
             loop_dsgd_step(server, clients, flips)
+        elif step:
+            loop_fedavg_round(server, clients, flips, fedavg["proportion_selected_clients"],
+                              fedavg["local_steps_per_client"], sampling)
         if step % cfg.evaluation.evaluation_delta == 0 or step == cfg.nb_steps:
             accuracy.append(evaluate_accuracy(arch, [server.flat], test)[0])
             losses.append(forward_loss(arch, [server.flat], train.features, train.labels, [union])[0][0])
@@ -361,7 +383,30 @@ def test_dsgd_label_flipping_grid_equals_the_per_client_loop(tmp_path):
     assert [key.f for key in keys] == [1, 2]
     for key in keys:
         result = run_single(cfg, key)
-        assert (result.test_accuracy, result.train_loss) == replay_dsgd_run(cfg, key)
+        assert (result.test_accuracy, result.train_loss) == replay_run(cfg, key)
+
+
+@pytest.mark.parametrize("algorithm", ["DSGD", "FedAvg"])
+def test_a_cohort_crossing_learning_rate_milestones_equals_the_per_client_loop(tmp_path, algorithm):
+    """Four runs of one cohort (Average and Median, f in {1, 2} LabelFlipping
+    seats) under a schedule that halves the learning rate at steps 3 and 6 of
+    9: the loop hands every run each step's rate, and each run's series equals
+    its per-client replay, whose server counts its own steps."""
+    tweaks = {"attack": [{"name": "LabelFlipping", "parameters": {}}],
+              "aggregator": [{"name": "Average", "parameters": {}}, {"name": "Median", "parameters": {}}],
+              "model.learning_rate": 0.2, "model.learning_rate_decay": 0.5, "model.milestones": [3, 6],
+              "benchmark_config.nb_steps": 9, "benchmark_config.nb_honest_clients": 4, "benchmark_config.f": [1, 2],
+              "evaluation_and_results.evaluation_delta": 1}
+    if algorithm == "FedAvg":
+        tweaks["benchmark_config.training_algorithm"] = {
+            "name": "FedAvg", "parameters": {"proportion_selected_clients": 0.5, "local_steps_per_client": 2}}
+    cfg = parse_config(tiny_config_text(tmp_path, **tweaks))
+    schedule = LrSchedule(cfg.model.learning_rate, cfg.model.learning_rate_decay, tuple(cfg.model.milestones))
+    assert [schedule.lr_at(step) for step in range(cfg.nb_steps)] == [0.2] * 3 + [0.1] * 3 + [0.05] * 3
+    keys = expand_grid(cfg)
+    assert len(keys) == 4 and len({(key.seed, key.distribution_parameter) for key in keys}) == 1
+    for key, result in zip(keys, run_cohort(cfg, keys)):
+        assert (result.test_accuracy, result.train_loss) == replay_run(cfg, key)
 
 
 class TestHonestClient:
@@ -463,29 +508,37 @@ class TestByzantineClientGroup:
     def test_no_adversary_emits_nothing(self, x3):
         group = ByzantineClientGroup(0, None)
         pipeline = build_pipeline(AggregatorSpec("Average"))
-        assert group.gradient_rows(x3, pipeline).shape == (0, 3)
+        rows = x3.copy()
+        assert group.gradient_rows(rows, pipeline) is None
+        assert rows.tobytes() == x3.tobytes()
 
     def test_gradient_rows_tile_the_attack_vector(self, x3):
+        # f copies of the vector are written as the last rows, and the honest rows keep their bytes.
         group = ByzantineClientGroup(3, AttackSpec("SignFlipping"))
         pipeline = build_pipeline(AggregatorSpec("Average"))
-        rows = group.gradient_rows(np.vstack([x3, np.full((3, 3), np.nan)]), pipeline)  # the attack reads x3 alone
-        np.testing.assert_array_equal(rows, np.tile(sign_flipping(x3), (3, 1)))
+        rows = np.vstack([x3, np.full((3, 3), np.nan)])  # the attack reads x3 alone
+        assert group.gradient_rows(rows, pipeline) is None
+        assert rows[:3].tobytes() == x3.tobytes()
+        assert rows[3:].tobytes() == np.tile(sign_flipping(x3), (3, 1)).tobytes()
 
     def test_label_flip_rows_are_the_bank_seat_rows(self):
+        # The seats' rows are already the step's last f: neither name writes a byte of the step's rows.
         ds = toy_dataset(m=6)
         arch = LinearArch(3, 2)
         flat = np.zeros(param_count(arch))
         clients = full_batch_bank(ds, [np.arange(6)], seats=2)
-        group = ByzantineClientGroup(2, AttackSpec("LabelFlipping"), clients)
+        group = ByzantineClientGroup(2, AttackSpec("LabelFlipping"))
         ref_flips = loop_clients(ds, [np.arange(6)] * 2, 6, flip=True, stream="byz")
         step_rows = momentum_rows(clients, arch, flat, seats=2)
-        rows = group.gradient_rows(step_rows, None)
-        assert rows.base is step_rows and len(rows) == 2
-        np.testing.assert_array_equal(rows, np.stack([c.compute_update(arch, flat) for c in ref_flips]))
+        trained = step_rows.copy()
+        assert group.gradient_rows(step_rows, None) is None
+        assert step_rows.tobytes() == trained.tobytes()
+        np.testing.assert_array_equal(step_rows[1:], np.stack([c.compute_update(arch, flat) for c in ref_flips]))
         clients.local_delta(arch, [flat], 0.1, 2, [0], [step_rows])
-        rows = group.delta_rows(step_rows, None)
-        assert rows.base is step_rows
-        np.testing.assert_array_equal(rows, np.stack([c.local_delta(arch, flat, 0.1, 2) for c in ref_flips]))
+        trained = step_rows.copy()
+        assert group.delta_rows(step_rows, None) is None
+        assert step_rows.tobytes() == trained.tobytes()
+        np.testing.assert_array_equal(step_rows[1:], np.stack([c.local_delta(arch, flat, 0.1, 2) for c in ref_flips]))
 
 
 class TestDsgdStep:
@@ -494,18 +547,17 @@ class TestDsgdStep:
         arch = LinearArch(3, 2)
         flat0 = init_params(arch, derive_rng(4, "init"))
         clients = bank(ds, [np.arange(8)], 2, 0.9, 0.01, seed=4)
-        run = Run(make_server(arch, flat0.copy(), lr=0.05), ByzantineClientGroup(0, None), clients)
+        run = Run(make_server(flat0.copy()), ByzantineClientGroup(0, None), clients)
         batch_source = bank(ds, [np.arange(8)], 2, 0.9, 0.01, seed=4)
         manual = flat0.copy()
         buf = np.zeros_like(manual)
         for _ in range(100):
-            step(clients, [run])
+            step(clients, arch, [run], lr=0.05)
             batch = next_batch(batch_source, 0)
             _, g = loss_and_gradient(arch, manual, ds.features[batch], ds.labels[batch])
             buf = 0.9 * buf + (g + 0.01 * manual)
             manual = manual - 0.05 * buf
             np.testing.assert_allclose(run.server.flat, manual, atol=1e-9)
-        assert run.server.step == 100
 
     def test_sign_flipping_against_average_shrinks_the_step(self):
         ds = toy_dataset(m=1)
@@ -513,8 +565,8 @@ class TestDsgdStep:
         flat0 = np.full(param_count(arch), 0.25)
         clients = full_batch_bank(ds, [np.array([0])] * 3)
         g = loss_and_gradient(arch, flat0, ds.features[:1], ds.labels[:1])[1]
-        server = make_server(arch, flat0.copy(), rule="Average", lr=0.1)
-        step(clients, [Run(server, ByzantineClientGroup(1, AttackSpec("SignFlipping")), clients)])
+        server = make_server(flat0.copy(), rule="Average")
+        step(clients, arch, [Run(server, ByzantineClientGroup(1, AttackSpec("SignFlipping")), clients)])
         np.testing.assert_allclose(server.flat, flat0 - 0.1 * 0.5 * g, atol=1e-12)
 
     def test_sign_flipping_against_trmean_is_neutralized(self):
@@ -523,8 +575,8 @@ class TestDsgdStep:
         flat0 = np.full(param_count(arch), 0.25)
         clients = full_batch_bank(ds, [np.array([0])] * 3)
         g = loss_and_gradient(arch, flat0, ds.features[:1], ds.labels[:1])[1]
-        server = make_server(arch, flat0.copy(), rule="TrMean", f=1, lr=0.1)
-        step(clients, [Run(server, ByzantineClientGroup(1, AttackSpec("SignFlipping")), clients)])
+        server = make_server(flat0.copy(), rule="TrMean", f=1)
+        step(clients, arch, [Run(server, ByzantineClientGroup(1, AttackSpec("SignFlipping")), clients)])
         np.testing.assert_allclose(server.flat, flat0 - 0.1 * g, atol=1e-12)
 
     def test_attack_does_not_touch_honest_state(self):
@@ -535,8 +587,8 @@ class TestDsgdStep:
         def one_step(f):
             clients = bank(ds, [np.arange(8)], 4, 0.9, 0.0, seed=6)
             byz = ByzantineClientGroup(f, AttackSpec("SignFlipping") if f else None)
-            run = Run(make_server(arch, flat0.copy(), f=f), byz, clients)
-            step(clients, [run])
+            run = Run(make_server(flat0.copy(), f=f), byz, clients)
+            step(clients, arch, [run])
             return run.head
 
         np.testing.assert_array_equal(one_step(0), one_step(2))
@@ -547,7 +599,7 @@ class TestDsgdStep:
         ds = toy_dataset(m=8)
         arch = LinearArch(3, 2)
         clients = bank(ds, [np.arange(4), np.arange(4, 8)], 4, 0.9, 0.0, seed=6)
-        run = Run(make_server(arch, init_params(arch, derive_rng(6, "init")), f=1),
+        run = Run(make_server(init_params(arch, derive_rng(6, "init")), f=1),
                   ByzantineClientGroup(1, AttackSpec("SignFlipping")), clients)
         given = []
 
@@ -558,7 +610,7 @@ class TestDsgdStep:
 
         monkeypatch.setattr(Pipeline, "__call__", recording)
         for _ in range(2):
-            step(clients, [run])
+            step(clients, arch, [run])
         np.testing.assert_array_equal(given[1][:2], run.head)
         np.testing.assert_array_equal(given[1][2], sign_flipping(run.head))
 
@@ -579,9 +631,9 @@ class TestDsgdStep:
         ds = toy_dataset(m=1)
         arch = LinearArch(3, 2)
         clients = full_batch_bank(ds, [np.array([0])])
-        server = make_server(arch, np.zeros(param_count(arch)), rule="MultiKrum", f=1)
+        server = make_server(np.zeros(param_count(arch)), rule="MultiKrum", f=1)
         with pytest.raises(ValueError, match="MultiKrum requires n >= f \\+ 2"):
-            step(clients, [Run(server, ByzantineClientGroup(1, AttackSpec("SignFlipping")), clients)])
+            step(clients, arch, [Run(server, ByzantineClientGroup(1, AttackSpec("SignFlipping")), clients)])
 
 
 class TestFedavgRound:
@@ -589,14 +641,13 @@ class TestFedavgRound:
         ds = toy_dataset(m=1)
         arch = LinearArch(3, 2)
         flat0 = init_params(arch, derive_rng(8, "init"))
-        via_fedavg = make_server(arch, flat0.copy(), lr=0.1)
+        via_fedavg = make_server(flat0.copy())
         clients = full_batch_bank(ds, [np.array([0])])
-        step(clients, [Run(via_fedavg, ByzantineClientGroup(0, None), clients, 1.0)], derive_rng(8, "sampling"))
-        via_dsgd = make_server(arch, flat0.copy(), lr=0.1)
+        step(clients, arch, [Run(via_fedavg, ByzantineClientGroup(0, None), clients, 1.0)], derive_rng(8, "sampling"))
+        via_dsgd = make_server(flat0.copy())
         clients = full_batch_bank(ds, [np.array([0])])
-        step(clients, [Run(via_dsgd, ByzantineClientGroup(0, None), clients)])
+        step(clients, arch, [Run(via_dsgd, ByzantineClientGroup(0, None), clients)])
         np.testing.assert_array_equal(via_fedavg.flat, via_dsgd.flat)
-        assert via_fedavg.step == 1
 
     @staticmethod
     def participants(proportion, seed, local_steps=1, n=10):
@@ -604,8 +655,8 @@ class TestFedavgRound:
         ds = toy_dataset(m=2 * n)
         arch = LinearArch(3, 2)
         clients = full_batch_bank(ds, [np.array([i, i + n]) for i in range(n)])
-        run = Run(make_server(arch, np.zeros(param_count(arch))), ByzantineClientGroup(0, None), clients, proportion)
-        step(clients, [run], derive_rng(seed, "sampling"), proportion, local_steps)
+        run = Run(make_server(np.zeros(param_count(arch))), ByzantineClientGroup(0, None), clients, proportion)
+        step(clients, arch, [run], derive_rng(seed, "sampling"), proportion, local_steps)
         return [cursor > 0 for cursor in clients._cursors]
 
     def test_samples_ceil_of_proportion(self):
@@ -627,8 +678,8 @@ class TestFedavgRound:
         arch = LinearArch(3, 2)
         flat0 = np.full(param_count(arch), 0.5)
         clients = full_batch_bank(ds, [np.array([0])] * 3)
-        server = make_server(arch, flat0.copy(), lr=0.1)
-        step(clients, [Run(server, ByzantineClientGroup(1, AttackSpec("SignFlipping")), clients, 1.0)],
+        server = make_server(flat0.copy())
+        step(clients, arch, [Run(server, ByzantineClientGroup(1, AttackSpec("SignFlipping")), clients, 1.0)],
              derive_rng(1, "sampling"))
         delta = -0.1 * loss_and_gradient(arch, flat0, ds.features[:1], ds.labels[:1])[1]
         np.testing.assert_allclose(server.flat, flat0 + 0.5 * delta, atol=1e-12)
@@ -671,22 +722,23 @@ class TestSearchReuse:
         assert len(calls) == 3 * len(DEFAULT_SCALE_GRID)
         apply = simulator._aggregate_and_apply
         monkeypatch.setattr(simulator, "_aggregate_and_apply",
-                            lambda server, rows, byz_rows, search, scale: apply(server, rows, byz_rows, None, scale))
+                            lambda server, rows, search, scale: apply(server, rows, None, scale))
         calls.clear()
         again = run_single(cfg, key)
         assert len(calls) == 3 * (len(DEFAULT_SCALE_GRID) + 1)
         assert (reused.test_accuracy, reused.train_loss, reused.client_losses) == (
             again.test_accuracy, again.train_loss, again.client_losses)
 
-    def test_only_a_search_is_reused(self):
-        group = ByzantineClientGroup(1, AttackSpec("Optimal_ALittleIsEnough"))
+    def test_only_a_search_is_reused(self, x3):
+        # Only an Optimal_* attack returns its search, whose vector it wrote below the honest rows.
         pipeline = build_pipeline(AggregatorSpec("Average"))
-        x3 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
-        rows = group.gradient_rows(x3, pipeline)
-        assert group.search is not None and rows.tobytes() == group.search.vector[None].tobytes()
-        for other in (ByzantineClientGroup(1, AttackSpec("ALittleIsEnough")), ByzantineClientGroup(0, None)):
-            other.gradient_rows(x3, pipeline)
-            assert other.search is None
+        rows = x3.copy()
+        search = ByzantineClientGroup(1, AttackSpec("Optimal_ALittleIsEnough")).gradient_rows(rows, pipeline)
+        assert isinstance(search, OptimizedAttack)
+        assert rows[:2].tobytes() == x3[:2].tobytes() and rows[2:].tobytes() == search.vector[None].tobytes()
+        for other in (ByzantineClientGroup(1, AttackSpec("ALittleIsEnough")), ByzantineClientGroup(0, None),
+                      ByzantineClientGroup(1, AttackSpec("LabelFlipping"))):
+            assert other.gradient_rows(x3.copy(), pipeline) is None
 
 
 class TestReadOnlyParameters:
@@ -697,16 +749,16 @@ class TestReadOnlyParameters:
     def test_installed_vectors_refuse_writes_and_training_runs(self, algorithm):
         ds, arch = toy_dataset(m=24, n_classes=3, seed=5), MlpArch(3, 4, 3)
         flat = init_params(arch, derive_rng(5, "init"))
-        server = make_server(arch, flat, rule="TrMean", f=1)
+        server = make_server(flat, rule="TrMean", f=1)
         clients = bank(ds, np.array_split(np.arange(24), 4), 3, momentum=0.9)
         byz, sampling = ByzantineClientGroup(1, AttackSpec("SignFlipping")), derive_rng(5, "sampling")
         run = Run(server, byz, clients, None if algorithm == "DSGD" else 0.5)
         kept = [server.flat]
         for _ in range(3):
             if algorithm == "DSGD":
-                step(clients, [run])
+                step(clients, arch, [run])
             else:
-                step(clients, [run], sampling, 0.5, 2)
+                step(clients, arch, [run], sampling, 0.5, 2)
             kept.append(server.flat)
         assert len({id(v) for v in kept}) == 4 and not any(v.flags.writeable for v in kept)
         for vector in kept:
