@@ -363,18 +363,14 @@ class Rule:
                 raise ValueError(f"{name} requires parameter {key}")
         return {key: self.params[key](value, f"{name} parameter {key}") for key, value in params.items()}
 
-    def carry(self, name: str, rng: np.random.Generator | None) -> dict:
-        """Fresh ``carried`` keyword arguments for one configured rule."""
+    def keywords(self, spec: StageSpec, rng: np.random.Generator | None) -> tuple[dict, dict]:
+        """Fresh ``carried`` objects for one configured ``spec``, made from
+        ``rng``, and the keyword arguments of its every call of ``fn``: the
+        parameters, f when the rule reads f, and those objects."""
         carried = {key: make(rng) for key, make in self.carried.items()}
         if any(value is None for value in carried.values()):
-            raise ValueError(f"{name} requires a seeded numpy Generator")
-        return carried
-
-    def apply(self, xs, f: int, params: Mapping, **extra) -> np.ndarray:
-        """Call ``fn`` on ``xs`` with ``params``, ``f`` when it reads f, and ``extra``."""
-        if self.needs_f:
-            extra["f"] = f
-        return self.fn(xs, **params, **extra)
+            raise ValueError(f"{spec.name} requires a seeded numpy Generator")
+        return carried, {**spec.parameters, **({"f": spec.f} if self.needs_f else {}), **carried}
 
 
 AGGREGATORS: dict[str, Rule] = {
@@ -430,20 +426,19 @@ class AggregatorSpec(StageSpec):
 
 
 class ConfiguredAggregator:
-    """Callable aggregation rule bound to its parameters and to what its row
-    carries across calls (CenteredClipping's centre)."""
+    """Callable aggregation rule bound to its keyword arguments and to what
+    its row carries across calls (CenteredClipping's centre)."""
 
     def __init__(self, spec: AggregatorSpec):
         self.spec = spec
-        self.carried = AGGREGATORS[spec.name].carry(spec.name, None)
+        self.carried, self.keywords = AGGREGATORS[spec.name].keywords(spec, None)
 
     def __call__(self, xs) -> np.ndarray:
         """The rule on an (n, d) matrix; a sorted-slice rule asks an ``OverCopies`` for its slice means."""
         rule = AGGREGATORS[self.spec.name]
-        dense = functools.partial(rule.apply, f=self.spec.f, params=self.spec.parameters, **self.carried)
         if rule.window and isinstance(xs, OverCopies):
-            return xs.slice_means(*rule.window(len(xs), self.spec.f), dense)
-        return dense(xs)
+            return xs.slice_means(*rule.window(len(xs), self.spec.f), functools.partial(rule.fn, **self.keywords))
+        return rule.fn(xs, **self.keywords)
 
 
 make_aggregator = ConfiguredAggregator  # the callable rule described by a spec

@@ -66,13 +66,7 @@ def nnm(xs, f: int) -> np.ndarray | OverCopies:
     """
     over = isinstance(xs, OverCopies)
     m, shared = (xs.fixed, xs.shared) if over else (0, {})
-    if over and isinstance(xs.rows, list):  # one NNM's merged output: fixed rows stacked once per dict
-        if "stacked" not in shared:
-            shared["stacked"] = np.array(xs.rows)
-        shared["stacked"][m:] = xs.rows[m]
-        xs = shared["stacked"]
-    else:
-        xs = np.asarray(xs) if over else as_vector_set(xs)
+    xs = np.asarray(xs) if over else as_vector_set(xs)
     n, d = xs.shape
     check_f("NNM", n, f, f + 1, "n > f")
     if over:
@@ -193,16 +187,16 @@ class PreAggregatorSpec(StageSpec):
 
 
 class ConfiguredPreAggregator:
-    """Callable transform bound to its parameters and to what its row carries
-    across calls (Bucketing's shuffle stream, which is ``rng``)."""
+    """Callable transform bound to its keyword arguments and to what its row
+    carries across calls (Bucketing's shuffle stream, which is ``rng``)."""
 
     def __init__(self, spec: PreAggregatorSpec, rng: np.random.Generator | None = None):
         self.spec = spec
-        self.carried = PRE_AGGREGATORS[spec.name].carry(spec.name, rng)
+        self.carried, self.keywords = PRE_AGGREGATORS[spec.name].keywords(spec, rng)
 
     def __call__(self, xs) -> np.ndarray:
         """Apply the transform."""
-        return PRE_AGGREGATORS[self.spec.name].apply(xs, self.spec.f, self.spec.parameters, **self.carried)
+        return PRE_AGGREGATORS[self.spec.name].fn(xs, **self.keywords)
 
 
 class Pipeline:

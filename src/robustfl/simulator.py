@@ -24,7 +24,7 @@ from .attacks import AttackContext, AttackSpec, OptimizedAttack, crafted
 from .config import NONNEGATIVE, at_least
 from .datadist import LabeledDataset
 from .models import Arch, backward
-from .numerics import tile_width, tiles
+from .numerics import tiles
 from .preaggregators import Pipeline
 
 
@@ -110,7 +110,7 @@ class HonestClient:
             else:
                 grads[group] = grad
         (k, d), starts = grads.shape, np.cumsum([0] + [len(buf) for buf in bufs])
-        for run in [slice(None)] if tile_width(k) >= d else tiles(d, k):
+        for run in tiles(d, k):
             tile = grads[:, run]
             tile += self.weight_decay * params[:, run]
             for buf, lo in zip(bufs, starts):

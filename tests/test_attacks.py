@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -518,6 +519,23 @@ class TestSplitSearch:
         assert pipeline_state(split.pipeline) == pipeline_state(serial.pipeline)
         assert pipeline_state(live) == before
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("pres", list(PRE_STAGES))
+    @pytest.mark.parametrize("name", AGGREGATOR_NAMES)
+    def test_every_child_sends_its_winner(self, monkeypatch, name, pres, cores):
+        # A winner that does not pickle never reaches the parent, which then
+        # scores that child's chunk again: more clones than chunk 0 holds.
+        rng = np.random.default_rng(47)
+        f, xs = 2, random_vector_set(rng, n=7, d=5)
+        live = build_pipeline(AggregatorSpec(name, f=f), PRE_STAGES[pres], rng=derive_rng(5, "bucketing"))
+        parent, clone, clones = os.getpid(), Pipeline.clone, []
+        monkeypatch.setattr(Pipeline, "clone", lambda self: clones.append(os.getpid()) or clone(self))
+        result = optimize_attack_scale(AttackContext(xs, f, live, cores), a_little_is_enough)
+        assert clones.count(parent) == len(range(0, len(DEFAULT_SCALE_GRID), cores))
+        for pipeline in (pickle.loads(pickle.dumps(clone(live))), result.pipeline):
+            for stage in [*pipeline.pre_aggregators, pipeline.aggregator]:
+                assert all(stage.keywords[key] is value for key, value in stage.carried.items())
 
     @pytest.mark.parametrize("cores", [2, 3])
     def test_a_winner_from_a_child_ties_to_the_smallest_scale(self, monkeypatch, cores):

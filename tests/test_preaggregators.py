@@ -222,6 +222,18 @@ class TestNnm:
         # One gather serves a small input whole.
         assert not isinstance(single_block(nnm, OverCopies(candidate, 6, shared), f), OverCopies)
 
+    def test_nnm_behind_nnm_reads_the_merged_rows_as_their_stack(self):
+        xs = random_vector_set(np.random.default_rng(16), n=6, d=4)
+        f, shared, merged = 2, {}, 0
+        budget = len(xs) * xs.shape[1] - 1
+        for far in (500.0, -700.0, 0.5, 900.0):
+            candidate = np.vstack([xs, np.full((f, 4), far)])
+            first = in_blocks(nnm, 1, budget, OverCopies(candidate, len(xs), shared), f)
+            merged += isinstance(first, OverCopies) and isinstance(first.rows, list)
+            expected = in_blocks(nnm, 1, budget, in_blocks(nnm, 1, budget, candidate, f), f)
+            assert np.asarray(in_blocks(nnm, 1, budget, first, f)).tobytes() == expected.tobytes()
+        assert merged >= 1
+
     def test_a_list_reaching_the_copies_keeps_the_dense_path(self):
         xs, f, fixed, near = self.search_case()
         shared = {}
