@@ -25,7 +25,13 @@ step`` row times what a ``mnist_optimal`` step does after its clients'
 training, one ``simulator.dsgd_step``: one Optimal_ALittleIsEnough attack by
 ``ByzantineClientGroup.gradient_rows`` on those honest rows against TrMean
 behind NNM, plus the server's update, which adds the search's winning
-aggregate instead of running the pipeline again. Three kernel rows
+aggregate instead of running the pipeline again. The ``stacked`` rows time
+every stage that a cohort's server pass runs once for a group of runs (each
+rule whose ``Rule.most_stacked`` exceeds 1 at that shape) on an (r, 12, 33)
+stack with f = 2, the shape of a ``sample_grid`` step, for r = 1, 4 and 8
+runs (the name's ``@r``); an attack reads the stack's 10 honest rows. SMEA,
+which no benchmark workload runs, has its row at (12, 1,000, 2) among the
+rules. Three kernel rows
 time, at that shape, one ``numerics.pairwise_sq_dists`` call on the n rows
 (the exact distance kernel of MDA and of the orderings' fallback), one
 ``numerics.gram_sq_dists`` call on them (the Gram-form distances and their
@@ -68,20 +74,24 @@ import platform  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
 import traceback  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from robustfl.aggregators import (  # noqa: E402
     AGGREGATOR_NAMES,
+    AGGREGATORS,
     SUBSET_ENUMERATION_LIMIT,
     AggregatorSpec,
     make_aggregator,
 )
 from robustfl.attacks import (  # noqa: E402
     AFFINE_BASES,
+    ATTACKS,
     AttackContext,
     AttackSpec,
     a_little_is_enough,
+    crafted,
     inner_product_manipulation,
     optimize_attack_scale,
 )
@@ -98,6 +108,7 @@ from robustfl.models import (  # noqa: E402
 from robustfl.numerics import gram_sq_dists, pairwise_sq_dists  # noqa: E402
 from robustfl.preaggregators import (  # noqa: E402
     PRE_AGGREGATOR_NAMES,
+    PRE_AGGREGATORS,
     ConfiguredPreAggregator,
     PreAggregatorSpec,
     build_pipeline,
@@ -125,6 +136,9 @@ SAMPLES_PER_CLIENT = 100
 FEDAVG_ROUND = ("fedavg_flip", 10, 5, 2, 5)
 # Runs in each cohort row: one alone, and the 8 runs that share a seed and data split in the blob grids
 COHORTS = (1, 8)
+# (n, d, f) of the stacked rows, a sample_grid step's, and the runs stacked in each
+STACKED_SHAPE = (12, 33, 2)
+STACKED_RUNS = (1, 4, 8)
 # (snapshots, rows) of the evaluation rows, on the MLP: a mnist_rules run's evaluation steps and training rows
 EVALUATION = (13, 6_000)
 # (snapshots in each row, rows) of the accuracy rows, on the linear model: a blob run's test set
@@ -189,6 +203,26 @@ def callables(n: int, f: int):
         yield "pre-aggregator", name, ConfiguredPreAggregator(spec, np.random.default_rng(0))
 
 
+def step_once(runs) -> None:
+    """One ``dsgd_step`` of ``runs`` at learning rate 0.05, raising what ended a run's step."""
+    for error in dsgd_step(runs, 0.05):
+        if error is not None:
+            raise error
+
+
+def stacked_stages(n: int, d: int, f: int):
+    """(name, stage on a stack, whether it reads the honest rows only) for every rule that stacks at (n, d)."""
+    for name, rule in ATTACKS.items():
+        if rule.most_stacked(n - f, d) > 1:
+            yield name, lambda xs, spec=AttackSpec(name): crafted(spec, AttackContext(xs, f, None)), True
+    for name, rule in AGGREGATORS.items():
+        if rule.most_stacked(n, d) > 1:
+            yield name, make_aggregator(AggregatorSpec(name, f=f)), False
+    for name, rule in PRE_AGGREGATORS.items():
+        if rule.most_stacked(n, d) > 1:
+            yield name, ConfiguredPreAggregator(PreAggregatorSpec(name, f=f)), False
+
+
 def seeded_bank(arch, clients: int, seats: int, rng: np.random.Generator) -> HonestClient:
     """A bank of ``clients`` rows of ``SAMPLES_PER_CLIENT`` seeded samples each, plus ``seats``."""
     m = clients * SAMPLES_PER_CLIENT
@@ -218,9 +252,16 @@ def main() -> int:
         print(f"{'attack search':<15} {name:<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")
     group = ByzantineClientGroup(f, AttackSpec("Optimal_ALittleIsEnough"))
     pipeline = build_pipeline(AggregatorSpec("TrMean", f=f), [PreAggregatorSpec("NNM", f=f)])
-    server = ServerState(np.zeros(d), pipeline)
-    ms, calls = median_ms(lambda rows: dsgd_step(server, rows, group, 0.05), attacked.copy())
+    run = SimpleNamespace(server=ServerState(np.zeros(d), pipeline), byz=group, rows=attacked.copy())
+    ms, calls = median_ms(step_once, [run])
     print(f"{'attack step':<15} {'Optimal_ALIE':<17} {n:>3} {d:>6} {f:>2} {ms:>10.3f} {calls:>6}")
+    n, d, f = STACKED_SHAPE
+    for runs in STACKED_RUNS:
+        stack = np.stack([attacked_rows(n, d, f, np.random.default_rng([SEED, k])) for k in range(runs)])
+        for name, stage, honest_only in stacked_stages(n, d, f):
+            ms, calls = median_ms(stage, stack[:, : n - f] if honest_only else stack)
+            print(f"{'stacked':<15} {f'{name}@{runs}':<17} {n:>3} {d:>6} {f:>2} {ms:>10.4f} {calls:>6}")
+    n, d, f = SHAPES[-1]
     for name, fn, xs in (("pairwise_sq_dists", pairwise_sq_dists, attacked),
                          ("gram_sq_dists", gram_sq_dists, attacked),
                          ("ALIE_parts", AFFINE_BASES[a_little_is_enough].parts, honest)):

@@ -1,9 +1,10 @@
 """Robust aggregation rules mapping a set of client vectors to one vector.
 
 Every rule takes an (n, d) matrix with one client update per row and returns a
-length-d vector. ``f`` is the number of faulty rows the rule is asked to
-withstand; each rule raises ``ValueError`` naming the violated inequality when
-(n, f) is infeasible. Ties are always broken toward lower row indices (or the
+length-d vector; a rule that stacks (see ``Rule``) maps an (r, n, d) stack to
+the (r, d) rows each matrix gives alone. ``f`` is the number of faulty rows the
+rule is asked to withstand; each rule raises ``ValueError`` naming the violated
+inequality when (n, f) is infeasible. Ties are always broken toward lower row indices (or the
 lexicographically smallest index subset) so results are reproducible.
 """
 
@@ -18,8 +19,8 @@ from typing import Callable, ClassVar, Mapping
 import numpy as np
 
 from .config import NONNEGATIVE, POSITIVE, Param, at_least
-from .numerics import OverCopies, as_vector_set, check_f, columnwise, slice_means, sorted_slice_means
-from .numerics import stable_head, tiles, trusted_pairwise_sq_dists
+from .numerics import OverCopies, as_vector_set, block_rows, check_f, columnwise, slice_means
+from .numerics import sorted_slice_means, stable_head, tiles, trusted_pairwise_sq_dists
 # The rules pass the matrix they have checked; perfbench's tracer patches the kernels under these names.
 from .numerics import gram_sq_dists as pairwise_sq_dists
 from .numerics import trusted_top_eigenpair as top_eigenpair
@@ -39,9 +40,14 @@ DEFAULT_CLIP_RADIUS = 100.0
 DEFAULT_CLIP_STEPS = 1
 
 
+def as_stack(xs) -> np.ndarray:
+    """A C-contiguous (r, n, d) stack whose matrices were each checked as is, else ``as_vector_set(xs)``."""
+    return xs if isinstance(xs, np.ndarray) and xs.ndim == 3 else as_vector_set(xs)
+
+
 def average(xs) -> np.ndarray:
     """Coordinate-wise mean of all rows."""
-    return as_vector_set(xs).mean(axis=0)
+    return as_stack(xs).mean(axis=-2)
 
 
 def _median_window(n: int, f: int = 0) -> tuple[int, int]:
@@ -53,19 +59,19 @@ def median(xs) -> np.ndarray:
     """Coordinate-wise median (midpoint of the two central values for even n),
     ``np.median(xs, axis=0)`` bit for bit: where the mean of the central
     values is zero, its sign rests on the sort, and ``np.median`` decides it."""
-    xs = as_vector_set(xs)
-    out = sorted_slice_means(xs, *_median_window(len(xs)))
-    zero = np.flatnonzero(out == 0)
-    if zero.size:
-        out[zero] = np.median(xs[:, zero], axis=0)
+    xs = as_stack(xs)
+    out = sorted_slice_means(xs, *_median_window(xs.shape[-2]))
+    zero = np.nonzero(out == 0)
+    if zero[0].size:
+        out[zero] = np.median(np.swapaxes(xs, -1, -2)[zero], axis=-1)
     return out
 
 
 def trmean(xs, f: int) -> np.ndarray:
     """Trimmed mean: drop the f smallest and f largest values per coordinate,
     ``np.sort(xs, axis=0)[f : n - f].mean(axis=0)`` bit for bit."""
-    xs = as_vector_set(xs)
-    n = len(xs)
+    xs = as_stack(xs)
+    n = xs.shape[-2]
     check_f("TrMean", n, f, 2 * f + 1, "n > 2f")
     return sorted_slice_means(xs, f, n - f)
 
@@ -82,18 +88,8 @@ def geometric_median(xs) -> np.ndarray:
     replaced by the best input row whenever one attains a strictly smaller
     summed distance.
 
-    Every iterate is a convex combination v = a @ xs, so the iteration runs on
-    the n coefficients ``a``. The best input row r (the first least sum of the
-    square roots of a ``trusted_pairwise_sq_dists`` row) anchors the n x n matrix
-    G = Y Y^T of the rows centred at it (Y = xs - r, built once in d-space):
-    ||x_i - v||^2 = G_ii - 2 (G a)_i + a.G a, and a step delta in ``a`` has
-    length^2 = delta.G delta. Centred at r, an entry's rounding scales with
-    the two rows' distances to r, so a far-out row cannot swamp the distances
-    among the rest. It would through the raw inner products x_i.x_j, and
-    through the squared distances to that row, whose rounding at the scale
-    of its squared distance is multiplied by its small weight into every
-    other row's distance. v is formed in d-space once, and the choice
-    between v and r compares their summed distances computed directly.
+    The iteration runs on the n coefficients of v = a @ xs, from the n x n
+    products of the rows centred at the best input row (see the README).
     """
     xs = as_vector_set(xs)
     n = len(xs)
@@ -340,7 +336,8 @@ class Rule:
     rule keeps across its calls; the factory gets the generator the rule was
     built with and returns None when it needs one and got none. ``fn`` is
     None for an attack that has no vector form. A sorted-slice rule's
-    ``window`` maps (n, f) to the sorted positions (lo, hi) it averages.
+    ``window`` maps (n, f) to the sorted positions (lo, hi) it averages; it
+    stacks, as does a rule whose ``footprint`` maps (n, d) to its temporaries.
     """
 
     fn: Callable[..., np.ndarray] | None
@@ -348,6 +345,7 @@ class Rule:
     needs_f: bool = False
     carried: Mapping[str, Callable[[np.random.Generator | None], object]] = field(default_factory=dict)
     window: Callable[[int, int], tuple[int, int]] | None = None
+    footprint: Callable[[int, int], int] | None = None
 
     def cast(self, name: str, params: Mapping) -> dict:
         """Config ``params`` checked against the row and read by its ``Param``s.
@@ -372,9 +370,14 @@ class Rule:
             raise ValueError(f"{spec.name} requires a seeded numpy Generator")
         return carried, {**spec.parameters, **({"f": spec.f} if self.needs_f else {}), **carried}
 
+    def most_stacked(self, n: int, d: int) -> int:
+        """How many (n, d) matrices one call takes stacked within ``BLOCK_ELEMENTS``; 1 if it carries or cannot."""
+        footprint = self.footprint or (self.window and np.multiply)
+        return 1 if self.carried or not footprint else block_rows(footprint(n, d))
+
 
 AGGREGATORS: dict[str, Rule] = {
-    "Average": Rule(average),
+    "Average": Rule(average, footprint=np.multiply),
     "Median": Rule(median, window=_median_window),
     "TrMean": Rule(trmean, needs_f=True, window=lambda n, f: (f, n - f)),
     "GeometricMedian": Rule(geometric_median),
@@ -430,11 +433,11 @@ class ConfiguredAggregator:
     its row carries across calls (CenteredClipping's centre)."""
 
     def __init__(self, spec: AggregatorSpec):
-        self.spec = spec
+        self.spec, self.key = spec, repr(spec)  # runs whose stages share a key may stack
         self.carried, self.keywords = AGGREGATORS[spec.name].keywords(spec, None)
 
     def __call__(self, xs) -> np.ndarray:
-        """The rule on an (n, d) matrix; a sorted-slice rule asks an ``OverCopies`` for its slice means."""
+        """The rule on an (n, d) matrix or stack; a sorted-slice rule asks an ``OverCopies`` for its slice means."""
         rule = AGGREGATORS[self.spec.name]
         if rule.window and isinstance(xs, OverCopies):
             return xs.slice_means(*rule.window(len(xs), self.spec.f), functools.partial(rule.fn, **self.keywords))

@@ -1,9 +1,10 @@
 """Gradient-space attacks emitted by an omniscient Byzantine adversary.
 
 Every attack sees the full matrix of honest updates and produces a single
-vector; the simulator submits f identical copies of it. The two optimised
-variants additionally see the server's aggregation pipeline and grid-search
-the factor that displaces the aggregate the most.
+vector; the simulator submits f identical copies of it (a closed-form attack
+maps an (r, m, d) stack to one per matrix). The two optimised variants
+additionally see the server's aggregation pipeline and grid-search the factor
+that displaces the aggregate the most.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .aggregators import Rule, RuleSpec
+from .aggregators import Rule, RuleSpec, as_stack
 from .config import Param, at_least
 from .numerics import OverCopies, as_vector_set, columnwise
 from .preaggregators import Pipeline
@@ -26,7 +27,7 @@ DEFAULT_SCALE_GRID = tuple(0.25 * i for i in range(41))
 
 def sign_flipping(honest) -> np.ndarray:
     """Negated mean of the honest updates."""
-    return -as_vector_set(honest).mean(axis=0)
+    return -as_stack(honest).mean(axis=-2)
 
 
 class AffineBase(NamedTuple):
@@ -38,14 +39,14 @@ class AffineBase(NamedTuple):
 
 
 # A mean is one streaming pass; the std's temporaries stay in cache in column tiles.
-_IPM = AffineBase(lambda honest: (honest.mean(axis=0),), lambda tau, mean: -tau * mean)
-_ALIE = AffineBase(lambda honest: (honest.mean(axis=0), columnwise(lambda tile: tile.std(axis=0), honest)),
+_IPM = AffineBase(lambda honest: (honest.mean(axis=-2),), lambda tau, mean: -tau * mean)
+_ALIE = AffineBase(lambda honest: (honest.mean(axis=-2), columnwise(lambda tile: tile.std(axis=-2), honest)),
                    lambda tau, mean, std: mean - tau * std)
 
 
 def inner_product_manipulation(honest, tau: float = DEFAULT_IPM_SCALE) -> np.ndarray:
     """Mean of the honest updates scaled by -tau."""
-    return _IPM.at(tau, *_IPM.parts(as_vector_set(honest)))
+    return _IPM.at(tau, *_IPM.parts(as_stack(honest)))
 
 
 def a_little_is_enough(honest, tau: float = DEFAULT_ALIE_SCALE) -> np.ndarray:
@@ -54,7 +55,7 @@ def a_little_is_enough(honest, tau: float = DEFAULT_ALIE_SCALE) -> np.ndarray:
     The std is the population one (divide by n), so a single honest client
     yields the mean itself.
     """
-    return _ALIE.at(tau, *_ALIE.parts(as_vector_set(honest)))
+    return _ALIE.at(tau, *_ALIE.parts(as_stack(honest)))
 
 
 # The bases an Optimal_* attack can search over; a new one adds its row here.
@@ -174,9 +175,9 @@ def _optimal(base: Callable[[np.ndarray, float], np.ndarray]) -> Callable[[Attac
 # AttackContext (f and the server pipeline); LabelFlipping acts on client data
 # inside the simulator and has no function here.
 ATTACKS: dict[str, Rule] = {
-    "SignFlipping": Rule(sign_flipping),
-    "InnerProductManipulation": Rule(inner_product_manipulation, {"tau": Param(float)}),
-    "ALittleIsEnough": Rule(a_little_is_enough, {"tau": Param(float)}),
+    "SignFlipping": Rule(sign_flipping, footprint=np.multiply),
+    "InnerProductManipulation": Rule(inner_product_manipulation, {"tau": Param(float)}, footprint=np.multiply),
+    "ALittleIsEnough": Rule(a_little_is_enough, {"tau": Param(float)}, footprint=np.multiply),
     "Optimal_InnerProductManipulation": Rule(_optimal(inner_product_manipulation), needs_f=True),
     "Optimal_ALittleIsEnough": Rule(_optimal(a_little_is_enough), needs_f=True),
     "LabelFlipping": Rule(None),
@@ -192,8 +193,8 @@ class AttackSpec(RuleSpec):
 
 
 def crafted(spec: AttackSpec, ctx: AttackContext) -> np.ndarray | OptimizedAttack:
-    """Single Byzantine vector for a gradient-space attack, or, for an
-    Optimal_* attack, the ``OptimizedAttack`` whose ``vector`` it is.
+    """Single Byzantine vector for a gradient-space attack (one per matrix of a
+    stack), or, for an Optimal_* attack, the ``OptimizedAttack`` whose ``vector`` it is.
 
     The caller tiles the vector f times. LabelFlipping has no gradient-space
     form and is rejected here.

@@ -418,9 +418,9 @@ class _Member:
 def run_cohort(cfg: BenchmarkConfig, keys: list[ExperimentKey], cores: int = 1) -> list[ExperimentResult | Exception]:
     """Execute grid points that share a seed and data split from scratch, in lockstep: the cohort loads its data
     and draws each step's batches once, one bank pass trains every run's client rows at the run's parameters,
-    then each run's attack, pipeline and update run in turn. Returns each run's evaluation series, bit for bit
-    its series alone, or the exception that ended it (the others go on); what the runs share raises for all of
-    them. Attack searches run on ``cores`` cores."""
+    and one server pass (``dsgd_step``, ``fedavg_round``) runs each stage once per group of runs that share it.
+    Returns each run's series, bit for bit its series alone, or the exception that ended it (the others go on);
+    what the runs share raises for all of them. Attack searches run on ``cores`` cores."""
     seed, name, parameter = shared = keys[0].seed, keys[0].distribution_name, keys[0].distribution_parameter
     if any((key.seed, key.distribution_name, key.distribution_parameter) != shared for key in keys):
         raise ValueError(f"a cohort's runs must share (seed, distribution, parameter) {shared}")
@@ -487,8 +487,11 @@ def run_cohort(cfg: BenchmarkConfig, keys: list[ExperimentKey], cores: int = 1) 
         else:
             chosen = np.sort(sampling_rng.choice(n, size=m, replace=False))
             clients.local_delta(arch, flats, lr, fedavg["local_steps_per_client"], chosen, heads)
-        each(lambda i: dsgd_step(live[i].server, live[i].rows, live[i].byz, lr) if fedavg is None
-             else fedavg_round(live[i].server, live[i].rows, live[i].byz), live)
+        runs = list(live.values())
+        for i, error in zip(list(live), dsgd_step(runs, lr) if fedavg is None else fedavg_round(runs)):
+            if error is not None:
+                outcomes[i] = error
+                del live[i]
         if step % cfg.evaluation.evaluation_delta == 0 or step == cfg.nb_steps:
             each(lambda i: record(live[i], step), live)
     del clients, heads  # the bank, and below each run's rows, before the last groups' scores

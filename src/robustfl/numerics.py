@@ -5,7 +5,8 @@ an (n, d) matrix with one row per client. The public kernels validate shape
 and finiteness on entry (``as_vector_set``). The rest trust their arguments:
 the rules call ``trusted_pairwise_sq_dists``, ``gram_sq_dists``,
 ``trusted_top_eigenpair`` and ``sorted_slice_means`` on the matrix they have
-checked, and ``gram_sq_dists_with_copy`` extends a validated block.
+checked, and ``gram_sq_dists_with_copy`` extends a validated block. The last
+three, and ``columnwise``, also take an (r, n, d) stack of such matrices.
 
 Two budgets bound the temporaries. ``BLOCK_ELEMENTS`` (8 MiB) decides whether
 a kernel builds an (n, n, d)- or (n, n - f, d)-sized temporary in one piece.
@@ -24,12 +25,8 @@ row, and reach the pipeline as ``OverCopies``, which carries that shape and
 the dict its inputs share: its ``slice_means`` sorts the fixed rows once
 (``SortedColumns``) and merges each candidate's row in.
 
-Every rule works on n rows with n much smaller than d, so the n x n matrices
-of pairwise distances or of centred inner products carry what a rule needs:
-``top_eigenpair`` solves the n x n problem and maps the answer back to d-space,
-and ``gram_sq_dists`` with ``stable_head`` rank rows by distance from one n x n product.
-Every exact squared distance comes from ``trusted_pairwise_sq_dists``: any rows
-of the exact matrix, with the same bytes whichever path builds them.
+Every exact squared distance comes from ``trusted_pairwise_sq_dists``, with the
+same bytes whichever path builds them; the n x n forms are in the README.
 """
 
 from __future__ import annotations
@@ -94,39 +91,43 @@ def tiles(items: int, item_elements: int) -> list[slice]:
 
 
 def columnwise(fn, xs: np.ndarray) -> np.ndarray:
-    """``fn(xs)`` for a ``fn`` that reduces each column of an (n, d) matrix to
-    one value, run on the column tiles ``xs[:, run]`` of ``tiles(d, n)``.
+    """``fn(xs)`` for a ``fn`` that reduces each column of an (n, d) matrix (or
+    stack) to one value, run on the column tiles ``xs[..., run]`` of ``tiles``.
 
-    A tile is a view, so ``fn`` reducing it along axis 0 sums each column in
+    A tile is a view, so ``fn`` reducing it along axis -2 sums each column in
     the order the whole matrix would; ``fn`` must not mutate it.
     """
-    n, d = xs.shape
-    out = np.empty(d)
-    for run in tiles(d, n):
-        out[run] = fn(xs[:, run])
+    d = xs.shape[-1]
+    if xs.size <= TILE_ELEMENTS:  # one tile: the whole matrix
+        return fn(xs)
+    out = np.empty(xs.shape[:-2] + (d,))
+    for run in tiles(d, xs.size // d):
+        out[..., run] = fn(xs[..., run])
     return out
 
 
 def slice_means(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Per row of a matrix whose rows are sorted, the mean of ``rows[:, lo:hi]``.
+    """Per row of a (W, n) matrix (or stack) whose rows are sorted, the mean of ``rows[..., lo:hi]``.
 
-    The slice goes back into a C-contiguous (hi - lo, W) block summed along
-    axis 0, so each value joins its row's sum in index order (numpy would sum
-    a transposed view, or a lone row, pairwise).
+    The slice goes back into a C-contiguous (hi - lo, W, ...) block summed along
+    axis 0, so each value joins its row's sum in index order (numpy would sum a
+    transposed view pairwise). A lone row (W = 1) is summed pairwise, stacked or not.
     """
-    return rows[:, lo:hi].T.copy().mean(axis=0)
+    if rows.shape[-2] == 1:
+        return rows[..., lo:hi].mean(axis=-1)
+    return rows[..., lo:hi].T.copy().mean(axis=0).T
 
 
 def sorted_slice_means(xs: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Per column of a checked (n, d) matrix, the mean of its sorted values at
+    """Per column of a checked (n, d) matrix (or stack), the mean of its sorted values at
     positions lo to hi - 1: ``np.sort(xs, axis=0)[lo:hi].mean(axis=0)``, bit for bit.
 
     Each column tile is sorted as the rows of its C-contiguous transpose.
     """
 
     def tile_means(tile: np.ndarray) -> np.ndarray:
-        rows = tile.T.copy()
-        rows.sort(axis=1)
+        rows = np.swapaxes(tile, -1, -2).copy()
+        rows.sort(axis=-1)
         return slice_means(rows, lo, hi)
 
     return columnwise(tile_means, xs)
@@ -237,19 +238,19 @@ def pairwise_sq_dists(xs) -> np.ndarray:
 
 
 def trusted_pairwise_sq_dists(xs: np.ndarray, rows=None) -> np.ndarray:
-    """Squared distances from the rows ``rows`` (indices in any order, repeats allowed; None: all n) of an
-    (n, d) float64 matrix the caller has validated to each of its rows: ``pairwise_sq_dists(xs)[rows]``.
+    """Squared distances from the rows ``rows`` (indices in any order, repeats allowed; None: all n) of an (n, d)
+    float64 matrix (or one-block stack) the caller has validated to each of its rows: ``pairwise_sq_dists(xs)[rows]``.
 
     Entries come from explicit row differences, one per-pair reduction each, so they have the same bytes
     whichever rows are asked for: the matrix is exactly symmetric with an exactly zero diagonal. Temporaries
     hold at most ``BLOCK_ELEMENTS`` elements, or O(n^2 + TILE_ELEMENTS + d) past that budget, where up to half
     the rows are measured one by one and more rows come from one mirrored upper triangle (half their work).
     """
-    n, d = xs.shape
+    n, d = xs.shape[-2:]
     count, rows = (n, slice(None)) if rows is None else (len(rows), np.asarray(rows, dtype=np.intp))
-    if count * n * d <= BLOCK_ELEMENTS:
-        diffs = xs[rows][:, None, :] - xs
-        return np.einsum("ijk,ijk->ij", diffs, diffs)
+    if count * xs.size <= BLOCK_ELEMENTS:
+        diffs = xs[..., rows, None, :] - xs[..., None, :, :]
+        return np.einsum("...ijk,...ijk->...ij", diffs, diffs)
     if 2 * count <= n:  # count < n, so rows were given as indices
         return np.array([sq_dists_to(xs[i], xs) for i in rows])
     out = np.zeros((n, n))

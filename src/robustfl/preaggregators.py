@@ -4,7 +4,7 @@ Each transform maps an (n, d) matrix to a new matrix (possibly with fewer
 rows) and never mutates its input. A ``Pipeline`` folds an ordered list of
 transforms and finishes with one aggregation rule. A transform reads a
 ``numerics.OverCopies`` input as the matrix it stands for; NNM uses its shape
-as well, and may return one (see ``nnm``).
+as well, and may return one; it also maps an (r, n, d) stack (see ``nnm``).
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregators import AggregatorSpec, ConfiguredAggregator, Rule, StageSpec, make_aggregator
+from .aggregators import AggregatorSpec, ConfiguredAggregator, Rule, StageSpec, as_stack, make_aggregator
 from .config import POSITIVE, Param, at_least
-from .numerics import OverCopies, as_vector_set, block_rows, check_f, gram_sq_dists_with_copy, sq_dists_at
-from .numerics import stable_head
+from .numerics import OverCopies, as_vector_set, block_rows, check_f
+from .numerics import gram_sq_dists_with_copy, sq_dists_at, stable_head, trusted_pairwise_sq_dists
 # NNM passes the matrix it has checked; perfbench's tracer patches the kernel under this name.
 from .numerics import gram_sq_dists as pairwise_sq_dists
 
@@ -53,9 +53,11 @@ def nnm(xs, f: int) -> np.ndarray | OverCopies:
     distance ties going to lower row indices: neighbours come in the stable
     order of the exact kernel's distances.
 
-    The means come from one (n, n - f, d) gather when it fits in
-    ``numerics.BLOCK_ELEMENTS`` or rows have one coordinate; otherwise each row
-    is summed in place in the gather's order, which gives its bytes but where
+    When the (n, n, d) differences (of a whole (r, n, d) stack, the only input
+    that may be one) fit in ``numerics.BLOCK_ELEMENTS``, the exact distances,
+    their stable argsort and one gather give the means. Otherwise they come from
+    one (n, n - f, d) gather when it fits or rows have one coordinate; otherwise
+    each row is summed in place in the gather's order, which gives its bytes but where
     every neighbour holds -0.0 in a coordinate (the in-place sum keeps -0.0, the
     gather gives +0.0). Extra memory is O(n^2 + n d + BLOCK_ELEMENTS).
 
@@ -66,9 +68,13 @@ def nnm(xs, f: int) -> np.ndarray | OverCopies:
     """
     over = isinstance(xs, OverCopies)
     m, shared = (xs.fixed, xs.shared) if over else (0, {})
-    xs = np.asarray(xs) if over else as_vector_set(xs)
-    n, d = xs.shape
+    xs = np.asarray(xs) if over else as_stack(xs)
+    n, d = xs.shape[-2:]
     check_f("NNM", n, f, f + 1, "n > f")
+    if not over and block_rows(n * d) >= xs.size // d:  # every (n, n, d) difference block at once
+        near = np.argsort(trusted_pairwise_sq_dists(xs), axis=-1, kind="stable")[..., : n - f]
+        near += n * np.arange(xs.size // (n * d)).reshape(xs.shape[:-2] + (1, 1))  # rows of the stack's (r n, d)
+        return xs.reshape(-1, d)[near].mean(axis=-2)
     if over:
         if "gram" not in shared:
             shared["gram"] = (*pairwise_sq_dists(xs[:m]), np.einsum("ij,ij->i", xs[:m], xs[:m]))
@@ -171,7 +177,7 @@ def arc(xs, f: int) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 
 PRE_AGGREGATORS: dict[str, Rule] = {
-    "NNM": Rule(nnm, needs_f=True),
+    "NNM": Rule(nnm, needs_f=True, footprint=lambda n, d: n * n * d),
     "Bucketing": Rule(bucketing, {"s": Param(int, at_least(1))}, carried={"rng": lambda rng: rng}),
     "Clipping": Rule(static_clipping, {"c": Param(float, POSITIVE)}),
     "ARC": Rule(arc, needs_f=True),
@@ -191,11 +197,11 @@ class ConfiguredPreAggregator:
     carries across calls (Bucketing's shuffle stream, which is ``rng``)."""
 
     def __init__(self, spec: PreAggregatorSpec, rng: np.random.Generator | None = None):
-        self.spec = spec
+        self.spec, self.key = spec, repr(spec)  # runs whose stages share a key may stack
         self.carried, self.keywords = PRE_AGGREGATORS[spec.name].keywords(spec, rng)
 
     def __call__(self, xs) -> np.ndarray:
-        """Apply the transform."""
+        """Apply the transform (to each matrix of a stack, for one that stacks)."""
         return PRE_AGGREGATORS[self.spec.name].fn(xs, **self.keywords)
 
 

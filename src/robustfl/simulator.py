@@ -8,8 +8,8 @@ aggregate of the deltas. In both cases the aggregation input stacks honest
 rows first (ordered by client id) followed by f Byzantine rows, in one buffer
 per run whose honest rows (and LabelFlipping's seat rows) the clients fill in
 place, and the attack the rest. No attack or pipeline stage writes to its
-input, which makes that safe. One bank of clients trains every run of a cohort
-(the runs that share a seed and data split) at once, each at its own parameters.
+input, which makes that safe. A cohort (the runs that share a seed and data
+split) trains on one bank of clients and steps its servers in one stacked pass.
 """
 
 from __future__ import annotations
@@ -163,20 +163,14 @@ class ByzantineClientGroup:
         if f > 0 and attack is None:
             raise ValueError("an attack descriptor is required when f > 0")
         self.f = f
-        self.attack = attack
+        self.attack, self.key = attack, repr(attack)  # runs whose attacks share a key may stack
         self.seats = f if f > 0 and attack.name == "LabelFlipping" else 0
         self.cores = cores
 
-    def gradient_rows(self, rows: np.ndarray, pipeline: Pipeline) -> OptimizedAttack | None:
-        """Write the f Byzantine submissions of one DSGD step or federated averaging round as the last f of its
-        (m + f, d) ``rows``, which start with the m honest ones: f copies of the attack vector, or nothing for
-        the seats, whose rows are there already. Returns the ``OptimizedAttack`` behind the copies, else None."""
-        if self.f == self.seats:
-            return None
-        found = crafted(self.attack, AttackContext(rows[: len(rows) - self.f], self.f, pipeline, self.cores))
-        search = found if isinstance(found, OptimizedAttack) else None
-        rows[len(rows) - self.f :] = found.vector if search else found
-        return search
+    def gradient_rows(self, honest: np.ndarray, pipeline: Pipeline) -> np.ndarray | OptimizedAttack:
+        """The vector one step sends f times for its (m, d) ``honest`` rows, or the ``OptimizedAttack`` behind
+        it; a closed-form attack gives one per matrix of an (r, m, d) stack, whatever each run's f."""
+        return crafted(self.attack, AttackContext(honest, self.f, pipeline, self.cores))
 
     delta_rows = gradient_rows  # one name per training algorithm, each timed by perfbench's tracer
 
@@ -200,20 +194,69 @@ def _read_only(flat) -> np.ndarray:
     return view
 
 
-def _aggregate_and_apply(server: ServerState, rows: np.ndarray, search, scale: float) -> None:
-    """Add ``scale`` times the aggregate of ``rows`` to the model: that of ``search``, which ran the pipeline on
-    them, when their attack rows came from one (its pipeline clone, left as the live one would be, goes live)."""
-    if search is None:
-        aggregate = server.pipeline(rows)
-    else:
-        aggregate, server.pipeline = search.aggregate, search.pipeline
-    server.flat = _read_only(server.flat + scale * aggregate)
+def _stacked_calls(calls: dict[int, tuple], errors: list) -> dict[int, object]:
+    """``stage(rows, *extra)`` per run i of ``calls[i]`` = (spec, key, stage, rows, *extra): one call per group of
+    runs whose keys and shapes agree on their (r, n, d) stack, r within ``Rule.most_stacked``, or alone (a group
+    of one, or each run of a stack with NaN or Inf) on rows the stage checks. Fills ``errors`` for calls that raise."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (_, key, _, rows, *_) in calls.items():
+        groups.setdefault((key, rows.shape), []).append(i)
+    queue = []
+    for (_, shape), runs in groups.items():
+        spec = calls[runs[0]][0]
+        most = spec.table[spec.name].most_stacked(*shape) if len(runs) > 1 else 1
+        queue += [runs[k : k + most] for k in range(0, len(runs), most)]
+    out = {}
+    while queue:
+        group = queue.pop()
+        _, _, stage, rows, *extra = calls[group[0]]
+        try:
+            if len(group) == 1:
+                out[group[0]] = stage(rows, *extra)
+                continue
+            stack = np.array([calls[i][3] for i in group])
+            if np.isfinite(stack).all():
+                out.update(zip(group, stage(stack, *extra)))
+            else:
+                queue += [[i] for i in group]
+        except Exception as exc:  # noqa: BLE001 - it ends the step of each run of the call
+            for i in group:
+                errors[i] = exc
+    return out
 
 
-def dsgd_step(server: ServerState, rows: np.ndarray, byz: ByzantineClientGroup, lr: float) -> None:
-    """One synchronous distributed-SGD step at learning rate ``lr`` on its (n + f, d) ``rows``, the n honest
-    momentum gradients first (then the seats'); mutates the server in place."""
-    _aggregate_and_apply(server, rows, byz.gradient_rows(rows, server.pipeline), -lr)
+def _server_pass(runs, scale: float, attack: str) -> list[Exception | None]:
+    """One server step per run of ``runs`` (a ``server``, ``byz`` and (m + f, d) ``rows``, the m honest first): f
+    attack rows from ``byz.<attack>``, each pipeline stage through ``_stacked_calls``, and ``scale`` times the
+    aggregate (a search's, whose pipeline clone goes live) added. Returns per run None or what ended its step."""
+    errors: list[Exception | None] = [None] * len(runs)
+    found = _stacked_calls({i: (run.byz.attack, run.byz.key, getattr(run.byz, attack), run.rows[: -run.byz.f],
+                                run.server.pipeline) for i, run in enumerate(runs) if run.byz.f > run.byz.seats},
+                           errors)
+    aggregates, searches = {}, {}
+    for i, vector in found.items():
+        if isinstance(vector, OptimizedAttack):
+            aggregates[i], searches[i], vector = vector.aggregate, vector.pipeline, vector.vector
+        runs[i].rows[-runs[i].byz.f :] = vector
+    stages = [[*run.server.pipeline.pre_aggregators, run.server.pipeline.aggregator] for run in runs]
+    inputs, depth = {i: run.rows for i, run in enumerate(runs) if errors[i] is None and i not in searches}, 0
+    while inputs:
+        outputs = _stacked_calls({i: (stages[i][depth].spec, stages[i][depth].key, stages[i][depth], x)
+                                  for i, x in inputs.items()}, errors)
+        depth += 1
+        aggregates.update((i, x) for i, x in outputs.items() if depth == len(stages[i]))
+        inputs = {i: x for i, x in outputs.items() if depth < len(stages[i])}
+    flats = np.array([runs[i].server.flat for i in aggregates]) + scale * np.array(list(aggregates.values()))
+    flats.flags.writeable = False  # each run's row of it is its read-only parameter vector
+    for i, flat in zip(aggregates, flats):
+        runs[i].server.flat, runs[i].server.pipeline = flat, searches.get(i, runs[i].server.pipeline)
+    return errors
+
+
+def dsgd_step(runs, lr: float) -> list[Exception | None]:
+    """One synchronous distributed-SGD step at learning rate ``lr`` per run of ``runs`` (see ``_server_pass``),
+    whose rows hold the n honest momentum gradients first (then the seats')."""
+    return _server_pass(runs, -lr, "gradient_rows")
 
 
 def sampled_count(proportion_selected_clients: float, n: int) -> int:
@@ -223,7 +266,7 @@ def sampled_count(proportion_selected_clients: float, n: int) -> int:
     return math.ceil(Decimal(repr(proportion_selected_clients)) * n)
 
 
-def fedavg_round(server: ServerState, rows: np.ndarray, byz: ByzantineClientGroup) -> None:
-    """One federated averaging round on its (m + f, d) ``rows``, the model deltas of the m sampled honest
-    clients first (then the seats'); mutates the server in place by adding the rows' aggregate."""
-    _aggregate_and_apply(server, rows, byz.delta_rows(rows, server.pipeline), 1.0)
+def fedavg_round(runs) -> list[Exception | None]:
+    """One federated averaging round per run of ``runs`` (see ``_server_pass``), whose rows hold the model deltas
+    of the m sampled honest clients first (then the seats')."""
+    return _server_pass(runs, 1.0, "delta_rows")

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import json
@@ -9,6 +10,7 @@ import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from config_fixtures import NON_FINITE_CASES, SAMPLE_CONFIG, tiny_config_text
 from hypothesis import given
 from hypothesis import strategies as st
 
-from robustfl import benchmark
+from robustfl import benchmark, simulator
 from robustfl.aggregators import AggregatorSpec
 from robustfl.attacks import AttackSpec
 from robustfl.benchmark import (
@@ -694,6 +696,7 @@ def replay_evaluating_each_step(cfg, key) -> benchmark.ExperimentResult:
     fedavg = cfg.training_algorithm.parameters if cfg.training_algorithm.name == "FedAvg" else None
     m = n if fedavg is None else sampled_count(fedavg["proportion_selected_clients"], n)
     rows = np.zeros((m + key.f, len(server.flat)))
+    run = SimpleNamespace(server=server, byz=byz, rows=rows)
     subsets = [np.concatenate(partitions)] + (partitions if cfg.evaluation.store_per_client_metrics else [])
     result = benchmark.ExperimentResult(key, [], [], [], [] if cfg.evaluation.store_per_client_metrics else None)
     for step in range(cfg.nb_steps + 1):
@@ -701,10 +704,12 @@ def replay_evaluating_each_step(cfg, key) -> benchmark.ExperimentResult:
             chosen = np.sort(sampling.choice(n, size=m, replace=False))
             clients.local_delta(arch, [server.flat], schedule.lr_at(step - 1), fedavg["local_steps_per_client"],
                                 chosen, [rows[: m + byz.seats]])
-            fedavg_round(server, rows, byz)
+            [error] = fedavg_round([run])
         elif step:
             clients.compute_update(arch, [server.flat], [rows[: n + byz.seats]])
-            dsgd_step(server, rows, byz, schedule.lr_at(step - 1))
+            [error] = dsgd_step([run], schedule.lr_at(step - 1))
+        if step and error is not None:
+            raise error
         if step % cfg.evaluation.evaluation_delta == 0 or step == cfg.nb_steps:
             result.steps.append(step)
             result.test_accuracy.append(evaluate_accuracy(arch, [server.flat], test)[0])
@@ -842,6 +847,43 @@ class TestCohorts:
         assert summary["completed"] == 3 and summary["failures"] == [
             (diverged, "ValueError: matrix contains NaN or Inf")]
         assert written(tmp_path / "grid") == written(tmp_path / "alone")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_a_diverged_member_of_stacked_groups_fails_alone_and_its_group_mates_keep_their_bytes(self, tmp_path):
+        # Average under IPM with tau = 1e300 overflows mid-run. It shares its IPM group with the Median run under
+        # the same attack, its NNM group with every run and its Average group with two: the stack that first
+        # holds its NaN rows goes back to lone calls, and every other run writes the bytes it writes alone.
+        ipm = {"name": "InnerProductManipulation", "parameters": {"tau": 1e300}}
+        tweaks = {"aggregator": [{"name": "Average"}, {"name": "Median"}], "pre_aggregators": [{"name": "NNM"}],
+                  "benchmark_config.nb_steps": 20, "honest_clients.weight_decay": 1e-4,
+                  "attack": [{"name": "SignFlipping"}, ipm, {"name": "ALittleIsEnough"}]}
+        cfg = parse_config(tiny_config_text(tmp_path / "alone", **tweaks))
+        keys = expand_grid(cfg)
+        diverged = keys[1].run_id
+        assert "Average" in diverged and "InnerProductManipulation" in diverged
+        for key in keys[:1] + keys[2:]:
+            write_result(tmp_path / "alone", run_single(cfg, key))
+        with pytest.raises(ValueError, match="matrix contains NaN or Inf"):
+            run_single(cfg, keys[1])
+        groups = collections.Counter()
+        stage = simulator._stacked_calls
+
+        def recording(calls, errors):
+            groups.update(f"{call[1]} {call[3].shape}" for call in calls.values())
+            return stage(calls, errors)
+
+        cfg = parse_config(tiny_config_text(tmp_path / "grid", **tweaks))
+        assert [len(cohort) for cohort in benchmark._cohorts(cfg, keys, 1)] == [6]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "_stacked_calls", recording)
+            summary = run_benchmark(cfg)
+        assert summary["completed"] == 5 and summary["failures"] == [
+            (diverged, "ValueError: matrix contains NaN or Inf")]
+        assert written(tmp_path / "grid") == written(tmp_path / "alone")
+        # NNM's one group took every live run, the diverged one's rows too until they failed, and so did IPM's.
+        assert max(groups.values()) > 5 * cfg.nb_steps
+        assert any("InnerProductManipulation" in key and count > cfg.nb_steps for key, count in groups.items())
 
     def test_a_run_that_cannot_be_written_fails_alone(self, tmp_path, monkeypatch):
         cfg = parse_config(tiny_config_text(tmp_path, **COHORT_GRID))

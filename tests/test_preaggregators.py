@@ -621,13 +621,14 @@ class TestPipeline:
             np.testing.assert_array_equal(pipeline(x3), twin(x3))
 
     def test_fixed_distances_reach_only_the_first_stage(self, x3, monkeypatch):
+        # A small dense input is measured by the exact kernel, a search's fixed rows by the Gram one.
         computed = []
 
-        def counting(xs):
-            computed.append(xs.copy())
-            return numerics.gram_sq_dists(xs)
+        def counting(kernel):
+            return lambda xs: computed.append(xs.copy()) or kernel(xs)
 
-        monkeypatch.setattr(preaggregators, "pairwise_sq_dists", counting)
+        monkeypatch.setattr(preaggregators, "pairwise_sq_dists", counting(numerics.gram_sq_dists))
+        monkeypatch.setattr(preaggregators, "trusted_pairwise_sq_dists", counting(numerics.trusted_pairwise_sq_dists))
         pipeline = build_pipeline(AggregatorSpec("Average"), [PreAggregatorSpec("NNM", f=1)] * 2)
         xs = np.vstack([x3, [[0.0, 1.0, 2.0]]])
         expected = pipeline(xs)

@@ -38,7 +38,8 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
     assert bench.main() == 0
     assert time.process_time() - start < 2.0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
-    rules = [row for row in rows if row[0] not in ("attack", "kernel", "model", "round", "cohort", "evaluation")]
+    rules = [row for row in rows
+             if row[0] not in ("attack", "kernel", "model", "round", "cohort", "evaluation", "stacked")]
     names = list(AGGREGATOR_NAMES) + list(PRE_AGGREGATOR_NAMES)
     assert [row[1] for row in rules if row[2] == "5"] == names
     assert [row[1] for row in rules if row[2] == "7"] == names
@@ -52,6 +53,11 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
     steps = [row for row in rows if row[:2] == ["attack", "step"]]
     assert [row[2:6] for row in steps] == [["Optimal_ALIE", "7", "12", "2"]]
     assert float(steps[0][6]) > 0
+    stacked = [row for row in rows if row[0] == "stacked"]
+    stages = ["SignFlipping", "InnerProductManipulation", "ALittleIsEnough", "Average", "Median", "TrMean", "NNM"]
+    assert [row[1:5] for row in stacked] == [[f"{stage}@{runs}", "12", "33", "2"]
+                                             for runs in (1, 4, 8) for stage in stages]
+    assert all(float(row[5]) > 0 for row in stacked)
     kernels = [row for row in rows if row[0] == "kernel"]
     assert [row[1:5] for row in kernels] == [
         ["pairwise_sq_dists", "7", "12", "2"], ["gram_sq_dists", "7", "12", "2"], ["ALIE_parts", "7", "12", "2"]

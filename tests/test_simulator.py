@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from config_fixtures import tiny_config_text
 from robustfl import numerics, simulator
-from robustfl.aggregators import AggregatorSpec
+from robustfl.aggregators import AggregatorSpec, ConfiguredAggregator
 from robustfl.attacks import DEFAULT_SCALE_GRID, AttackSpec, OptimizedAttack, sign_flipping
 from robustfl.benchmark import ARCHS, DATASETS, expand_grid, parse_config, run_cohort, run_single
 from robustfl.datadist import LabeledDataset, make_partition
@@ -79,12 +79,22 @@ class Run:
         self.head = self.rows[: m + byz.seats]
 
 
+@dataclass
+class ServerSide:
+    """What the server pass reads of a run: its server, Byzantine group and (m + f, d) step rows."""
+
+    server: ServerState
+    byz: ByzantineClientGroup
+    rows: np.ndarray
+
+
 def step(clients, arch, runs, sampling=None, proportion=1.0, local_steps=1, lr=0.1):
     """One step of ``runs`` of model ``arch`` on their shared bank at learning
     rate ``lr``, as ``run_cohort`` takes it: one bank pass trains every run's
-    head at its parameters, then each run's attack, pipeline and update run in
-    turn. A DSGD step, or with a ``sampling`` Generator a federated averaging
-    round; returns the runs' rows."""
+    head at its parameters, then one server pass takes every run's attack,
+    pipeline and update. A DSGD step, or with a ``sampling`` Generator a
+    federated averaging round; returns the runs' rows, or raises the first
+    error that ended a run's step."""
     flats, heads = [run.server.flat for run in runs], [run.head for run in runs]
     if sampling is None:
         clients.compute_update(arch, flats, heads)
@@ -92,11 +102,9 @@ def step(clients, arch, runs, sampling=None, proportion=1.0, local_steps=1, lr=0
         n = len(clients)
         chosen = np.sort(sampling.choice(n, size=sampled_count(proportion, n), replace=False))
         clients.local_delta(arch, flats, lr, local_steps, chosen, heads)
-    for run in runs:
-        if sampling is None:
-            dsgd_step(run.server, run.rows, run.byz, lr)
-        else:
-            fedavg_round(run.server, run.rows, run.byz)
+    for error in dsgd_step(runs, lr) if sampling is None else fedavg_round(runs):
+        if error is not None:
+            raise error
     return [run.rows for run in runs]
 
 
@@ -505,40 +513,51 @@ class TestByzantineClientGroup:
         assert ByzantineClientGroup(0, AttackSpec("LabelFlipping")).seats == 0
         assert ByzantineClientGroup(2, AttackSpec("SignFlipping")).seats == 0
 
-    def test_no_adversary_emits_nothing(self, x3):
-        group = ByzantineClientGroup(0, None)
-        pipeline = build_pipeline(AggregatorSpec("Average"))
-        rows = x3.copy()
-        assert group.gradient_rows(rows, pipeline) is None
-        assert rows.tobytes() == x3.tobytes()
+    def test_no_adversary_emits_nothing(self, x3, monkeypatch):
+        # With f = 0 the pass crafts nothing and writes no row.
+        self.assert_no_attack_is_called(x3, monkeypatch, ByzantineClientGroup(0, None))
+
+    def test_seats_call_no_attack(self, x3, monkeypatch):
+        # f seats' rows are the bank's: the pass crafts nothing and writes no row.
+        self.assert_no_attack_is_called(x3, monkeypatch, ByzantineClientGroup(1, AttackSpec("LabelFlipping")))
+
+    @staticmethod
+    def assert_no_attack_is_called(x3, monkeypatch, group):
+        monkeypatch.setattr(ByzantineClientGroup, "gradient_rows", lambda *args: pytest.fail("an attack was called"))
+        run = ServerSide(make_server(np.zeros(3), f=group.f), group, x3.copy())
+        assert dsgd_step([run], 0.1) == [None]
+        assert run.rows.tobytes() == x3.tobytes()
+        np.testing.assert_array_equal(run.server.flat, -0.1 * x3.mean(axis=0))
 
     def test_gradient_rows_tile_the_attack_vector(self, x3):
         # f copies of the vector are written as the last rows, and the honest rows keep their bytes.
         group = ByzantineClientGroup(3, AttackSpec("SignFlipping"))
-        pipeline = build_pipeline(AggregatorSpec("Average"))
-        rows = np.vstack([x3, np.full((3, 3), np.nan)])  # the attack reads x3 alone
-        assert group.gradient_rows(rows, pipeline) is None
-        assert rows[:3].tobytes() == x3.tobytes()
-        assert rows[3:].tobytes() == np.tile(sign_flipping(x3), (3, 1)).tobytes()
+        run = ServerSide(make_server(np.zeros(3), f=3), group, np.vstack([x3, np.full((3, 3), np.nan)]))
+        assert group.gradient_rows(x3, run.server.pipeline).tobytes() == sign_flipping(x3).tobytes()
+        assert dsgd_step([run], 0.1) == [None]  # the attack reads x3 alone
+        assert run.rows[:3].tobytes() == x3.tobytes()
+        assert run.rows[3:].tobytes() == np.tile(sign_flipping(x3), (3, 1)).tobytes()
 
     def test_label_flip_rows_are_the_bank_seat_rows(self):
-        # The seats' rows are already the step's last f: neither name writes a byte of the step's rows.
+        # The seats' rows are already the step's last f: neither pass writes a byte of the step's rows.
         ds = toy_dataset(m=6)
         arch = LinearArch(3, 2)
         flat = np.zeros(param_count(arch))
         clients = full_batch_bank(ds, [np.arange(6)], seats=2)
         group = ByzantineClientGroup(2, AttackSpec("LabelFlipping"))
         ref_flips = loop_clients(ds, [np.arange(6)] * 2, 6, flip=True, stream="byz")
-        step_rows = momentum_rows(clients, arch, flat, seats=2)
-        trained = step_rows.copy()
-        assert group.gradient_rows(step_rows, None) is None
-        assert step_rows.tobytes() == trained.tobytes()
-        np.testing.assert_array_equal(step_rows[1:], np.stack([c.compute_update(arch, flat) for c in ref_flips]))
-        clients.local_delta(arch, [flat], 0.1, 2, [0], [step_rows])
-        trained = step_rows.copy()
-        assert group.delta_rows(step_rows, None) is None
-        assert step_rows.tobytes() == trained.tobytes()
-        np.testing.assert_array_equal(step_rows[1:], np.stack([c.local_delta(arch, flat, 0.1, 2) for c in ref_flips]))
+        run = ServerSide(make_server(flat, f=2), group, momentum_rows(clients, arch, flat, seats=2))
+        trained = run.rows.copy()
+        assert dsgd_step([run], 0.1) == [None]
+        assert run.rows.tobytes() == trained.tobytes()
+        np.testing.assert_array_equal(run.rows[1:], np.stack([c.compute_update(arch, flat) for c in ref_flips]))
+        clients.local_delta(arch, [flat], 0.1, 2, [0], [run.rows])
+        trained = run.rows.copy()
+        assert fedavg_round([run]) == [None]
+        assert run.rows.tobytes() == trained.tobytes()
+        np.testing.assert_array_equal(run.rows[1:], np.stack([c.local_delta(arch, flat, 0.1, 2) for c in ref_flips]))
+        with pytest.raises(ValueError, match="acts on client data"):
+            group.delta_rows(run.rows[:1], run.server.pipeline)
 
 
 class TestDsgdStep:
@@ -594,8 +613,8 @@ class TestDsgdStep:
         np.testing.assert_array_equal(one_step(0), one_step(2))
 
     def test_step_rows_are_the_momentum_rows_over_the_attack_rows(self, monkeypatch):
-        # No copy of the honest rows: the pipeline reads the run's momentum
-        # rows in place, with the attack rows written below them.
+        # No copy of the honest rows: a lone run's first stage reads its
+        # momentum rows in place, with the attack rows written below them.
         ds = toy_dataset(m=8)
         arch = LinearArch(3, 2)
         clients = bank(ds, [np.arange(4), np.arange(4, 8)], 4, 0.9, 0.0, seed=6)
@@ -603,12 +622,12 @@ class TestDsgdStep:
                   ByzantineClientGroup(1, AttackSpec("SignFlipping")), clients)
         given = []
 
-        def recording(pipeline, rows):
+        def recording(stage, rows):
             given.append(rows.copy())
             assert rows is run.rows
             return np.zeros(rows.shape[1])
 
-        monkeypatch.setattr(Pipeline, "__call__", recording)
+        monkeypatch.setattr(ConfiguredAggregator, "__call__", recording)
         for _ in range(2):
             step(clients, arch, [run])
         np.testing.assert_array_equal(given[1][:2], run.head)
@@ -716,13 +735,15 @@ class TestSearchReuse:
         cfg = parse_config(tiny_config_text(tmp_path / "results", **tweaks))
         key = expand_grid(cfg)[0]
         calls = []
-        call = Pipeline.__call__
-        monkeypatch.setattr(Pipeline, "__call__", lambda self, xs: calls.append(1) or call(self, xs))
+        call = ConfiguredAggregator.__call__
+        monkeypatch.setattr(ConfiguredAggregator, "__call__", lambda self, xs: calls.append(1) or call(self, xs))
         reused = run_single(cfg, key)
         assert len(calls) == 3 * len(DEFAULT_SCALE_GRID)
-        apply = simulator._aggregate_and_apply
-        monkeypatch.setattr(simulator, "_aggregate_and_apply",
-                            lambda server, rows, search, scale: apply(server, rows, None, scale))
+        # Without the reuse, the attack hands over the search's vector alone and the live pipeline runs again.
+        craft = ByzantineClientGroup.gradient_rows
+        for name in ("gradient_rows", "delta_rows"):
+            monkeypatch.setattr(ByzantineClientGroup, name, lambda self, honest, pipeline:
+                                craft(self, honest, pipeline).vector)
         calls.clear()
         again = run_single(cfg, key)
         assert len(calls) == 3 * (len(DEFAULT_SCALE_GRID) + 1)
@@ -730,15 +751,19 @@ class TestSearchReuse:
             again.test_accuracy, again.train_loss, again.client_losses)
 
     def test_only_a_search_is_reused(self, x3):
-        # Only an Optimal_* attack returns its search, whose vector it wrote below the honest rows.
-        pipeline = build_pipeline(AggregatorSpec("Average"))
-        rows = x3.copy()
-        search = ByzantineClientGroup(1, AttackSpec("Optimal_ALittleIsEnough")).gradient_rows(rows, pipeline)
+        # Only an Optimal_* attack returns its search: the pass writes its vector below the honest rows, adds
+        # its aggregate and installs its pipeline clone.
+        group = ByzantineClientGroup(1, AttackSpec("Optimal_ALittleIsEnough"))
+        run = ServerSide(make_server(np.zeros(3), f=1), group, x3.copy())
+        live = run.server.pipeline
+        search = group.gradient_rows(x3[:2], live)
         assert isinstance(search, OptimizedAttack)
-        assert rows[:2].tobytes() == x3[:2].tobytes() and rows[2:].tobytes() == search.vector[None].tobytes()
-        for other in (ByzantineClientGroup(1, AttackSpec("ALittleIsEnough")), ByzantineClientGroup(0, None),
-                      ByzantineClientGroup(1, AttackSpec("LabelFlipping"))):
-            assert other.gradient_rows(x3.copy(), pipeline) is None
+        assert dsgd_step([run], 1.0) == [None]
+        assert run.rows[:2].tobytes() == x3[:2].tobytes() and run.rows[2:].tobytes() == search.vector[None].tobytes()
+        assert run.server.pipeline is not live
+        np.testing.assert_array_equal(run.server.flat, -search.aggregate)
+        vector = ByzantineClientGroup(1, AttackSpec("ALittleIsEnough")).gradient_rows(x3[:2], live)
+        assert type(vector) is np.ndarray and vector.shape == (3,)
 
 
 class TestReadOnlyParameters:
