@@ -258,8 +258,9 @@ def main() -> int:
     n, d, f = STACKED_SHAPE
     for runs in STACKED_RUNS:
         stack = np.stack([attacked_rows(n, d, f, np.random.default_rng([SEED, k])) for k in range(runs)])
+        honest_stack = np.ascontiguousarray(stack[:, : n - f])  # as the server pass stacks rows
         for name, stage, honest_only in stacked_stages(n, d, f):
-            ms, calls = median_ms(stage, stack[:, : n - f] if honest_only else stack)
+            ms, calls = median_ms(stage, honest_stack if honest_only else stack)
             print(f"{'stacked':<15} {f'{name}@{runs}':<17} {n:>3} {d:>6} {f:>2} {ms:>10.4f} {calls:>6}")
     n, d, f = SHAPES[-1]
     for name, fn, xs in (("pairwise_sq_dists", pairwise_sq_dists, attacked),

@@ -41,8 +41,14 @@ DEFAULT_CLIP_STEPS = 1
 
 
 def as_stack(xs) -> np.ndarray:
-    """A C-contiguous (r, n, d) stack whose matrices were each checked as is, else ``as_vector_set(xs)``."""
-    return xs if isinstance(xs, np.ndarray) and xs.ndim == 3 else as_vector_set(xs)
+    """``as_vector_set(xs)``, or a 3-D array as is: a C-contiguous finite float64 (r, n, d) stack, r, n, d >= 1."""
+    if not (isinstance(xs, np.ndarray) and xs.ndim == 3):
+        return as_vector_set(xs)
+    if xs.dtype != np.float64 or not xs.flags.c_contiguous or 0 in xs.shape:
+        raise ValueError(f"expected a C-contiguous float64 (r, n, d) stack with r, n, d >= 1, got {xs.dtype}{xs.shape}")
+    if not np.isfinite(xs).all():
+        raise ValueError("matrix contains NaN or Inf")
+    return xs
 
 
 def average(xs) -> np.ndarray:
@@ -88,8 +94,18 @@ def geometric_median(xs) -> np.ndarray:
     replaced by the best input row whenever one attains a strictly smaller
     summed distance.
 
-    The iteration runs on the n coefficients of v = a @ xs, from the n x n
-    products of the rows centred at the best input row (see the README).
+    Every iterate is a convex combination v = a @ xs, so the iteration runs on
+    the n coefficients ``a``. The best input row r (the first least sum of the
+    square roots of a ``trusted_pairwise_sq_dists`` row) anchors the n x n matrix
+    G = Y Y^T of the rows centred at it (Y = xs - r, built once in d-space):
+    ||x_i - v||^2 = G_ii - 2 (G a)_i + a.G a, and a step delta in ``a`` has
+    length^2 = delta.G delta. Centred at r, an entry's rounding scales with
+    the two rows' distances to r, so a far-out row cannot swamp the distances
+    among the rest. It would through the raw inner products x_i.x_j, and
+    through the squared distances to that row, whose rounding at the scale
+    of its squared distance is multiplied by its small weight into every
+    other row's distance. v is formed in d-space once, and the choice
+    between v and r compares their summed distances computed directly.
     """
     xs = as_vector_set(xs)
     n = len(xs)
@@ -404,6 +420,11 @@ class RuleSpec:
     table: ClassVar[dict[str, Rule]]
     family: ClassVar[str]
 
+    @functools.cached_property
+    def key(self) -> str:
+        """The spec's ``repr``, made once: runs whose stages have equal keys may share one stacked call."""
+        return repr(self)
+
     def __post_init__(self) -> None:
         if self.name not in self.table:
             raise ValueError(f"unknown {self.family} {self.name!r}; valid {self.family}s: {', '.join(self.table)}")
@@ -433,7 +454,7 @@ class ConfiguredAggregator:
     its row carries across calls (CenteredClipping's centre)."""
 
     def __init__(self, spec: AggregatorSpec):
-        self.spec, self.key = spec, repr(spec)  # runs whose stages share a key may stack
+        self.spec = spec
         self.carried, self.keywords = AGGREGATORS[spec.name].keywords(spec, None)
 
     def __call__(self, xs) -> np.ndarray:

@@ -5,8 +5,9 @@ an (n, d) matrix with one row per client. The public kernels validate shape
 and finiteness on entry (``as_vector_set``). The rest trust their arguments:
 the rules call ``trusted_pairwise_sq_dists``, ``gram_sq_dists``,
 ``trusted_top_eigenpair`` and ``sorted_slice_means`` on the matrix they have
-checked, and ``gram_sq_dists_with_copy`` extends a validated block. The last
-three, and ``columnwise``, also take an (r, n, d) stack of such matrices.
+checked, and ``gram_sq_dists_with_copy`` extends a validated block.
+``sorted_slice_means``, ``columnwise`` and, within one block,
+``trusted_pairwise_sq_dists`` also take an (r, n, d) stack of such matrices.
 
 Two budgets bound the temporaries. ``BLOCK_ELEMENTS`` (8 MiB) decides whether
 a kernel builds an (n, n, d)- or (n, n - f, d)-sized temporary in one piece.
@@ -25,8 +26,12 @@ row, and reach the pipeline as ``OverCopies``, which carries that shape and
 the dict its inputs share: its ``slice_means`` sorts the fixed rows once
 (``SortedColumns``) and merges each candidate's row in.
 
-Every exact squared distance comes from ``trusted_pairwise_sq_dists``, with the
-same bytes whichever path builds them; the n x n forms are in the README.
+Every rule works on n rows with n much smaller than d, so the n x n matrices
+of pairwise distances or of centred inner products carry what a rule needs:
+``top_eigenpair`` solves the n x n problem and maps the answer back to d-space,
+and ``gram_sq_dists`` with ``stable_head`` rank rows by distance from one n x n product.
+Every exact squared distance comes from ``trusted_pairwise_sq_dists``: any rows
+of the exact matrix, with the same bytes whichever path builds them.
 """
 
 from __future__ import annotations

@@ -51,30 +51,29 @@ def _spelled_out(heads: np.ndarray, m: int, copies: int, need: int) -> np.ndarra
 def nnm(xs, f: int) -> np.ndarray | OverCopies:
     """Replace each row by the mean of its n - f nearest rows (itself included),
     distance ties going to lower row indices: neighbours come in the stable
-    order of the exact kernel's distances.
+    order of the exact kernel's distances. An (r, n, d) stack gives each of its
+    matrices' outputs, one matrix at a time when its (n, n, d) differences pass
+    ``numerics.BLOCK_ELEMENTS``.
 
-    When the (n, n, d) differences (of a whole (r, n, d) stack, the only input
-    that may be one) fit in ``numerics.BLOCK_ELEMENTS``, the exact distances,
-    their stable argsort and one gather give the means. Otherwise they come from
-    one (n, n - f, d) gather when it fits or rows have one coordinate; otherwise
-    each row is summed in place in the gather's order, which gives its bytes but where
+    The means come from one (n, n - f, d) gather when it fits in
+    ``numerics.BLOCK_ELEMENTS`` or rows have one coordinate; otherwise each row
+    is summed in place in the gather's order, which gives its bytes but where
     every neighbour holds -0.0 in a coordinate (the in-place sum keeps -0.0, the
     gather gives +0.0). Extra memory is O(n^2 + n d + BLOCK_ELEMENTS).
 
     An ``OverCopies`` input is not checked again and gives the output of its
-    stacked rows; its ``shared`` dict keeps what the fixed rows alone decide. On
-    the in-place path, when every fixed row's list stays inside the fixed rows,
-    the output is an ``OverCopies`` too.
+    stacked rows; its ``shared`` dict keeps what the fixed rows alone decide,
+    and its neighbours are ranked from the Gram form. On the in-place path,
+    when every fixed row's list stays inside the fixed rows, the output is an
+    ``OverCopies`` too.
     """
     over = isinstance(xs, OverCopies)
     m, shared = (xs.fixed, xs.shared) if over else (0, {})
     xs = np.asarray(xs) if over else as_stack(xs)
     n, d = xs.shape[-2:]
     check_f("NNM", n, f, f + 1, "n > f")
-    if not over and block_rows(n * d) >= xs.size // d:  # every (n, n, d) difference block at once
-        near = np.argsort(trusted_pairwise_sq_dists(xs), axis=-1, kind="stable")[..., : n - f]
-        near += n * np.arange(xs.size // (n * d)).reshape(xs.shape[:-2] + (1, 1))  # rows of the stack's (r n, d)
-        return xs.reshape(-1, d)[near].mean(axis=-2)
+    if xs.ndim == 3 and block_rows(n * d) < xs.size // d:
+        return np.array([nnm(x, f) for x in xs])
     if over:
         if "gram" not in shared:
             shared["gram"] = (*pairwise_sq_dists(xs[:m]), np.einsum("ij,ij->i", xs[:m], xs[:m]))
@@ -82,10 +81,11 @@ def nnm(xs, f: int) -> np.ndarray | OverCopies:
         heads = stable_head(*gram_sq_dists_with_copy(shared["gram"], xs[:m], xs[m]), exact, min(m + 1, n - f))
         neighbours = _spelled_out(heads, m, n - m, n - f)
     else:
-        neighbours = stable_head(*pairwise_sq_dists(xs), functools.partial(sq_dists_at, xs), n - f)
+        neighbours = np.argsort(trusted_pairwise_sq_dists(xs), axis=-1, kind="stable")[..., : n - f]
     # numpy reduces a gather of one-coordinate rows pairwise, not in order.
-    if d == 1 or block_rows((n - f) * d) >= n:
-        return xs[neighbours].mean(axis=1)
+    if d == 1 or block_rows((n - f) * d) >= xs.size // d:
+        neighbours = neighbours + n * np.arange(xs.size // (n * d)).reshape(xs.shape[:-2] + (1, 1))  # of all r n rows
+        return xs.reshape(-1, d)[neighbours].mean(axis=-2)
     means = shared.setdefault("means", {})
 
     def fixed_mean(near: np.ndarray) -> np.ndarray:
@@ -197,7 +197,7 @@ class ConfiguredPreAggregator:
     carries across calls (Bucketing's shuffle stream, which is ``rng``)."""
 
     def __init__(self, spec: PreAggregatorSpec, rng: np.random.Generator | None = None):
-        self.spec, self.key = spec, repr(spec)  # runs whose stages share a key may stack
+        self.spec = spec
         self.carried, self.keywords = PRE_AGGREGATORS[spec.name].keywords(spec, rng)
 
     def __call__(self, xs) -> np.ndarray:

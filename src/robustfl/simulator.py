@@ -163,7 +163,7 @@ class ByzantineClientGroup:
         if f > 0 and attack is None:
             raise ValueError("an attack descriptor is required when f > 0")
         self.f = f
-        self.attack, self.key = attack, repr(attack)  # runs whose attacks share a key may stack
+        self.attack = attack
         self.seats = f if f > 0 and attack.name == "LabelFlipping" else 0
         self.cores = cores
 
@@ -195,33 +195,32 @@ def _read_only(flat) -> np.ndarray:
 
 
 def _stacked_calls(calls: dict[int, tuple], errors: list) -> dict[int, object]:
-    """``stage(rows, *extra)`` per run i of ``calls[i]`` = (spec, key, stage, rows, *extra): one call per group of
-    runs whose keys and shapes agree on their (r, n, d) stack, r within ``Rule.most_stacked``, or alone (a group
-    of one, or each run of a stack with NaN or Inf) on rows the stage checks. Fills ``errors`` for calls that raise."""
+    """``stage(rows, *extra)`` per run i of ``calls[i]`` = (spec, stage, rows, *extra): one call per group of
+    runs whose spec keys and row shapes agree, on their rows stacked as a C-contiguous (r, n, d) array,
+    r within ``Rule.most_stacked``. A group of one, and each run of a stacked call that raises, calls alone on
+    its own rows; ``errors`` gets what a lone call raises."""
     groups: dict[tuple, list[int]] = {}
-    for i, (_, key, _, rows, *_) in calls.items():
-        groups.setdefault((key, rows.shape), []).append(i)
+    for i, (spec, _, rows, *_) in calls.items():
+        groups.setdefault((spec.key, rows.shape), []).append(i)
     queue = []
-    for (_, shape), runs in groups.items():
-        spec = calls[runs[0]][0]
-        most = spec.table[spec.name].most_stacked(*shape) if len(runs) > 1 else 1
+    for runs in groups.values():
+        spec, _, rows, *_ = calls[runs[0]]
+        most = spec.table[spec.name].most_stacked(*rows.shape) if len(runs) > 1 else 1
         queue += [runs[k : k + most] for k in range(0, len(runs), most)]
     out = {}
     while queue:
         group = queue.pop()
-        _, _, stage, rows, *extra = calls[group[0]]
+        _, stage, rows, *extra = calls[group[0]]
         try:
             if len(group) == 1:
                 out[group[0]] = stage(rows, *extra)
-                continue
-            stack = np.array([calls[i][3] for i in group])
-            if np.isfinite(stack).all():
-                out.update(zip(group, stage(stack, *extra)))
             else:
+                out.update(zip(group, stage(np.array([calls[i][2] for i in group]), *extra)))
+        except Exception as exc:  # noqa: BLE001 - it ends the step of the run it was called for
+            if len(group) == 1:
+                errors[group[0]] = exc
+            else:  # the stack's check names no run: each goes alone, and the one at fault raises
                 queue += [[i] for i in group]
-        except Exception as exc:  # noqa: BLE001 - it ends the step of each run of the call
-            for i in group:
-                errors[i] = exc
     return out
 
 
@@ -230,9 +229,8 @@ def _server_pass(runs, scale: float, attack: str) -> list[Exception | None]:
     attack rows from ``byz.<attack>``, each pipeline stage through ``_stacked_calls``, and ``scale`` times the
     aggregate (a search's, whose pipeline clone goes live) added. Returns per run None or what ended its step."""
     errors: list[Exception | None] = [None] * len(runs)
-    found = _stacked_calls({i: (run.byz.attack, run.byz.key, getattr(run.byz, attack), run.rows[: -run.byz.f],
-                                run.server.pipeline) for i, run in enumerate(runs) if run.byz.f > run.byz.seats},
-                           errors)
+    found = _stacked_calls({i: (run.byz.attack, getattr(run.byz, attack), run.rows[: -run.byz.f], run.server.pipeline)
+                            for i, run in enumerate(runs) if run.byz.f > run.byz.seats}, errors)
     aggregates, searches = {}, {}
     for i, vector in found.items():
         if isinstance(vector, OptimizedAttack):
@@ -241,8 +239,7 @@ def _server_pass(runs, scale: float, attack: str) -> list[Exception | None]:
     stages = [[*run.server.pipeline.pre_aggregators, run.server.pipeline.aggregator] for run in runs]
     inputs, depth = {i: run.rows for i, run in enumerate(runs) if errors[i] is None and i not in searches}, 0
     while inputs:
-        outputs = _stacked_calls({i: (stages[i][depth].spec, stages[i][depth].key, stages[i][depth], x)
-                                  for i, x in inputs.items()}, errors)
+        outputs = _stacked_calls({i: (stages[i][depth].spec, stages[i][depth], x) for i, x in inputs.items()}, errors)
         depth += 1
         aggregates.update((i, x) for i, x in outputs.items() if depth == len(stages[i]))
         inputs = {i: x for i, x in outputs.items() if depth < len(stages[i])}

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from robustfl import aggregators, numerics
+from robustfl import aggregators, numerics, preaggregators
 
 finite_elements = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 # Few distinct values, so rows repeat and distances tie.
@@ -81,6 +81,7 @@ def exact_rows(monkeypatch) -> list:
 
     monkeypatch.setattr(numerics, "trusted_pairwise_sq_dists", recorded)
     monkeypatch.setattr(aggregators, "trusted_pairwise_sq_dists", recorded)
+    monkeypatch.setattr(preaggregators, "trusted_pairwise_sq_dists", recorded)
     return calls
 
 

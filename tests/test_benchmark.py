@@ -870,7 +870,7 @@ class TestCohorts:
         stage = simulator._stacked_calls
 
         def recording(calls, errors):
-            groups.update(f"{call[1]} {call[3].shape}" for call in calls.values())
+            groups.update(f"{call[0]!r} {call[2].shape}" for call in calls.values())
             return stage(calls, errors)
 
         cfg = parse_config(tiny_config_text(tmp_path / "grid", **tweaks))

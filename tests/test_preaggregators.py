@@ -265,9 +265,9 @@ def nnm_on_exact_order(xs, f, budget):
 
 
 def assert_gram_order_keeps_the_bytes(xs, f, candidates):
-    """Past the block budget NNM ranks from the Gram form; on ``xs`` and on each
-    ``(fixed, candidate)`` search input, read dense and as ``OverCopies``, its
-    output keeps the bytes of the exact order: ``single_block``'s on the gather
+    """Past the block budget NNM ranks a search input from the Gram form; on
+    ``xs`` and on each ``(fixed, candidate)`` search input, read dense and as
+    ``OverCopies``, its output keeps the bytes of the exact order: ``single_block``'s on the gather
     path, and the in-place path's own on the exact kernel."""
     n, d = xs.shape
     with np.errstate(all="ignore"):
@@ -295,9 +295,9 @@ def over_copies(xs, copies, w):
 
 
 class TestNnmGramOrder:
-    """Past the block budget NNM orders neighbours from Gram-form distances, and
-    a search's candidates from the fixed rows' block and one product per copy
-    row; outputs keep their bytes."""
+    """Past the block budget NNM orders a search's candidates from the Gram
+    form of the fixed rows' block and one product per copy row; outputs keep
+    the bytes of the exact order, which a dense input is ranked by."""
 
     @pytest.mark.parametrize("f", [0, 1, 3])
     @pytest.mark.parametrize("case", list(gram_cases()))
@@ -334,21 +334,22 @@ class TestNnmGramOrder:
         assert got[0].tobytes() == got[1].tobytes() == expected.tobytes()
 
     def test_rows_in_doubt_are_measured_row_by_row(self, monkeypatch, exact_rows):
-        # Read dense, row 0 and its two copies tie in the Gram keys of each
-        # row: with 12 neighbours, fewer than half the rows hold them in doubt.
+        # Row 0 and its two copies tie in the Gram keys of each row: with 12
+        # neighbours, fewer than half the fixed rows and copy row hold them in doubt.
         xs = random_vector_set(np.random.default_rng(113), n=20, d=5)
-        xs = np.vstack([xs, xs[:1], xs[:1]])
+        fixed, candidate = over_copies(xs, 2, xs[0])
         measured, sq_dists_to = [], numerics.sq_dists_to
         monkeypatch.setattr(numerics, "sq_dists_to", lambda v, xs: measured.append(len(xs)) or sq_dists_to(v, xs))
-        got = in_tiles(nnm, 1 << 40, xs, 10)
-        assert len(exact_rows) == 1 and {0, 20, 21} <= set(exact_rows[0]) and 2 * len(exact_rows[0]) <= len(xs)
-        assert measured == [len(xs)] * len(exact_rows[0])
+        got = in_tiles(nnm, 1 << 40, OverCopies(candidate, fixed, {}), 10)
+        assert len(exact_rows) == 1 and {0, fixed} <= set(exact_rows[0]) and 2 * len(exact_rows[0]) <= fixed + 1
+        assert measured == [fixed + 1] * len(exact_rows[0])
         monkeypatch.undo()
-        assert got.tobytes() == nnm_on_exact_order(xs, 10, 1).tobytes()
+        assert np.asarray(got).tobytes() == nnm_on_exact_order(candidate, 10, 1).tobytes()
 
     @pytest.mark.parametrize("over", [False, True])
     def test_more_than_half_the_entries_in_doubt_take_one_exact_matrix(self, over, monkeypatch, exact_rows):
-        # Rows 1e8 from the origin keep no correct digit in the Gram form.
+        # Rows 1e8 from the origin keep no correct digit in the Gram form; a
+        # dense input is measured by one exact matrix in any case.
         xs = gram_cases()["offset"]
         fixed, candidate = over_copies(xs, 2, xs[0] + 0.5)
         with np.errstate(all="ignore"):

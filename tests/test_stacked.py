@@ -3,13 +3,17 @@ each matrix of an (r, n, d) stack, the bytes of its lone call.
 
 The stacks cover one coordinate (numpy reduces a one-coordinate gather
 pairwise), duplicate rows and tied distances, Median columns whose central
-mean is a signed zero, f = 0, and attack groups whose runs differ in f.
+mean is a signed zero, f = 0, and attack groups whose runs differ in f. A
+stack a stage cannot read as it is (NaN or Inf, another dtype or memory order,
+an empty axis) is rejected, as ``as_vector_set`` rejects such a matrix.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustfl import numerics
 from robustfl.aggregators import AGGREGATORS, AggregatorSpec, make_aggregator
 from robustfl.attacks import ATTACKS, AttackContext, AttackSpec, crafted
 from robustfl.numerics import pairwise_sq_dists
@@ -96,3 +100,34 @@ def test_nnm_on_one_coordinate_keeps_the_gathers_pairwise_means(n, seed, data):
     stage = ConfiguredPreAggregator(PreAggregatorSpec("NNM", f=f))
     assert stage(xs).tobytes() == expected.tobytes()
     assert stage(np.stack([xs, xs[::-1]]))[0].tobytes() == expected.tobytes()
+
+
+def test_nnm_on_a_stack_past_the_block_budget_gives_each_matrix_its_lone_bytes(monkeypatch):
+    xs = np.random.default_rng(11).standard_normal((3, 7, 5))
+    stage = ConfiguredPreAggregator(PreAggregatorSpec("NNM", f=2))
+    alone = [stage(x.copy()) for x in xs]
+    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", 7 * 7 * 5)  # one matrix's differences, not the stack's
+    assert_each_is_lone(stage(xs), lambda k: alone[k])
+
+
+def unreadable_stacks() -> dict[str, tuple[np.ndarray, str]]:
+    """Named 3-D inputs no stage reads as a stack, each with the message it is rejected with."""
+    xs = np.random.default_rng(5).standard_normal((3, 6, 4))
+    nan, inf = xs.copy(), xs.copy()
+    nan[1, 2, 3], inf[2, 0, 0] = np.nan, -np.inf
+    layout = "C-contiguous float64 \\(r, n, d\\) stack"
+    return {"nan": (nan, "NaN or Inf"), "inf": (inf, "NaN or Inf"), "float32": (xs.astype(np.float32), layout),
+            "integers": (np.round(xs).astype(np.int64), layout), "fortran order": (np.asfortranarray(xs), layout),
+            "strided": (xs[:, ::2], layout), "no rows": (xs[:, :0], layout)}
+
+
+@pytest.mark.parametrize("case", list(unreadable_stacks()))
+def test_every_stacked_stage_rejects_a_stack_it_cannot_read(case):
+    xs, message = unreadable_stacks()[case]
+    stages = [make_aggregator(AggregatorSpec(name, f=1)) for name in stacking(AGGREGATORS, 6, 4)]
+    stages.append(ConfiguredPreAggregator(PreAggregatorSpec("NNM", f=1)))
+    for name in stacking(ATTACKS, 6, 4):
+        stages.append(lambda xs, spec=AttackSpec(name): crafted(spec, AttackContext(xs, 1, None)))
+    for stage in stages:
+        with pytest.raises(ValueError, match=message):
+            stage(xs)
