@@ -26,12 +26,18 @@ training, one ``simulator.dsgd_step``: one Optimal_ALittleIsEnough attack by
 ``ByzantineClientGroup.gradient_rows`` on those honest rows against TrMean
 behind NNM, plus the server's update, which adds the search's winning
 aggregate instead of running the pipeline again. The ``stacked`` rows time
-every stage that a cohort's server pass runs once for a group of runs (each
-rule whose ``Rule.most_stacked`` exceeds 1 at that shape) on an (r, 12, 33)
-stack with f = 2, the shape of a ``sample_grid`` step, for r = 1, 4 and 8
-runs (the name's ``@r``); an attack reads the stack's 10 honest rows. SMEA,
-which no benchmark workload runs, has its row at (12, 1,000, 2) among the
-rules. Three kernel rows
+every stage that the server pass runs once for a group of runs (each rule
+whose ``Rule.most_stacked`` exceeds 1 at that shape) on an (r, 12, 33) stack
+with f = 2, the shape of a ``sample_grid`` step, for r = 1, 4 and 8 runs
+(the name's ``@r``); an attack reads the stack's 10 honest rows. The
+``server pass`` rows time one ``simulator.dsgd_step`` of a ``ServerPass``
+planned for r runs shaped as ``sample_grid``'s (d = 33, 10 honest rows,
+Median or TrMean behind NNM, SignFlipping or ALittleIsEnough, f = 1 or 2),
+for r = 8 (a cohort) and 16 (the two cohorts of a worker's task): ``real``
+with those stages, ``noop`` with stand-ins that return a row of their input,
+so that it times only the pass's own work (n and f are the most rows and
+f). SMEA, which no benchmark workload runs, has its row at (12, 1,000, 2)
+among the rules. Three kernel rows
 time, at that shape, one ``numerics.pairwise_sq_dists`` call on the n rows
 (the exact distance kernel of MDA and of the orderings' fallback), one
 ``numerics.gram_sq_dists`` call on them (the Gram-form distances and their
@@ -110,10 +116,11 @@ from robustfl.preaggregators import (  # noqa: E402
     PRE_AGGREGATOR_NAMES,
     PRE_AGGREGATORS,
     ConfiguredPreAggregator,
+    Pipeline,
     PreAggregatorSpec,
     build_pipeline,
 )
-from robustfl.simulator import ByzantineClientGroup, HonestClient, ServerState, dsgd_step  # noqa: E402
+from robustfl.simulator import ByzantineClientGroup, HonestClient, ServerPass, ServerState, dsgd_step  # noqa: E402
 
 SHAPES = ((12, 1_000, 2), (33, 50_890, 3))
 SEED = 0
@@ -139,6 +146,8 @@ COHORTS = (1, 8)
 # (n, d, f) of the stacked rows, a sample_grid step's, and the runs stacked in each
 STACKED_SHAPE = (12, 33, 2)
 STACKED_RUNS = (1, 4, 8)
+# Runs in each server pass row: a sample_grid cohort, and the two cohorts of a worker's task
+SERVER_RUNS = (8, 16)
 # (snapshots, rows) of the evaluation rows, on the MLP: a mnist_rules run's evaluation steps and training rows
 EVALUATION = (13, 6_000)
 # (snapshots in each row, rows) of the accuracy rows, on the linear model: a blob run's test set
@@ -223,6 +232,34 @@ def stacked_stages(n: int, d: int, f: int):
             yield name, ConfiguredPreAggregator(PreAggregatorSpec(name, f=f)), False
 
 
+class NoOp:
+    """A stand-in for a configured stage of ``spec`` (a pre-aggregator gives its input back, an aggregator or an
+    attack its first row), so that a pass over it times only the pass's own work."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def __call__(self, xs, pipeline=None):
+        return xs if isinstance(self.spec, PreAggregatorSpec) else xs[..., 0, :]
+
+
+def sample_grid_pass(runs: int, noop: bool, rng: np.random.Generator) -> ServerPass:
+    """A ``ServerPass`` of ``runs`` runs shaped as ``sample_grid``'s, in its grid order; with ``noop``, on ``NoOp``
+    stages and attacks."""
+    sides = []
+    for k in range(runs):
+        aggregator = AggregatorSpec(("Median", "TrMean")[k // 4 % 2], f=1 + k % 2)
+        attack = AttackSpec(("SignFlipping", "ALittleIsEnough")[k // 2 % 2])
+        nnm, byz = PreAggregatorSpec("NNM", f=aggregator.f), ByzantineClientGroup(aggregator.f, attack)
+        if noop:
+            pipeline, byz.gradient_rows = Pipeline([NoOp(nnm)], NoOp(aggregator)), NoOp(attack)
+        else:
+            pipeline = build_pipeline(aggregator, [nnm])
+        sides.append(SimpleNamespace(server=ServerState(np.zeros(33), pipeline), byz=byz,
+                                     rows=rng.normal(size=(10 + aggregator.f, 33))))
+    return ServerPass(sides)
+
+
 def seeded_bank(arch, clients: int, seats: int, rng: np.random.Generator) -> HonestClient:
     """A bank of ``clients`` rows of ``SAMPLES_PER_CLIENT`` seeded samples each, plus ``seats``."""
     m = clients * SAMPLES_PER_CLIENT
@@ -262,6 +299,10 @@ def main() -> int:
         for name, stage, honest_only in stacked_stages(n, d, f):
             ms, calls = median_ms(stage, honest_stack if honest_only else stack)
             print(f"{'stacked':<15} {f'{name}@{runs}':<17} {n:>3} {d:>6} {f:>2} {ms:>10.4f} {calls:>6}")
+    for runs in SERVER_RUNS:
+        for kind in ("real", "noop"):
+            ms, calls = median_ms(step_once, sample_grid_pass(runs, kind == "noop", np.random.default_rng(SEED)))
+            print(f"{'server pass':<15} {f'{kind}@{runs}':<17} {12:>3} {33:>6} {2:>2} {ms:>10.4f} {calls:>6}")
     n, d, f = SHAPES[-1]
     for name, fn, xs in (("pairwise_sq_dists", pairwise_sq_dists, attacked),
                          ("gram_sq_dists", gram_sq_dists, attacked),

@@ -386,10 +386,14 @@ class Rule:
             raise ValueError(f"{spec.name} requires a seeded numpy Generator")
         return carried, {**spec.parameters, **({"f": spec.f} if self.needs_f else {}), **carried}
 
+    @property
+    def stacks(self) -> bool:
+        """Whether ``fn`` takes a stack: it has a ``window`` or a ``footprint`` and carries nothing."""
+        return not self.carried and bool(self.window or self.footprint)
+
     def most_stacked(self, n: int, d: int) -> int:
         """How many (n, d) matrices one call takes stacked within ``BLOCK_ELEMENTS``; 1 if it carries or cannot."""
-        footprint = self.footprint or (self.window and np.multiply)
-        return 1 if self.carried or not footprint else block_rows(footprint(n, d))
+        return block_rows((self.footprint or np.multiply)(n, d)) if self.stacks else 1
 
 
 AGGREGATORS: dict[str, Rule] = {

@@ -50,6 +50,7 @@ from .seeding import derive_rng
 from .simulator import (
     ByzantineClientGroup,
     HonestClient,
+    ServerPass,
     ServerState,
     dsgd_step,
     fedavg_round,
@@ -406,103 +407,127 @@ class ExperimentResult:
 
 @dataclass
 class _Member:
-    """A cohort's run: series, server, attack, (m + f, d) step rows (the bank trains m + seats), unscored steps."""
+    """A task's run: series, server, attack, (m + f, d) step rows (its cohort's bank trains m + seats), its cohort's
+    bank pass ``train(lr, members)`` and ``score`` of its snapshots, taken ``group_size`` at a time, unscored steps."""
 
     result: ExperimentResult
     server: ServerState
     byz: ByzantineClientGroup
     rows: np.ndarray
+    train: Callable[[float, list[_Member]], None]
+    score: Callable[[_Member], None]
+    group_size: int
     snapshots: list[np.ndarray] = field(default_factory=list)
 
 
 def run_cohort(cfg: BenchmarkConfig, keys: list[ExperimentKey], cores: int = 1) -> list[ExperimentResult | Exception]:
-    """Execute grid points that share a seed and data split from scratch, in lockstep: the cohort loads its data
-    and draws each step's batches once, one bank pass trains every run's client rows at the run's parameters,
-    and one server pass (``dsgd_step``, ``fedavg_round``) runs each stage once per group of runs that share it.
-    Returns each run's series, bit for bit its series alone, or the exception that ended it (the others go on);
-    what the runs share raises for all of them. Attack searches run on ``cores`` cores."""
-    seed, name, parameter = shared = keys[0].seed, keys[0].distribution_name, keys[0].distribution_parameter
-    if any((key.seed, key.distribution_name, key.distribution_parameter) != shared for key in keys):
-        raise ValueError(f"a cohort's runs must share (seed, distribution, parameter) {shared}")
-    hc, n = cfg.honest_clients, cfg.nb_honest_clients
-    train, test = DATASETS[cfg.model.dataset_name].load(cfg.model, seed)
-    partition = make_partition(train, name, parameter, n, derive_rng(seed, "datadist"))
-    arch = ARCHS[cfg.model.name](cfg.model, train.features.shape[1], train.n_classes)
+    """Execute grid points from scratch, in lockstep. Runs that share (seed, distribution, parameter) form a cohort,
+    which loads its data, draws its initial vector and each step's batches once and trains its runs' client rows in
+    one bank pass, each at its run's parameters; one server pass (``dsgd_step``, ``fedavg_round``) then steps every
+    run on a ``ServerPass``, planned when the runs start and again when one leaves. Returns each run's series, bit
+    for bit its series alone, or the exception that ended it (the others go on); what a cohort shares raises for its
+    runs. Attack searches run on ``cores`` cores."""
+    hc, n, m = cfg.honest_clients, cfg.nb_honest_clients, honest_rows(cfg)
     schedule = LrSchedule(cfg.model.learning_rate, cfg.model.learning_rate_decay, tuple(cfg.model.milestones))
-    init = init_params(arch, derive_rng(seed, "init"))  # every run's first parameters, behind read-only views
     fedavg = cfg.training_algorithm.parameters if cfg.training_algorithm.name == "FedAvg" else None
-    m, sampling_rng = honest_rows(cfg), derive_rng(seed, "sampling")
     per_client = cfg.evaluation.store_per_client_metrics
-    subsets = [np.concatenate(partition.assignments)] + (partition.assignments if per_client else [])
-    # A run's snapshots (read-only) are scored in groups whose (k, d) and (k, rows) arrays fit in BLOCK_ELEMENTS.
-    group_size = block_rows(max(param_count(arch), len(train.labels), len(test.labels)))
     outcomes: list[ExperimentResult | Exception | None] = [None] * len(keys)
     live: dict[int, _Member] = {}
 
     def each(work, runs) -> None:
-        """``work(i)`` for every run i of ``runs``; a run whose work raises leaves the cohort with its exception."""
+        """``work(i)`` for every run i of ``runs``; a run whose work raises leaves the task with its exception."""
         for i in list(runs):
             try:
                 work(i)
-            except Exception as exc:  # noqa: BLE001 - one bad run must not sink its cohort
+            except Exception as exc:  # noqa: BLE001 - one bad run must not sink its task
                 outcomes[i] = exc
                 live.pop(i, None)
 
-    def start(i: int) -> None:
-        key = keys[i]
-        pipeline = build_pipeline(key.aggregator, key.pre_aggregators, rng=derive_rng(seed, "bucketing"))
-        byz = ByzantineClientGroup(key.f, key.attack, cores)
-        result = ExperimentResult(key, [], [], [], [] if per_client else None)
-        server = ServerState(init, pipeline)
-        live[i], outcomes[i] = _Member(result, server, byz, np.zeros((m + key.f, param_count(arch)))), result
+    def start(seed: int, name: str, parameter: float, runs: list[int]) -> None:
+        """Start the cohort of ``runs``, which share ``seed`` and the split ``name`` at ``parameter``."""
+        train, test = DATASETS[cfg.model.dataset_name].load(cfg.model, seed)
+        partition = make_partition(train, name, parameter, n, derive_rng(seed, "datadist"))
+        arch = ARCHS[cfg.model.name](cfg.model, train.features.shape[1], train.n_classes)
+        init = init_params(arch, derive_rng(seed, "init"))  # every run's first parameters, behind read-only views
+        sampling = derive_rng(seed, "sampling")
+        subsets = [np.concatenate(partition.assignments)] + (partition.assignments if per_client else [])
+        # A run's snapshots (read-only) are scored in groups whose (k, d) and (k, rows) arrays fit in BLOCK_ELEMENTS.
+        group_size = block_rows(max(param_count(arch), len(train.labels), len(test.labels)))
 
-    def evaluate(member: _Member) -> None:
-        flats, result = np.stack(member.snapshots), member.result
-        member.snapshots.clear()
-        result.test_accuracy.extend(evaluate_accuracy(arch, flats, test))
-        for loss, *client_losses in forward_loss(arch, flats, train.features, train.labels, subsets):
-            result.train_loss.append(loss)
-            if result.client_losses is not None:
-                result.client_losses.append(client_losses)
+        def bank(lr: float, members: list[_Member]) -> None:
+            flats, heads = [run.server.flat for run in members], [run.rows[: m + run.byz.seats] for run in members]
+            if fedavg is None:
+                clients.compute_update(arch, flats, heads)
+            else:
+                chosen = np.sort(sampling.choice(n, size=m, replace=False))
+                clients.local_delta(arch, flats, lr, fedavg["local_steps_per_client"], chosen, heads)
+
+        def score(member: _Member) -> None:
+            flats, result = np.stack(member.snapshots), member.result
+            member.snapshots.clear()
+            result.test_accuracy.extend(evaluate_accuracy(arch, flats, test))
+            for loss, *client_losses in forward_loss(arch, flats, train.features, train.labels, subsets):
+                result.train_loss.append(loss)
+                if result.client_losses is not None:
+                    result.client_losses.append(client_losses)
+
+        def join(i: int) -> None:
+            key, rows = keys[i], np.zeros((m + keys[i].f, param_count(arch)))
+            pipeline = build_pipeline(key.aggregator, key.pre_aggregators, rng=derive_rng(seed, "bucketing"))
+            result = ExperimentResult(key, [], [], [], [] if per_client else None)
+            live[i] = _Member(result, ServerState(init, pipeline), ByzantineClientGroup(key.f, key.attack, cores), rows,
+                              bank, score, group_size)
+            outcomes[i] = result
+
+        each(join, runs)
+        seats = max((live[i].byz.seats for i in runs if i in live), default=0)
+        rngs = [derive_rng(seed, f"client.{i}") for i in range(n)]
+        rngs += [derive_rng(seed, f"byz.{j}") for j in range(seats)]
+        clients = HonestClient(train, partition.assignments, hc.batch_size, hc.momentum, hc.weight_decay, rngs, seats)
+        each(lambda i: record(live[i], 0), [i for i in runs if i in live])
 
     def record(member: _Member, step: int) -> None:
         member.result.steps.append(step)
         member.snapshots.append(member.server.flat)
-        if len(member.snapshots) == group_size:
-            evaluate(member)
+        if len(member.snapshots) == member.group_size:
+            member.score(member)
 
-    each(start, range(len(keys)))
-    seats = max((member.byz.seats for member in live.values()), default=0)
-    rngs = [derive_rng(seed, f"client.{i}") for i in range(n)] + [derive_rng(seed, f"byz.{j}") for j in range(seats)]
-    clients = HonestClient(train, partition.assignments, hc.batch_size, hc.momentum, hc.weight_decay, rngs, seats)
-    each(lambda i: record(live[i], 0), live)
-    heads: list[np.ndarray] = []
+    cohorts: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        cohorts.setdefault((key.seed, key.distribution_name, key.distribution_parameter), []).append(i)
+    for (seed, name, parameter), runs in cohorts.items():
+        try:
+            start(seed, name, parameter, runs)
+        except Exception as exc:  # noqa: BLE001 - what a cohort shares failed for each of its runs
+            for i in runs:
+                outcomes[i] = exc
+                live.pop(i, None)
+    plan = None
     for step in range(1, cfg.nb_steps + 1):
         if not live:
             break
-        flats = [member.server.flat for member in live.values()]
-        heads, lr = [member.rows[: m + member.byz.seats] for member in live.values()], schedule.lr_at(step - 1)
-        if fedavg is None:
-            clients.compute_update(arch, flats, heads)
-        else:
-            chosen = np.sort(sampling_rng.choice(n, size=m, replace=False))
-            clients.local_delta(arch, flats, lr, fedavg["local_steps_per_client"], chosen, heads)
-        runs = list(live.values())
-        for i, error in zip(list(live), dsgd_step(runs, lr) if fedavg is None else fedavg_round(runs)):
+        if plan is None or len(plan.runs) != len(live):  # planned anew when a run leaves
+            plan, ids, banks = ServerPass(live.values()), list(live), {}
+            for member in live.values():
+                banks.setdefault(member.train, []).append(member)
+        lr = schedule.lr_at(step - 1)
+        for train, members in banks.items():
+            train(lr, members)
+        for i, error in zip(ids, dsgd_step(plan, lr) if fedavg is None else fedavg_round(plan)):
             if error is not None:
                 outcomes[i] = error
                 del live[i]
         if step % cfg.evaluation.evaluation_delta == 0 or step == cfg.nb_steps:
             each(lambda i: record(live[i], step), live)
-    del clients, heads  # the bank, and below each run's rows, before the last groups' scores
+    del plan  # the stacks, and below each run's rows, before the last groups' scores
     for member in live.values():
         del member.rows
-    each(lambda i: live[i].snapshots and evaluate(live[i]), live)
+    each(lambda i: live[i].snapshots and live[i].score(live[i]), live)
     return outcomes
 
 
 def run_single(cfg: BenchmarkConfig, key: ExperimentKey, cores: int = 1) -> ExperimentResult:
-    """Execute one grid point from scratch, a cohort of one, and return its series or raise what ended it."""
+    """Execute one grid point from scratch, a task of one run, and return its series or raise what ended it."""
     [result] = run_cohort(cfg, [key], cores)
     if isinstance(result, Exception):
         raise result
@@ -586,10 +611,10 @@ def list_results(base_dir) -> list[ExperimentResult]:
 
 
 def _execute_cohort(cfg: BenchmarkConfig, keys: list[ExperimentKey], base_dir: str, cores: int) -> list[str | None]:
-    """Run one cohort on ``cores`` cores and persist each of its runs; returns each one's error message or None."""
+    """Run one task on ``cores`` cores and persist each of its runs; returns each one's error message or None."""
     try:
         outcomes = run_cohort(cfg, keys, cores)
-    except Exception as exc:  # noqa: BLE001 - what a cohort shares failed for each of its runs
+    except Exception as exc:  # noqa: BLE001 - what the task raises fails each of its runs
         return [f"{type(exc).__name__}: {exc}"] * len(keys)
     messages = []
     for outcome in outcomes:
@@ -603,9 +628,10 @@ def _execute_cohort(cfg: BenchmarkConfig, keys: list[ExperimentKey], base_dir: s
 
 
 def _cohorts(cfg: BenchmarkConfig, keys: list[ExperimentKey], parallelism: int) -> list[list[ExperimentKey]]:
-    """``keys`` in grid order as tasks of runs that share (seed, distribution, parameter), of at most
-    min(block_rows((n + max f) * d), ceil(len(keys) / parallelism)) runs each: a step's stacked client rows fit in
-    ``BLOCK_ELEMENTS`` and every worker gets a task. Runs on a dataset whose files alone tell d (mnist) go alone."""
+    """``keys`` as pool tasks: the runs cohort by cohort (those that share (seed, distribution, parameter)), cohorts
+    in grid order of their first run, cut into tasks of min(block_rows((n + max f) * d), ceil(len(keys) / parallelism))
+    runs: a task's stacked step rows fit in ``BLOCK_ELEMENTS`` and every worker gets a task. Runs on a dataset whose
+    files alone tell d (mnist) go alone."""
     shape, size = DATASETS[cfg.model.dataset_name].shape, 1
     if shape is not None:
         d = param_count(ARCHS[cfg.model.name](cfg.model, *shape(cfg.model)))
@@ -613,7 +639,8 @@ def _cohorts(cfg: BenchmarkConfig, keys: list[ExperimentKey], parallelism: int) 
     shared: dict[tuple, list[ExperimentKey]] = {}
     for key in keys:
         shared.setdefault((key.seed, key.distribution_name, key.distribution_parameter), []).append(key)
-    return [runs[i : i + size] for runs in shared.values() for i in range(0, len(runs), size)]
+    runs = [key for cohort in shared.values() for key in cohort]
+    return [runs[i : i + size] for i in range(0, len(runs), max(size, 1))]
 
 
 def run_benchmark(cfg: BenchmarkConfig, parallelism: int = 1) -> dict:
@@ -625,8 +652,8 @@ def run_benchmark(cfg: BenchmarkConfig, parallelism: int = 1) -> dict:
     its pool: the runs that pool left unfinished and not on disk run again in
     a fresh pool, and once a second pool breaks, each in a one-worker pool of
     its own. Only a run whose lone worker dies is recorded as failed, with the
-    ``BrokenProcessPool`` message. The runs execute as cohorts (``_cohorts``), each cohort's attack searches on
-    max(1, parallelism // cohorts to execute) cores.
+    ``BrokenProcessPool`` message. The runs execute as tasks (``_cohorts``), each task's attack searches on
+    max(1, parallelism // tasks to execute) cores.
     """
     at_least(1).check(parallelism, "parallelism")
     keys = expand_grid(cfg)
@@ -652,7 +679,7 @@ def run_benchmark(cfg: BenchmarkConfig, parallelism: int = 1) -> dict:
                 log.error("failed %s: %s", key.run_id, error)
 
     def run_pool(batch: list[list[ExperimentKey]]) -> list[ExperimentKey]:
-        """Run the cohorts of ``batch`` in one pool; returns the runs a broken pool left unfinished and not on disk."""
+        """Run the tasks of ``batch`` in one pool; returns the runs a broken pool left unfinished and not on disk."""
         lost = []
         with ProcessPoolExecutor(max_workers=min(parallelism, len(batch))) as pool:
             futures = {pool.submit(_execute_cohort, cfg, cohort, str(base), cores): cohort for cohort in batch}

@@ -253,8 +253,10 @@ def trusted_pairwise_sq_dists(xs: np.ndarray, rows=None) -> np.ndarray:
     """
     n, d = xs.shape[-2:]
     count, rows = (n, slice(None)) if rows is None else (len(rows), np.asarray(rows, dtype=np.intp))
-    if count * xs.size <= BLOCK_ELEMENTS:
-        diffs = xs[..., rows, None, :] - xs[..., None, :, :]
+    if count * xs.size <= BLOCK_ELEMENTS:  # each asked row repeated n times, less the n rows: one flat subtraction
+        diffs = np.repeat(xs[..., rows, :], n, axis=-2).reshape(*xs.shape[:-2], count, n * d)
+        diffs -= xs.reshape(*xs.shape[:-2], 1, n * d)
+        diffs = diffs.reshape(*xs.shape[:-2], count, n, d)
         return np.einsum("...ijk,...ijk->...ij", diffs, diffs)
     if 2 * count <= n:  # count < n, so rows were given as indices
         return np.array([sq_dists_to(xs[i], xs) for i in rows])

@@ -85,7 +85,10 @@ def nnm(xs, f: int) -> np.ndarray | OverCopies:
     # numpy reduces a gather of one-coordinate rows pairwise, not in order.
     if d == 1 or block_rows((n - f) * d) >= xs.size // d:
         neighbours = neighbours + n * np.arange(xs.size // (n * d)).reshape(xs.shape[:-2] + (1, 1))  # of all r n rows
-        return xs.reshape(-1, d)[neighbours].mean(axis=-2)
+        if d == 1:
+            return xs.reshape(-1, d)[neighbours].mean(axis=-2)
+        # Each row's k-th neighbours in one block: the mean adds the blocks in neighbour order, each row's own order.
+        return xs.reshape(-1, d).take(np.moveaxis(neighbours, -1, 0), axis=0).mean(axis=0)
     means = shared.setdefault("means", {})
 
     def fixed_mean(near: np.ndarray) -> np.ndarray:

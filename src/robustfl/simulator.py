@@ -9,11 +9,13 @@ rows first (ordered by client id) followed by f Byzantine rows, in one buffer
 per run whose honest rows (and LabelFlipping's seat rows) the clients fill in
 place, and the attack the rest. No attack or pipeline stage writes to its
 input, which makes that safe. A cohort (the runs that share a seed and data
-split) trains on one bank of clients and steps its servers in one stacked pass.
+split) trains on one bank of clients, and the runs of several cohorts step
+their servers in one planned pass (``ServerPass``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -104,7 +106,7 @@ class HonestClient:
         grads = None if len(batches) == 1 else np.empty((len(flipped), params.shape[1]))
         for group, take in batches:
             part = params if len(params) == 1 else params[group]
-            grad = backward(arch, part, self.features[take], self._labels[flipped[group, None], take])[1]
+            grad = backward(arch, part, self.features.take(take, axis=0), self._labels[flipped[group, None], take])[1]
             if grads is None:
                 grads = grad
             else:
@@ -155,7 +157,8 @@ class ByzantineClientGroup:
     written as f identical rows. LabelFlipping's f clients are instead the
     bank's first f ``seats``, trained with the honest rows under either
     training algorithm, so that their rows are already the step's last f.
-    An Optimal_* attack searches on ``cores`` cores.
+    An Optimal_* attack (``searches``) searches on ``cores`` cores, and its
+    rows come with the aggregate the server takes.
     """
 
     def __init__(self, f: int, attack: AttackSpec | None, cores: int = 1):
@@ -165,6 +168,7 @@ class ByzantineClientGroup:
         self.f = f
         self.attack = attack
         self.seats = f if f > 0 and attack.name == "LabelFlipping" else 0
+        self.searches = f > self.seats and attack.table[attack.name].needs_f
         self.cores = cores
 
     def gradient_rows(self, honest: np.ndarray, pipeline: Pipeline) -> np.ndarray | OptimizedAttack:
@@ -194,66 +198,136 @@ def _read_only(flat) -> np.ndarray:
     return view
 
 
-def _stacked_calls(calls: dict[int, tuple], errors: list) -> dict[int, object]:
-    """``stage(rows, *extra)`` per run i of ``calls[i]`` = (spec, stage, rows, *extra): one call per group of
-    runs whose spec keys and row shapes agree, on their rows stacked as a C-contiguous (r, n, d) array,
-    r within ``Rule.most_stacked``. A group of one, and each run of a stacked call that raises, calls alone on
-    its own rows; ``errors`` gets what a lone call raises."""
-    groups: dict[tuple, list[int]] = {}
-    for i, (spec, _, rows, *_) in calls.items():
-        groups.setdefault((spec.key, rows.shape), []).append(i)
-    queue = []
-    for runs in groups.values():
-        spec, _, rows, *_ = calls[runs[0]]
-        most = spec.table[spec.name].most_stacked(*rows.shape) if len(runs) > 1 else 1
-        queue += [runs[k : k + most] for k in range(0, len(runs), most)]
-    out = {}
-    while queue:
-        group = queue.pop()
-        _, stage, rows, *extra = calls[group[0]]
+class ServerPass:
+    """One server step for every run of ``runs`` (records with a ``server``, a ``byz`` and (m + f, d) ``rows``, the
+    m honest first), planned once for as long as the same runs step.
+
+    The plan sorts the runs by row shape, then by the spec keys of their pipeline stages, then by attack, and
+    moves the rows of each shape into one C-contiguous stack (a lone run's rows stay), whose views become the
+    runs' ``rows``, so the bank writes into it. A stage runs once per group of runs whose keys agree up to it, on
+    a slice of the stack or of the last stage's stacked output, at most ``Rule.most_stacked`` runs; a closed-form
+    attack runs once per group with equal spec and honest shape, whatever f, on a stacked copy of those rows. A
+    search (``ByzantineClientGroup.searches``), a group of one, a stage that carries state or cannot stack, and
+    each run of a stacked call that raises go alone through the rest of their stages. Each run gets its lone
+    step's bytes: ``scale`` times its aggregate (a search's, whose pipeline clone goes live) added."""
+
+    def __init__(self, runs):
+        runs = list(runs)
+
+        def key(i: int) -> tuple:
+            """Row shape, stage keys, (attack key, honest rows); a search's, and an unstacking rule's, name the run."""
+            run, stages = runs[i], (*runs[i].server.pipeline.pre_aggregators, runs[i].server.pipeline.aggregator)
+            keyed = lambda spec: (spec.key, i) if run.byz.searches or not spec.table[spec.name].stacks else (spec.key,)
+            attack = (keyed(run.byz.attack), len(run.rows) - run.byz.f) if run.byz.f > run.byz.seats else ()
+            return run.rows.shape, tuple(keyed(stage.spec) for stage in stages), attack
+
+        keys = [key(i) for i in range(len(runs))]
+        order = sorted(range(len(runs)), key=keys.__getitem__)
+        self.rank = sorted(range(len(runs)), key=order.__getitem__)  # each run's position in the plan
+        self.runs, keys = [runs[i] for i in order], [keys[i] for i in order]  # in plan order
+        self.flats = np.array([run.server.flat for run in self.runs])
+        stages = [[*run.server.pipeline.pre_aggregators, run.server.pipeline.aggregator] for run in self.runs]
+        stacked = []  # each position's rows on, in its shape's stack
+        for shape, same in itertools.groupby(range(len(runs)), key=lambda pos: keys[pos][0]):
+            same = list(same)
+            stack = np.empty((len(same), *shape)) if len(same) > 1 else self.runs[same[0]].rows[None]
+            for j, pos in enumerate(same):
+                if len(same) > 1:
+                    stack[j], self.runs[pos].rows = self.runs[pos].rows, stack[j]
+                stacked.append(stack[j:])
+
+        def groups(positions, key_of, spec_of, shape_of) -> list[list[int]]:
+            """``positions`` cut where ``key_of`` changes, then into at most ``most_stacked`` of the piece's rule."""
+            out = []
+            for _, same in itertools.groupby(positions, key=key_of):
+                same = list(same)
+                spec = spec_of(same[0])
+                most = spec.table[spec.name].most_stacked(*shape_of(same[0]))
+                out += [same[k : k + most] for k in range(0, len(same), most)]
+            return out
+
+        def plan(positions: list[int], depth: int) -> list[tuple]:
+            """(stage, or None where each run goes alone, positions, depth, next groups) per group at ``depth``."""
+            return [(stages[same[0]][depth] if len(same) > 1 else None, same, depth,
+                     plan(same, depth + 1) if len(same) > 1 and depth + 1 < len(stages[same[0]]) else [])
+                    for same in groups(positions, lambda pos: (keys[pos][0], keys[pos][1][depth]),
+                                       lambda pos: stages[pos][depth].spec, lambda pos: keys[pos][0])]
+
+        self.groups = [(group, stacked[group[1][0]][: len(group[1])] if group[0] else [self.runs[group[1][0]].rows])
+                       for group in plan(list(range(len(runs))), 0)]
+        self.honest = [run.rows[: len(run.rows) - run.byz.f] for run in self.runs]  # and below, the attack rows
+        self.crafted = [run.rows[len(run.rows) - run.byz.f :] for run in self.runs]
+        self.attacks = groups(sorted((pos for pos in range(len(runs)) if keys[pos][2]), key=lambda pos: keys[pos][2]),
+                              lambda pos: keys[pos][2], lambda pos: self.runs[pos].byz.attack,
+                              lambda pos: (keys[pos][2][1], self.flats.shape[1]))
+
+    def _descend(self, group: tuple, xs, errors: list, searches: dict, parts: list) -> None:
+        """``group``'s stage on ``xs``, its runs' inputs, then each next group on its slice of the output; the
+        aggregates go to ``parts`` in plan order, a stack per stacked call, a row per run that went alone."""
+        stage, positions, depth, children = group
         try:
-            if len(group) == 1:
-                out[group[0]] = stage(rows, *extra)
-            else:
-                out.update(zip(group, stage(np.array([calls[i][2] for i in group]), *extra)))
-        except Exception as exc:  # noqa: BLE001 - it ends the step of the run it was called for
-            if len(group) == 1:
-                errors[group[0]] = exc
-            else:  # the stack's check names no run: each goes alone, and the one at fault raises
-                queue += [[i] for i in group]
-    return out
+            out = stage(xs) if stage else None
+        except Exception:  # noqa: BLE001 - the stack's check names no run: each goes alone
+            out = None
+        if out is None:
+            for pos, x in zip(positions, xs):
+                pipeline = self.runs[pos].server.pipeline  # a search's is its clone of the last step
+                try:
+                    if pos in searches:
+                        x = searches[pos].aggregate
+                    elif errors[pos] is None:
+                        for stage in [*pipeline.pre_aggregators, pipeline.aggregator][depth:]:
+                            x = stage(x)
+                except Exception as exc:  # noqa: BLE001 - it ends the step of the run it was called for
+                    errors[pos] = exc
+                parts.append(x[None] if errors[pos] is None else np.zeros((1, self.flats.shape[1])))
+        elif children:
+            for child in children:
+                self._descend(child, out[child[1][0] - positions[0] :][: len(child[1])], errors, searches, parts)
+        else:
+            parts.append(out)
 
-
-def _server_pass(runs, scale: float, attack: str) -> list[Exception | None]:
-    """One server step per run of ``runs`` (a ``server``, ``byz`` and (m + f, d) ``rows``, the m honest first): f
-    attack rows from ``byz.<attack>``, each pipeline stage through ``_stacked_calls``, and ``scale`` times the
-    aggregate (a search's, whose pipeline clone goes live) added. Returns per run None or what ended its step."""
-    errors: list[Exception | None] = [None] * len(runs)
-    found = _stacked_calls({i: (run.byz.attack, getattr(run.byz, attack), run.rows[: -run.byz.f], run.server.pipeline)
-                            for i, run in enumerate(runs) if run.byz.f > run.byz.seats}, errors)
-    aggregates, searches = {}, {}
-    for i, vector in found.items():
-        if isinstance(vector, OptimizedAttack):
-            aggregates[i], searches[i], vector = vector.aggregate, vector.pipeline, vector.vector
-        runs[i].rows[-runs[i].byz.f :] = vector
-    stages = [[*run.server.pipeline.pre_aggregators, run.server.pipeline.aggregator] for run in runs]
-    inputs, depth = {i: run.rows for i, run in enumerate(runs) if errors[i] is None and i not in searches}, 0
-    while inputs:
-        outputs = _stacked_calls({i: (stages[i][depth].spec, stages[i][depth], x) for i, x in inputs.items()}, errors)
-        depth += 1
-        aggregates.update((i, x) for i, x in outputs.items() if depth == len(stages[i]))
-        inputs = {i: x for i, x in outputs.items() if depth < len(stages[i])}
-    flats = np.array([runs[i].server.flat for i in aggregates]) + scale * np.array(list(aggregates.values()))
-    flats.flags.writeable = False  # each run's row of it is its read-only parameter vector
-    for i, flat in zip(aggregates, flats):
-        runs[i].server.flat, runs[i].server.pipeline = flat, searches.get(i, runs[i].server.pipeline)
-    return errors
+    def __call__(self, scale: float, attack: str) -> list[Exception | None]:
+        """One step with f attack rows from ``byz.<attack>``; returns per run None or what ended its step."""
+        errors: list[Exception | None] = [None] * len(self.runs)
+        searches: dict[int, OptimizedAttack] = {}
+        for same in self.attacks:
+            first, vectors = self.runs[same[0]], [None] * len(same)
+            try:
+                if len(same) > 1:
+                    vectors = getattr(first.byz, attack)(np.array([self.honest[pos] for pos in same]),
+                                                         first.server.pipeline)
+            except Exception:  # noqa: BLE001 - the stack's check names no run: each goes alone
+                pass
+            for pos, vector in zip(same, vectors):
+                run = self.runs[pos]
+                try:
+                    if vector is None:
+                        vector = getattr(run.byz, attack)(self.honest[pos], run.server.pipeline)
+                except Exception as exc:  # noqa: BLE001 - it ends the step of the run it was called for
+                    errors[pos] = exc
+                    continue
+                if isinstance(vector, OptimizedAttack):
+                    searches[pos], vector = vector, vector.vector
+                self.crafted[pos][...] = vector
+        parts: list[np.ndarray] = []
+        for group, xs in self.groups:
+            self._descend(group, xs, errors, searches, parts)
+        flats = self.flats + scale * (np.concatenate(parts) if len(parts) > 1 else parts[0])
+        flats.flags.writeable = False  # each run's row of it is its read-only parameter vector
+        for pos, flat in enumerate(flats):
+            if errors[pos] is None:
+                self.runs[pos].server.flat = flat
+                if pos in searches:
+                    self.runs[pos].server.pipeline = searches[pos].pipeline
+        self.flats = flats
+        return [errors[pos] for pos in self.rank]
 
 
 def dsgd_step(runs, lr: float) -> list[Exception | None]:
-    """One synchronous distributed-SGD step at learning rate ``lr`` per run of ``runs`` (see ``_server_pass``),
+    """One synchronous distributed-SGD step at learning rate ``lr`` per run of ``runs`` (see ``ServerPass``),
     whose rows hold the n honest momentum gradients first (then the seats')."""
-    return _server_pass(runs, -lr, "gradient_rows")
+    return (runs if isinstance(runs, ServerPass) else ServerPass(runs))(-lr, "gradient_rows")
 
 
 def sampled_count(proportion_selected_clients: float, n: int) -> int:
@@ -264,6 +338,6 @@ def sampled_count(proportion_selected_clients: float, n: int) -> int:
 
 
 def fedavg_round(runs) -> list[Exception | None]:
-    """One federated averaging round per run of ``runs`` (see ``_server_pass``), whose rows hold the model deltas
+    """One federated averaging round per run of ``runs`` (see ``ServerPass``), whose rows hold the model deltas
     of the m sampled honest clients first (then the seats')."""
-    return _server_pass(runs, 1.0, "delta_rows")
+    return (runs if isinstance(runs, ServerPass) else ServerPass(runs))(1.0, "delta_rows")

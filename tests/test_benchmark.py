@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from robustfl import benchmark, simulator
-from robustfl.aggregators import AggregatorSpec
+from robustfl.aggregators import AggregatorSpec, ConfiguredAggregator
 from robustfl.attacks import AttackSpec
 from robustfl.benchmark import (
     KEY_JSON,
@@ -36,7 +36,7 @@ from robustfl.benchmark import (
 )
 from robustfl.datadist import make_partition
 from robustfl.models import LrSchedule, evaluate_accuracy, forward_loss, init_params
-from robustfl.preaggregators import PreAggregatorSpec, build_pipeline
+from robustfl.preaggregators import ConfiguredPreAggregator, PreAggregatorSpec, build_pipeline
 from robustfl.seeding import derive_rng
 from robustfl.simulator import (
     ByzantineClientGroup,
@@ -781,6 +781,26 @@ def written(directory) -> dict:
     return {p.relative_to(directory): p.read_bytes() for p in sorted(Path(directory).rglob("*")) if p.is_file()}
 
 
+def split(key: ExperimentKey) -> tuple:
+    """What the runs of a cohort share: (seed, distribution, parameter)."""
+    return key.seed, key.distribution_name, key.distribution_parameter
+
+
+def record_stage_calls(patch) -> list[tuple[str, int]]:
+    """(rule name, stacked matrices) of every attack and pipeline stage call from here on, in call order."""
+    calls = []
+    for owner, name, spec in ((ByzantineClientGroup, "gradient_rows", lambda self: self.attack),
+                              (ByzantineClientGroup, "delta_rows", lambda self: self.attack),
+                              (ConfiguredPreAggregator, "__call__", lambda self: self.spec),
+                              (ConfiguredAggregator, "__call__", lambda self: self.spec)):
+        def call(self, xs, *args, real=getattr(owner, name), spec=spec):
+            calls.append((spec(self).name, len(xs) if np.ndim(xs) == 3 else 1))
+            return real(self, xs, *args)
+
+        patch.setattr(owner, name, call)
+    return calls
+
+
 # 2 rules x 2 attacks x f in {1, 2} x 2 gammas x 2 seeds = 32 runs: four groups of 8 that share a seed and a split.
 COHORT_GRID = {
     "aggregator": [{"name": "TrMean"}, {"name": "CenteredClipping"}],
@@ -790,6 +810,16 @@ COHORT_GRID = {
     "benchmark_config.nb_honest_clients": 5,
     "benchmark_config.nb_steps": 6,
     **distribution("gamma_similarity_niid", 0.5, 1.0),
+}
+# Three cohorts of six runs, in grid order SignFlipping, Optimal_ALittleIsEnough, LabelFlipping x f in {1, 2}: two
+# workers get a task of nine each, cohort 0 and half of cohort 1 (which has no LabelFlipping seats there), then the
+# rest. The SignFlipping and LabelFlipping runs share NNM's stacks across cohorts; each search goes alone.
+TASK_GRID = {
+    "pre_aggregators": [{"name": "NNM"}],
+    "attack": [{"name": "SignFlipping"}, {"name": "Optimal_ALittleIsEnough"}, {"name": "LabelFlipping"}],
+    "benchmark_config.f": [1, 2],
+    "benchmark_config.nb_training_seeds": 3,
+    "benchmark_config.nb_honest_clients": 5,
 }
 ALGORITHMS = pytest.mark.parametrize(
     "algorithm", [{}, fedavg(proportion_selected_clients=0.6, local_steps_per_client=2)], ids=["DSGD", "FedAvg"])
@@ -806,12 +836,96 @@ class TestCohorts:
             write_result(tmp_path / "alone", run_single(cfg, key))
         alone = written(tmp_path / "alone")
         assert len(alone) == 2 * 32
-        for parallelism in (1, 2):
+        for parallelism, cohorts in ((1, [4]), (2, [2, 2])):
             out = tmp_path / str(parallelism)
             cfg = parse_config(tiny_config_text(out, **COHORT_GRID, **algorithm))
-            assert [len(cohort) for cohort in benchmark._cohorts(cfg, expand_grid(cfg), parallelism)] == [8] * 4
+            # One task of the four cohorts, or one task of two cohorts per worker.
+            assert [len({split(key) for key in task}) for task in benchmark._cohorts(cfg, expand_grid(cfg),
+                                                                                  parallelism)] == cohorts
             assert run_benchmark(cfg, parallelism)["completed"] == 32
             assert written(out) == alone
+
+    @ALGORITHMS
+    def test_tasks_that_span_cohorts_write_the_bytes_of_each_run_alone(self, tmp_path, algorithm):
+        cfg = parse_config(tiny_config_text(tmp_path / "alone", **TASK_GRID, **algorithm))
+        for key in expand_grid(cfg):
+            write_result(tmp_path / "alone", run_single(cfg, key))
+        alone = written(tmp_path / "alone")
+        assert len(alone) == 2 * 18
+        for parallelism in (1, 2):
+            out = tmp_path / str(parallelism)
+            cfg = parse_config(tiny_config_text(out, **TASK_GRID, **algorithm))
+            tasks = benchmark._cohorts(cfg, expand_grid(cfg), parallelism)
+            assert [len({split(key) for key in task}) for task in tasks] == {1: [3], 2: [2, 2]}[parallelism]
+            if parallelism == 2:  # the first task holds half of cohort 1, without its LabelFlipping runs
+                assert {key.attack.name for key in tasks[0] if key.seed == 1} == {
+                    "SignFlipping", "Optimal_ALittleIsEnough"}
+            with pytest.MonkeyPatch.context() as patch:
+                calls = record_stage_calls(patch)  # seen in this process when the one task runs here
+                assert run_benchmark(cfg, parallelism)["completed"] == 18
+            assert written(out) == alone
+            if parallelism == 1:  # three cohorts' runs of one row shape in one NNM stack and one SignFlipping stack
+                assert max(r for name, r in calls if name == "NNM") == max(
+                    r for name, r in calls if name == "SignFlipping") == 6
+
+    @pytest.mark.parametrize("broken", ["load", "make_partition"])
+    def test_a_cohort_whose_data_cannot_be_made_fails_only_its_own_runs(self, tmp_path, monkeypatch, broken):
+        # One task of four cohorts; the data of seed 1, or the split at gamma 1.0, cannot be made.
+        cfg = parse_config(tiny_config_text(tmp_path / "alone", **COHORT_GRID))
+        keys = expand_grid(cfg)
+        fails = {"load": lambda key: key.seed == 1, "make_partition": lambda key: key.distribution_parameter == 1.0}
+        for key in keys:
+            if not fails[broken](key):
+                write_result(tmp_path / "alone", run_single(cfg, key))
+        if broken == "load":
+            load = benchmark.DATASETS["blobs"].load
+
+            def load_or_fail(model, seed):
+                if seed == 1:
+                    raise OSError("seed 1 unreadable")
+                return load(model, seed)
+
+            monkeypatch.setitem(benchmark.DATASETS, "blobs", benchmark.DATASETS["blobs"]._replace(load=load_or_fail))
+        else:
+            def partition_or_fail(train, name, parameter, *args):
+                if parameter == 1.0:
+                    raise ValueError("no split at 1.0")
+                return make_partition(train, name, parameter, *args)
+
+            monkeypatch.setattr(benchmark, "make_partition", partition_or_fail)
+        cfg = parse_config(tiny_config_text(tmp_path / "grid", **COHORT_GRID))
+        assert [len({split(key) for key in task}) for task in benchmark._cohorts(cfg, keys, 1)] == [4]
+        summary = run_benchmark(cfg)
+        message = {"load": "OSError: seed 1 unreadable", "make_partition": "ValueError: no split at 1.0"}[broken]
+        assert summary["completed"] == 16
+        assert summary["failures"] == sorted((key.run_id, message) for key in keys if fails[broken](key))
+        assert written(tmp_path / "grid") == written(tmp_path / "alone")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_a_run_leaving_mid_task_replans_and_its_siblings_in_both_cohorts_keep_their_bytes(self, tmp_path,
+                                                                                              monkeypatch):
+        # Two cohorts of Average and Median behind NNM under SignFlipping, ALittleIsEnough and IPM at tau = 1e300,
+        # less seed 1's diverging run: seed 0's Average under IPM leaves mid-task, the plan is made again for the
+        # other ten, which still share one NNM stack, and every one of them keeps its bytes alone.
+        ipm = {"name": "InnerProductManipulation", "parameters": {"tau": 1e300}}
+        cfg = parse_config(tiny_config_text(tmp_path, **{
+            "aggregator": [{"name": "Average"}, {"name": "Median"}], "pre_aggregators": [{"name": "NNM"}],
+            "attack": [{"name": "SignFlipping"}, ipm, {"name": "ALittleIsEnough"}], "benchmark_config.nb_steps": 20,
+            "honest_clients.weight_decay": 1e-4, "benchmark_config.nb_training_seeds": 2}))
+        diverges = [key.aggregator.name == "Average" and bool(key.attack.parameters) for key in expand_grid(cfg)]
+        keys = [key for key, lost in zip(expand_grid(cfg), diverges) if not (lost and key.seed == 1)]
+        diverged = next(i for i, key in enumerate(keys) if key.aggregator.name == "Average" and key.attack.parameters)
+        alone = [None if i == diverged else dataclasses.astuple(run_single(cfg, key)) for i, key in enumerate(keys)]
+        plans = []
+        monkeypatch.setattr(benchmark, "ServerPass", lambda runs: plans.append(len(runs)) or simulator.ServerPass(runs))
+        with pytest.MonkeyPatch.context() as patch:
+            calls = record_stage_calls(patch)
+            results = run_cohort(cfg, keys)
+        assert plans == [11, 10]
+        assert [r for name, r in calls if name == "NNM"][-1] == 10
+        assert isinstance(results[diverged], ValueError) and "NaN or Inf" in str(results[diverged])
+        assert [None if i == diverged else dataclasses.astuple(result) for i, result in enumerate(results)] == alone
 
     @ALGORITHMS
     def test_a_member_leaving_changes_no_siblings_bytes(self, tmp_path, algorithm):
@@ -866,24 +980,21 @@ class TestCohorts:
             write_result(tmp_path / "alone", run_single(cfg, key))
         with pytest.raises(ValueError, match="matrix contains NaN or Inf"):
             run_single(cfg, keys[1])
-        groups = collections.Counter()
-        stage = simulator._stacked_calls
-
-        def recording(calls, errors):
-            groups.update(f"{call[0]!r} {call[2].shape}" for call in calls.values())
-            return stage(calls, errors)
-
         cfg = parse_config(tiny_config_text(tmp_path / "grid", **tweaks))
         assert [len(cohort) for cohort in benchmark._cohorts(cfg, keys, 1)] == [6]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simulator, "_stacked_calls", recording)
+            calls = record_stage_calls(patch)
             summary = run_benchmark(cfg)
         assert summary["completed"] == 5 and summary["failures"] == [
             (diverged, "ValueError: matrix contains NaN or Inf")]
         assert written(tmp_path / "grid") == written(tmp_path / "alone")
-        # NNM's one group took every live run, the diverged one's rows too until they failed, and so did IPM's.
-        assert max(groups.values()) > 5 * cfg.nb_steps
-        assert any("InnerProductManipulation" in key and count > cfg.nb_steps for key, count in groups.items())
+        # NNM's one group took every live run, the diverged one's rows too until they failed, and so did IPM's;
+        # the stack that first held its NaN rows raised and each of the six went alone, and from the next step
+        # on the five stacked again.
+        nnm = [r for name, r in calls if name == "NNM"]
+        failed = nnm.index(1)
+        assert nnm == [6] * failed + [1] * 6 + [5] * (cfg.nb_steps - failed)
+        assert [r for name, r in calls if name == "InnerProductManipulation"][0] == 2
 
     def test_a_run_that_cannot_be_written_fails_alone(self, tmp_path, monkeypatch):
         cfg = parse_config(tiny_config_text(tmp_path, **COHORT_GRID))
@@ -899,13 +1010,20 @@ class TestCohorts:
         summary = run_benchmark(cfg)
         assert summary["completed"] == 31 and summary["failures"] == [(victim, "OSError: disk full")]
 
-    def test_runs_that_do_not_share_a_split_are_refused(self, tmp_path):
+    def test_runs_of_different_splits_train_in_one_cohort_each(self, tmp_path, monkeypatch):
+        # A task of runs from three splits loads each split's data, partition and initial vector once.
         cfg = parse_config(tiny_config_text(tmp_path, **COHORT_GRID))
         first, *rest = expand_grid(cfg)
-        for other in (next(k for k in rest if k.seed != first.seed),
-                      next(k for k in rest if k.distribution_parameter != first.distribution_parameter)):
-            with pytest.raises(ValueError, match=r"must share \(seed, distribution, parameter\)"):
-                run_cohort(cfg, [first, other])
+        keys = [first, next(k for k in rest if k.seed != first.seed),
+                next(k for k in rest if k.distribution_parameter != first.distribution_parameter), rest[0]]
+        alone = [run_single(cfg, key) for key in keys]
+        made = collections.Counter()
+        for name in ("make_partition", "init_params"):
+            real = getattr(benchmark, name)
+            monkeypatch.setattr(benchmark, name, lambda *args, name=name, real=real: made.update([name]) or real(*args))
+        results = run_cohort(cfg, keys)
+        assert made == {"make_partition": 3, "init_params": 3}
+        assert [dataclasses.astuple(result) for result in results] == [dataclasses.astuple(a) for a in alone]
 
     def test_the_initial_vector_is_drawn_once_and_shared_read_only(self, tmp_path, monkeypatch):
         cfg = parse_config(tiny_config_text(tmp_path, **COHORT_GRID))
@@ -929,22 +1047,22 @@ class TestCohorts:
         assert benchmark.honest_rows(parse_config(tiny_config_text(tmp_path, **COHORT_GRID, **algorithm))) == rows
 
     @pytest.mark.parametrize("tweaks, parallelism, sizes", [
-        ({}, 1, [8] * 4),
+        ({}, 1, [32]),
+        ({}, 3, [11, 11, 10]),
         ({}, 8, [4] * 8),
         ({}, 64, [1] * 32),
         # d = 3 x 40,001 parameters: (5 + 2) d rows' worth of entries exceed BLOCK_ELEMENTS, so every run is alone.
         ({"model.dataset_params.dim": 40_000}, 1, [1] * 32),
         ({"model.dataset_name": "mnist", "model.dataset_params": {}}, 1, [1] * 32),
-    ], ids=["serial", "eight-workers", "more-workers-than-runs", "wide-model", "mnist"])
-    def test_cohort_size_rule(self, tmp_path, tweaks, parallelism, sizes):
+    ], ids=["serial", "three-workers", "eight-workers", "more-workers-than-runs", "wide-model", "mnist"])
+    def test_task_size_rule(self, tmp_path, tweaks, parallelism, sizes):
         cfg = parse_config(tiny_config_text(tmp_path, **{**COHORT_GRID, **tweaks}))
-        cohorts = benchmark._cohorts(cfg, expand_grid(cfg), parallelism)
-        assert [len(cohort) for cohort in cohorts] == sizes
-        order = [key.run_id for key in expand_grid(cfg)]
-        assert sorted(order.index(key.run_id) for cohort in cohorts for key in cohort) == list(range(len(order)))
-        positions = [[order.index(key.run_id) for key in cohort] for cohort in cohorts]
-        assert all(places == sorted(places) for places in positions)
-        assert all(len({(k.seed, k.distribution_name, k.distribution_parameter) for k in c}) == 1 for c in cohorts)
+        keys = expand_grid(cfg)
+        tasks = benchmark._cohorts(cfg, keys, parallelism)
+        assert [len(task) for task in tasks] == sizes
+        # The tasks cut the runs cohort by cohort, cohorts in the order of their first run, each in grid order.
+        splits = list(dict.fromkeys(split(key) for key in keys))
+        assert [key for task in tasks for key in task] == [key for s in splits for key in keys if split(key) == s]
 
 
 class TestRunBenchmark:

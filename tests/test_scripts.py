@@ -39,7 +39,7 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
     assert time.process_time() - start < 2.0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
     rules = [row for row in rows
-             if row[0] not in ("attack", "kernel", "model", "round", "cohort", "evaluation", "stacked")]
+             if row[0] not in ("attack", "kernel", "model", "round", "cohort", "evaluation", "stacked", "server")]
     names = list(AGGREGATOR_NAMES) + list(PRE_AGGREGATOR_NAMES)
     assert [row[1] for row in rules if row[2] == "5"] == names
     assert [row[1] for row in rules if row[2] == "7"] == names
@@ -58,6 +58,10 @@ def test_microbench_prints_a_row_per_rule_and_search(monkeypatch, capsys):
     assert [row[1:5] for row in stacked] == [[f"{stage}@{runs}", "12", "33", "2"]
                                              for runs in (1, 4, 8) for stage in stages]
     assert all(float(row[5]) > 0 for row in stacked)
+    passes = [row for row in rows if row[:2] == ["server", "pass"]]
+    assert [row[2:6] for row in passes] == [[f"{kind}@{runs}", "12", "33", "2"]
+                                            for runs in (8, 16) for kind in ("real", "noop")]
+    assert all(float(row[6]) > 0 for row in passes)
     kernels = [row for row in rows if row[0] == "kernel"]
     assert [row[1:5] for row in kernels] == [
         ["pairwise_sq_dists", "7", "12", "2"], ["gram_sq_dists", "7", "12", "2"], ["ALIE_parts", "7", "12", "2"]

@@ -69,14 +69,18 @@ def make_server(flat, rule="Average", f=0):
 class Run:
     """One run as ``run_cohort`` holds it: its server and Byzantine group, and
     its (m + f, d) step rows, whose first m + seats (``head``) the bank trains;
-    m is every honest client under DSGD, the sampled ones under FedAvg."""
+    m is every honest client under DSGD, the sampled ones under FedAvg. A
+    server pass may move the rows into its stack, so ``head`` views them anew."""
 
     def __init__(self, server, byz, clients, proportion=None):
         n = len(clients)
-        m = n if proportion is None else sampled_count(proportion, n)
+        self.m = n if proportion is None else sampled_count(proportion, n)
         self.server, self.byz = server, byz
-        self.rows = np.zeros((m + byz.f, server.flat.size))
-        self.head = self.rows[: m + byz.seats]
+        self.rows = np.zeros((self.m + byz.f, server.flat.size))
+
+    @property
+    def head(self):
+        return self.rows[: self.m + self.byz.seats]
 
 
 @dataclass

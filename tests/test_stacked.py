@@ -1,4 +1,4 @@
-"""Every stage a cohort's server pass runs once for a group of runs gives, for
+"""Every stage the server pass runs once for a group of runs gives, for
 each matrix of an (r, n, d) stack, the bytes of its lone call.
 
 The stacks cover one coordinate (numpy reduces a one-coordinate gather
@@ -86,6 +86,19 @@ def test_a_stacked_attack_gives_each_run_its_lone_vector_whatever_its_f(xs, data
         spec = AttackSpec(name, {"tau": data.draw(st.sampled_from([0.5, 1.5, 3.0]))} if ATTACKS[name].params else {})
         stacked = crafted(spec, AttackContext(xs, fs[0], None))
         assert_each_is_lone(stacked, lambda k: crafted(spec, AttackContext(xs[k].copy(), fs[k], None)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(stacks(), st.data())
+def test_nnm_gives_each_row_the_mean_of_its_gathered_neighbours(xs, data):
+    # Each row's neighbours gathered and averaged along their axis, signed zeros included, stacked or not.
+    r, n, d = xs.shape
+    f = data.draw(st.integers(0, n - 1), label="f")
+    stage = ConfiguredPreAggregator(PreAggregatorSpec("NNM", f=f))
+    out = stage(xs)
+    for k, x in enumerate(xs):
+        near = np.argsort(pairwise_sq_dists(x), axis=1, kind="stable")[:, : n - f]
+        assert out[k].tobytes() == x[near].mean(axis=1).tobytes()
 
 
 @settings(deadline=None, max_examples=100)
